@@ -20,7 +20,7 @@ bench:
 	dune exec bench/main.exe
 
 # Full-scale scheduler scale bench; appends this run's JSON line to the
-# in-repo trajectory (ROADMAP item 6). Commit the result with the PR.
+# in-repo trajectory. Commit the result with the PR.
 bench-many-flows:
 	dune exec bench/main.exe -- --many-flows >> BENCH_many_flows.json
 	tail -n 1 BENCH_many_flows.json

@@ -4,7 +4,7 @@
    parameters; pass --full for paper-scale runs, --only fig6 for one
    experiment, -j N to run each experiment's job grid on N worker domains).
    Pass --micro to run the Bechamel micro-benchmarks of the hot paths
-   instead (event heap, ALI update, RED decision, response function, full
+   instead (timing wheel, ALI update, RED decision, response function, full
    dumbbell step), --speedup to emit the parallel_speedup JSON line
    (quick `all` wall clock at -j 1 vs -j 4), or --fuzz to emit the
    fuzz_throughput JSON line (end-to-end chaos-scenario cases/sec). *)
@@ -12,16 +12,16 @@
 let micro () =
   let open Bechamel in
   let open Toolkit in
-  (* Event heap: push+pop cycles on a warm heap. *)
-  let heap_test =
-    Test.make ~name:"event_queue push/pop"
+  (* Timing wheel: 256 scattered pushes, then drain. *)
+  let wheel_test =
+    Test.make ~name:"timing_wheel push/pop"
       (Staged.stage (fun () ->
-           let q = Engine.Event_queue.create () in
+           let q = Engine.Timing_wheel.create () in
            for i = 0 to 255 do
-             Engine.Event_queue.push q ~time:(float_of_int (i * 7919 mod 997)) i
+             Engine.Timing_wheel.push q ~time:(float_of_int (i * 7919 mod 997)) i
            done;
            let rec drain () =
-             match Engine.Event_queue.pop q with
+             match Engine.Timing_wheel.pop q with
              | Some _ -> drain ()
              | None -> ()
            in
@@ -98,7 +98,7 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"tfrc"
-      [ heap_test; ali_test; response_test; red_test; sim_test ]
+      [ wheel_test; ali_test; response_test; red_test; sim_test ]
   in
   let benchmark () =
     let instances = Instance.[ monotonic_clock ] in
@@ -256,15 +256,14 @@ let fuzz_throughput_json () =
    periodic send timer (20–200 ms period derived from the flow id) plus a
    no-feedback-style watchdog that is cancelled and re-armed on every send
    — the cancel churn is what makes this representative of TFRC/TCP timer
-   behavior, and what stresses the schedulers differently (the heap sweeps
-   cancelled entries in O(n log n) bulk passes; the wheel prunes buckets).
+   behavior, and what drives the scheduler's bulk sweeps of cancelled
+   entries.
    Each send allocates a packet from a freelist pool and folds a sample
    into a struct-of-arrays accumulator, so the measured loop exercises all
    three scale paths from ROADMAP item 1. The simulation runs in virtual-
-   time chunks until the wall budget expires; events/sec is the score.
-   Run once per backend at identical parameters and report the ratio. *)
-let many_flows_run ~scheduler ~flows ~wall =
-  let sim = Engine.Sim.create ~scheduler () in
+   time chunks until the wall budget expires; events/sec is the score. *)
+let many_flows_json ~flows ~wall =
+  let sim = Engine.Sim.create () in
   let pool = Netsim.Packet.Pool.create () in
   let soa = Stats.Soa.create flows in
   let events = ref 0 in
@@ -295,19 +294,12 @@ let many_flows_run ~scheduler ~flows ~wall =
     Engine.Sim.run sim ~until:!horizon
   done;
   let wall_s = Unix.gettimeofday () -. t0 in
-  (!events, wall_s, Engine.Sim.pending_events sim, !horizon)
-
-let many_flows_json ~flows ~wall =
-  let wheel_events, wheel_s, pending, vtime =
-    many_flows_run ~scheduler:`Wheel ~flows ~wall
-  in
-  let heap_events, heap_s, _, _ = many_flows_run ~scheduler:`Heap ~flows ~wall in
-  let wheel_eps = float_of_int wheel_events /. wheel_s in
-  let heap_eps = float_of_int heap_events /. heap_s in
   Printf.sprintf
-    "{\"bench\":\"many_flows\",\"flows\":%d,\"wall_budget_s\":%.2f,\"wheel_events\":%d,\"wheel_events_per_s\":%.0f,\"heap_events\":%d,\"heap_events_per_s\":%.0f,\"speedup\":%.2f,\"pending_events\":%d,\"virtual_time_s\":%.2f}"
-    flows wall wheel_events wheel_eps heap_events heap_eps
-    (wheel_eps /. heap_eps) pending vtime
+    "{\"bench\":\"many_flows\",\"flows\":%d,\"wall_budget_s\":%.2f,\"wheel_events\":%d,\"wheel_events_per_s\":%.0f,\"pending_events\":%d,\"virtual_time_s\":%.2f}"
+    flows wall !events
+    (float_of_int !events /. wall_s)
+    (Engine.Sim.pending_events sim)
+    !horizon
 
 let () =
   let full = Array.exists (( = ) "--full") Sys.argv in

@@ -37,27 +37,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let scheduler_arg =
-  let sch_conv =
-    let parse s =
-      match Engine.Sim.scheduler_of_string s with
-      | Some sch -> Ok sch
-      | None ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown scheduler %S (expected wheel or heap)" s))
-    in
-    let print ppf s = Format.pp_print_string ppf (Engine.Sim.scheduler_name s) in
-    Arg.conv (parse, print)
-  in
-  let doc =
-    "Event-queue backend: $(b,wheel) (hierarchical timing wheel, the \
-     default) or $(b,heap) (binary heap). Both produce byte-identical \
-     simulations — the knob exists for benchmarking and differential \
-     testing."
-  in
-  Arg.(value & opt sch_conv `Wheel & info [ "scheduler" ] ~docv:"BACKEND" ~doc)
-
 let trace_arg =
   let doc =
     "Write every structured simulation event (tfrc/*, link/*, fault/*, \
@@ -257,8 +236,7 @@ let exp_cmd =
   let id_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID")
   in
-  let run full seed j trace check sup scheduler id =
-    Engine.Sim.set_default_scheduler scheduler;
+  let run full seed j trace check sup id =
     install_signals sup;
     observe ~trace ~check (fun () -> run_one ~j ~full ~seed ~sup id)
   in
@@ -266,11 +244,10 @@ let exp_cmd =
     (Cmd.info "exp" ~doc:"Regenerate one figure or table from the paper.")
     Term.(
       const run $ full_arg $ seed_arg $ jobs_arg $ trace_arg $ check_arg
-      $ sup_term $ scheduler_arg $ id_arg)
+      $ sup_term $ id_arg)
 
 let all_cmd =
-  let run full seed j trace check sup scheduler =
-    Engine.Sim.set_default_scheduler scheduler;
+  let run full seed j trace check sup =
     install_signals sup;
     observe ~trace ~check (fun () ->
         List.iter
@@ -281,7 +258,7 @@ let all_cmd =
     (Cmd.info "all" ~doc:"Regenerate every figure and table.")
     Term.(
       const run $ full_arg $ seed_arg $ jobs_arg $ trace_arg $ check_arg
-      $ sup_term $ scheduler_arg)
+      $ sup_term)
 
 let duel_cmd =
   let n_tcp =
@@ -304,8 +281,7 @@ let duel_cmd =
       value & opt float 60.
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated time.")
   in
-  let run n_tcp n_tfrc mbps red duration seed trace check scheduler =
-    Engine.Sim.set_default_scheduler scheduler;
+  let run n_tcp n_tfrc mbps red duration seed trace check =
     observe ~trace ~check @@ fun () ->
     let bandwidth = Engine.Units.mbps mbps in
     let params =
@@ -348,7 +324,7 @@ let duel_cmd =
     (Cmd.info "duel" ~doc:"Ad-hoc TCP vs TFRC dumbbell simulation.")
     Term.(
       const run $ n_tcp $ n_tfrc $ mbps $ red $ duration $ seed_arg $ trace_arg
-      $ check_arg $ scheduler_arg)
+      $ check_arg)
 
 let chaos_cmd =
   let at =
@@ -361,8 +337,7 @@ let chaos_cmd =
       value & opt float 2.
       & info [ "outage-duration" ] ~docv:"SECONDS" ~doc:"Outage length.")
   in
-  let run at outage_duration seed j trace check sup scheduler =
-    Engine.Sim.set_default_scheduler scheduler;
+  let run at outage_duration seed j trace check sup =
     install_signals sup;
     observe ~trace ~check @@ fun () ->
     if at < 0. then begin
@@ -466,7 +441,7 @@ let chaos_cmd =
           backoff/slow-restart timeline (see also `exp resilience').")
     Term.(
       const run $ at $ outage_duration $ seed_arg $ jobs_arg $ trace_arg
-      $ check_arg $ sup_term $ scheduler_arg)
+      $ check_arg $ sup_term)
 
 let topo_cmd =
   let fail_arg =
@@ -494,8 +469,7 @@ let topo_cmd =
       value & opt float 10.
       & info [ "outage-duration" ] ~docv:"SECONDS" ~doc:"Cut length.")
   in
-  let run fail dark at duration trace check scheduler =
-    Engine.Sim.set_default_scheduler scheduler;
+  let run fail dark at duration trace check =
     observe ~trace ~check @@ fun () ->
     List.iter
       (fun l ->
@@ -557,7 +531,7 @@ let topo_cmd =
           topology').")
     Term.(
       const run $ fail_arg $ dark_arg $ at_arg $ duration_arg $ trace_arg
-      $ check_arg $ scheduler_arg)
+      $ check_arg)
 
 let trace_cmd =
   let out_arg =
@@ -651,8 +625,7 @@ let fuzz_cmd =
       & info [ "max-shrink-runs" ] ~docv:"N"
           ~doc:"Oracle-execution budget per shrink.")
   in
-  let run cases seed j shrink mutate artifacts max_shrink_runs scheduler =
-    Engine.Sim.set_default_scheduler scheduler;
+  let run cases seed j shrink mutate artifacts max_shrink_runs =
     if cases <= 0 then begin
       Format.eprintf "tfrc_sim: --cases must be positive@.";
       exit 1
@@ -696,7 +669,7 @@ let fuzz_cmd =
           (--cases, --seed) give equal output at any -j.")
     Term.(
       const run $ cases $ seed_arg $ jobs_arg $ shrink $ mutate $ artifacts
-      $ max_shrink_runs $ scheduler_arg)
+      $ max_shrink_runs)
 
 let repro_cmd =
   let bundle_arg =

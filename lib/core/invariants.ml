@@ -4,7 +4,7 @@
 
    Checked rules (RFC 3448 / RFC 5348 section references):
    - time-monotone: trace-event timestamps never decrease within one
-     simulation (the event heap fires in time order; a violation means a
+     simulation (the scheduler fires in time order; a violation means a
      scheduler bug). Reset at each [sim/created]; [exp/*] runner
      bookkeeping events are exempt (they carry wall-clock, not sim, time).
    - sender-rate-bound (4.3, rate validation / slow start 4.2): on a

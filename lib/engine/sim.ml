@@ -1,24 +1,9 @@
-type handle = {
-  mutable state : [ `Pending | `Fired | `Cancelled ];
-  f : unit -> unit;
-  (* Shared with the owning scheduler: counts cancelled handles still
-     sitting in its heap, so [run] knows when a sweep pays off. *)
-  cancelled_in_heap : int ref;
-}
-
-type scheduler = [ `Heap | `Wheel ]
-
-(* The two queue backends share the (time, seq) contract, so which one a
-   simulation runs on is unobservable — same pop order, same traces. A
-   direct two-constructor dispatch keeps the per-event cost at a branch
-   instead of a closure call. *)
-type equeue = Heap of handle Event_queue.t | Wheel of handle Timing_wheel.t
+type handle = Timers.handle
 
 type t = {
   mutable clock : float;
-  events : equeue;
+  timers : Timers.t;
   mutable stopping : bool;
-  cancelled : int ref;
   trace : Trace.t;
   (* Per-simulation identity allocator (packet ids, default link labels).
      Keeping the counter on the scheduler — not in a process-global ref —
@@ -80,74 +65,13 @@ let with_budget b f =
   set_budget (Some b);
   Fun.protect ~finally:(fun () -> set_budget prev) f
 
-(* --- Scheduler backend ----------------------------------------------------
-
-   The ambient default is domain-local (like {!Trace.default} and the
-   budget): a driver selects the backend once and every [Sim.create ()]
-   underneath — including inside experiment jobs — picks it up without
-   threading a parameter through scenario builders. [Exp.Runner]
-   re-installs the coordinator's choice on each worker domain so [-j N]
-   runs the same backend as [-j 1]. *)
-
-let default_scheduler_key : scheduler Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> `Wheel)
-
-let set_default_scheduler s = Domain.DLS.set default_scheduler_key s
-let default_scheduler () = Domain.DLS.get default_scheduler_key
-
-let scheduler_of_string = function
-  | "heap" -> Some `Heap
-  | "wheel" -> Some `Wheel
-  | _ -> None
-
-let scheduler_name = function `Heap -> "heap" | `Wheel -> "wheel"
-
-(* Queue dispatch: the only places the backends differ. *)
-
-let q_push t ~time h =
-  match t.events with
-  | Heap q -> Event_queue.push q ~time h
-  | Wheel w -> Timing_wheel.push w ~time h
-
-let q_pop t =
-  match t.events with
-  | Heap q -> Event_queue.pop q
-  | Wheel w -> Timing_wheel.pop w
-
-let q_peek_time t =
-  match t.events with
-  | Heap q -> Event_queue.peek_time q
-  | Wheel w -> Timing_wheel.peek_time w
-
-let q_size t =
-  match t.events with
-  | Heap q -> Event_queue.size q
-  | Wheel w -> Timing_wheel.size w
-
-let q_prune t ~keep =
-  match t.events with
-  | Heap q -> Event_queue.prune q ~keep
-  | Wheel w -> Timing_wheel.prune w ~keep
-
-let q_compact t =
-  match t.events with
-  | Heap q -> Event_queue.compact q
-  | Wheel w -> Timing_wheel.compact w
-
-let create ?trace ?scheduler () =
+let create ?trace () =
   let trace = match trace with Some tr -> tr | None -> Trace.default () in
-  let scheduler =
-    match scheduler with Some s -> s | None -> default_scheduler ()
-  in
   let t =
     {
       clock = 0.;
-      events =
-        (match scheduler with
-        | `Heap -> Heap (Event_queue.create ())
-        | `Wheel -> Wheel (Timing_wheel.create ()));
+      timers = Timers.create ();
       stopping = false;
-      cancelled = ref 0;
       trace;
       next_id = 0;
       runtime = None;
@@ -176,9 +100,7 @@ let at t time f =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.at: time %g is in the past (now %g)" time t.clock);
-  let h = { state = `Pending; f; cancelled_in_heap = t.cancelled } in
-  q_push t ~time h;
-  h
+  Timers.schedule t.timers ~time f
 
 let after t delay f =
   if not (Float.is_finite delay) then
@@ -186,30 +108,15 @@ let after t delay f =
   if delay < 0. then invalid_arg "Sim.after: negative delay";
   at t (t.clock +. delay) f
 
-let cancel h =
-  if h.state = `Pending then begin
-    h.state <- `Cancelled;
-    incr h.cancelled_in_heap
-  end
-
-let is_pending h = h.state = `Pending
-
-let null_handle = { state = `Fired; f = ignore; cancelled_in_heap = ref 0 }
-
-let pending_events t = q_size t
+let cancel = Timers.cancel
+let is_pending = Timers.is_pending
+let null_handle = Timers.null_handle
+let pending_events t = Timers.size t.timers
 
 let stop t = t.stopping <- true
 
-(* The canonical {!Runtime} implementation: virtual time, the event heap's
-   timers, this sim's trace bus and id allocator. Wrapping a handle costs
-   one record + two closures per scheduled timer — the sans-IO price, paid
-   only by components written against Runtime (the TFRC state machines),
-   not by raw [Sim.at] users. *)
-let wrap_handle h =
-  Runtime.handle
-    ~cancel:(fun () -> cancel h)
-    ~is_pending:(fun () -> is_pending h)
-
+(* The canonical {!Runtime} implementation: virtual time, the timer
+   wheel, this sim's trace bus and id allocator. *)
 let runtime t =
   match t.runtime with
   | Some rt -> rt
@@ -217,31 +124,22 @@ let runtime t =
       let rt =
         Runtime.make
           ~now:(fun () -> t.clock)
-          ~at:(fun time f -> wrap_handle (at t time f))
-          ~after:(fun delay f -> wrap_handle (after t delay f))
+          ~at:(fun time f -> Timers.runtime_handle (at t time f))
+          ~after:(fun delay f -> Timers.runtime_handle (after t delay f))
           ~trace:t.trace
           ~fresh_id:(fun () -> fresh_id t)
       in
       t.runtime <- Some rt;
       rt
 
-(* Sweep the heap once cancelled entries dominate it: timer-heavy protocols
-   (TCP retransmit, TFRC no-feedback) cancel far more events than they fire,
-   and without a sweep those dead entries — and the closures they capture —
-   survive until their original expiry pops them. The size floor keeps tiny
-   heaps from paying the O(n log n) sort. *)
-let sweep_floor = 64
-
 let maybe_sweep t =
-  let n = q_size t in
-  if n >= sweep_floor && 2 * !(t.cancelled) > n then begin
-    q_prune t ~keep:(fun h -> h.state = `Pending);
-    q_compact t;
-    t.cancelled := 0;
-    if Trace.active t.trace then
-      Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"sweep"
-        [ ("before", Trace.Int n); ("after", Trace.Int (q_size t)) ]
-  end
+  let before = Timers.size t.timers in
+  if Timers.maybe_sweep t.timers && Trace.active t.trace then
+    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"sweep"
+      [
+        ("before", Trace.Int before);
+        ("after", Trace.Int (Timers.size t.timers));
+      ]
 
 let exhaust t detail =
   if Trace.active t.trace then
@@ -260,38 +158,35 @@ let run ?budget t ~until =
   let continue = ref true in
   while !continue && not t.stopping do
     maybe_sweep t;
-    match q_peek_time t with
+    match Timers.peek_time t.timers with
     | None -> continue := false
     | Some time when time > until -> continue := false
     | Some _ -> (
-        match q_pop t with
+        match Timers.pop t.timers with
         | None -> continue := false
-        | Some (time, h) -> (
-            match h.state with
-            | `Cancelled -> decr t.cancelled
-            | `Fired -> ()
-            | `Pending ->
-                (match budget with
-                | None -> ()
-                | Some b ->
-                    if time > b.max_time then
-                      exhaust t
-                        (Printf.sprintf
-                           "virtual-time budget exhausted: next event at %g \
-                            past max_time %g"
-                           time b.max_time);
-                    if b.events_left <= 0 then
-                      exhaust t
-                        (Printf.sprintf
-                           "event budget exhausted at t=%g (max_events \
-                            reached)"
-                           t.clock);
-                    b.events_left <- b.events_left - 1);
-                t.clock <- time;
-                h.state <- `Fired;
-                h.f ()))
+        | Some (time, h) ->
+            if Timers.is_pending h then begin
+              (match budget with
+              | None -> ()
+              | Some b ->
+                  if time > b.max_time then
+                    exhaust t
+                      (Printf.sprintf
+                         "virtual-time budget exhausted: next event at %g \
+                          past max_time %g"
+                         time b.max_time);
+                  if b.events_left <= 0 then
+                    exhaust t
+                      (Printf.sprintf
+                         "event budget exhausted at t=%g (max_events \
+                          reached)"
+                         t.clock);
+                  b.events_left <- b.events_left - 1);
+              t.clock <- time;
+              Timers.fire h
+            end)
   done;
   if until < infinity && t.clock < until && not t.stopping then t.clock <- until;
   if Trace.active t.trace then
     Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"run_end"
-      [ ("pending", Trace.Int (q_size t)) ]
+      [ ("pending", Trace.Int (Timers.size t.timers)) ]

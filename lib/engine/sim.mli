@@ -1,42 +1,20 @@
 (** Discrete-event simulation scheduler.
 
-    A [Sim.t] owns a virtual clock and an event heap. Agents schedule
-    callbacks at absolute or relative virtual times; [run] executes events in
-    timestamp order, advancing the clock. This plays the role of the ns-2
-    scheduler in the paper's experiments. *)
+    A [Sim.t] owns a virtual clock and a timer wheel ({!Timers}).
+    Agents schedule callbacks at absolute or relative virtual times;
+    [run] executes events in timestamp order, advancing the clock. This
+    plays the role of the ns-2 scheduler in the paper's experiments. *)
 
 type t
 
-(** Cancellable handle for a scheduled event (a timer). *)
-type handle
+(** Cancellable handle for a scheduled event (a timer); cancel, pending
+    and sweep semantics are {!Timers}'. *)
+type handle = Timers.handle
 
-(** Event-queue backend: a hierarchical {!Timing_wheel} (default — O(levels)
-    per operation, built for very many short-horizon timers) or the binary
-    heap {!Event_queue} (O(log n)). Both obey the same (time, insertion
-    sequence) dequeue contract, so a simulation's behavior — including
-    traces — is byte-identical across backends. *)
-type scheduler = [ `Heap | `Wheel ]
-
-(** [create ?trace ?scheduler ()] makes a scheduler at virtual time 0,
-    attached to [trace] (default: the process-wide {!Trace.default} bus),
-    using the given queue backend (default: the domain's ambient
-    {!default_scheduler}). Emits a [sim/created] event so observers can
-    reset per-run state. *)
-val create : ?trace:Trace.t -> ?scheduler:scheduler -> unit -> t
-
-(** [set_default_scheduler s] sets the calling domain's ambient backend,
-    used by {!create} when [?scheduler] is omitted (initially [`Wheel]).
-    [Exp.Runner] re-installs the coordinator's choice on each worker
-    domain, so setting it once before a run covers [-j N] too. *)
-val set_default_scheduler : scheduler -> unit
-
-val default_scheduler : unit -> scheduler
-
-(** [scheduler_of_string s] parses ["heap"] / ["wheel"];
-    [scheduler_name] is its inverse. *)
-val scheduler_of_string : string -> scheduler option
-
-val scheduler_name : scheduler -> string
+(** [create ?trace ()] makes a scheduler at virtual time 0, attached to
+    [trace] (default: the process-wide {!Trace.default} bus). Emits a
+    [sim/created] event so observers can reset per-run state. *)
+val create : ?trace:Trace.t -> unit -> t
 
 (** [now t] is the current virtual time in seconds. *)
 val now : t -> float
@@ -63,14 +41,10 @@ val at : t -> float -> (unit -> unit) -> handle
     [delay] must be finite and non-negative. *)
 val after : t -> float -> (unit -> unit) -> handle
 
-(** [cancel h] prevents the event from firing. Idempotent. *)
+(** {!Timers.cancel}, {!Timers.is_pending} and {!Timers.null_handle}. *)
 val cancel : handle -> unit
 
-(** [is_pending h] is [true] if the event has neither fired nor been
-    cancelled. *)
 val is_pending : handle -> bool
-
-(** A dummy handle that is never pending; useful as an initial value. *)
 val null_handle : handle
 
 (** [runtime t] is the sans-IO {!Runtime} view of this scheduler — virtual
@@ -114,9 +88,9 @@ val set_budget : budget option -> unit
 
 val current_budget : unit -> budget option
 
-(** [run t ~until] executes events in time order until the heap is empty or
-    the next event is past [until]; the clock ends at [until] (or at the
-    last event if the heap drains first and [until] is infinite).
+(** [run t ~until] executes events in time order until the wheel is empty
+    or the next event is past [until]; the clock ends at [until] (or at
+    the last event if the wheel drains first and [until] is infinite).
 
     [?budget] (default: the domain's ambient budget, see {!with_budget})
     meters the run: each executed event decrements the shared event
@@ -124,14 +98,13 @@ val current_budget : unit -> budget option
     Exhaustion emits a [sim/budget_exhausted] trace event and raises
     {!Budget_exhausted}.
 
-    Between pops, when the heap has grown past a small floor and more than
-    half of it is cancelled timers, the run loop prunes the cancelled
-    entries in bulk (emitting a [sim/sweep] trace event), so cancel-heavy
-    workloads keep {!pending_events} — and the memory retained by dead
-    timer closures — bounded by twice the live-timer count. *)
+    Before each pop the run loop applies {!Timers.maybe_sweep}, emitting
+    a [sim/sweep] trace event when it prunes, so cancel-heavy workloads
+    keep {!pending_events} — and the memory retained by dead timer
+    closures — bounded by twice the live-timer count. *)
 val run : ?budget:budget -> t -> until:float -> unit
 
-(** [pending_events t] is the number of events still in the heap, including
+(** [pending_events t] is the number of events still queued, including
     cancelled events that have not yet been swept out (see {!run} for when
     sweeps happen). *)
 val pending_events : t -> int

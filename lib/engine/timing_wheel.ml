@@ -1,7 +1,7 @@
 (* Hierarchical timing wheel with a binary-heap overflow, keyed by
-   (time, insertion sequence) exactly like [Event_queue]: the two backends
-   must produce byte-identical pop orders so a simulation is deterministic
-   whichever one the scheduler uses.
+   (time, insertion sequence): pops come out in exactly the order a binary
+   heap on that key would give, so simulations are deterministic and the
+   tests can hold the wheel to a reference heap.
 
    Layout. Level l has [nslots] slots of width w_l = granularity * nslots^l;
    an entry lives in the lowest level whose current window (the [nslots]
@@ -34,8 +34,7 @@ type 'a entry = { time : float; seq : int; value : 'a }
 
 (* --- Small binary min-heap of entries, ordered by (time, seq). Used for
    [ready] and [overflow]. Vacated slots are reset to [None] so the heap
-   never retains popped or pruned closures (same contract as
-   [Event_queue]). *)
+   never retains popped or pruned closures. *)
 module Eheap = struct
   type 'a t = { mutable heap : 'a entry option array; mutable size : int }
 

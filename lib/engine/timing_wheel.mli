@@ -1,7 +1,7 @@
 (** Hierarchical timing wheel priority queue keyed by (time, insertion
-    sequence) — a drop-in alternative to {!Event_queue} for scheduler hot
-    paths with very many short-horizon timers (packet transmissions,
-    retransmit/no-feedback timers across 100k+ flows).
+    sequence) — the scheduler's event queue ({!Timers}), built for very
+    many short-horizon timers (packet transmissions, retransmit/no-feedback
+    timers across 100k+ flows).
 
     Level [l] consists of [slots] buckets of width [granularity * slots^l]
     seconds; an event is filed in the lowest level whose current window
@@ -13,15 +13,15 @@
     spill to an overflow heap and are drained back as the wheel reaches
     them.
 
-    Determinism contract: pops come out in exactly the same
-    (time, insertion-sequence) order as {!Event_queue} — equal timestamps
-    dequeue in insertion order — so the two backends are byte-identical
-    under simulation, traces included. Times must be finite and
+    Determinism contract: pops come out in exactly (time,
+    insertion-sequence) order — equal timestamps dequeue in insertion
+    order, the same order a binary heap on that key gives (the tests hold
+    the wheel to such a reference heap). Times must be finite and
     non-negative (the scheduler's virtual clock never runs backwards);
     {!push} raises [Invalid_argument] otherwise.
 
-    Like {!Event_queue}, the queue never retains references to popped,
-    cleared or pruned elements. *)
+    The queue never retains references to popped, cleared or pruned
+    elements. *)
 
 type 'a t
 

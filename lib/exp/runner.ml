@@ -120,12 +120,7 @@ let supervise ~seed ~retries ~budget (jb : Job.t) =
    everything it emits to this domain's default bus (all attempts — a
    sequential run would have emitted the failed tries live too), and
    checkpoints a completed result before returning. *)
-let exec ~seed ~retries ~budget ~checkpoint ~capture ~scheduler (jb : Job.t) =
-  (* Ambient state is domain-local: a worker domain starts from the DLS
-     defaults, not the coordinator's, so the coordinator's scheduler choice
-     must be re-installed here for [-j N] to match [-j 1]. Idempotent when
-     already running on the coordinator. *)
-  Engine.Sim.set_default_scheduler scheduler;
+let exec ~seed ~retries ~budget ~checkpoint ~capture (jb : Job.t) =
   let t0 = Unix.gettimeofday () in
   let run () = supervise ~seed ~retries ~budget jb in
   let (outcome, attempts), events =
@@ -175,14 +170,11 @@ let run_jobs_supervised ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~seed jobs =
     List.filter_map (function `Run jb -> Some jb | `Resumed _ -> None) plan
   in
   let nrun = List.length to_run in
-  let scheduler = Engine.Sim.default_scheduler () in
   let exec_results =
     if j <= 1 || nrun <= 1 then
       List.map
         (fun jb ->
-          ( jb,
-            exec ~seed ~retries ~budget ~checkpoint ~capture:false ~scheduler
-              jb ))
+          (jb, exec ~seed ~retries ~budget ~checkpoint ~capture:false jb))
         to_run
     else begin
       let capture = Engine.Trace.active main_bus in
@@ -193,7 +185,7 @@ let run_jobs_supervised ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~seed jobs =
           ~finally:(fun () -> Engine.Pool.shutdown pool)
           (fun () ->
             Engine.Pool.try_map pool
-              (exec ~seed ~retries ~budget ~checkpoint ~capture ~scheduler)
+              (exec ~seed ~retries ~budget ~checkpoint ~capture)
               arr)
       in
       (* A task-level Error here means the supervision harness itself

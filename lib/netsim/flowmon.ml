@@ -66,6 +66,6 @@ module Queue_sampler = struct
     s.running <- false;
     (* Cancel rather than rely on the [running] flag: an orphaned pending
        tick would keep the sampler (queue closure included) live in the
-       event heap until it fired. *)
+       timer wheel until it fired. *)
     Engine.Runtime.cancel s.timer
 end

@@ -36,6 +36,6 @@ module Queue_sampler : sig
   val series : sampler -> Stats.Time_series.t
 
   (** [stop s] stops sampling and cancels the pending timer, so the sampler
-      is no longer reachable from the event heap. Idempotent. *)
+      is no longer reachable from the timer wheel. Idempotent. *)
   val stop : sampler -> unit
 end

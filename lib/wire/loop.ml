@@ -1,12 +1,6 @@
 type mode = [ `Monotonic | `Warp ]
 
-type timer = {
-  mutable state : [ `Pending | `Fired | `Cancelled ];
-  f : unit -> unit;
-  (* Shared with the owning loop: counts cancelled timers still in the
-     wheel, so [run] knows when a sweep pays off (same scheme as Sim). *)
-  cancelled_in_wheel : int ref;
-}
+type timer = Engine.Timers.handle
 
 type watch = { wfd : Unix.file_descr; on_readable : unit -> unit }
 
@@ -17,8 +11,7 @@ type t = {
      by firing timers. [`Monotonic]: the highest observed Clock reading,
      so [now] never decreases even across the Clock's own clamping. *)
   mutable vnow : float;
-  timers : timer Engine.Timing_wheel.t;
-  cancelled : int ref;
+  timers : Engine.Timers.t;
   trace : Engine.Trace.t;
   mutable next_id : int;
   mutable stopping : bool;
@@ -43,8 +36,7 @@ let create ?trace ?(mode = `Monotonic) () =
       mode;
       clock = Clock.create ();
       vnow = 0.;
-      timers = Engine.Timing_wheel.create ();
-      cancelled = ref 0;
+      timers = Engine.Timers.create ();
       trace;
       next_id = 0;
       stopping = false;
@@ -91,9 +83,7 @@ let at t time f =
             (Printf.sprintf "Wire.Loop.at: time %g is in the past (now %g)"
                time t.vnow)
   in
-  let tm = { state = `Pending; f; cancelled_in_wheel = t.cancelled } in
-  Engine.Timing_wheel.push t.timers ~time tm;
-  tm
+  Engine.Timers.schedule t.timers ~time f
 
 let after t delay f =
   if not (Float.is_finite delay) then
@@ -101,26 +91,15 @@ let after t delay f =
   if delay < 0. then invalid_arg "Wire.Loop.after: negative delay";
   at t (now t +. delay) f
 
-let cancel tm =
-  if tm.state = `Pending then begin
-    tm.state <- `Cancelled;
-    incr tm.cancelled_in_wheel
-  end
-
-let is_pending tm = tm.state = `Pending
-
-let pending_timers t = Engine.Timing_wheel.size t.timers
+let cancel = Engine.Timers.cancel
+let is_pending = Engine.Timers.is_pending
+let pending_timers t = Engine.Timers.size t.timers
 
 let stop t = t.stopping <- true
 
 let fresh_id t =
   t.next_id <- t.next_id + 1;
   t.next_id
-
-let wrap_timer tm =
-  Engine.Runtime.handle
-    ~cancel:(fun () -> cancel tm)
-    ~is_pending:(fun () -> is_pending tm)
 
 let runtime t =
   match t.runtime with
@@ -129,8 +108,9 @@ let runtime t =
       let rt =
         Engine.Runtime.make
           ~now:(fun () -> now t)
-          ~at:(fun time f -> wrap_timer (at t time f))
-          ~after:(fun delay f -> wrap_timer (after t delay f))
+          ~at:(fun time f -> Engine.Timers.runtime_handle (at t time f))
+          ~after:(fun delay f ->
+            Engine.Timers.runtime_handle (after t delay f))
           ~trace:t.trace
           ~fresh_id:(fun () -> fresh_id t)
       in
@@ -156,25 +136,14 @@ let watch_fd t fd ~on_readable =
 let unwatch_fd t fd =
   t.watches <- List.filter (fun w -> w.wfd <> fd) t.watches
 
-(* Same sweep policy as Sim: once cancelled timers dominate a non-tiny
-   wheel, prune them in bulk so cancel-heavy protocols (the TFRC
-   no-feedback timer is re-armed on every feedback) keep memory bounded
-   by the live-timer count. *)
-let sweep_floor = 64
-
 let maybe_sweep t =
-  let n = Engine.Timing_wheel.size t.timers in
-  if n >= sweep_floor && 2 * !(t.cancelled) > n then begin
-    Engine.Timing_wheel.prune t.timers ~keep:(fun tm -> tm.state = `Pending);
-    Engine.Timing_wheel.compact t.timers;
-    t.cancelled := 0;
-    if Engine.Trace.active t.trace then
-      Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire" ~name:"sweep"
-        [
-          ("before", Engine.Trace.Int n);
-          ("after", Engine.Trace.Int (Engine.Timing_wheel.size t.timers));
-        ]
-  end
+  let before = Engine.Timers.size t.timers in
+  if Engine.Timers.maybe_sweep t.timers && Engine.Trace.active t.trace then
+    Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire" ~name:"sweep"
+      [
+        ("before", Engine.Trace.Int before);
+        ("after", Engine.Trace.Int (Engine.Timers.size t.timers));
+      ]
 
 (* Service watched descriptors, sleeping at most [timeout] (0 = poll).
    With nothing watched this is a plain sleep. EINTR is a retry at the
@@ -193,19 +162,15 @@ let poll_fds t ~timeout =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
 (* Fire the next due timer; true if the queue may hold more work. *)
-let pop_fire t ~due =
-  match Engine.Timing_wheel.pop t.timers with
+let pop_fire t =
+  match Engine.Timers.pop t.timers with
   | None -> false
   | Some (time, tm) ->
-      (match tm.state with
-      | `Cancelled -> decr t.cancelled
-      | `Fired -> ()
-      | `Pending ->
-          if time > t.vnow then t.vnow <- time;
-          tm.state <- `Fired;
-          t.fired <- t.fired + 1;
-          tm.f ());
-      ignore due;
+      if Engine.Timers.is_pending tm then begin
+        if time > t.vnow then t.vnow <- time;
+        t.fired <- t.fired + 1;
+        Engine.Timers.fire tm
+      end;
       true
 
 (* Loopback delivery is asynchronous: a datagram written a microsecond
@@ -244,10 +209,10 @@ let run_warp t ~until =
     maybe_sweep t;
     if t.watches <> [] then
       if t.inflight_refs = [] then poll_fds t ~timeout:0. else settle_io t;
-    match Engine.Timing_wheel.peek_time t.timers with
+    match Engine.Timers.peek_time t.timers with
     | None -> continue := false
     | Some time when time > until -> continue := false
-    | Some time -> continue := pop_fire t ~due:time
+    | Some _ -> continue := pop_fire t
   done;
   settle_io t;
   if until < infinity && t.vnow < until && not t.stopping then t.vnow <- until
@@ -266,15 +231,15 @@ let run_monotonic t ~until =
       (* Fire everything due; callbacks may schedule more due work. *)
       let rec fire_due () =
         if not t.stopping then
-          match Engine.Timing_wheel.peek_time t.timers with
+          match Engine.Timers.peek_time t.timers with
           | Some time when time <= now_ ->
-              ignore (pop_fire t ~due:time);
+              ignore (pop_fire t);
               fire_due ()
           | _ -> ()
       in
       fire_due ();
       if not t.stopping then begin
-        match (Engine.Timing_wheel.peek_time t.timers, t.watches) with
+        match (Engine.Timers.peek_time t.timers, t.watches) with
         | None, [] ->
             (* Nothing queued, nothing watched: no event can ever arrive.
                Returning beats sleeping to a possibly-infinite [until]. *)
@@ -299,4 +264,4 @@ let run t ~until =
   | `Monotonic -> run_monotonic t ~until);
   if Engine.Trace.active t.trace then
     Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire" ~name:"run_end"
-      [ ("pending", Engine.Trace.Int (Engine.Timing_wheel.size t.timers)) ]
+      [ ("pending", Engine.Trace.Int (Engine.Timers.size t.timers)) ]

@@ -1,7 +1,7 @@
 (** Real-time event loop: the wire-side {!Engine.Runtime} implementation.
 
-    Owns a timer queue (reusing {!Engine.Timing_wheel}, the same backend
-    the simulator runs on) and a set of watched file descriptors serviced
+    Owns a timer wheel ({!Engine.Timers}, the same timer core the
+    simulator runs on) and a set of watched file descriptors serviced
     through [Unix.select]. Protocol state machines written against
     {!Engine.Runtime} — the TFRC sender and receiver, the baselines — run
     on this loop unchanged: {!runtime} hands them the same interface
@@ -40,8 +40,9 @@ val mode : t -> mode
     ([`Monotonic]) or the virtual clock ([`Warp]). Never decreases. *)
 val now : t -> float
 
-(** Timer handle, with {!Engine.Sim}'s cancel/is_pending semantics. *)
-type timer
+(** Timer handle; cancel, pending and sweep semantics are
+    {!Engine.Timers}'. *)
+type timer = Engine.Timers.handle
 
 (** [at t time f] schedules [f] at absolute loop time [time] ([time]
     must be finite; [Invalid_argument] otherwise). A [time] earlier than
@@ -59,7 +60,9 @@ val after : t -> float -> (unit -> unit) -> timer
 val cancel : timer -> unit
 val is_pending : timer -> bool
 
-(** Timers still queued, including cancelled ones not yet swept. *)
+(** Timers still queued, including cancelled ones not yet swept. Before
+    each pop, [run] applies {!Engine.Timers.maybe_sweep}, emitting a
+    [wire/sweep] trace event when it prunes. *)
 val pending_timers : t -> int
 
 (** [watch_fd t fd ~on_readable] has [run] call [on_readable] whenever

@@ -2,7 +2,7 @@
    breaks ties so that simultaneous events run in insertion order.
 
    Slots at indices >= size are always [Free]: [pop] and [clear] overwrite
-   vacated slots so the scheduler never retains popped or cancelled closures
+   vacated slots so the queue never retains popped or cancelled closures
    (an earlier version parked the popped entry at [heap.(size)], keeping it —
    and everything its closure captured — reachable for the life of the
    queue). [Free] is also the filler for [grow], so a resize introduces no

@@ -1,7 +1,7 @@
-(** Binary min-heap priority queue keyed by (time, insertion sequence).
-
-    Events with equal timestamps dequeue in insertion order, which keeps
-    simulations deterministic.
+(** Binary min-heap priority queue keyed by (time, insertion sequence):
+    the reference model the tests hold [Engine.Timing_wheel] to. Its
+    contract is the one the wheel must match exactly — events with equal
+    timestamps dequeue in insertion order.
 
     The queue never retains references to popped or cleared elements:
     vacated slots are reset immediately, so a long-lived queue does not pin
@@ -27,8 +27,7 @@ val is_empty : 'a t -> bool
 val clear : 'a t -> unit
 
 (** [prune q ~keep] removes every element [v] with [keep v = false],
-    preserving (time, seq) order among survivors. O(n log n); used to sweep
-    cancelled timers out of a scheduler heap in bulk. *)
+    preserving (time, seq) order among survivors. O(n log n). *)
 val prune : 'a t -> keep:('a -> bool) -> unit
 
 (** [compact q] shrinks the backing array to fit the current size (down to

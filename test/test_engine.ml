@@ -119,12 +119,12 @@ let prop_float_in_bounds =
 (* --- Event_queue ------------------------------------------------------ *)
 
 let test_heap_ordering () =
-  let q = Engine.Event_queue.create () in
+  let q = Event_queue.create () in
   List.iter
-    (fun t -> Engine.Event_queue.push q ~time:t t)
+    (fun t -> Event_queue.push q ~time:t t)
     [ 5.; 1.; 3.; 2.; 4.; 0.5 ];
   let rec drain acc =
-    match Engine.Event_queue.pop q with
+    match Event_queue.pop q with
     | None -> List.rev acc
     | Some (t, _) -> drain (t :: acc)
   in
@@ -135,10 +135,10 @@ let test_heap_ordering () =
     (drain [])
 
 let test_heap_fifo_ties () =
-  let q = Engine.Event_queue.create () in
-  List.iter (fun v -> Engine.Event_queue.push q ~time:1. v) [ 1; 2; 3; 4; 5 ];
+  let q = Event_queue.create () in
+  List.iter (fun v -> Event_queue.push q ~time:1. v) [ 1; 2; 3; 4; 5 ];
   let rec drain acc =
-    match Engine.Event_queue.pop q with
+    match Event_queue.pop q with
     | None -> List.rev acc
     | Some (_, v) -> drain (v :: acc)
   in
@@ -146,20 +146,20 @@ let test_heap_fifo_ties () =
     (drain [])
 
 let test_heap_empty () =
-  let q = Engine.Event_queue.create () in
-  check Alcotest.bool "is_empty" true (Engine.Event_queue.is_empty q);
+  let q = Event_queue.create () in
+  check Alcotest.bool "is_empty" true (Event_queue.is_empty q);
   check Alcotest.(option (float 0.)) "peek empty" None
-    (Engine.Event_queue.peek_time q);
-  check Alcotest.bool "pop empty" true (Engine.Event_queue.pop q = None)
+    (Event_queue.peek_time q);
+  check Alcotest.bool "pop empty" true (Event_queue.pop q = None)
 
 let test_heap_size_and_clear () =
-  let q = Engine.Event_queue.create () in
+  let q = Event_queue.create () in
   for i = 1 to 10 do
-    Engine.Event_queue.push q ~time:(float_of_int i) i
+    Event_queue.push q ~time:(float_of_int i) i
   done;
-  check Alcotest.int "size" 10 (Engine.Event_queue.size q);
-  Engine.Event_queue.clear q;
-  check Alcotest.int "cleared" 0 (Engine.Event_queue.size q)
+  check Alcotest.int "size" 10 (Event_queue.size q);
+  Event_queue.clear q;
+  check Alcotest.int "cleared" 0 (Event_queue.size q)
 
 (* Space-leak regressions: popped/cleared slots must drop their references
    so the GC can collect the scheduled values. [Sys.opaque_identity]-free
@@ -168,7 +168,7 @@ let test_heap_size_and_clear () =
 let[@inline never] push_weak q w =
   let v = Bytes.make 64 'x' in
   Weak.set w 0 (Some v);
-  Engine.Event_queue.push q ~time:1. v
+  Event_queue.push q ~time:1. v
 
 let collected w =
   Gc.full_major ();
@@ -176,51 +176,51 @@ let collected w =
   Weak.get w 0 = None
 
 let test_heap_pop_releases () =
-  let q = Engine.Event_queue.create () in
+  let q = Event_queue.create () in
   let w = Weak.create 1 in
   push_weak q w;
-  ignore (Engine.Event_queue.pop q);
+  ignore (Event_queue.pop q);
   check Alcotest.bool "popped value collectable" true (collected w)
 
 let test_heap_clear_releases () =
-  let q = Engine.Event_queue.create () in
+  let q = Event_queue.create () in
   let w = Weak.create 1 in
   push_weak q w;
-  Engine.Event_queue.clear q;
+  Event_queue.clear q;
   check Alcotest.bool "cleared value collectable" true (collected w)
 
 let test_heap_compact () =
-  let q = Engine.Event_queue.create () in
+  let q = Event_queue.create () in
   for i = 1 to 1000 do
-    Engine.Event_queue.push q ~time:(float_of_int i) i
+    Event_queue.push q ~time:(float_of_int i) i
   done;
   for _ = 1 to 995 do
-    ignore (Engine.Event_queue.pop q)
+    ignore (Event_queue.pop q)
   done;
-  Engine.Event_queue.compact q;
-  check Alcotest.int "size preserved" 5 (Engine.Event_queue.size q);
+  Event_queue.compact q;
+  check Alcotest.int "size preserved" 5 (Event_queue.size q);
   (* Remaining entries still pop in order after the shrink. *)
   let rec drain acc =
-    match Engine.Event_queue.pop q with
+    match Event_queue.pop q with
     | None -> List.rev acc
     | Some (_, v) -> drain (v :: acc)
   in
   check Alcotest.(list int) "order survives compact" [ 996; 997; 998; 999; 1000 ]
     (drain []);
-  Engine.Event_queue.compact q;
-  check Alcotest.bool "empty after drain" true (Engine.Event_queue.is_empty q);
-  Engine.Event_queue.push q ~time:1. 7;
+  Event_queue.compact q;
+  check Alcotest.bool "empty after drain" true (Event_queue.is_empty q);
+  Event_queue.push q ~time:1. 7;
   check Alcotest.bool "usable after empty compact" true
-    (Engine.Event_queue.pop q = Some (1., 7))
+    (Event_queue.pop q = Some (1., 7))
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"event queue sorts any input" ~count:200
     QCheck.(list (float_range 0. 1e6))
     (fun times ->
-      let q = Engine.Event_queue.create () in
-      List.iter (fun t -> Engine.Event_queue.push q ~time:t t) times;
+      let q = Event_queue.create () in
+      List.iter (fun t -> Event_queue.push q ~time:t t) times;
       let rec drain acc =
-        match Engine.Event_queue.pop q with
+        match Event_queue.pop q with
         | None -> List.rev acc
         | Some (t, _) -> drain (t :: acc)
       in

@@ -1,6 +1,7 @@
 (* Tests for the job-grid runner stack: the Engine.Pool domain pool, keyed
-   RNG derivation (with PCG32 regression vectors), the cancelled-event
-   sweep in Sim.run, and -j 1 vs -j 4 determinism of experiment output. *)
+   RNG derivation (with PCG32 regression vectors), the cancelled-timer
+   sweep in Sim.run and Wire.Loop.run, and -j 1 vs -j 4 determinism of
+   experiment output. *)
 
 open Alcotest
 
@@ -157,30 +158,57 @@ let test_pool_use_after_shutdown () =
 (* --- Sim cancelled-event sweep ---------------------------------------------- *)
 
 (* A workload that schedules far-future events and immediately cancels them
-   must not grow the heap without bound: Sim.run sweeps cancelled entries
-   once they outnumber live ones. 50 ticks x 200 cancels = 10k dead handles
-   total; without the sweep pending_events climbs to ~10k, with it each
-   tick starts from a swept heap. *)
-let test_cancel_heavy_bounded () =
-  let sim = Engine.Sim.create () in
+   must not grow the timer queue without bound: both runtimes sweep
+   cancelled entries once they outnumber live ones (Engine.Timers). 50
+   ticks x 200 cancels = 10k dead handles total; without the sweep the
+   queue climbs to ~10k, with it each tick starts from a swept queue.
+   Returns the largest queue size seen at a tick. *)
+let cancel_heavy_max_pending rt ~pending ~run =
   let max_pending = ref 0 in
   let rec tick n =
     if n > 0 then begin
-      max_pending := max !max_pending (Engine.Sim.pending_events sim);
+      max_pending := max !max_pending (pending ());
       let hs =
         List.init 200 (fun i ->
-            Engine.Sim.after sim (100. +. float_of_int i) (fun () -> ()))
+            Engine.Runtime.after rt (100. +. float_of_int i) (fun () -> ()))
       in
-      List.iter Engine.Sim.cancel hs;
-      ignore (Engine.Sim.after sim 0.01 (fun () -> tick (n - 1)))
+      List.iter Engine.Runtime.cancel hs;
+      ignore (Engine.Runtime.after rt 0.01 (fun () -> tick (n - 1)))
     end
   in
-  ignore (Engine.Sim.at sim 0.0 (fun () -> tick 50));
-  Engine.Sim.run sim ~until:5.;
+  ignore (Engine.Runtime.at rt 0.0 (fun () -> tick 50));
+  run ();
+  !max_pending
+
+let test_cancel_heavy_bounded () =
+  let sim = Engine.Sim.create () in
+  let sim_max =
+    cancel_heavy_max_pending (Engine.Sim.runtime sim)
+      ~pending:(fun () -> Engine.Sim.pending_events sim)
+      ~run:(fun () -> Engine.Sim.run sim ~until:5.)
+  in
   check bool
-    (Printf.sprintf "pending bounded (max seen %d)" !max_pending)
-    true
-    (!max_pending < 2000)
+    (Printf.sprintf "sim pending bounded (max seen %d)" sim_max)
+    true (sim_max < 2000);
+  let bus = Engine.Trace.create () in
+  let sink, captured = Engine.Trace.memory_sink () in
+  Engine.Trace.add_sink bus sink;
+  let loop = Wire.Loop.create ~trace:bus ~mode:`Warp () in
+  let loop_max =
+    cancel_heavy_max_pending (Wire.Loop.runtime loop)
+      ~pending:(fun () -> Wire.Loop.pending_timers loop)
+      ~run:(fun () -> Wire.Loop.run loop ~until:5.)
+  in
+  check bool
+    (Printf.sprintf "loop pending bounded (max seen %d)" loop_max)
+    true (loop_max < 2000);
+  let sweeps =
+    List.length
+      (List.filter
+         (fun (e : Engine.Trace.event) -> e.cat = "wire" && e.name = "sweep")
+         (captured ()))
+  in
+  check bool (Printf.sprintf "wire/sweep emitted (%d)" sweeps) true (sweeps > 0)
 
 (* --- Runner determinism ------------------------------------------------------ *)
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Perf ratchet for the scheduler scale benchmark (ROADMAP item 6).
+# Perf ratchet for the many-flows scheduler scale benchmark.
 #
 # Runs the many-flows bench at a given scale and compares its
 # wheel_events_per_s against the most recent committed entry in
