@@ -258,14 +258,13 @@ let fuzz_throughput_json () =
    — the cancel churn is what makes this representative of TFRC/TCP timer
    behavior, and what drives the scheduler's bulk sweeps of cancelled
    entries.
-   Each send allocates a packet from a freelist pool and folds a sample
-   into a struct-of-arrays accumulator, so the measured loop exercises all
-   three scale paths from ROADMAP item 1. The simulation runs in virtual-
-   time chunks until the wall budget expires; events/sec is the score. *)
+   Each send allocates a packet and folds its size into the flow's
+   running statistics, the per-send work of a real sender. The simulation
+   runs in virtual-time chunks until the wall budget expires; events/sec
+   is the score. *)
 let many_flows_json ~flows ~wall =
   let sim = Engine.Sim.create () in
-  let pool = Netsim.Packet.Pool.create () in
-  let soa = Stats.Soa.create flows in
+  let stats = Array.init flows (fun _ -> Stats.Running.create ()) in
   let events = ref 0 in
   let watchdog = Array.make (max flows 1) Engine.Sim.null_handle in
   let period i = 0.020 +. (float_of_int (i mod 181) *. 1e-3) in
@@ -273,11 +272,10 @@ let many_flows_json ~flows ~wall =
     incr events;
     let now = Engine.Sim.now sim in
     let p =
-      Netsim.Packet.Pool.alloc pool (Engine.Sim.runtime sim) ~flow:i ~seq:!events ~size:1000 ~now
+      Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:i ~seq:!events ~size:1000 ~now
         Netsim.Packet.Data
     in
-    Stats.Soa.add soa i (float_of_int p.Netsim.Packet.size);
-    Netsim.Packet.Pool.release pool p;
+    Stats.Running.add stats.(i) (float_of_int p.Netsim.Packet.size);
     Engine.Sim.cancel watchdog.(i);
     watchdog.(i) <- Engine.Sim.after sim (4. *. period i) ignore;
     ignore (Engine.Sim.after sim (period i) (fire i))

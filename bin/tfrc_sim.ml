@@ -548,7 +548,12 @@ let trace_cmd =
   let run out duration seed =
     (* One TFRC + one TCP over a small bottleneck, packet events traced at
        the congested link in ns-2 format. *)
-    let sim = Engine.Sim.create () in
+    let oc = open_out out in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+    let bus = Engine.Trace.create () in
+    let sink, lines = Netsim.Link.ns2_sink ~label:"bottleneck-fwd" oc in
+    Engine.Trace.add_sink bus sink;
+    let sim = Engine.Sim.create ~trace:bus () in
     let rng = Engine.Rng.create ~seed in
     let db =
       Netsim.Dumbbell.create (Engine.Sim.runtime sim)
@@ -557,8 +562,6 @@ let trace_cmd =
         ~queue:(Netsim.Dumbbell.Droptail_q 20)
         ()
     in
-    let tracer = Netsim.Tracer.create (fun () -> Engine.Sim.now sim) in
-    Netsim.Tracer.attach_link tracer (Netsim.Dumbbell.forward_link db);
     let tcp =
       Exp.Scenario.attach_tcp db ~flow:1
         ~rtt_base:(Engine.Rng.uniform rng 0.05 0.07)
@@ -572,12 +575,11 @@ let trace_cmd =
     in
     Tfrc.Tfrc_sender.start tfrc.tfrc_sender ~at:0.;
     Engine.Sim.run sim ~until:duration;
-    Netsim.Tracer.write tracer out;
+    Engine.Trace.close bus;
     Format.printf
       "wrote %d events to %s (codes: r = delivered by the bottleneck, d = \
        dropped at its queue)@."
-      (Netsim.Tracer.n_events tracer)
-      out
+      (lines ()) out
   in
   Cmd.v
     (Cmd.info "trace"

@@ -46,9 +46,9 @@ let graph_endpoints ~nodes ~flow =
   let dst = (flow + max 1 (nodes / 2)) mod nodes in
   if dst = src then (src, (src + 1) mod nodes) else (src, dst)
 
-let build_net ~builders sim (sc : Scenario.t) =
-  match (sc.topology, builders) with
-  | Scenario.Dumbbell, _ ->
+let build_net sim (sc : Scenario.t) =
+  match sc.topology with
+  | Scenario.Dumbbell ->
       let queue =
         match sc.queue with
         | Scenario.Droptail limit -> Netsim.Dumbbell.Droptail_q limit
@@ -56,44 +56,23 @@ let build_net ~builders sim (sc : Scenario.t) =
             Netsim.Dumbbell.Red_q
               (Netsim.Red.params ~min_th ~max_th ~limit_pkts:limit ())
       in
-      let rt = Engine.Sim.runtime sim in
-      (match builders with
-      | `Legacy ->
-          let db =
-            Netsim.Dumbbell.create rt ~bandwidth:sc.bandwidth ~delay:sc.delay
-              ~queue ()
-          in
-          List.iteri
-            (fun flow (f : Scenario.flow) ->
-              Netsim.Dumbbell.add_flow db ~flow ~rtt_base:f.rtt_base)
-            sc.flows;
-          {
-            src_sender = (fun ~flow -> Netsim.Dumbbell.src_sender db ~flow);
-            dst_sender = (fun ~flow -> Netsim.Dumbbell.dst_sender db ~flow);
-            set_src_recv =
-              (fun ~flow h -> Netsim.Dumbbell.set_src_recv db ~flow h);
-            set_dst_recv =
-              (fun ~flow h -> Netsim.Dumbbell.set_dst_recv db ~flow h);
-            links =
-              [ Netsim.Dumbbell.forward_link db; Netsim.Dumbbell.reverse_link db ];
-          }
-      | `Graph ->
-          let module G = Netsim.Topo_builders.Graph_dumbbell in
-          let db =
-            G.create rt ~bandwidth:sc.bandwidth ~delay:sc.delay ~queue ()
-          in
-          List.iteri
-            (fun flow (f : Scenario.flow) ->
-              G.add_flow db ~flow ~rtt_base:f.rtt_base)
-            sc.flows;
-          {
-            src_sender = (fun ~flow -> G.src_sender db ~flow);
-            dst_sender = (fun ~flow -> G.dst_sender db ~flow);
-            set_src_recv = (fun ~flow h -> G.set_src_recv db ~flow h);
-            set_dst_recv = (fun ~flow h -> G.set_dst_recv db ~flow h);
-            links = [ G.forward_link db; G.reverse_link db ];
-          })
-  | (Scenario.Path | Scenario.Parking_lot _), `Legacy ->
+      let db =
+        Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:sc.bandwidth
+          ~delay:sc.delay ~queue ()
+      in
+      List.iteri
+        (fun flow (f : Scenario.flow) ->
+          Netsim.Dumbbell.add_flow db ~flow ~rtt_base:f.rtt_base)
+        sc.flows;
+      {
+        src_sender = (fun ~flow -> Netsim.Dumbbell.src_sender db ~flow);
+        dst_sender = (fun ~flow -> Netsim.Dumbbell.dst_sender db ~flow);
+        set_src_recv = (fun ~flow h -> Netsim.Dumbbell.set_src_recv db ~flow h);
+        set_dst_recv = (fun ~flow h -> Netsim.Dumbbell.set_dst_recv db ~flow h);
+        links =
+          [ Netsim.Dumbbell.forward_link db; Netsim.Dumbbell.reverse_link db ];
+      }
+  | Scenario.Path | Scenario.Parking_lot _ ->
       let hops = Scenario.hops sc in
       let pl =
         Netsim.Parking_lot.create (Engine.Sim.runtime sim) ~hops ~bandwidth:sc.bandwidth
@@ -118,27 +97,7 @@ let build_net ~builders sim (sc : Scenario.t) =
         links =
           List.init hops (fun i -> Netsim.Parking_lot.link pl ~hop:(i + 1));
       }
-  | (Scenario.Path | Scenario.Parking_lot _), `Graph ->
-      let module G = Netsim.Topo_builders.Graph_parking_lot in
-      let hops = Scenario.hops sc in
-      let pl =
-        G.create (Engine.Sim.runtime sim) ~hops ~bandwidth:sc.bandwidth
-          ~delay:sc.delay ~queue:(make_queue sc sim) ()
-      in
-      List.iteri
-        (fun flow (f : Scenario.flow) ->
-          match f.hop with
-          | Some hop -> G.add_cross_flow pl ~flow ~hop ~rtt_base:f.rtt_base
-          | None -> G.add_through_flow pl ~flow ~rtt_base:f.rtt_base)
-        sc.flows;
-      {
-        src_sender = (fun ~flow -> G.src_sender pl ~flow);
-        dst_sender = (fun ~flow -> G.dst_sender pl ~flow);
-        set_src_recv = (fun ~flow h -> G.set_src_recv pl ~flow h);
-        set_dst_recv = (fun ~flow h -> G.set_dst_recv pl ~flow h);
-        links = List.init hops (fun i -> G.link pl ~hop:(i + 1));
-      }
-  | Scenario.Graph { nodes; extra }, _ ->
+  | Scenario.Graph { nodes; extra } ->
       (* Routed graph: [nodes] routers on a bidirectional ring plus
          [extra] bidirectional chords; feedback shares the graph (no
          dedicated reverse path), so routing is exercised both ways. *)
@@ -217,7 +176,7 @@ type run_stats = {
 let fnv_prime = 0x100000001b3
 let fnv_offset = 0x811c9dc5
 
-let run_once ~mutate ~builders (sc : Scenario.t) =
+let run_once ~mutate (sc : Scenario.t) =
   let bus = Engine.Trace.create ~ring:40 () in
   let checker = Tfrc.Invariants.create () in
   Tfrc.Invariants.attach checker bus;
@@ -231,7 +190,7 @@ let run_once ~mutate ~builders (sc : Scenario.t) =
   let sim = Engine.Sim.create ~trace:bus () in
   let rng = Engine.Rng.create ~seed:sc.sim_seed in
   let now () = Engine.Sim.now sim in
-  let net = build_net ~builders sim sc in
+  let net = build_net sim sc in
   let bottleneck = List.hd net.links in
   (* Link-level faults hit the first congested link (the dumbbell's
      forward bottleneck / the parking lot's first hop). *)
@@ -458,9 +417,9 @@ let run_once ~mutate ~builders (sc : Scenario.t) =
     r_tail = List.map Engine.Trace.to_json (Engine.Trace.recent bus);
   }
 
-let run ?(mutate = false) ?(builders = `Legacy) sc =
-  let a = run_once ~mutate ~builders sc in
-  let b = run_once ~mutate ~builders sc in
+let run ?(mutate = false) sc =
+  let a = run_once ~mutate sc in
+  let b = run_once ~mutate sc in
   let determinism =
     if
       a.r_digest = b.r_digest && a.r_events = b.r_events

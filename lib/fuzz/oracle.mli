@@ -42,14 +42,9 @@ val oracle_names : string list
     [--mutate] self-test to prove the fuzzer detects and shrinks real
     violations.
 
-    [builders] picks the network construction for [Path]/[Dumbbell]/
-    [Parking_lot] scenarios: [`Legacy] (default) uses the hand-wired
-    builders, [`Graph] the {!Netsim.Topo_builders} graph equivalents.
-    The two must produce byte-identical traces — the differential tests
-    compare their outcomes on the same scenario. [Graph] scenarios are
-    always built on {!Netsim.Topology} regardless. *)
-val run :
-  ?mutate:bool -> ?builders:[ `Legacy | `Graph ] -> Scenario.t -> outcome
+    [Graph] scenarios are built on {!Netsim.Topology}, the others on the
+    hand-wired {!Netsim.Dumbbell} and {!Netsim.Parking_lot}. *)
+val run : ?mutate:bool -> Scenario.t -> outcome
 
 (** [failed_oracles o] is the distinct failing oracle names, in order. *)
 val failed_oracles : outcome -> string list

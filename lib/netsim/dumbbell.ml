@@ -80,6 +80,8 @@ let add_flow t ~flow ~rtt_base =
     invalid_arg (Printf.sprintf "Dumbbell.add_flow: flow %d already exists" flow);
   let bneck_delay = Link.delay t.fwd in
   let access = ((rtt_base /. 2.) -. bneck_delay) /. 2. in
+  if not (Float.is_finite access) then
+    invalid_arg "Dumbbell.add_flow: rtt_base must be finite";
   if access < 0. then
     invalid_arg "Dumbbell.add_flow: rtt_base smaller than bottleneck RTT";
   Hashtbl.replace t.flows flow { access; src_recv = ignore; dst_recv = ignore }

@@ -38,7 +38,8 @@ val runtime : t -> Engine.Runtime.t
 (** [add_flow t ~flow ~rtt_base] registers a flow whose base round-trip
     time (excluding queueing) is [rtt_base]. The access delay on each of
     the four access segments is [(rtt_base / 2 - delay) / 2]; [rtt_base]
-    must be at least [2 * delay]. Raises if the flow id is taken. *)
+    must be finite and at least [2 * delay]. Raises [Invalid_argument]
+    otherwise, or if the flow id is taken. *)
 val add_flow : t -> flow:int -> rtt_base:float -> unit
 
 val set_src_recv : t -> flow:int -> Packet.handler -> unit

@@ -112,6 +112,23 @@ let deliver t pkt =
   if tracing t then ev t "deliver" (pkt_fields pkt);
   t.dest pkt
 
+(* ns-2 trace lines from this module's own events: [deliver] is "r",
+   [drop] is "d". *)
+let ns2_sink ~label oc =
+  let lines = ref 0 in
+  let emit (ev : Engine.Trace.event) =
+    match (ev.cat, ev.name) with
+    | "link", (("deliver" | "drop") as name)
+      when Engine.Trace.get_str ev "link" ~default:"" = label ->
+        let field k = Engine.Trace.get_int ev k ~default:0 in
+        Printf.fprintf oc "%s %.6f %d %d %d %d\n"
+          (if name = "deliver" then "r" else "d")
+          ev.time (field "flow") (field "seq") (field "size") (field "id");
+        incr lines
+    | _ -> ()
+  in
+  ({ Engine.Trace.emit; close = (fun () -> flush oc) }, fun () -> !lines)
+
 (* Serialize the head-of-line packet; at end of serialization start the next
    one and schedule the propagation-delayed delivery. *)
 let rec start_tx t =

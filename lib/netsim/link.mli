@@ -72,6 +72,14 @@ val on_drop : t -> Packet.handler -> unit
     packet then reaches the drop listeners with reason ["outage"]. *)
 val set_up : t -> ?policy:down_policy -> bool -> unit
 
+(** [ns2_sink ~label oc] is a trace-bus sink that writes the [link/deliver]
+    and [link/drop] events of the link labelled [label] to [oc] in ns-2
+    trace format, one ["<code> <time> <flow> <seq> <size> <id>"] line each:
+    code ["r"] for a packet the link delivered, ["d"] for one it dropped
+    (queue or outage), time with six decimals. The second component counts
+    the lines written. [close] flushes [oc] but does not close it. *)
+val ns2_sink : label:string -> out_channel -> Engine.Trace.sink * (unit -> int)
+
 (** [emit_queue_stats t] emits a [link/queue] conservation-counter snapshot
     on the trace bus now (no-op when tracing is off). Called automatically
     at every up/down transition; scenarios may call it at quiescent points

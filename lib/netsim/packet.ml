@@ -10,15 +10,13 @@ type payload =
     }
 
 type t = {
-  (* All fields mutable so a freelist ({!Pool}) can recycle records:
-     outside the pool the record is still used write-once. *)
-  mutable id : int;
-  mutable flow : int;
-  mutable seq : int;
-  mutable size : int;
-  mutable sent_at : float;
-  mutable payload : payload;
-  mutable ecn_capable : bool;
+  id : int;
+  flow : int;
+  seq : int;
+  size : int;
+  sent_at : float;
+  payload : payload;
+  ecn_capable : bool;
   mutable ecn_marked : bool; (* set by an ECN queue in flight *)
   mutable corrupted : bool; (* damaged in flight; endpoints must discard *)
 }
@@ -44,46 +42,6 @@ let make rt ?(ecn = false) ~flow ~seq ~size ~now payload =
   }
 
 let is_data p = match p.payload with Data | Tfrc_data _ -> true | _ -> false
-
-(* Per-sim freelist. At 100k+ flows, packet allocation dominates the minor
-   GC; recycling records through a pool turns each send into field stores
-   on an already-hot record. Use is opt-in at the allocation site that owns
-   the packet's lifetime — a site may only [release] a packet it knows no
-   tracer, queue, or endpoint still references, so the pool is deliberately
-   not wired into generic link delivery. *)
-module Pool = struct
-  type packet = t
-
-  type t = { mutable free : packet list; mutable outstanding : int }
-
-  let create () = { free = []; outstanding = 0 }
-
-  let alloc pool rt ?(ecn = false) ~flow ~seq ~size ~now payload =
-    pool.outstanding <- pool.outstanding + 1;
-    match pool.free with
-    | [] -> make rt ~ecn ~flow ~seq ~size ~now payload
-    | p :: rest ->
-        pool.free <- rest;
-        (* Fresh id even on reuse: packet identity stays unique per
-           runtime regardless of which record carries it. *)
-        p.id <- Engine.Runtime.fresh_id rt;
-        p.flow <- flow;
-        p.seq <- seq;
-        p.size <- size;
-        p.sent_at <- now;
-        p.payload <- payload;
-        p.ecn_capable <- ecn;
-        p.ecn_marked <- false;
-        p.corrupted <- false;
-        p
-
-  let release pool p =
-    pool.outstanding <- pool.outstanding - 1;
-    pool.free <- p :: pool.free
-
-  let outstanding pool = pool.outstanding
-  let idle pool = List.length pool.free
-end
 
 let pp ppf p =
   let kind =

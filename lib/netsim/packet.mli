@@ -27,25 +27,23 @@ type payload =
     }
 
 type t = {
-  mutable id : int;
+  id : int;
       (** unique within the owning simulation, allocated by
           {!Engine.Sim.fresh_id}; deterministic per sim *)
-  mutable flow : int;
-  mutable seq : int;
-  mutable size : int;  (** bytes *)
-  mutable sent_at : float;  (** virtual time the source emitted the packet *)
-  mutable payload : payload;
-  mutable ecn_capable : bool;
-      (** sender supports Explicit Congestion Notification *)
+  flow : int;
+  seq : int;
+  size : int;  (** bytes *)
+  sent_at : float;  (** virtual time the source emitted the packet *)
+  payload : payload;
+  ecn_capable : bool;  (** sender supports Explicit Congestion Notification *)
   mutable ecn_marked : bool;  (** CE mark set by an ECN-enabled queue *)
   mutable corrupted : bool;
       (** payload damaged in flight (fault injection); a real stack's
           checksum would fail, so endpoints discard such packets on
           arrival *)
 }
-(** Header fields are mutable only so {!Pool} can recycle records; outside
-    the pool a packet is written once at allocation and treated as
-    immutable apart from the in-flight [ecn_marked]/[corrupted] marks. *)
+(** A packet is written once at allocation; only the in-flight marks
+    [ecn_marked] and [corrupted] change afterwards. *)
 
 (** [make rt ?ecn ~flow ~seq ~size ~now payload] allocates a packet whose
     id is drawn from [rt]'s per-runtime counter
@@ -66,45 +64,6 @@ val make :
 
 (** Handler type: where packets go. *)
 type handler = t -> unit
-
-(** Per-simulation packet freelist.
-
-    Recycles packet records so steady-state sending allocates nothing: at
-    100k+ flows the minor GC churn of one fresh record per packet is a
-    dominant cost. Opt-in at allocation sites that own the packet's whole
-    lifetime — only [release] a packet once nothing (queue, tracer,
-    endpoint, loss history) still references it, or the next [alloc] will
-    mutate it under that reader. Ids are drawn fresh from the runtime on
-    every [alloc], reused record or not, so packet identity is
-    unaffected. *)
-module Pool : sig
-  type packet := t
-  type t
-
-  val create : unit -> t
-
-  (** Like {!make}, but reuses a released record when one is available. *)
-  val alloc :
-    t ->
-    Engine.Runtime.t ->
-    ?ecn:bool ->
-    flow:int ->
-    seq:int ->
-    size:int ->
-    now:float ->
-    payload ->
-    packet
-
-  (** [release pool p] returns [p] to the freelist. The caller must hold
-      the only live reference. *)
-  val release : t -> packet -> unit
-
-  (** Packets allocated and not yet released. *)
-  val outstanding : t -> int
-
-  (** Records currently idle on the freelist (O(n)). *)
-  val idle : t -> int
-end
 
 val is_data : t -> bool
 val pp : Format.formatter -> t -> unit

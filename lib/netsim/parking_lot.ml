@@ -67,6 +67,8 @@ let register t ~flow ~entry ~exit_ ~rtt_base =
   let span = float_of_int (exit_ - entry + 1) *. t.delay in
   let one_way = rtt_base /. 2. in
   let access = (one_way -. span) /. 2. in
+  if not (Float.is_finite access) then
+    invalid_arg "Parking_lot: rtt_base must be finite";
   if access < 0. then
     invalid_arg "Parking_lot: rtt_base smaller than the path propagation";
   Hashtbl.replace t.flows flow

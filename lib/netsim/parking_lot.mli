@@ -30,7 +30,8 @@ val runtime : t -> Engine.Runtime.t
 val n_hops : t -> int
 
 (** [add_through_flow t ~flow ~rtt_base] registers an end-to-end flow.
-    [rtt_base] must be at least the chain's round-trip propagation. *)
+    [rtt_base] must be finite and at least the chain's round-trip
+    propagation; [Invalid_argument] otherwise. *)
 val add_through_flow : t -> flow:int -> rtt_base:float -> unit
 
 (** [add_cross_flow t ~flow ~hop ~rtt_base] registers a flow crossing only

@@ -1,155 +1,9 @@
-(* Graph-backed scenario builders. [dumbbell] and [parking_lot] replicate
-   the hand-wired {!Dumbbell}/{!Parking_lot} builders' event structure and
-   fresh-id consumption exactly, so their traces are byte-identical — the
-   differential tests in test_topology.ml hold them to that. [fat_tree] and
-   [transcontinental] are graph-native scenarios with redundant paths, the
-   shapes routing and failure-impact analysis exist for. *)
-
-(* --- graph-backed dumbbell ------------------------------------------------ *)
-
-module Graph_dumbbell = struct
-  type t = {
-    topo : Topology.t;
-    left : Topology.node;
-    right : Topology.node;
-    fwd : Link.t;
-    bwd : Link.t;
-    delay : float;
-  }
-
-  let make_queue rt ~spec ~bandwidth ~mean_pktsize =
-    match spec with
-    | Dumbbell.Droptail_q limit -> Droptail.create ~limit_pkts:limit
-    | Dumbbell.Red_q params ->
-        Red.create ~params
-          ~now:(fun () -> Engine.Runtime.now rt)
-          ~ptc:(bandwidth /. (8. *. float_of_int mean_pktsize))
-
-  let create rt ~bandwidth ~delay ~queue ?reverse_queue ?(mean_pktsize = 1000)
-      () =
-    let reverse_queue = Option.value reverse_queue ~default:queue in
-    let fwd_q = make_queue rt ~spec:queue ~bandwidth ~mean_pktsize in
-    let bwd_q = make_queue rt ~spec:reverse_queue ~bandwidth ~mean_pktsize in
-    (* Same explicit labels as Dumbbell.create: no fresh ids consumed, so
-       packet ids downstream are unchanged. *)
-    let fwd =
-      Link.create rt ~label:"bottleneck-fwd" ~bandwidth ~delay ~queue:fwd_q ()
-    in
-    let bwd =
-      Link.create rt ~label:"bottleneck-bwd" ~bandwidth ~delay ~queue:bwd_q ()
-    in
-    let topo = Topology.create rt () in
-    let left = Topology.add_node topo in
-    let right = Topology.add_node topo in
-    ignore (Topology.add_link topo ~src:left ~dst:right fwd);
-    ignore (Topology.add_link topo ~src:right ~dst:left bwd);
-    { topo; left; right; fwd; bwd; delay }
-
-  let topology t = t.topo
-  let runtime t = Topology.runtime t.topo
-
-  let add_flow t ~flow ~rtt_base =
-    let access = ((rtt_base /. 2.) -. t.delay) /. 2. in
-    if access < 0. then
-      invalid_arg "Graph_dumbbell.add_flow: rtt_base smaller than bottleneck RTT";
-    let src = Topology.add_node t.topo in
-    let dst = Topology.add_node t.topo in
-    (* Zero-delay access wires stay synchronous, like Dumbbell's demux. *)
-    ignore (Topology.add_wire t.topo ~src ~dst:t.left access);
-    ignore (Topology.add_wire t.topo ~src:t.left ~dst:src access);
-    ignore (Topology.add_wire t.topo ~src:t.right ~dst access);
-    ignore (Topology.add_wire t.topo ~src:dst ~dst:t.right access);
-    Topology.add_flow t.topo ~flow ~src ~dst
-
-  let set_src_recv t ~flow h = Topology.set_src_recv t.topo ~flow h
-  let set_dst_recv t ~flow h = Topology.set_dst_recv t.topo ~flow h
-  let src_sender t ~flow = Topology.src_sender t.topo ~flow
-  let dst_sender t ~flow = Topology.dst_sender t.topo ~flow
-  let forward_link t = t.fwd
-  let reverse_link t = t.bwd
-  let forward_drop_rate t = Queue_disc.drop_rate (Link.queue t.fwd)
-end
-
-(* --- graph-backed parking lot --------------------------------------------- *)
-
-module Graph_parking_lot = struct
-  type t = {
-    topo : Topology.t;
-    links : Link.t array;
-    routers : Topology.node array; (* hops + 1 of them *)
-    delay : float;
-  }
-
-  let create rt ~hops ~bandwidth ~delay ~queue () =
-    if hops < 1 then
-      invalid_arg "Graph_parking_lot.create: need at least one hop";
-    (* Unlabelled links first, in hop order: consumes fresh ids 1..hops
-       exactly like Parking_lot.create, keeping default labels and all
-       later packet ids identical. *)
-    let links =
-      Array.init hops (fun _ ->
-          Link.create rt ~bandwidth ~delay ~queue:(queue ()) ())
-    in
-    let topo = Topology.create rt () in
-    let routers = Array.init (hops + 1) (fun _ -> Topology.add_node topo) in
-    Array.iteri
-      (fun i link ->
-        ignore
-          (Topology.add_link topo ~src:routers.(i) ~dst:routers.(i + 1) link))
-      links;
-    { topo; links; routers; delay }
-
-  let topology t = t.topo
-  let runtime t = Topology.runtime t.topo
-  let n_hops t = Array.length t.links
-
-  let register t ~flow ~entry ~exit_ ~rtt_base =
-    let span = float_of_int (exit_ - entry + 1) *. t.delay in
-    let one_way = rtt_base /. 2. in
-    let access = (one_way -. span) /. 2. in
-    if access < 0. then
-      invalid_arg "Graph_parking_lot: rtt_base smaller than the path propagation";
-    let src = Topology.add_node t.topo in
-    let dst = Topology.add_node t.topo in
-    (* The legacy builder schedules every access/reverse segment through
-       the event queue even at zero delay; always_schedule matches that. *)
-    ignore
-      (Topology.add_wire t.topo ~src ~dst:t.routers.(entry) ~always_schedule:true
-         access);
-    ignore
-      (Topology.add_wire t.topo ~src:t.routers.(exit_ + 1) ~dst
-         ~always_schedule:true access);
-    (* Well-provisioned reverse path: one fixed-delay wire. *)
-    ignore (Topology.add_wire t.topo ~src:dst ~dst:src ~always_schedule:true one_way);
-    Topology.add_flow t.topo ~flow ~src ~dst
-
-  let add_through_flow t ~flow ~rtt_base =
-    register t ~flow ~entry:0 ~exit_:(n_hops t - 1) ~rtt_base
-
-  let add_cross_flow t ~flow ~hop ~rtt_base =
-    if hop < 1 || hop > n_hops t then invalid_arg "Graph_parking_lot: bad hop";
-    register t ~flow ~entry:(hop - 1) ~exit_:(hop - 1) ~rtt_base
-
-  let set_src_recv t ~flow h = Topology.set_src_recv t.topo ~flow h
-  let set_dst_recv t ~flow h = Topology.set_dst_recv t.topo ~flow h
-  let src_sender t ~flow = Topology.src_sender t.topo ~flow
-  let dst_sender t ~flow = Topology.dst_sender t.topo ~flow
-
-  let link t ~hop =
-    if hop < 1 || hop > n_hops t then invalid_arg "Graph_parking_lot: bad hop";
-    t.links.(hop - 1)
-
-  let drop_rate t =
-    let arrivals = ref 0 and drops = ref 0 in
-    Array.iter
-      (fun l ->
-        let s = (Link.queue l).Queue_disc.stats in
-        arrivals := !arrivals + s.arrivals;
-        drops := !drops + s.drops)
-      t.links;
-    if !arrivals = 0 then 0.
-    else float_of_int !drops /. float_of_int !arrivals
-end
+(* Graph-native scenario builders over {!Topology}: [Fat_tree] and
+   [Transcontinental] have redundant paths, the shapes routing and
+   failure-impact analysis exist for. The paper's dumbbell and parking lot
+   stay hand-wired ({!Dumbbell}, {!Parking_lot}): they add flows without a
+   routing recompute, which per-arrival workloads such as [Web_mix]
+   need. *)
 
 (* --- fat tree ------------------------------------------------------------- *)
 

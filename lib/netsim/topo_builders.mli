@@ -1,61 +1,9 @@
-(** Graph-backed scenario builders over {!Topology}.
+(** Graph-native scenario builders over {!Topology}.
 
-    {!Graph_dumbbell} and {!Graph_parking_lot} are drop-in equivalents of
-    the hand-wired {!Dumbbell} and {!Parking_lot} builders with a hard
-    guarantee: identical inputs produce {e byte-identical} traces (same
-    events, same times, same packet ids), verified by differential tests.
-    {!Fat_tree} and {!Transcontinental} are graph-native scenarios with
-    redundant paths for routing and failure-impact studies. *)
-
-module Graph_dumbbell : sig
-  type t
-
-  val create :
-    Engine.Runtime.t ->
-    bandwidth:float ->
-    delay:float ->
-    queue:Dumbbell.queue_spec ->
-    ?reverse_queue:Dumbbell.queue_spec ->
-    ?mean_pktsize:int ->
-    unit ->
-    t
-
-  val topology : t -> Topology.t
-  val runtime : t -> Engine.Runtime.t
-  val add_flow : t -> flow:int -> rtt_base:float -> unit
-  val set_src_recv : t -> flow:int -> Packet.handler -> unit
-  val set_dst_recv : t -> flow:int -> Packet.handler -> unit
-  val src_sender : t -> flow:int -> Packet.handler
-  val dst_sender : t -> flow:int -> Packet.handler
-  val forward_link : t -> Link.t
-  val reverse_link : t -> Link.t
-  val forward_drop_rate : t -> float
-end
-
-module Graph_parking_lot : sig
-  type t
-
-  val create :
-    Engine.Runtime.t ->
-    hops:int ->
-    bandwidth:float ->
-    delay:float ->
-    queue:(unit -> Queue_disc.t) ->
-    unit ->
-    t
-
-  val topology : t -> Topology.t
-  val runtime : t -> Engine.Runtime.t
-  val n_hops : t -> int
-  val add_through_flow : t -> flow:int -> rtt_base:float -> unit
-  val add_cross_flow : t -> flow:int -> hop:int -> rtt_base:float -> unit
-  val set_src_recv : t -> flow:int -> Packet.handler -> unit
-  val set_dst_recv : t -> flow:int -> Packet.handler -> unit
-  val src_sender : t -> flow:int -> Packet.handler
-  val dst_sender : t -> flow:int -> Packet.handler
-  val link : t -> hop:int -> Link.t
-  val drop_rate : t -> float
-end
+    {!Fat_tree} and {!Transcontinental} have redundant paths for routing
+    and failure-impact studies. The paper's dumbbell and parking lot are
+    the hand-wired {!Dumbbell} and {!Parking_lot}, which add a flow
+    without recomputing routes. *)
 
 module Fat_tree : sig
   type t

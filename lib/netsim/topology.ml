@@ -1,7 +1,7 @@
 type node = int
 
 type edge_kind =
-  | Wire of { wdelay : float; always_schedule : bool }
+  | Wire of float
   | Queued of Link.t
 
 type edge = {
@@ -129,7 +129,7 @@ let edge_cost t e =
       | Hop -> 1.
       | Delay -> (
           match e.kind with
-          | Wire { wdelay; _ } -> wdelay
+          | Wire wdelay -> wdelay
           | Queued l -> Link.delay l))
 
 let edge_usable up_only e =
@@ -233,9 +233,8 @@ let rec arrive t node (pkt : Packet.t) =
 and forward t e pkt =
   match e.kind with
   | Queued l -> Link.send l pkt
-  | Wire { wdelay; always_schedule } ->
-      if wdelay > 0. || always_schedule then
-        delayed t wdelay (fun () -> arrive t e.edst pkt)
+  | Wire wdelay ->
+      if wdelay > 0. then delayed t wdelay (fun () -> arrive t e.edst pkt)
       else arrive t e.edst pkt
 
 (* --- construction --------------------------------------------------------- *)
@@ -260,18 +259,14 @@ let add_link t ~src ~dst ?cost link =
   Link.on_state_change link (fun _ -> t.dirty <- true);
   e
 
-let add_wire t ~src ~dst ?cost ?(always_schedule = false) delay =
+let add_wire t ~src ~dst ?cost delay =
   check_node t src "add_wire";
   check_node t dst "add_wire";
-  if delay < 0. then invalid_arg "Topology.add_wire: negative delay";
+  (* NaN would fail [wdelay > 0.] and make the wire silently synchronous. *)
+  if not (Float.is_finite delay && delay >= 0.) then
+    invalid_arg "Topology.add_wire: delay must be finite and non-negative";
   register_edge t
-    {
-      eid = t.n_edges;
-      esrc = src;
-      edst = dst;
-      kind = Wire { wdelay = delay; always_schedule };
-      cost;
-    }
+    { eid = t.n_edges; esrc = src; edst = dst; kind = Wire delay; cost }
 
 let set_cost t e c =
   e.cost <- Some c;

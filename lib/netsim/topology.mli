@@ -50,13 +50,10 @@ val n_nodes : t -> int
     add their own drop listeners and drive faults at the link. *)
 val add_link : t -> src:node -> dst:node -> ?cost:float -> Link.t -> edge
 
-(** [add_wire t ~src ~dst ?cost ?always_schedule delay] adds a
-    unidirectional pure-delay edge. With [delay = 0] the hop is traversed
-    synchronously unless [always_schedule] (default false) forces a
-    zero-delay scheduler event — builders use this to reproduce the legacy
-    hand-wired builders' event structure exactly. *)
-val add_wire :
-  t -> src:node -> dst:node -> ?cost:float -> ?always_schedule:bool -> float -> edge
+(** [add_wire t ~src ~dst ?cost delay] adds a unidirectional pure-delay
+    edge. With [delay = 0] the hop is traversed synchronously. Raises
+    [Invalid_argument] unless [delay] is finite and non-negative. *)
+val add_wire : t -> src:node -> dst:node -> ?cost:float -> float -> edge
 
 (** [set_cost t e c] overrides the edge's cost and invalidates routes. *)
 val set_cost : t -> edge -> float -> unit

@@ -1,83 +1,72 @@
 (* Tests for the supporting infrastructure added beyond the paper's core:
-   packet tracer, parking-lot topology, dataset export, application-limited
-   TFRC sending with rate validation. *)
-
-let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
+   ns-2 packet trace sink, parking-lot topology, dataset export,
+   application-limited TFRC sending with rate validation. *)
 
 let pkt_sim = Engine.Sim.create ()
 
 let mk_pkt ?(flow = 1) ~seq () =
   Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow ~seq ~size:1000 ~now:0. Netsim.Packet.Data
 
-(* --- Tracer ----------------------------------------------------------------- *)
+(* --- ns-2 trace sink ---------------------------------------------------------- *)
 
-let test_tracer_records_in_order () =
-  let now = ref 0. in
-  let tr = Netsim.Tracer.create (fun () -> !now) in
-  now := 1.;
-  Netsim.Tracer.record tr Netsim.Tracer.Enqueue (mk_pkt ~seq:1 ());
-  now := 2.;
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~seq:2 ());
-  match Netsim.Tracer.events tr with
-  | [ a; b ] ->
-      checkf "first time" 1. a.Netsim.Tracer.time;
-      Alcotest.(check int) "first seq" 1 a.Netsim.Tracer.seq;
-      checkf "second time" 2. b.Netsim.Tracer.time;
-      Alcotest.(check bool) "kinds" true
-        (a.Netsim.Tracer.kind = Netsim.Tracer.Enqueue
-        && b.Netsim.Tracer.kind = Netsim.Tracer.Receive)
-  | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
-
-let test_tracer_limit () =
-  let tr = Netsim.Tracer.create ~limit:3 (fun () -> 0.) in
-  for i = 1 to 5 do
-    Netsim.Tracer.record tr Netsim.Tracer.Drop (mk_pkt ~seq:i ())
-  done;
-  Alcotest.(check int) "capped" 3 (Netsim.Tracer.n_events tr);
-  Alcotest.(check bool) "truncation flagged" true (Netsim.Tracer.truncated tr)
-
-let test_tracer_filter () =
-  let tr = Netsim.Tracer.create (fun () -> 0.) in
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~flow:1 ~seq:1 ());
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~flow:2 ~seq:2 ());
-  Netsim.Tracer.record tr Netsim.Tracer.Receive (mk_pkt ~flow:1 ~seq:3 ());
-  Alcotest.(check int) "flow 1 events" 2
-    (List.length (Netsim.Tracer.filter tr ~flow:1))
-
-let test_tracer_attach_link () =
-  let sim = Engine.Sim.create () in
-  let link =
-    Netsim.Link.create (Engine.Sim.runtime sim) ~bandwidth:1e5 ~delay:0.01
-      ~queue:(Netsim.Droptail.create ~limit_pkts:2)
-      ()
+(* Six back-to-back packets into a 2-packet bottleneck queue, traced by
+   [Link.ns2_sink] on the forward link: three are delivered, three
+   dropped. One packet on the reverse link must not show up. Returns the
+   trace lines, the sink's own count and the packets the receiver got. *)
+let ns2_trace_dumbbell () =
+  let path = Filename.temp_file "tfrc_ns2" ".tr" in
+  let oc = open_out path in
+  let bus = Engine.Trace.create () in
+  let sink, count = Netsim.Link.ns2_sink ~label:"bottleneck-fwd" oc in
+  Engine.Trace.add_sink bus sink;
+  let sim = Engine.Sim.create ~trace:bus () in
+  let rt = Engine.Sim.runtime sim in
+  let db =
+    Netsim.Dumbbell.create rt ~bandwidth:1e5 ~delay:0.01
+      ~queue:(Netsim.Dumbbell.Droptail_q 2) ()
   in
+  Netsim.Dumbbell.add_flow db ~flow:1 ~rtt_base:0.04;
   let received = ref 0 in
-  Netsim.Link.set_dest link (fun _ -> incr received);
-  let tr = Netsim.Tracer.create (fun () -> Engine.Sim.now sim) in
-  Netsim.Tracer.attach_link tr link;
+  Netsim.Dumbbell.set_dst_recv db ~flow:1 (fun _ -> incr received);
+  let pkt seq =
+    Netsim.Packet.make rt ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data
+  in
   ignore
     (Engine.Sim.at sim 0. (fun () ->
          for i = 1 to 6 do
-           Netsim.Link.send link (mk_pkt ~seq:i ())
-         done));
+           Netsim.Dumbbell.src_sender db ~flow:1 (pkt i)
+         done;
+         Netsim.Dumbbell.dst_sender db ~flow:1 (pkt 7)));
   Engine.Sim.run sim ~until:2.;
-  let events = Netsim.Tracer.events tr in
-  let count k = List.length (List.filter (fun e -> e.Netsim.Tracer.kind = k) events) in
-  Alcotest.(check int) "receives traced" 3 (count Netsim.Tracer.Receive);
-  Alcotest.(check int) "drops traced" 3 (count Netsim.Tracer.Drop);
-  Alcotest.(check int) "original dest still called" 3 !received
+  Engine.Trace.close bus;
+  close_out oc;
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  (lines, count (), !received)
+
+let test_tracer_attach_link () =
+  let lines, count, received = ns2_trace_dumbbell () in
+  let code c = List.length (List.filter (fun l -> l.[0] = c) lines) in
+  Alcotest.(check int) "receives traced" 3 (code 'r');
+  Alcotest.(check int) "drops traced" 3 (code 'd');
+  Alcotest.(check int) "only forward-link lines" 6 (List.length lines);
+  Alcotest.(check int) "sink counts its lines" 6 count;
+  Alcotest.(check int) "receiver still gets the delivered packets" 3 received
 
 let test_tracer_pp () =
-  let tr = Netsim.Tracer.create (fun () -> 1.5) in
-  Netsim.Tracer.record tr Netsim.Tracer.Drop (mk_pkt ~flow:7 ~seq:3 ());
-  match Netsim.Tracer.events tr with
-  | [ e ] ->
-      let s = Format.asprintf "%a" Netsim.Tracer.pp_event e in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace line %S" s)
-        true
-        (String.length s > 0 && s.[0] = 'd')
-  | _ -> Alcotest.fail "expected one event"
+  let lines, _, _ = ns2_trace_dumbbell () in
+  (* code, time to six decimals, flow, seq, size, packet id *)
+  Alcotest.(check (list string))
+    "ns-2 trace lines"
+    [
+      "d 0.005000 1 4 1000 4";
+      "d 0.005000 1 5 1000 5";
+      "d 0.005000 1 6 1000 6";
+      "r 0.095000 1 1 1000 1";
+      "r 0.175000 1 2 1000 2";
+      "r 0.255000 1 3 1000 3";
+    ]
+    lines
 
 (* --- Parking lot --------------------------------------------------------------- *)
 
@@ -154,6 +143,19 @@ let test_lot_validation () =
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Parking_lot: flow 1 already exists") (fun () ->
       Netsim.Parking_lot.add_through_flow lot ~flow:1 ~rtt_base:0.1)
+
+(* A non-finite rtt_base must fail at registration, not mid-run inside the
+   first scheduled access delay. *)
+let test_lot_rtt_not_finite () =
+  let sim = Engine.Sim.create () in
+  let lot = make_lot sim in
+  Alcotest.check_raises "through flow, NaN rtt_base"
+    (Invalid_argument "Parking_lot: rtt_base must be finite") (fun () ->
+      Netsim.Parking_lot.add_through_flow lot ~flow:1 ~rtt_base:Float.nan);
+  Alcotest.check_raises "cross flow, infinite rtt_base"
+    (Invalid_argument "Parking_lot: rtt_base must be finite") (fun () ->
+      Netsim.Parking_lot.add_cross_flow lot ~flow:2 ~hop:1
+        ~rtt_base:Float.infinity)
 
 (* A TFRC through-flow on a parking lot shares each hop with cross TCP. *)
 let test_lot_tfrc_end_to_end () =
@@ -405,9 +407,6 @@ let () =
     [
       ( "tracer",
         [
-          Alcotest.test_case "records in order" `Quick test_tracer_records_in_order;
-          Alcotest.test_case "limit" `Quick test_tracer_limit;
-          Alcotest.test_case "filter" `Quick test_tracer_filter;
           Alcotest.test_case "attach link" `Quick test_tracer_attach_link;
           Alcotest.test_case "pp" `Quick test_tracer_pp;
         ] );
@@ -418,6 +417,7 @@ let () =
           Alcotest.test_case "cross flow" `Quick test_lot_cross_flow_single_hop;
           Alcotest.test_case "reverse path" `Quick test_lot_reverse_path;
           Alcotest.test_case "validation" `Quick test_lot_validation;
+          Alcotest.test_case "rtt not finite" `Quick test_lot_rtt_not_finite;
           Alcotest.test_case "tfrc end to end" `Quick test_lot_tfrc_end_to_end;
         ] );
       ( "dataset",

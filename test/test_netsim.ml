@@ -45,38 +45,6 @@ let test_packet_is_data () =
   in
   Alcotest.(check bool) "feedback is not data" false (Netsim.Packet.is_data fb)
 
-(* The freelist pool must recycle records (that's its whole point) while
-   keeping packet identity fresh: a reused record gets a new id from the
-   sim allocator and fully reinitialized fields. *)
-let test_packet_pool_recycles () =
-  let sim = Engine.Sim.create () in
-  let pool = Netsim.Packet.Pool.create () in
-  let p1 =
-    Netsim.Packet.Pool.alloc pool (Engine.Sim.runtime sim) ~ecn:true ~flow:1 ~seq:10 ~size:1000
-      ~now:1. Netsim.Packet.Data
-  in
-  let id1 = p1.Netsim.Packet.id in
-  p1.Netsim.Packet.ecn_marked <- true;
-  p1.Netsim.Packet.corrupted <- true;
-  Alcotest.(check int) "one outstanding" 1
-    (Netsim.Packet.Pool.outstanding pool);
-  Netsim.Packet.Pool.release pool p1;
-  Alcotest.(check int) "none outstanding" 0
-    (Netsim.Packet.Pool.outstanding pool);
-  Alcotest.(check int) "one idle" 1 (Netsim.Packet.Pool.idle pool);
-  let p2 =
-    Netsim.Packet.Pool.alloc pool (Engine.Sim.runtime sim) ~flow:2 ~seq:20 ~size:500 ~now:2.
-      Netsim.Packet.Data
-  in
-  Alcotest.(check bool) "record reused" true (p1 == p2);
-  Alcotest.(check bool) "fresh id on reuse" true (p2.Netsim.Packet.id <> id1);
-  Alcotest.(check int) "flow rewritten" 2 p2.Netsim.Packet.flow;
-  Alcotest.(check int) "seq rewritten" 20 p2.Netsim.Packet.seq;
-  Alcotest.(check int) "size rewritten" 500 p2.Netsim.Packet.size;
-  Alcotest.(check bool) "ecn reset" false p2.Netsim.Packet.ecn_capable;
-  Alcotest.(check bool) "mark reset" false p2.Netsim.Packet.ecn_marked;
-  Alcotest.(check bool) "corruption reset" false p2.Netsim.Packet.corrupted
-
 (* Packet ids are a pure function of the owning simulation's allocation
    order, never of process-global state: two sims in one process each get
    the sequence 1, 2, 3, ... regardless of how their allocations
@@ -456,6 +424,22 @@ let test_dumbbell_rtt_too_small () =
     (Invalid_argument "Dumbbell.add_flow: rtt_base smaller than bottleneck RTT")
     (fun () -> Netsim.Dumbbell.add_flow db ~flow:1 ~rtt_base:0.05)
 
+(* A NaN access delay fails [d > 0.], which would silently make the access
+   segments synchronous; it must be rejected when the flow is added. *)
+let test_dumbbell_rtt_not_finite () =
+  let sim = Engine.Sim.create () in
+  let db =
+    Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:1e6 ~delay:0.01
+      ~queue:(Netsim.Dumbbell.Droptail_q 10) ()
+  in
+  List.iteri
+    (fun flow rtt_base ->
+      Alcotest.check_raises
+        (Printf.sprintf "rtt_base %h" rtt_base)
+        (Invalid_argument "Dumbbell.add_flow: rtt_base must be finite")
+        (fun () -> Netsim.Dumbbell.add_flow db ~flow ~rtt_base))
+    [ Float.nan; Float.infinity ]
+
 let test_dumbbell_unknown_flow () =
   let sim = Engine.Sim.create () in
   let db =
@@ -544,8 +528,6 @@ let () =
           Alcotest.test_case "per-sim id sequences" `Quick
             test_packet_ids_per_sim;
           qtest prop_packet_ids_independent;
-          Alcotest.test_case "pool recycles records" `Quick
-            test_packet_pool_recycles;
           Alcotest.test_case "is_data" `Quick test_packet_is_data;
           Alcotest.test_case "pp" `Quick test_packet_pp;
         ] );
@@ -592,6 +574,7 @@ let () =
           Alcotest.test_case "roundtrip delay" `Quick test_dumbbell_roundtrip_delay;
           Alcotest.test_case "duplicate flow" `Quick test_dumbbell_duplicate_flow;
           Alcotest.test_case "rtt too small" `Quick test_dumbbell_rtt_too_small;
+          Alcotest.test_case "rtt not finite" `Quick test_dumbbell_rtt_not_finite;
           Alcotest.test_case "unknown flow" `Quick test_dumbbell_unknown_flow;
           Alcotest.test_case "flow isolation" `Quick test_dumbbell_isolation;
         ] );

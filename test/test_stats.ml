@@ -98,74 +98,6 @@ let prop_merge_matches_concat =
       && Stats.Running.max_value m = Stats.Running.max_value w
       && feq (Stats.Running.total m) (Stats.Running.total w))
 
-(* --- Soa (struct-of-arrays accumulators) ------------------------------- *)
-
-let prop_soa_matches_running =
-  QCheck.Test.make ~name:"Soa slot arithmetic = Running" ~count:200
-    (QCheck.make
-       ~print:(fun l -> String.concat "," (List.map string_of_float l))
-       sample_gen)
-    (fun xs ->
-      let soa = Stats.Soa.create 3 in
-      let r = Stats.Running.create () in
-      List.iter
-        (fun x ->
-          Stats.Soa.add soa 1 x;
-          Stats.Running.add r x)
-        xs;
-      (* Bit-for-bit: the Soa update is textually the same Welford step. *)
-      Stats.Soa.count soa 1 = Stats.Running.count r
-      && Stats.Soa.nans soa 1 = Stats.Running.nans r
-      && Stats.Soa.mean soa 1 = Stats.Running.mean r
-      && Stats.Soa.variance soa 1 = Stats.Running.variance r
-      && Stats.Soa.min_value soa 1 = Stats.Running.min_value r
-      && Stats.Soa.max_value soa 1 = Stats.Running.max_value r
-      && Stats.Soa.total soa 1 = Stats.Running.total r
-      && Stats.Soa.cov soa 1 = Stats.Running.cov r
-      (* Neighboring slots must be untouched. *)
-      && Stats.Soa.count soa 0 = 0
-      && Stats.Soa.count soa 2 = 0)
-
-let prop_soa_merge_matches_running =
-  QCheck.Test.make ~name:"Soa.merge_into = Running.merge" ~count:200
-    (QCheck.make
-       ~print:(fun (a, b) ->
-         let s l = String.concat "," (List.map string_of_float l) in
-         Printf.sprintf "[%s] [%s]" (s a) (s b))
-       (QCheck.Gen.pair sample_gen sample_gen))
-    (fun (xs, ys) ->
-      let src = Stats.Soa.create 1 and dst = Stats.Soa.create 1 in
-      let a = Stats.Running.create () and b = Stats.Running.create () in
-      List.iter
-        (fun x ->
-          Stats.Soa.add dst 0 x;
-          Stats.Running.add a x)
-        xs;
-      List.iter
-        (fun y ->
-          Stats.Soa.add src 0 y;
-          Stats.Running.add b y)
-        ys;
-      Stats.Soa.merge_into ~src 0 ~dst 0;
-      let m = Stats.Running.merge a b in
-      Stats.Soa.count dst 0 = Stats.Running.count m
-      && Stats.Soa.nans dst 0 = Stats.Running.nans m
-      && Stats.Soa.mean dst 0 = Stats.Running.mean m
-      && Stats.Soa.variance dst 0 = Stats.Running.variance m
-      && Stats.Soa.min_value dst 0 = Stats.Running.min_value m
-      && Stats.Soa.max_value dst 0 = Stats.Running.max_value m
-      && Stats.Soa.total dst 0 = Stats.Running.total m)
-
-let test_soa_reset_slot () =
-  let soa = Stats.Soa.create 2 in
-  Stats.Soa.add soa 0 5.;
-  Stats.Soa.add soa 1 7.;
-  Stats.Soa.reset_slot soa 0;
-  Alcotest.(check int) "reset slot empty" 0 (Stats.Soa.count soa 0);
-  checkf "reset min is +inf" infinity (Stats.Soa.min_value soa 0);
-  Alcotest.(check int) "other slot kept" 1 (Stats.Soa.count soa 1);
-  checkf "other slot mean kept" 7. (Stats.Soa.mean soa 1)
-
 let prop_welford_matches_naive =
   QCheck.Test.make ~name:"Welford variance matches two-pass" ~count:200
     QCheck.(list_of_size Gen.(int_range 2 50) (float_range (-1e3) 1e3))
@@ -406,12 +338,6 @@ let () =
           qtest prop_welford_matches_naive;
           qtest prop_cov_nonneg;
           qtest prop_merge_matches_concat;
-        ] );
-      ( "soa",
-        [
-          Alcotest.test_case "reset_slot" `Quick test_soa_reset_slot;
-          qtest prop_soa_matches_running;
-          qtest prop_soa_merge_matches_running;
         ] );
       ( "time_series",
         [

@@ -1,27 +1,24 @@
-(* Tests for the arbitrary-topology layer: differential byte-identity of
-   the graph-backed builders against the hand-wired ones, failure-impact
-   classification on the transcontinental WAN, routing recomputation on
-   link-state changes, builder teardown/in-flight accounting, and graph
-   fuzz scenarios under parallel execution. *)
+(* Tests for the arbitrary-topology layer: pinned runs of the hand-wired
+   dumbbell and parking lot, failure-impact classification on the
+   transcontinental WAN, routing recomputation on link-state changes,
+   builder teardown/in-flight accounting, and graph fuzz scenarios under
+   parallel execution. *)
 
 module TB = Netsim.Topo_builders.Transcontinental
 
-(* --- Differential: graph builders vs hand-wired builders ------------------- *)
+(* --- Pinned runs of the hand-wired builders -------------------------------- *)
 
-(* Run the same scenario through both constructions and demand identical
-   outcomes down to the trace digest: the graph layer must not add,
-   remove, reorder or re-time a single event. *)
-let diff_case name (sc : Fuzz.Scenario.t) =
-  let a = Fuzz.Oracle.run ~builders:`Legacy sc in
-  let b = Fuzz.Oracle.run ~builders:`Graph sc in
+(* The constants are the (digest, events, delivered) that the hand-wired
+   builders and graph-backed copies over [Topology] both produced on these
+   scenarios, so any change that adds, removes, reorders or re-times a
+   single event shows up here. *)
+let check_pinned name (sc : Fuzz.Scenario.t) ~digest ~events ~delivered =
+  let o = Fuzz.Oracle.run sc in
   Alcotest.(check (list string))
-    (name ^ ": legacy passes") [] (Fuzz.Oracle.failed_oracles a);
-  Alcotest.(check (list string))
-    (name ^ ": graph passes") [] (Fuzz.Oracle.failed_oracles b);
-  Alcotest.(check int) (name ^ ": digest") a.Fuzz.Oracle.digest b.Fuzz.Oracle.digest;
-  Alcotest.(check int) (name ^ ": events") a.Fuzz.Oracle.events b.Fuzz.Oracle.events;
-  Alcotest.(check int)
-    (name ^ ": delivered") a.Fuzz.Oracle.delivered b.Fuzz.Oracle.delivered
+    (name ^ ": oracles pass") [] (Fuzz.Oracle.failed_oracles o);
+  Alcotest.(check int) (name ^ ": digest") digest o.Fuzz.Oracle.digest;
+  Alcotest.(check int) (name ^ ": events") events o.Fuzz.Oracle.events;
+  Alcotest.(check int) (name ^ ": delivered") delivered o.Fuzz.Oracle.delivered
 
 let flow ?(proto = Fuzz.Scenario.Tfrc) ?(rtt_base = 0.06) ?(start = 0.) ?hop () =
   { Fuzz.Scenario.proto; rtt_base; start; hop }
@@ -40,13 +37,14 @@ let base_sc ~id ~topology ~flows ~faults ~duration =
   }
 
 let test_diff_fig2_dumbbell () =
-  diff_case "fig2 dumbbell"
+  check_pinned "fig2 dumbbell"
     (base_sc ~id:"diff/fig2" ~topology:Fuzz.Scenario.Dumbbell
        ~flows:[ flow (); flow ~start:0.5 (); flow ~proto:Fuzz.Scenario.Tcp () ]
        ~faults:[] ~duration:8.)
+    ~digest:(-2828401713678309004) ~events:5626 ~delivered:1445
 
 let test_diff_dumbbell_link_faults () =
-  diff_case "dumbbell link faults"
+  check_pinned "dumbbell link faults"
     (base_sc ~id:"diff/link-faults" ~topology:Fuzz.Scenario.Dumbbell
        ~flows:[ flow (); flow ~proto:Fuzz.Scenario.Tcp ~start:0.3 () ]
        ~faults:
@@ -57,9 +55,10 @@ let test_diff_dumbbell_link_faults () =
            Fuzz.Scenario.Route_change { at = 9.; bandwidth_factor = 0.5 };
          ]
        ~duration:12.)
+    ~digest:4534000263383540907 ~events:4989 ~delivered:1170
 
 let test_diff_dumbbell_handler_faults () =
-  diff_case "dumbbell handler faults"
+  check_pinned "dumbbell handler faults"
     (base_sc ~id:"diff/handler-faults" ~topology:Fuzz.Scenario.Dumbbell
        ~flows:[ flow (); flow ~proto:Fuzz.Scenario.Tfrcp ~start:0.2 () ]
        ~faults:
@@ -70,16 +69,18 @@ let test_diff_dumbbell_handler_faults () =
            Fuzz.Scenario.Fb_blackout { at = 4.; duration = 1. };
          ]
        ~duration:10.)
+    ~digest:266940917787454862 ~events:3598 ~delivered:1225
 
 let test_diff_path () =
-  diff_case "path"
+  check_pinned "path"
     (base_sc ~id:"diff/path" ~topology:Fuzz.Scenario.Path
        ~flows:[ flow ~proto:Fuzz.Scenario.Rap (); flow ~start:0.4 () ]
        ~faults:[ Fuzz.Scenario.Outage { at = 3.; duration = 1. } ]
        ~duration:8.)
+    ~digest:(-2609874825876834597) ~events:1041 ~delivered:335
 
 let test_diff_parking_lot () =
-  diff_case "parking lot"
+  check_pinned "parking lot"
     (base_sc ~id:"diff/parking-lot"
        ~topology:(Fuzz.Scenario.Parking_lot 3)
        ~flows:
@@ -90,6 +91,7 @@ let test_diff_parking_lot () =
          ]
        ~faults:[ Fuzz.Scenario.Outage { at = 4.; duration = 1.5 } ]
        ~duration:10.)
+    ~digest:4166356123003902650 ~events:5871 ~delivered:2584
 
 (* --- Failure impact on the transcontinental WAN ---------------------------- *)
 
@@ -245,6 +247,23 @@ let test_topology_teardown () =
   Alcotest.(check int) "cancelled delivery never arrives" 0 !received;
   Alcotest.(check int) "no pending deliveries" 0 (Netsim.Topology.in_flight topo)
 
+(* A NaN delay fails both [delay < 0.] and [wdelay > 0.], which would make
+   the wire silently synchronous. *)
+let test_wire_delay_not_finite () =
+  let topo = Netsim.Topology.create (Engine.Sim.runtime (Engine.Sim.create ())) () in
+  let a = Netsim.Topology.add_node topo in
+  let b = Netsim.Topology.add_node topo in
+  List.iter
+    (fun delay ->
+      Alcotest.check_raises
+        (Printf.sprintf "delay %h" delay)
+        (Invalid_argument
+           "Topology.add_wire: delay must be finite and non-negative")
+        (fun () -> ignore (Netsim.Topology.add_wire topo ~src:a ~dst:b delay)))
+    [ Float.nan; Float.infinity; -0.001 ];
+  Alcotest.(check int) "no edge added" 0
+    (List.length (Netsim.Topology.edges topo))
+
 (* --- Graph fuzz scenarios --------------------------------------------------- *)
 
 let graph_sc ~id ~nodes ~extra ~faults =
@@ -261,22 +280,17 @@ let graph_sc ~id ~nodes ~extra ~faults =
   }
 
 (* The oracle runs every scenario twice and compares running trace
-   digests, so a pass certifies the graph build is deterministic. *)
+   digests, so a pass certifies the graph build is deterministic. The
+   pinned outcomes hold Topology's forwarding (clean ring) and its
+   outage-blackhole accounting (ring outage) fixed. *)
 let test_graph_scenario_passes () =
-  let o =
-    Fuzz.Oracle.run
-      (graph_sc ~id:"graph/clean" ~nodes:4 ~extra:1 ~faults:[])
-  in
-  Alcotest.(check (list string)) "clean graph passes" []
-    (Fuzz.Oracle.failed_oracles o);
-  Alcotest.(check bool) "graph delivers traffic" true (o.Fuzz.Oracle.delivered > 0);
-  let o =
-    Fuzz.Oracle.run
-      (graph_sc ~id:"graph/outage" ~nodes:5 ~extra:2
-         ~faults:[ Fuzz.Scenario.Outage { at = 3.; duration = 2. } ])
-  in
-  Alcotest.(check (list string)) "graph with ring outage passes" []
-    (Fuzz.Oracle.failed_oracles o)
+  check_pinned "clean graph"
+    (graph_sc ~id:"graph/clean" ~nodes:4 ~extra:1 ~faults:[])
+    ~digest:(-1233347037626231676) ~events:5177 ~delivered:1530;
+  check_pinned "graph with ring outage"
+    (graph_sc ~id:"graph/outage" ~nodes:5 ~extra:2
+       ~faults:[ Fuzz.Scenario.Outage { at = 3.; duration = 2. } ])
+    ~digest:3703552309885067544 ~events:4147 ~delivered:1704
 
 (* Graph scenarios as runner jobs: -j 2 must reproduce -j 1 byte for
    byte (digests included), like every other grid in the repo. *)
@@ -340,6 +354,11 @@ let () =
           Alcotest.test_case "parking lot teardown" `Quick
             test_parking_lot_teardown;
           Alcotest.test_case "topology teardown" `Quick test_topology_teardown;
+        ] );
+      ( "construction",
+        [
+          Alcotest.test_case "wire delay not finite" `Quick
+            test_wire_delay_not_finite;
         ] );
       ( "graph-fuzz",
         [
