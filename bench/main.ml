@@ -242,9 +242,11 @@ let fuzz_throughput_json () =
       max_shrink_runs = 0;
     }
   in
-  ignore (Fuzz.Driver.run ~out:null_ppf cfg : Fuzz.Driver.summary);
+  ignore
+    (Fuzz.Driver.run Fuzz.Sim_case.kind ~out:null_ppf cfg
+      : Fuzz.Driver.summary);
   let t0 = Unix.gettimeofday () in
-  let s = Fuzz.Driver.run ~out:null_ppf cfg in
+  let s = Fuzz.Driver.run Fuzz.Sim_case.kind ~out:null_ppf cfg in
   let wall = Unix.gettimeofday () -. t0 in
   Printf.sprintf
     "{\"bench\":\"fuzz_throughput\",\"seed\":%d,\"cases\":%d,\"failed\":%d,\"wall_s\":%.3f,\"cases_per_s\":%.2f,\"events\":%d,\"delivered\":%d}"

@@ -588,29 +588,17 @@ let trace_cmd =
           trace of the bottleneck link.")
     Term.(const run $ out_arg $ duration $ seed_arg)
 
-let fuzz_cmd =
+(* The term [fuzz] and [wire soak] share: --cases, --mutate and
+   --artifacts, run through [Fuzz.Driver] with the exit logic of a
+   campaign (a clean run, or a self-test whose failures are all the
+   kind's plant). [shrink] supplies the remaining driver settings. *)
+let campaign_term kind ~cases_default ~cases_doc ~mutate_doc shrink =
   let cases =
     Arg.(
-      value & opt int 100
-      & info [ "cases" ] ~docv:"N" ~doc:"Number of random scenarios to run.")
+      value & opt int cases_default
+      & info [ "cases" ] ~docv:"N" ~doc:cases_doc)
   in
-  let shrink =
-    Arg.(
-      value & flag
-      & info [ "shrink" ]
-          ~doc:
-            "Delta-debug each failing scenario to a minimal still-failing \
-             case before reporting it.")
-  in
-  let mutate =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Self-test: deterministically plant a known queue-accounting bug \
-             and exit successfully only if the fuzzer catches it (and \
-             nothing else).")
-  in
+  let mutate = Arg.(value & flag & info [ "mutate" ] ~doc:mutate_doc) in
   let artifacts =
     Arg.(
       value
@@ -621,23 +609,13 @@ let fuzz_cmd =
              $(docv) (created, with parents, if needed); replay with \
              $(b,tfrc_sim repro).")
   in
-  let max_shrink_runs =
-    Arg.(
-      value & opt int 300
-      & info [ "max-shrink-runs" ] ~docv:"N"
-          ~doc:"Oracle-execution budget per shrink.")
-  in
-  let run cases seed j shrink mutate artifacts max_shrink_runs =
+  let run cases seed j mutate artifacts (shrink, max_shrink_runs) =
     if cases <= 0 then begin
       Format.eprintf "tfrc_sim: --cases must be positive@.";
       exit 1
     end;
-    if max_shrink_runs <= 0 then begin
-      Format.eprintf "tfrc_sim: --max-shrink-runs must be positive@.";
-      exit 1
-    end;
     let summary =
-      Fuzz.Driver.run ~out:Format.std_formatter
+      Fuzz.Driver.run kind ~out:Format.std_formatter
         {
           Fuzz.Driver.cases;
           seed;
@@ -648,20 +626,43 @@ let fuzz_cmd =
           max_shrink_runs;
         }
     in
-    if mutate then
-      if Fuzz.Driver.mutate_ok summary then begin
-        Format.printf
-          "mutate self-test: planted bug caught by queue-conservation@.";
-        exit 0
-      end
-      else begin
-        Format.printf
-          "mutate self-test FAILED: the planted accounting bug was not \
-           isolated (expected every failure to be queue-conservation, with \
-           at least one)@.";
-        exit 1
-      end
-    else exit (if summary.Fuzz.Driver.failed = 0 then 0 else 1)
+    let plant = kind.Fuzz.Driver.plant in
+    if not mutate then exit (if summary.Fuzz.Driver.failed = 0 then 0 else 1)
+    else if Fuzz.Driver.mutate_ok kind summary then begin
+      Format.printf "mutate self-test: planted bug caught by %s@." plant;
+      exit 0
+    end
+    else begin
+      Format.printf
+        "mutate self-test FAILED: the planted bug was not isolated \
+         (expected every failure to be %s, with at least one)@."
+        plant;
+      exit 1
+    end
+  in
+  Term.(const run $ cases $ seed_arg $ jobs_arg $ mutate $ artifacts $ shrink)
+
+let fuzz_cmd =
+  let shrink =
+    Arg.(
+      value & flag
+      & info [ "shrink" ]
+          ~doc:
+            "Delta-debug each failing scenario to a minimal still-failing \
+             case before reporting it.")
+  in
+  let max_shrink_runs =
+    Arg.(
+      value & opt int 300
+      & info [ "max-shrink-runs" ] ~docv:"N"
+          ~doc:"Oracle-execution budget per shrink.")
+  in
+  let shrink_settings shrink max_shrink_runs =
+    if max_shrink_runs <= 0 then begin
+      Format.eprintf "tfrc_sim: --max-shrink-runs must be positive@.";
+      exit 1
+    end;
+    (shrink, max_shrink_runs)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -669,16 +670,23 @@ let fuzz_cmd =
          "Run randomized chaos scenarios against the invariant oracles; \
           shrink and bundle failures for replay. Deterministic: equal \
           (--cases, --seed) give equal output at any -j.")
-    Term.(
-      const run $ cases $ seed_arg $ jobs_arg $ shrink $ mutate $ artifacts
-      $ max_shrink_runs)
+    (campaign_term Fuzz.Sim_case.kind ~cases_default:100
+       ~cases_doc:"Number of random scenarios to run."
+       ~mutate_doc:
+         "Self-test: deterministically plant a known queue-accounting bug \
+          and exit successfully only if the fuzzer catches it (and nothing \
+          else)."
+       Term.(const shrink_settings $ shrink $ max_shrink_runs))
 
 let repro_cmd =
   let bundle_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"BUNDLE" ~doc:"Repro bundle written by `tfrc_sim fuzz'.")
+      & info [] ~docv:"BUNDLE"
+          ~doc:
+            "Repro bundle written by `tfrc_sim fuzz' or `tfrc_sim wire \
+             soak'.")
   in
   let run path =
     let bundle =
@@ -688,12 +696,18 @@ let repro_cmd =
         exit 2
     in
     Format.printf "%a@." Fuzz.Bundle.pp bundle;
-    exit (if Fuzz.Driver.repro ~out:Format.std_formatter bundle then 0 else 1)
+    let out = Format.std_formatter in
+    let ok =
+      if Fuzz.Driver.owns Fuzz.Wire_soak.kind bundle then
+        Fuzz.Driver.replay Fuzz.Wire_soak.kind ~out bundle
+      else Fuzz.Driver.replay Fuzz.Sim_case.kind ~out bundle
+    in
+    exit (if ok then 0 else 1)
   in
   Cmd.v
     (Cmd.info "repro"
        ~doc:
-         "Replay a fuzz repro bundle bit-for-bit and check that it still \
+         "Replay a fuzz or wire soak repro bundle and check that it still \
           fails the recorded oracles.")
     Term.(const run $ bundle_arg)
 
@@ -889,73 +903,6 @@ let wire_cmd =
         $ delay_arg $ jitter_arg $ reorder_arg)
   in
   let soak_cmd =
-    let cases_arg =
-      Arg.(
-        value & opt int 50
-        & info [ "cases" ] ~docv:"N"
-            ~doc:"Number of random chaos cases to run.")
-    in
-    let mutate_arg =
-      Arg.(
-        value & flag
-        & info [ "mutate" ]
-            ~doc:
-              "Self-test: deterministically plant a known supervisor \
-               lifecycle bug (a dead peer restarts without backing off) and \
-               exit successfully only if the soak catches it (and nothing \
-               else).")
-    in
-    let artifacts_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "artifacts" ] ~docv:"DIR"
-            ~doc:
-              "Write a replayable repro bundle for every failing case under \
-               $(docv); replay with $(b,--replay).")
-    in
-    let replay_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "replay" ] ~docv:"BUNDLE"
-            ~doc:
-              "Instead of soaking, replay one repro bundle and check that \
-               it reproduces its recorded verdict.")
-    in
-    let run cases seed j mutate artifacts replay =
-      match replay with
-      | Some path ->
-          let ok =
-            try Fuzz.Wire_soak.replay ~out:Format.std_formatter path
-            with Failure msg | Sys_error msg ->
-              Format.eprintf "tfrc_sim: %s@." msg;
-              exit 2
-          in
-          exit (if ok then 0 else 1)
-      | None ->
-          if cases <= 0 then begin
-            Format.eprintf "tfrc_sim: --cases must be positive@.";
-            exit 1
-          end;
-          let summary =
-            Fuzz.Wire_soak.run ~out:Format.std_formatter
-              { Fuzz.Wire_soak.cases; seed; j; mutate; artifacts }
-          in
-          if mutate then
-            if Fuzz.Wire_soak.mutate_ok summary then begin
-              Format.printf "mutate self-test: planted bug caught by sup-legal@.";
-              exit 0
-            end
-            else begin
-              Format.printf
-                "mutate self-test FAILED: the planted lifecycle bug was not \
-                 isolated (expected every failure to be sup-legal, with at \
-                 least one)@.";
-              exit 1
-            end
-          else exit (if summary.Fuzz.Wire_soak.failed = 0 then 0 else 1)
-    in
     Cmd.v
       (Cmd.info "soak"
          ~doc:
@@ -964,9 +911,14 @@ let wire_cmd =
             truncated reads) against the supervised endpoint lifecycle, \
             judged by wire oracles. Deterministic: equal (--cases, --seed) \
             give equal output at any -j.")
-      Term.(
-        const run $ cases_arg $ seed_arg $ jobs_arg $ mutate_arg
-        $ artifacts_arg $ replay_arg)
+      (campaign_term Fuzz.Wire_soak.kind ~cases_default:50
+         ~cases_doc:"Number of random chaos cases to run."
+         ~mutate_doc:
+           "Self-test: deterministically plant a known supervisor \
+            lifecycle bug (a dead peer restarts without backing off) and \
+            exit successfully only if the soak catches it (and nothing \
+            else)."
+         (Term.const (false, 0)))
   in
   Cmd.group
     (Cmd.info "wire"

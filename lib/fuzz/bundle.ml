@@ -4,19 +4,19 @@ type t = {
   mutate : bool;
   oracles : string list;
   details : string list;
-  scenario : Scenario.t;
+  scenario : Scenario.t option;
   original : Scenario.t option;
   shrink_steps : int;
   trace_tail : string list;
 }
 
-let make ~case_key ~fuzz_seed ~mutate ?original ?(shrink_steps = 0) scenario
+let make ~case_key ~fuzz_seed ~mutate ?scenario ?original ?(shrink_steps = 0)
     (outcome : Oracle.outcome) =
   {
     case_key;
     fuzz_seed;
     mutate;
-    oracles = Oracle.failed_oracles outcome;
+    oracles = Oracle.failed_oracles outcome.failures;
     details =
       List.map (fun (v : Oracle.verdict) -> v.detail) outcome.failures;
     scenario;
@@ -27,6 +27,10 @@ let make ~case_key ~fuzz_seed ~mutate ?original ?(shrink_steps = 0) scenario
 
 let strings_field name l =
   Sexp.List [ Sexp.Atom name; Sexp.List (List.map (fun s -> Sexp.Atom s) l) ]
+
+let scenario_field name = function
+  | None -> []
+  | Some sc -> [ Sexp.List [ Sexp.Atom name; Scenario.to_sexp sc ] ]
 
 let to_sexp t =
   Sexp.List
@@ -39,11 +43,9 @@ let to_sexp t =
        strings_field "details" t.details;
        Sexp.List
          [ Sexp.Atom "shrink-steps"; Sexp.Atom (string_of_int t.shrink_steps) ];
-       Sexp.List [ Sexp.Atom "scenario"; Scenario.to_sexp t.scenario ];
      ]
-    @ (match t.original with
-      | None -> []
-      | Some o -> [ Sexp.List [ Sexp.Atom "original"; Scenario.to_sexp o ] ])
+    @ scenario_field "scenario" t.scenario
+    @ scenario_field "original" t.original
     @ [ strings_field "trace-tail" t.trace_tail ])
 
 let atoms name v =
@@ -57,18 +59,25 @@ let atoms name v =
                   (Sexp.to_string l))))
     (Sexp.list_field name v)
 
+let scenario_of_field name v =
+  Option.map
+    (fun sx ->
+      try Scenario.of_sexp sx
+      with Sexp.Parse_error msg ->
+        raise (Sexp.Parse_error (Printf.sprintf "field %S: %s" name msg)))
+    (Sexp.field name v)
+
 let of_sexp v =
   match v with
   | Sexp.List (Sexp.Atom "repro" :: _) ->
       {
         case_key = Sexp.atom_field "case" v;
         fuzz_seed = Sexp.int_field "fuzz-seed" v;
-        mutate = bool_of_string (Sexp.atom_field "mutate" v);
+        mutate = Sexp.bool_field "mutate" v;
         oracles = atoms "oracles" v;
         details = atoms "details" v;
-        scenario = Scenario.of_sexp (Option.get (Sexp.field "scenario" v));
-        original =
-          Option.map Scenario.of_sexp (Sexp.field "original" v);
+        scenario = scenario_of_field "scenario" v;
+        original = scenario_of_field "original" v;
         shrink_steps = Sexp.int_field "shrink-steps" v;
         trace_tail = atoms "trace-tail" v;
       }
@@ -116,4 +125,7 @@ let pp ppf t =
       Format.fprintf ppf "shrunk in %d step(s) from: %s@," t.shrink_steps
         (Scenario.summary o)
   | None -> ());
-  Format.fprintf ppf "scenario: %a@]" Scenario.pp t.scenario
+  (match t.scenario with
+  | Some sc -> Format.fprintf ppf "scenario: %a" Scenario.pp sc
+  | None -> Format.fprintf ppf "case regenerated from the fuzz seed and key");
+  Format.fprintf ppf "@]"

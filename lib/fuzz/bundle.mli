@@ -1,20 +1,28 @@
-(** Replayable repro bundles.
+(** Replayable repro bundles — the one bundle format of every fuzz case
+    kind ({!Driver.kind}).
 
-    When a fuzz case fails, the driver saves everything needed to replay
-    it — the (possibly shrunk) scenario, the original scenario when
-    shrinking changed it, the failing oracle verdicts, and the trace
-    tail — as one self-describing sexp file. [tfrc_sim repro BUNDLE]
-    loads the file, re-runs the scenario through {!Oracle.run} with the
-    recorded [mutate] flag, and compares the fresh verdict against the
-    recorded one. *)
+    When a case fails, the driver saves everything needed to replay it —
+    the failing oracle verdicts, the trace tail and, for simulator cases,
+    the (possibly shrunk) scenario plus the original scenario when
+    shrinking changed it — as one self-describing sexp file named after
+    the case key ([fuzz-0013.repro], [soak-0004.repro]). A bundle
+    without a scenario (every wire soak bundle) replays by regenerating
+    the case from its [(fuzz_seed, case_key)] stream. [tfrc_sim repro
+    BUNDLE] loads the file, picks the kind by key prefix, re-runs the
+    case with the recorded [mutate] flag, and compares the fresh verdict
+    against the recorded one. *)
 
 type t = {
-  case_key : string;  (** the failing case's job key, e.g. ["fuzz/0013"] *)
-  fuzz_seed : int;  (** the fuzz run's [--seed], for provenance *)
+  case_key : string;
+      (** the failing case's job key, e.g. ["fuzz/0013"] or ["soak/0004"] *)
+  fuzz_seed : int;
+      (** the run's [--seed]; with [case_key], names the case's stream *)
   mutate : bool;  (** whether the run planted the mutation *)
   oracles : string list;  (** failing oracle names *)
   details : string list;  (** one detail line per failing verdict *)
-  scenario : Scenario.t;  (** minimal (possibly shrunk) failing scenario *)
+  scenario : Scenario.t option;
+      (** minimal (possibly shrunk) failing scenario; [None]: regenerate
+          the case from [(fuzz_seed, case_key)] *)
   original : Scenario.t option;
       (** the pre-shrink scenario, when shrinking simplified it *)
   shrink_steps : int;  (** shrink candidates adopted (0 = not shrunk) *)
@@ -25,15 +33,15 @@ val make :
   case_key:string ->
   fuzz_seed:int ->
   mutate:bool ->
+  ?scenario:Scenario.t ->
   ?original:Scenario.t ->
   ?shrink_steps:int ->
-  Scenario.t ->
   Oracle.outcome ->
   t
 
 val to_sexp : t -> Sexp.t
 
-(** Raises {!Sexp.Parse_error} on malformed input. *)
+(** Raises {!Sexp.Parse_error} naming the missing or malformed field. *)
 val of_sexp : Sexp.t -> t
 
 (** Bundle filename for a case key, e.g. ["fuzz-0013.repro"]. *)

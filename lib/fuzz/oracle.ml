@@ -4,9 +4,68 @@ type outcome = {
   failures : verdict list;
   events : int;
   delivered : int;
+  injected : int;
   digest : int;
   tail : string list;
 }
+
+let failed_oracles failures =
+  List.fold_left
+    (fun acc v -> if List.mem v.oracle acc then acc else acc @ [ v.oracle ])
+    [] failures
+
+type probe = {
+  bus : Engine.Trace.t;
+  checker : Tfrc.Invariants.t;
+  mutable digest : int;
+}
+
+(* FNV-1a over each event's JSON rendering. The constants are part of
+   the pinned digests in the topology and scheduler tests. *)
+let probe () =
+  let bus = Engine.Trace.create ~ring:40 () in
+  let checker = Tfrc.Invariants.create () in
+  Tfrc.Invariants.attach checker bus;
+  let p = { bus; checker; digest = 0x811c9dc5 } in
+  let mix c = p.digest <- (p.digest lxor Char.code c) * 0x100000001b3 in
+  Engine.Trace.add_sink bus
+    {
+      Engine.Trace.emit = (fun ev -> String.iter mix (Engine.Trace.to_json ev));
+      close = ignore;
+    };
+  p
+
+let tail p = List.map Engine.Trace.to_json (Engine.Trace.recent p.bus)
+
+let violations ~oracle ~count = function
+  | [] -> []
+  | vs ->
+      let shown = List.filteri (fun i _ -> i < 3) vs in
+      [
+        {
+          oracle;
+          detail =
+            Printf.sprintf "%d violation(s): %s" count
+              (String.concat " | "
+                 (List.map
+                    (fun (v : Tfrc.Invariants.violation) ->
+                      Printf.sprintf "[%.4f] %s: %s" v.time v.rule v.detail)
+                    shown));
+        };
+      ]
+
+let twice ~fingerprint run =
+  let a = run () in
+  let fa = fingerprint a and fb = fingerprint (run ()) in
+  ( a,
+    if fa = fb then []
+    else
+      [
+        {
+          oracle = "determinism";
+          detail = Printf.sprintf "run A: %s; run B: %s" fa fb;
+        };
+      ] )
 
 let oracle_names =
   [
@@ -165,29 +224,9 @@ let gauge_violation kind v =
       else if v < 0. || v > 1. then Some "outside [0, 1]"
       else None
 
-type run_stats = {
-  r_failures : verdict list;
-  r_events : int;
-  r_delivered : int;
-  r_digest : int;
-  r_tail : string list;
-}
-
-let fnv_prime = 0x100000001b3
-let fnv_offset = 0x811c9dc5
-
 let run_once ~mutate (sc : Scenario.t) =
-  let bus = Engine.Trace.create ~ring:40 () in
-  let checker = Tfrc.Invariants.create () in
-  Tfrc.Invariants.attach checker bus;
-  let digest = ref fnv_offset in
-  let mix s =
-    String.iter (fun c -> digest := (!digest lxor Char.code c) * fnv_prime) s
-  in
-  Engine.Trace.add_sink bus
-    { Engine.Trace.emit = (fun ev -> mix (Engine.Trace.to_json ev));
-      close = ignore };
-  let sim = Engine.Sim.create ~trace:bus () in
+  let p = probe () in
+  let sim = Engine.Sim.create ~trace:p.bus () in
   let rng = Engine.Rng.create ~seed:sc.sim_seed in
   let now () = Engine.Sim.now sim in
   let net = build_net sim sc in
@@ -385,24 +424,9 @@ let run_once ~mutate (sc : Scenario.t) =
       net.links
   in
   let inv_failures =
-    if Tfrc.Invariants.ok checker then []
-    else
-      let shown =
-        List.filteri (fun i _ -> i < 3) (Tfrc.Invariants.violations checker)
-      in
-      [
-        {
-          oracle = "invariants";
-          detail =
-            Printf.sprintf "%d violation(s): %s"
-              (Tfrc.Invariants.n_violations checker)
-              (String.concat " | "
-                 (List.map
-                    (fun (v : Tfrc.Invariants.violation) ->
-                      Printf.sprintf "[%.4f] %s: %s" v.time v.rule v.detail)
-                    shown));
-        };
-      ]
+    violations ~oracle:"invariants"
+      ~count:(Tfrc.Invariants.n_violations p.checker)
+      (Tfrc.Invariants.violations p.checker)
   in
   let failures =
     (match crash with Some v -> [ v ] | None -> [])
@@ -410,43 +434,20 @@ let run_once ~mutate (sc : Scenario.t) =
     @ List.rev !rate_failures
   in
   {
-    r_failures = failures;
-    r_events = Engine.Trace.emitted bus;
-    r_delivered = !delivered;
-    r_digest = !digest;
-    r_tail = List.map Engine.Trace.to_json (Engine.Trace.recent bus);
+    failures;
+    events = Engine.Trace.emitted p.bus;
+    delivered = !delivered;
+    injected = 0;
+    digest = p.digest;
+    tail = tail p;
   }
 
 let run ?(mutate = false) sc =
-  let a = run_once ~mutate sc in
-  let b = run_once ~mutate sc in
-  let determinism =
-    if
-      a.r_digest = b.r_digest && a.r_events = b.r_events
-      && a.r_delivered = b.r_delivered
-    then []
-    else
-      [
-        {
-          oracle = "determinism";
-          detail =
-            Printf.sprintf
-              "run A: %d events, %d delivered, digest %x; run B: %d events, \
-               %d delivered, digest %x"
-              a.r_events a.r_delivered a.r_digest b.r_events b.r_delivered
-              b.r_digest;
-        };
-      ]
+  let o, determinism =
+    twice
+      ~fingerprint:(fun o ->
+        Printf.sprintf "%d events, %d delivered, digest %x" o.events
+          o.delivered o.digest)
+      (fun () -> run_once ~mutate sc)
   in
-  {
-    failures = a.r_failures @ determinism;
-    events = a.r_events;
-    delivered = a.r_delivered;
-    digest = a.r_digest;
-    tail = a.r_tail;
-  }
-
-let failed_oracles o =
-  List.fold_left
-    (fun acc v -> if List.mem v.oracle acc then acc else acc @ [ v.oracle ])
-    [] o.failures
+  { o with failures = o.failures @ determinism }

@@ -19,16 +19,54 @@
     All of this is deterministic: the only randomness is the scenario's
     own [sim_seed]. *)
 
-(** One failed oracle. [oracle] is the stable name from the list above. *)
+(** {1 Judging helpers}
+
+    Shared by every fuzz case kind: the simulator scenarios below and
+    the wire soak ({!Wire_soak}). *)
+
+(** One failed oracle. [oracle] is the stable name from the kind's
+    oracle list. *)
 type verdict = { oracle : string; detail : string }
 
 type outcome = {
-  failures : verdict list;  (** empty = the scenario passed *)
+  failures : verdict list;  (** empty = the case passed *)
   events : int;  (** trace events emitted by the first run *)
   delivered : int;  (** data packets delivered to endpoints, first run *)
+  injected : int;  (** syscall faults injected, first run (0 in the sim) *)
   digest : int;  (** FNV-1a digest of the first run's trace stream *)
   tail : string list;  (** last trace events of the first run, as JSON *)
 }
+
+(** [failed_oracles failures] is the distinct failing oracle names, in
+    order. *)
+val failed_oracles : verdict list -> string list
+
+(** The judging bus of one run: a trace bus keeping its last 40 events,
+    the online RFC 3448 checker attached to it, and a running FNV-1a
+    digest of every event's JSON rendering. *)
+type probe = {
+  bus : Engine.Trace.t;
+  checker : Tfrc.Invariants.t;
+  mutable digest : int;
+}
+
+val probe : unit -> probe
+
+(** The ring's events, oldest first, as JSON. *)
+val tail : probe -> string list
+
+(** [violations ~oracle ~count vs] is no verdict for [[]], otherwise one
+    [oracle] verdict reporting [count] violations and showing the first
+    three of [vs]. *)
+val violations :
+  oracle:string -> count:int -> Tfrc.Invariants.violation list -> verdict list
+
+(** [twice ~fingerprint run] runs [run] twice and returns the first
+    result, plus a [determinism] verdict when the two runs' fingerprints
+    differ. *)
+val twice : fingerprint:('a -> string) -> (unit -> 'a) -> 'a * verdict list
+
+(** {1 Simulator scenarios} *)
 
 (** Stable oracle names, in evaluation order. *)
 val oracle_names : string list
@@ -45,6 +83,3 @@ val oracle_names : string list
     [Graph] scenarios are built on {!Netsim.Topology}, the others on the
     hand-wired {!Netsim.Dumbbell} and {!Netsim.Parking_lot}. *)
 val run : ?mutate:bool -> Scenario.t -> outcome
-
-(** [failed_oracles o] is the distinct failing oracle names, in order. *)
-val failed_oracles : outcome -> string list

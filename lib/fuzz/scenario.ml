@@ -311,10 +311,10 @@ let of_sexp v =
       {
         id = Sexp.atom_field "id" v;
         sim_seed = Sexp.int_field "sim-seed" v;
-        topology = topology_of_sexp (Option.get (Sexp.field "topology" v));
+        topology = topology_of_sexp (Sexp.value_field "topology" v);
         bandwidth = Sexp.float_field "bandwidth" v;
         delay = Sexp.float_field "delay" v;
-        queue = queue_of_sexp (Option.get (Sexp.field "queue" v));
+        queue = queue_of_sexp (Sexp.value_field "queue" v);
         flows;
         faults =
           (match Sexp.field "faults" v with

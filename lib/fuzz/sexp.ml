@@ -181,8 +181,21 @@ let field name = function
 
 let missing what name = parse_error "missing or malformed %s field %S" what name
 
+let value_field name v =
+  match field name v with
+  | Some x -> x
+  | None -> parse_error "missing field %S" name
+
 let atom_field name v =
   match field name v with Some (Atom s) -> s | _ -> missing "atom" name
+
+let bool_field name v =
+  match field name v with
+  | Some (Atom s) -> (
+      match bool_of_string_opt s with
+      | Some b -> b
+      | None -> parse_error "field %S is not a boolean: %S" name s)
+  | _ -> missing "bool" name
 
 let int_field name v =
   match field name v with

@@ -31,7 +31,11 @@ val field : string -> t -> t option
 (** Accessors for the common [(name value)] field shapes; all raise
     {!Parse_error} naming the field when it is absent or malformed. *)
 
+val value_field : string -> t -> t
+
 val atom_field : string -> t -> string
+
+val bool_field : string -> t -> bool
 
 val int_field : string -> t -> int
 

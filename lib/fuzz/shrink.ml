@@ -1,5 +1,5 @@
-type result = {
-  scenario : Scenario.t;
+type 'c result = {
+  scenario : 'c;
   outcome : Oracle.outcome;
   steps : int;
   runs : int;

@@ -7,8 +7,10 @@
     — or when the run budget is exhausted. Deterministic: candidate
     order is fixed and every run is a pure function of the scenario. *)
 
-type result = {
-  scenario : Scenario.t;  (** minimal still-failing scenario found *)
+(** A shrink over cases of type ['c]: {!Driver.kind} shrinkers return it
+    for any case type; {!minimize} returns it for scenarios. *)
+type 'c result = {
+  scenario : 'c;  (** minimal still-failing scenario found *)
   outcome : Oracle.outcome;  (** the minimal scenario's oracle outcome *)
   steps : int;  (** candidates adopted *)
   runs : int;  (** oracle executions spent *)
@@ -18,4 +20,8 @@ type result = {
     currently fail oracle [oracle]. [max_runs] (default 300) bounds the
     total oracle executions. *)
 val minimize :
-  ?mutate:bool -> ?max_runs:int -> oracle:string -> Scenario.t -> result
+  ?mutate:bool ->
+  ?max_runs:int ->
+  oracle:string ->
+  Scenario.t ->
+  Scenario.t result

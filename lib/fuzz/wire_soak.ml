@@ -1,28 +1,3 @@
-type config = {
-  cases : int;
-  seed : int;
-  j : int;
-  mutate : bool;
-  artifacts : string option;
-}
-
-type case_failure = {
-  key : string;
-  oracles : string list;
-  summary : string;
-  bundle_path : string option;
-}
-
-type summary = {
-  total : int;
-  passed : int;
-  failed : int;
-  failures : case_failure list;
-  events : int;
-  delivered : int;
-  injected : int;
-}
-
 let oracle_names =
   [
     "no-crash";
@@ -34,8 +9,6 @@ let oracle_names =
     "busy-loop";
     "determinism";
   ]
-
-let case_key i = Printf.sprintf "soak/%04d" i
 
 (* ------------------------------------------------------------------ *)
 (* Case generation                                                     *)
@@ -148,21 +121,6 @@ let case_summary c =
 (* ------------------------------------------------------------------ *)
 (* One execution                                                       *)
 
-type verdict = { oracle : string; detail : string }
-
-type run_stats = {
-  r_failures : verdict list;
-  r_events : int;
-  r_delivered : int;
-  r_injected : int;
-  r_digest : int;
-  r_counters : string;
-  r_tail : string list;
-}
-
-let fnv_prime = 0x100000001b3
-let fnv_offset = 0x811c9dc5
-
 (* Supervisor thresholds tuned for soak time scales: quick health
    sampling, short bounded backoff so several death/restart cycles fit
    in one fault window. *)
@@ -175,20 +133,9 @@ let soak_sup =
     health_period = 0.05;
   }
 
-let run_once ~mutate (c : case) =
-  let bus = Engine.Trace.create ~ring:40 () in
-  let checker = Tfrc.Invariants.create () in
-  Tfrc.Invariants.attach checker bus;
-  let digest = ref fnv_offset in
-  let mix s =
-    String.iter (fun ch -> digest := (!digest lxor Char.code ch) * fnv_prime) s
-  in
-  Engine.Trace.add_sink bus
-    {
-      Engine.Trace.emit = (fun ev -> mix (Engine.Trace.to_json ev));
-      close = ignore;
-    };
-  let loop = Wire.Loop.create ~trace:bus ~mode:`Warp () in
+let run_once ~mutate (c : case) : Oracle.outcome * string =
+  let p = Oracle.probe () in
+  let loop = Wire.Loop.create ~trace:p.bus ~mode:`Warp () in
   let rt = Wire.Loop.runtime loop in
   let snd_fio =
     Wire.Faultio.wrap rt ~seed:c.sub_seed ~plan:c.snd_plan (Wire.Netio.unix ())
@@ -253,7 +200,7 @@ let run_once ~mutate (c : case) =
     try
       Wire.Loop.run loop ~until:c.duration;
       None
-    with e -> Some { oracle = "no-crash"; detail = Printexc.to_string e }
+    with e -> Some { Oracle.oracle = "no-crash"; detail = Printexc.to_string e }
   in
   (* Finalize: freeze both endpoints, then flush the shapers' in-flight
      frames and the kernel's in-flight datagrams so the counter chains
@@ -272,7 +219,8 @@ let run_once ~mutate (c : case) =
           Wire.Loop.run loop ~until:grace;
           Wire.Loop.settle_io loop;
           None
-        with e -> Some { oracle = "no-crash"; detail = Printexc.to_string e })
+        with e ->
+          Some { Oracle.oracle = "no-crash"; detail = Printexc.to_string e })
   in
   let giveups = Wire.Loop.io_giveups loop in
   let st = Wire.Supervisor.state sup in
@@ -287,7 +235,7 @@ let run_once ~mutate (c : case) =
                 || from = Wire.Supervisor.Established))
            transitions
     in
-    let fail detail = [ { oracle = "recovery"; detail } ] in
+    let fail detail = [ { Oracle.oracle = "recovery"; detail } ] in
     let progress = Wire.Supervisor.Receiver.packets_received rcv in
     if progress = 0 then fail "no data packet ever reached the receiver"
     else
@@ -334,7 +282,7 @@ let run_once ~mutate (c : case) =
       if lhs <> rhs then
         errs :=
           {
-            oracle = "conservation";
+            Oracle.oracle = "conservation";
             detail = Printf.sprintf "%s: %d <> %d" name lhs rhs;
           }
           :: !errs
@@ -343,7 +291,7 @@ let run_once ~mutate (c : case) =
       if lhs < rhs then
         errs :=
           {
-            oracle = "conservation";
+            Oracle.oracle = "conservation";
             detail = Printf.sprintf "%s: %d < %d" name lhs rhs;
           }
           :: !errs
@@ -403,7 +351,7 @@ let run_once ~mutate (c : case) =
     else
       [
         {
-          oracle = "io-health";
+          Oracle.oracle = "io-health";
           detail =
             Printf.sprintf "warp settle gave up on %d datagram(s)" giveups;
         };
@@ -415,7 +363,7 @@ let run_once ~mutate (c : case) =
     if polls > bound then
       [
         {
-          oracle = "busy-loop";
+          Oracle.oracle = "busy-loop";
           detail =
             Printf.sprintf "%d select calls for %d timer fires (bound %d)"
               polls fired bound;
@@ -424,41 +372,22 @@ let run_once ~mutate (c : case) =
     else if fired > 500_000 then
       [
         {
-          oracle = "busy-loop";
+          Oracle.oracle = "busy-loop";
           detail = Printf.sprintf "%d timer fires — runaway timer loop" fired;
         };
       ]
     else []
   in
   let sup_failures, inv_failures =
-    if Tfrc.Invariants.ok checker then ([], [])
-    else begin
-      let all = Tfrc.Invariants.violations checker in
-      let sup_v, other =
-        List.partition
-          (fun (v : Tfrc.Invariants.violation) -> v.rule = "wire-sup-legal")
-          all
-      in
-      let render oracle = function
-        | [] -> []
-        | vs ->
-            let shown = List.filteri (fun i _ -> i < 3) vs in
-            [
-              {
-                oracle;
-                detail =
-                  Printf.sprintf "%d violation(s): %s" (List.length vs)
-                    (String.concat " | "
-                       (List.map
-                          (fun (v : Tfrc.Invariants.violation) ->
-                            Printf.sprintf "[%.4f] %s: %s" v.time v.rule
-                              v.detail)
-                          shown));
-              };
-            ]
-      in
-      (render "sup-legal" sup_v, render "invariants" other)
-    end
+    let sup_v, other =
+      List.partition
+        (fun (v : Tfrc.Invariants.violation) -> v.rule = "wire-sup-legal")
+        (Tfrc.Invariants.violations p.checker)
+    in
+    let render oracle vs =
+      Oracle.violations ~oracle ~count:(List.length vs) vs
+    in
+    (render "sup-legal" sup_v, render "invariants" other)
   in
   let injected = Wire.Faultio.injected snd_fio + Wire.Faultio.injected rcv_fio in
   let delivered = Wire.Supervisor.Receiver.packets_received rcv in
@@ -510,238 +439,42 @@ let run_once ~mutate (c : case) =
     @ sup_failures @ inv_failures @ recovery_failures @ conservation_failures
     @ io_failures @ busy_failures
   in
-  {
-    r_failures = failures;
-    r_events = Engine.Trace.emitted bus;
-    r_delivered = delivered;
-    r_injected = injected;
-    r_digest = !digest;
-    r_counters = counters;
-    r_tail = List.map Engine.Trace.to_json (Engine.Trace.recent bus);
-  }
-
-type outcome = {
-  failures : verdict list;
-  events : int;
-  delivered : int;
-  injected : int;
-  counters : string;
-  tail : string list;
-}
+  ( {
+      Oracle.failures;
+      events = Engine.Trace.emitted p.bus;
+      delivered;
+      injected;
+      digest = p.digest;
+      tail = Oracle.tail p;
+    },
+    counters )
 
 (* Run twice: the virtual-time schedule, fault draws and counter chains
    must replay identically even though the kernel's real-time delivery
    of loopback datagrams differs between runs. *)
-let run_case ~mutate c =
-  let a = run_once ~mutate c in
-  let b = run_once ~mutate c in
-  let determinism =
-    if
-      a.r_digest = b.r_digest && a.r_events = b.r_events
-      && a.r_counters = b.r_counters
-    then []
-    else
-      [
-        {
-          oracle = "determinism";
-          detail =
-            Printf.sprintf
-              "run A: %d events, digest %x, {%s}; run B: %d events, digest \
-               %x, {%s}"
-              a.r_events a.r_digest a.r_counters b.r_events b.r_digest
-              b.r_counters;
-        };
-      ]
+let check ~mutate c =
+  let (o, _), determinism =
+    Oracle.twice
+      ~fingerprint:(fun ((o : Oracle.outcome), counters) ->
+        Printf.sprintf "%d events, digest %x, {%s}" o.events o.digest
+          counters)
+      (fun () -> run_once ~mutate c)
   in
+  { o with failures = o.failures @ determinism }
+
+let kind =
   {
-    failures = a.r_failures @ determinism;
-    events = a.r_events;
-    delivered = a.r_delivered;
-    injected = a.r_injected;
-    counters = a.r_counters;
-    tail = a.r_tail;
+    Driver.name = "wire soak";
+    prefix = "soak";
+    generate;
+    summary = case_summary;
+    check;
+    plant = "sup-legal";
+    shrink = None;
+    stored = None;
+    totals =
+      (fun s ->
+        Printf.sprintf
+          "%d trace events, %d data packets delivered, %d faults injected"
+          s.events s.delivered s.injected);
   }
-
-let failed_oracles failures =
-  List.fold_left
-    (fun acc v -> if List.mem v.oracle acc then acc else acc @ [ v.oracle ])
-    [] failures
-
-(* ------------------------------------------------------------------ *)
-(* Repro bundles                                                       *)
-
-let bundle_filename key =
-  String.map (fun ch -> if ch = '/' then '-' else ch) key ^ ".soak"
-
-let bundle_sexp ~key ~index ~seed ~mutate ~oracles ~details ~summary ~counters
-    =
-  Sexp.List
-    [
-      Sexp.Atom "wire-soak-bundle";
-      Sexp.List [ Sexp.Atom "case"; Sexp.Atom key ];
-      Sexp.List [ Sexp.Atom "index"; Sexp.Atom (string_of_int index) ];
-      Sexp.List [ Sexp.Atom "seed"; Sexp.Atom (string_of_int seed) ];
-      Sexp.List [ Sexp.Atom "mutate"; Sexp.Atom (string_of_bool mutate) ];
-      Sexp.List
-        [
-          Sexp.Atom "oracles";
-          Sexp.List (List.map (fun o -> Sexp.Atom o) oracles);
-        ];
-      Sexp.List
-        [
-          Sexp.Atom "details";
-          Sexp.List (List.map (fun d -> Sexp.Atom d) details);
-        ];
-      Sexp.List [ Sexp.Atom "summary"; Sexp.Atom summary ];
-      Sexp.List [ Sexp.Atom "counters"; Sexp.Atom counters ];
-    ]
-
-let save_bundle ~dir sx key =
-  Exp.Checkpoint.ensure_dir dir;
-  let path = Filename.concat dir (bundle_filename key) in
-  (match open_out_bin path with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Sexp.to_string_hum sx))
-  | exception Sys_error msg ->
-      failwith (Printf.sprintf "cannot write soak bundle %s: %s" path msg));
-  path
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-
-let case_job ~mutate i =
-  let key = case_key i in
-  Exp.Job.make key (fun rng ->
-      let c = generate ~id:key rng in
-      let o = run_case ~mutate c in
-      [
-        ("ok", Exp.Job.b (o.failures = []));
-        ("oracles", Exp.Job.strs (failed_oracles o.failures));
-        ( "details",
-          Exp.Job.strs (List.map (fun v -> v.detail) o.failures) );
-        ("events", Exp.Job.i o.events);
-        ("delivered", Exp.Job.i o.delivered);
-        ("injected", Exp.Job.i o.injected);
-        ("summary", Exp.Job.s (case_summary c));
-        ("counters", Exp.Job.s o.counters);
-        ("tail", Exp.Job.strs o.tail);
-      ])
-
-let run ~out cfg =
-  (* No worker count, no wall clock: stdout must be byte-identical at
-     any -j, so CI can diff parallel against sequential runs. *)
-  Format.fprintf out "wire soak: %d cases, seed %d%s@." cfg.cases cfg.seed
-    (if cfg.mutate then ", mutate (self-test)" else "");
-  let jobs = List.init cfg.cases (case_job ~mutate:cfg.mutate) in
-  let outcomes, _report =
-    Exp.Runner.run_jobs_supervised ~j:cfg.j ~seed:cfg.seed jobs
-  in
-  let events = ref 0 and delivered = ref 0 and injected = ref 0 in
-  let index_of key = Scanf.sscanf key "soak/%d" (fun i -> i) in
-  let failures =
-    List.filter_map
-      (fun (key, outcome) ->
-        match outcome with
-        | Exp.Runner.Completed r when Exp.Job.get_bool r "ok" ->
-            events := !events + Exp.Job.get_int r "events";
-            delivered := !delivered + Exp.Job.get_int r "delivered";
-            injected := !injected + Exp.Job.get_int r "injected";
-            None
-        | Exp.Runner.Completed r ->
-            events := !events + Exp.Job.get_int r "events";
-            delivered := !delivered + Exp.Job.get_int r "delivered";
-            injected := !injected + Exp.Job.get_int r "injected";
-            let oracles = Exp.Job.get_strs r "oracles" in
-            let details = Exp.Job.get_strs r "details" in
-            let summary = Exp.Job.get_str r "summary" in
-            Format.fprintf out "%s FAIL [%s] %s@." key
-              (String.concat ", " oracles)
-              summary;
-            List.iter (fun d -> Format.fprintf out "  %s@." d) details;
-            let bundle_path =
-              match cfg.artifacts with
-              | None -> None
-              | Some dir ->
-                  let sx =
-                    bundle_sexp ~key ~index:(index_of key) ~seed:cfg.seed
-                      ~mutate:cfg.mutate ~oracles ~details ~summary
-                      ~counters:(Exp.Job.get_str r "counters")
-                  in
-                  let path = save_bundle ~dir sx key in
-                  Format.fprintf out "  bundle: %s@." path;
-                  Some path
-            in
-            Some { key; oracles; summary; bundle_path }
-        | Exp.Runner.Gave_up f ->
-            Format.fprintf out "%s FAIL [harness] %s@." key
-              (Exp.Runner.failure_summary f);
-            Some
-              {
-                key;
-                oracles = [ "harness" ];
-                summary = "";
-                bundle_path = None;
-              })
-      outcomes
-  in
-  let failed = List.length failures in
-  let summary =
-    {
-      total = cfg.cases;
-      passed = cfg.cases - failed;
-      failed;
-      failures;
-      events = !events;
-      delivered = !delivered;
-      injected = !injected;
-    }
-  in
-  Format.fprintf out
-    "wire soak: %d/%d passed, %d failed (%d trace events, %d data packets \
-     delivered, %d faults injected)@."
-    summary.passed summary.total summary.failed summary.events
-    summary.delivered summary.injected;
-  summary
-
-let mutate_ok s =
-  s.failed > 0
-  && List.for_all (fun f -> f.oracles = [ "sup-legal" ]) s.failures
-
-let replay ~out path =
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let sx = Sexp.of_string contents in
-  (match sx with
-  | Sexp.List (Sexp.Atom "wire-soak-bundle" :: _) -> ()
-  | _ -> failwith (path ^ ": not a wire-soak bundle"));
-  let key = Sexp.atom_field "case" sx in
-  let seed = Sexp.int_field "seed" sx in
-  let mutate = bool_of_string (Sexp.atom_field "mutate" sx) in
-  let recorded =
-    List.map
-      (function Sexp.Atom a -> a | _ -> failwith "malformed oracles")
-      (Sexp.list_field "oracles" sx)
-  in
-  let c = generate ~id:key (Engine.Rng.for_key ~seed key) in
-  Format.fprintf out "replay %s: %s@." key (case_summary c);
-  Format.fprintf out "recorded verdict: [%s]@."
-    (String.concat ", " recorded);
-  let o = run_case ~mutate c in
-  let fresh = failed_oracles o.failures in
-  Format.fprintf out "replayed verdict: [%s]@." (String.concat ", " fresh);
-  List.iter
-    (fun v -> Format.fprintf out "  %s: %s@." v.oracle v.detail)
-    o.failures;
-  let matches = List.sort compare fresh = List.sort compare recorded in
-  Format.fprintf out
-    (if matches then "verdict reproduced@."
-     else
-       "VERDICT MISMATCH: the bundle does not replay to its recorded \
-        verdict@.");
-  matches

@@ -26,53 +26,19 @@
     - [determinism] — the case runs twice and must produce an identical
       trace digest, event count and counter snapshot.
 
-    Everything printed by {!run} is a pure function of the config — no
-    worker count, no wall clock — so [-j N] output is byte-identical to
-    [-j 1]. *)
+    A case is a pure function of its [(seed, key)] stream, so its repro
+    bundle stores no case description: [tfrc_sim repro] regenerates it.
+    Cases run through {!Driver}, which owns the batch, the report and
+    the bundles. *)
 
-type config = {
-  cases : int;
-  seed : int;
-  j : int;  (** worker domains *)
-  mutate : bool;
-      (** plant the known supervisor bug — a dead peer restarts
-          immediately, skipping [Backoff] — as a self-test that the
-          [sup-legal] oracle catches illegal lifecycle edges *)
-  artifacts : string option;  (** where to write repro bundles *)
-}
-
-type case_failure = {
-  key : string;
-  oracles : string list;  (** failing oracle names *)
-  summary : string;  (** the case's one-line description *)
-  bundle_path : string option;
-}
-
-type summary = {
-  total : int;
-  passed : int;
-  failed : int;
-  failures : case_failure list;
-  events : int;  (** trace events across all cases (first runs) *)
-  delivered : int;  (** data packets delivered across all cases *)
-  injected : int;  (** syscall faults injected across all cases *)
-}
+(** One chaos case: fault plans, shaper, timing and kind
+    (steady, death or graceful close). *)
+type case
 
 (** Stable oracle names, in evaluation order. *)
 val oracle_names : string list
 
-(** The stable job key of case [i], e.g. ["soak/0013"]. *)
-val case_key : int -> string
-
-(** [run ~out config] soaks and reports; one line per failing case plus
-    a totals line. *)
-val run : out:Format.formatter -> config -> summary
-
-(** Did the [--mutate] self-test succeed: at least one case tripped the
-    [sup-legal] oracle, and no case failed anything else. *)
-val mutate_ok : summary -> bool
-
-(** [replay ~out path] loads a repro bundle, regenerates its case from
-    the recorded seed, re-runs it, and compares the fresh failing-oracle
-    set against the recorded one; [true] iff they match. *)
-val replay : out:Format.formatter -> string -> bool
+(** The soak case kind: job keys ["soak/NNNN"], no shrinker. The
+    [--mutate] plant — a dead peer restarts immediately, skipping
+    [Backoff] — must trip [sup-legal]. *)
+val kind : case Driver.kind

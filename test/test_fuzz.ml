@@ -107,7 +107,7 @@ let outage_scenario =
   }
 
 let failed sc ~mutate =
-  Fuzz.Oracle.failed_oracles (Fuzz.Oracle.run ~mutate sc)
+  Fuzz.Oracle.failed_oracles (Fuzz.Oracle.run ~mutate sc).failures
 
 let test_oracle_clean_run () =
   Alcotest.(check (list string)) "clean without mutation" []
@@ -151,7 +151,8 @@ let test_shrink_minimizes () =
   in
   Alcotest.(check bool) "adopted at least one simplification" true (r.steps > 0);
   Alcotest.(check bool) "minimal scenario still fails the same oracle" true
-    (List.mem "queue-conservation" (Fuzz.Oracle.failed_oracles r.outcome));
+    (List.mem "queue-conservation"
+       (Fuzz.Oracle.failed_oracles r.outcome.failures));
   Alcotest.(check int) "second flow removed" 1
     (List.length r.scenario.Fuzz.Scenario.flows);
   Alcotest.(check int) "decoration fault removed" 1
@@ -180,7 +181,7 @@ let test_bundle_round_trip () =
   let b =
     Fuzz.Bundle.make ~case_key:"fuzz/0042" ~fuzz_seed:9 ~mutate:true
       ~original:{ outage_scenario with Fuzz.Scenario.duration = 12. }
-      ~shrink_steps:2 outage_scenario outcome
+      ~scenario:outage_scenario ~shrink_steps:2 outcome
   in
   let dir = temp_dir "tfrc-bundle" in
   let path = Fuzz.Bundle.save ~dir b in
@@ -204,7 +205,56 @@ let test_bundle_load_errors () =
   (match Fuzz.Bundle.load path with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure on malformed bundle");
-  Sys.remove path
+  Sys.remove path;
+  (* Well-formed s-expressions with one bad field: the failure names the
+     path and the field instead of escaping as another exception. *)
+  let valid =
+    Fuzz.Sexp.to_string_hum
+      (Fuzz.Bundle.to_sexp
+         {
+           Fuzz.Bundle.case_key = "fuzz/0001";
+           fuzz_seed = 1;
+           mutate = true;
+           oracles = [ "queue-conservation" ];
+           details = [ "d" ];
+           scenario = Some outage_scenario;
+           original = None;
+           shrink_steps = 0;
+           trace_tail = [];
+         })
+  in
+  let replace ~sub ~by s =
+    match Astring.String.cut ~sep:sub s with
+    | Some (l, r) -> l ^ by ^ r
+    | None -> Alcotest.failf "%S not in the bundle" sub
+  in
+  List.iter
+    (fun (name, field, contents) ->
+      let path = Filename.concat dir (name ^ ".repro") in
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc;
+      (match Fuzz.Bundle.load path with
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (name ^ ": message names the path and the field")
+            true
+            (Astring.String.is_infix ~affix:path msg
+            && Astring.String.is_infix ~affix:field msg)
+      | _ -> Alcotest.failf "%s: expected Failure" name);
+      Sys.remove path)
+    [
+      ( "mutate-maybe",
+        "\"mutate\"",
+        replace ~sub:"(mutate true)" ~by:"(mutate maybe)" valid );
+      ( "no-queue",
+        "\"queue\"",
+        replace ~sub:"(queue (droptail 20))" ~by:"" valid );
+      ( "soak-no-seed",
+        "\"fuzz-seed\"",
+        "(repro (case soak/0001) (mutate true) (oracles (sup-legal)) \
+         (details (d)) (shrink-steps 0) (trace-tail ()))" );
+    ]
 
 (* --- Checkpoint dir handling (satellite) ------------------------------------ *)
 
@@ -232,7 +282,7 @@ let run_driver ~j ~mutate ~shrink ~artifacts =
   let buf = Buffer.create 1024 in
   let out = Format.formatter_of_buffer buf in
   let summary =
-    Fuzz.Driver.run ~out
+    Fuzz.Driver.run Fuzz.Sim_case.kind ~out
       {
         Fuzz.Driver.cases = 6;
         seed = 3;
@@ -263,7 +313,7 @@ let test_driver_mutate_self_test () =
       let buf = Buffer.create 1024 in
       let out = Format.formatter_of_buffer buf in
       let s =
-        Fuzz.Driver.run ~out
+        Fuzz.Driver.run Fuzz.Sim_case.kind ~out
           {
             Fuzz.Driver.cases;
             seed = 3;
@@ -278,7 +328,8 @@ let test_driver_mutate_self_test () =
       if s.Fuzz.Driver.failed = 0 then find_failing (cases * 2) else s
   in
   let s = find_failing 12 in
-  Alcotest.(check bool) "self-test accepted" true (Fuzz.Driver.mutate_ok s);
+  Alcotest.(check bool) "self-test accepted" true
+    (Fuzz.Driver.mutate_ok Fuzz.Sim_case.kind s);
   let f = List.hd s.Fuzz.Driver.failures in
   Alcotest.(check (list string)) "failure is the planted bug"
     [ "queue-conservation" ] f.Fuzz.Driver.oracles;
@@ -288,7 +339,8 @@ let test_driver_mutate_self_test () =
   | Some path ->
       let b = Fuzz.Bundle.load path in
       let out = Format.formatter_of_buffer (Buffer.create 256) in
-      Alcotest.(check bool) "bundle replays" true (Fuzz.Driver.repro ~out b);
+      Alcotest.(check bool) "bundle replays" true
+        (Fuzz.Driver.replay Fuzz.Sim_case.kind ~out b);
       Sys.remove path
 
 (* --- TFRC receiver vs hostile streams (satellite property test) ------------- *)

@@ -15,7 +15,7 @@ module TB = Netsim.Topo_builders.Transcontinental
 let check_pinned name (sc : Fuzz.Scenario.t) ~digest ~events ~delivered =
   let o = Fuzz.Oracle.run sc in
   Alcotest.(check (list string))
-    (name ^ ": oracles pass") [] (Fuzz.Oracle.failed_oracles o);
+    (name ^ ": oracles pass") [] (Fuzz.Oracle.failed_oracles o.failures);
   Alcotest.(check int) (name ^ ": digest") digest o.Fuzz.Oracle.digest;
   Alcotest.(check int) (name ^ ": events") events o.Fuzz.Oracle.events;
   Alcotest.(check int) (name ^ ": delivered") delivered o.Fuzz.Oracle.delivered

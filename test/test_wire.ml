@@ -805,19 +805,27 @@ let test_receiver_epoch_adoption () =
 
 (* --- Chaos soak --------------------------------------------------------- *)
 
-let soak_config ?(j = 1) cases mutate =
-  { Fuzz.Wire_soak.cases; seed = 1; j; mutate; artifacts = None }
+let soak_config ?(j = 1) ?artifacts cases mutate =
+  {
+    Fuzz.Driver.cases;
+    seed = 1;
+    j;
+    shrink = false;
+    mutate;
+    artifacts;
+    max_shrink_runs = 0;
+  }
 
 let soak_output config =
   let buf = Buffer.create 256 in
   let out = Format.formatter_of_buffer buf in
-  let s = Fuzz.Wire_soak.run ~out config in
+  let s = Fuzz.Driver.run Fuzz.Wire_soak.kind ~out config in
   Format.pp_print_flush out ();
   (s, Buffer.contents buf)
 
 let test_soak_smoke () =
   let s, rendered = soak_output (soak_config 3 false) in
-  if s.Fuzz.Wire_soak.failed > 0 then
+  if s.Fuzz.Driver.failed > 0 then
     Alcotest.failf "soak failures:\n%s" rendered;
   check Alcotest.int "all cases passed" 3 s.passed;
   check Alcotest.bool "data flowed" true (s.delivered > 0);
@@ -829,12 +837,35 @@ let test_soak_smoke () =
     rendered_j2
 
 let test_soak_mutate_self_test () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tfrc-soak-art-%d" (Unix.getpid ()))
+  in
+  let s, _ = soak_output (soak_config ~artifacts:dir 5 true) in
+  check Alcotest.bool "planted bug caught, and only by sup-legal" true
+    (Fuzz.Driver.mutate_ok Fuzz.Wire_soak.kind s);
+  (* The first bundle replays, through the shared loader and replay, to
+     its recorded verdict. *)
+  let paths = List.filter_map (fun f -> f.Fuzz.Driver.bundle_path) s.failures in
+  let path = List.hd paths in
+  check Alcotest.string "bundle named after the key"
+    (Filename.concat dir
+       (Fuzz.Bundle.filename ~case_key:(List.hd s.failures).key))
+    path;
+  let bundle = Fuzz.Bundle.load path in
+  check Alcotest.bool "bundle carries no scenario" true
+    (bundle.scenario = None);
+  check Alcotest.bool "bundle owned by the soak" true
+    (Fuzz.Driver.owns Fuzz.Wire_soak.kind bundle);
   let buf = Buffer.create 256 in
   let out = Format.formatter_of_buffer buf in
-  let s = Fuzz.Wire_soak.run ~out (soak_config 5 true) in
+  let ok = Fuzz.Driver.replay Fuzz.Wire_soak.kind ~out bundle in
   Format.pp_print_flush out ();
-  check Alcotest.bool "planted bug caught, and only by sup-legal" true
-    (Fuzz.Wire_soak.mutate_ok s)
+  check Alcotest.bool "replay matches" true ok;
+  check Alcotest.bool "verdict reproduced" true
+    (Astring.String.is_infix ~affix:"verdict reproduced" (Buffer.contents buf));
+  List.iter Sys.remove paths
 
 let () =
   Alcotest.run "wire"
