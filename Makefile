@@ -38,11 +38,13 @@ topo-smoke:
 	dune exec bin/tfrc_sim.exe -- topo --check
 	dune exec bin/tfrc_sim.exe -- topo --dark nyc-atl --dark atl-sfo --check
 
-# Real-UDP smoke: deterministic seeded loopback transfer plus the
-# sim-vs-wire decision-log differential.
+# Real-UDP smoke: deterministic seeded loopback transfer, the
+# sim-vs-wire decision-log differential, and a receiver and sender in
+# two separate processes.
 wire-smoke:
 	dune exec bin/tfrc_sim.exe -- wire loopback-demo --packets 100 --seed 7
 	dune exec bin/tfrc_sim.exe -- wire validate --duration 10
+	bash tools/wire_two_process.sh
 
 # Wire-mode chaos soak: seeded syscall-fault endurance runs with the
 # supervised endpoint lifecycle, plus the planted-bug oracle self-test.

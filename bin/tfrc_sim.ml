@@ -741,19 +741,18 @@ let wire_cmd =
              in-flight predecessors (netem-style reordering).")
   in
   let shaper_of loss delay jitter reorder =
-    { Wire.Shaper.loss; delay; jitter; reorder }
+    try Wire.Shaper.validate { loss; delay; jitter; reorder }
+    with Invalid_argument msg ->
+      Format.eprintf "tfrc_sim: %s@." msg;
+      exit 1
+  in
+  let positive_packets packets =
+    if packets <= 0 then begin
+      Format.eprintf "tfrc_sim: --packets must be positive@.";
+      exit 1
+    end
   in
   let demo_config () = Tfrc.Tfrc_config.default ~initial_rtt:0.05 () in
-  let pp_sender_stats m =
-    Format.printf
-      "sent %d data packets (%d bytes); %d feedbacks received; allowed rate \
-       %.0f B/s; rtt %.4f s; loss event rate %h@."
-      (Tfrc.Tfrc_sender.packets_sent m)
-      (Tfrc.Tfrc_sender.bytes_sent m)
-      (Tfrc.Tfrc_sender.feedbacks_received m)
-      (Tfrc.Tfrc_sender.rate m) (Tfrc.Tfrc_sender.rtt m)
-      (Tfrc.Tfrc_sender.loss_event_rate m)
-  in
   let sender_cmd =
     let port_arg =
       Arg.(
@@ -768,23 +767,32 @@ let wire_cmd =
         & info [ "duration" ] ~docv:"S" ~doc:"How long to transmit, seconds.")
     in
     let run port duration =
+      let module S = Wire.Supervisor in
       let loop = Wire.Loop.create () in
       let udp = Wire.Udp.create loop () in
-      let s =
-        Wire.Endpoint.sender loop udp ~config:(demo_config ()) ~flow:1
-          ~dest:(Wire.Udp.addr ~port) ()
+      let sup =
+        S.create loop udp ~config:(demo_config ()) ~flow:1
+          ~dest:(Wire.Udp.addr ~port) ~seed:1 ()
       in
-      Wire.Endpoint.start_sender s ~at:(Wire.Loop.now loop);
+      S.start sup ~at:(Wire.Loop.now loop);
       Wire.Loop.run loop ~until:duration;
-      Wire.Endpoint.stop_sender s;
-      pp_sender_stats (Wire.Endpoint.sender_machine s);
+      S.quiesce sup;
+      let m = S.machine sup in
+      Format.printf
+        "sent %d data packets; %d feedbacks delivered; %d restarts; allowed \
+         rate %.0f B/s; rtt %.4f s; loss event rate %h@."
+        (S.data_packets_sent sup) (S.feedback_delivered sup) (S.restarts sup)
+        (Tfrc.Tfrc_sender.rate m) (Tfrc.Tfrc_sender.rtt m)
+        (Tfrc.Tfrc_sender.loss_event_rate m);
       Wire.Udp.close udp
     in
     Cmd.v
       (Cmd.info "sender"
          ~doc:
            "Transmit TFRC data to a $(b,tfrc_sim wire receiver) over \
-            loopback UDP for a fixed duration.")
+            loopback UDP for a fixed duration. The sender is supervised: \
+            it restarts after the peer is declared dead, and its counters \
+            span incarnations.")
       Term.(const run $ port_arg $ duration_arg)
   in
   let receiver_cmd =
@@ -807,29 +815,23 @@ let wire_cmd =
             ~doc:"Give up (non-zero exit) after $(docv) seconds.")
     in
     let run port packets timeout =
+      let module R = Wire.Supervisor.Receiver in
+      positive_packets packets;
       let loop = Wire.Loop.create () in
       let udp = Wire.Udp.create loop ~port () in
       Format.printf "listening on 127.0.0.1:%d@." (Wire.Udp.port udp);
-      let r =
-        Wire.Endpoint.receiver loop udp ~config:(demo_config ()) ~flow:1 ()
-      in
-      let m = Wire.Endpoint.receiver_machine r in
+      let r = R.create loop udp ~config:(demo_config ()) ~flow:1 () in
       let rec check () =
-        if Tfrc.Tfrc_receiver.packets_received m >= packets then
-          Wire.Loop.stop loop
+        if R.packets_received r >= packets then Wire.Loop.stop loop
         else ignore (Wire.Loop.after loop 0.005 check)
       in
       ignore (Wire.Loop.after loop 0.005 check);
       Wire.Loop.run loop ~until:timeout;
-      Wire.Endpoint.stop_receiver r;
-      let got = Tfrc.Tfrc_receiver.packets_received m in
+      R.quiesce r;
+      let got = R.packets_received r in
       Format.printf
-        "received %d data packets (%d bytes); sent %d feedbacks; %d decode \
-         errors@."
-        got
-        (Tfrc.Tfrc_receiver.bytes_received m)
-        (Tfrc.Tfrc_receiver.feedbacks_sent m)
-        (Wire.Endpoint.receiver_decode_errors r);
+        "received %d data packets; sent %d feedbacks; %d decode errors@." got
+        (R.feedbacks_sent r) (R.decode_errors r);
       Wire.Udp.close udp;
       exit (if got >= packets then 0 else 1)
     in
@@ -853,19 +855,19 @@ let wire_cmd =
         & info [ "timeout" ] ~docv:"S" ~doc:"Wall-clock budget, seconds.")
     in
     let run packets timeout seed loss delay jitter reorder =
+      positive_packets packets;
       let shaper = shaper_of loss delay jitter reorder in
-      let r =
-        Wire.Endpoint.loopback_demo ~packets ~seed ~shaper ~timeout ()
-      in
-      Format.printf "%a@." Wire.Endpoint.pp_demo_result r;
-      exit (if r.Wire.Endpoint.completed then 0 else 1)
+      let r = Wire.Demo.loopback_demo ~packets ~seed ~shaper ~timeout () in
+      Format.printf "%a@." Wire.Demo.pp_demo_result r;
+      exit (if r.completed && r.decode_errors = 0 then 0 else 1)
     in
     Cmd.v
       (Cmd.info "loopback-demo"
          ~doc:
-           "One-process demo: a TFRC sender and receiver exchange real UDP \
-            datagrams on 127.0.0.1 through a seeded netem-style shaper; \
-            exit 0 when the transfer completes.")
+           "One-process demo: a supervised TFRC sender and receiver exchange \
+            real UDP datagrams on 127.0.0.1 through a seeded netem-style \
+            shaper; exit 0 when the transfer completes with no decode \
+            errors.")
       Term.(
         const run $ packets_arg $ timeout_arg $ seed_arg $ loss_arg
         $ delay_arg $ jitter_arg $ reorder_arg)

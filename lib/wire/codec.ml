@@ -246,9 +246,3 @@ let decode rt s =
       end
     end
   end
-
-let decode_packet rt s =
-  match decode rt s with
-  | Ok { body = Packet p; _ } -> Ok p
-  | Ok _ -> Error (Bad_value "control frame where a packet was expected")
-  | Error _ as e -> e

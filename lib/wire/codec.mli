@@ -97,9 +97,3 @@ type msg = { epoch : int; flow : int; body : body }
     receiving loop, exactly as simulated ids are local to their sim;
     control frames draw nothing. *)
 val decode : Engine.Runtime.t -> string -> (msg, error) result
-
-(** [decode_packet rt s] is {!decode} restricted to data-plane frames:
-    control frames return [Error (Bad_value _)]. For callers that
-    predate the session layer. *)
-val decode_packet :
-  Engine.Runtime.t -> string -> (Netsim.Packet.t, error) result

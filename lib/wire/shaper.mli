@@ -27,12 +27,16 @@ type config = {
 (** All-zero: deliver in order, next scheduler turn, no RNG draws. *)
 val passthrough : config
 
+(** [validate c] is [c] if its probabilities are in [0, 1] and its
+    delays finite and non-negative; otherwise [Invalid_argument] naming
+    the field. *)
+val validate : config -> config
+
 type 'a t
 
-(** [create rt ~seed ?config ~deliver ()] validates [config]
-    (probabilities in [0, 1]; delays finite, non-negative;
-    [Invalid_argument] otherwise; default {!passthrough}) and routes each
-    {!send} through [rt]'s timers to [deliver]. *)
+(** [create rt ~seed ?config ~deliver ()] {!validate}s [config]
+    (default {!passthrough}) and routes each {!send} through [rt]'s
+    timers to [deliver]. *)
 val create :
   Engine.Runtime.t ->
   seed:int ->

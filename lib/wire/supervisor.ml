@@ -76,7 +76,7 @@ type t = {
   mutable ctrl : int;
   mutable decode_errors : int;
   mutable post_quiesce : int;
-  mutable tot_sent : int;  (* packets sent by retired incarnations *)
+  mutable tot_sent : int;  (* packets sent by replaced incarnations *)
   mutable health_timer : Loop.timer option;
   mutable backoff_timer : Loop.timer option;
   mutable close_timer : Loop.timer option;
@@ -121,10 +121,6 @@ let new_machine t =
   Tfrc.Tfrc_sender.set_app_limit m (Tfrc.Tfrc_sender.app_limit t.machine);
   m
 
-let retire_machine t =
-  t.tot_sent <- t.tot_sent + Tfrc.Tfrc_sender.packets_sent t.machine;
-  Tfrc.Tfrc_sender.stop t.machine
-
 let cancel_timer = function Some tm -> Loop.cancel tm | None -> ()
 
 (* The no-feedback machinery floors halvings at min_rate; a small margin
@@ -135,6 +131,9 @@ let at_floor t rate = rate <= t.tfrc_config.Tfrc.Tfrc_config.min_rate *. 1.001
    [Starting]; this only swaps machinery and bumps the epoch. *)
 let restart t =
   t.backoff_timer <- None;
+  (* A retired machine stays current through Backoff and Closed, so its
+     count moves to the total only when it is replaced. *)
+  t.tot_sent <- t.tot_sent + Tfrc.Tfrc_sender.packets_sent t.machine;
   t.cur_epoch <-
     (if t.cur_epoch >= Codec.max_epoch then 1 else t.cur_epoch + 1);
   t.machine <- new_machine t;
@@ -143,7 +142,7 @@ let restart t =
   Tfrc.Tfrc_sender.start t.machine ~at:now
 
 let die t =
-  retire_machine t;
+  Tfrc.Tfrc_sender.stop t.machine;
   if t.mutate then begin
     (* Planted bug for the soak's --mutate self-test: restart
        immediately, skipping Backoff — an illegal edge (possibly a
@@ -177,7 +176,7 @@ let finish_close t =
   t.close_timer <- None;
   t.close_pending <- false;
   if t.st <> Closed then begin
-    retire_machine t;
+    Tfrc.Tfrc_sender.stop t.machine;
     cancel_timer t.backoff_timer;
     t.backoff_timer <- None;
     transition t Closed
@@ -306,8 +305,11 @@ let close t =
     t.send_out
       (Codec.encode_close ~epoch:t.cur_epoch ~flow:t.flow
          ~now:(Loop.now t.loop));
-    (* Stop pushing data while the handshake is in flight. *)
+    (* Stop pushing data while the handshake is in flight, and keep a
+       pending restart from starting a new incarnation mid-handshake. *)
     Tfrc.Tfrc_sender.stop t.machine;
+    cancel_timer t.backoff_timer;
+    t.backoff_timer <- None;
     t.close_timer <-
       Some (Loop.after t.loop t.sup.close_timeout (fun () -> finish_close t))
   end
@@ -340,7 +342,6 @@ module Receiver = struct
     tfrc_config : Tfrc.Tfrc_config.t;
     flow : int;
     send_out : string -> unit;
-    pinned : bool;
     mutable peer : Unix.sockaddr option;
     mutable cur_epoch : int;
     mutable machine : Tfrc.Tfrc_receiver.t;
@@ -377,7 +378,7 @@ module Receiver = struct
   let deliver r pkt src =
     (* Latest-wins peer learning: a sender restarting on a new ephemeral
        port gets feedback as soon as its frame lands. *)
-    if not r.pinned then r.peer <- Some src;
+    r.peer <- Some src;
     r.delivered <- r.delivered + 1;
     Tfrc.Tfrc_receiver.recv r.machine pkt
 
@@ -394,7 +395,7 @@ module Receiver = struct
     | Ok { body = Codec.Close; epoch = e; flow } ->
         r.ctrl <- r.ctrl + 1;
         if not r.quiesced then begin
-          if not r.pinned then r.peer <- Some src;
+          r.peer <- Some src;
           r.send_out
             (Codec.encode_close_ack ~epoch:e ~flow ~now:(Loop.now r.loop));
           if e >= r.cur_epoch then begin
@@ -408,20 +409,19 @@ module Receiver = struct
         r.decode_errors <- r.decode_errors + 1;
         trace_decode_error r.rt err
 
-  let create loop udp ~config ~flow ?reply_to ?send () =
+  let create loop udp ~config ~flow ?send () =
     let rt = Loop.runtime loop in
     let cell = ref None in
+    (* Feedback goes back to whoever last reached us; nothing is sent
+       before a peer has. *)
     let send_out =
       match send with
       | Some f -> f
       | None -> (
           fun frame ->
-            let dest =
-              match !cell with Some r -> r.peer | None -> reply_to
-            in
-            match dest with
-            | Some dest -> Udp.send udp ~dest frame
-            | None -> ())
+            match !cell with
+            | Some { peer = Some dest; _ } -> Udp.send udp ~dest frame
+            | _ -> ())
     in
     let machine0 =
       Tfrc.Tfrc_receiver.create rt ~config ~flow
@@ -438,8 +438,7 @@ module Receiver = struct
         tfrc_config = config;
         flow;
         send_out;
-        pinned = reply_to <> None;
-        peer = reply_to;
+        peer = None;
         cur_epoch = 0;
         machine = machine0;
         epochs_seen = 0;

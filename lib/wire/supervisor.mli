@@ -96,9 +96,10 @@ val create :
 (** Starts the first incarnation and the health timer. *)
 val start : t -> at:float -> unit
 
-(** Graceful teardown: sends CLOSE, stops transmitting, and reaches
-    [Closed] on CLOSE-ACK or after [close_timeout], whichever comes
-    first. Idempotent. *)
+(** Graceful teardown: sends CLOSE, stops transmitting (a restart
+    pending in [Backoff] is cancelled), and reaches [Closed] on
+    CLOSE-ACK or after [close_timeout], whichever comes first. No data
+    frame is sent after it. Idempotent. *)
 val close : t -> unit
 
 (** Stops machinery and timers {e without} a lifecycle transition, for
@@ -138,7 +139,7 @@ val decode_errors : t -> int
 (** Frames arriving after {!quiesce}. *)
 val post_quiesce : t -> int
 
-(** Data packets sent across all incarnations. *)
+(** Data frames handed to the send path, across all incarnations. *)
 val data_packets_sent : t -> int
 
 (** {2 Managed receiver}
@@ -152,16 +153,21 @@ val data_packets_sent : t -> int
 module Receiver : sig
   type r
 
+  (** [create loop udp ~config ~flow ?send ()] installs [udp]'s datagram
+      handler. Feedback and CLOSE-ACK go through [send] when given,
+      otherwise to the source of the latest data or CLOSE frame (nothing
+      is sent before a peer has written). *)
   val create :
     Loop.t ->
     Udp.t ->
     config:Tfrc.Tfrc_config.t ->
     flow:int ->
-    ?reply_to:Unix.sockaddr ->
     ?send:(string -> unit) ->
     unit ->
     r
 
+  (** The current incarnation's machine; its counters restart with
+      each adopted epoch. *)
   val machine : r -> Tfrc.Tfrc_receiver.t
 
   (** Epoch currently served (0 until a supervised sender appears). *)

@@ -63,8 +63,9 @@ let run_wire ~config ~seed ~shaper ~app_limit ~duration =
   let loop = Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
   let rt = Loop.runtime loop in
   let decode frame =
-    match Codec.decode_packet rt frame with
-    | Ok pkt -> pkt
+    match Codec.decode rt frame with
+    | Ok { body = Codec.Packet pkt; _ } -> pkt
+    | Ok _ -> failwith "wire validate: decoded a control frame"
     | Error e ->
         (* Unreachable by construction: the codec just produced the
            frame. A failure here is a codec bug the differential exists

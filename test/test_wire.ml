@@ -55,9 +55,11 @@ let test_codec_roundtrip () =
       in
       p.ecn_marked <- i mod 3 = 0;
       let frame = Wire.Codec.encode p in
-      match Wire.Codec.decode_packet rt frame with
+      match Wire.Codec.decode rt frame with
       | Error e -> Alcotest.failf "decode %d: %s" i (Wire.Codec.error_to_string e)
-      | Ok p' ->
+      | Ok { body = Close | Close_ack; _ } ->
+          Alcotest.failf "payload %d decoded to a control frame" i
+      | Ok { body = Packet p'; _ } ->
           check Alcotest.bool
             (Printf.sprintf "payload %d round-trips" i)
             true (packet_eq p p');
@@ -113,9 +115,12 @@ let prop_codec_roundtrip =
           payload
       in
       let frame = Wire.Codec.encode p in
-      match Wire.Codec.decode_packet rt frame with
+      match Wire.Codec.decode rt frame with
       | Error e -> QCheck.Test.fail_report (Wire.Codec.error_to_string e)
-      | Ok p' -> packet_eq p p' && String.equal frame (Wire.Codec.encode p'))
+      | Ok { body = Close | Close_ack; _ } ->
+          QCheck.Test.fail_report "decoded to a control frame"
+      | Ok { body = Packet p'; _ } ->
+          packet_eq p p' && String.equal frame (Wire.Codec.encode p'))
 
 let test_codec_rejects_hostile () =
   let rt = fresh_rt () in
@@ -204,14 +209,10 @@ let test_codec_control_frames () =
   | Ok _ -> Alcotest.fail "CLOSE decoded to the wrong message"
   | Error e -> Alcotest.failf "CLOSE: %s" (Wire.Codec.error_to_string e));
   let ack = Wire.Codec.encode_close_ack ~epoch:3 ~flow:9 ~now:1.5 in
-  (match Wire.Codec.decode rt ack with
+  match Wire.Codec.decode rt ack with
   | Ok { Wire.Codec.epoch = 3; flow = 9; body = Wire.Codec.Close_ack } -> ()
   | Ok _ -> Alcotest.fail "CLOSE-ACK decoded to the wrong message"
-  | Error e -> Alcotest.failf "CLOSE-ACK: %s" (Wire.Codec.error_to_string e));
-  (* Control frames are data-plane errors for pre-session callers. *)
-  match Wire.Codec.decode_packet rt close with
-  | Error (Wire.Codec.Bad_value _) -> ()
-  | _ -> Alcotest.fail "decode_packet accepted a control frame"
+  | Error e -> Alcotest.failf "CLOSE-ACK: %s" (Wire.Codec.error_to_string e)
 
 let test_codec_rejects_v1 () =
   (* A frame claiming the old version must fail with Bad_version, not be
@@ -466,10 +467,10 @@ let test_validate_under_impairment () =
 (* --- Real UDP loopback -------------------------------------------------- *)
 
 let test_udp_loopback_transfer () =
-  let r = Wire.Endpoint.loopback_demo ~packets:30 ~seed:1 ~timeout:20. () in
+  let r = Wire.Demo.loopback_demo ~packets:30 ~seed:1 ~timeout:20. () in
   if not r.completed then
     Alcotest.failf "transfer incomplete: %s"
-      (Format.asprintf "%a" Wire.Endpoint.pp_demo_result r);
+      (Format.asprintf "%a" Wire.Demo.pp_demo_result r);
   check Alcotest.bool "received at least the target" true
     (r.data_received >= 30);
   check Alcotest.bool "feedback flowed" true (r.feedbacks_received > 0);
@@ -736,24 +737,95 @@ let test_supervisor_graceful_close () =
   check Alcotest.bool "invariants hold" true (Tfrc.Invariants.ok checker);
   finish_session loop sup rcv a b ~until:4.1
 
-let test_supervisor_close_timeout () =
-  (* CLOSE into the void: no CLOSE-ACK ever comes back, so the timeout
-     fallback must still reach Closed. *)
+(* A supervised sender talking into the void: every data frame handed
+   to [~send] is decoded and counted. No feedback or CLOSE-ACK ever comes
+   back, so the peer is declared dead and the session cycles through
+   Backoff and restarts. *)
+let void_session ~seed =
   let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  let rt = Wire.Loop.runtime loop in
   let a = Wire.Udp.create loop () in
+  let data_frames = ref 0 in
   let sup =
     Wire.Supervisor.create loop a ~config:sup_tfrc_config ~sup:sup_test_config
       ~flow:1
       ~dest:(Wire.Udp.addr ~port:(Wire.Udp.port a))
-      ~send:(fun _ -> ())
-      ~seed:3 ()
+      ~send:(fun frame ->
+        match Wire.Codec.decode rt frame with
+        | Ok { body = Wire.Codec.Packet _; _ } -> incr data_frames
+        | Ok _ | Error _ -> ())
+      ~seed ()
   in
+  (loop, a, sup, data_frames)
+
+let test_supervisor_close_timeout () =
+  (* CLOSE into the void: the timeout fallback must still reach Closed. *)
+  let loop, a, sup, _ = void_session ~seed:3 in
   Wire.Supervisor.start sup ~at:0.;
   ignore (Wire.Loop.after loop 0.3 (fun () -> Wire.Supervisor.close sup));
   Wire.Loop.run loop ~until:2.;
   check Alcotest.string "closed by timeout" "closed"
     (Wire.Supervisor.state_name (Wire.Supervisor.state sup));
   Wire.Udp.close a
+
+(* Runs [f] every 10 ms of loop time. *)
+let poll loop f =
+  let rec go () =
+    f ();
+    ignore (Wire.Loop.after loop 0.01 go)
+  in
+  ignore (Wire.Loop.after loop 0.01 go)
+
+let test_supervisor_counts_every_state () =
+  let loop, a, sup, data_frames = void_session ~seed:5 in
+  let module S = Wire.Supervisor in
+  let seen = ref [] in
+  poll loop (fun () ->
+      let st = S.state sup in
+      if not (List.mem st !seen) then seen := st :: !seen;
+      if S.data_packets_sent sup <> !data_frames then
+        Alcotest.failf "in %s at %.2f: data_packets_sent %d, %d data frames sent"
+          (S.state_name st) (Wire.Loop.now loop) (S.data_packets_sent sup)
+          !data_frames);
+  S.start sup ~at:0.;
+  ignore (Wire.Loop.after loop 8. (fun () -> S.close sup));
+  Wire.Loop.run loop ~until:10.;
+  List.iter
+    (fun st ->
+      check Alcotest.bool (S.state_name st ^ " visited") true (List.mem st !seen))
+    S.[ Starting; Backoff; Closed ];
+  check Alcotest.bool "restarted" true (S.restarts sup >= 1);
+  check Alcotest.int "final count" !data_frames (S.data_packets_sent sup);
+  Wire.Udp.close a
+
+let test_supervisor_close_in_backoff () =
+  (* close() while a restart is pending: the restart must not fire, and
+     not one data frame may leave after the close. *)
+  let loop, a, sup, data_frames = void_session ~seed:5 in
+  let module S = Wire.Supervisor in
+  let closed_at = ref None in
+  poll loop (fun () ->
+      if !closed_at = None && S.state sup = S.Backoff then begin
+        closed_at := Some (!data_frames, S.epoch sup);
+        S.close sup
+      end);
+  S.start sup ~at:0.;
+  Wire.Loop.run loop ~until:15.;
+  match !closed_at with
+  | None -> Alcotest.fail "never reached backoff"
+  | Some (frames, epoch) ->
+      check Alcotest.string "closed" "closed" (S.state_name (S.state sup));
+      check Alcotest.int "no restart after close" epoch (S.epoch sup);
+      check Alcotest.int "no data frame after close" frames !data_frames;
+      check Alcotest.int "count matches frames sent" !data_frames
+        (S.data_packets_sent sup);
+      (match List.rev (S.transitions sup) with
+      | (_, from, to_) :: _ ->
+          check Alcotest.string "last edge from backoff" "backoff"
+            (S.state_name from);
+          check Alcotest.string "last edge to closed" "closed" (S.state_name to_)
+      | [] -> Alcotest.fail "no transitions");
+      Wire.Udp.close a
 
 let test_receiver_epoch_adoption () =
   (* Two sender incarnations from two sockets: the receiver adopts the
@@ -931,6 +1003,10 @@ let () =
             test_supervisor_graceful_close;
           Alcotest.test_case "close timeout" `Quick
             test_supervisor_close_timeout;
+          Alcotest.test_case "count spans every state" `Quick
+            test_supervisor_counts_every_state;
+          Alcotest.test_case "close cancels backoff restart" `Quick
+            test_supervisor_close_in_backoff;
           Alcotest.test_case "epoch adoption" `Quick
             test_receiver_epoch_adoption;
         ] );
