@@ -4,29 +4,14 @@
    parameters; pass --full for paper-scale runs, --only fig6 for one
    experiment, -j N to run each experiment's job grid on N worker domains).
    Pass --micro to run the Bechamel micro-benchmarks of the hot paths
-   instead (timing wheel, ALI update, RED decision, response function, full
-   dumbbell step), --speedup to emit the parallel_speedup JSON line
+   instead (ALI update, RED decision, response function, full dumbbell
+   step), --speedup to emit the parallel_speedup JSON line
    (quick `all` wall clock at -j 1 vs -j 4), or --fuzz to emit the
    fuzz_throughput JSON line (end-to-end chaos-scenario cases/sec). *)
 
 let micro () =
   let open Bechamel in
   let open Toolkit in
-  (* Timing wheel: 256 scattered pushes, then drain. *)
-  let wheel_test =
-    Test.make ~name:"timing_wheel push/pop"
-      (Staged.stage (fun () ->
-           let q = Engine.Timing_wheel.create () in
-           for i = 0 to 255 do
-             Engine.Timing_wheel.push q ~time:(float_of_int (i * 7919 mod 997)) i
-           done;
-           let rec drain () =
-             match Engine.Timing_wheel.pop q with
-             | Some _ -> drain ()
-             | None -> ()
-           in
-           drain ()))
-  in
   let ali_test =
     Test.make ~name:"average loss interval update"
       (Staged.stage (fun () ->
@@ -98,7 +83,7 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"tfrc"
-      [ wheel_test; ali_test; response_test; red_test; sim_test ]
+      [ ali_test; response_test; red_test; sim_test ]
   in
   let benchmark () =
     let instances = Instance.[ monotonic_clock ] in

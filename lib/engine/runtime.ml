@@ -3,14 +3,24 @@
    once per packet or timer, so the indirection is noise next to the
    scheduling work behind it. *)
 
-type handle = { h_cancel : unit -> unit; h_pending : unit -> bool }
+(* A runtime's own timers are [Timer]s: wrapping one costs a two-word
+   block. [Custom] is for handles built from closures, such as a view that
+   counts its cancels before forwarding them. *)
+type handle =
+  | Timer of Timers.handle
+  | Custom of { cancel : unit -> unit; is_pending : unit -> bool }
 
-let handle ~cancel ~is_pending = { h_cancel = cancel; h_pending = is_pending }
+let handle ~cancel ~is_pending = Custom { cancel; is_pending }
+let timer h = Timer h
+let null_handle = Timer Timers.null_handle
 
-let null_handle = { h_cancel = ignore; h_pending = (fun () -> false) }
+let cancel = function
+  | Timer h -> Timers.cancel h
+  | Custom c -> c.cancel ()
 
-let cancel h = h.h_cancel ()
-let is_pending h = h.h_pending ()
+let is_pending = function
+  | Timer h -> Timers.is_pending h
+  | Custom c -> c.is_pending ()
 
 type t = {
   r_now : unit -> float;

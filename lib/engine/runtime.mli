@@ -28,8 +28,14 @@
 (** Cancellable handle for a scheduled timer. *)
 type handle
 
-(** [handle ~cancel ~is_pending] wraps an implementation's timer.
-    [cancel] must be idempotent. *)
+(** [timer h] is a {!Timers} handle — the timers of {!Sim} and [Wire.Loop]
+    — as a runtime handle. Costs one two-word block; cancel and pending
+    calls go straight to [h]. *)
+val timer : Timers.handle -> handle
+
+(** [handle ~cancel ~is_pending] wraps any other implementation's timer
+    (for example a view that forwards to an inner runtime's handle and
+    counts cancels). [cancel] must be idempotent. *)
 val handle : cancel:(unit -> unit) -> is_pending:(unit -> bool) -> handle
 
 (** A handle that is never pending; useful as an initial field value. *)

@@ -94,7 +94,7 @@ let ids_allocated t = t.next_id
 let at t time f =
   (* NaN would sail through the past-guard below ([nan < clock] is false)
      and then wander the queue unorderably; infinity would pin [run]'s
-     [peek_time > until] check forever. Reject both up front. *)
+     [deadline > until] check forever. Reject both up front. *)
   if not (Float.is_finite time) then
     invalid_arg (Printf.sprintf "Sim.at: non-finite time %g" time);
   if time < t.clock then
@@ -124,8 +124,8 @@ let runtime t =
       let rt =
         Runtime.make
           ~now:(fun () -> t.clock)
-          ~at:(fun time f -> Timers.runtime_handle (at t time f))
-          ~after:(fun delay f -> Timers.runtime_handle (after t delay f))
+          ~at:(fun time f -> Runtime.timer (at t time f))
+          ~after:(fun delay f -> Runtime.timer (after t delay f))
           ~trace:t.trace
           ~fresh_id:(fun () -> fresh_id t)
       in
@@ -147,6 +147,21 @@ let exhaust t detail =
       [ ("detail", Trace.Str detail) ];
   raise (Budget_exhausted detail)
 
+(* The budget is checked against the next pending entry while it is still
+   queued: an event the budget refuses stays pending, so a later [run]
+   under a fresh budget fires it. *)
+let charge t b time =
+  if time > b.max_time then
+    exhaust t
+      (Printf.sprintf
+         "virtual-time budget exhausted: next event at %g past max_time %g"
+         time b.max_time);
+  if b.events_left <= 0 then
+    exhaust t
+      (Printf.sprintf "event budget exhausted at t=%g (max_events reached)"
+         t.clock);
+  b.events_left <- b.events_left - 1
+
 let run ?budget t ~until =
   let budget =
     match budget with Some _ as b -> b | None -> current_budget ()
@@ -158,33 +173,19 @@ let run ?budget t ~until =
   let continue = ref true in
   while !continue && not t.stopping do
     maybe_sweep t;
-    match Timers.peek_time t.timers with
-    | None -> continue := false
-    | Some time when time > until -> continue := false
-    | Some _ -> (
-        match Timers.pop t.timers with
-        | None -> continue := false
-        | Some (time, h) ->
-            if Timers.is_pending h then begin
-              (match budget with
-              | None -> ()
-              | Some b ->
-                  if time > b.max_time then
-                    exhaust t
-                      (Printf.sprintf
-                         "virtual-time budget exhausted: next event at %g \
-                          past max_time %g"
-                         time b.max_time);
-                  if b.events_left <= 0 then
-                    exhaust t
-                      (Printf.sprintf
-                         "event budget exhausted at t=%g (max_events \
-                          reached)"
-                         t.clock);
-                  b.events_left <- b.events_left - 1);
-              t.clock <- time;
-              Timers.fire h
-            end)
+    if Timers.is_empty t.timers then continue := false
+    else begin
+      let h = Timers.peek t.timers in
+      let time = Timers.deadline h in
+      if time > until then continue := false
+      else if Timers.is_pending h then begin
+        (match budget with None -> () | Some b -> charge t b time);
+        ignore (Timers.pop t.timers);
+        t.clock <- time;
+        Timers.fire h
+      end
+      else ignore (Timers.pop t.timers)
+    end
   done;
   if until < infinity && t.clock < until && not t.stopping then t.clock <- until;
   if Trace.active t.trace then

@@ -96,7 +96,9 @@ val current_budget : unit -> budget option
     meters the run: each executed event decrements the shared event
     allowance, and an event past the budget's [max_time] stops the run.
     Exhaustion emits a [sim/budget_exhausted] trace event and raises
-    {!Budget_exhausted}.
+    {!Budget_exhausted}. The budget is checked before the next event is
+    popped, so the refused event stays queued and pending: a later [run]
+    under a fresh budget fires it.
 
     Before each pop the run loop applies {!Timers.maybe_sweep}, emitting
     a [sim/sweep] trace event when it prunes, so cancel-heavy workloads

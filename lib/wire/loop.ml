@@ -108,9 +108,8 @@ let runtime t =
       let rt =
         Engine.Runtime.make
           ~now:(fun () -> now t)
-          ~at:(fun time f -> Engine.Timers.runtime_handle (at t time f))
-          ~after:(fun delay f ->
-            Engine.Timers.runtime_handle (after t delay f))
+          ~at:(fun time f -> Engine.Runtime.timer (at t time f))
+          ~after:(fun delay f -> Engine.Runtime.timer (after t delay f))
           ~trace:t.trace
           ~fresh_id:(fun () -> fresh_id t)
       in
@@ -161,17 +160,15 @@ let poll_fds t ~timeout =
             ws
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
-(* Fire the next due timer; true if the queue may hold more work. *)
+(* Pop the next queued timer and fire it unless it was cancelled. *)
 let pop_fire t =
-  match Engine.Timers.pop t.timers with
-  | None -> false
-  | Some (time, tm) ->
-      if Engine.Timers.is_pending tm then begin
-        if time > t.vnow then t.vnow <- time;
-        t.fired <- t.fired + 1;
-        Engine.Timers.fire tm
-      end;
-      true
+  let tm = Engine.Timers.pop t.timers in
+  if Engine.Timers.is_pending tm then begin
+    let time = Engine.Timers.deadline tm in
+    if time > t.vnow then t.vnow <- time;
+    t.fired <- t.fired + 1;
+    Engine.Timers.fire tm
+  end
 
 (* Loopback delivery is asynchronous: a datagram written a microsecond
    ago may not be readable yet, and whether a zero-timeout poll sees it
@@ -209,10 +206,11 @@ let run_warp t ~until =
     maybe_sweep t;
     if t.watches <> [] then
       if t.inflight_refs = [] then poll_fds t ~timeout:0. else settle_io t;
-    match Engine.Timers.peek_time t.timers with
-    | None -> continue := false
-    | Some time when time > until -> continue := false
-    | Some _ -> continue := pop_fire t
+    if
+      Engine.Timers.is_empty t.timers
+      || Engine.Timers.deadline (Engine.Timers.peek t.timers) > until
+    then continue := false
+    else pop_fire t
   done;
   settle_io t;
   if until < infinity && t.vnow < until && not t.stopping then t.vnow <- until
@@ -229,27 +227,29 @@ let run_monotonic t ~until =
     if now_ >= until then continue := false
     else begin
       (* Fire everything due; callbacks may schedule more due work. *)
-      let rec fire_due () =
-        if not t.stopping then
-          match Engine.Timers.peek_time t.timers with
-          | Some time when time <= now_ ->
-              ignore (pop_fire t);
-              fire_due ()
-          | _ -> ()
-      in
-      fire_due ();
+      while
+        (not t.stopping)
+        && (not (Engine.Timers.is_empty t.timers))
+        && Engine.Timers.deadline (Engine.Timers.peek t.timers) <= now_
+      do
+        pop_fire t
+      done;
       if not t.stopping then begin
-        match (Engine.Timers.peek_time t.timers, t.watches) with
-        | None, [] ->
-            (* Nothing queued, nothing watched: no event can ever arrive.
-               Returning beats sleeping to a possibly-infinite [until]. *)
-            continue := false
-        | next, _ ->
-            let deadline =
-              match next with Some tt -> Float.min tt until | None -> until
-            in
-            let timeout = Float.max 0. (deadline -. now t) in
-            poll_fds t ~timeout:(Float.min timeout max_block)
+        let idle = Engine.Timers.is_empty t.timers in
+        if idle && t.watches = [] then
+          (* Nothing queued, nothing watched: no event can ever arrive.
+             Returning beats sleeping to a possibly-infinite [until]. *)
+          continue := false
+        else begin
+          let deadline =
+            if idle then until
+            else
+              Float.min (Engine.Timers.deadline (Engine.Timers.peek t.timers))
+                until
+          in
+          let timeout = Float.max 0. (deadline -. now t) in
+          poll_fds t ~timeout:(Float.min timeout max_block)
+        end
       end
     end
   done

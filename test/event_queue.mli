@@ -1,5 +1,5 @@
 (** Binary min-heap priority queue keyed by (time, insertion sequence):
-    the reference model the tests hold [Engine.Timing_wheel] to. Its
+    the reference model the tests hold [Engine.Timers]' wheel to. Its
     contract is the one the wheel must match exactly — events with equal
     timestamps dequeue in insertion order.
 

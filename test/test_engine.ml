@@ -173,7 +173,7 @@ let[@inline never] push_weak q w =
 let collected w =
   Gc.full_major ();
   Gc.full_major ();
-  Weak.get w 0 = None
+  List.for_all (fun i -> Weak.get w i = None) (List.init (Weak.length w) Fun.id)
 
 let test_heap_pop_releases () =
   let q = Event_queue.create () in
@@ -226,111 +226,211 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare times)
 
-(* --- Timing_wheel ------------------------------------------------------ *)
+(* --- Timing wheel (the queue inside Timers) ----------------------------- *)
+
+(* Each test timer's callback records its tag in [last]; draining pops and
+   fires every entry, returning (deadline, tag) in pop order. *)
+let tagged q last ~time v =
+  Engine.Timers.schedule q ~time (fun () -> last := v)
+
+let drain_tagged q last =
+  let rec go acc =
+    if Engine.Timers.is_empty q then List.rev acc
+    else begin
+      let h = Engine.Timers.pop q in
+      Engine.Timers.fire h;
+      go ((Engine.Timers.deadline h, !last) :: acc)
+    end
+  in
+  go []
 
 let test_wheel_ordering () =
-  let q = Engine.Timing_wheel.create () in
+  let q = Engine.Timers.create () and last = ref 0 in
   List.iter
-    (fun t -> Engine.Timing_wheel.push q ~time:t t)
+    (fun t -> ignore (tagged q last ~time:t 0))
     [ 5.; 1.; 3.; 2.; 4.; 0.5 ];
-  let rec drain acc =
-    match Engine.Timing_wheel.pop q with
-    | None -> List.rev acc
-    | Some (t, _) -> drain (t :: acc)
-  in
   check
     Alcotest.(list (float 1e-9))
     "pops in time order"
     [ 0.5; 1.; 2.; 3.; 4.; 5. ]
-    (drain [])
+    (List.map fst (drain_tagged q last))
 
 let test_wheel_fifo_ties () =
-  let q = Engine.Timing_wheel.create () in
-  List.iter (fun v -> Engine.Timing_wheel.push q ~time:1. v) [ 1; 2; 3; 4; 5 ];
-  let rec drain acc =
-    match Engine.Timing_wheel.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
+  let q = Engine.Timers.create () and last = ref 0 in
+  List.iter (fun v -> ignore (tagged q last ~time:1. v)) [ 1; 2; 3; 4; 5 ];
   check Alcotest.(list int) "ties pop in insertion order" [ 1; 2; 3; 4; 5 ]
-    (drain [])
+    (List.map snd (drain_tagged q last))
 
 let test_wheel_far_future_overflow () =
   (* A tiny wheel whose total window is granularity*slots^levels = 0.016 s:
-     far-future pushes must overflow and still come back in order. *)
-  let q = Engine.Timing_wheel.create ~granularity:1e-3 ~slots:4 ~levels:2 () in
+     far-future timers must overflow and still come back in order. *)
+  let q = Engine.Timers.create ~granularity:1e-3 ~slots:4 ~levels:2 () in
+  let last = ref 0 in
   List.iter
-    (fun t -> Engine.Timing_wheel.push q ~time:t t)
+    (fun t -> ignore (tagged q last ~time:t 0))
     [ 100.; 0.001; 7.; 0.01; 1e6; 0.5 ];
-  let rec drain acc =
-    match Engine.Timing_wheel.pop q with
-    | None -> List.rev acc
-    | Some (t, _) -> drain (t :: acc)
-  in
   check
     Alcotest.(list (float 1e-9))
     "overflow drains in order"
     [ 0.001; 0.01; 0.5; 7.; 100.; 1e6 ]
-    (drain [])
+    (List.map fst (drain_tagged q last))
 
 let test_wheel_rejects_bad_times () =
-  let q = Engine.Timing_wheel.create () in
+  let q = Engine.Timers.create () in
   List.iter
     (fun t ->
       Alcotest.(check bool)
-        "non-finite/negative push raises" true
-        (match Engine.Timing_wheel.push q ~time:t 0 with
-        | () -> false
+        "non-finite/negative schedule raises" true
+        (match Engine.Timers.schedule q ~time:t ignore with
+        | _ -> false
         | exception Invalid_argument _ -> true))
-    [ Float.nan; infinity; neg_infinity; -1. ]
+    [ Float.nan; infinity; neg_infinity; -1. ];
+  check Alcotest.int "nothing queued" 0 (Engine.Timers.size q)
 
 let test_wheel_prune () =
-  let q = Engine.Timing_wheel.create ~granularity:1e-3 ~slots:4 ~levels:2 () in
+  (* Cancel the odd tags, spread over both levels and the overflow heap,
+     then sweep: the survivors keep their order. *)
+  let q = Engine.Timers.create ~granularity:1e-3 ~slots:4 ~levels:2 () in
+  let last = ref 0 in
   for i = 1 to 20 do
-    Engine.Timing_wheel.push q ~time:(float_of_int i *. 0.4) i
+    let h = tagged q last ~time:(float_of_int i *. 0.4) i in
+    if i mod 2 = 1 then Engine.Timers.cancel h
   done;
-  Engine.Timing_wheel.prune q ~keep:(fun v -> v mod 2 = 0);
-  check Alcotest.int "half survive" 10 (Engine.Timing_wheel.size q);
-  let rec drain acc =
-    match Engine.Timing_wheel.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
+  check Alcotest.bool "below the sweep floor" false
+    (Engine.Timers.maybe_sweep q);
+  Engine.Timers.sweep q;
+  check Alcotest.int "half survive" 10 (Engine.Timers.size q);
   check Alcotest.(list int) "survivors in order"
     [ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20 ]
-    (drain [])
+    (List.map snd (drain_tagged q last))
 
-let[@inline never] wheel_push_weak q w =
+(* Schedule a timer, through [schedule], whose callback holds the only
+   reference to a fresh block watched by cell [i] of [w]; return its
+   handle. The tests keep the queue alive past [collected], so only the
+   queue's own references are under test. *)
+let[@inline never] schedule_weak ?(i = 0) schedule w =
   let v = Bytes.make 64 'x' in
-  Weak.set w 0 (Some v);
-  Engine.Timing_wheel.push q ~time:1. v
+  Weak.set w i (Some v);
+  schedule (fun () -> Bytes.set v 0 'y')
 
 let test_wheel_pop_releases () =
-  let q = Engine.Timing_wheel.create () in
-  let w = Weak.create 1 in
-  wheel_push_weak q w;
-  ignore (Engine.Timing_wheel.pop q);
-  check Alcotest.bool "popped value collectable" true (collected w)
+  (* One timer in the wheel, one past its horizon in the overflow heap. *)
+  let q = Engine.Timers.create () in
+  let w = Weak.create 2 in
+  ignore (schedule_weak (Engine.Timers.schedule q ~time:1.) w);
+  ignore (schedule_weak ~i:1 (Engine.Timers.schedule q ~time:1e6) w);
+  ignore (Engine.Timers.pop q);
+  ignore (Engine.Timers.pop q);
+  check Alcotest.bool "popped timers collectable" true (collected w);
+  check Alcotest.int "empty" 0 (Engine.Timers.size q)
 
 let test_wheel_clear_releases () =
-  let q = Engine.Timing_wheel.create () in
-  let w = Weak.create 1 in
-  wheel_push_weak q w;
-  Engine.Timing_wheel.clear q;
-  check Alcotest.bool "cleared value collectable" true (collected w)
+  (* After one pop, a timer sits in each of the ready heap, a wheel slot
+     and the overflow heap. *)
+  let q = Engine.Timers.create () in
+  let w = Weak.create 3 in
+  ignore (Engine.Timers.schedule q ~time:1. ignore);
+  let h = schedule_weak (Engine.Timers.schedule q ~time:1.) w in
+  ignore (schedule_weak ~i:1 (Engine.Timers.schedule q ~time:2.) w);
+  ignore (schedule_weak ~i:2 (Engine.Timers.schedule q ~time:1e6) w);
+  ignore (Engine.Timers.pop q);
+  Engine.Timers.clear q;
+  check Alcotest.bool "cleared handle not pending" false
+    (Engine.Timers.is_pending h);
+  ignore (Sys.opaque_identity h);
+  check Alcotest.bool "cleared timers collectable" true (collected w);
+  check Alcotest.int "empty" 0 (Engine.Timers.size q)
 
 let prop_wheel_sorts =
   QCheck.Test.make ~name:"timing wheel sorts any input" ~count:200
     QCheck.(list (float_range 0. 1e6))
     (fun times ->
-      let q = Engine.Timing_wheel.create () in
-      List.iter (fun t -> Engine.Timing_wheel.push q ~time:t t) times;
-      let rec drain acc =
-        match Engine.Timing_wheel.pop q with
-        | None -> List.rev acc
-        | Some (t, _) -> drain (t :: acc)
-      in
-      drain [] = List.sort compare times)
+      let q = Engine.Timers.create () and last = ref 0 in
+      List.iter (fun t -> ignore (tagged q last ~time:t 0)) times;
+      List.map fst (drain_tagged q last) = List.sort compare times)
+
+(* --- Timers: retention and allocation ----------------------------------- *)
+
+let quiet_sim () = Engine.Sim.create ~trace:(Engine.Trace.create ()) ()
+
+let test_fired_releases () =
+  (* A fired handle leaves the queue, and one the caller keeps does not
+     keep the timers it shared a wheel slot with alive: it sits between
+     them in the slot's list. *)
+  let sim = quiet_sim () in
+  let w = Weak.create 2 in
+  ignore (schedule_weak (Engine.Sim.at sim 1.) w);
+  let kept = Engine.Sim.at sim 1. ignore in
+  ignore (schedule_weak ~i:1 (Engine.Sim.at sim 1.) w);
+  Engine.Sim.run sim ~until:2.;
+  check Alcotest.bool "fired timer collectable" true (collected w);
+  check Alcotest.bool "kept handle fired" false (Engine.Sim.is_pending kept);
+  check Alcotest.int "drained" 0 (Engine.Sim.pending_events sim)
+
+let test_swept_releases () =
+  (* Cancelling more than half of 100 queued timers makes the next run
+     sweep before it pops anything. The overflow heap keeps a live
+     timer, so its vacated cells must be cleared, not dropped. *)
+  let sim = quiet_sim () in
+  let w = Weak.create 2 in
+  Engine.Sim.cancel (schedule_weak (Engine.Sim.at sim 50.) w);
+  ignore (Engine.Sim.at sim 1e6 ignore);
+  Engine.Sim.cancel (schedule_weak ~i:1 (Engine.Sim.at sim 2e6) w);
+  for i = 1 to 97 do
+    let h = Engine.Sim.at sim (float_of_int i) ignore in
+    if i <= 60 then Engine.Sim.cancel h
+  done;
+  check Alcotest.int "cancelled timers stay queued" 100
+    (Engine.Sim.pending_events sim);
+  Engine.Sim.run sim ~until:0.5;
+  check Alcotest.bool "swept timers collectable" true (collected w);
+  check Alcotest.int "swept" 38 (Engine.Sim.pending_events sim)
+
+(* Minor words per scheduled-and-fired timer when 64 self-rearming
+   callbacks go through [rt] until [n] timers have fired. The delay is
+   computed per timer, so each schedule pays the caller's float box. *)
+let words_per_timer rt run =
+  let n = 50_000 and fired = ref 0 in
+  let rec tick () =
+    incr fired;
+    if !fired <= n then
+      ignore
+        (Engine.Runtime.after rt
+           (float_of_int (1 + (!fired * 7919 mod 500)) *. 1e-4)
+           tick)
+  in
+  for _ = 1 to 64 do
+    ignore (Engine.Runtime.after rt 1e-3 tick)
+  done;
+  let w0 = Gc.minor_words () in
+  run ();
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Scheduling allocates the 7-word handle, the 2-word [Runtime.Timer] and
+   the deadline's float box; firing allocates nothing. Two more words are
+   the caller's delay box. A per-event option, tuple or closure in the
+   timer core pushes this over the bound. *)
+let timer_words_bound = 13.5
+
+let test_sim_timer_words () =
+  let sim = quiet_sim () in
+  let words =
+    words_per_timer (Engine.Sim.runtime sim) (fun () ->
+        Engine.Sim.run sim ~until:infinity)
+  in
+  if words > timer_words_bound then
+    Alcotest.failf "Sim: %.2f minor words per timer (bound %.1f)" words
+      timer_words_bound
+
+let test_loop_timer_words () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  let words =
+    words_per_timer (Wire.Loop.runtime loop) (fun () ->
+        Wire.Loop.run loop ~until:infinity)
+  in
+  if words > timer_words_bound then
+    Alcotest.failf "Wire.Loop: %.2f minor words per timer (bound %.1f)" words
+      timer_words_bound
 
 (* --- Sim --------------------------------------------------------------- *)
 
@@ -450,6 +550,33 @@ let test_sim_fresh_id_independent () =
   check Alcotest.int "a continues at 2" 2 (Engine.Sim.fresh_id a);
   check Alcotest.int "b unaffected by a" 2 (Engine.Sim.fresh_id b)
 
+let test_sim_budget_keeps_refused_event () =
+  (* The event a budget refuses must stay queued and pending: a second
+     run under a fresh budget fires it. *)
+  let check_refusal name budget expect_fired =
+    let sim = quiet_sim () in
+    let fired = ref 0 in
+    let hs =
+      Array.init 5 (fun i ->
+          Engine.Sim.at sim (float_of_int (i + 1)) (fun () -> incr fired))
+    in
+    (match Engine.Sim.run ~budget sim ~until:10. with
+    | () -> Alcotest.failf "%s: budget not exhausted" name
+    | exception Engine.Sim.Budget_exhausted _ -> ());
+    check Alcotest.int (name ^ ": events run") expect_fired !fired;
+    check Alcotest.int
+      (name ^ ": pending dropped by the events run")
+      (5 - expect_fired)
+      (Engine.Sim.pending_events sim);
+    check Alcotest.bool (name ^ ": refused event still pending") true
+      (Engine.Sim.is_pending hs.(expect_fired));
+    Engine.Sim.run ~budget:(Engine.Sim.budget ~max_events:10 ()) sim ~until:10.;
+    check Alcotest.int (name ^ ": all fire under a fresh budget") 5 !fired;
+    check Alcotest.int (name ^ ": drained") 0 (Engine.Sim.pending_events sim)
+  in
+  check_refusal "max_events" (Engine.Sim.budget ~max_events:3 ()) 3;
+  check_refusal "max_time" (Engine.Sim.budget ~max_time:2.5 ()) 2
+
 (* --- Runtime ------------------------------------------------------------ *)
 
 let test_runtime_mirrors_sim () =
@@ -476,6 +603,65 @@ let test_runtime_mirrors_sim () =
   check Alcotest.(list string) "only the live timer fired" [ "at 1" ] !log;
   check Alcotest.bool "null handle never pending" false
     (Engine.Runtime.is_pending Engine.Runtime.null_handle)
+
+let test_runtime_closure_handle () =
+  (* The closure-backed handle a wrapping view builds forwards cancel and
+     pending to the inner timer. *)
+  let sim = quiet_sim () in
+  let rt = Engine.Sim.runtime sim in
+  let fired = ref false and cancels = ref 0 in
+  let inner = Engine.Runtime.after rt 1. (fun () -> fired := true) in
+  let h =
+    Engine.Runtime.handle
+      ~cancel:(fun () ->
+        incr cancels;
+        Engine.Runtime.cancel inner)
+      ~is_pending:(fun () -> Engine.Runtime.is_pending inner)
+  in
+  check Alcotest.bool "pending forwards" true (Engine.Runtime.is_pending h);
+  Engine.Runtime.cancel h;
+  Engine.Runtime.cancel h;
+  check Alcotest.int "cancel forwards" 2 !cancels;
+  check Alcotest.bool "inner cancelled" false
+    (Engine.Runtime.is_pending inner);
+  check Alcotest.bool "wrapper reads cancelled" false
+    (Engine.Runtime.is_pending h);
+  Engine.Sim.run sim ~until:2.;
+  check Alcotest.bool "cancelled timer never fired" false !fired;
+  Engine.Runtime.cancel Engine.Runtime.null_handle;
+  check Alcotest.bool "null handle never pending, even after cancel" false
+    (Engine.Runtime.is_pending Engine.Runtime.null_handle)
+
+let test_runtime_cancel_after_fire () =
+  (* Cancelling a fired timer, directly or through a wrapper, must not
+     count toward a sweep: 100 such cancels against 100 queued live timers
+     would otherwise trigger one. *)
+  let bus = Engine.Trace.create () in
+  let sink, captured = Engine.Trace.memory_sink () in
+  Engine.Trace.add_sink bus sink;
+  let sim = Engine.Sim.create ~trace:bus () in
+  let rt = Engine.Sim.runtime sim in
+  let wrap inner =
+    Engine.Runtime.handle
+      ~cancel:(fun () -> Engine.Runtime.cancel inner)
+      ~is_pending:(fun () -> Engine.Runtime.is_pending inner)
+  in
+  let hs =
+    Array.init 200 (fun i ->
+        wrap (Engine.Runtime.at rt (float_of_int (i + 1)) ignore))
+  in
+  Engine.Sim.run sim ~until:100.5;
+  (* 100 fired, 100 queued; cancel every fired one and 10 live ones. *)
+  for i = 0 to 109 do
+    Engine.Runtime.cancel hs.(i)
+  done;
+  Engine.Sim.run sim ~until:100.6;
+  let sweeps =
+    List.filter (fun (e : Engine.Trace.event) -> e.name = "sweep") (captured ())
+  in
+  check Alcotest.int "no sweep" 0 (List.length sweeps);
+  check Alcotest.int "cancelled timers still queued" 100
+    (Engine.Sim.pending_events sim)
 
 (* --- Hexfloat ----------------------------------------------------------- *)
 
@@ -586,10 +772,26 @@ let () =
             test_sim_fresh_id_monotone;
           Alcotest.test_case "fresh_id per-sim" `Quick
             test_sim_fresh_id_independent;
+          Alcotest.test_case "budget keeps refused event" `Quick
+            test_sim_budget_keeps_refused_event;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "fired handle releases" `Quick
+            test_fired_releases;
+          Alcotest.test_case "swept handle releases" `Quick
+            test_swept_releases;
+          Alcotest.test_case "sim words per timer" `Quick test_sim_timer_words;
+          Alcotest.test_case "wire loop words per timer" `Quick
+            test_loop_timer_words;
         ] );
       ( "runtime",
         [
           Alcotest.test_case "mirrors sim" `Quick test_runtime_mirrors_sim;
+          Alcotest.test_case "closure-backed handle" `Quick
+            test_runtime_closure_handle;
+          Alcotest.test_case "cancel after fire" `Quick
+            test_runtime_cancel_after_fire;
         ] );
       ( "hexfloat",
         [

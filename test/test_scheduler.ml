@@ -42,22 +42,40 @@ let run_heap prog =
   drain ();
   List.rev !out
 
+(* The same program on [Engine.Timers]: each timer's callback records its
+   tag, a pop fires the popped timer, and a prune cancels the doomed
+   timers and sweeps them out. *)
 let run_wheel ~granularity ~slots ~levels prog =
-  let q = Engine.Timing_wheel.create ~granularity ~slots ~levels () in
-  let tag = ref 0 in
+  let q = Engine.Timers.create ~granularity ~slots ~levels () in
+  let tag = ref 0 and last = ref 0 in
+  let handles = ref [] in
   let out = ref [] in
+  let pop () =
+    if Engine.Timers.is_empty q then None
+    else begin
+      let h = Engine.Timers.pop q in
+      Engine.Timers.fire h;
+      Some (Engine.Timers.deadline h, !last)
+    end
+  in
   List.iter
     (fun i ->
       match i with
       | Push t ->
           incr tag;
-          Engine.Timing_wheel.push q ~time:t !tag
-      | Pop -> out := Engine.Timing_wheel.pop q :: !out
+          let v = !tag in
+          handles :=
+            (v, Engine.Timers.schedule q ~time:t (fun () -> last := v))
+            :: !handles
+      | Pop -> out := pop () :: !out
       | Prune_mod k ->
-          Engine.Timing_wheel.prune q ~keep:(fun v -> v mod k <> 0))
+          List.iter
+            (fun (v, h) -> if v mod k = 0 then Engine.Timers.cancel h)
+            !handles;
+          Engine.Timers.sweep q)
     prog;
   let rec drain () =
-    match Engine.Timing_wheel.pop q with
+    match pop () with
     | None -> ()
     | Some _ as r ->
         out := r :: !out;
