@@ -12,6 +12,9 @@ type edge = {
   mutable cost : float option; (* explicit override; None = cost model *)
 }
 
+(* The empty routing-table cell: "no next hop". Compared physically. *)
+let no_edge = { eid = -1; esrc = -1; edst = -1; kind = Wire 0.; cost = None }
+
 type cost_model = Hop | Delay
 
 type flow_info = {
@@ -32,6 +35,13 @@ type target = {
   mutable ttl : int;
 }
 
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type impact_kind = Partitioned | Rerouted | Unaffected
 
 type t = {
@@ -42,18 +52,36 @@ type t = {
   mutable all_edges : edge list; (* most recent first *)
   mutable n_edges : int;
   flows : (int, flow_info) Hashtbl.t;
-  targets : (int, target) Hashtbl.t;
-  (* Routing tables, keyed (node, destination). [next_up] uses only up
-     links; [next_all] ignores link state and is the fallback that keeps
-     traffic heading into a failed link when no alternate path exists, so
-     it blackholes at the outage exactly like a hand-wired topology. *)
-  next_up : (node * node, edge) Hashtbl.t;
-  next_all : (node * node, edge) Hashtbl.t;
+  targets : target Itbl.t;
+  (* Routing tables: cell [u * tn + d] is u's next hop toward d, or
+     [no_edge]. [next_up] uses only up links; [next_all] ignores link state
+     and is the fallback that keeps traffic heading into a failed link when
+     no alternate path exists, so it blackholes at the outage exactly like
+     a hand-wired topology. [tn] is the node count at the last recompute;
+     nodes added since have no route. *)
+  mutable tn : int;
+  mutable next_up : edge array;
+  mutable next_all : edge array;
   mutable dirty : bool;
   mutable recomputes : int;
-  (* Pending wire deliveries, cancellable at teardown (see Dumbbell). *)
-  pending : (int, Engine.Runtime.handle) Hashtbl.t;
-  mutable next_token : int;
+  (* Recompute scratch, rebuilt only when the graph has grown: the edges by
+     id, each node's out- and in-edges in ascending id order, per-edge cost
+     and up flag (refreshed every recompute), and the Dijkstra state. *)
+  mutable built_edges : int;
+  mutable by_id : edge array;
+  mutable outs : edge array array;
+  mutable ins : edge array array;
+  mutable costs : float array;
+  mutable up : bool array;
+  mutable dist : float array;
+  mutable heap : int array;
+  mutable hpos : int array; (* heap slot; -1 unqueued, -2 settled *)
+  (* Pending wire deliveries, cancellable at teardown: [slots.(k)] holds an
+     in-flight delivery's timer or [null_handle]; the free slot indices are
+     [free.(0 .. n_free - 1)]. *)
+  mutable slots : Engine.Runtime.handle array;
+  mutable free : int array;
+  mutable n_free : int;
 }
 
 let create ?(cost_model = Hop) rt () =
@@ -65,13 +93,24 @@ let create ?(cost_model = Hop) rt () =
     all_edges = [];
     n_edges = 0;
     flows = Hashtbl.create 32;
-    targets = Hashtbl.create 256;
-    next_up = Hashtbl.create 64;
-    next_all = Hashtbl.create 64;
+    targets = Itbl.create 256;
+    tn = 0;
+    next_up = [||];
+    next_all = [||];
     dirty = true;
     recomputes = 0;
-    pending = Hashtbl.create 64;
-    next_token = 0;
+    built_edges = 0;
+    by_id = [||];
+    outs = [||];
+    ins = [||];
+    costs = [||];
+    up = [||];
+    dist = [||];
+    heap = [||];
+    hpos = [||];
+    slots = [||];
+    free = [||];
+    n_free = 0;
   }
 
 let runtime t = t.rt
@@ -95,15 +134,23 @@ let check_node t v name =
 
 (* --- packet movement ------------------------------------------------------ *)
 
-let delayed t d f =
-  let k = t.next_token in
-  t.next_token <- k + 1;
-  let h =
-    Engine.Runtime.after t.rt d (fun () ->
-        Hashtbl.remove t.pending k;
-        f ())
-  in
-  Hashtbl.add t.pending k h
+let take_slot t =
+  if t.n_free = 0 then begin
+    let cap = Array.length t.slots in
+    let cap' = max 16 (2 * cap) in
+    let slots = Array.make cap' Engine.Runtime.null_handle in
+    Array.blit t.slots 0 slots 0 cap;
+    t.slots <- slots;
+    t.free <- Array.init cap' (fun i -> cap' - 1 - i);
+    t.n_free <- cap' - cap
+  end;
+  t.n_free <- t.n_free - 1;
+  t.free.(t.n_free)
+
+let release_slot t k =
+  t.slots.(k) <- Engine.Runtime.null_handle;
+  t.free.(t.n_free) <- k;
+  t.n_free <- t.n_free + 1
 
 let loop_ev t node (pkt : Packet.t) =
   let tr = Engine.Runtime.trace t.rt in
@@ -116,10 +163,12 @@ let loop_ev t node (pkt : Packet.t) =
       ]
 
 (* Shortest-path recomputation: one Dijkstra per destination over the
-   reversed graph (small graphs; selection-based extract-min is plenty),
-   then each node's next hop is its out-edge minimizing
-   [cost e + dist (edst e)], ties broken by lowest edge id so routes are
-   deterministic regardless of hash order. *)
+   reversed graph with an indexed binary heap, O(E log n), then each node's
+   next hop is its out-edge minimizing [cost e + dist (edst e)], ties broken
+   by lowest edge id so routes are deterministic. No cost is negative
+   (explicit costs are checked here, delays by [Link] and [add_wire]), so
+   the distances do not depend on the order in which equal-distance nodes
+   settle. *)
 
 let edge_cost t e =
   match e.cost with
@@ -136,82 +185,164 @@ let edge_usable up_only e =
   (not up_only)
   || match e.kind with Wire _ -> true | Queued l -> Link.is_up l
 
-let fill_table t ~up_only table =
-  let n = t.n_nodes in
-  let in_edges = Array.make (max n 1) [] in
-  List.iter
-    (fun e ->
-      if edge_usable up_only e then
-        in_edges.(e.edst) <- e :: in_edges.(e.edst))
-    t.all_edges;
-  let by_id a b = compare a.eid b.eid in
-  let out_sorted =
-    Array.init n (fun u ->
-        List.sort by_id (List.filter (edge_usable up_only) t.adj.(u)))
-  in
-  let dist = Array.make (max n 1) infinity in
-  let visited = Array.make (max n 1) false in
-  for d = 0 to n - 1 do
-    Array.fill dist 0 n infinity;
-    Array.fill visited 0 n false;
-    dist.(d) <- 0.;
-    (try
-       for _ = 0 to n - 1 do
-         (* extract-min over unvisited nodes *)
-         let u = ref (-1) in
-         for v = 0 to n - 1 do
-           if (not visited.(v)) && (!u < 0 || dist.(v) < dist.(!u)) then u := v
-         done;
-         if !u < 0 || dist.(!u) = infinity then raise Exit;
-         visited.(!u) <- true;
-         (* relax reversed edges: e runs esrc -> edst = !u in the real
-            graph, so it improves dist from esrc. *)
-         List.iter
-           (fun e ->
-             let c = dist.(!u) +. edge_cost t e in
-             if c < dist.(e.esrc) then dist.(e.esrc) <- c)
-           in_edges.(!u)
-       done
-     with Exit -> ());
-    for u = 0 to n - 1 do
-      if u <> d && dist.(u) < infinity then begin
-        let best = ref None in
-        List.iter
-          (fun e ->
-            let c = edge_cost t e +. dist.(e.edst) in
-            match !best with
-            | Some (bc, _) when bc <= c -> ()
-            | _ -> best := Some (c, e))
-          out_sorted.(u);
-        match !best with
-        | Some (_, e) -> Hashtbl.replace table (u, d) e
-        | None -> ()
+let rec sift_up heap hpos (dist : float array) i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    let v = heap.(i) and pv = heap.(p) in
+    if dist.(v) < dist.(pv) then begin
+      heap.(i) <- pv;
+      hpos.(pv) <- i;
+      heap.(p) <- v;
+      hpos.(v) <- p;
+      sift_up heap hpos dist p
+    end
+  end
+
+let rec sift_down heap hpos (dist : float array) size i =
+  let l = (2 * i) + 1 in
+  if l < size then begin
+    let r = l + 1 in
+    let c = if r < size && dist.(heap.(r)) < dist.(heap.(l)) then r else l in
+    let v = heap.(i) and cv = heap.(c) in
+    if dist.(cv) < dist.(v) then begin
+      heap.(i) <- cv;
+      hpos.(cv) <- i;
+      heap.(c) <- v;
+      hpos.(v) <- c;
+      sift_down heap hpos dist size c
+    end
+  end
+
+(* Distances to [d] in [t.dist] over the usable edges. *)
+let shortest_to t ~up_only d =
+  let n = t.tn and dist = t.dist and heap = t.heap and hpos = t.hpos in
+  let costs = t.costs and up = t.up in
+  Array.fill dist 0 n infinity;
+  Array.fill hpos 0 n (-1);
+  dist.(d) <- 0.;
+  heap.(0) <- d;
+  hpos.(d) <- 0;
+  let size = ref 1 in
+  while !size > 0 do
+    let u = heap.(0) in
+    hpos.(u) <- -2;
+    decr size;
+    if !size > 0 then begin
+      let last = heap.(!size) in
+      heap.(0) <- last;
+      hpos.(last) <- 0;
+      sift_down heap hpos dist !size 0
+    end;
+    (* relax reversed edges: e runs esrc -> edst = u in the real graph, so
+       it improves dist from esrc. *)
+    let du = dist.(u) and ins = t.ins.(u) in
+    for i = 0 to Array.length ins - 1 do
+      let e = ins.(i) in
+      if (not up_only) || up.(e.eid) then begin
+        let c = du +. costs.(e.eid) in
+        let v = e.esrc in
+        if c < dist.(v) then begin
+          dist.(v) <- c;
+          if hpos.(v) = -1 then begin
+            heap.(!size) <- v;
+            hpos.(v) <- !size;
+            incr size
+          end;
+          if hpos.(v) >= 0 then sift_up heap hpos dist hpos.(v)
+        end
       end
     done
   done
 
+let fill_column t ~up_only table d =
+  shortest_to t ~up_only d;
+  let n = t.tn and dist = t.dist and costs = t.costs and up = t.up in
+  for u = 0 to n - 1 do
+    if u <> d && dist.(u) < infinity then begin
+      let outs = t.outs.(u) in
+      let best = ref no_edge and bc = ref Float.nan in
+      for i = 0 to Array.length outs - 1 do
+        let e = outs.(i) in
+        if (not up_only) || up.(e.eid) then begin
+          let c = costs.(e.eid) +. dist.(e.edst) in
+          if not (!bc <= c) then begin
+            bc := c;
+            best := e
+          end
+        end
+      done;
+      table.((u * n) + d) <- !best
+    end
+  done
+
+(* Sizes the tables and scratch to the graph and rebuilds the adjacency
+   arrays, when nodes or edges were added since the last recompute. *)
+let prepare t =
+  let n = t.n_nodes and m = t.n_edges in
+  if n <> t.tn then begin
+    t.tn <- n;
+    t.next_up <- Array.make (n * n) no_edge;
+    t.next_all <- Array.make (n * n) no_edge;
+    t.dist <- Array.make n infinity;
+    t.heap <- Array.make n 0;
+    t.hpos <- Array.make n (-1);
+    t.built_edges <- -1
+  end;
+  if m <> t.built_edges then begin
+    t.built_edges <- m;
+    t.by_id <- Array.of_list (List.rev t.all_edges);
+    t.outs <- Array.init n (fun u -> Array.of_list (List.rev t.adj.(u)));
+    let in_deg = Array.make n 0 in
+    Array.iter (fun e -> in_deg.(e.edst) <- in_deg.(e.edst) + 1) t.by_id;
+    t.ins <- Array.init n (fun v -> Array.make in_deg.(v) no_edge);
+    Array.fill in_deg 0 n 0;
+    Array.iter
+      (fun e ->
+        t.ins.(e.edst).(in_deg.(e.edst)) <- e;
+        in_deg.(e.edst) <- in_deg.(e.edst) + 1)
+      t.by_id;
+    t.costs <- Array.make m 0.;
+    t.up <- Array.make m false
+  end;
+  for i = 0 to m - 1 do
+    let e = t.by_id.(i) in
+    t.costs.(i) <- edge_cost t e;
+    t.up.(i) <- edge_usable true e
+  done
+
 let recompute t =
-  Hashtbl.reset t.next_up;
-  Hashtbl.reset t.next_all;
-  fill_table t ~up_only:true t.next_up;
-  fill_table t ~up_only:false t.next_all;
+  prepare t;
+  let n = t.tn in
+  Array.fill t.next_up 0 (n * n) no_edge;
+  Array.fill t.next_all 0 (n * n) no_edge;
+  for d = 0 to n - 1 do
+    fill_column t ~up_only:true t.next_up d
+  done;
+  for d = 0 to n - 1 do
+    fill_column t ~up_only:false t.next_all d
+  done;
   t.recomputes <- t.recomputes + 1;
   t.dirty <- false
 
 let ensure_routes t = if t.dirty then recompute t
 
+(* Table cell for (u, d); [no_edge] for nodes the tables predate. *)
+let lookup t table u d =
+  let n = t.tn in
+  if u < n && d < n then Array.unsafe_get table ((u * n) + d) else no_edge
+
 let next_edge t u d =
   ensure_routes t;
-  match Hashtbl.find_opt t.next_up (u, d) with
-  | Some e -> Some e
-  | None -> Hashtbl.find_opt t.next_all (u, d)
+  let e = lookup t t.next_up u d in
+  if e != no_edge then e else lookup t t.next_all u d
 
 let rec arrive t node (pkt : Packet.t) =
-  match Hashtbl.find_opt t.targets pkt.id with
-  | None -> () (* unrouted packet: silently discarded, like the demuxes *)
-  | Some tg ->
+  match Itbl.find t.targets pkt.id with
+  | exception Not_found ->
+      () (* unrouted packet: silently discarded, like the demuxes *)
+  | tg ->
       if node = tg.tnode then begin
-        Hashtbl.remove t.targets pkt.id;
+        Itbl.remove t.targets pkt.id;
         match tg.tdir with
         | `Fwd -> tg.tflow.dst_recv pkt
         | `Bwd -> tg.tflow.src_recv pkt
@@ -220,24 +351,40 @@ let rec arrive t node (pkt : Packet.t) =
         (* Forwarding loop: impossible while routes come from a shortest-
            path tree, so any occurrence is a routing bug. The trace event
            trips the invariant checker's topo-loop-free rule. *)
-        Hashtbl.remove t.targets pkt.id;
+        Itbl.remove t.targets pkt.id;
         loop_ev t node pkt
       end
       else begin
         tg.ttl <- tg.ttl - 1;
-        match next_edge t node tg.tnode with
-        | None -> Hashtbl.remove t.targets pkt.id (* statically unreachable *)
-        | Some e -> forward t e pkt
+        let e = next_edge t node tg.tnode in
+        if e == no_edge then Itbl.remove t.targets pkt.id
+          (* statically unreachable *)
+        else forward t e pkt
       end
 
 and forward t e pkt =
   match e.kind with
   | Queued l -> Link.send l pkt
   | Wire wdelay ->
-      if wdelay > 0. then delayed t wdelay (fun () -> arrive t e.edst pkt)
+      if wdelay > 0. then begin
+        let k = take_slot t in
+        let h =
+          Engine.Runtime.after t.rt wdelay (fun () ->
+              release_slot t k;
+              arrive t e.edst pkt)
+        in
+        t.slots.(k) <- h
+      end
       else arrive t e.edst pkt
 
 (* --- construction --------------------------------------------------------- *)
+
+let check_cost name = function
+  | Some c when not (Float.is_finite c && c >= 0.) ->
+      invalid_arg
+        (Printf.sprintf "Topology.%s: cost must be finite and non-negative"
+           name)
+  | _ -> ()
 
 let register_edge t e =
   t.adj.(e.esrc) <- e :: t.adj.(e.esrc);
@@ -249,13 +396,14 @@ let register_edge t e =
 let add_link t ~src ~dst ?cost link =
   check_node t src "add_link";
   check_node t dst "add_link";
+  check_cost "add_link" cost;
   let e =
     register_edge t
       { eid = t.n_edges; esrc = src; edst = dst; kind = Queued link; cost }
   in
   Link.set_dest link (fun pkt -> arrive t dst pkt);
   (* A dropped packet is dead: forget its forwarding state. *)
-  Link.on_drop link (fun pkt -> Hashtbl.remove t.targets pkt.Packet.id);
+  Link.on_drop link (fun pkt -> Itbl.remove t.targets pkt.Packet.id);
   Link.on_state_change link (fun _ -> t.dirty <- true);
   e
 
@@ -265,10 +413,12 @@ let add_wire t ~src ~dst ?cost delay =
   (* NaN would fail [wdelay > 0.] and make the wire silently synchronous. *)
   if not (Float.is_finite delay && delay >= 0.) then
     invalid_arg "Topology.add_wire: delay must be finite and non-negative";
+  check_cost "add_wire" cost;
   register_edge t
     { eid = t.n_edges; esrc = src; edst = dst; kind = Wire delay; cost }
 
 let set_cost t e c =
+  check_cost "set_cost" (Some c);
   e.cost <- Some c;
   t.dirty <- true
 
@@ -310,7 +460,7 @@ let send t fi dir pkt =
     | `Fwd -> (fi.fsrc, fi.fdst)
     | `Bwd -> (fi.fdst, fi.fsrc)
   in
-  Hashtbl.replace t.targets pkt.Packet.id
+  Itbl.replace t.targets pkt.Packet.id
     { tnode; tflow = fi; tdir = dir; ttl = t.n_nodes };
   arrive t start pkt
 
@@ -322,28 +472,47 @@ let dst_sender t ~flow =
   let fi = find t flow in
   fun pkt -> send t fi `Bwd pkt
 
-let in_flight t = Hashtbl.length t.pending
+let in_flight t = Array.length t.slots - t.n_free
 
 let teardown t =
-  Hashtbl.iter (fun _ h -> Engine.Runtime.cancel h) t.pending;
-  Hashtbl.reset t.pending;
-  Hashtbl.reset t.targets
+  Array.iteri
+    (fun k h ->
+      if h != Engine.Runtime.null_handle then begin
+        Engine.Runtime.cancel h;
+        release_slot t k
+      end)
+    t.slots;
+  Itbl.reset t.targets
 
 (* --- routing / impact queries --------------------------------------------- *)
+
+let next_hop t ~up_only u d =
+  check_node t u "next_hop";
+  check_node t d "next_hop";
+  ensure_routes t;
+  let e = lookup t (if up_only then t.next_up else t.next_all) u d in
+  if e == no_edge then None else Some e
+
+(* [route] walks [next_up] twice, so that only its result is allocated:
+   first to check that [dst] is reached within [n_nodes] hops. *)
+let rec reaches t u dst budget =
+  u = dst
+  || budget > 0
+     &&
+     let e = lookup t t.next_up u dst in
+     e != no_edge && reaches t e.edst dst (budget - 1)
+
+let rec path t u dst =
+  if u = dst then []
+  else
+    let e = lookup t t.next_up u dst in
+    e :: path t e.edst dst
 
 let route t ~src ~dst =
   check_node t src "route";
   check_node t dst "route";
   ensure_routes t;
-  let rec walk acc u budget =
-    if u = dst then Some (List.rev acc)
-    else if budget <= 0 then None
-    else
-      match Hashtbl.find_opt t.next_up (u, dst) with
-      | None -> None
-      | Some e -> walk (e :: acc) e.edst (budget - 1)
-  in
-  walk [] src t.n_nodes
+  if reaches t src dst t.n_nodes then Some (path t src dst) else None
 
 (* Reachability over up links with one edge excised, by breadth-first
    search — the counterfactual a link failure poses. *)

@@ -14,6 +14,15 @@
     fall back to the full-graph route and blackhole at the failed link's
     ingress — identical drop accounting to a hand-wired topology.
 
+    The routing tables are two flat n × n arrays of next-hop edges, so a
+    hop reads one cell and hashes nothing. A recompute runs one binary-heap
+    Dijkstra per destination, O(n · E log n) in all, into scratch arrays
+    it reuses; only a graph that has grown since the last recompute
+    reallocates them. Adding a node does not itself trigger a recompute:
+    until the next one (after an edge is added, a link changes state, or
+    {!invalidate}) the new node has no route, and packets to or from it
+    are discarded.
+
     {!impact} answers the planning-side question a failure poses: which
     flows does losing this edge partition (no alternate path) and which
     merely re-route. *)
@@ -47,15 +56,20 @@ val n_nodes : t -> int
 (** [add_link t ~src ~dst ?cost link] adds a unidirectional queued edge
     carried by [link]. The topology takes over the link's destination
     handler and registers drop/state-change listeners; callers may still
-    add their own drop listeners and drive faults at the link. *)
+    add their own drop listeners and drive faults at the link. Raises
+    [Invalid_argument] unless [cost] is finite and non-negative. *)
 val add_link : t -> src:node -> dst:node -> ?cost:float -> Link.t -> edge
 
 (** [add_wire t ~src ~dst ?cost delay] adds a unidirectional pure-delay
     edge. With [delay = 0] the hop is traversed synchronously. Raises
-    [Invalid_argument] unless [delay] is finite and non-negative. *)
+    [Invalid_argument] unless [delay] and [cost] are finite and
+    non-negative. *)
 val add_wire : t -> src:node -> dst:node -> ?cost:float -> float -> edge
 
-(** [set_cost t e c] overrides the edge's cost and invalidates routes. *)
+(** [set_cost t e c] overrides the edge's cost and invalidates routes.
+    Raises [Invalid_argument] unless [c] is finite and non-negative: a NaN
+    cost would never relax and silently cut off the nodes behind the edge,
+    and a negative one breaks Dijkstra's precondition. *)
 val set_cost : t -> edge -> float -> unit
 
 (** Mark routing tables stale; the next packet (or query) recomputes them.
@@ -97,6 +111,13 @@ val dst_sender : t -> flow:int -> Packet.handler
 (** [route t ~src ~dst] is the current up-links-only shortest path, or
     [None] when [dst] is unreachable. *)
 val route : t -> src:node -> dst:node -> edge list option
+
+(** [next_hop t ~up_only u d] is [u]'s next hop toward [d] in the current
+    routing table: the up-links-only table when [up_only], else the one
+    that ignores link state (the fallback forwarding uses when no up path
+    remains). [None] when [u = d], when [d] is unreachable, or when either
+    node was added after the last route computation. Read-only. *)
+val next_hop : t -> up_only:bool -> node -> node -> edge option
 
 (** [impact t e] classifies every flow against the hypothetical failure of
     edge [e], in flow-id order: [Partitioned] if the flow's forward or
