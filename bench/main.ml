@@ -4,10 +4,11 @@
    parameters; pass --full for paper-scale runs, --only fig6 for one
    experiment, -j N to run each experiment's job grid on N worker domains).
    Pass --micro to run the Bechamel micro-benchmarks of the hot paths
-   instead (ALI update, RED decision, response function, full dumbbell
-   step), --speedup to emit the parallel_speedup JSON line
-   (quick `all` wall clock at -j 1 vs -j 4), or --fuzz to emit the
-   fuzz_throughput JSON line (end-to-end chaos-scenario cases/sec). *)
+   instead (ALI update, RED decision, response function), --speedup to
+   emit the parallel_speedup JSON line (quick `all` wall clock at -j 1 vs
+   -j 4), or --fuzz to emit the fuzz_throughput JSON line (end-to-end
+   chaos-scenario cases/sec). Whole-simulation throughput is measured by
+   bench/e2e. *)
 
 let micro () =
   let open Bechamel in
@@ -58,32 +59,8 @@ let micro () =
              if i mod 2 = 0 then ignore (q.Netsim.Queue_disc.dequeue ())
            done))
   in
-  let sim_test =
-    Test.make ~name:"1s dumbbell sim (1 TFRC + 1 TCP)"
-      (Staged.stage (fun () ->
-           let sim = Engine.Sim.create () in
-           let db =
-             Netsim.Dumbbell.create (Engine.Sim.runtime sim)
-               ~bandwidth:(Engine.Units.mbps 2.)
-               ~delay:0.01
-               ~queue:(Netsim.Dumbbell.Droptail_q 20)
-               ()
-           in
-           let tcp =
-             Exp.Scenario.attach_tcp db ~flow:1 ~rtt_base:0.05
-               ~config:Tcpsim.Tcp_common.ns_sack
-           in
-           Tcpsim.Tcp_sender.start tcp.tcp_sender ~at:0.;
-           let tfrc =
-             Exp.Scenario.attach_tfrc db ~flow:2 ~rtt_base:0.05
-               ~config:(Tfrc.Tfrc_config.default ())
-           in
-           Tfrc.Tfrc_sender.start tfrc.tfrc_sender ~at:0.;
-           Engine.Sim.run sim ~until:1.0))
-  in
   let tests =
-    Test.make_grouped ~name:"tfrc"
-      [ ali_test; response_test; red_test; sim_test ]
+    Test.make_grouped ~name:"tfrc" [ ali_test; response_test; red_test ]
   in
   let benchmark () =
     let instances = Instance.[ monotonic_clock ] in

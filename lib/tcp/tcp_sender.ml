@@ -1,5 +1,3 @@
-module Int_set = Set.Make (Int)
-
 type stats = {
   mutable packets_sent : int;
   mutable retransmits : int;
@@ -10,15 +8,21 @@ type stats = {
 
 type recovery = { recover : int (* highest seq outstanding at loss detection *) }
 
+(* The float state, in a record of floats only so writes store unboxed. *)
+type floats = {
+  mutable cwnd : float; (* packets *)
+  mutable ssthresh : float;
+  mutable timed_at : float; (* send time of [timed_seq] *)
+}
+
 type t = {
   rt : Engine.Runtime.t;
   config : Tcp_common.config;
   flow : int;
   transmit : Netsim.Packet.handler;
   rto : Rto.t;
+  fl : floats;
   mutable running : bool;
-  mutable cwnd : float; (* packets *)
-  mutable ssthresh : float;
   mutable snd_una : int; (* lowest unacked seq *)
   mutable snd_nxt : int; (* next seq to send (rolled back after a timeout) *)
   mutable high_water : int; (* highest seq ever sent + 1 *)
@@ -29,59 +33,31 @@ type t = {
          window reductions for one loss window). *)
   mutable dupacks : int;
   mutable recovery : recovery option;
-  mutable sacked : Int_set.t; (* seqs >= snd_una reported received *)
-  mutable rtx : Int_set.t; (* retransmitted during current recovery *)
-  mutable timing : (int * float) option;
-      (* One segment timed at a time (ns-2 style); cancelled when that
-         segment is retransmitted, so stale samples never poison the RTO
-         (Karn's algorithm). *)
+  board : Scoreboard.t; (* Sack only; left edge tracks snd_una *)
+  mutable timed_seq : int;
+      (* One segment timed at a time (ns-2 style), -1 for none; cancelled
+         when that segment is retransmitted, so stale samples never poison
+         the RTO (Karn's algorithm). *)
   mutable rto_timer : Engine.Runtime.handle;
+  mutable on_rto : unit -> unit; (* the RTO callback, built once *)
+  mutable start_timer : Engine.Runtime.handle;
   mutable limit : int option; (* total packets to transfer; None = infinite *)
   mutable on_complete : unit -> unit;
   stats : stats;
 }
 
-let create rt ~config ~flow ~transmit () =
-  {
-    rt;
-    config;
-    flow;
-    transmit;
-    rto =
-      Rto.create ~granularity:config.Tcp_common.granularity
-        ~min_rto:config.Tcp_common.min_rto ~mode:config.Tcp_common.rto_mode ();
-    running = false;
-    cwnd = config.Tcp_common.init_cwnd;
-    ssthresh = config.Tcp_common.max_cwnd;
-    snd_una = 0;
-    snd_nxt = 0;
-    high_water = 0;
-    recover_point = -1;
-    dupacks = 0;
-    recovery = None;
-    sacked = Int_set.empty;
-    rtx = Int_set.empty;
-    timing = None;
-    rto_timer = Engine.Runtime.null_handle;
-    limit = None;
-    on_complete = ignore;
-    stats =
-      {
-        packets_sent = 0;
-        retransmits = 0;
-        timeouts = 0;
-        fast_retransmits = 0;
-        window_halvings = 0;
-      };
-  }
-
 let flight t = t.snd_nxt - t.snd_una
 
 let can_send_new t =
   match t.limit with None -> true | Some l -> t.snd_nxt < l
-let window t = Float.max 1. (Float.min t.cwnd t.config.max_cwnd)
-let cwnd t = t.cwnd
-let ssthresh t = t.ssthresh
+
+(* [Float.max 1. (Float.min cwnd max_cwnd)], spelled out so the result
+   stays unboxed; it agrees with those for every non-NaN cwnd. *)
+let[@inline] window t =
+  let w = if t.config.max_cwnd > t.fl.cwnd then t.fl.cwnd else t.config.max_cwnd in
+  if w > 1. then w else 1.
+let cwnd t = t.fl.cwnd
+let ssthresh t = t.fl.ssthresh
 let stats t = t.stats
 let srtt t = Rto.srtt t.rto
 let snd_una t = t.snd_una
@@ -93,23 +69,22 @@ let in_recovery t = t.recovery <> None
 let rec set_rto_timer t =
   Engine.Runtime.cancel t.rto_timer;
   if t.running && flight t > 0 then
-    t.rto_timer <- Engine.Runtime.after t.rt (Rto.rto t.rto) (fun () -> on_timeout t)
+    t.rto_timer <- Engine.Runtime.after t.rt (Rto.rto t.rto) t.on_rto
 
 and on_timeout t =
   if t.running && flight t > 0 then begin
     t.stats.timeouts <- t.stats.timeouts + 1;
     t.recover_point <- t.high_water - 1;
     t.stats.window_halvings <- t.stats.window_halvings + 1;
-    t.ssthresh <- Float.max 2. (float_of_int (flight t) *. t.config.md);
-    t.cwnd <- 1.;
+    t.fl.ssthresh <- Float.max 2. (float_of_int (flight t) *. t.config.md);
+    t.fl.cwnd <- 1.;
     t.dupacks <- 0;
     t.recovery <- None;
-    t.rtx <- Int_set.empty;
     (* Keep nothing from the scoreboard: be conservative after a timeout. *)
-    t.sacked <- Int_set.empty;
+    Scoreboard.clear t.board;
     Rto.backoff t.rto;
     (* Karn: nothing outstanding may be sampled after a timeout. *)
-    t.timing <- None;
+    t.timed_seq <- -1;
     (* Go-back-N: slow start resends everything from the hole (BSD / ns-2
        behavior); the sink discards duplicates and the cumulative ack
        advances past every hole in one RTT per window. *)
@@ -132,62 +107,30 @@ and send_seq t seq =
   t.stats.packets_sent <- t.stats.packets_sent + 1;
   if retransmit then begin
     t.stats.retransmits <- t.stats.retransmits + 1;
-    (match t.timing with
-    | Some (s, _) when s = seq -> t.timing <- None (* Karn *)
-    | _ -> ())
+    if t.timed_seq = seq then t.timed_seq <- -1 (* Karn *)
   end
-  else if t.timing = None then
-    t.timing <- Some (seq, Engine.Runtime.now t.rt);
+  else if t.timed_seq < 0 then begin
+    t.timed_seq <- seq;
+    t.fl.timed_at <- Engine.Runtime.now t.rt
+  end;
   t.transmit pkt;
   if not (Engine.Runtime.is_pending t.rto_timer) then set_rto_timer t
 
-(* SACK loss inference, RFC 6675 style (simplified): a hole is deemed lost
-   once [dupack_thresh] sacked packets lie above it. *)
-let sacked_above t seq =
-  Int_set.fold (fun s n -> if s > seq then n + 1 else n) t.sacked 0
-
-let deemed_lost t seq = sacked_above t seq >= t.config.dupack_thresh
-
-(* Conservative pipe estimate: packets sent but presumed still in the
-   network — not sacked and (not deemed lost or retransmitted since). *)
-let pipe t =
-  let n = ref 0 in
-  for seq = t.snd_una to t.snd_nxt - 1 do
-    if Int_set.mem seq t.sacked then ()
-    else if deemed_lost t seq then begin
-      if Int_set.mem seq t.rtx then incr n
-    end
-    else incr n
-  done;
-  !n
-
-(* First hole eligible for SACK retransmission. *)
-let next_hole t =
-  let rec scan seq =
-    if seq >= t.snd_nxt then None
-    else if
-      (not (Int_set.mem seq t.sacked))
-      && (not (Int_set.mem seq t.rtx))
-      && deemed_lost t seq
-    then Some seq
-    else scan (seq + 1)
-  in
-  scan t.snd_una
-
 let rec sack_output t =
-  if t.running && pipe t < int_of_float (window t) then begin
-    match next_hole t with
-    | Some seq ->
-        t.rtx <- Int_set.add seq t.rtx;
-        send_seq t seq;
-        sack_output t
-    | None ->
-        if float_of_int (flight t) < window t && can_send_new t then begin
-          let seq = t.snd_nxt in
-          t.snd_nxt <- t.snd_nxt + 1;
-          send_seq t seq;
-          sack_output t
-        end
+  if t.running && Scoreboard.pipe t.board ~snd_nxt:t.snd_nxt < int_of_float (window t)
+  then begin
+    let seq = Scoreboard.next_hole t.board ~snd_nxt:t.snd_nxt in
+    if seq >= 0 then begin
+      Scoreboard.mark_rtx t.board seq;
+      send_seq t seq;
+      sack_output t
+    end
+    else if float_of_int (flight t) < window t && can_send_new t then begin
+      let seq = t.snd_nxt in
+      t.snd_nxt <- t.snd_nxt + 1;
+      send_seq t seq;
+      sack_output t
+    end
   end
 
 let maybe_send t =
@@ -204,19 +147,20 @@ let maybe_send t =
 (* --- congestion window updates ------------------------------------------- *)
 
 let open_window t =
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1. (* slow start *)
-  else t.cwnd <- t.cwnd +. (t.config.ai /. t.cwnd) (* AIMD(a, b): +a/RTT *);
-  if t.cwnd > t.config.max_cwnd then t.cwnd <- t.config.max_cwnd
+  let fl = t.fl in
+  if fl.cwnd < fl.ssthresh then fl.cwnd <- fl.cwnd +. 1. (* slow start *)
+  else fl.cwnd <- fl.cwnd +. (t.config.ai /. fl.cwnd) (* AIMD(a, b): +a/RTT *);
+  if fl.cwnd > t.config.max_cwnd then fl.cwnd <- t.config.max_cwnd
 
 let enter_loss_recovery t =
   t.stats.fast_retransmits <- t.stats.fast_retransmits + 1;
   t.stats.window_halvings <- t.stats.window_halvings + 1;
-  t.ssthresh <- Float.max 2. (float_of_int (flight t) *. t.config.md);
+  t.fl.ssthresh <- Float.max 2. (float_of_int (flight t) *. t.config.md);
   let recover = t.snd_nxt - 1 in
   t.recover_point <- t.high_water - 1;
   (match t.config.variant with
   | Tcp_common.Tahoe ->
-      t.cwnd <- 1.;
+      t.fl.cwnd <- 1.;
       t.recovery <- None;
       t.dupacks <- 0;
       (* Tahoe slow-starts from the hole (go-back-N). *)
@@ -225,43 +169,30 @@ let enter_loss_recovery t =
       t.snd_nxt <- t.snd_una + 1
   | Tcp_common.Reno | Tcp_common.Newreno ->
       t.recovery <- Some { recover };
-      t.cwnd <- t.ssthresh +. float_of_int t.config.dupack_thresh;
+      t.fl.cwnd <- t.fl.ssthresh +. float_of_int t.config.dupack_thresh;
       send_seq t t.snd_una
   | Tcp_common.Sack ->
       t.recovery <- Some { recover };
-      t.cwnd <- t.ssthresh;
-      t.rtx <- Int_set.add t.snd_una t.rtx;
+      t.fl.cwnd <- t.fl.ssthresh;
+      Scoreboard.mark_rtx t.board t.snd_una;
       send_seq t t.snd_una;
       sack_output t);
   set_rto_timer t
 
 (* --- ack processing ------------------------------------------------------ *)
 
-let note_sack t blocks =
-  List.iter
-    (fun (lo, hi) ->
-      for seq = lo to hi - 1 do
-        if seq >= t.snd_una then t.sacked <- Int_set.add seq t.sacked
-      done)
-    blocks
-
 let sample_rtt t ~ack =
-  match t.timing with
-  | Some (seq, sent) when ack > seq ->
-      Rto.sample t.rto (Engine.Runtime.now t.rt -. sent);
-      Rto.reset_backoff t.rto;
-      t.timing <- None
-  | _ -> ()
-
-let prune_scoreboard t =
-  t.sacked <- Int_set.filter (fun s -> s >= t.snd_una) t.sacked;
-  t.rtx <- Int_set.filter (fun s -> s >= t.snd_una) t.rtx
+  if t.timed_seq >= 0 && ack > t.timed_seq then begin
+    Rto.sample t.rto (Engine.Runtime.now t.rt -. t.fl.timed_at);
+    Rto.reset_backoff t.rto;
+    t.timed_seq <- -1
+  end
 
 let exit_recovery t =
-  t.cwnd <- t.ssthresh;
+  t.fl.cwnd <- t.fl.ssthresh;
   t.recovery <- None;
   t.dupacks <- 0;
-  t.rtx <- Int_set.empty
+  Scoreboard.clear_rtx t.board
 
 let on_new_ack t ~ack =
   let old_una = t.snd_una in
@@ -272,7 +203,7 @@ let on_new_ack t ~ack =
      behavior); without this a flow whose timed segment was lost can stay
      locked out behind a full DropTail queue for minutes. *)
   Rto.reset_backoff t.rto;
-  prune_scoreboard t;
+  Scoreboard.advance t.board ack;
   (match t.recovery with
   | Some { recover } ->
       if ack > recover then exit_recovery t
@@ -287,12 +218,11 @@ let on_new_ack t ~ack =
         | Tcp_common.Newreno ->
             (* Retransmit the next hole, partial window deflation. *)
             let acked = float_of_int (ack - old_una) in
-            t.cwnd <- Float.max t.ssthresh (t.cwnd -. acked +. 1.);
+            t.fl.cwnd <- Float.max t.fl.ssthresh (t.fl.cwnd -. acked +. 1.);
             t.dupacks <- 0;
             send_seq t t.snd_una;
             set_rto_timer t
         | Tcp_common.Sack ->
-            t.rtx <- Int_set.remove old_una t.rtx;
             sack_output t;
             set_rto_timer t
         | Tcp_common.Tahoe -> ()
@@ -311,7 +241,7 @@ let on_dupack t =
       match t.config.variant with
       | Tcp_common.Reno | Tcp_common.Newreno ->
           (* Window inflation: each dupack signals a departure. *)
-          t.cwnd <- t.cwnd +. 1.;
+          t.fl.cwnd <- t.fl.cwnd +. 1.;
           maybe_send t
       | Tcp_common.Sack -> sack_output t
       | Tcp_common.Tahoe -> ())
@@ -338,8 +268,8 @@ let check_complete t =
 let on_ece t =
   if t.snd_una > t.recover_point then begin
     t.stats.window_halvings <- t.stats.window_halvings + 1;
-    t.ssthresh <- Float.max 2. (float_of_int (flight t) *. t.config.md);
-    t.cwnd <- t.ssthresh;
+    t.fl.ssthresh <- Float.max 2. (float_of_int (flight t) *. t.config.md);
+    t.fl.cwnd <- t.fl.ssthresh;
     t.recover_point <- t.high_water - 1
   end
 
@@ -349,7 +279,8 @@ let recv t (pkt : Netsim.Packet.t) =
   | Tcp_ack { ack; sack; ece } ->
       if t.running then begin
         if ece && t.config.ecn then on_ece t;
-        note_sack t sack;
+        (* Only the Sack variant reads the scoreboard. *)
+        if t.config.variant = Tcp_common.Sack then Scoreboard.note_sack t.board sack;
         if ack > t.snd_una then begin
           on_new_ack t ~ack;
           check_complete t
@@ -358,15 +289,57 @@ let recv t (pkt : Netsim.Packet.t) =
       end
   | Data | Tfrc_data _ | Tfrc_feedback _ -> ()
 
-let recv t = recv t
+let create rt ~config ~flow ~transmit () =
+  let t =
+    {
+      rt;
+      config;
+      flow;
+      transmit;
+      rto =
+        Rto.create ~granularity:config.Tcp_common.granularity
+          ~min_rto:config.Tcp_common.min_rto ~mode:config.Tcp_common.rto_mode ();
+      fl =
+        {
+          cwnd = config.Tcp_common.init_cwnd;
+          ssthresh = config.Tcp_common.max_cwnd;
+          timed_at = 0.;
+        };
+      running = false;
+      snd_una = 0;
+      snd_nxt = 0;
+      high_water = 0;
+      recover_point = -1;
+      dupacks = 0;
+      recovery = None;
+      board = Scoreboard.create ~dupack_thresh:config.Tcp_common.dupack_thresh;
+      timed_seq = -1;
+      rto_timer = Engine.Runtime.null_handle;
+      on_rto = ignore;
+      start_timer = Engine.Runtime.null_handle;
+      limit = None;
+      on_complete = ignore;
+      stats =
+        {
+          packets_sent = 0;
+          retransmits = 0;
+          timeouts = 0;
+          fast_retransmits = 0;
+          window_halvings = 0;
+        };
+    }
+  in
+  t.on_rto <- (fun () -> on_timeout t);
+  t
 
 let start t ~at =
-  ignore
-    (Engine.Runtime.at t.rt at (fun () ->
-         t.running <- true;
-         maybe_send t))
+  t.start_timer <-
+    Engine.Runtime.at t.rt at (fun () ->
+        t.running <- true;
+        maybe_send t)
 
 let stop t =
+  Engine.Runtime.cancel t.start_timer;
   t.running <- false;
   Engine.Runtime.cancel t.rto_timer
 

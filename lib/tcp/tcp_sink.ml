@@ -1,12 +1,10 @@
-module Int_set = Set.Make (Int)
-
 type t = {
   rt : Engine.Runtime.t;
   config : Tcp_common.config;
   flow : int;
   transmit : Netsim.Packet.handler;
   mutable next_expected : int;
-  mutable ooo : Int_set.t; (* out-of-order packets above next_expected *)
+  ooo : Seq_window.t; (* out-of-order packets; left edge next_expected *)
   mutable last_arrival : int; (* most recently arrived seq, for SACK order *)
   mutable packets : int;
   mutable bytes : int;
@@ -22,7 +20,7 @@ let create rt ~config ~flow ~transmit () =
     flow;
     transmit;
     next_expected = 0;
-    ooo = Int_set.empty;
+    ooo = Seq_window.create ();
     last_arrival = -1;
     packets = 0;
     bytes = 0;
@@ -31,31 +29,6 @@ let create rt ~config ~flow ~transmit () =
     ce_pending = false;
   }
 
-(* Contiguous ranges of the out-of-order set, as half-open [lo, hi). *)
-let ranges set =
-  Int_set.fold
-    (fun s acc ->
-      match acc with
-      | (lo, hi) :: rest when s = hi -> (lo, s + 1) :: rest
-      | _ -> (s, s + 1) :: acc)
-    set []
-  |> List.rev
-
-let sack_blocks t =
-  let rs = ranges t.ooo in
-  (* Most recent arrival's block first (RFC 2018), then the rest in
-     descending order of lo. *)
-  let contains (lo, hi) = t.last_arrival >= lo && t.last_arrival < hi in
-  let recent, others = List.partition contains rs in
-  let others = List.sort (fun (a, _) (b, _) -> compare b a) others in
-  let blocks = recent @ others in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  take 3 blocks
-
 let send_ack t =
   t.unacked <- 0;
   Engine.Runtime.cancel t.delack_timer;
@@ -63,7 +36,13 @@ let send_ack t =
     Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.next_expected ~size:t.config.ack_size
       ~now:(Engine.Runtime.now t.rt)
       (Netsim.Packet.Tcp_ack
-         { ack = t.next_expected; sack = sack_blocks t; ece = t.ce_pending })
+         {
+           ack = t.next_expected;
+           (* Most recent arrival's block first (RFC 2018), then the rest
+              in descending order. *)
+           sack = Seq_window.blocks t.ooo ~recent:t.last_arrival ~max:3;
+           ece = t.ce_pending;
+         })
   in
   t.ce_pending <- false;
   t.transmit pkt
@@ -79,15 +58,15 @@ let recv t (pkt : Netsim.Packet.t) =
       let in_order = pkt.seq = t.next_expected in
       if in_order then begin
         t.next_expected <- t.next_expected + 1;
-        while Int_set.mem t.next_expected t.ooo do
-          t.ooo <- Int_set.remove t.next_expected t.ooo;
+        while Seq_window.mem t.ooo t.next_expected do
           t.next_expected <- t.next_expected + 1
-        done
+        done;
+        Seq_window.advance t.ooo t.next_expected
       end
-      else if pkt.seq > t.next_expected then t.ooo <- Int_set.add pkt.seq t.ooo;
+      else if pkt.seq > t.next_expected then Seq_window.add t.ooo pkt.seq;
       (* Immediate ack on any gap/out-of-order or when delack is off;
          otherwise ack every second segment or on timer. *)
-      let gap = (not in_order) || not (Int_set.is_empty t.ooo) in
+      let gap = (not in_order) || Seq_window.cardinal t.ooo > 0 in
       if (not t.config.delack) || gap then send_ack t
       else begin
         t.unacked <- t.unacked + 1;
@@ -99,7 +78,6 @@ let recv t (pkt : Netsim.Packet.t) =
       end
   | Tcp_ack _ | Tfrc_feedback _ -> ()
 
-let recv t = recv t
 let packets_received t = t.packets
 let bytes_received t = t.bytes
 let next_expected t = t.next_expected

@@ -338,6 +338,14 @@ let test_sender_stop () =
   Alcotest.(check int) "no sends after stop" sent
     (Tcpsim.Tcp_sender.stats h.sender).packets_sent
 
+let test_sender_stop_before_start () =
+  let h = wire ~drop:(fun _ -> false) () in
+  Tcpsim.Tcp_sender.start h.sender ~at:1.;
+  ignore (Engine.Sim.at h.sim 0.1 (fun () -> Tcpsim.Tcp_sender.stop h.sender));
+  Engine.Sim.run h.sim ~until:5.;
+  Alcotest.(check int) "a sender stopped before its start never sends" 0
+    (Tcpsim.Tcp_sender.stats h.sender).packets_sent
+
 (* Each variant must fill a clean pipe. *)
 let test_variant_throughput variant () =
   let config = Tcpsim.Tcp_common.default ~variant ~max_cwnd:64. () in
@@ -369,6 +377,331 @@ let test_srtt_measured () =
         true
         (Float.abs (srtt -. 0.08) < 0.01)
   | None -> Alcotest.fail "no srtt"
+
+(* --- Seq_window ------------------------------------------------------- *)
+
+let window_members w =
+  List.filter (Tcpsim.Seq_window.mem w)
+    (List.init
+       (Tcpsim.Seq_window.top w - Tcpsim.Seq_window.base w + 2)
+       (fun i -> Tcpsim.Seq_window.base w - 1 + i))
+
+let test_window_add_advance () =
+  let w = Tcpsim.Seq_window.create () in
+  Alcotest.(check int) "no ring before the first add" 0
+    (Tcpsim.Seq_window.capacity w);
+  List.iter (Tcpsim.Seq_window.add w) [ 3; 5; 5; 9 ];
+  Alcotest.(check (list int)) "members" [ 3; 5; 9 ] (window_members w);
+  Alcotest.(check int) "cardinal counts distinct seqs" 3
+    (Tcpsim.Seq_window.cardinal w);
+  Alcotest.(check int) "top" 10 (Tcpsim.Seq_window.top w);
+  Tcpsim.Seq_window.advance w 6;
+  Tcpsim.Seq_window.add w 4;
+  Alcotest.(check (list int)) "below the edge: dropped and ignored" [ 9 ]
+    (window_members w);
+  Tcpsim.Seq_window.advance w 12;
+  Alcotest.(check int) "empty" 0 (Tcpsim.Seq_window.cardinal w);
+  Alcotest.(check int) "top follows the edge when empty" 12
+    (Tcpsim.Seq_window.top w);
+  Tcpsim.Seq_window.add w 13;
+  Tcpsim.Seq_window.clear w;
+  Alcotest.(check (list int)) "cleared" [] (window_members w);
+  Alcotest.(check int) "clear keeps the edge" 12 (Tcpsim.Seq_window.base w)
+
+let test_window_growth () =
+  let w = Tcpsim.Seq_window.create () in
+  Tcpsim.Seq_window.advance w 1000;
+  List.iter (Tcpsim.Seq_window.add w) [ 1000; 1063; 1064; 1300 ];
+  Alcotest.(check int) "doubled to hold 300 past the edge" 512
+    (Tcpsim.Seq_window.capacity w);
+  Alcotest.(check (list int)) "members survive growth" [ 1000; 1063; 1064; 1300 ]
+    (window_members w);
+  (* Wrap around the ring many times: slots left behind must read empty. *)
+  for seq = 1001 to 5000 do
+    Tcpsim.Seq_window.advance w seq;
+    Tcpsim.Seq_window.add w (seq + 100)
+  done;
+  Alcotest.(check int) "no further growth" 512 (Tcpsim.Seq_window.capacity w);
+  Alcotest.(check (list int)) "only the adds at or above the edge remain"
+    (List.init 101 (fun i -> 5000 + i))
+    (window_members w)
+
+let test_window_blocks () =
+  let w = Tcpsim.Seq_window.create () in
+  List.iter (Tcpsim.Seq_window.add w) [ 2; 3; 5; 8; 9; 10; 12 ];
+  let blocks = Alcotest.(list (pair int int)) in
+  Alcotest.check blocks "recent run first, then descending"
+    [ (5, 6); (12, 13); (8, 11) ]
+    (Tcpsim.Seq_window.blocks w ~recent:5 ~max:3);
+  Alcotest.check blocks "recent not a member"
+    [ (12, 13); (8, 11); (5, 6); (2, 4) ]
+    (Tcpsim.Seq_window.blocks w ~recent:7 ~max:10);
+  Alcotest.check blocks "max 1" [ (8, 11) ]
+    (Tcpsim.Seq_window.blocks w ~recent:9 ~max:1)
+
+(* --- Differential: ring scoreboards against the set reference ---------- *)
+
+(* Scoreboard ops as the sender issues them. Offsets are relative to
+   snd_una; SACK blocks may reach below it or past everything sent. *)
+type board_op =
+  | Send of int  (** new packets past snd_nxt *)
+  | Sack of (int * int) list  (** (offset from snd_una, length) blocks *)
+  | Ack of int  (** cumulative ack advancing by this much, up to high water *)
+  | Timeout
+  | Exit_recovery
+  | Retransmit  (** mark the next hole retransmitted *)
+  | Retransmit_una
+
+let print_board_op = function
+  | Send k -> Printf.sprintf "Send %d" k
+  | Sack bs ->
+      Printf.sprintf "Sack [%s]"
+        (String.concat "; "
+           (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) bs))
+  | Ack k -> Printf.sprintf "Ack %d" k
+  | Timeout -> "Timeout"
+  | Exit_recovery -> "Exit_recovery"
+  | Retransmit -> "Retransmit"
+  | Retransmit_una -> "Retransmit_una"
+
+let gen_board_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map (fun k -> Send k) (int_range 1 40));
+      ( 5,
+        map
+          (fun bs -> Sack bs)
+          (list_size (int_range 1 3)
+             (pair (int_range (-10) 120) (int_range (-2) 8))) );
+      (3, map (fun k -> Ack k) (int_range 1 12));
+      (1, return Timeout);
+      (1, return Exit_recovery);
+      (3, return Retransmit);
+      (1, return Retransmit_una);
+    ]
+
+(* Runs [ops] through both scoreboards, comparing pipe, next_hole and
+   deemed_lost (over the whole window and a margin) after every op.
+   Returns the highest offset from snd_una of a seq sacked in-window; 64
+   or more means the ring grew past its first 64 slots. *)
+let run_board_diff ~dupack_thresh ops =
+  let board = Tcpsim.Scoreboard.create ~dupack_thresh in
+  let ref_board = Ref_scoreboard.create ~dupack_thresh in
+  let snd_nxt = ref 0 and high_water = ref 0 and span = ref 0 in
+  let compare_at step op =
+    let fail what got want =
+      QCheck.Test.fail_reportf "dupack_thresh %d, step %d (%s): %s = %s, reference %s"
+        dupack_thresh step (print_board_op op) what got want
+    in
+    let una = Ref_scoreboard.snd_una ref_board in
+    if Tcpsim.Scoreboard.snd_una board <> una then
+      fail "snd_una" (string_of_int (Tcpsim.Scoreboard.snd_una board))
+        (string_of_int una);
+    let p = Tcpsim.Scoreboard.pipe board ~snd_nxt:!snd_nxt
+    and rp = Ref_scoreboard.pipe ref_board ~snd_nxt:!snd_nxt in
+    if p <> rp then fail "pipe" (string_of_int p) (string_of_int rp);
+    let h = Tcpsim.Scoreboard.next_hole board ~snd_nxt:!snd_nxt in
+    let rh =
+      Option.value ~default:(-1) (Ref_scoreboard.next_hole ref_board ~snd_nxt:!snd_nxt)
+    in
+    if h <> rh then fail "next_hole" (string_of_int h) (string_of_int rh);
+    for seq = una - 3 to !high_water + 130 do
+      let l = Tcpsim.Scoreboard.deemed_lost board seq
+      and rl = Ref_scoreboard.deemed_lost ref_board seq in
+      if l <> rl then
+        fail (Printf.sprintf "deemed_lost %d" seq) (string_of_bool l)
+          (string_of_bool rl)
+    done
+  in
+  List.iteri
+    (fun step op ->
+      let una = Ref_scoreboard.snd_una ref_board in
+      (match op with
+      | Send k ->
+          snd_nxt := !snd_nxt + k;
+          high_water := max !high_water !snd_nxt
+      | Sack bs ->
+          let blocks = List.map (fun (o, l) -> (una + o, una + o + l)) bs in
+          List.iter
+            (fun (lo, hi) -> if hi > max lo una then span := max !span (hi - 1 - una))
+            blocks;
+          Tcpsim.Scoreboard.note_sack board blocks;
+          Ref_scoreboard.note_sack ref_board blocks
+      | Ack k ->
+          let ack = min !high_water (una + k) in
+          if ack > una then begin
+            Tcpsim.Scoreboard.advance board ack;
+            Ref_scoreboard.advance ref_board ack;
+            snd_nxt := max !snd_nxt ack
+          end
+      | Timeout ->
+          Tcpsim.Scoreboard.clear board;
+          Ref_scoreboard.clear ref_board;
+          snd_nxt := una
+      | Exit_recovery ->
+          Tcpsim.Scoreboard.clear_rtx board;
+          Ref_scoreboard.clear_rtx ref_board
+      | Retransmit -> (
+          match Ref_scoreboard.next_hole ref_board ~snd_nxt:!snd_nxt with
+          | Some seq ->
+              Tcpsim.Scoreboard.mark_rtx board seq;
+              Ref_scoreboard.mark_rtx ref_board seq
+          | None -> ())
+      | Retransmit_una ->
+          if !snd_nxt > una then begin
+            Tcpsim.Scoreboard.mark_rtx board una;
+            Ref_scoreboard.mark_rtx ref_board una
+          end);
+      compare_at step op)
+    ops;
+  !span
+
+let prop_scoreboard_matches_reference =
+  let gen =
+    QCheck.Gen.(pair (oneofl [ 0; 1; 3 ]) (list_size (int_range 1 80) gen_board_op))
+  in
+  let print (d, ops) =
+    Printf.sprintf "dupack_thresh %d: [%s]" d
+      (String.concat "; " (List.map print_board_op ops))
+  in
+  QCheck.Test.make ~count:500 ~name:"Scoreboard matches the set reference"
+    (QCheck.make ~print gen) (fun (dupack_thresh, ops) ->
+      ignore (run_board_diff ~dupack_thresh ops);
+      true)
+
+(* The random walk reaches every threshold and sacks past the initial 64
+   slots; pin that on a fixed seed so a generator change cannot lose it. *)
+let test_scoreboard_diff_coverage () =
+  let rand = Random.State.make [| 18 |] in
+  List.iter
+    (fun dupack_thresh ->
+      let widest = ref 0 in
+      for _ = 1 to 50 do
+        let ops =
+          QCheck.Gen.(generate1 ~rand (list_size (int_range 40 80) gen_board_op))
+        in
+        widest := max !widest (run_board_diff ~dupack_thresh ops)
+      done;
+      if !widest < 64 then
+        Alcotest.failf "dupack_thresh %d: highest sacked offset %d never grew the ring"
+          dupack_thresh !widest)
+    [ 0; 1; 3 ]
+
+(* The sink's acks against the set reference: random arrivals around
+   next_expected (duplicates, in-order fills, far out-of-order seqs). *)
+let prop_sink_blocks_match_reference =
+  let gen = QCheck.Gen.(list_size (int_range 1 120) (int_range (-4) 90)) in
+  let print offs = String.concat " " (List.map string_of_int offs) in
+  QCheck.Test.make ~count:500 ~name:"sink acks match the set reference"
+    (QCheck.make ~print gen) (fun offsets ->
+      let _, sink, acks = sink_harness () in
+      let next = ref 0 and ooo = ref [] in
+      List.iteri
+        (fun step off ->
+          let seq = max 0 (!next + off) in
+          Tcpsim.Tcp_sink.recv sink (mk_data ~seq);
+          if seq = !next then begin
+            incr next;
+            while List.mem !next !ooo do
+              incr next
+            done;
+            ooo := List.filter (fun s -> s >= !next) !ooo
+          end
+          else if seq > !next && not (List.mem seq !ooo) then ooo := seq :: !ooo;
+          let want = (!next, Ref_scoreboard.sack_blocks !ooo ~last_arrival:seq) in
+          match !acks with
+          | got :: _ when got = want -> ()
+          | (a, blocks) :: _ ->
+              let show bs =
+                String.concat ""
+                  (List.map (fun (lo, hi) -> Printf.sprintf "[%d,%d)" lo hi) bs)
+              in
+              QCheck.Test.fail_reportf
+                "step %d (seq %d): ack %d %s, reference ack %d %s" step seq a
+                (show blocks) (fst want) (show (snd want))
+          | [] -> QCheck.Test.fail_reportf "step %d: no ack" step)
+        offsets;
+      true)
+
+(* --- Allocation budgets ------------------------------------------------ *)
+
+(* Minor words allocated by [f ()], less what reading the counter costs. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  w2 -. w1 -. (w1 -. w0)
+
+let ack ?(sack = []) rt n =
+  Netsim.Packet.make rt ~flow:1 ~seq:n ~size:40 ~now:0.
+    (Netsim.Packet.Tcp_ack { ack = n; sack; ece = false })
+
+(* A partial ack carrying a SACK block in Sack recovery sends one hole
+   retransmission and re-arms the RTO twice. That is the 10-word packet and
+   the 2-word [Some ecn] it is built with, plus per re-arm the 11-word
+   timer (see test_engine) and [Rto.rto]'s two float boxes. The scoreboard
+   allocates nothing. *)
+let sender_recovery_ack_words = 42.
+
+(* An out-of-order segment's ack with three SACK blocks: the 10-word
+   packet, the 4-word [Tcp_ack] payload and 6 words per block (a pair and
+   a cons cell). *)
+let sink_ooo_ack_words = 32.
+
+let test_sender_recovery_ack_budget () =
+  let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
+  let sent = ref 0 in
+  let config = Tcpsim.Tcp_common.default ~init_cwnd:40. () in
+  let sender =
+    Tcpsim.Tcp_sender.create rt ~config ~flow:1 ~transmit:(fun _ -> incr sent) ()
+  in
+  Tcpsim.Tcp_sender.start sender ~at:0.;
+  Engine.Sim.run sim ~until:0.001;
+  (* seqs 0..39 are out; 0 and 20 are lost, the rest arrive. Three SACKed
+     dupacks put the sender in recovery. *)
+  List.iter
+    (fun hi -> Tcpsim.Tcp_sender.recv sender (ack rt 0 ~sack:[ (1, hi) ]))
+    [ 2; 3; 4 ];
+  Alcotest.(check bool) "in recovery" true (Tcpsim.Tcp_sender.in_recovery sender);
+  List.iter
+    (fun hi -> Tcpsim.Tcp_sender.recv sender (ack rt 0 ~sack:[ (1, hi) ]))
+    (List.init 16 (fun i -> 5 + i));
+  (* The retransmitted 0 arrives: a partial ack up to the other hole. *)
+  let partial = ack rt 20 ~sack:[ (21, 40) ] in
+  let before = !sent in
+  let words =
+    minor_words_of (fun () -> Tcpsim.Tcp_sender.recv sender partial)
+  in
+  Alcotest.(check int) "one hole retransmitted" 1 (!sent - before);
+  Alcotest.(check bool) "still in recovery" true
+    (Tcpsim.Tcp_sender.in_recovery sender);
+  if words > sender_recovery_ack_words then
+    Alcotest.failf "recovery ack: %.0f minor words (bound %.0f)" words
+      sender_recovery_ack_words
+
+let test_sink_ooo_budget () =
+  let sim = Engine.Sim.create () in
+  let last_ack = ref (mk_data ~seq:(-1)) in
+  let sink =
+    Tcpsim.Tcp_sink.create (Engine.Sim.runtime sim)
+      ~config:(Tcpsim.Tcp_common.default ()) ~flow:1
+      ~transmit:(fun pkt -> last_ack := pkt)
+      ()
+  in
+  List.iter (fun seq -> Tcpsim.Tcp_sink.recv sink (mk_data ~seq)) [ 0; 2; 4; 6 ];
+  let pkt = mk_data ~seq:8 in
+  let words = minor_words_of (fun () -> Tcpsim.Tcp_sink.recv sink pkt) in
+  (match !last_ack.payload with
+  | Tcp_ack { ack = 1; sack; _ } ->
+      Alcotest.(check (list (pair int int)))
+        "three blocks" [ (8, 9); (6, 7); (4, 5) ] sack
+  | _ -> Alcotest.fail "no dupack for the out-of-order segment");
+  if words > sink_ooo_ack_words then
+    Alcotest.failf "out-of-order ack: %.0f minor words (bound %.0f)" words
+      sink_ooo_ack_words
 
 let () =
   Alcotest.run "tcp"
@@ -410,7 +743,28 @@ let () =
           Alcotest.test_case "respects limit" `Quick test_sender_respects_limit;
           Alcotest.test_case "limit with loss" `Quick test_sender_limit_with_loss;
           Alcotest.test_case "stop" `Quick test_sender_stop;
+          Alcotest.test_case "stop before start" `Quick
+            test_sender_stop_before_start;
           Alcotest.test_case "srtt measured" `Quick test_srtt_measured;
+        ] );
+      ( "seq_window",
+        [
+          Alcotest.test_case "add / advance / clear" `Quick test_window_add_advance;
+          Alcotest.test_case "growth and wrap" `Quick test_window_growth;
+          Alcotest.test_case "sack block order" `Quick test_window_blocks;
+        ] );
+      ( "scoreboard",
+        [
+          QCheck_alcotest.to_alcotest prop_scoreboard_matches_reference;
+          Alcotest.test_case "differential covers growth" `Quick
+            test_scoreboard_diff_coverage;
+          QCheck_alcotest.to_alcotest prop_sink_blocks_match_reference;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "sender recovery ack" `Quick
+            test_sender_recovery_ack_budget;
+          Alcotest.test_case "sink out-of-order ack" `Quick test_sink_ooo_budget;
         ] );
       ( "variants",
         [
