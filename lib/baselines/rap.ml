@@ -13,6 +13,7 @@ type t = {
   mutable last_decrease : float;
   mutable loss_events : int;
   mutable last_ack_at : float;
+  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
@@ -31,6 +32,7 @@ let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
     last_decrease = -1e9;
     loss_events = 0;
     last_ack_at = 0.;
+    start_timer = Engine.Runtime.null_handle;
   }
 
 let s_bytes t = float_of_int t.pkt_size
@@ -100,14 +102,16 @@ let recv t (pkt : Netsim.Packet.t) =
 let recv t = recv t
 
 let start t ~at =
-  ignore
-    (Engine.Runtime.at t.rt at (fun () ->
-         t.running <- true;
-         t.last_ack_at <- Engine.Runtime.now t.rt;
-         send_loop t;
-         increase_loop t))
+  t.start_timer <-
+    Engine.Runtime.at t.rt at (fun () ->
+        t.running <- true;
+        t.last_ack_at <- Engine.Runtime.now t.rt;
+        send_loop t;
+        increase_loop t)
 
-let stop t = t.running <- false
+let stop t =
+  Engine.Runtime.cancel t.start_timer;
+  t.running <- false
 let rate t = t.rate
 let packets_sent t = t.seq
 let loss_events t = t.loss_events

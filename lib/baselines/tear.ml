@@ -8,6 +8,7 @@ module Sender = struct
     mutable rtt : float;
     mutable running : bool;
     mutable seq : int;
+    mutable start_timer : Engine.Runtime.handle;
   }
 
   let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
@@ -20,6 +21,7 @@ module Sender = struct
       rtt = initial_rtt;
       running = false;
       seq = 0;
+      start_timer = Engine.Runtime.null_handle;
     }
 
   let rec send_loop t =
@@ -52,12 +54,15 @@ module Sender = struct
   let recv t = recv t
 
   let start t ~at =
-    ignore
-      (Engine.Runtime.at t.rt at (fun () ->
-           t.running <- true;
-           send_loop t))
+    t.start_timer <-
+      Engine.Runtime.at t.rt at (fun () ->
+          t.running <- true;
+          send_loop t)
 
-  let stop t = t.running <- false
+  let stop t =
+    Engine.Runtime.cancel t.start_timer;
+    t.running <- false
+
   let rate t = t.rate
   let packets_sent t = t.seq
 end

@@ -16,6 +16,7 @@ type t = {
   (* Per-epoch accounting. *)
   mutable epoch_echoes : int;
   mutable epoch_holes : int;
+  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ?(update_interval = 0.5)
@@ -37,6 +38,7 @@ let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ?(update_interval = 0.5)
     p = 0.;
     epoch_echoes = 0;
     epoch_holes = 0;
+    start_timer = Engine.Runtime.null_handle;
   }
 
 let s_bytes t = float_of_int t.pkt_size
@@ -101,14 +103,16 @@ let recv t (pkt : Netsim.Packet.t) =
 let recv t = recv t
 
 let start t ~at =
-  ignore
-    (Engine.Runtime.at t.rt at (fun () ->
-         t.running <- true;
-         send_loop t;
-         ignore
-           (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t))))
+  t.start_timer <-
+    Engine.Runtime.at t.rt at (fun () ->
+        t.running <- true;
+        send_loop t;
+        ignore
+          (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t)))
 
-let stop t = t.running <- false
+let stop t =
+  Engine.Runtime.cancel t.start_timer;
+  t.running <- false
 let rate t = t.rate
 let loss_estimate t = t.p
 let packets_sent t = t.seq

@@ -17,6 +17,7 @@ type t = {
   mutable app_limit : float option; (* application ceiling on the pace, bytes/s *)
   mutable send_timer : Engine.Runtime.handle;
   mutable nofb_timer : Engine.Runtime.handle;
+  mutable start_timer : Engine.Runtime.handle;
   mutable listeners : (float -> rate:float -> rtt:float -> p:float -> unit) list;
 }
 
@@ -44,6 +45,7 @@ let create rt ~config ~flow ~transmit () =
     app_limit = None;
     send_timer = Engine.Runtime.null_handle;
     nofb_timer = Engine.Runtime.null_handle;
+    start_timer = Engine.Runtime.null_handle;
     listeners = [];
   }
 
@@ -218,22 +220,23 @@ let recv t (pkt : Netsim.Packet.t) =
 let recv t = recv t
 
 let start t ~at =
-  ignore
-    (Engine.Runtime.at t.rt at (fun () ->
-         t.running <- true;
-         if tracing t then
-           trace_ev t "start"
-             [
-               ("rate", Engine.Trace.Float t.rate);
-               ("s", Engine.Trace.Float (s_bytes t));
-               ("min_rate", Engine.Trace.Float t.config.Tfrc_config.min_rate);
-               ("rv", Engine.Trace.Bool t.config.Tfrc_config.rate_validation);
-               ("t_mbi", Engine.Trace.Float t.config.Tfrc_config.t_mbi);
-             ];
-         send_packet t;
-         restart_nofb_timer t))
+  t.start_timer <-
+    Engine.Runtime.at t.rt at (fun () ->
+        t.running <- true;
+        if tracing t then
+          trace_ev t "start"
+            [
+              ("rate", Engine.Trace.Float t.rate);
+              ("s", Engine.Trace.Float (s_bytes t));
+              ("min_rate", Engine.Trace.Float t.config.Tfrc_config.min_rate);
+              ("rv", Engine.Trace.Bool t.config.Tfrc_config.rate_validation);
+              ("t_mbi", Engine.Trace.Float t.config.Tfrc_config.t_mbi);
+            ];
+        send_packet t;
+        restart_nofb_timer t)
 
 let stop t =
+  Engine.Runtime.cancel t.start_timer;
   t.running <- false;
   Engine.Runtime.cancel t.send_timer;
   Engine.Runtime.cancel t.nofb_timer

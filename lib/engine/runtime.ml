@@ -3,24 +3,15 @@
    once per packet or timer, so the indirection is noise next to the
    scheduling work behind it. *)
 
-(* A runtime's own timers are [Timer]s: wrapping one costs a two-word
-   block. [Custom] is for handles built from closures, such as a view that
-   counts its cancels before forwarding them. *)
-type handle =
-  | Timer of Timers.handle
-  | Custom of { cancel : unit -> unit; is_pending : unit -> bool }
+(* A runtime's own timers hand out {!Timers} handles unwrapped; closure
+   handles, such as a view that counts its cancels before forwarding them,
+   are the same type's other case. *)
+type handle = Timers.handle
 
-let handle ~cancel ~is_pending = Custom { cancel; is_pending }
-let timer h = Timer h
-let null_handle = Timer Timers.null_handle
-
-let cancel = function
-  | Timer h -> Timers.cancel h
-  | Custom c -> c.cancel ()
-
-let is_pending = function
-  | Timer h -> Timers.is_pending h
-  | Custom c -> c.is_pending ()
+let handle = Timers.custom
+let null_handle = Timers.null_handle
+let cancel = Timers.cancel
+let is_pending = Timers.is_pending
 
 type t = {
   r_now : unit -> float;

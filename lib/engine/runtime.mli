@@ -25,13 +25,9 @@
     two runtimes in one process share any state. See DESIGN.md,
     "Sans-IO runtime contract". *)
 
-(** Cancellable handle for a scheduled timer. *)
-type handle
-
-(** [timer h] is a {!Timers} handle — the timers of {!Sim} and [Wire.Loop]
-    — as a runtime handle. Costs one two-word block; cancel and pending
-    calls go straight to [h]. *)
-val timer : Timers.handle -> handle
+(** Cancellable handle for a scheduled timer. The timers of {!Sim} and
+    [Wire.Loop] are {!Timers} handles, passed through unwrapped. *)
+type handle = Timers.handle
 
 (** [handle ~cancel ~is_pending] wraps any other implementation's timer
     (for example a view that forwards to an inner runtime's handle and

@@ -124,8 +124,8 @@ let runtime t =
       let rt =
         Runtime.make
           ~now:(fun () -> t.clock)
-          ~at:(fun time f -> Runtime.timer (at t time f))
-          ~after:(fun delay f -> Runtime.timer (after t delay f))
+          ~at:(fun time f -> at t time f)
+          ~after:(fun delay f -> after t delay f)
           ~trace:t.trace
           ~fresh_id:(fun () -> fresh_id t)
       in
@@ -175,16 +175,16 @@ let run ?budget t ~until =
     maybe_sweep t;
     if Timers.is_empty t.timers then continue := false
     else begin
-      let h = Timers.peek t.timers in
-      let time = Timers.deadline h in
+      let time = Timers.peek_time t.timers in
       if time > until then continue := false
-      else if Timers.is_pending h then begin
+      else if Timers.peek_pending t.timers then begin
         (match budget with None -> () | Some b -> charge t b time);
-        ignore (Timers.pop t.timers);
+        let f = Timers.pop t.timers in
         t.clock <- time;
-        Timers.fire h
+        f ()
       end
-      else ignore (Timers.pop t.timers)
+      else (* cancelled: the popped callback is [ignore] *)
+        Timers.pop t.timers ()
     end
   done;
   if until < infinity && t.clock < until && not t.stopping then t.clock <- until;

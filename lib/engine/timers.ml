@@ -4,213 +4,269 @@
    simulations are deterministic and the tests can hold the wheel to a
    reference heap.
 
-   The handle is the queue entry. It carries its deadline, its sequence
-   number and an intrusive [next] link for the wheel's slot lists, so
-   scheduling allocates the handle and nothing else: no entry record, no
-   list cell, no option or tuple on pop. [null_handle] terminates slot
-   lists and fills vacated heap cells, so the queue never retains a
-   popped, cleared or swept handle, and a handle outside the queue always
-   has [next == null_handle], so a fired handle the caller keeps does not
-   keep other timers alive.
+   Slot store. A timer is a slot index into parallel arrays: its deadline
+   in the unboxed [time] float array, its [stamp] and its wheel or
+   free-list [link] in int arrays, and its callback in [fn], the only
+   pointer stored per timer. Wheel buckets are intrusive
+   lists threaded through [link]; the ready and overflow heaps are int
+   arrays of slots. Filing, cascading, sifting and sweeping therefore move
+   ints: no write barrier, no pointer chasing, and scheduling allocates
+   only the caller's handle. A slot goes back on the free list (LIFO) as
+   soon as its timer is popped, swept or cleared, and its callback is
+   replaced by [ignore] then, so the queue never retains a dead timer's
+   closure.
 
-   Layout. Level l has [nslots] slots of width w_l = granularity * nslots^l;
-   an entry lives in the lowest level whose current window (the [nslots]
-   slots starting at the wheel position) contains its timestamp, and spills
-   to the [overflow] heap beyond the top level's window. Entries at or
-   before the wheel position sit in [ready], a small heap ordered by
-   (time, seq) — pops come from there, so within-slot order is exact even
-   though slot lists are unsorted.
+   Stamps and handles. A queued timer's stamp is twice its scheduling
+   sequence number, plus one once it is cancelled; a released slot's
+   stamp is -1. A handle records the stamp its timer was issued with, so
+   it is pending exactly while the slot's stamp still equals it. Sequence
+   numbers are never reused, so once the slot is released — and perhaps
+   reused by a newer timer — the old handle reads not pending and its
+   [cancel] does nothing. Two queued stamps compare as their sequence
+   numbers do, so the stamp is also the heaps' tie-break.
 
-   All bucketing is integer arithmetic on the level-0 absolute slot index
-   [idx0 time = int_of_float (time /. granularity)] (times are >= 0, so
-   truncation is floor). Floats appear only in pre-guards against indices
-   too large to compute; the integer comparison is what decides placement,
-   so a boundary-rounding disagreement between a float guard and the
-   integer rule cannot misorder entries — at worst an entry takes the
+   Layout. Slot counts per level are powers of two, [nslots = 2^bits].
+   Level l has [nslots] buckets of width w_l = granularity * 2^(bits*l); an
+   entry lives in the lowest level whose current window (the [nslots]
+   buckets starting at the wheel position) contains its timestamp, and
+   spills to the [overflow] heap beyond the top level's window. Entries at
+   or before the wheel position sit in [ready], a small heap ordered by
+   (time, seq) — pops come from there, so within-bucket order is exact
+   even though bucket lists are unsorted.
+
+   All bucketing is integer arithmetic on the level-0 absolute index
+   [idx0 time = int_of_float (time *. inv_granularity)] (times are >= 0,
+   so truncation is floor): level-l indices are [idx0 lsr (bits*l)] and
+   bucket numbers [land mask]. Any non-decreasing [idx0] keeps pops exact
+   (a smaller index means a strictly earlier time), so the reciprocal's
+   rounding cannot misorder entries. Floats appear only in pre-guards
+   against indices too large to compute; at worst an entry takes the
    overflow path, which is ordered anyway.
 
    Invariants, with [cur0] the wheel position (a level-0 absolute index):
    - every wheel entry e has [idx0 e.time >= cur0]; [ready] holds exactly
      the entries with [idx0 e.time < cur0];
-   - a slot at level l holds entries of a single absolute level-l index in
-     [cur0/r_l, cur0/r_l + nslots) (r_l = nslots^l);
+   - a bucket at level l holds entries of a single absolute level-l index
+     in [cur0 lsr (bits*l), (cur0 lsr (bits*l)) + nslots);
    - [overflow] entries do not fit any level's current window, so every
      one of them is strictly later than every wheel entry.
-   [settle] advances [cur0] only after cascading the then-current slot of
+   [settle] advances [cur0] only after cascading the then-current bucket of
    every upper level down and draining newly-fitting overflow entries, so
    no entry is ever left behind the position that scans for it. *)
 
-type state = Pending | Fired | Cancelled
-
-type handle = {
-  time : float;
-  seq : int;
-  f : unit -> unit;
-  (* Shared with the owning queue: counts cancelled handles still queued,
-     so [maybe_sweep] knows when a sweep pays off. *)
-  cancelled : int ref;
-  mutable state : state;
-  mutable next : handle; (* slot-list link; [null_handle] when unlinked *)
-}
-
-let rec null_handle =
-  {
-    time = 0.;
-    seq = -1;
-    f = ignore;
-    cancelled = ref 0;
-    state = Fired;
-    next = null_handle;
-  }
-
-let deadline h = h.time
-
-let cancel h =
-  if h.state = Pending then begin
-    h.state <- Cancelled;
-    incr h.cancelled
-  end
-
-let is_pending h = h.state = Pending
-
-let fire h =
-  h.state <- Fired;
-  h.f ()
-
-(* --- Binary min-heap of handles, ordered by (time, seq). Used for [ready]
-   and [overflow]. Cells at and past [size] hold [null_handle]. *)
-module Heap = struct
-  type t = { mutable a : handle array; mutable size : int }
-
-  let create () = { a = [||]; size = 0 }
-
-  let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let resize h cap =
-    let a = Array.make cap null_handle in
-    Array.blit h.a 0 a 0 h.size;
-    h.a <- a
-
-  let push h e =
-    if h.size = Array.length h.a then resize h (max 16 (2 * h.size));
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && less e h.a.((!i - 1) / 2) do
-      let parent = (!i - 1) / 2 in
-      h.a.(!i) <- h.a.(parent);
-      i := parent
-    done;
-    h.a.(!i) <- e
-
-  (* Put [e] into the hole at [i], moving smaller children up. *)
-  let sift_down h i e =
-    let n = h.size in
-    let i = ref i in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
-      else begin
-        let c = if l + 1 < n && less h.a.(l + 1) h.a.(l) then l + 1 else l in
-        if less h.a.(c) e then begin
-          h.a.(!i) <- h.a.(c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    h.a.(!i) <- e
-
-  let top h = h.a.(0)
-
-  (* Requires [size > 0]. *)
-  let pop h =
-    let top = h.a.(0) in
-    let n = h.size - 1 in
-    let last = h.a.(n) in
-    h.a.(n) <- null_handle;
-    h.size <- n;
-    if n > 0 then sift_down h 0 last;
-    top
-
-  let clear h =
-    Array.fill h.a 0 h.size null_handle;
-    h.size <- 0
-
-  (* Keep the entries satisfying [keep] and restore heap order; the pop
-     order depends only on the (time, seq) keys, so it is unchanged. *)
-  let filter h ~keep =
-    let n = ref 0 in
-    for i = 0 to h.size - 1 do
-      let e = h.a.(i) in
-      if keep e then begin
-        h.a.(!n) <- e;
-        incr n
-      end
-    done;
-    Array.fill h.a !n (h.size - !n) null_handle;
-    h.size <- !n;
-    for i = (!n / 2) - 1 downto 0 do
-      sift_down h i h.a.(i)
-    done
-
-  let compact h =
-    let cap = if h.size = 0 then 0 else max 16 h.size in
-    if Array.length h.a > cap then resize h cap
-end
+(* Binary min-heap of slots, ordered by the store's (time, stamp). *)
+type heap = { mutable a : int array; mutable size : int }
 
 type t = {
-  granularity : float; (* level-0 slot width w_0, seconds *)
-  nslots : int; (* slots per level *)
+  inv_granularity : float; (* 1 / level-0 bucket width *)
+  bits : int; (* log2 of the buckets per level *)
+  mask : int; (* buckets per level - 1 *)
   nlevels : int;
-  ratios : int array; (* ratios.(l) = nslots^l *)
-  slots : handle array array; (* slots.(l).(i): unsorted intrusive list *)
+  (* heads.(l).(k): bucket k of level l, a slot list or [nil]. One array
+     per level keeps each small enough for the minor heap, so building a
+     queue costs no major-heap allocation. *)
+  heads : int array array;
   counts : int array; (* live entries per level *)
   mutable cur0 : int; (* wheel position as a level-0 absolute index *)
-  ready : Heap.t; (* entries at or before the position; pop source *)
-  overflow : Heap.t; (* beyond the top level's window *)
+  ready : heap; (* entries at or before the position; pop source *)
+  overflow : heap; (* beyond the top level's window *)
   idx_cap : float; (* times past this use overflow only: idx0 overflows *)
   mutable next_seq : int;
   mutable total : int;
-  cancelled : int ref;
+  mutable cancelled : int; (* cancelled entries still queued *)
+  (* The slot store; all four arrays share one capacity. *)
+  mutable time : Float.Array.t;
+  mutable stamp : int array;
+  mutable link : int array; (* bucket list or free list; [nil] ends *)
+  mutable fn : (unit -> unit) array;
+  mutable free : int; (* head of the free list *)
 }
+
+type handle =
+  | Timer of { q : t; slot : int; gen : int }
+  | Custom of { cancel : unit -> unit; is_pending : unit -> bool }
+
+let nil = -1
+
+let custom ~cancel ~is_pending = Custom { cancel; is_pending }
+
+let null_handle = Custom { cancel = ignore; is_pending = (fun () -> false) }
+
+let[@inline] live t s = t.stamp.(s) land 1 = 0
+
+let cancel = function
+  | Timer { q; slot; gen } ->
+      if q.stamp.(slot) = gen then begin
+        q.stamp.(slot) <- gen + 1;
+        q.cancelled <- q.cancelled + 1
+      end
+  | Custom c -> c.cancel ()
+
+let is_pending = function
+  | Timer { q; slot; gen } -> q.stamp.(slot) = gen
+  | Custom c -> c.is_pending ()
+
+(* --- Slot store --------------------------------------------------------- *)
+
+let grow t =
+  let n = Array.length t.stamp in
+  let cap = max 16 (2 * n) in
+  let time = Float.Array.make cap 0. in
+  Float.Array.blit t.time 0 time 0 n;
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.time <- time;
+  t.stamp <- extend t.stamp (-1);
+  t.link <- extend t.link nil;
+  t.fn <- extend t.fn ignore;
+  (* Only called on an empty free list: chain the new slots in order. *)
+  for s = cap - 1 downto n do
+    t.link.(s) <- t.free;
+    t.free <- s
+  done
+
+let alloc t =
+  if t.free = nil then grow t;
+  let s = t.free in
+  t.free <- t.link.(s);
+  t.link.(s) <- nil;
+  s
+
+(* Put [s] back on the free list: its handle goes stale, and the callback
+   is dropped. *)
+let release t s =
+  t.stamp.(s) <- -1;
+  t.fn.(s) <- ignore;
+  t.link.(s) <- t.free;
+  t.free <- s
+
+(* --- Heaps -------------------------------------------------------------- *)
+
+(* Heap cells and the slots in them are always in bounds: the hot
+   comparisons and moves below skip the checks. *)
+let[@inline] less t a b =
+  let ta = Float.Array.unsafe_get t.time a
+  and tb = Float.Array.unsafe_get t.time b in
+  ta < tb
+  || (ta = tb && Array.unsafe_get t.stamp a < Array.unsafe_get t.stamp b)
+
+let heap_create () = { a = [||]; size = 0 }
+
+let heap_resize h cap =
+  let a = Array.make cap nil in
+  Array.blit h.a 0 a 0 h.size;
+  h.a <- a
+
+let heap_push t h s =
+  if h.size = Array.length h.a then heap_resize h (max 16 (2 * h.size));
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  let a = h.a in
+  while !i > 0 && less t s (Array.unsafe_get a ((!i - 1) lsr 1)) do
+    let parent = (!i - 1) lsr 1 in
+    Array.unsafe_set a !i (Array.unsafe_get a parent);
+    i := parent
+  done;
+  Array.unsafe_set a !i s
+
+(* Put [s] into the hole at [i], moving smaller children up. *)
+let sift_down t h i s =
+  let n = h.size and a = h.a in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let c =
+        if l + 1 < n && less t (Array.unsafe_get a (l + 1)) (Array.unsafe_get a l)
+        then l + 1
+        else l
+      in
+      let sc = Array.unsafe_get a c in
+      if less t sc s then begin
+        Array.unsafe_set a !i sc;
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  Array.unsafe_set a !i s
+
+(* Requires [size > 0]. *)
+let heap_pop t h =
+  let top = h.a.(0) in
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then sift_down t h 0 h.a.(n);
+  top
+
+(* Release the cancelled entries and restore heap order; the pop order
+   depends only on the (time, stamp) keys, so it is unchanged. *)
+let heap_sweep t h =
+  let n = ref 0 in
+  for i = 0 to h.size - 1 do
+    let s = h.a.(i) in
+    if live t s then begin
+      h.a.(!n) <- s;
+      incr n
+    end
+    else release t s
+  done;
+  h.size <- !n;
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down t h i h.a.(i)
+  done;
+  let cap = if !n = 0 then 0 else max 16 !n in
+  if Array.length h.a > cap then heap_resize h cap
+
+(* --- Wheel -------------------------------------------------------------- *)
 
 let create ?(granularity = 1e-4) ?(slots = 256) ?(levels = 4) () =
   if not (Float.is_finite granularity) || granularity <= 0. then
     invalid_arg "Timers.create: granularity must be positive and finite";
-  if slots < 2 then invalid_arg "Timers.create: need at least 2 slots";
+  if slots < 2 || slots land (slots - 1) <> 0 then
+    invalid_arg "Timers.create: slots must be a power of two, at least 2";
   if levels < 1 then invalid_arg "Timers.create: need at least 1 level";
-  (* ratios must stay well inside the int range; 2^40 of headroom is far
-     beyond any useful configuration and keeps index arithmetic exact. *)
-  let max_ratio = 1 lsl 40 in
-  let ratios = Array.make levels 1 in
-  for l = 1 to levels - 1 do
-    if ratios.(l - 1) > max_ratio / slots then
-      invalid_arg "Timers.create: slots^levels too large";
-    ratios.(l) <- ratios.(l - 1) * slots
+  let bits = ref 0 in
+  while 1 lsl !bits < slots do
+    incr bits
   done;
+  (* Level ratios must stay well inside the int range; 2^40 of headroom is
+     far beyond any useful configuration and keeps index arithmetic exact. *)
+  if !bits * (levels - 1) > 40 then
+    invalid_arg "Timers.create: slots^levels too large";
   {
-    granularity;
-    nslots = slots;
+    inv_granularity = 1. /. granularity;
+    bits = !bits;
+    mask = slots - 1;
     nlevels = levels;
-    ratios;
-    slots = Array.init levels (fun _ -> Array.make slots null_handle);
+    heads = Array.init levels (fun _ -> Array.make slots nil);
     counts = Array.make levels 0;
     cur0 = 0;
-    ready = Heap.create ();
-    overflow = Heap.create ();
+    ready = heap_create ();
+    overflow = heap_create ();
     (* Level-0 indices are exact below 2^52; beyond that the entry goes to
        the overflow heap and stays there (see [settle]'s degraded path). *)
     idx_cap = Float.ldexp granularity 52;
     next_seq = 0;
     total = 0;
-    cancelled = ref 0;
+    cancelled = 0;
+    time = Float.Array.create 0;
+    stamp = [||];
+    link = [||];
+    fn = [||];
+    free = nil;
   }
 
 let size t = t.total
 let is_empty t = t.total = 0
 
-let idx0 t time = int_of_float (time /. t.granularity)
+let idx0 t time = int_of_float (time *. t.inv_granularity)
+let slot_idx0 t s = idx0 t (Float.Array.get t.time s)
 
 let wheel_count t =
   let n = ref 0 in
@@ -219,195 +275,208 @@ let wheel_count t =
   done;
   !n
 
-let link t l k e =
-  let slot = t.slots.(l) in
-  e.next <- slot.(k);
-  slot.(k) <- e;
+let link t l k s =
+  let b = t.heads.(l) in
+  t.link.(s) <- b.(k);
+  b.(k) <- s;
   t.counts.(l) <- t.counts.(l) + 1
 
-(* Place [e] (known to satisfy [idx0 >= cur0] and [time < idx_cap]) into
-   the lowest level of [l, max_level) whose current window contains it,
-   or into overflow if none does. *)
-let rec insert_from t ~max_level e i0 l =
-  if l >= max_level then Heap.push t.overflow e
+(* Place [s] (known to satisfy [idx0 = i0 >= cur0] and [time < idx_cap])
+   into the lowest level of [l, max_level) whose current window contains
+   it, or into overflow if none does. *)
+let rec insert_from t ~max_level s i0 l =
+  if l >= max_level then heap_push t t.overflow s
   else
-    let r = t.ratios.(l) in
-    if (i0 / r) - (t.cur0 / r) < t.nslots then link t l (i0 / r mod t.nslots) e
-    else insert_from t ~max_level e i0 (l + 1)
-
-let insert_wheel t ~max_level e = insert_from t ~max_level e (idx0 t e.time) 0
+    let sh = l * t.bits in
+    let i = i0 lsr sh in
+    if i - (t.cur0 lsr sh) <= t.mask then link t l (i land t.mask) s
+    else insert_from t ~max_level s i0 (l + 1)
 
 let schedule t ~time f =
   if Float.is_nan time || time < 0. || time = Float.infinity then
     invalid_arg
       (Printf.sprintf "Timers.schedule: time %g not finite and >= 0" time);
-  let h =
-    {
-      time;
-      seq = t.next_seq;
-      f;
-      cancelled = t.cancelled;
-      state = Pending;
-      next = null_handle;
-    }
-  in
+  let s = alloc t in
+  let gen = 2 * t.next_seq in
+  Float.Array.set t.time s time;
+  t.stamp.(s) <- gen;
+  t.fn.(s) <- f;
   t.next_seq <- t.next_seq + 1;
   t.total <- t.total + 1;
-  if time >= t.idx_cap then Heap.push t.overflow h
-  else if idx0 t time < t.cur0 then Heap.push t.ready h
-  else insert_wheel t ~max_level:t.nlevels h;
-  h
+  (if time >= t.idx_cap then heap_push t t.overflow s
+   else
+     let i0 = idx0 t time in
+     if i0 < t.cur0 then heap_push t t.ready s
+     else insert_from t ~max_level:t.nlevels s i0 0);
+  Timer { q = t; slot = s; gen }
 
-(* Empty slot [k] of level [l], handing each entry, unlinked, to
+(* Empty bucket [k] of level [l], handing each slot, unlinked, to
    [f t l k]. Callers pass closed functions, so a call allocates nothing. *)
-let take_slot t l k f =
-  let e = ref t.slots.(l).(k) in
-  t.slots.(l).(k) <- null_handle;
-  while !e != null_handle do
-    let h = !e in
-    e := h.next;
-    h.next <- null_handle;
+let take_bucket t l k f =
+  let b = t.heads.(l) in
+  let s = ref b.(k) in
+  b.(k) <- nil;
+  while !s <> nil do
+    let e = !s in
+    s := t.link.(e);
+    t.link.(e) <- nil;
     t.counts.(l) <- t.counts.(l) - 1;
-    f t l k h
+    f t l k e
   done
 
 (* Move overflow entries that now fit some level's window into the wheel.
    The fit test is the exact integer rule, so anything left behind is
    strictly later than everything in the wheel. *)
 let drain_overflow t =
-  let top_r = t.ratios.(t.nlevels - 1) in
+  let top = (t.nlevels - 1) * t.bits in
   let continue = ref true in
   while !continue && t.overflow.size > 0 do
-    let e = Heap.top t.overflow in
+    let s = t.overflow.a.(0) in
     if
-      e.time < t.idx_cap
-      && (idx0 t e.time / top_r) - (t.cur0 / top_r) < t.nslots
-    then insert_wheel t ~max_level:t.nlevels (Heap.pop t.overflow)
+      Float.Array.get t.time s < t.idx_cap
+      && (slot_idx0 t s lsr top) - (t.cur0 lsr top) <= t.mask
+    then begin
+      ignore (heap_pop t t.overflow);
+      insert_from t ~max_level:t.nlevels s (slot_idx0 t s) 0
+    end
     else continue := false
   done
 
-(* Redistribute the current slot of every upper level into lower levels.
+(* Redistribute the current bucket of every upper level into lower levels.
    Top-down, so entries cascading out of level 2 can land in the level-1
-   slot that is itself about to cascade. An entry in the current level-l
-   slot always fits level l-1's window (its index is within r_l = r_{l-1} *
-   nslots of the position), so redistribution strictly descends. *)
+   bucket that is itself about to cascade. An entry in the current level-l
+   bucket always fits level l-1's window (its index is within 2^(bits*l)
+   of the position), so redistribution strictly descends. *)
 let cascade_due t =
   for l = t.nlevels - 1 downto 1 do
-    let k = t.cur0 / t.ratios.(l) mod t.nslots in
-    if t.slots.(l).(k) != null_handle then
-      take_slot t l k (fun t l _ h -> insert_wheel t ~max_level:l h)
+    let k = (t.cur0 lsr (l * t.bits)) land t.mask in
+    if t.heads.(l).(k) <> nil then
+      take_bucket t l k (fun t l _ s ->
+          insert_from t ~max_level:l s (slot_idx0 t s) 0)
   done
 
 (* Advance the wheel until [ready] holds the earliest pending entry (or
-   everything is empty). Each iteration either dumps one level-0 slot into
-   [ready], or moves the position to the next boundary of the lowest
+   everything is empty). Each iteration either dumps one level-0 bucket
+   into [ready], or moves the position to the next boundary of the lowest
    occupied level (cascading and overflow-draining on the way), or — when
-   the wheel is empty — rebase onto the overflow heap's minimum. *)
+   the wheel is empty — rebases onto the overflow heap's minimum. *)
 let settle t =
   while t.ready.size = 0 && t.total > 0 do
     if wheel_count t = 0 then begin
       (* Wheel empty: everything pending is in overflow. *)
-      let e = Heap.top t.overflow in
-      if e.time >= t.idx_cap then
+      let s = t.overflow.a.(0) in
+      if Float.Array.get t.time s >= t.idx_cap then
         (* Degraded far-far-future path: beyond exact index range the
            structure is just the overflow heap, which is ordered. *)
-        Heap.push t.ready (Heap.pop t.overflow)
+        heap_push t t.ready (heap_pop t t.overflow)
       else begin
-        t.cur0 <- idx0 t e.time;
+        t.cur0 <- slot_idx0 t s;
         drain_overflow t
       end
     end
     else begin
       drain_overflow t;
       cascade_due t;
-      (* Scan level 0 only up to the next level-1 boundary: a level-1 slot
-         past that boundary may hold entries earlier than a level-0 entry
-         further along the window, and it only cascades once the position
-         reaches it. (The boundary also equals one full wrap when there is
-         a single level, so the scan never aliases slots.) *)
-      let boundary = ((t.cur0 / t.nslots) + 1) * t.nslots in
+      (* Scan level 0 only up to the next level-1 boundary: a level-1
+         bucket past that boundary may hold entries earlier than a level-0
+         entry further along the window, and it only cascades once the
+         position reaches it. (The boundary also equals one full wrap when
+         there is a single level, so the scan never aliases buckets.) *)
+      let boundary = ((t.cur0 lsr t.bits) + 1) lsl t.bits in
       if t.counts.(0) > 0 then begin
         let pos = ref t.cur0 in
-        while !pos < boundary && t.slots.(0).(!pos mod t.nslots) == null_handle do
+        let b0 = t.heads.(0) in
+        while !pos < boundary && b0.(!pos land t.mask) = nil do
           incr pos
         done;
         if !pos < boundary then begin
-          take_slot t 0 (!pos mod t.nslots) (fun t _ _ h ->
-              Heap.push t.ready h);
+          take_bucket t 0 (!pos land t.mask) (fun t _ _ s ->
+              heap_push t t.ready s);
           t.cur0 <- !pos + 1
         end
         else
           (* Nothing before the boundary: step onto it; the next iteration
-             cascades the level-1 slot that starts there and rescans. *)
+             cascades the level-1 bucket that starts there and rescans. *)
           t.cur0 <- boundary
       end
       else begin
         (* Level 0 empty: jump to the next boundary of the lowest occupied
-           level (every level's current slot was just cascaded, so nothing
-           is skipped). If only overflow remains, the loop rebases next. *)
+           level (every level's current bucket was just cascaded, so
+           nothing is skipped). If only overflow remains, the loop rebases
+           next. *)
         let l = ref 1 in
         while !l < t.nlevels && t.counts.(!l) = 0 do
           incr l
         done;
         if !l < t.nlevels then begin
-          let r = t.ratios.(!l) in
-          t.cur0 <- ((t.cur0 / r) + 1) * r
+          let sh = !l * t.bits in
+          t.cur0 <- ((t.cur0 lsr sh) + 1) lsl sh
         end
       end
     end
   done
 
-let peek t =
+let peek_time t =
   settle t;
-  if t.ready.size = 0 then null_handle else Heap.top t.ready
+  if t.ready.size = 0 then Float.infinity
+  else Float.Array.get t.time t.ready.a.(0)
+
+let peek_pending t =
+  settle t;
+  t.ready.size > 0 && live t t.ready.a.(0)
 
 let pop t =
   settle t;
-  if t.ready.size = 0 then null_handle
+  if t.ready.size = 0 then ignore
   else begin
-    let h = Heap.pop t.ready in
+    let s = heap_pop t t.ready in
     t.total <- t.total - 1;
-    if h.state = Cancelled then decr t.cancelled;
-    h
+    let f =
+      if live t s then t.fn.(s)
+      else begin
+        t.cancelled <- t.cancelled - 1;
+        ignore
+      end
+    in
+    release t s;
+    f
   end
 
-let take_all_slots t f =
+let take_all_buckets t f =
   for l = 0 to t.nlevels - 1 do
-    for k = 0 to t.nslots - 1 do
-      if t.slots.(l).(k) != null_handle then take_slot t l k f
+    for k = 0 to t.mask do
+      if t.heads.(l).(k) <> nil then take_bucket t l k f
     done
   done
 
 let clear t =
-  let drop h = if h.state = Pending then h.state <- Cancelled in
-  take_all_slots t (fun _ _ _ h -> drop h);
+  take_all_buckets t (fun t _ _ s -> release t s);
   for i = 0 to t.ready.size - 1 do
-    drop t.ready.a.(i)
+    release t t.ready.a.(i)
   done;
   for i = 0 to t.overflow.size - 1 do
-    drop t.overflow.a.(i)
+    release t t.overflow.a.(i)
   done;
-  Heap.clear t.ready;
-  Heap.clear t.overflow;
+  t.ready.size <- 0;
+  t.overflow.size <- 0;
   t.total <- 0;
-  t.cancelled := 0
+  t.cancelled <- 0
 
 let sweep t =
-  Heap.filter t.ready ~keep:is_pending;
-  Heap.filter t.overflow ~keep:is_pending;
-  (* Survivors go back into the slot they came from. *)
-  take_all_slots t (fun t l k h -> if is_pending h then link t l k h);
+  heap_sweep t t.ready;
+  heap_sweep t t.overflow;
+  (* Survivors go back into the bucket they came from. *)
+  take_all_buckets t (fun t l k s ->
+      if live t s then link t l k s else release t s);
   t.total <- t.ready.size + t.overflow.size + wheel_count t;
-  Heap.compact t.ready;
-  Heap.compact t.overflow;
-  t.cancelled := 0
+  t.cancelled <- 0
 
 (* The size floor keeps tiny queues from paying for a prune. *)
 let sweep_floor = 64
 
 let maybe_sweep t =
   let n = t.total in
-  if n >= sweep_floor && 2 * !(t.cancelled) > n then begin
+  if n >= sweep_floor && 2 * t.cancelled > n then begin
     sweep t;
     true
   end

@@ -2,7 +2,7 @@
     core both runtimes share — {!Sim} (virtual time) and [Wire.Loop]
     (monotonic or warp time).
 
-    A [t] queues handles by (deadline, scheduling order); the owning
+    A [t] queues timers by (deadline, scheduling order); the owning
     runtime keeps the clock and decides when to pop and fire. Cancelling
     leaves the entry queued until it is popped or swept: [t] counts such
     dead entries so {!maybe_sweep} can prune them in bulk. Timer-heavy
@@ -11,8 +11,27 @@
     than they fire, and the sweep keeps the queue — and the closures dead
     entries capture — bounded by twice the live-timer count.
 
+    {b Slot store.} A timer is a slot in struct-of-arrays storage: its
+    deadline sits unboxed in a float array, its wheel link and its stamp
+    (scheduling sequence number and cancelled flag, which double as the
+    handle's generation) in int arrays, and its callback is the only
+    pointer the queue stores for it. Wheel buckets, cascades and
+    both heaps move slot indices, which are immediate ints, so none of
+    that work goes through OCaml 5's write barrier ([caml_modify]), and
+    scheduling allocates neither an entry record nor a float box. A slot
+    is recycled as soon as its timer is popped, swept or cleared, and its
+    callback is dropped then: the queue never retains a dead timer's
+    closure.
+
+    {b Handles and generations.} A handle is one small immutable block
+    naming the queue, the slot and the generation its timer was issued
+    with. Generations are never reused, so a handle kept past fire, sweep
+    or clear is stale: it reads not pending and cancels nothing, even
+    after a newer timer reuses the slot.
+
     {b Queue.} Level [l] of the wheel consists of [slots] buckets of width
-    [granularity * slots^l] seconds; a timer is filed in the lowest level
+    [granularity * slots^l] seconds; [slots] is a power of two, so bucket
+    arithmetic is shifts and masks. A timer is filed in the lowest level
     whose current window contains its deadline and cascades toward level 0
     as the wheel advances, so scheduling and popping cost O(levels) bucket
     arithmetic plus a small heap bounded by one bucket's occupancy,
@@ -23,29 +42,24 @@
     {b Determinism.} Pops come out in exactly (deadline, scheduling order):
     equal deadlines pop in the order they were scheduled, the order a
     binary heap on that key gives (the tests hold the wheel to such a
-    reference heap).
-
-    {b Allocation.} The handle is the queue entry: it holds the deadline,
-    the scheduling sequence number and an intrusive link for the wheel's
-    bucket lists. Scheduling allocates the handle (7 words) and nothing
-    else; cascading, {!peek}, {!pop} and {!fire} allocate nothing. The
-    queue never retains a popped, cleared or swept handle. *)
+    reference heap). Slot numbers never influence the order. *)
 
 type t
 
-(** Cancellable handle for a scheduled timer. *)
+(** Cancellable handle: a timer of some queue, or a {!custom} handle. *)
 type handle
 
 (** [create ?granularity ?slots ?levels ()] makes an empty queue.
     [granularity] (default [1e-4] s) is the level-0 bucket width — timers
     closer together than this still order exactly (they share a bucket and
     sort on pop), it only tunes how much time one bucket spans. [slots]
-    (default 256) is the bucket count per level and [levels] (default 4)
-    the hierarchy depth, giving an in-wheel horizon of
-    [granularity * slots^levels ≈ 4.3e5] seconds by default; later
+    (default 256) is the bucket count per level, a power of two, and
+    [levels] (default 4) the hierarchy depth, giving an in-wheel horizon
+    of [granularity * slots^levels ≈ 4.3e5] seconds by default; later
     deadlines use the overflow heap. Raises [Invalid_argument] on
-    non-positive [granularity], [slots < 2], [levels < 1], or
-    [slots^levels] too large for exact integer indexing. *)
+    non-positive [granularity], [slots] not a power of two at least 2,
+    [levels < 1], or [slots^levels] too large for exact integer
+    indexing. *)
 val create : ?granularity:float -> ?slots:int -> ?levels:int -> unit -> t
 
 (** [schedule t ~time f] queues [f] at [time]. Raises [Invalid_argument]
@@ -53,37 +67,46 @@ val create : ?granularity:float -> ?slots:int -> ?levels:int -> unit -> t
     is the runtime's job. *)
 val schedule : t -> time:float -> (unit -> unit) -> handle
 
+(** [custom ~cancel ~is_pending] is a handle backed by closures, for
+    timers that are not a queue's own — for example a view that forwards
+    to an inner handle and counts cancels. [cancel] must be idempotent. *)
+val custom : cancel:(unit -> unit) -> is_pending:(unit -> bool) -> handle
+
 (** [cancel h] prevents the timer from firing. Idempotent; a no-op on a
-    fired handle. *)
+    fired, swept or cleared timer's handle. *)
 val cancel : handle -> unit
 
 (** [is_pending h] is [true] if the timer has neither fired nor been
     cancelled (nor cleared). *)
 val is_pending : handle -> bool
 
-(** A handle that is never pending; useful as an initial value. {!peek}
-    and {!pop} return it when the queue is empty. *)
+(** A handle that is never pending; useful as an initial value. *)
 val null_handle : handle
-
-(** [deadline h] is the time [h] was scheduled at. *)
-val deadline : handle -> float
 
 (** Entries still queued, including cancelled ones not yet swept. *)
 val size : t -> int
 
 val is_empty : t -> bool
 
-(** [peek t] is the earliest queued entry, cancelled or not, left in
-    place; {!null_handle} if [t] is empty. *)
-val peek : t -> handle
+(** {2 Popping}
 
-(** [pop t] removes and returns the earliest entry ({!null_handle} if [t]
-    is empty). A cancelled entry is returned too (its [is_pending] is
-    [false]): the caller skips it. *)
-val pop : t -> handle
+    The owning runtime drives the queue through these three: read the
+    earliest entry's deadline and liveness, advance its clock, then pop
+    and run the callback. *)
 
-(** [fire h] marks a popped, pending [h] fired and runs its callback. *)
-val fire : handle -> unit
+(** [peek_time t] is the deadline of the earliest queued entry, cancelled
+    or not; [infinity] if [t] is empty. *)
+val peek_time : t -> float
+
+(** [peek_pending t] is [true] if the earliest queued entry exists and is
+    not cancelled. *)
+val peek_pending : t -> bool
+
+(** [pop t] removes the earliest entry and returns its callback for the
+    caller to run, or [ignore] if that entry was cancelled (or [t] is
+    empty). The entry's handle reads not pending from here on, and the
+    queue keeps no reference to the callback. *)
+val pop : t -> unit -> unit
 
 (** [clear t] empties the queue; every handle it held reads not pending. *)
 val clear : t -> unit

@@ -35,11 +35,13 @@ type target = {
   mutable ttl : int;
 }
 
+(* Packet ids are small sequential ints: a multiplicative hash spreads them
+   over the low bits the table indexes by, without the generic C hash. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash = Hashtbl.hash
+  let[@inline] hash x = (x * 0x2545F4914F6CDD1D) land max_int
 end)
 
 type impact_kind = Partitioned | Rerouted | Unaffected

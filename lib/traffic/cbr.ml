@@ -6,6 +6,7 @@ type t = {
   transmit : Netsim.Packet.handler;
   mutable running : bool;
   mutable seq : int;
+  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create rt ~flow ~rate ~pkt_size ~transmit () =
@@ -18,6 +19,7 @@ let create rt ~flow ~rate ~pkt_size ~transmit () =
     transmit;
     running = false;
     seq = 0;
+    start_timer = Engine.Runtime.null_handle;
   }
 
 let rec send t =
@@ -32,10 +34,12 @@ let rec send t =
   end
 
 let start t ~at =
-  ignore
-    (Engine.Runtime.at t.rt at (fun () ->
-         t.running <- true;
-         send t))
+  t.start_timer <-
+    Engine.Runtime.at t.rt at (fun () ->
+        t.running <- true;
+        send t)
 
-let stop t = t.running <- false
+let stop t =
+  Engine.Runtime.cancel t.start_timer;
+  t.running <- false
 let packets_sent t = t.seq

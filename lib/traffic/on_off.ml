@@ -14,6 +14,7 @@ type t = {
   mutable seq : int;
   mutable on_time : float;
   mutable started_at : float;
+  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create rt rng ~flow ~on_rate ~pkt_size ~mean_on ~mean_off ?(shape = 1.5)
@@ -37,6 +38,7 @@ let create rt rng ~flow ~on_rate ~pkt_size ~mean_on ~mean_off ?(shape = 1.5)
     seq = 0;
     on_time = 0.;
     started_at = 0.;
+    start_timer = Engine.Runtime.null_handle;
   }
 
 let rec send_loop t =
@@ -71,14 +73,16 @@ and go_off t =
   end
 
 let start t ~at =
-  ignore
-    (Engine.Runtime.at t.rt at (fun () ->
-         t.running <- true;
-         t.started_at <- Engine.Runtime.now t.rt;
-         (* Begin in a random phase to decorrelate sources. *)
-         if Engine.Rng.bool t.rng ~p:(1. /. 3.) then go_on t else go_off t))
+  t.start_timer <-
+    Engine.Runtime.at t.rt at (fun () ->
+        t.running <- true;
+        t.started_at <- Engine.Runtime.now t.rt;
+        (* Begin in a random phase to decorrelate sources. *)
+        if Engine.Rng.bool t.rng ~p:(1. /. 3.) then go_on t else go_off t)
 
-let stop t = t.running <- false
+let stop t =
+  Engine.Runtime.cancel t.start_timer;
+  t.running <- false
 let packets_sent t = t.seq
 
 let on_fraction t =

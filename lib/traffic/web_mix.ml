@@ -11,6 +11,7 @@ type t = {
   mutable started : int;
   mutable completed : int;
   mutable delivered : int;
+  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(shape = 1.3)
@@ -30,6 +31,7 @@ let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(shape = 1.3)
     started = 0;
     completed = 0;
     delivered = 0;
+    start_timer = Engine.Runtime.null_handle;
   }
 
 let transfer_size t =
@@ -76,12 +78,14 @@ let rec arrival_loop t =
 
 let start t ~at =
   let rt = Netsim.Dumbbell.runtime t.db in
-  ignore
-    (Engine.Runtime.at rt at (fun () ->
-         t.running <- true;
-         arrival_loop t))
+  t.start_timer <-
+    Engine.Runtime.at rt at (fun () ->
+        t.running <- true;
+        arrival_loop t)
 
-let stop t = t.running <- false
+let stop t =
+  Engine.Runtime.cancel t.start_timer;
+  t.running <- false
 let connections_started t = t.started
 let connections_completed t = t.completed
 let packets_delivered t = t.delivered

@@ -108,8 +108,8 @@ let runtime t =
       let rt =
         Engine.Runtime.make
           ~now:(fun () -> now t)
-          ~at:(fun time f -> Engine.Runtime.timer (at t time f))
-          ~after:(fun delay f -> Engine.Runtime.timer (after t delay f))
+          ~at:(fun time f -> at t time f)
+          ~after:(fun delay f -> after t delay f)
           ~trace:t.trace
           ~fresh_id:(fun () -> fresh_id t)
       in
@@ -160,15 +160,17 @@ let poll_fds t ~timeout =
             ws
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
-(* Pop the next queued timer and fire it unless it was cancelled. *)
-let pop_fire t =
-  let tm = Engine.Timers.pop t.timers in
-  if Engine.Timers.is_pending tm then begin
-    let time = Engine.Timers.deadline tm in
+(* Pop the next queued timer, due at [time], and fire it unless it was
+   cancelled. *)
+let pop_fire t time =
+  if Engine.Timers.peek_pending t.timers then begin
+    let f = Engine.Timers.pop t.timers in
     if time > t.vnow then t.vnow <- time;
     t.fired <- t.fired + 1;
-    Engine.Timers.fire tm
+    f ()
   end
+  else (* cancelled: the popped callback is [ignore] *)
+    Engine.Timers.pop t.timers ()
 
 (* Loopback delivery is asynchronous: a datagram written a microsecond
    ago may not be readable yet, and whether a zero-timeout poll sees it
@@ -206,11 +208,11 @@ let run_warp t ~until =
     maybe_sweep t;
     if t.watches <> [] then
       if t.inflight_refs = [] then poll_fds t ~timeout:0. else settle_io t;
-    if
-      Engine.Timers.is_empty t.timers
-      || Engine.Timers.deadline (Engine.Timers.peek t.timers) > until
-    then continue := false
-    else pop_fire t
+    if Engine.Timers.is_empty t.timers then continue := false
+    else begin
+      let time = Engine.Timers.peek_time t.timers in
+      if time > until then continue := false else pop_fire t time
+    end
   done;
   settle_io t;
   if until < infinity && t.vnow < until && not t.stopping then t.vnow <- until
@@ -227,12 +229,10 @@ let run_monotonic t ~until =
     if now_ >= until then continue := false
     else begin
       (* Fire everything due; callbacks may schedule more due work. *)
-      while
-        (not t.stopping)
-        && (not (Engine.Timers.is_empty t.timers))
-        && Engine.Timers.deadline (Engine.Timers.peek t.timers) <= now_
-      do
-        pop_fire t
+      let due = ref true in
+      while !due && (not t.stopping) && not (Engine.Timers.is_empty t.timers) do
+        let time = Engine.Timers.peek_time t.timers in
+        if time <= now_ then pop_fire t time else due := false
       done;
       if not t.stopping then begin
         let idle = Engine.Timers.is_empty t.timers in
@@ -244,8 +244,7 @@ let run_monotonic t ~until =
           let deadline =
             if idle then until
             else
-              Float.min (Engine.Timers.deadline (Engine.Timers.peek t.timers))
-                until
+              Float.min (Engine.Timers.peek_time t.timers) until
           in
           let timeout = Float.max 0. (deadline -. now t) in
           poll_fds t ~timeout:(Float.min timeout max_block)

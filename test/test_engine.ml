@@ -237,9 +237,9 @@ let drain_tagged q last =
   let rec go acc =
     if Engine.Timers.is_empty q then List.rev acc
     else begin
-      let h = Engine.Timers.pop q in
-      Engine.Timers.fire h;
-      go ((Engine.Timers.deadline h, !last) :: acc)
+      let time = Engine.Timers.peek_time q in
+      Engine.Timers.pop q ();
+      go ((time, !last) :: acc)
     end
   in
   go []
@@ -287,6 +287,20 @@ let test_wheel_rejects_bad_times () =
     [ Float.nan; infinity; neg_infinity; -1. ];
   check Alcotest.int "nothing queued" 0 (Engine.Timers.size q)
 
+let test_wheel_rejects_bad_geometry () =
+  (* Bucketing is shift-and-mask, so a level's slot count must be a power
+     of two. *)
+  List.iter
+    (fun (slots, levels) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "slots %d, levels %d raises" slots levels)
+        true
+        (match Engine.Timers.create ~slots ~levels () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (3, 2); (100, 4); (1, 4); (0, 1); (256, 0); (1 lsl 20, 4) ];
+  ignore (Engine.Timers.create ~slots:2 ~levels:1 ())
+
 let test_wheel_prune () =
   (* Cancel the odd tags, spread over both levels and the overflow heap,
      then sweep: the survivors keep their order. *)
@@ -319,8 +333,8 @@ let test_wheel_pop_releases () =
   let w = Weak.create 2 in
   ignore (schedule_weak (Engine.Timers.schedule q ~time:1.) w);
   ignore (schedule_weak ~i:1 (Engine.Timers.schedule q ~time:1e6) w);
-  ignore (Engine.Timers.pop q);
-  ignore (Engine.Timers.pop q);
+  Engine.Timers.pop q ();
+  Engine.Timers.pop q ();
   check Alcotest.bool "popped timers collectable" true (collected w);
   check Alcotest.int "empty" 0 (Engine.Timers.size q)
 
@@ -333,7 +347,7 @@ let test_wheel_clear_releases () =
   let h = schedule_weak (Engine.Timers.schedule q ~time:1.) w in
   ignore (schedule_weak ~i:1 (Engine.Timers.schedule q ~time:2.) w);
   ignore (schedule_weak ~i:2 (Engine.Timers.schedule q ~time:1e6) w);
-  ignore (Engine.Timers.pop q);
+  Engine.Timers.pop q ();
   Engine.Timers.clear q;
   check Alcotest.bool "cleared handle not pending" false
     (Engine.Timers.is_pending h);
@@ -349,9 +363,255 @@ let prop_wheel_sorts =
       List.iter (fun t -> ignore (tagged q last ~time:t 0)) times;
       List.map fst (drain_tagged q last) = List.sort compare times)
 
-(* --- Timers: retention and allocation ----------------------------------- *)
-
 let quiet_sim () = Engine.Sim.create ~trace:(Engine.Trace.create ()) ()
+
+(* --- Slot reuse ----------------------------------------------------------
+
+   A timer's slot is recycled once it fires or is swept or cleared. A
+   handle kept past that point must read not pending, and cancelling it
+   must leave the newer timer that reuses its slot alone. *)
+
+(* Schedule [a], retire it through [retire], then schedule [b], which
+   takes the freed slot: [a]'s handle must not see or touch [b]. *)
+let check_reuse name q ~retire =
+  let fired = ref [] in
+  let a = Engine.Timers.schedule q ~time:1. (fun () -> fired := "a" :: !fired) in
+  retire a;
+  let b = Engine.Timers.schedule q ~time:2. (fun () -> fired := "b" :: !fired) in
+  check Alcotest.bool (name ^ ": old handle not pending") false
+    (Engine.Timers.is_pending a);
+  check Alcotest.bool (name ^ ": new timer pending") true
+    (Engine.Timers.is_pending b);
+  Engine.Timers.cancel a;
+  check Alcotest.bool (name ^ ": old cancel spares the new timer") true
+    (Engine.Timers.is_pending b);
+  check Alcotest.bool (name ^ ": new timer is live") true
+    (Engine.Timers.peek_pending q);
+  fired := [];
+  Engine.Timers.pop q ();
+  check Alcotest.(list string) (name ^ ": fired") [ "b" ] !fired;
+  check Alcotest.bool (name ^ ": fired handle not pending") false
+    (Engine.Timers.is_pending b)
+
+let test_timers_slot_reuse () =
+  let q = Engine.Timers.create () in
+  check_reuse "fired" q ~retire:(fun _ -> Engine.Timers.pop q ());
+  check_reuse "cancelled and popped" q ~retire:(fun h ->
+      Engine.Timers.cancel h;
+      Engine.Timers.pop q ());
+  check_reuse "swept" q ~retire:(fun h ->
+      Engine.Timers.cancel h;
+      Engine.Timers.sweep q);
+  check_reuse "cleared" q ~retire:(fun _ -> Engine.Timers.clear q);
+  check Alcotest.int "drained" 0 (Engine.Timers.size q)
+
+(* The same through a runtime: a fired timer's handle, kept, against the
+   timer that reuses its slot. [run] runs the runtime to an absolute time. *)
+let check_runtime_reuse name rt run =
+  let fired = ref 0 in
+  let a = Engine.Runtime.after rt 1. ignore in
+  run 1.5;
+  let b = Engine.Runtime.after rt 1. (fun () -> incr fired) in
+  check Alcotest.bool (name ^ ": fired handle not pending") false
+    (Engine.Runtime.is_pending a);
+  Engine.Runtime.cancel a;
+  check Alcotest.bool (name ^ ": new timer still pending") true
+    (Engine.Runtime.is_pending b);
+  run 3.;
+  check Alcotest.int (name ^ ": new timer fired") 1 !fired
+
+let test_runtime_slot_reuse () =
+  let sim = quiet_sim () in
+  check_runtime_reuse "sim" (Engine.Sim.runtime sim) (fun until ->
+      Engine.Sim.run sim ~until);
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  check_runtime_reuse "wire loop" (Wire.Loop.runtime loop) (fun until ->
+      Wire.Loop.run loop ~until)
+
+(* Random op sequences against the [Event_queue] reference, with every
+   handle ever issued retained. After each op, a handle is pending exactly
+   when the model says its timer is, so a stale handle reading pending for
+   (or cancelling) a newer timer in its slot fails at once. Timers ops
+   index handles modulo the number issued so far. *)
+type slot_op =
+  | Sched of float
+  | Cancel_nth of int
+  | Pop_one
+  | Sweep_all
+  | Clear_all
+  | Advance of float
+
+let slot_op_print = function
+  | Sched t -> Printf.sprintf "sched %g" t
+  | Cancel_nth i -> Printf.sprintf "cancel %d" i
+  | Pop_one -> "pop"
+  | Sweep_all -> "sweep"
+  | Clear_all -> "clear"
+  | Advance d -> Printf.sprintf "advance %g" d
+
+(* Schedules and cancels, plus the weighted [extra] ops of one target. *)
+let slot_ops_arb extra =
+  let open QCheck.Gen in
+  let time =
+    oneof [ float_bound_inclusive 0.01; float_bound_inclusive 5.; return 0. ]
+  in
+  let op =
+    frequency
+      ([
+         (5, map (fun t -> Sched t) time);
+         (3, map (fun i -> Cancel_nth i) nat);
+       ]
+      @ extra)
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map slot_op_print l))
+    (list_size (int_range 0 300) op)
+
+(* The model: the reference queue of tags, and per tag whether its timer
+   is still pending. *)
+type slot_model = {
+  ref_q : int Event_queue.t;
+  live : (int, bool) Hashtbl.t;
+  mutable issued : int;
+}
+
+let model_create () =
+  { ref_q = Event_queue.create (); live = Hashtbl.create 64; issued = 0 }
+
+let model_sched m ~time =
+  let tag = m.issued in
+  m.issued <- tag + 1;
+  Event_queue.push m.ref_q ~time tag;
+  Hashtbl.replace m.live tag true;
+  tag
+
+(* Pop the reference's earliest entry: its tag if that timer fires. *)
+let model_pop m =
+  match Event_queue.pop m.ref_q with
+  | None -> None
+  | Some (_, tag) ->
+      let fires = Hashtbl.find m.live tag in
+      Hashtbl.replace m.live tag false;
+      if fires then Some tag else None
+
+let handles_agree m is_pending handles =
+  List.for_all
+    (fun (tag, h) -> is_pending h = Hashtbl.find m.live tag)
+    handles
+
+let prop_timers_slot_reuse =
+  QCheck.Test.make ~name:"timers: retained handles track their own timer"
+    ~count:300
+    (slot_ops_arb
+       QCheck.Gen.
+         [ (3, return Pop_one); (1, return Sweep_all); (1, return Clear_all) ])
+    (fun ops ->
+      let q = Engine.Timers.create ~granularity:1e-3 ~slots:4 ~levels:2 () in
+      let m = model_create () in
+      let handles = ref [] and last = ref (-1) in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Sched time ->
+                let tag = model_sched m ~time in
+                let h =
+                  Engine.Timers.schedule q ~time (fun () -> last := tag)
+                in
+                handles := (tag, h) :: !handles;
+                true
+            | Cancel_nth i ->
+                (if m.issued > 0 then
+                   let tag = i mod m.issued in
+                   Engine.Timers.cancel (List.assoc tag !handles);
+                   Hashtbl.replace m.live tag false);
+                true
+            | Pop_one ->
+                let time = Engine.Timers.peek_time q in
+                let expect_time =
+                  Option.value (Event_queue.peek_time m.ref_q) ~default:infinity
+                in
+                last := -1;
+                Engine.Timers.pop q ();
+                let fired = model_pop m in
+                time = expect_time && !last = Option.value fired ~default:(-1)
+            | Sweep_all ->
+                Engine.Timers.sweep q;
+                Event_queue.prune m.ref_q ~keep:(Hashtbl.find m.live);
+                true
+            | Clear_all ->
+                Engine.Timers.clear q;
+                Event_queue.clear m.ref_q;
+                Hashtbl.filter_map_inplace (fun _ _ -> Some false) m.live;
+                true
+            | Advance _ -> true
+          in
+          ok
+          && Engine.Timers.size q = Event_queue.size m.ref_q
+          && handles_agree m Engine.Timers.is_pending !handles)
+        ops)
+
+(* The same contract through a runtime's own clock: [Sched d] schedules
+   [d] seconds from now, [Advance d] runs [d] seconds on, firing what the
+   reference pops up to then. *)
+let runtime_slot_reuse rt run ops =
+  let m = model_create () in
+  let handles = ref [] and log = ref [] and expect = ref [] in
+  let now = ref 0. in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Sched d ->
+          let time = !now +. d in
+          let tag = model_sched m ~time in
+          let h = Engine.Runtime.after rt d (fun () -> log := tag :: !log) in
+          handles := (tag, h) :: !handles
+      | Cancel_nth i ->
+          if m.issued > 0 then begin
+            let tag = i mod m.issued in
+            Engine.Runtime.cancel (List.assoc tag !handles);
+            Hashtbl.replace m.live tag false
+          end
+      | Advance d ->
+          let until = !now +. d in
+          run until;
+          now := until;
+          let rec drain () =
+            match Event_queue.peek_time m.ref_q with
+            | Some t when t <= until ->
+                Option.iter (fun tag -> expect := tag :: !expect) (model_pop m);
+                drain ()
+            | _ -> ()
+          in
+          drain ()
+      | Pop_one | Sweep_all | Clear_all -> ());
+      !log = !expect && handles_agree m Engine.Runtime.is_pending !handles)
+    ops
+
+let advance_op =
+  QCheck.Gen.[ (2, map (fun d -> Advance d) (float_bound_inclusive 1.)) ]
+
+let prop_sim_slot_reuse =
+  QCheck.Test.make ~name:"sim: retained handles track their own timer"
+    ~count:200 (slot_ops_arb advance_op)
+    (fun ops ->
+      let sim = quiet_sim () in
+      runtime_slot_reuse (Engine.Sim.runtime sim)
+        (fun until -> Engine.Sim.run sim ~until)
+        ops)
+
+let prop_loop_slot_reuse =
+  QCheck.Test.make ~name:"wire loop: retained handles track their own timer"
+    ~count:200 (slot_ops_arb advance_op)
+    (fun ops ->
+      let loop =
+        Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp ()
+      in
+      runtime_slot_reuse (Wire.Loop.runtime loop)
+        (fun until -> Wire.Loop.run loop ~until)
+        ops)
+
+(* --- Timers: retention and allocation ----------------------------------- *)
 
 let test_fired_releases () =
   (* A fired handle leaves the queue, and one the caller keeps does not
@@ -406,11 +666,13 @@ let words_per_timer rt run =
   run ();
   (Gc.minor_words () -. w0) /. float_of_int n
 
-(* Scheduling allocates the 7-word handle, the 2-word [Runtime.Timer] and
-   the deadline's float box; firing allocates nothing. Two more words are
-   the caller's delay box. A per-event option, tuple or closure in the
-   timer core pushes this over the bound. *)
-let timer_words_bound = 13.5
+(* Scheduling allocates the 4-word handle and nothing else in the timer
+   core. The rest are float boxes at function boundaries: the caller's
+   delay, the runtime's [now + delay] deadline, and the popped deadline
+   that becomes the runtime's clock. Both runtimes measure exactly 10. A
+   per-event option, tuple, closure or wrapper block pushes this over the
+   bound. *)
+let timer_words_bound = 10.5
 
 let test_sim_timer_words () =
   let sim = quiet_sim () in
@@ -749,6 +1011,8 @@ let () =
             test_wheel_far_future_overflow;
           Alcotest.test_case "rejects bad times" `Quick
             test_wheel_rejects_bad_times;
+          Alcotest.test_case "rejects bad geometry" `Quick
+            test_wheel_rejects_bad_geometry;
           Alcotest.test_case "prune" `Quick test_wheel_prune;
           Alcotest.test_case "pop releases reference" `Quick
             test_wheel_pop_releases;
@@ -784,6 +1048,15 @@ let () =
           Alcotest.test_case "sim words per timer" `Quick test_sim_timer_words;
           Alcotest.test_case "wire loop words per timer" `Quick
             test_loop_timer_words;
+        ] );
+      ( "slot_reuse",
+        [
+          Alcotest.test_case "timers" `Quick test_timers_slot_reuse;
+          Alcotest.test_case "sim and wire loop" `Quick
+            test_runtime_slot_reuse;
+          qtest prop_timers_slot_reuse;
+          qtest prop_sim_slot_reuse;
+          qtest prop_loop_slot_reuse;
         ] );
       ( "runtime",
         [

@@ -53,9 +53,9 @@ let run_wheel ~granularity ~slots ~levels prog =
   let pop () =
     if Engine.Timers.is_empty q then None
     else begin
-      let h = Engine.Timers.pop q in
-      Engine.Timers.fire h;
-      Some (Engine.Timers.deadline h, !last)
+      let time = Engine.Timers.peek_time q in
+      Engine.Timers.pop q ();
+      Some (time, !last)
     end
   in
   List.iter

@@ -149,6 +149,75 @@ let test_web_mix_stop () =
     true
     (started < 80)
 
+(* --- Stop before start -------------------------------------------------- *)
+
+(* Every source kind, started at t=1 and stopped at t=0.1, must send
+   nothing: [stop] has to cancel the pending start, not just clear a flag
+   that the start then sets again. A row builds its source on [rt] with
+   [transmit] and returns its start and stop. *)
+let stop_before_start_rows =
+  let open Engine in
+  [
+    ( "tfrc sender",
+      fun rt transmit ->
+        let s =
+          Tfrc.Tfrc_sender.create rt ~config:(Tfrc.Tfrc_config.default ())
+            ~flow:1 ~transmit ()
+        in
+        (Tfrc.Tfrc_sender.start s, fun () -> Tfrc.Tfrc_sender.stop s) );
+    ( "rap",
+      fun rt transmit ->
+        let s = Baselines.Rap.create rt ~flow:1 ~transmit () in
+        (Baselines.Rap.start s, fun () -> Baselines.Rap.stop s) );
+    ( "tfrcp",
+      fun rt transmit ->
+        let s = Baselines.Tfrcp.create rt ~flow:1 ~transmit () in
+        (Baselines.Tfrcp.start s, fun () -> Baselines.Tfrcp.stop s) );
+    ( "tear sender",
+      fun rt transmit ->
+        let s = Baselines.Tear.Sender.create rt ~flow:1 ~transmit () in
+        (Baselines.Tear.Sender.start s, fun () -> Baselines.Tear.Sender.stop s)
+    );
+    ( "cbr",
+      fun rt transmit ->
+        let s = Traffic.Cbr.create rt ~flow:1 ~rate:1e5 ~pkt_size:1000 ~transmit () in
+        (Traffic.Cbr.start s, fun () -> Traffic.Cbr.stop s) );
+    ( "on_off",
+      fun rt transmit ->
+        let s =
+          Traffic.On_off.create rt (Rng.create ~seed:3) ~flow:1 ~on_rate:1e5
+            ~pkt_size:1000 ~mean_on:1. ~mean_off:0.1 ~transmit ()
+        in
+        (Traffic.On_off.start s, fun () -> Traffic.On_off.stop s) );
+  ]
+
+let test_stop_before_start build () =
+  let sim = Engine.Sim.create () in
+  let sent = ref 0 in
+  let start, stop = build (Engine.Sim.runtime sim) (fun _ -> incr sent) in
+  start ~at:1.;
+  ignore (Engine.Sim.at sim 0.1 stop);
+  Engine.Sim.run sim ~until:5.;
+  Alcotest.(check int) "packets sent" 0 !sent
+
+let test_web_mix_stop_before_start () =
+  let sim = Engine.Sim.create () in
+  let db =
+    Netsim.Dumbbell.create (Engine.Sim.runtime sim)
+      ~bandwidth:(Engine.Units.mbps 10.)
+      ~delay:0.01
+      ~queue:(Netsim.Dumbbell.Droptail_q 100) ()
+  in
+  let web =
+    Traffic.Web_mix.create db (Engine.Rng.create ~seed:8) ~first_flow_id:100
+      ~arrival_rate:10. ~mean_size:5. ()
+  in
+  Traffic.Web_mix.start web ~at:1.;
+  ignore (Engine.Sim.at sim 0.1 (fun () -> Traffic.Web_mix.stop web));
+  Engine.Sim.run sim ~until:5.;
+  Alcotest.(check int) "connections started" 0
+    (Traffic.Web_mix.connections_started web)
+
 let () =
   Alcotest.run "traffic"
     [
@@ -170,4 +239,12 @@ let () =
             test_web_mix_transfers_complete;
           Alcotest.test_case "stop" `Quick test_web_mix_stop;
         ] );
+      ( "stop before start",
+        List.map
+          (fun (name, build) ->
+            Alcotest.test_case name `Quick (test_stop_before_start build))
+          stop_before_start_rows
+        @ [
+            Alcotest.test_case "web_mix" `Quick test_web_mix_stop_before_start;
+          ] );
     ]
