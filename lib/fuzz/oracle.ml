@@ -193,10 +193,7 @@ let build_net sim (sc : Scenario.t) =
               (((f.rtt_base /. 2.) -. (float_of_int nodes *. sc.delay)) /. 2.)
           in
           let host r =
-            let h = Netsim.Topology.add_node topo in
-            ignore (Netsim.Topology.add_wire topo ~src:h ~dst:routers.(r) access);
-            ignore (Netsim.Topology.add_wire topo ~src:routers.(r) ~dst:h access);
-            h
+            Netsim.Topology.add_host topo ~router:routers.(r) ~access
           in
           Netsim.Topology.add_flow topo ~flow ~src:(host src_r) ~dst:(host dst_r))
         sc.flows;

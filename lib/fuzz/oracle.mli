@@ -80,6 +80,6 @@ val oracle_names : string list
     [--mutate] self-test to prove the fuzzer detects and shrinks real
     violations.
 
-    [Graph] scenarios are built on {!Netsim.Topology}, the others on the
-    hand-wired {!Netsim.Dumbbell} and {!Netsim.Parking_lot}. *)
+    [Graph] scenarios are built on {!Netsim.Topology} directly, the others
+    on {!Netsim.Dumbbell} and {!Netsim.Parking_lot}, which wrap it. *)
 val run : ?mutate:bool -> Scenario.t -> outcome

@@ -10,7 +10,9 @@
     Per-flow wiring: an agent on the left sends with [src_send] and receives
     reverse packets through the handler registered with [set_src_recv]; the
     right-side agent uses [dst_send]/[set_dst_recv]. Per-flow access delay
-    sets the base RTT. *)
+    sets the base RTT. Underneath is a {!Topology} of two routers, with a
+    {!Topology.add_host} at each end of a flow: adding a flow mid-run
+    costs no route recompute. *)
 
 type queue_spec =
   | Droptail_q of int  (** buffer limit in packets *)
@@ -34,6 +36,9 @@ val create :
   t
 
 val runtime : t -> Engine.Runtime.t
+
+(** The underlying graph, for routing queries and counters. *)
+val topology : t -> Topology.t
 
 (** [add_flow t ~flow ~rtt_base] registers a flow whose base round-trip
     time (excluding queueing) is [rtt_base]. The access delay on each of
@@ -70,6 +75,7 @@ val forward_drop_rate : t -> float
 val in_flight : t -> int
 
 (** [teardown t] cancels every pending access-segment delivery, so no
-    packet fires into an endpoint after the scenario has stopped. The
-    topology remains usable (subsequent sends schedule normally). *)
+    packet fires into an endpoint after the scenario has stopped (packets
+    still in a bottleneck are discarded as they leave it). The topology
+    remains usable (subsequent sends schedule normally). *)
 val teardown : t -> unit

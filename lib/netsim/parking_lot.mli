@@ -9,7 +9,9 @@
     - a {e cross} flow of hop k enters before hop k and exits after it.
 
     Reverse direction (acks/feedback) is modelled as a well-provisioned
-    fixed-delay path, since the paper's scenarios never congest it. *)
+    fixed-delay path, since the paper's scenarios never congest it.
+    Underneath is a {!Topology}; each flow dirties its routes, so add
+    every flow before the run. *)
 
 type t
 

@@ -1,9 +1,8 @@
-(* Graph-native scenario builders over {!Topology}: [Fat_tree] and
-   [Transcontinental] have redundant paths, the shapes routing and
-   failure-impact analysis exist for. The paper's dumbbell and parking lot
-   stay hand-wired ({!Dumbbell}, {!Parking_lot}): they add flows without a
-   routing recompute, which per-arrival workloads such as [Web_mix]
-   need. *)
+(* Scenario builders over {!Topology} with redundant paths, the shapes
+   routing and failure-impact analysis exist for. Each flow attaches two
+   leaf hosts with [Topology.add_host], so adding one costs no route
+   recompute. The paper's dumbbell and parking lot are {!Dumbbell} and
+   {!Parking_lot}, also over {!Topology}. *)
 
 (* --- fat tree ------------------------------------------------------------- *)
 
@@ -52,19 +51,16 @@ module Fat_tree = struct
   let check_pod t p name =
     if p < 0 || p >= pods t then invalid_arg ("Fat_tree." ^ name ^ ": bad pod")
 
-  (* Hosts hang off edge switches by pure-delay wires, one node per flow
-     endpoint so each flow gets its own access delay. *)
+  (* Hosts hang off edge switches, one per flow endpoint so each flow gets
+     its own access delay. *)
   let add_flow t ~flow ~src_pod ~src_edge ~dst_pod ~dst_edge ~access =
     check_pod t src_pod "add_flow";
     check_pod t dst_pod "add_flow";
     if src_edge < 0 || src_edge > 1 || dst_edge < 0 || dst_edge > 1 then
       invalid_arg "Fat_tree.add_flow: edge switch index must be 0 or 1";
-    let host sw =
-      let h = Topology.add_node t.topo in
-      ignore (Topology.add_wire t.topo ~src:h ~dst:sw access);
-      ignore (Topology.add_wire t.topo ~src:sw ~dst:h access);
-      h
-    in
+    if Topology.mem_flow t.topo flow then
+      invalid_arg (Printf.sprintf "Fat_tree.add_flow: flow %d already exists" flow);
+    let host sw = Topology.add_host t.topo ~router:sw ~access in
     let src = host t.edges.(src_pod).(src_edge) in
     let dst = host t.edges.(dst_pod).(dst_edge) in
     Topology.add_flow t.topo ~flow ~src ~dst
@@ -151,12 +147,10 @@ module Transcontinental = struct
   let topology t = t.topo
 
   let add_flow t ~flow ~src ~dst ~access =
-    let host city =
-      let h = Topology.add_node t.topo in
-      ignore (Topology.add_wire t.topo ~src:h ~dst:(node t city) access);
-      ignore (Topology.add_wire t.topo ~src:(node t city) ~dst:h access);
-      h
-    in
+    if Topology.mem_flow t.topo flow then
+      invalid_arg
+        (Printf.sprintf "Transcontinental.add_flow: flow %d already exists" flow);
+    let host city = Topology.add_host t.topo ~router:(node t city) ~access in
     Topology.add_flow t.topo ~flow ~src:(host src) ~dst:(host dst)
 
   let set_src_recv t ~flow h = Topology.set_src_recv t.topo ~flow h

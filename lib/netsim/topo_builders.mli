@@ -1,9 +1,8 @@
-(** Graph-native scenario builders over {!Topology}.
-
-    {!Fat_tree} and {!Transcontinental} have redundant paths for routing
-    and failure-impact studies. The paper's dumbbell and parking lot are
-    the hand-wired {!Dumbbell} and {!Parking_lot}, which add a flow
-    without recomputing routes. *)
+(** Scenario builders over {!Topology} with redundant paths, for routing
+    and failure-impact studies. A flow's endpoints are
+    {!Topology.add_host} leaves, so adding one costs no route recompute.
+    The paper's dumbbell and parking lot are {!Dumbbell} and
+    {!Parking_lot}, over the same {!Topology}. *)
 
 module Fat_tree : sig
   type t
@@ -25,8 +24,9 @@ module Fat_tree : sig
   val pods : t -> int
 
   (** [add_flow t ~flow ~src_pod ~src_edge ~dst_pod ~dst_edge ~access]
-      attaches fresh host nodes under the named edge switches
-      ([*_edge] is 0 or 1) with [access]-delay wires. *)
+      attaches fresh hosts under the named edge switches ([*_edge] is 0
+      or 1) with [access]-delay wires. A taken flow id raises before any
+      host is attached. *)
   val add_flow :
     t ->
     flow:int ->

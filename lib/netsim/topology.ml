@@ -50,27 +50,36 @@ type t = {
   rt : Engine.Runtime.t;
   cost_model : cost_model;
   mutable n_nodes : int;
-  mutable adj : edge list array; (* out-edges, most recent first *)
+  (* Per node, grown together: the out-edges (most recent first); a
+     router's table index, or -1 for a host; and a host's up and down
+     wires, [no_edge] for a router. *)
+  mutable adj : edge list array;
+  mutable ix : int array;
+  mutable up_of : edge array;
+  mutable down_of : edge array;
+  mutable n_routers : int;
   mutable all_edges : edge list; (* most recent first *)
   mutable n_edges : int;
   flows : (int, flow_info) Hashtbl.t;
   targets : target Itbl.t;
-  (* Routing tables: cell [u * tn + d] is u's next hop toward d, or
-     [no_edge]. [next_up] uses only up links; [next_all] ignores link state
-     and is the fallback that keeps traffic heading into a failed link when
-     no alternate path exists, so it blackholes at the outage exactly like
-     a hand-wired topology. [tn] is the node count at the last recompute;
-     nodes added since have no route. *)
+  (* Routing tables over routers only: cell [ix u * tn + ix d] is router
+     u's next hop toward router d, or [no_edge]. [next_up] uses only up
+     links; [next_all] ignores link state and is the fallback that keeps
+     traffic heading into a failed link when no alternate path exists, so
+     it blackholes at the outage's ingress. [tn] is the router count at
+     the last recompute; routers added since have no route. *)
   mutable tn : int;
   mutable next_up : edge array;
   mutable next_all : edge array;
   mutable dirty : bool;
   mutable recomputes : int;
-  (* Recompute scratch, rebuilt only when the graph has grown: the edges by
-     id, each node's out- and in-edges in ascending id order, per-edge cost
-     and up flag (refreshed every recompute), and the Dijkstra state. *)
-  mutable built_edges : int;
-  mutable by_id : edge array;
+  (* Recompute scratch, rebuilt with the tables only when routers or edges
+     between them were added ([grown]): those edges in id order, each
+     router's out- and in-edges in ascending id order (by table index),
+     per-edge cost and up flag by edge id (refreshed every recompute), and
+     the Dijkstra state. Host wires never enter it. *)
+  mutable grown : bool;
+  mutable routed : edge array;
   mutable outs : edge array array;
   mutable ins : edge array array;
   mutable costs : float array;
@@ -92,6 +101,10 @@ let create ?(cost_model = Hop) rt () =
     cost_model;
     n_nodes = 0;
     adj = Array.make 8 [];
+    ix = Array.make 8 (-1);
+    up_of = Array.make 8 no_edge;
+    down_of = Array.make 8 no_edge;
+    n_routers = 0;
     all_edges = [];
     n_edges = 0;
     flows = Hashtbl.create 32;
@@ -101,8 +114,8 @@ let create ?(cost_model = Hop) rt () =
     next_all = [||];
     dirty = true;
     recomputes = 0;
-    built_edges = 0;
-    by_id = [||];
+    grown = false;
+    routed = [||];
     outs = [||];
     ins = [||];
     costs = [||];
@@ -120,19 +133,38 @@ let n_nodes t = t.n_nodes
 let recomputes t = t.recomputes
 let invalidate t = t.dirty <- true
 
-let add_node t =
+let new_node t ~ix =
   let n = t.n_nodes in
   if n = Array.length t.adj then begin
-    let bigger = Array.make (2 * n) [] in
-    Array.blit t.adj 0 bigger 0 n;
-    t.adj <- bigger
+    let grow a fill =
+      let bigger = Array.make (2 * n) fill in
+      Array.blit a 0 bigger 0 n;
+      bigger
+    in
+    t.adj <- grow t.adj [];
+    t.ix <- grow t.ix (-1);
+    t.up_of <- grow t.up_of no_edge;
+    t.down_of <- grow t.down_of no_edge
   end;
+  t.ix.(n) <- ix;
   t.n_nodes <- n + 1;
   n
+
+let add_node t =
+  let v = new_node t ~ix:t.n_routers in
+  t.n_routers <- t.n_routers + 1;
+  t.grown <- true;
+  v
 
 let check_node t v name =
   if v < 0 || v >= t.n_nodes then
     invalid_arg (Printf.sprintf "Topology.%s: unknown node %d" name v)
+
+(* Hosts are leaves: only [add_host] wires them. *)
+let check_router t v name =
+  check_node t v name;
+  if t.ix.(v) < 0 then
+    invalid_arg (Printf.sprintf "Topology.%s: node %d is a host" name v)
 
 (* --- packet movement ------------------------------------------------------ *)
 
@@ -242,7 +274,7 @@ let shortest_to t ~up_only d =
       let e = ins.(i) in
       if (not up_only) || up.(e.eid) then begin
         let c = du +. costs.(e.eid) in
-        let v = e.esrc in
+        let v = t.ix.(e.esrc) in
         if c < dist.(v) then begin
           dist.(v) <- c;
           if hpos.(v) = -1 then begin
@@ -259,6 +291,7 @@ let shortest_to t ~up_only d =
 let fill_column t ~up_only table d =
   shortest_to t ~up_only d;
   let n = t.tn and dist = t.dist and costs = t.costs and up = t.up in
+  let ix = t.ix in
   for u = 0 to n - 1 do
     if u <> d && dist.(u) < infinity then begin
       let outs = t.outs.(u) in
@@ -266,7 +299,7 @@ let fill_column t ~up_only table d =
       for i = 0 to Array.length outs - 1 do
         let e = outs.(i) in
         if (not up_only) || up.(e.eid) then begin
-          let c = costs.(e.eid) +. dist.(e.edst) in
+          let c = costs.(e.eid) +. dist.(ix.(e.edst)) in
           if not (!bc <= c) then begin
             bc := c;
             best := e
@@ -277,39 +310,42 @@ let fill_column t ~up_only table d =
     end
   done
 
-(* Sizes the tables and scratch to the graph and rebuilds the adjacency
-   arrays, when nodes or edges were added since the last recompute. *)
+(* Per router table index, [side]'s edges among [routed], in id order. *)
+let by_router t side =
+  let a = Array.make t.tn [] in
+  for i = Array.length t.routed - 1 downto 0 do
+    let e = t.routed.(i) in
+    a.(t.ix.(side e)) <- e :: a.(t.ix.(side e))
+  done;
+  Array.map Array.of_list a
+
+(* Sizes the tables and scratch to the routers and rebuilds the adjacency
+   arrays, when the router graph has grown since the last recompute. *)
 let prepare t =
-  let n = t.n_nodes and m = t.n_edges in
-  if n <> t.tn then begin
+  if t.grown then begin
+    let n = t.n_routers in
+    t.grown <- false;
     t.tn <- n;
     t.next_up <- Array.make (n * n) no_edge;
     t.next_all <- Array.make (n * n) no_edge;
     t.dist <- Array.make n infinity;
     t.heap <- Array.make n 0;
     t.hpos <- Array.make n (-1);
-    t.built_edges <- -1
+    t.routed <-
+      Array.of_list
+        (List.rev
+           (List.filter
+              (fun e -> t.ix.(e.esrc) >= 0 && t.ix.(e.edst) >= 0)
+              t.all_edges));
+    t.outs <- by_router t (fun e -> e.esrc);
+    t.ins <- by_router t (fun e -> e.edst);
+    t.costs <- Array.make t.n_edges 0.;
+    t.up <- Array.make t.n_edges false
   end;
-  if m <> t.built_edges then begin
-    t.built_edges <- m;
-    t.by_id <- Array.of_list (List.rev t.all_edges);
-    t.outs <- Array.init n (fun u -> Array.of_list (List.rev t.adj.(u)));
-    let in_deg = Array.make n 0 in
-    Array.iter (fun e -> in_deg.(e.edst) <- in_deg.(e.edst) + 1) t.by_id;
-    t.ins <- Array.init n (fun v -> Array.make in_deg.(v) no_edge);
-    Array.fill in_deg 0 n 0;
-    Array.iter
-      (fun e ->
-        t.ins.(e.edst).(in_deg.(e.edst)) <- e;
-        in_deg.(e.edst) <- in_deg.(e.edst) + 1)
-      t.by_id;
-    t.costs <- Array.make m 0.;
-    t.up <- Array.make m false
-  end;
-  for i = 0 to m - 1 do
-    let e = t.by_id.(i) in
-    t.costs.(i) <- edge_cost t e;
-    t.up.(i) <- edge_usable true e
+  for i = 0 to Array.length t.routed - 1 do
+    let e = t.routed.(i) in
+    t.costs.(e.eid) <- edge_cost t e;
+    t.up.(e.eid) <- edge_usable true e
   done
 
 let recompute t =
@@ -328,15 +364,27 @@ let recompute t =
 
 let ensure_routes t = if t.dirty then recompute t
 
-(* Table cell for (u, d); [no_edge] for nodes the tables predate. *)
-let lookup t table u d =
-  let n = t.tn in
-  if u < n && d < n then Array.unsafe_get table ((u * n) + d) else no_edge
+(* [u]'s next hop toward [d <> u] in [table], or [no_edge]. Hosts own no
+   table cells: a host leaves by its up wire and is entered by its down
+   wire, and otherwise routes as its router does. Routers the tables
+   predate have no route. *)
+let step t table u d =
+  let up = Array.unsafe_get t.up_of u and down = Array.unsafe_get t.down_of d in
+  let ru = if up == no_edge then u else up.edst in
+  let rd = if down == no_edge then d else down.esrc in
+  if ru = rd then if up == no_edge then down else up
+  else
+    let n = t.tn and iu = t.ix.(ru) and id = t.ix.(rd) in
+    let e =
+      if iu < n && id < n then Array.unsafe_get table ((iu * n) + id)
+      else no_edge
+    in
+    if e == no_edge || up == no_edge then e else up
 
 let next_edge t u d =
   ensure_routes t;
-  let e = lookup t t.next_up u d in
-  if e != no_edge then e else lookup t t.next_all u d
+  let e = step t t.next_up u d in
+  if e != no_edge then e else step t t.next_all u d
 
 let rec arrive t node (pkt : Packet.t) =
   match Itbl.find t.targets pkt.id with
@@ -388,21 +436,31 @@ let check_cost name = function
            name)
   | _ -> ()
 
-let register_edge t e =
-  t.adj.(e.esrc) <- e :: t.adj.(e.esrc);
+let check_delay name what d =
+  (* NaN would fail [wdelay > 0.] and make the wire silently synchronous. *)
+  if not (Float.is_finite d && d >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Topology.%s: %s must be finite and non-negative" name
+         what)
+
+let new_edge t ~src ~dst ?cost kind =
+  let e = { eid = t.n_edges; esrc = src; edst = dst; kind; cost } in
+  t.adj.(src) <- e :: t.adj.(src);
   t.all_edges <- e :: t.all_edges;
   t.n_edges <- t.n_edges + 1;
-  t.dirty <- true;
   e
 
+(* An edge between routers: it enters the routing tables. *)
+let add_routed t ~src ~dst ?cost kind =
+  t.grown <- true;
+  t.dirty <- true;
+  new_edge t ~src ~dst ?cost kind
+
 let add_link t ~src ~dst ?cost link =
-  check_node t src "add_link";
-  check_node t dst "add_link";
+  check_router t src "add_link";
+  check_router t dst "add_link";
   check_cost "add_link" cost;
-  let e =
-    register_edge t
-      { eid = t.n_edges; esrc = src; edst = dst; kind = Queued link; cost }
-  in
+  let e = add_routed t ~src ~dst ?cost (Queued link) in
   Link.set_dest link (fun pkt -> arrive t dst pkt);
   (* A dropped packet is dead: forget its forwarding state. *)
   Link.on_drop link (fun pkt -> Itbl.remove t.targets pkt.Packet.id);
@@ -410,14 +468,20 @@ let add_link t ~src ~dst ?cost link =
   e
 
 let add_wire t ~src ~dst ?cost delay =
-  check_node t src "add_wire";
-  check_node t dst "add_wire";
-  (* NaN would fail [wdelay > 0.] and make the wire silently synchronous. *)
-  if not (Float.is_finite delay && delay >= 0.) then
-    invalid_arg "Topology.add_wire: delay must be finite and non-negative";
+  check_router t src "add_wire";
+  check_router t dst "add_wire";
+  check_delay "add_wire" "delay" delay;
   check_cost "add_wire" cost;
-  register_edge t
-    { eid = t.n_edges; esrc = src; edst = dst; kind = Wire delay; cost }
+  add_routed t ~src ~dst ?cost (Wire delay)
+
+(* The tables stay clean: the host routes by its router's cells. *)
+let add_host t ~router ~access =
+  check_router t router "add_host";
+  check_delay "add_host" "access" access;
+  let h = new_node t ~ix:(-1) in
+  t.up_of.(h) <- new_edge t ~src:h ~dst:router (Wire access);
+  t.down_of.(h) <- new_edge t ~src:router ~dst:h (Wire access);
+  h
 
 let set_cost t e c =
   check_cost "set_cost" (Some c);
@@ -440,10 +504,12 @@ let find_link t label =
 
 (* --- flows ---------------------------------------------------------------- *)
 
+let mem_flow t flow = Hashtbl.mem t.flows flow
+
 let add_flow t ~flow ~src ~dst =
   check_node t src "add_flow";
   check_node t dst "add_flow";
-  if Hashtbl.mem t.flows flow then
+  if mem_flow t flow then
     invalid_arg (Printf.sprintf "Topology.add_flow: flow %d already exists" flow);
   Hashtbl.replace t.flows flow
     { fid = flow; fsrc = src; fdst = dst; src_recv = ignore; dst_recv = ignore }
@@ -492,7 +558,8 @@ let next_hop t ~up_only u d =
   check_node t u "next_hop";
   check_node t d "next_hop";
   ensure_routes t;
-  let e = lookup t (if up_only then t.next_up else t.next_all) u d in
+  let table = if up_only then t.next_up else t.next_all in
+  let e = if u = d then no_edge else step t table u d in
   if e == no_edge then None else Some e
 
 (* [route] walks [next_up] twice, so that only its result is allocated:
@@ -501,13 +568,13 @@ let rec reaches t u dst budget =
   u = dst
   || budget > 0
      &&
-     let e = lookup t t.next_up u dst in
+     let e = step t t.next_up u dst in
      e != no_edge && reaches t e.edst dst (budget - 1)
 
 let rec path t u dst =
   if u = dst then []
   else
-    let e = lookup t t.next_up u dst in
+    let e = step t t.next_up u dst in
     e :: path t e.edst dst
 
 let route t ~src ~dst =

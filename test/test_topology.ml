@@ -1,19 +1,21 @@
-(* Tests for the arbitrary-topology layer: pinned runs of the hand-wired
-   dumbbell and parking lot, failure-impact classification on the
+(* Tests for the network layer, which every builder shares: pinned runs
+   of the dumbbell and parking lot, failure-impact classification on the
    transcontinental WAN, routing recomputation on link-state changes,
-   builder teardown/in-flight accounting, edge-cost validation, the
-   routing tables against a selection-Dijkstra reference model, allocation
+   builder teardown/in-flight accounting and flow-id checks, edge-cost
+   validation, the routing tables against a selection-Dijkstra reference
+   model, leaf hosts (routes equal to plain nodes wired the same way, no
+   recompute when one is attached, tables sized to routers), allocation
    bounds on recompute and route queries, and graph fuzz scenarios under
    parallel execution. *)
 
 module TB = Netsim.Topo_builders.Transcontinental
 
-(* --- Pinned runs of the hand-wired builders -------------------------------- *)
+(* --- Pinned runs of the dumbbell and parking lot --------------------------- *)
 
-(* The constants are the (digest, events, delivered) that the hand-wired
-   builders and graph-backed copies over [Topology] both produced on these
-   scenarios, so any change that adds, removes, reorders or re-times a
-   single event shows up here. *)
+(* The constants are the (digest, events, delivered) that the former
+   hand-wired builders produced on these scenarios, and that the builders
+   over [Topology] reproduce, so any change that adds, removes, reorders
+   or re-times a single event shows up here. *)
 let check_pinned name (sc : Fuzz.Scenario.t) ~digest ~events ~delivered =
   let o = Fuzz.Oracle.run sc in
   Alcotest.(check (list string))
@@ -249,6 +251,62 @@ let test_topology_teardown () =
   Alcotest.(check int) "cancelled delivery never arrives" 0 !received;
   Alcotest.(check int) "no pending deliveries" 0 (Netsim.Topology.in_flight topo)
 
+(* A flow whose [rtt_base] is exactly the chain's round-trip propagation
+   has zero-delay access segments. They are traversed synchronously, as
+   every zero-delay wire is, so the packet is already in the first link
+   when [src_sender] returns. *)
+let test_parking_lot_zero_access () =
+  let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
+  let pl =
+    Netsim.Parking_lot.create rt ~hops:2 ~bandwidth:8e5 ~delay:0.005
+      ~queue:(fun () -> Netsim.Droptail.create ~limit_pkts:50)
+      ()
+  in
+  Netsim.Parking_lot.add_through_flow pl ~flow:1 ~rtt_base:(2. *. 2. *. 0.005);
+  let received = ref 0 in
+  Netsim.Parking_lot.set_dst_recv pl ~flow:1 (fun _ -> incr received);
+  ignore
+    (Engine.Sim.at sim 0. (fun () ->
+         Netsim.Parking_lot.src_sender pl ~flow:1 (mk_pkt rt ~now:0.);
+         Alcotest.(check int) "no access delivery pending" 0
+           (Netsim.Parking_lot.in_flight pl);
+         let q = Netsim.Link.queue (Netsim.Parking_lot.link pl ~hop:1) in
+         Alcotest.(check int) "packet reached the first link" 1
+           q.Netsim.Queue_disc.stats.arrivals));
+  Engine.Sim.run sim ~until:1.;
+  Alcotest.(check int) "delivered" 1 !received
+
+(* A taken flow id is refused before any host is attached, so the graph
+   does not grow and its routes stay clean. *)
+let test_duplicate_flow_leaves_graph () =
+  let check name topo add =
+    add ();
+    ignore (Netsim.Topology.next_hop topo ~up_only:true 0 1);
+    let nodes = Netsim.Topology.n_nodes topo in
+    let recomputes = Netsim.Topology.recomputes topo in
+    Alcotest.check_raises name
+      (Invalid_argument (name ^ ".add_flow: flow 1 already exists"))
+      add;
+    Alcotest.(check int) (name ^ ": no node added") nodes
+      (Netsim.Topology.n_nodes topo);
+    ignore (Netsim.Topology.next_hop topo ~up_only:true 0 1);
+    Alcotest.(check int) (name ^ ": no recompute") recomputes
+      (Netsim.Topology.recomputes topo)
+  in
+  let rt = Engine.Sim.runtime (Engine.Sim.create ()) in
+  let queue () = Netsim.Droptail.create ~limit_pkts:10 in
+  let ft =
+    Netsim.Topo_builders.Fat_tree.create rt ~pods:2 ~bandwidth:1e6
+      ~delay:0.001 ~queue ()
+  in
+  check "Fat_tree" (Netsim.Topo_builders.Fat_tree.topology ft) (fun () ->
+      Netsim.Topo_builders.Fat_tree.add_flow ft ~flow:1 ~src_pod:0 ~src_edge:0
+        ~dst_pod:1 ~dst_edge:1 ~access:0.001);
+  let wan = TB.create rt ~queue () in
+  check "Transcontinental" (TB.topology wan) (fun () ->
+      TB.add_flow wan ~flow:1 ~src:TB.Nyc ~dst:TB.Sfo ~access:0.001)
+
 (* A NaN delay fails both [delay < 0.] and [wdelay > 0.], which would make
    the wire silently synchronous. *)
 let test_wire_delay_not_finite () =
@@ -343,10 +401,8 @@ let print_graph g =
 
 (* Small graphs, dense enough for parallel edges, self-loops and equal-cost
    ties; delays such as 0.1 + 0.2 <> 0.3 make ties depend on rounding. *)
-let gen_graph =
+let gen_graph_of ~delays ~costs =
   let open QCheck.Gen in
-  let delays = [ 0.; 0.; 0.1; 0.2; 0.3; 0.5; 1. ] in
-  let costs = [ 0.; 0.5; 1.; 1.; 2.; 0.1; 0.3 ] in
   int_range 1 9 >>= fun gn ->
   bool >>= fun delay_model ->
   list_size (int_range 0 (3 * gn))
@@ -361,6 +417,11 @@ let gen_graph =
              (opt ~ratio:0.3 (oneofl costs))
              (float_bound_inclusive 1. >|= fun x -> x < 0.3))))
   >|= fun gedges -> { gn; delay_model; gedges }
+
+let gen_graph =
+  gen_graph_of
+    ~delays:[ 0.; 0.; 0.1; 0.2; 0.3; 0.5; 1. ]
+    ~costs:[ 0.; 0.5; 1.; 1.; 2.; 0.1; 0.3 ]
 
 let build_graph g =
   let sim = Engine.Sim.create () in
@@ -435,6 +496,141 @@ let prop_tables_match_reference =
     (QCheck.make ~print:print_graph gen_graph)
     tables_agree
 
+(* --- Leaf hosts ------------------------------------------------------------- *)
+
+(* A router graph plus hosts, each (router, access delay). Costs and delays
+   are positive and dyadic: a zero-cost cycle ties a detour with a host's
+   down wire, and rounding breaks ties differently once a host's wire is
+   added to a sum, which are the two ways plain nodes can route to a leaf
+   other than through its router. *)
+let gen_hosted =
+  let open QCheck.Gen in
+  gen_graph_of ~delays:[ 0.125; 0.25; 0.5; 1. ] ~costs:[ 0.25; 0.5; 1.; 2. ]
+  >>= fun g ->
+  list_size (int_range 1 4)
+    (pair (int_bound (g.gn - 1)) (oneofl [ 0.125; 0.25; 0.5 ]))
+  >|= fun hosts -> (g, hosts)
+
+let print_hosted (g, hosts) =
+  Printf.sprintf "%s hosts [%s]" (print_graph g)
+    (String.concat "; "
+       (List.map (fun (r, a) -> Printf.sprintf "@%d %g" r a) hosts))
+
+(* The same graph twice: hosts by [add_host], and as plain nodes with an
+   up and a down wire, which take the same node and edge ids. Flows run
+   from each host to its successor host and to router 0. *)
+let build_hosted (g, hosts) ~plain =
+  let topo, refs = build_graph g in
+  let m = List.length refs in
+  let host_refs =
+    List.concat
+      (List.mapi
+         (fun i (r, access) ->
+           let h =
+             if plain then begin
+               let h = Netsim.Topology.add_node topo in
+               ignore (Netsim.Topology.add_wire topo ~src:h ~dst:r access);
+               ignore (Netsim.Topology.add_wire topo ~src:r ~dst:h access);
+               h
+             end
+             else Netsim.Topology.add_host topo ~router:r ~access
+           in
+           let cost = if g.delay_model then access else 1. in
+           let wire id src dst = { Ref_routing.id; src; dst; cost; up = true } in
+           [ wire (m + (2 * i)) h r; wire (m + (2 * i) + 1) r h ])
+         hosts)
+  in
+  let k = List.length hosts in
+  for i = 0 to k - 1 do
+    let h = g.gn + i in
+    Netsim.Topology.add_flow topo ~flow:(2 * i) ~src:h ~dst:(g.gn + ((i + 1) mod k));
+    Netsim.Topology.add_flow topo ~flow:((2 * i) + 1) ~src:h ~dst:0
+  done;
+  (topo, refs @ host_refs)
+
+let hosts_route_as_plain_nodes gh =
+  let topo, refs = build_hosted gh ~plain:false in
+  let plain, _ = build_hosted gh ~plain:true in
+  let n = Netsim.Topology.n_nodes topo in
+  let ids = Option.map (List.map Netsim.Topology.edge_id) in
+  List.iter
+    (fun up_only ->
+      let expect = Ref_routing.next_hops ~n ~up_only refs in
+      for u = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          let got =
+            Option.map Netsim.Topology.edge_id
+              (Netsim.Topology.next_hop topo ~up_only u d)
+          in
+          if got <> expect.((u * n) + d) then
+            QCheck.Test.fail_reportf "next_hop %b (%d, %d)" up_only u d
+        done
+      done)
+    [ true; false ];
+  for u = 0 to n - 1 do
+    for d = 0 to n - 1 do
+      if
+        ids (Netsim.Topology.route topo ~src:u ~dst:d)
+        <> ids (Netsim.Topology.route plain ~src:u ~dst:d)
+      then QCheck.Test.fail_reportf "route (%d, %d)" u d
+    done
+  done;
+  List.iter2
+    (fun e e' ->
+      if Netsim.Topology.impact topo e <> Netsim.Topology.impact plain e' then
+        QCheck.Test.fail_reportf "impact of edge %d" (Netsim.Topology.edge_id e))
+    (Netsim.Topology.edges topo)
+    (Netsim.Topology.edges plain);
+  Netsim.Topology.recomputes topo = 1
+
+let prop_hosts_route_as_plain_nodes =
+  QCheck.Test.make ~name:"add_host routes as a plain node with two wires"
+    ~count:300
+    (QCheck.make ~print:print_hosted gen_hosted)
+    hosts_route_as_plain_nodes
+
+(* A host attached mid-run is routed by its router's cells: no recompute,
+   and its packets arrive. *)
+let test_host_attached_mid_run () =
+  let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
+  let topo = Netsim.Topology.create rt () in
+  let r0 = Netsim.Topology.add_node topo in
+  let r1 = Netsim.Topology.add_node topo in
+  ignore (Netsim.Topology.add_wire topo ~src:r0 ~dst:r1 0.01);
+  ignore (Netsim.Topology.add_wire topo ~src:r1 ~dst:r0 0.01);
+  let a = Netsim.Topology.add_host topo ~router:r0 ~access:0.005 in
+  let b = Netsim.Topology.add_host topo ~router:r1 ~access:0.005 in
+  Netsim.Topology.add_flow topo ~flow:1 ~src:a ~dst:b;
+  let received = ref [] in
+  let recv flow _ = received := flow :: !received in
+  Netsim.Topology.set_dst_recv topo ~flow:1 (recv 1);
+  ignore
+    (Engine.Sim.at sim 0. (fun () ->
+         Netsim.Topology.src_sender topo ~flow:1 (mk_pkt rt ~now:0.)));
+  ignore
+    (Engine.Sim.at sim 0.5 (fun () ->
+         Alcotest.(check int) "first packet recomputed once" 1
+           (Netsim.Topology.recomputes topo);
+         let c = Netsim.Topology.add_host topo ~router:r1 ~access:0.002 in
+         let d = Netsim.Topology.add_host topo ~router:r0 ~access:0. in
+         Netsim.Topology.add_flow topo ~flow:2 ~src:a ~dst:c;
+         Netsim.Topology.add_flow topo ~flow:3 ~src:c ~dst:d;
+         Netsim.Topology.set_dst_recv topo ~flow:2 (recv 2);
+         Netsim.Topology.set_dst_recv topo ~flow:3 (recv 3);
+         Netsim.Topology.set_src_recv topo ~flow:3 (recv (-3));
+         Netsim.Topology.src_sender topo ~flow:2 (mk_pkt rt ~now:0.5);
+         Netsim.Topology.src_sender topo ~flow:3 (mk_pkt rt ~now:0.5);
+         Netsim.Topology.dst_sender topo ~flow:3 (mk_pkt rt ~now:0.5)));
+  Engine.Sim.run sim ~until:1.;
+  Alcotest.(check (list int)) "every packet delivered" [ -3; 1; 2; 3 ]
+    (List.sort compare !received);
+  Alcotest.(check int) "no recompute for the new hosts" 1
+    (Netsim.Topology.recomputes topo);
+  Alcotest.(check bool) "route through the hosts' routers" true
+    (Option.map List.length (Netsim.Topology.route topo ~src:a ~dst:b)
+    = Some 3)
+
 (* --- Allocation and growth ------------------------------------------------- *)
 
 let minor_words f =
@@ -476,6 +672,34 @@ let test_recompute_words () =
     (Netsim.Topology.recomputes topo);
   if words > recompute_words_bound then
     Alcotest.failf "fat-tree recompute: %.0f minor words (bound %.0f)" words
+      recompute_words_bound
+
+(* Hosts own no table cells: with 2,000 of them on two routers, the tables
+   stay 2 × 2 and a recompute allocates as little as the fat tree's. *)
+let test_hosts_tables_sized_to_routers () =
+  let topo = Netsim.Topology.create (Engine.Sim.runtime (Engine.Sim.create ())) () in
+  let r0 = Netsim.Topology.add_node topo in
+  let r1 = Netsim.Topology.add_node topo in
+  ignore (Netsim.Topology.add_wire topo ~src:r0 ~dst:r1 0.01);
+  ignore (Netsim.Topology.add_wire topo ~src:r1 ~dst:r0 0.01);
+  let probe () = ignore (Netsim.Topology.next_hop topo ~up_only:true r0 r1) in
+  probe ();
+  for i = 1 to 2000 do
+    ignore
+      (Netsim.Topology.add_host topo ~router:(if i mod 2 = 0 then r0 else r1)
+         ~access:0.001)
+  done;
+  Alcotest.(check int) "2,002 nodes" 2002 (Netsim.Topology.n_nodes topo);
+  let r0s = Netsim.Topology.recomputes topo in
+  let empty = minor_words probe in
+  Alcotest.(check int) "attaching hosts recomputed nothing" r0s
+    (Netsim.Topology.recomputes topo);
+  Netsim.Topology.invalidate topo;
+  let words = minor_words probe -. empty in
+  Alcotest.(check int) "one more recompute" (r0s + 1)
+    (Netsim.Topology.recomputes topo);
+  if words > recompute_words_bound then
+    Alcotest.failf "2,000-host recompute: %.0f minor words (bound %.0f)" words
       recompute_words_bound
 
 (* [route] walks the table twice, so the only allocation is its result:
@@ -671,6 +895,10 @@ let () =
           Alcotest.test_case "parking lot teardown" `Quick
             test_parking_lot_teardown;
           Alcotest.test_case "topology teardown" `Quick test_topology_teardown;
+          Alcotest.test_case "parking lot zero access" `Quick
+            test_parking_lot_zero_access;
+          Alcotest.test_case "duplicate flow leaves graph" `Quick
+            test_duplicate_flow_leaves_graph;
         ] );
       ( "construction",
         [
@@ -687,6 +915,14 @@ let () =
             test_node_added_after_routes;
           Alcotest.test_case "wire in_flight exact" `Quick
             test_wire_in_flight_exact;
+        ] );
+      ( "hosts",
+        [
+          QCheck_alcotest.to_alcotest prop_hosts_route_as_plain_nodes;
+          Alcotest.test_case "attached mid-run" `Quick
+            test_host_attached_mid_run;
+          Alcotest.test_case "tables sized to routers" `Quick
+            test_hosts_tables_sized_to_routers;
         ] );
       ( "graph-fuzz",
         [

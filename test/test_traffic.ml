@@ -149,6 +149,33 @@ let test_web_mix_stop () =
     true
     (started < 80)
 
+(* Each arrival adds a flow, whose two hosts hang off the dumbbell's
+   routers without touching the routing tables: the run recomputes them
+   once, for its first packet, however many connections arrive. *)
+let test_web_mix_no_recompute () =
+  let sim = Engine.Sim.create () in
+  let rng = Engine.Rng.create ~seed:9 in
+  let db =
+    Netsim.Dumbbell.create (Engine.Sim.runtime sim)
+      ~bandwidth:(Engine.Units.mbps 10.)
+      ~delay:0.01
+      ~queue:(Netsim.Dumbbell.Droptail_q 100) ()
+  in
+  let web =
+    Traffic.Web_mix.create db rng ~first_flow_id:100 ~arrival_rate:20.
+      ~mean_size:5. ()
+  in
+  Traffic.Web_mix.start web ~at:0.;
+  Engine.Sim.run sim ~until:10.;
+  let topo = Netsim.Dumbbell.topology db in
+  let started = Traffic.Web_mix.connections_started web in
+  Alcotest.(check bool)
+    (Printf.sprintf "many arrivals (%d)" started)
+    true (started > 100);
+  Alcotest.(check int) "two hosts per arrival" (2 + (2 * started))
+    (Netsim.Topology.n_nodes topo);
+  Alcotest.(check int) "one recompute" 1 (Netsim.Topology.recomputes topo)
+
 (* --- Stop before start -------------------------------------------------- *)
 
 (* Every source kind, started at t=1 and stopped at t=0.1, must send
@@ -238,6 +265,8 @@ let () =
           Alcotest.test_case "transfers complete" `Quick
             test_web_mix_transfers_complete;
           Alcotest.test_case "stop" `Quick test_web_mix_stop;
+          Alcotest.test_case "arrivals need no recompute" `Quick
+            test_web_mix_no_recompute;
         ] );
       ( "stop before start",
         List.map
