@@ -50,10 +50,8 @@ type t = {
   rt : Engine.Runtime.t;
   cost_model : cost_model;
   mutable n_nodes : int;
-  (* Per node, grown together: the out-edges (most recent first); a
-     router's table index, or -1 for a host; and a host's up and down
-     wires, [no_edge] for a router. *)
-  mutable adj : edge list array;
+  (* Per node, grown together: a router's table index, or -1 for a host;
+     and a host's up and down wires, [no_edge] for a router. *)
   mutable ix : int array;
   mutable up_of : edge array;
   mutable down_of : edge array;
@@ -100,7 +98,6 @@ let create ?(cost_model = Hop) rt () =
     rt;
     cost_model;
     n_nodes = 0;
-    adj = Array.make 8 [];
     ix = Array.make 8 (-1);
     up_of = Array.make 8 no_edge;
     down_of = Array.make 8 no_edge;
@@ -135,13 +132,12 @@ let invalidate t = t.dirty <- true
 
 let new_node t ~ix =
   let n = t.n_nodes in
-  if n = Array.length t.adj then begin
+  if n = Array.length t.ix then begin
     let grow a fill =
       let bigger = Array.make (2 * n) fill in
       Array.blit a 0 bigger 0 n;
       bigger
     in
-    t.adj <- grow t.adj [];
     t.ix <- grow t.ix (-1);
     t.up_of <- grow t.up_of no_edge;
     t.down_of <- grow t.down_of no_edge
@@ -445,7 +441,6 @@ let check_delay name what d =
 
 let new_edge t ~src ~dst ?cost kind =
   let e = { eid = t.n_edges; esrc = src; edst = dst; kind; cost } in
-  t.adj.(src) <- e :: t.adj.(src);
   t.all_edges <- e :: t.all_edges;
   t.n_edges <- t.n_edges + 1;
   e
@@ -584,8 +579,9 @@ let route t ~src ~dst =
   if reaches t src dst t.n_nodes then Some (path t src dst) else None
 
 (* Reachability over up links with one edge excised, by breadth-first
-   search — the counterfactual a link failure poses. *)
-let reachable_without t ~without ~src ~dst =
+   search over the out-edge lists [adj] — the counterfactual a link
+   failure poses. *)
+let reachable_without t adj ~without ~src ~dst =
   let seen = Array.make (max t.n_nodes 1) false in
   let q = Queue.create () in
   seen.(src) <- true;
@@ -602,7 +598,7 @@ let reachable_without t ~without ~src ~dst =
             seen.(e.edst) <- true;
             Queue.add e.edst q
           end)
-        t.adj.(u)
+        adj.(u)
   done;
   !found || src = dst
 
@@ -613,6 +609,8 @@ let flow_uses t e ~src ~dst =
 
 let impact t e =
   ensure_routes t;
+  let adj = Array.make t.n_nodes [] in
+  List.iter (fun e -> adj.(e.esrc) <- e :: adj.(e.esrc)) t.all_edges;
   let flows =
     Hashtbl.fold (fun _ fi acc -> fi :: acc) t.flows []
     |> List.sort (fun a b -> compare a.fid b.fid)
@@ -621,12 +619,10 @@ let impact t e =
     (fun fi ->
       let fwd = flow_uses t e ~src:fi.fsrc ~dst:fi.fdst in
       let bwd = flow_uses t e ~src:fi.fdst ~dst:fi.fsrc in
+      let cut src dst = not (reachable_without t adj ~without:e ~src ~dst) in
       let kind =
         if not (fwd || bwd) then Unaffected
-        else if
-          (fwd && not (reachable_without t ~without:e ~src:fi.fsrc ~dst:fi.fdst))
-          || bwd
-             && not (reachable_without t ~without:e ~src:fi.fdst ~dst:fi.fsrc)
+        else if (fwd && cut fi.fsrc fi.fdst) || (bwd && cut fi.fdst fi.fsrc)
         then Partitioned
         else Rerouted
       in
