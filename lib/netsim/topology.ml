@@ -50,8 +50,9 @@ type t = {
   rt : Engine.Runtime.t;
   cost_model : cost_model;
   mutable n_nodes : int;
-  (* Per node, grown together: a router's table index, or -1 for a host;
-     and a host's up and down wires, [no_edge] for a router. *)
+  (* Per node, grown together: a router's table index i, or -1 - i for a
+     host on router i; and a host's up and down wires, [no_edge] for a
+     router. *)
   mutable ix : int array;
   mutable up_of : edge array;
   mutable down_of : edge array;
@@ -360,22 +361,25 @@ let recompute t =
 
 let ensure_routes t = if t.dirty then recompute t
 
+(* Table cell for routers [iu] and [id]; [no_edge] for routers the tables
+   predate. *)
+let cell t table iu id =
+  let n = t.tn in
+  if iu < n && id < n then Array.unsafe_get table ((iu * n) + id) else no_edge
+
 (* [u]'s next hop toward [d <> u] in [table], or [no_edge]. Hosts own no
    table cells: a host leaves by its up wire and is entered by its down
-   wire, and otherwise routes as its router does. Routers the tables
-   predate have no route. *)
+   wire, and otherwise routes as its router does. *)
 let step t table u d =
-  let up = Array.unsafe_get t.up_of u and down = Array.unsafe_get t.down_of d in
-  let ru = if up == no_edge then u else up.edst in
-  let rd = if down == no_edge then d else down.esrc in
-  if ru = rd then if up == no_edge then down else up
+  let iu = Array.unsafe_get t.ix u and id = Array.unsafe_get t.ix d in
+  if iu >= 0 && id >= 0 then cell t table iu id
   else
-    let n = t.tn and iu = t.ix.(ru) and id = t.ix.(rd) in
-    let e =
-      if iu < n && id < n then Array.unsafe_get table ((iu * n) + id)
-      else no_edge
-    in
-    if e == no_edge || up == no_edge then e else up
+    let ru = if iu >= 0 then iu else -1 - iu in
+    let rd = if id >= 0 then id else -1 - id in
+    if ru = rd then if iu >= 0 then t.down_of.(d) else t.up_of.(u)
+    else
+      let e = cell t table ru rd in
+      if e == no_edge || iu >= 0 then e else t.up_of.(u)
 
 let next_edge t u d =
   ensure_routes t;
@@ -385,7 +389,7 @@ let next_edge t u d =
 let rec arrive t node (pkt : Packet.t) =
   match Itbl.find t.targets pkt.id with
   | exception Not_found ->
-      () (* unrouted packet: silently discarded, like the demuxes *)
+      () (* unrouted packet: silently discarded *)
   | tg ->
       if node = tg.tnode then begin
         Itbl.remove t.targets pkt.id;
@@ -473,7 +477,7 @@ let add_wire t ~src ~dst ?cost delay =
 let add_host t ~router ~access =
   check_router t router "add_host";
   check_delay "add_host" "access" access;
-  let h = new_node t ~ix:(-1) in
+  let h = new_node t ~ix:(-1 - t.ix.(router)) in
   t.up_of.(h) <- new_edge t ~src:h ~dst:router (Wire access);
   t.down_of.(h) <- new_edge t ~src:router ~dst:h (Wire access);
   h
