@@ -17,16 +17,21 @@ type t = {
   r_now : unit -> float;
   r_at : float -> (unit -> unit) -> handle;
   r_after : float -> (unit -> unit) -> handle;
+  r_post : float -> (int -> unit) -> int -> unit;
   r_trace : Trace.t;
   r_fresh_id : unit -> int;
 }
 
 let make ~now ~at ~after ~trace ~fresh_id =
-  { r_now = now; r_at = at; r_after = after; r_trace = trace;
-    r_fresh_id = fresh_id }
+  { r_now = now; r_at = at; r_after = after;
+    r_post = (fun delay g a -> ignore (after delay (fun () -> g a)));
+    r_trace = trace; r_fresh_id = fresh_id }
+
+let with_post t post = { t with r_post = post }
 
 let now t = t.r_now ()
 let at t time f = t.r_at time f
 let after t delay f = t.r_after delay f
+let post t delay g a = t.r_post delay g a
 let trace t = t.r_trace
 let fresh_id t = t.r_fresh_id ()

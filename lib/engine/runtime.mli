@@ -17,6 +17,9 @@
     - a timer scheduled with [at]/[after] fires at most once, at a time
       [>= ] its deadline, with [now] reading the deadline or later inside
       the callback; timers fire in (deadline, scheduling order);
+    - a {!post}ed callback obeys the same rules, sharing one (deadline,
+      scheduling order) with [at]/[after], but it has no handle and
+      cannot be cancelled;
     - [cancel] is idempotent and a cancelled timer never fires;
     - [fresh_id] yields 1, 2, 3, … private to this runtime.
 
@@ -49,7 +52,9 @@ type t
 (** [make ~now ~at ~after ~trace ~fresh_id] builds a runtime from an
     implementation's closures. [at] schedules at an absolute time on the
     runtime's clock; [after] relative to [now]; both must reject
-    non-finite arguments rather than corrupt their timer queue. *)
+    non-finite arguments rather than corrupt their timer queue. The
+    runtime's {!post} is [after] with a closure that applies the payload:
+    correct, but it allocates that closure and a handle per call. *)
 val make :
   now:(unit -> float) ->
   at:(float -> (unit -> unit) -> handle) ->
@@ -57,6 +62,11 @@ val make :
   trace:Trace.t ->
   fresh_id:(unit -> int) ->
   t
+
+(** [with_post t post] is [t] with an implementation's native {!post}
+    ({!Sim.runtime} supplies one that allocates nothing). [post delay g a]
+    must honour the {!post} contract below. *)
+val with_post : t -> (float -> (int -> unit) -> int -> unit) -> t
 
 (** Current time in seconds on this runtime's clock (0 at creation). *)
 val now : t -> float
@@ -66,6 +76,17 @@ val now : t -> float
 val at : t -> float -> (unit -> unit) -> handle
 
 val after : t -> float -> (unit -> unit) -> handle
+
+(** [post t delay g a] runs [g a] in [delay] seconds, like [after t delay
+    (fun () -> g a)] but with no closure and no handle: a component that
+    moves many packets builds [g] once and passes each packet's index in
+    its own table as [a]. A post takes a scheduling sequence number
+    exactly where that [after] would, so it fires at the same instant and
+    ties with [at]/[after] timers fire in scheduling order. It returns no
+    handle and cannot be cancelled; a component that must abandon a
+    posted event makes [g] ignore its payload. [delay] is checked as
+    [after] checks it. *)
+val post : t -> float -> (int -> unit) -> int -> unit
 
 (** The trace bus components built on this runtime emit to. *)
 val trace : t -> Trace.t

@@ -102,11 +102,19 @@ let at t time f =
       (Printf.sprintf "Sim.at: time %g is in the past (now %g)" time t.clock);
   Timers.schedule t.timers ~time f
 
-let after t delay f =
+let check_delay name delay =
   if not (Float.is_finite delay) then
-    invalid_arg (Printf.sprintf "Sim.after: non-finite delay %g" delay);
-  if delay < 0. then invalid_arg "Sim.after: negative delay";
+    invalid_arg (Printf.sprintf "Sim.%s: non-finite delay %g" name delay);
+  if delay < 0. then invalid_arg (Printf.sprintf "Sim.%s: negative delay" name)
+
+let after t delay f =
+  check_delay "after" delay;
   at t (t.clock +. delay) f
+
+(* The deadline is [clock +. delay], the value [after] computes. *)
+let post t delay g a =
+  check_delay "post" delay;
+  Timers.post t.timers ~now:t.clock ~delay g a
 
 let cancel = Timers.cancel
 let is_pending = Timers.is_pending
@@ -122,12 +130,14 @@ let runtime t =
   | Some rt -> rt
   | None ->
       let rt =
-        Runtime.make
-          ~now:(fun () -> t.clock)
-          ~at:(fun time f -> at t time f)
-          ~after:(fun delay f -> after t delay f)
-          ~trace:t.trace
-          ~fresh_id:(fun () -> fresh_id t)
+        Runtime.with_post
+          (Runtime.make
+             ~now:(fun () -> t.clock)
+             ~at:(fun time f -> at t time f)
+             ~after:(fun delay f -> after t delay f)
+             ~trace:t.trace
+             ~fresh_id:(fun () -> fresh_id t))
+          (fun delay g a -> post t delay g a)
       in
       t.runtime <- Some rt;
       rt
@@ -177,14 +187,14 @@ let run ?budget t ~until =
     else begin
       let time = Timers.peek_time t.timers in
       if time > until then continue := false
-      else if Timers.peek_pending t.timers then begin
-        (match budget with None -> () | Some b -> charge t b time);
-        let f = Timers.pop t.timers in
-        t.clock <- time;
-        f ()
+      else begin
+        (* A cancelled entry is just discarded: no charge, no clock move. *)
+        if Timers.peek_pending t.timers then begin
+          (match budget with None -> () | Some b -> charge t b time);
+          t.clock <- time
+        end;
+        Timers.fire t.timers
       end
-      else (* cancelled: the popped callback is [ignore] *)
-        Timers.pop t.timers ()
     end
   done;
   if until < infinity && t.clock < until && not t.stopping then t.clock <- until;

@@ -41,6 +41,11 @@ val at : t -> float -> (unit -> unit) -> handle
     [delay] must be finite and non-negative. *)
 val after : t -> float -> (unit -> unit) -> handle
 
+(** [post t delay g a] runs [g a] [delay] seconds from now, with no
+    handle: {!Runtime.post}'s contract, allocating nothing. [delay] is
+    checked as in {!after}. *)
+val post : t -> float -> (int -> unit) -> int -> unit
+
 (** {!Timers.cancel}, {!Timers.is_pending} and {!Timers.null_handle}. *)
 val cancel : handle -> unit
 

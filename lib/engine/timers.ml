@@ -5,16 +5,17 @@
    reference heap.
 
    Slot store. A timer is a slot index into parallel arrays: its deadline
-   in the unboxed [time] float array, its [stamp] and its wheel or
-   free-list [link] in int arrays, and its callback in [fn], the only
+   in the unboxed [time] float array, its [stamp], its wheel or free-list
+   [link] and a posted timer's payload [arg] in int arrays, and its
+   callback in [fn] (scheduled timers) or [pfn] (posted ones), the only
    pointer stored per timer. Wheel buckets are intrusive
    lists threaded through [link]; the ready and overflow heaps are int
    arrays of slots. Filing, cascading, sifting and sweeping therefore move
    ints: no write barrier, no pointer chasing, and scheduling allocates
-   only the caller's handle. A slot goes back on the free list (LIFO) as
-   soon as its timer is popped, swept or cleared, and its callback is
-   replaced by [ignore] then, so the queue never retains a dead timer's
-   closure.
+   only the caller's handle (posting allocates nothing). A slot goes back
+   on the free list (LIFO) as soon as its timer is fired, swept or
+   cleared, and its callback is replaced by a no-op then, so the queue
+   never retains a dead timer's closure.
 
    Stamps and handles. A queued timer's stamp is twice its scheduling
    sequence number, plus one once it is cancelled; a released slot's
@@ -23,7 +24,9 @@
    numbers are never reused, so once the slot is released — and perhaps
    reused by a newer timer — the old handle reads not pending and its
    [cancel] does nothing. Two queued stamps compare as their sequence
-   numbers do, so the stamp is also the heaps' tie-break.
+   numbers do, so the stamp is also the heaps' tie-break. A posted timer
+   takes its sequence number exactly as a scheduled one does; it only has
+   no handle, so nothing can cancel it.
 
    Layout. Slot counts per level are powers of two, [nslots = 2^bits].
    Level l has [nslots] buckets of width w_l = granularity * 2^(bits*l); an
@@ -74,11 +77,15 @@ type t = {
   mutable next_seq : int;
   mutable total : int;
   mutable cancelled : int; (* cancelled entries still queued *)
-  (* The slot store; all four arrays share one capacity. *)
+  (* The slot store; all six arrays share one capacity. A slot holds a
+     scheduled callback in [fn] ([pfn] is [unposted]) or a posted one in
+     [pfn] with its payload in [arg] ([fn] is [ignore]). *)
   mutable time : Float.Array.t;
   mutable stamp : int array;
   mutable link : int array; (* bucket list or free list; [nil] ends *)
+  mutable arg : int array;
   mutable fn : (unit -> unit) array;
+  mutable pfn : (int -> unit) array;
   mutable free : int; (* head of the free list *)
 }
 
@@ -87,6 +94,7 @@ type handle =
   | Custom of { cancel : unit -> unit; is_pending : unit -> bool }
 
 let nil = -1
+let unposted : int -> unit = fun _ -> ()
 
 let custom ~cancel ~is_pending = Custom { cancel; is_pending }
 
@@ -121,7 +129,9 @@ let grow t =
   t.time <- time;
   t.stamp <- extend t.stamp (-1);
   t.link <- extend t.link nil;
+  t.arg <- extend t.arg 0;
   t.fn <- extend t.fn ignore;
+  t.pfn <- extend t.pfn unposted;
   (* Only called on an empty free list: chain the new slots in order. *)
   for s = cap - 1 downto n do
     t.link.(s) <- t.free;
@@ -139,7 +149,7 @@ let alloc t =
    is dropped. *)
 let release t s =
   t.stamp.(s) <- -1;
-  t.fn.(s) <- ignore;
+  if t.pfn.(s) != unposted then t.pfn.(s) <- unposted else t.fn.(s) <- ignore;
   t.link.(s) <- t.free;
   t.free <- s
 
@@ -258,7 +268,9 @@ let create ?(granularity = 1e-4) ?(slots = 256) ?(levels = 4) () =
     time = Float.Array.create 0;
     stamp = [||];
     link = [||];
+    arg = [||];
     fn = [||];
+    pfn = [||];
     free = nil;
   }
 
@@ -292,15 +304,15 @@ let rec insert_from t ~max_level s i0 l =
     if i - (t.cur0 lsr sh) <= t.mask then link t l (i land t.mask) s
     else insert_from t ~max_level s i0 (l + 1)
 
-let schedule t ~time f =
+(* Take a slot for a timer at [time], stamp it with the next sequence
+   number and file it; the caller stores the callback. Inlined, so a
+   posted deadline is never boxed. *)
+let[@inline] enqueue name t time =
   if Float.is_nan time || time < 0. || time = Float.infinity then
-    invalid_arg
-      (Printf.sprintf "Timers.schedule: time %g not finite and >= 0" time);
+    invalid_arg (Printf.sprintf "Timers.%s: time %g not finite and >= 0" name time);
   let s = alloc t in
-  let gen = 2 * t.next_seq in
   Float.Array.set t.time s time;
-  t.stamp.(s) <- gen;
-  t.fn.(s) <- f;
+  t.stamp.(s) <- 2 * t.next_seq;
   t.next_seq <- t.next_seq + 1;
   t.total <- t.total + 1;
   (if time >= t.idx_cap then heap_push t t.overflow s
@@ -308,7 +320,17 @@ let schedule t ~time f =
      let i0 = idx0 t time in
      if i0 < t.cur0 then heap_push t t.ready s
      else insert_from t ~max_level:t.nlevels s i0 0);
-  Timer { q = t; slot = s; gen }
+  s
+
+let schedule t ~time f =
+  let s = enqueue "schedule" t time in
+  t.fn.(s) <- f;
+  Timer { q = t; slot = s; gen = t.stamp.(s) }
+
+let post t ~now ~delay g a =
+  let s = enqueue "post" t (now +. delay) in
+  t.arg.(s) <- a;
+  t.pfn.(s) <- g
 
 (* Empty bucket [k] of level [l], handing each slot, unlinked, to
    [f t l k]. Callers pass closed functions, so a call allocates nothing. *)
@@ -425,21 +447,29 @@ let peek_pending t =
   settle t;
   t.ready.size > 0 && live t t.ready.a.(0)
 
-let pop t =
+(* The slot is released before its callback runs, so the callback may
+   reuse it and the queue holds no reference to the closure afterwards. *)
+let fire t =
   settle t;
-  if t.ready.size = 0 then ignore
-  else begin
+  if t.ready.size > 0 then begin
     let s = heap_pop t t.ready in
     t.total <- t.total - 1;
-    let f =
-      if live t s then t.fn.(s)
-      else begin
-        t.cancelled <- t.cancelled - 1;
-        ignore
+    if not (live t s) then begin
+      t.cancelled <- t.cancelled - 1;
+      release t s
+    end
+    else
+      let g = t.pfn.(s) in
+      if g != unposted then begin
+        let a = t.arg.(s) in
+        release t s;
+        g a
       end
-    in
-    release t s;
-    f
+      else begin
+        let f = t.fn.(s) in
+        release t s;
+        f ()
+      end
   end
 
 let take_all_buckets t f =

@@ -12,15 +12,16 @@
     entries capture — bounded by twice the live-timer count.
 
     {b Slot store.} A timer is a slot in struct-of-arrays storage: its
-    deadline sits unboxed in a float array, its wheel link and its stamp
+    deadline sits unboxed in a float array; its wheel link, its stamp
     (scheduling sequence number and cancelled flag, which double as the
-    handle's generation) in int arrays, and its callback is the only
-    pointer the queue stores for it. Wheel buckets, cascades and
-    both heaps move slot indices, which are immediate ints, so none of
-    that work goes through OCaml 5's write barrier ([caml_modify]), and
-    scheduling allocates neither an entry record nor a float box. A slot
-    is recycled as soon as its timer is popped, swept or cleared, and its
-    callback is dropped then: the queue never retains a dead timer's
+    handle's generation) and, for a {!post}ed timer, its int payload sit
+    in int arrays; and its callback is the only pointer the queue stores
+    for it. Wheel buckets, cascades and both heaps move slot indices,
+    which are immediate ints, so none of that work goes through OCaml 5's
+    write barrier ([caml_modify]), and scheduling allocates neither an
+    entry record nor a float box; {!post} allocates nothing at all. A
+    slot is recycled as soon as its timer is fired, swept or cleared, and
+    its callback is dropped then: the queue never retains a dead timer's
     closure.
 
     {b Handles and generations.} A handle is one small immutable block
@@ -67,6 +68,14 @@ val create : ?granularity:float -> ?slots:int -> ?levels:int -> unit -> t
     is the runtime's job. *)
 val schedule : t -> time:float -> (unit -> unit) -> handle
 
+(** [post t ~now ~delay g a] queues [g a] at [now +. delay] and returns
+    no handle, so nothing but {!clear} can remove it. The deadline is
+    summed here, so that a caller passing its clock and a stored delay
+    boxes no float. It takes the next sequence number exactly as
+    {!schedule} would: posted and scheduled timers share one (deadline,
+    scheduling order). Raises [Invalid_argument] as {!schedule} does. *)
+val post : t -> now:float -> delay:float -> (int -> unit) -> int -> unit
+
 (** [custom ~cancel ~is_pending] is a handle backed by closures, for
     timers that are not a queue's own — for example a view that forwards
     to an inner handle and counts cancels. [cancel] must be idempotent. *)
@@ -88,11 +97,11 @@ val size : t -> int
 
 val is_empty : t -> bool
 
-(** {2 Popping}
+(** {2 Firing}
 
     The owning runtime drives the queue through these three: read the
-    earliest entry's deadline and liveness, advance its clock, then pop
-    and run the callback. *)
+    earliest entry's deadline and liveness, advance its clock, then fire
+    the entry. *)
 
 (** [peek_time t] is the deadline of the earliest queued entry, cancelled
     or not; [infinity] if [t] is empty. *)
@@ -102,11 +111,11 @@ val peek_time : t -> float
     not cancelled. *)
 val peek_pending : t -> bool
 
-(** [pop t] removes the earliest entry and returns its callback for the
-    caller to run, or [ignore] if that entry was cancelled (or [t] is
-    empty). The entry's handle reads not pending from here on, and the
-    queue keeps no reference to the callback. *)
-val pop : t -> unit -> unit
+(** [fire t] removes the earliest entry and runs its callback (with its
+    payload, if it was posted), unless the entry was cancelled; a no-op
+    on an empty queue. The entry's handle reads not pending from the
+    callback on, and the queue keeps no reference to the callback. *)
+val fire : t -> unit
 
 (** [clear t] empties the queue; every handle it held reads not pending. *)
 val clear : t -> unit

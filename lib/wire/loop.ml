@@ -164,13 +164,11 @@ let poll_fds t ~timeout =
    cancelled. *)
 let pop_fire t time =
   if Engine.Timers.peek_pending t.timers then begin
-    let f = Engine.Timers.pop t.timers in
     if time > t.vnow then t.vnow <- time;
-    t.fired <- t.fired + 1;
-    f ()
-  end
-  else (* cancelled: the popped callback is [ignore] *)
-    Engine.Timers.pop t.timers ()
+    t.fired <- t.fired + 1
+  end;
+  (* A cancelled entry is just discarded. *)
+  Engine.Timers.fire t.timers
 
 (* Loopback delivery is asynchronous: a datagram written a microsecond
    ago may not be readable yet, and whether a zero-timeout poll sees it

@@ -238,7 +238,7 @@ let drain_tagged q last =
     if Engine.Timers.is_empty q then List.rev acc
     else begin
       let time = Engine.Timers.peek_time q in
-      Engine.Timers.pop q ();
+      Engine.Timers.fire q;
       go ((time, !last) :: acc)
     end
   in
@@ -333,8 +333,8 @@ let test_wheel_pop_releases () =
   let w = Weak.create 2 in
   ignore (schedule_weak (Engine.Timers.schedule q ~time:1.) w);
   ignore (schedule_weak ~i:1 (Engine.Timers.schedule q ~time:1e6) w);
-  Engine.Timers.pop q ();
-  Engine.Timers.pop q ();
+  Engine.Timers.fire q;
+  Engine.Timers.fire q;
   check Alcotest.bool "popped timers collectable" true (collected w);
   check Alcotest.int "empty" 0 (Engine.Timers.size q)
 
@@ -347,7 +347,7 @@ let test_wheel_clear_releases () =
   let h = schedule_weak (Engine.Timers.schedule q ~time:1.) w in
   ignore (schedule_weak ~i:1 (Engine.Timers.schedule q ~time:2.) w);
   ignore (schedule_weak ~i:2 (Engine.Timers.schedule q ~time:1e6) w);
-  Engine.Timers.pop q ();
+  Engine.Timers.fire q;
   Engine.Timers.clear q;
   check Alcotest.bool "cleared handle not pending" false
     (Engine.Timers.is_pending h);
@@ -362,6 +362,28 @@ let prop_wheel_sorts =
       let q = Engine.Timers.create () and last = ref 0 in
       List.iter (fun t -> ignore (tagged q last ~time:t 0)) times;
       List.map fst (drain_tagged q last) = List.sort compare times)
+
+(* Posted and scheduled timers share one (deadline, scheduling order): a
+   mixed sequence fires exactly as a stable sort by deadline orders it,
+   across the small geometry's wheel levels and overflow heap. *)
+let prop_post_shares_order =
+  QCheck.Test.make ~name:"posts and schedules share one order" ~count:200
+    QCheck.(list (pair (int_range 0 40) bool))
+    (fun entries ->
+      let q = Engine.Timers.create ~granularity:1e-3 ~slots:4 ~levels:2 () in
+      let last = ref 0 and time tq = 0.25 *. float_of_int tq in
+      List.iteri
+        (fun i (tq, post) ->
+          if post then
+            Engine.Timers.post q ~now:0. ~delay:(time tq) (fun v -> last := v) i
+          else ignore (tagged q last ~time:(time tq) i))
+        entries;
+      let expect =
+        List.stable_sort
+          (fun (a, _) (b, _) -> Float.compare a b)
+          (List.mapi (fun i (tq, _) -> (time tq, i)) entries)
+      in
+      drain_tagged q last = expect)
 
 let quiet_sim () = Engine.Sim.create ~trace:(Engine.Trace.create ()) ()
 
@@ -388,17 +410,17 @@ let check_reuse name q ~retire =
   check Alcotest.bool (name ^ ": new timer is live") true
     (Engine.Timers.peek_pending q);
   fired := [];
-  Engine.Timers.pop q ();
+  Engine.Timers.fire q;
   check Alcotest.(list string) (name ^ ": fired") [ "b" ] !fired;
   check Alcotest.bool (name ^ ": fired handle not pending") false
     (Engine.Timers.is_pending b)
 
 let test_timers_slot_reuse () =
   let q = Engine.Timers.create () in
-  check_reuse "fired" q ~retire:(fun _ -> Engine.Timers.pop q ());
+  check_reuse "fired" q ~retire:(fun _ -> Engine.Timers.fire q);
   check_reuse "cancelled and popped" q ~retire:(fun h ->
       Engine.Timers.cancel h;
-      Engine.Timers.pop q ());
+      Engine.Timers.fire q);
   check_reuse "swept" q ~retire:(fun h ->
       Engine.Timers.cancel h;
       Engine.Timers.sweep q);
@@ -532,7 +554,7 @@ let prop_timers_slot_reuse =
                   Option.value (Event_queue.peek_time m.ref_q) ~default:infinity
                 in
                 last := -1;
-                Engine.Timers.pop q ();
+                Engine.Timers.fire q;
                 let fired = model_pop m in
                 time = expect_time && !last = Option.value fired ~default:(-1)
             | Sweep_all ->
@@ -693,6 +715,47 @@ let test_loop_timer_words () =
   if words > timer_words_bound then
     Alcotest.failf "Wire.Loop: %.2f minor words per timer (bound %.1f)" words
       timer_words_bound
+
+(* A posted event and its fire allocate nothing but the popped deadline
+   that becomes the clock (2 words): no handle, no closure, and the
+   deadline is summed unboxed in the timer core. 64 self-reposting
+   events, each carrying the index of its next delay; the delays are
+   stored values, as a wire's or a link's delay is, so the caller boxes
+   none. A first round grows the slot store and heaps; the second is
+   measured. *)
+type hop = { delay : float; next : int }
+
+let post_words_bound = 2.
+
+let test_sim_post_words () =
+  let sim = quiet_sim () in
+  let n = 50_000 and fired = ref 0 in
+  let hops =
+    Array.init 500 (fun i ->
+        { delay = float_of_int (1 + (i * 7919 mod 500)) *. 1e-4; next = (i + 1) mod 500 })
+  in
+  let rec g k =
+    incr fired;
+    if !fired <= n then Engine.Sim.post sim hops.(k).delay g hops.(k).next
+  in
+  let round () =
+    fired := 0;
+    for i = 0 to 63 do
+      Engine.Sim.post sim 1e-3 g i
+    done;
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    Engine.Sim.run sim ~until:infinity;
+    let w2 = Gc.minor_words () in
+    (* The run fires the 64 first posts and [n] reposts. *)
+    check Alcotest.int "all fired" (n + 64) !fired;
+    (w2 -. w1 -. (w1 -. w0)) /. float_of_int !fired
+  in
+  ignore (round ());
+  let words = round () in
+  if words > post_words_bound then
+    Alcotest.failf "Sim: %.4f minor words per post (bound %.1f)" words
+      post_words_bound
 
 (* --- Sim --------------------------------------------------------------- *)
 
@@ -1019,6 +1082,7 @@ let () =
           Alcotest.test_case "clear releases references" `Quick
             test_wheel_clear_releases;
           qtest prop_wheel_sorts;
+          qtest prop_post_shares_order;
         ] );
       ( "sim",
         [
@@ -1048,6 +1112,7 @@ let () =
           Alcotest.test_case "sim words per timer" `Quick test_sim_timer_words;
           Alcotest.test_case "wire loop words per timer" `Quick
             test_loop_timer_words;
+          Alcotest.test_case "sim words per post" `Quick test_sim_post_words;
         ] );
       ( "slot_reuse",
         [

@@ -54,7 +54,7 @@ let run_wheel ~granularity ~slots ~levels prog =
     if Engine.Timers.is_empty q then None
     else begin
       let time = Engine.Timers.peek_time q in
-      Engine.Timers.pop q ();
+      Engine.Timers.fire q;
       Some (time, !last)
     end
   in
