@@ -1,33 +1,3 @@
 let create ~limit_pkts =
   if limit_pkts <= 0 then invalid_arg "Droptail.create: limit must be positive";
-  let q : Packet.t Queue.t = Queue.create () in
-  let stats = Queue_disc.make_stats () in
-  let enqueue pkt =
-    stats.arrivals <- stats.arrivals + 1;
-    if Queue.length q >= limit_pkts then begin
-      stats.drops <- stats.drops + 1;
-      false
-    end
-    else begin
-      Queue.add pkt q;
-      stats.bytes_queued <- stats.bytes_queued + pkt.Packet.size;
-      true
-    end
-  in
-  let dequeue () =
-    match Queue.take_opt q with
-    | None -> None
-    | Some pkt ->
-        stats.departures <- stats.departures + 1;
-        stats.bytes_queued <- stats.bytes_queued - pkt.Packet.size;
-        Some pkt
-  in
-  {
-    Queue_disc.enqueue;
-    dequeue;
-    drain = (fun () -> Queue_disc.drain_queue q stats);
-    len_pkts = (fun () -> Queue.length q);
-    len_bytes = (fun () -> stats.bytes_queued);
-    stats;
-    gauges = [];
-  }
+  Queue_disc.fifo ~admit:(fun len _ -> len < limit_pkts) ()

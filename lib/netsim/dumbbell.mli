@@ -70,12 +70,12 @@ val on_forward_drop : t -> Packet.handler -> unit
 (** Loss fraction at the forward bottleneck queue so far. *)
 val forward_drop_rate : t -> float
 
-(** Number of access-segment deliveries currently scheduled but not yet
-    fired. *)
+(** Number of packets on access segments, not yet delivered. *)
 val in_flight : t -> int
 
-(** [teardown t] cancels every pending access-segment delivery, so no
-    packet fires into an endpoint after the scenario has stopped (packets
-    still in a bottleneck are discarded as they leave it). The topology
-    remains usable (subsequent sends schedule normally). *)
+(** [teardown t] drops every packet on an access segment
+    ({!Topology.teardown}), so no packet reaches an endpoint after the
+    scenario has stopped (packets still in a bottleneck are discarded as
+    they leave it). The topology remains usable (subsequent sends
+    schedule normally). *)
 val teardown : t -> unit

@@ -15,33 +15,22 @@ type t = {
   mutable delivered_bytes : int;
   mutable busy_time : float;
   mutable outage_drops : int;
+  (* Packets serializing or propagating, and the callbacks, built once,
+     of the events that carry their indices. *)
+  flight : Packet.t Engine.Slots.t;
+  tx_done : int -> unit;
+  arrived : int -> unit;
 }
 
-let create rt ?label ~bandwidth ~delay ~queue () =
-  if bandwidth <= 0. then invalid_arg "Link.create: bandwidth must be positive";
-  if delay < 0. then invalid_arg "Link.create: negative delay";
-  {
-    rt;
-    (* Default labels come from the runtime's own allocator, not a process
-       global: trace output stays identical across process lifetimes and
-       worker domains. *)
-    label =
-      (match label with
-      | Some l -> l
-      | None -> Printf.sprintf "link-%d" (Engine.Runtime.fresh_id rt));
-    bandwidth;
-    delay;
-    queue;
-    dest = ignore;
-    dest_set = false;
-    busy = false;
-    up = true;
-    drop_listeners = [];
-    state_listeners = [];
-    delivered_bytes = 0;
-    busy_time = 0.;
-    outage_drops = 0;
-  }
+(* NaN passes a plain [<= 0.] test, and a NaN delay fails [delay > 0.],
+   making deliveries silently synchronous; an infinity would only fail
+   later, in the scheduler. *)
+let check name ~bandwidth ~delay =
+  let fail what = invalid_arg (Printf.sprintf "Link.%s: %s" name what) in
+  if not (bandwidth > 0.) then fail "bandwidth must be positive";
+  if bandwidth = Float.infinity then fail "bandwidth must be finite";
+  if delay < 0. then fail "negative delay";
+  if not (Float.is_finite delay) then fail "delay must be finite"
 
 (* Trace instrumentation: [tracing t] is the hot-path guard; [ev] builds and
    emits, so call sites only allocate field lists when a sink is attached. *)
@@ -92,11 +81,11 @@ let busy_time t = t.busy_time
 let outage_drops t = t.outage_drops
 
 let set_bandwidth t bw =
-  if bw <= 0. then invalid_arg "Link.set_bandwidth: bandwidth must be positive";
+  check "set_bandwidth" ~bandwidth:bw ~delay:t.delay;
   t.bandwidth <- bw
 
 let set_delay t d =
-  if d < 0. then invalid_arg "Link.set_delay: negative delay";
+  check "set_delay" ~bandwidth:t.bandwidth ~delay:d;
   t.delay <- d
 
 let utilization t ~duration =
@@ -129,24 +118,55 @@ let ns2_sink ~label oc =
   in
   ({ Engine.Trace.emit; close = (fun () -> flush oc) }, fun () -> !lines)
 
-(* Serialize the head-of-line packet; at end of serialization start the next
-   one and schedule the propagation-delayed delivery. *)
+(* Serialize the head-of-line packet; at end of serialization schedule
+   the delivery with the delay in force then, and start the next one. The
+   packet keeps its [flight] index from one event to the next. *)
 let rec start_tx t =
-  if not t.up then t.busy <- false
-  else
-    match t.queue.Queue_disc.dequeue () with
-    | None -> t.busy <- false
-    | Some pkt ->
-        t.busy <- true;
-        let tx = Engine.Units.tx_time ~bits_per_s:t.bandwidth ~bytes:pkt.Packet.size in
-        t.busy_time <- t.busy_time +. tx;
-        ignore
-          (Engine.Runtime.after t.rt tx (fun () ->
-               t.delivered_bytes <- t.delivered_bytes + pkt.Packet.size;
-               if t.delay > 0. then
-                 ignore (Engine.Runtime.after t.rt t.delay (fun () -> deliver t pkt))
-               else deliver t pkt;
-               start_tx t))
+  let pkt = if t.up then t.queue.Queue_disc.dequeue () else Packet.none in
+  t.busy <- pkt != Packet.none;
+  if t.busy then begin
+    let tx = Engine.Units.tx_time ~bits_per_s:t.bandwidth ~bytes:pkt.Packet.size in
+    t.busy_time <- t.busy_time +. tx;
+    Engine.Runtime.post t.rt tx t.tx_done (Engine.Slots.add t.flight pkt)
+  end
+
+and tx_done t k =
+  let pkt = Engine.Slots.get t.flight k in
+  t.delivered_bytes <- t.delivered_bytes + pkt.Packet.size;
+  if t.delay > 0. then Engine.Runtime.post t.rt t.delay t.arrived k
+  else deliver t (Engine.Slots.take t.flight k);
+  start_tx t
+
+let create rt ?label ~bandwidth ~delay ~queue () =
+  check "create" ~bandwidth ~delay;
+  let rec t =
+    {
+      rt;
+      (* Default labels come from the runtime's own allocator, not a process
+         global: trace output stays identical across process lifetimes and
+         worker domains. *)
+      label =
+        (match label with
+        | Some l -> l
+        | None -> Printf.sprintf "link-%d" (Engine.Runtime.fresh_id rt));
+      bandwidth;
+      delay;
+      queue;
+      dest = ignore;
+      dest_set = false;
+      busy = false;
+      up = true;
+      drop_listeners = [];
+      state_listeners = [];
+      delivered_bytes = 0;
+      busy_time = 0.;
+      outage_drops = 0;
+      flight = Engine.Slots.create Packet.none;
+      tx_done = (fun k -> tx_done t k);
+      arrived = (fun k -> deliver t (Engine.Slots.take t.flight k));
+    }
+  in
+  t
 
 let set_up t ?(policy = Drop_queued) up =
   if up <> t.up then begin

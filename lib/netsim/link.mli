@@ -24,7 +24,9 @@ type down_policy = Drop_queued | Hold_queued
     simulator). Set the destination with [set_dest] before sending. [label]
     names the link in trace events ("link-N" by default, numbered from the
     runtime's id allocator); the invariant checker keys per-link
-    packet-conservation counters on it.
+    packet-conservation counters on it. Raises [Invalid_argument] unless
+    [bandwidth] is positive and finite and [delay] finite and
+    non-negative (as {!set_bandwidth} and {!set_delay} do).
 
     When the simulation's trace bus is active the link emits [link/send],
     [link/deliver], [link/drop] (with a ["queue"] or ["outage"] reason) and
@@ -96,7 +98,9 @@ val on_state_change : t -> (bool -> unit) -> unit
 val set_bandwidth : t -> float -> unit
 
 (** [set_delay t d] changes the propagation delay for subsequent
-    deliveries. *)
+    deliveries: a packet takes the delay in force when it finishes
+    serializing, so after a decrease a later packet can arrive before an
+    earlier one. *)
 val set_delay : t -> float -> unit
 
 val queue : t -> Queue_disc.t

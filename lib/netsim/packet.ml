@@ -41,6 +41,10 @@ let make rt ?(ecn = false) ~flow ~seq ~size ~now payload =
     corrupted = false;
   }
 
+let none =
+  { id = -1; flow = -1; seq = -1; size = 0; sent_at = 0.; payload = Data;
+    ecn_capable = false; ecn_marked = false; corrupted = false }
+
 let is_data p = match p.payload with Data | Tfrc_data _ -> true | _ -> false
 
 let pp ppf p =

@@ -62,6 +62,11 @@ val make :
   payload ->
   t
 
+(** The "no packet" sentinel, compared physically ([==]): what an empty
+    queue's [dequeue] returns and what a free slot of a packet table
+    holds, so neither needs an option. Never sent. *)
+val none : t
+
 (** Handler type: where packets go. *)
 type handler = t -> unit
 

@@ -51,10 +51,10 @@ val link : t -> hop:int -> Link.t
 (** Aggregate drop rate across all hops. *)
 val drop_rate : t -> float
 
-(** Number of access/reverse-segment deliveries scheduled but not yet
-    fired. *)
+(** Number of packets on access/reverse segments, not yet delivered. *)
 val in_flight : t -> int
 
-(** [teardown t] cancels every pending access/reverse-segment delivery so
-    nothing fires into an endpoint after the scenario has stopped. *)
+(** [teardown t] drops every packet on an access/reverse segment
+    ({!Topology.teardown}), so none reaches an endpoint after the
+    scenario has stopped. *)
 val teardown : t -> unit

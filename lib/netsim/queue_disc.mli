@@ -16,9 +16,9 @@ type stats = {
 type t = {
   enqueue : Packet.t -> bool;
       (** [true] if accepted, [false] if the packet was dropped *)
-  dequeue : unit -> Packet.t option;
-      (** removes the head packet for transmission; counted as a
-          departure *)
+  dequeue : unit -> Packet.t;
+      (** removes the head packet for transmission, counted as a
+          departure; {!Packet.none} when the queue is empty *)
   drain : unit -> Packet.t list;
       (** removes every queued packet (head first), booking each as a
           {e drop} — never a departure — so a link flushing its queue on
@@ -33,15 +33,21 @@ type t = {
           any process-global registry *)
 }
 
-val make_stats : unit -> stats
-
 (** [drop_rate t] is drops / arrivals (0. before any arrival). *)
 val drop_rate : t -> float
 
-(** [drain_queue q stats] is the shared [drain] implementation for
-    disciplines backed by a raw [Queue.t]: empties [q] in order, counting
-    each packet as a drop and releasing its bytes. *)
-val drain_queue : Packet.t Queue.t -> stats -> Packet.t list
+(** [fifo ?gauges ?on_empty ~admit ()] is a first-in first-out
+    discipline that buffers in a growable ring, so it allocates only when
+    the ring outgrows its array, never per packet. [admit len pkt] decides
+    an arrival given the current occupancy [len]: [true] queues it,
+    [false] drops it. [on_empty] runs when a dequeue or a flush leaves the
+    queue empty. *)
+val fifo :
+  ?gauges:(string * (unit -> float)) list ->
+  ?on_empty:(unit -> unit) ->
+  admit:(int -> Packet.t -> bool) ->
+  unit ->
+  t
 
 (** [imbalance t] is [arrivals - departures - drops - len_pkts ()]; zero
     for a correctly accounted discipline at any quiescent point. *)

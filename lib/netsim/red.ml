@@ -15,14 +15,18 @@ let params ?(w_q = 0.002) ?(max_p = 0.1) ?(gentle = true) ?(ecn = false)
   if limit_pkts <= 0 then invalid_arg "Red.params: limit must be positive";
   { w_q; min_th; max_th; max_p; gentle; limit_pkts; ecn }
 
+(* All floats, so stored unboxed: writing the average allocates nothing. *)
+type avg = {
+  mutable avg : float;
+  mutable idle_since : float; (* < 0. when the queue is non-empty *)
+}
+
 type state = {
   p : params;
   now : unit -> float;
   ptc : float;
-  q : Packet.t Queue.t;
-  mutable avg : float;
+  f : avg;
   mutable count : int; (* packets since last drop while avg in drop region *)
-  mutable idle_since : float; (* < 0. when the queue is non-empty *)
   mutable rng_state : int; (* deterministic xorshift for drop decisions *)
 }
 
@@ -37,20 +41,21 @@ let next_uniform st =
   st.rng_state <- (if x = 0 then 0x9E3779B9 else x);
   float_of_int st.rng_state /. float_of_int max_int
 
-let update_avg st =
-  let qlen = float_of_int (Queue.length st.q) in
-  if Queue.length st.q = 0 && st.idle_since >= 0. then begin
+let update_avg st len =
+  let f = st.f in
+  let qlen = float_of_int len in
+  if len = 0 && f.idle_since >= 0. then begin
     (* Age the average across the idle period: pretend m small packets
        could have been transmitted. *)
-    let m = st.ptc *. (st.now () -. st.idle_since) in
-    st.avg <- st.avg *. ((1. -. st.p.w_q) ** Float.max 0. m)
+    let m = st.ptc *. (st.now () -. f.idle_since) in
+    f.avg <- f.avg *. ((1. -. st.p.w_q) ** Float.max 0. m)
   end
-  else st.avg <- st.avg +. (st.p.w_q *. (qlen -. st.avg))
+  else f.avg <- f.avg +. (st.p.w_q *. (qlen -. f.avg))
 
 (* Returns [true] when the arriving packet should be dropped early. *)
 let early_drop st =
   let { min_th; max_th; max_p; gentle; _ } = st.p in
-  let avg = st.avg in
+  let avg = st.f.avg in
   if avg < min_th then begin
     st.count <- -1;
     false
@@ -85,68 +90,33 @@ let create ~params ~now ~ptc =
       p = params;
       now;
       ptc;
-      q = Queue.create ();
-      avg = 0.;
+      f = { avg = 0.; idle_since = 0. };
       count = -1;
-      idle_since = 0.;
       rng_state = 0x2545F491;
     }
   in
-  let stats = Queue_disc.make_stats () in
-  let enqueue (pkt : Packet.t) =
-    stats.arrivals <- stats.arrivals + 1;
-    update_avg st;
-    st.idle_since <- -1.;
-    let overflow = Queue.length st.q >= st.p.limit_pkts in
+  let admit len (pkt : Packet.t) =
+    update_avg st len;
+    st.f.idle_since <- -1.;
+    let overflow = len >= st.p.limit_pkts in
     let early = (not overflow) && early_drop st in
     (* With ECN, an early congestion indication marks an ECN-capable packet
        instead of dropping it (RFC 3168 / the paper's Section 7 outlook);
        physical overflow always drops. *)
-    let drop =
-      overflow
-      || (early && not (st.p.ecn && pkt.Packet.ecn_capable))
-    in
-    if early && not drop then pkt.Packet.ecn_marked <- true;
-    if drop then begin
-      stats.drops <- stats.drops + 1;
-      (* If the buffer is still empty after a drop, we are idle again. *)
-      if Queue.length st.q = 0 then st.idle_since <- st.now ();
-      false
-    end
-    else begin
-      Queue.add pkt st.q;
-      stats.bytes_queued <- stats.bytes_queued + pkt.Packet.size;
-      true
-    end
+    let drop = overflow || (early && not (st.p.ecn && pkt.ecn_capable)) in
+    if early && not drop then pkt.ecn_marked <- true;
+    (* If the buffer is still empty after a drop, we are idle again. *)
+    if drop && len = 0 then st.f.idle_since <- st.now ();
+    not drop
   in
-  let dequeue () =
-    match Queue.take_opt st.q with
-    | None -> None
-    | Some pkt ->
-        stats.departures <- stats.departures + 1;
-        stats.bytes_queued <- stats.bytes_queued - pkt.Packet.size;
-        if Queue.length st.q = 0 then st.idle_since <- st.now ();
-        Some pkt
-  in
-  let drain () =
-    let flushed = Queue_disc.drain_queue st.q stats in
-    (* The buffer is empty after a flush: start an idle period, exactly as
-       a dequeue that empties the queue would. *)
-    if flushed <> [] then st.idle_since <- st.now ();
-    flushed
-  in
-  {
-    Queue_disc.enqueue;
-    dequeue;
-    drain;
-    len_pkts = (fun () -> Queue.length st.q);
-    len_bytes = (fun () -> stats.bytes_queued);
-    stats;
-    (* Instance-scoped introspection, replacing the old process-global
-       registry (which both leaked state entries and raced under
-       domain-parallel grid runs). *)
-    gauges = [ ("red_avg", fun () -> st.avg) ];
-  }
+  (* A dequeue or a flush that empties the buffer starts an idle period.
+     The gauge is instance-scoped introspection, replacing the old
+     process-global registry (which both leaked state entries and raced
+     under domain-parallel grid runs). *)
+  Queue_disc.fifo ~admit
+    ~on_empty:(fun () -> st.f.idle_since <- st.now ())
+    ~gauges:[ ("red_avg", fun () -> st.f.avg) ]
+    ()
 
 let avg_queue disc =
   match Queue_disc.gauge disc "red_avg" with

@@ -1,7 +1,11 @@
 type node = int
 
+(* A delayed wire's packets in flight sit in [flight]; [arrived], built
+   once with the wire, takes a posted event's payload, a [flight] index. *)
+type wire = { delay : float; flight : Packet.t Engine.Slots.t; arrived : int -> unit }
+
 type edge_kind =
-  | Wire of float
+  | Wire of wire
   | Queued of Link.t
 
 type edge = {
@@ -13,7 +17,9 @@ type edge = {
 }
 
 (* The empty routing-table cell: "no next hop". Compared physically. *)
-let no_edge = { eid = -1; esrc = -1; edst = -1; kind = Wire 0.; cost = None }
+let no_edge =
+  let w = { delay = 0.; flight = Engine.Slots.create Packet.none; arrived = ignore } in
+  { eid = -1; esrc = -1; edst = -1; kind = Wire w; cost = None }
 
 type cost_model = Hop | Delay
 
@@ -86,12 +92,6 @@ type t = {
   mutable dist : float array;
   mutable heap : int array;
   mutable hpos : int array; (* heap slot; -1 unqueued, -2 settled *)
-  (* Pending wire deliveries, cancellable at teardown: [slots.(k)] holds an
-     in-flight delivery's timer or [null_handle]; the free slot indices are
-     [free.(0 .. n_free - 1)]. *)
-  mutable slots : Engine.Runtime.handle array;
-  mutable free : int array;
-  mutable n_free : int;
 }
 
 let create ?(cost_model = Hop) rt () =
@@ -121,9 +121,6 @@ let create ?(cost_model = Hop) rt () =
     dist = [||];
     heap = [||];
     hpos = [||];
-    slots = [||];
-    free = [||];
-    n_free = 0;
   }
 
 let runtime t = t.rt
@@ -165,24 +162,6 @@ let check_router t v name =
 
 (* --- packet movement ------------------------------------------------------ *)
 
-let take_slot t =
-  if t.n_free = 0 then begin
-    let cap = Array.length t.slots in
-    let cap' = max 16 (2 * cap) in
-    let slots = Array.make cap' Engine.Runtime.null_handle in
-    Array.blit t.slots 0 slots 0 cap;
-    t.slots <- slots;
-    t.free <- Array.init cap' (fun i -> cap' - 1 - i);
-    t.n_free <- cap' - cap
-  end;
-  t.n_free <- t.n_free - 1;
-  t.free.(t.n_free)
-
-let release_slot t k =
-  t.slots.(k) <- Engine.Runtime.null_handle;
-  t.free.(t.n_free) <- k;
-  t.n_free <- t.n_free + 1
-
 let loop_ev t node (pkt : Packet.t) =
   let tr = Engine.Runtime.trace t.rt in
   if Engine.Trace.active tr then
@@ -209,7 +188,7 @@ let edge_cost t e =
       | Hop -> 1.
       | Delay -> (
           match e.kind with
-          | Wire wdelay -> wdelay
+          | Wire w -> w.delay
           | Queued l -> Link.delay l))
 
 let edge_usable up_only e =
@@ -415,16 +394,9 @@ let rec arrive t node (pkt : Packet.t) =
 and forward t e pkt =
   match e.kind with
   | Queued l -> Link.send l pkt
-  | Wire wdelay ->
-      if wdelay > 0. then begin
-        let k = take_slot t in
-        let h =
-          Engine.Runtime.after t.rt wdelay (fun () ->
-              release_slot t k;
-              arrive t e.edst pkt)
-        in
-        t.slots.(k) <- h
-      end
+  | Wire w ->
+      if w.delay > 0. then
+        Engine.Runtime.post t.rt w.delay w.arrived (Engine.Slots.add w.flight pkt)
       else arrive t e.edst pkt
 
 (* --- construction --------------------------------------------------------- *)
@@ -449,6 +421,15 @@ let new_edge t ~src ~dst ?cost kind =
   t.n_edges <- t.n_edges + 1;
   e
 
+(* A packet cleared by [teardown] is [Packet.none]: dropped on arrival. *)
+let wire t ~dst delay =
+  let flight = Engine.Slots.create Packet.none in
+  let arrived k =
+    let pkt = Engine.Slots.take flight k in
+    if pkt != Packet.none then arrive t dst pkt
+  in
+  Wire { delay; flight; arrived }
+
 (* An edge between routers: it enters the routing tables. *)
 let add_routed t ~src ~dst ?cost kind =
   t.grown <- true;
@@ -471,15 +452,15 @@ let add_wire t ~src ~dst ?cost delay =
   check_router t dst "add_wire";
   check_delay "add_wire" "delay" delay;
   check_cost "add_wire" cost;
-  add_routed t ~src ~dst ?cost (Wire delay)
+  add_routed t ~src ~dst ?cost (wire t ~dst delay)
 
 (* The tables stay clean: the host routes by its router's cells. *)
 let add_host t ~router ~access =
   check_router t router "add_host";
   check_delay "add_host" "access" access;
   let h = new_node t ~ix:(-1 - t.ix.(router)) in
-  t.up_of.(h) <- new_edge t ~src:h ~dst:router (Wire access);
-  t.down_of.(h) <- new_edge t ~src:router ~dst:h (Wire access);
+  t.up_of.(h) <- new_edge t ~src:h ~dst:router (wire t ~dst:router access);
+  t.down_of.(h) <- new_edge t ~src:router ~dst:h (wire t ~dst:h access);
   h
 
 let set_cost t e c =
@@ -539,16 +520,15 @@ let dst_sender t ~flow =
   let fi = find t flow in
   fun pkt -> send t fi `Bwd pkt
 
-let in_flight t = Array.length t.slots - t.n_free
+let fold_wires t f acc =
+  List.fold_left
+    (fun acc e -> match e.kind with Wire w -> f acc w.flight | Queued _ -> acc)
+    acc t.all_edges
+
+let in_flight t = fold_wires t (fun n fl -> n + Engine.Slots.live fl) 0
 
 let teardown t =
-  Array.iteri
-    (fun k h ->
-      if h != Engine.Runtime.null_handle then begin
-        Engine.Runtime.cancel h;
-        release_slot t k
-      end)
-    t.slots;
+  fold_wires t (fun () fl -> Engine.Slots.clear fl) ();
   Itbl.reset t.targets
 
 (* --- routing / impact queries --------------------------------------------- *)

@@ -144,9 +144,11 @@ val impact : t -> edge -> (int * impact_kind) list
 
 val impact_str : impact_kind -> string
 
-(** Pending wire deliveries not yet fired. *)
+(** Packets on delayed wires, not yet delivered. *)
 val in_flight : t -> int
 
-(** [teardown t] cancels pending wire deliveries and forgets per-packet
-    forwarding state. *)
+(** [teardown t] drops every packet on a delayed wire and forgets
+    per-packet forwarding state. A wire posts its deliveries without a
+    handle ({!Engine.Runtime.post}), so their events still fire, at
+    their instants, but deliver nothing. *)
 val teardown : t -> unit

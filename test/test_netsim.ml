@@ -94,9 +94,8 @@ let test_droptail_fifo () =
   let p1 = mk_pkt ~seq:1 () and p2 = mk_pkt ~seq:2 () in
   Alcotest.(check bool) "accept 1" true (q.Netsim.Queue_disc.enqueue p1);
   Alcotest.(check bool) "accept 2" true (q.Netsim.Queue_disc.enqueue p2);
-  (match q.Netsim.Queue_disc.dequeue () with
-  | Some p -> Alcotest.(check int) "fifo order" 1 p.Netsim.Packet.seq
-  | None -> Alcotest.fail "expected packet");
+  Alcotest.(check int) "fifo order" 1
+    (q.Netsim.Queue_disc.dequeue ()).Netsim.Packet.seq;
   Alcotest.(check int) "len" 1 (q.Netsim.Queue_disc.len_pkts ())
 
 let test_droptail_overflow () =
@@ -181,7 +180,7 @@ let test_red_idle_aging () =
     now := float_of_int i *. 1e-4;
     ignore (q.Netsim.Queue_disc.enqueue (mk_pkt ~seq:i ()))
   done;
-  while q.Netsim.Queue_disc.dequeue () <> None do
+  while q.Netsim.Queue_disc.dequeue () != Netsim.Packet.none do
     ()
   done;
   let avg_before = Netsim.Red.avg_queue q in
@@ -297,6 +296,207 @@ let test_link_utilization () =
   checkf ~eps:1e-6 "utilization" 0.5 (Netsim.Link.utilization link ~duration:1.);
   checkf ~eps:1e-6 "busy time" 0.5 (Netsim.Link.busy_time link);
   Alcotest.(check int) "delivered bytes" 50_000 (Netsim.Link.delivered_bytes link)
+
+(* Non-finite parameters are rejected at the call: a NaN delay would
+   make deliveries silently synchronous, and an infinite delay or
+   bandwidth would only fail later, inside the scheduler. *)
+let test_link_rejects_non_finite () =
+  let sim = Engine.Sim.create () in
+  let create ~bandwidth ~delay () =
+    ignore
+      (Netsim.Link.create (Engine.Sim.runtime sim) ~bandwidth ~delay
+         ~queue:(Netsim.Droptail.create ~limit_pkts:10)
+         ())
+  in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun v ->
+      raises (Printf.sprintf "create delay %h" v) (create ~bandwidth:1e6 ~delay:v);
+      raises
+        (Printf.sprintf "create bandwidth %h" v)
+        (create ~bandwidth:v ~delay:0.01))
+    [ Float.nan; Float.infinity ];
+  raises "create bandwidth -inf" (create ~bandwidth:Float.neg_infinity ~delay:0.);
+  let link =
+    Netsim.Link.create (Engine.Sim.runtime sim) ~bandwidth:1e6 ~delay:0.01
+      ~queue:(Netsim.Droptail.create ~limit_pkts:10)
+      ()
+  in
+  List.iter
+    (fun v ->
+      raises (Printf.sprintf "set_delay %h" v) (fun () ->
+          Netsim.Link.set_delay link v);
+      raises (Printf.sprintf "set_bandwidth %h" v) (fun () ->
+          Netsim.Link.set_bandwidth link v))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  checkf "delay kept" 0.01 (Netsim.Link.delay link);
+  checkf "bandwidth kept" 1e6 (Netsim.Link.bandwidth link)
+
+(* Link timing while the link changes under packets in flight. Sizes,
+   send times, delays and the bandwidth are dyadic, so every instant is
+   exact and equal instants are common. Each delivered packet must
+   arrive at exactly the end of its serialization plus the delay in
+   force at that moment (operations scheduled for that same instant run
+   first: they were scheduled before the run); deliveries at one instant
+   come in scheduling order, i.e. by serialization end; and the queue's
+   counters balance. An implementation that delivers in-flight packets
+   in FIFO order breaks the first rule as soon as a delay shrinks. *)
+type link_op =
+  | Send of int
+  | Set_delay of float
+  | Down of Netsim.Link.down_policy
+  | Up
+
+let pp_link_op = function
+  | Send size -> Printf.sprintf "send %d" size
+  | Set_delay d -> Printf.sprintf "delay %g" d
+  | Down Netsim.Link.Drop_queued -> "down drop"
+  | Down Netsim.Link.Hold_queued -> "down hold"
+  | Up -> "up"
+
+let gen_link_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun k -> Send (256 * k)) (int_range 1 4));
+        (2, map (fun k -> Set_delay (0.25 *. float_of_int k)) (int_range 0 8));
+        (1, map (fun drop -> Down Netsim.Link.(if drop then Drop_queued else Hold_queued)) bool);
+        (1, return Up);
+      ]
+  in
+  list_size (int_range 1 40) (pair (int_range 0 40) op)
+
+let link_bandwidth = 8192. (* bits/s: a 256-byte packet serializes in 1/4 s *)
+
+let link_timing_holds ops =
+  let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
+  let rt = Engine.Sim.runtime sim in
+  let base = Netsim.Droptail.create ~limit_pkts:6 in
+  let started = Hashtbl.create 64 in
+  let queue =
+    {
+      base with
+      Netsim.Queue_disc.dequeue =
+        (fun () ->
+          let pkt = base.Netsim.Queue_disc.dequeue () in
+          if pkt != Netsim.Packet.none then
+            Hashtbl.replace started pkt.Netsim.Packet.id (Engine.Sim.now sim);
+          pkt);
+    }
+  in
+  let link =
+    Netsim.Link.create rt ~bandwidth:link_bandwidth ~delay:1. ~queue ()
+  in
+  let delivered = ref [] and dropped = ref 0 and sent = ref [] in
+  Netsim.Link.set_dest link (fun pkt ->
+      delivered := (pkt, Engine.Sim.now sim) :: !delivered);
+  Netsim.Link.on_drop link (fun _ -> incr dropped);
+  let time tq = 0.25 *. float_of_int tq in
+  List.iter
+    (fun (tq, op) ->
+      ignore
+        (Engine.Sim.at sim (time tq) (fun () ->
+             match op with
+             | Send size ->
+                 let pkt =
+                   Netsim.Packet.make rt ~flow:1 ~seq:0 ~size ~now:(time tq)
+                     Netsim.Packet.Data
+                 in
+                 sent := pkt :: !sent;
+                 Netsim.Link.send link pkt
+             | Set_delay d -> Netsim.Link.set_delay link d
+             | Down policy -> Netsim.Link.set_up link ~policy false
+             | Up -> Netsim.Link.set_up link true)))
+    ops;
+  (* Bring the link back so held packets drain. *)
+  ignore (Engine.Sim.at sim 11. (fun () -> Netsim.Link.set_up link true));
+  Engine.Sim.run sim ~until:infinity;
+  (* The delay in force at [x]: the last [Set_delay] at or before [x],
+     the later-scheduled one among equal instants. *)
+  let delay_at x =
+    snd
+      (List.fold_left
+         (fun (bt, bd) (tq, op) ->
+           match op with
+           | Set_delay d when time tq <= x && time tq >= bt -> (time tq, d)
+           | _ -> (bt, bd))
+         (Float.neg_infinity, 1.) ops)
+  in
+  let tx_end (pkt : Netsim.Packet.t) =
+    Hashtbl.find started pkt.id
+    +. Engine.Units.tx_time ~bits_per_s:link_bandwidth ~bytes:pkt.size
+  in
+  let deliveries = List.rev !delivered in
+  let rec in_order = function
+    | (a, ta) :: ((b, tb) :: _ as rest) ->
+        (ta < tb || (ta = tb && tx_end a < tx_end b)) && in_order rest
+    | _ -> true
+  in
+  List.for_all
+    (fun (pkt, t) ->
+      let e = tx_end pkt in
+      t = e +. delay_at e)
+    deliveries
+  && in_order deliveries
+  && List.length deliveries + !dropped = List.length !sent
+  && Netsim.Queue_disc.conserved queue
+
+let prop_link_timing_mid_flight =
+  QCheck.Test.make ~name:"link timing under mid-flight changes" ~count:300
+    (QCheck.make gen_link_ops
+       ~print:
+         QCheck.Print.(
+           list (fun (tq, op) -> Printf.sprintf "%d:%s" tq (pp_link_op op))))
+    link_timing_holds
+
+(* Minor words allocated by [f ()], less what reading the counter costs. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  w2 -. w1 -. (w1 -. w0)
+
+(* One packet through a DropTail link, serialized, propagated and
+   delivered: two posted events, no closure, handle or option. What is
+   left are float boxes: the serialization time, the busy-time sum, and
+   the two popped deadlines that become the clock. *)
+let link_words_bound = 12.
+
+let test_link_words () =
+  let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
+  let rt = Engine.Sim.runtime sim in
+  let link =
+    Netsim.Link.create rt ~bandwidth:1e6 ~delay:0.01
+      ~queue:(Netsim.Droptail.create ~limit_pkts:10)
+      ()
+  in
+  let received = ref 0 in
+  Netsim.Link.set_dest link (fun _ -> incr received);
+  let pkts =
+    Array.init 101 (fun seq ->
+        Netsim.Packet.make rt ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data)
+  in
+  let one i =
+    minor_words_of (fun () ->
+        Netsim.Link.send link pkts.(i);
+        Engine.Sim.run sim ~until:infinity)
+  in
+  (* The first packet grows the ring and the in-flight table. *)
+  ignore (one 0);
+  let words = ref 0. in
+  for i = 1 to 100 do
+    words := Float.max !words (one i)
+  done;
+  Alcotest.(check int) "all delivered" 101 !received;
+  if !words > link_words_bound then
+    Alcotest.failf "%.1f minor words per packet (bound %.1f)" !words
+      link_words_bound
 
 (* --- Loss models ----------------------------------------------------------- *)
 
@@ -558,6 +758,10 @@ let () =
           Alcotest.test_case "pipelining" `Quick test_link_pipelining;
           Alcotest.test_case "drop listener" `Quick test_link_drop_listener;
           Alcotest.test_case "utilization" `Quick test_link_utilization;
+          Alcotest.test_case "rejects non-finite" `Quick
+            test_link_rejects_non_finite;
+          qtest prop_link_timing_mid_flight;
+          Alcotest.test_case "words per packet" `Quick test_link_words;
         ] );
       ( "loss_model",
         [

@@ -365,7 +365,9 @@ let test_cost_not_finite () =
         (fun () -> Netsim.Topology.set_cost topo e cost))
     bad;
   Alcotest.(check bool) "edge keeps its valid cost and route" true
-    (Netsim.Topology.route topo ~src:a ~dst:b = Some [ e ])
+    (match Netsim.Topology.route topo ~src:a ~dst:b with
+    | Some [ e' ] -> e' == e
+    | _ -> false)
 
 (* --- Routing tables against the reference model ---------------------------- *)
 
@@ -722,6 +724,50 @@ let test_route_words () =
     Alcotest.failf "route: %.0f minor words for %d hops (bound %.0f)" words hops
       bound
 
+(* Minor words allocated by [f ()], less what reading the counter costs. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  w2 -. w1 -. (w1 -. w0)
+
+(* Injecting a packet, carrying it over one delayed wire and delivering
+   it. The wire posts one event with the packet's index in its in-flight
+   table, so no closure or handle is made; what remains is the packet's
+   forwarding entry (a 5-word record and a 4-word bucket, 9 words) and the
+   popped deadline that becomes the clock (2 words). *)
+let hop_words_bound = 14.
+
+let test_hop_words () =
+  let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
+  let rt = Engine.Sim.runtime sim in
+  let topo = Netsim.Topology.create rt () in
+  let a = Netsim.Topology.add_node topo in
+  let b = Netsim.Topology.add_node topo in
+  ignore (Netsim.Topology.add_wire topo ~src:a ~dst:b 0.01);
+  ignore (Netsim.Topology.add_wire topo ~src:b ~dst:a 0.01);
+  Netsim.Topology.add_flow topo ~flow:1 ~src:a ~dst:b;
+  let received = ref 0 in
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
+  let send = Netsim.Topology.src_sender topo ~flow:1 in
+  let pkts = Array.init 101 (fun seq -> mk_pkt rt ~now:(float_of_int seq)) in
+  let one i =
+    minor_words_of (fun () ->
+        send pkts.(i);
+        Engine.Sim.run sim ~until:infinity)
+  in
+  (* The first packet routes and grows the wire's in-flight table. *)
+  ignore (one 0);
+  let words = ref 0. in
+  for i = 1 to 100 do
+    words := Float.max !words (one i)
+  done;
+  Alcotest.(check int) "all delivered" 101 !received;
+  if !words > hop_words_bound then
+    Alcotest.failf "%.1f minor words per packet (bound %.1f)" !words
+      hop_words_bound
+
 (* Nodes and flows added after the last recompute have no table cells: a
    lookup past the tables' size is "no route", as a hash-table miss was. *)
 let test_node_added_after_routes () =
@@ -911,6 +957,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_tables_match_reference;
           Alcotest.test_case "recompute words" `Quick test_recompute_words;
           Alcotest.test_case "route words" `Quick test_route_words;
+          Alcotest.test_case "hop words" `Quick test_hop_words;
           Alcotest.test_case "node added after routes" `Quick
             test_node_added_after_routes;
           Alcotest.test_case "wire in_flight exact" `Quick
