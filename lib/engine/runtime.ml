@@ -1,5 +1,5 @@
 (* Record-of-closures runtime: one allocation per runtime, one indirect
-   call per operation. The protocol hot paths go through [at]/[after]
+   call per operation. The hot paths go through [at]/[after]/[post]
    once per packet or timer, so the indirection is noise next to the
    scheduling work behind it. *)
 

@@ -13,7 +13,7 @@ let create empty = { empty; cells = [||]; free = [||]; n_free = 0; live = 0 }
 let add t v =
   if t.n_free = 0 then begin
     let cap = Array.length t.cells in
-    let cap' = max 16 (2 * cap) in
+    let cap' = max 4 (2 * cap) in
     let cells = Array.make cap' t.empty in
     Array.blit t.cells 0 cells 0 cap;
     t.cells <- cells;

@@ -2,10 +2,12 @@ type node = int
 
 (* A delayed wire's packets in flight sit in [flight]; [arrived], built
    once with the wire, takes a posted event's payload, a [flight] index. *)
-type wire = { delay : float; flight : Packet.t Engine.Slots.t; arrived : int -> unit }
-
 type edge_kind =
-  | Wire of wire
+  | Wire of {
+      delay : float;
+      flight : Packet.t Engine.Slots.t;
+      arrived : int -> unit;
+    }
   | Queued of Link.t
 
 type edge = {
@@ -18,8 +20,9 @@ type edge = {
 
 (* The empty routing-table cell: "no next hop". Compared physically. *)
 let no_edge =
-  let w = { delay = 0.; flight = Engine.Slots.create Packet.none; arrived = ignore } in
-  { eid = -1; esrc = -1; edst = -1; kind = Wire w; cost = None }
+  let flight = Engine.Slots.create Packet.none in
+  let kind = Wire { delay = 0.; flight; arrived = ignore } in
+  { eid = -1; esrc = -1; edst = -1; kind; cost = None }
 
 type cost_model = Hop | Delay
 
