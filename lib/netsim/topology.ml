@@ -1,13 +1,7 @@
 type node = int
 
-(* A delayed wire's packets in flight sit in [flight]; [arrived], built
-   once with the wire, takes a posted event's payload, a [flight] index. *)
 type edge_kind =
-  | Wire of {
-      delay : float;
-      flight : Packet.t Engine.Slots.t;
-      arrived : int -> unit;
-    }
+  | Wire of float
   | Queued of Link.t
 
 type edge = {
@@ -19,10 +13,7 @@ type edge = {
 }
 
 (* The empty routing-table cell: "no next hop". Compared physically. *)
-let no_edge =
-  let flight = Engine.Slots.create Packet.none in
-  let kind = Wire { delay = 0.; flight; arrived = ignore } in
-  { eid = -1; esrc = -1; edst = -1; kind; cost = None }
+let no_edge = { eid = -1; esrc = -1; edst = -1; kind = Wire 0.; cost = None }
 
 type cost_model = Hop | Delay
 
@@ -95,36 +86,13 @@ type t = {
   mutable dist : float array;
   mutable heap : int array;
   mutable hpos : int array; (* heap slot; -1 unqueued, -2 settled *)
+  (* Packets on delayed wires: each is posted with its index in [flight],
+     and [flight_dst] holds, by the same index, the node it is bound for.
+     [landed], built once, takes the posted index. *)
+  flight : Packet.t Engine.Slots.t;
+  mutable flight_dst : int array;
+  landed : int -> unit;
 }
-
-let create ?(cost_model = Hop) rt () =
-  {
-    rt;
-    cost_model;
-    n_nodes = 0;
-    ix = Array.make 8 (-1);
-    up_of = Array.make 8 no_edge;
-    down_of = Array.make 8 no_edge;
-    n_routers = 0;
-    all_edges = [];
-    n_edges = 0;
-    flows = Hashtbl.create 32;
-    targets = Itbl.create 256;
-    tn = 0;
-    next_up = [||];
-    next_all = [||];
-    dirty = true;
-    recomputes = 0;
-    grown = false;
-    routed = [||];
-    outs = [||];
-    ins = [||];
-    costs = [||];
-    up = [||];
-    dist = [||];
-    heap = [||];
-    hpos = [||];
-  }
 
 let runtime t = t.rt
 let n_nodes t = t.n_nodes
@@ -191,7 +159,7 @@ let edge_cost t e =
       | Hop -> 1.
       | Delay -> (
           match e.kind with
-          | Wire w -> w.delay
+          | Wire wdelay -> wdelay
           | Queued l -> Link.delay l))
 
 let edge_usable up_only e =
@@ -397,10 +365,58 @@ let rec arrive t node (pkt : Packet.t) =
 and forward t e pkt =
   match e.kind with
   | Queued l -> Link.send l pkt
-  | Wire w ->
-      if w.delay > 0. then
-        Engine.Runtime.post t.rt w.delay w.arrived (Engine.Slots.add w.flight pkt)
+  | Wire wdelay ->
+      if wdelay > 0. then begin
+        let k = Engine.Slots.add t.flight pkt in
+        if k >= Array.length t.flight_dst then begin
+          let dst = Array.make (2 * k + 4) 0 in
+          Array.blit t.flight_dst 0 dst 0 (Array.length t.flight_dst);
+          t.flight_dst <- dst
+        end;
+        t.flight_dst.(k) <- e.edst;
+        Engine.Runtime.post t.rt wdelay t.landed k
+      end
       else arrive t e.edst pkt
+
+(* A packet cleared by [teardown] is [Packet.none]: dropped on landing. *)
+let landed t k =
+  let pkt = Engine.Slots.take t.flight k in
+  if pkt != Packet.none then arrive t t.flight_dst.(k) pkt
+
+let create ?(cost_model = Hop) rt () =
+  let rec t =
+    {
+      rt;
+      cost_model;
+      n_nodes = 0;
+      ix = Array.make 8 (-1);
+      up_of = Array.make 8 no_edge;
+      down_of = Array.make 8 no_edge;
+      n_routers = 0;
+      all_edges = [];
+      n_edges = 0;
+      flows = Hashtbl.create 32;
+      targets = Itbl.create 256;
+      tn = 0;
+      next_up = [||];
+      next_all = [||];
+      dirty = true;
+      recomputes = 0;
+      grown = false;
+      routed = [||];
+      outs = [||];
+      ins = [||];
+      costs = [||];
+      up = [||];
+      dist = [||];
+      heap = [||];
+      hpos = [||];
+      flight = Engine.Slots.create Packet.none;
+      flight_dst = [||];
+      landed = (fun k -> landed t k);
+    }
+  in
+  t
 
 (* --- construction --------------------------------------------------------- *)
 
@@ -424,15 +440,6 @@ let new_edge t ~src ~dst ?cost kind =
   t.n_edges <- t.n_edges + 1;
   e
 
-(* A packet cleared by [teardown] is [Packet.none]: dropped on arrival. *)
-let wire t ~dst delay =
-  let flight = Engine.Slots.create Packet.none in
-  let arrived k =
-    let pkt = Engine.Slots.take flight k in
-    if pkt != Packet.none then arrive t dst pkt
-  in
-  Wire { delay; flight; arrived }
-
 (* An edge between routers: it enters the routing tables. *)
 let add_routed t ~src ~dst ?cost kind =
   t.grown <- true;
@@ -455,15 +462,15 @@ let add_wire t ~src ~dst ?cost delay =
   check_router t dst "add_wire";
   check_delay "add_wire" "delay" delay;
   check_cost "add_wire" cost;
-  add_routed t ~src ~dst ?cost (wire t ~dst delay)
+  add_routed t ~src ~dst ?cost (Wire delay)
 
 (* The tables stay clean: the host routes by its router's cells. *)
 let add_host t ~router ~access =
   check_router t router "add_host";
   check_delay "add_host" "access" access;
   let h = new_node t ~ix:(-1 - t.ix.(router)) in
-  t.up_of.(h) <- new_edge t ~src:h ~dst:router (wire t ~dst:router access);
-  t.down_of.(h) <- new_edge t ~src:router ~dst:h (wire t ~dst:h access);
+  t.up_of.(h) <- new_edge t ~src:h ~dst:router (Wire access);
+  t.down_of.(h) <- new_edge t ~src:router ~dst:h (Wire access);
   h
 
 let set_cost t e c =
@@ -523,15 +530,10 @@ let dst_sender t ~flow =
   let fi = find t flow in
   fun pkt -> send t fi `Bwd pkt
 
-let fold_wires t f acc =
-  List.fold_left
-    (fun acc e -> match e.kind with Wire w -> f acc w.flight | Queued _ -> acc)
-    acc t.all_edges
-
-let in_flight t = fold_wires t (fun n fl -> n + Engine.Slots.live fl) 0
+let in_flight t = Engine.Slots.live t.flight
 
 let teardown t =
-  fold_wires t (fun () fl -> Engine.Slots.clear fl) ();
+  Engine.Slots.clear t.flight;
   Itbl.reset t.targets
 
 (* --- routing / impact queries --------------------------------------------- *)
