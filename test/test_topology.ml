@@ -731,10 +731,10 @@ let minor_words_of f =
   w2 -. w1 -. (w1 -. w0)
 
 (* Injecting a packet, carrying it over one delayed wire and delivering
-   it. The wire posts one event with the packet's index in its in-flight
-   table, so no closure or handle is made; what remains is the packet's
-   forwarding entry (a 5-word record and a 4-word bucket, 9 words) and the
-   popped deadline that becomes the clock (2 words). *)
+   it. The hop posts one event with the packet's index in the topology's
+   in-flight table, so no closure or handle is made; what remains is the
+   packet's forwarding entry (a 5-word record and a 4-word bucket, 9
+   words) and the popped deadline that becomes the clock (2 words). *)
 let hop_words_bound = 14.
 
 let test_hop_words () =
@@ -755,7 +755,7 @@ let test_hop_words () =
         send pkts.(i);
         Engine.Sim.run sim ~until:infinity)
   in
-  (* The first packet routes and grows the wire's in-flight table. *)
+  (* The first packet routes and grows the in-flight table. *)
   ignore (one 0);
   let words = ref 0. in
   for i = 1 to 100 do
