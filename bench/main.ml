@@ -19,7 +19,7 @@ let micro () =
            let t = Tfrc.Loss_intervals.create () in
            for i = 1 to 64 do
              Tfrc.Loss_intervals.set_open_interval t
-               ~packets:(float_of_int (i * 13 mod 200));
+               ~packets:(i * 13 mod 200);
              Tfrc.Loss_intervals.record_interval t
                ~length:(float_of_int (50 + (i mod 100)));
              ignore (Tfrc.Loss_intervals.average t)

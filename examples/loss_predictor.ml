@@ -35,13 +35,14 @@ let () =
     let worst_lag = ref 0. in
     List.iter
       (fun interval ->
-        (match Tfrc.Loss_intervals.average est with
-        | Some avg when avg > 0. ->
-            let predicted = 1. /. avg in
-            let actual = 1. /. Float.max 1. interval in
-            Stats.Running.add err (Float.abs (predicted -. actual));
-            worst_lag := Float.max !worst_lag (predicted /. Float.max 1e-9 actual)
-        | _ -> ());
+        (* The average is nan, which fails [> 0.], until an interval closes. *)
+        let avg = Tfrc.Loss_intervals.average est in
+        if avg > 0. then begin
+          let predicted = 1. /. avg in
+          let actual = 1. /. Float.max 1. interval in
+          Stats.Running.add err (Float.abs (predicted -. actual));
+          worst_lag := Float.max !worst_lag (predicted /. Float.max 1e-9 actual)
+        end;
         Tfrc.Loss_intervals.record_interval est ~length:interval)
       interval_trace;
     Printf.printf "%-34s %-12.4f max over-estimate %.0fx\n" label

@@ -1,3 +1,11 @@
+(* The open interval and the running sums of a weighted mean, in a record
+   of floats only so writes store unboxed. *)
+type floats = {
+  mutable s0 : float; (* open interval since last loss event *)
+  mutable num : float;
+  mutable den : float;
+}
+
 type t = {
   n : int;
   discounting : bool;
@@ -7,7 +15,7 @@ type t = {
   df : float array; (* locked-in discount factors, aligned with intervals *)
   mutable head : int;
   mutable count : int; (* closed intervals stored, <= n *)
-  mutable s0 : float; (* open interval since last loss event *)
+  fl : floats;
 }
 
 let weights ~n ~constant =
@@ -32,17 +40,18 @@ let create ?(n = 8) ?(discounting = true) ?(discount_threshold = 0.25)
     df = Array.make n 1.;
     head = 0;
     count = 0;
-    s0 = 0.;
+    fl = { s0 = 0.; num = 0.; den = 0. };
   }
 
 (* intervals are stored newest-first logically: index k in [0, count) maps to
    the (k+1)-th most recent closed interval. *)
-let get t k = t.intervals.((t.head - 1 - k + (2 * t.n)) mod t.n)
-let get_df t k = t.df.((t.head - 1 - k + (2 * t.n)) mod t.n)
+let[@inline] get t k = t.intervals.((t.head - 1 - k + (2 * t.n)) mod t.n)
+let[@inline] get_df t k = t.df.((t.head - 1 - k + (2 * t.n)) mod t.n)
 
 let n_closed t = t.count
-let open_interval t = t.s0
-let set_open_interval t ~packets = t.s0 <- Float.max 0. packets
+let open_interval t = t.fl.s0
+
+let set_open_interval t ~packets = t.fl.s0 <- Float.max 0. (float_of_int packets)
 
 let seed t ~interval =
   if t.count <> 0 then invalid_arg "Loss_intervals.seed: history not empty";
@@ -53,38 +62,40 @@ let seed t ~interval =
   t.count <- 1
 
 (* Weighted mean over closed intervals 1..count with optional extra discount
-   factor applied to every closed interval. *)
-let mean_with t ~extra_df =
-  if t.count = 0 then None
+   factor applied to every closed interval. Inlined, like [current_df], so
+   no intermediate float is boxed. *)
+let[@inline] mean_with t ~extra_df =
+  if t.count = 0 then nan
   else begin
-    let num = ref 0. and den = ref 0. in
+    let fl = t.fl in
+    fl.num <- 0.;
+    fl.den <- 0.;
     for k = 0 to t.count - 1 do
       let w = t.w.(k) *. get_df t k *. extra_df in
-      num := !num +. (w *. get t k);
-      den := !den +. w
+      fl.num <- fl.num +. (w *. get t k);
+      fl.den <- fl.den +. w
     done;
-    if !den = 0. then None else Some (!num /. !den)
+    if fl.den = 0. then nan else fl.num /. fl.den
   end
 
 let mean_closed t = mean_with t ~extra_df:1.
 
 (* Discount factor for the open interval relative to the undiscounted mean
    of the closed intervals. *)
-let current_df t =
+let[@inline] current_df t =
   if not t.discounting then 1.
   else
-    match mean_closed t with
-    | None -> 1.
-    | Some avg ->
-        if t.s0 > 2. *. avg && t.s0 > 0. then
-          Float.max t.discount_threshold (2. *. avg /. t.s0)
-        else 1.
+    let avg = mean_with t ~extra_df:1. in
+    if Float.is_nan avg then 1.
+    else if t.fl.s0 > 2. *. avg && t.fl.s0 > 0. then
+      Float.max t.discount_threshold (2. *. avg /. t.fl.s0)
+    else 1.
 
 (* The estimator: max of the history-only mean and the mean that shifts s0
    in as the most recent interval (both using locked-in DFs; the shifted-in
    variant additionally discounts all closed intervals by current_df). *)
 let average t =
-  if t.count = 0 then None
+  if t.count = 0 then nan
   else begin
     let df0 = current_df t in
     (* s_hat over closed intervals 1..n (discounted by locked DFs only). *)
@@ -92,22 +103,23 @@ let average t =
     (* s_hat_new over s0 and closed intervals, weights shifted by one:
        w_1 on s0, w_2 on the most recent closed interval, ... The closed
        intervals are further discounted by df0. *)
-    let num = ref (t.w.(0) *. t.s0) and den = ref t.w.(0) in
+    let fl = t.fl in
+    fl.num <- t.w.(0) *. fl.s0;
+    fl.den <- t.w.(0);
     let m = min t.count (t.n - 1) in
     for k = 0 to m - 1 do
       let w = t.w.(k + 1) *. get_df t k *. df0 in
-      num := !num +. (w *. get t k);
-      den := !den +. w
+      fl.num <- fl.num +. (w *. get t k);
+      fl.den <- fl.den +. w
     done;
-    let s_hat_new = !num /. !den in
-    match s_hat with
-    | None -> Some s_hat_new
-    | Some s -> Some (Float.max s s_hat_new)
+    let s_hat_new = fl.num /. fl.den in
+    if Float.is_nan s_hat then s_hat_new else Float.max s_hat s_hat_new
   end
 
-let rate_of_average = function
-  | None -> 0.
-  | Some avg -> if avg <= 0. then 1. else Float.min 1. (1. /. avg)
+let rate_of_average avg =
+  if Float.is_nan avg then 0.
+  else if avg <= 0. then 1.
+  else Float.min 1. (1. /. avg)
 
 let loss_event_rate t = rate_of_average (average t)
 
@@ -125,4 +137,4 @@ let record_interval t ~length =
   t.df.(t.head) <- 1.;
   t.head <- (t.head + 1) mod t.n;
   if t.count < t.n then t.count <- t.count + 1;
-  t.s0 <- 0.
+  t.fl.s0 <- 0.

@@ -11,7 +11,12 @@
     exceeds twice the average, older intervals' weights are smoothly
     discounted by a factor [2*avg / s0], floored at [discount_threshold];
     the factor is locked into the history when the open interval finally
-    closes. *)
+    closes.
+
+    Where an estimate is undefined (no closed interval yet, or all of its
+    weights discounted to zero) {!average}, {!mean_closed} and
+    {!rate_of_average}'s argument are [nan], so no result is boxed in an
+    option; test with [Float.is_nan]. *)
 
 type t
 
@@ -39,8 +44,9 @@ val seed : t -> interval:float -> unit
 val record_interval : t -> length:float -> unit
 
 (** [set_open_interval t ~packets] updates the length of the interval since
-    the last loss event (the paper's s_0). *)
-val set_open_interval : t -> packets:float -> unit
+    the last loss event (the paper's s_0), a packet count (negative counts
+    read as 0). An [int], so the per-packet call boxes nothing. *)
+val set_open_interval : t -> packets:int -> unit
 
 val open_interval : t -> float
 
@@ -48,19 +54,19 @@ val open_interval : t -> float
 val n_closed : t -> int
 
 (** [average t] is the estimated average loss interval in packets, or
-    [None] while no loss has been recorded. *)
-val average : t -> float option
+    [nan] while no loss has been recorded. *)
+val average : t -> float
 
 (** [rate_of_average avg] maps an {!average} result to a loss event rate:
-    [1 / avg] clamped to [0, 1], or 0. for [None]. Exposed so a caller that
+    [1 / avg] clamped to [0, 1], or 0. for [nan]. Exposed so a caller that
     already holds the average (an O(n) computation) can derive the rate
     without recomputing it. *)
-val rate_of_average : float option -> float
+val rate_of_average : float -> float
 
 (** [loss_event_rate t] is [rate_of_average (average t)]. *)
 val loss_event_rate : t -> float
 
 (** [mean_closed t] is the plain weighted mean over closed intervals only
     (no s_0 rule, no discounting); exposed for tests and for the Figure 18
-    predictor study. *)
-val mean_closed : t -> float option
+    predictor study. [nan] while no interval is closed. *)
+val mean_closed : t -> float

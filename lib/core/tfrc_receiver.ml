@@ -8,7 +8,7 @@ type t = {
   mutable rtt : float; (* sender's estimate, piggybacked on data *)
   mutable last_data_sent_at : float; (* timestamp echo *)
   mutable last_data_arrival : float;
-  mutable bytes_since_fb : float;
+  mutable bytes_since_fb : int;
   mutable last_fb_time : float;
   mutable prev_recv_rate : float;
   mutable packets : int;
@@ -18,9 +18,47 @@ type t = {
   mutable duplicates : int; (* arrivals discarded as already seen *)
   mutable corrupted : int; (* arrivals discarded as damaged *)
   mutable running : bool;
+  mutable fb_timer : Engine.Runtime.handle; (* the pending feedback tick *)
 }
 
-let rec create rt ~config ~flow ~transmit () =
+let send_feedback t =
+  let now = Engine.Runtime.now t.rt in
+  let elapsed = now -. t.last_fb_time in
+  let recv_rate =
+    if elapsed > 0. then float_of_int t.bytes_since_fb /. elapsed
+    else t.prev_recv_rate
+  in
+  t.prev_recv_rate <- recv_rate;
+  t.bytes_since_fb <- 0;
+  t.last_fb_time <- now;
+  t.feedbacks <- t.feedbacks + 1;
+  t.fb_seq <- t.fb_seq + 1;
+  let avg = Loss_intervals.average t.intervals in
+  let p = Loss_intervals.rate_of_average avg in
+  let tr = Engine.Runtime.trace t.rt in
+  if Engine.Trace.active tr then
+    Engine.Trace.emit tr ~time:now ~cat:"tfrc" ~name:"feedback"
+      [
+        ("flow", Engine.Trace.Int t.flow);
+        ("p", Engine.Trace.Float p);
+        ("recv_rate", Engine.Trace.Float recv_rate);
+        ("n_closed", Engine.Trace.Int (Loss_intervals.n_closed t.intervals));
+        ("avg_interval", Engine.Trace.Float (if Float.is_nan avg then 0. else avg));
+      ];
+  let pkt =
+    Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.fb_seq
+      ~size:t.config.Tfrc_config.feedback_size ~now
+      (Netsim.Packet.Tfrc_feedback
+         {
+           p;
+           recv_rate;
+           ts_echo = t.last_data_sent_at;
+           ts_delay = now -. t.last_data_arrival;
+         })
+  in
+  t.transmit pkt
+
+let create rt ~config ~flow ~transmit () =
   let t =
     {
       rt;
@@ -36,7 +74,7 @@ let rec create rt ~config ~flow ~transmit () =
       rtt = config.Tfrc_config.initial_rtt;
       last_data_sent_at = 0.;
       last_data_arrival = 0.;
-      bytes_since_fb = 0.;
+      bytes_since_fb = 0;
       last_fb_time = Engine.Runtime.now rt;
       prev_recv_rate = 0.;
       packets = 0;
@@ -46,53 +84,18 @@ let rec create rt ~config ~flow ~transmit () =
       duplicates = 0;
       corrupted = 0;
       running = true;
+      fb_timer = Engine.Runtime.null_handle;
     }
   in
   (* Periodic feedback: once per RTT if any data arrived in the interval. *)
   let rec tick () =
     if t.running then begin
-      if t.bytes_since_fb > 0. then send_feedback t;
-      ignore (Engine.Runtime.after rt t.rtt tick)
+      if t.bytes_since_fb > 0 then send_feedback t;
+      t.fb_timer <- Engine.Runtime.after rt t.rtt tick
     end
   in
-  ignore (Engine.Runtime.after rt t.rtt tick);
+  t.fb_timer <- Engine.Runtime.after rt t.rtt tick;
   t
-
-and send_feedback t =
-  let now = Engine.Runtime.now t.rt in
-  let elapsed = now -. t.last_fb_time in
-  let recv_rate =
-    if elapsed > 0. then t.bytes_since_fb /. elapsed else t.prev_recv_rate
-  in
-  t.prev_recv_rate <- recv_rate;
-  t.bytes_since_fb <- 0.;
-  t.last_fb_time <- now;
-  t.feedbacks <- t.feedbacks + 1;
-  t.fb_seq <- t.fb_seq + 1;
-  let avg = Loss_intervals.average t.intervals in
-  let p = Loss_intervals.rate_of_average avg in
-  let tr = Engine.Runtime.trace t.rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:now ~cat:"tfrc" ~name:"feedback"
-      [
-        ("flow", Engine.Trace.Int t.flow);
-        ("p", Engine.Trace.Float p);
-        ("recv_rate", Engine.Trace.Float recv_rate);
-        ("n_closed", Engine.Trace.Int (Loss_intervals.n_closed t.intervals));
-        ("avg_interval", Engine.Trace.Float (Option.value avg ~default:0.));
-      ];
-  let pkt =
-    Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.fb_seq
-      ~size:t.config.Tfrc_config.feedback_size ~now
-      (Netsim.Packet.Tfrc_feedback
-         {
-           p;
-           recv_rate;
-           ts_echo = t.last_data_sent_at;
-           ts_delay = now -. t.last_data_arrival;
-         })
-  in
-  t.transmit pkt
 
 (* Synthetic first interval: the loss interval that would make the control
    equation produce half the rate at which data was arriving when the first
@@ -101,7 +104,8 @@ let seed_history t =
   let now = Engine.Runtime.now t.rt in
   let elapsed = now -. t.last_fb_time in
   let recent_rate =
-    if t.bytes_since_fb > 0. && elapsed > 1e-9 then t.bytes_since_fb /. elapsed
+    if t.bytes_since_fb > 0 && elapsed > 1e-9 then
+      float_of_int t.bytes_since_fb /. elapsed
     else t.prev_recv_rate
   in
   let s = t.config.Tfrc_config.packet_size in
@@ -131,30 +135,27 @@ let recv t (pkt : Netsim.Packet.t) =
       let now = Engine.Runtime.now t.rt in
       t.packets <- t.packets + 1;
       t.bytes <- t.bytes + pkt.size;
-      t.bytes_since_fb <- t.bytes_since_fb +. float_of_int pkt.size;
+      t.bytes_since_fb <- t.bytes_since_fb + pkt.size;
       if rtt > 0. then t.rtt <- rtt;
       t.last_data_sent_at <- pkt.sent_at;
       t.last_data_arrival <- now;
-      let outcome =
+      let had_loss = Loss_events.in_loss t.detector in
+      let new_events =
         Loss_events.on_packet t.detector ~seq:pkt.seq ~sent_at:pkt.sent_at
           ~rtt:t.rtt ~intervals:t.intervals
       in
-      let outcome =
-        if t.config.Tfrc_config.ecn && pkt.ecn_marked then begin
-          let m =
-            Loss_events.on_marked t.detector ~seq:pkt.seq ~sent_at:pkt.sent_at
+      let new_events =
+        if t.config.Tfrc_config.ecn && pkt.ecn_marked then
+          new_events
+          + Loss_events.on_marked t.detector ~seq:pkt.seq ~sent_at:pkt.sent_at
               ~rtt:t.rtt ~intervals:t.intervals
-          in
-          {
-            Loss_events.new_events = outcome.new_events + m.new_events;
-            first_loss = outcome.first_loss || m.first_loss;
-          }
-        end
-        else outcome
+        else new_events
       in
-      if outcome.first_loss && t.config.Tfrc_config.slow_start then
-        seed_history t;
-      if outcome.new_events > 0 && t.config.Tfrc_config.feedback_on_loss then
+      (* This arrival (or its mark) confirmed the first loss ever. *)
+      if (not had_loss) && Loss_events.in_loss t.detector
+         && t.config.Tfrc_config.slow_start
+      then seed_history t;
+      if new_events > 0 && t.config.Tfrc_config.feedback_on_loss then
         send_feedback t
   | Data | Tcp_ack _ | Tfrc_feedback _ -> ()
 
@@ -167,4 +168,6 @@ let bytes_received t = t.bytes
 let feedbacks_sent t = t.feedbacks
 let duplicates_discarded t = t.duplicates
 let corrupted_discarded t = t.corrupted
-let stop t = t.running <- false
+let stop t =
+  t.running <- false;
+  Engine.Runtime.cancel t.fb_timer

@@ -77,16 +77,17 @@ let evaluate ~history ~constant_weights ~traces =
       Array.iteri
         (fun i interval ->
           (if i + future_window <= Array.length arr then
-             match Tfrc.Loss_intervals.average est with
-             | Some avg when avg > 0. ->
-                 let predicted = 1. /. avg in
-                 let future = ref 0. in
-                 for k = i to i + future_window - 1 do
-                   future := !future +. arr.(k)
-                 done;
-                 let actual = float_of_int future_window /. Float.max 1. !future in
-                 Stats.Running.add errors (Float.abs (predicted -. actual))
-             | _ -> ());
+             let avg = Tfrc.Loss_intervals.average est in
+             (* [nan > 0.] is false: no prediction before the first interval. *)
+             if avg > 0. then begin
+               let predicted = 1. /. avg in
+               let future = ref 0. in
+               for k = i to i + future_window - 1 do
+                 future := !future +. arr.(k)
+               done;
+               let actual = float_of_int future_window /. Float.max 1. !future in
+               Stats.Running.add errors (Float.abs (predicted -. actual))
+             end);
           Tfrc.Loss_intervals.record_interval est ~length:interval)
         arr)
     traces;

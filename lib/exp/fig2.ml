@@ -30,9 +30,8 @@ let samples ?(rtt = 0.1) ~duration () =
   Tfrc.Tfrc_sender.on_rate_update path.sender (fun time ~rate ~rtt:_ ~p ->
       let intervals = Tfrc.Tfrc_receiver.intervals path.receiver in
       let s0 = Tfrc.Loss_intervals.open_interval intervals in
-      let est =
-        Option.value (Tfrc.Loss_intervals.average intervals) ~default:0.
-      in
+      let est = Tfrc.Loss_intervals.average intervals in
+      let est = if Float.is_nan est then 0. else est in
       out := (time, s0, est, p, rate) :: !out);
   Direct_path.run path ~until:duration;
   List.rev !out

@@ -115,9 +115,11 @@ let test_marks_counted_as_loss_events () =
       (Tfrc.Loss_events.on_packet d ~seq ~sent_at:(0.01 *. float_of_int seq)
          ~rtt:0.1 ~intervals:iv)
   done;
-  let o = Tfrc.Loss_events.on_marked d ~seq:49 ~sent_at:0.49 ~rtt:0.1 ~intervals:iv in
-  Alcotest.(check int) "mark starts an event" 1 o.Tfrc.Loss_events.new_events;
-  Alcotest.(check bool) "flagged first loss" true o.Tfrc.Loss_events.first_loss;
+  Alcotest.(check bool) "loss-free before the mark" false
+    (Tfrc.Loss_events.in_loss d);
+  let n = Tfrc.Loss_events.on_marked d ~seq:49 ~sent_at:0.49 ~rtt:0.1 ~intervals:iv in
+  Alcotest.(check int) "mark starts an event" 1 n;
+  Alcotest.(check bool) "first loss: now in loss" true (Tfrc.Loss_events.in_loss d);
   Alcotest.(check int) "counted as mark, not loss" 0
     (Tfrc.Loss_events.lost_packets d);
   Alcotest.(check int) "marked counter" 1 (Tfrc.Loss_events.marked_packets d)
@@ -132,8 +134,8 @@ let test_marks_coalesce_within_rtt () =
   done;
   (* Two marks 20 ms apart with RTT 100 ms: one event. *)
   ignore (Tfrc.Loss_events.on_marked d ~seq:7 ~sent_at:0.07 ~rtt:0.1 ~intervals:iv);
-  let o = Tfrc.Loss_events.on_marked d ~seq:9 ~sent_at:0.09 ~rtt:0.1 ~intervals:iv in
-  Alcotest.(check int) "second mark coalesced" 0 o.Tfrc.Loss_events.new_events;
+  let n = Tfrc.Loss_events.on_marked d ~seq:9 ~sent_at:0.09 ~rtt:0.1 ~intervals:iv in
+  Alcotest.(check int) "second mark coalesced" 0 n;
   Alcotest.(check int) "one event" 1 (Tfrc.Loss_events.loss_events d)
 
 (* --- ECN: TCP end to end ------------------------------------------------------ *)

@@ -170,16 +170,14 @@ let test_weights_n4 () =
 
 let test_intervals_empty () =
   let t = Tfrc.Loss_intervals.create () in
-  Alcotest.(check (option (float 0.))) "no average" None
-    (Tfrc.Loss_intervals.average t);
+  Alcotest.(check bool) "no average" true
+    (Float.is_nan (Tfrc.Loss_intervals.average t));
   checkf "rate 0 when loss-free" 0. (Tfrc.Loss_intervals.loss_event_rate t)
 
 let test_intervals_single () =
   let t = Tfrc.Loss_intervals.create ~discounting:false () in
   Tfrc.Loss_intervals.record_interval t ~length:100.;
-  (match Tfrc.Loss_intervals.average t with
-  | Some avg -> checkf "single interval average" 100. avg
-  | None -> Alcotest.fail "expected average");
+  checkf "single interval average" 100. (Tfrc.Loss_intervals.average t);
   checkf "p = 1/100" 0.01 (Tfrc.Loss_intervals.loss_event_rate t)
 
 let test_intervals_equal_weights_average () =
@@ -188,9 +186,7 @@ let test_intervals_equal_weights_average () =
   for _ = 1 to 4 do
     Tfrc.Loss_intervals.record_interval t ~length:50.
   done;
-  match Tfrc.Loss_intervals.average t with
-  | Some avg -> checkf "average of equal intervals" 50. avg
-  | None -> Alcotest.fail "expected average"
+  checkf "average of equal intervals" 50. (Tfrc.Loss_intervals.average t)
 
 let test_intervals_weighted_average_exact () =
   (* n=8 full history: intervals newest-to-oldest 8,7,...,1 recorded in
@@ -206,9 +202,8 @@ let test_intervals_weighted_average_exact () =
     num := !num +. (w.(k) *. float_of_int (8 - k));
     den := !den +. w.(k)
   done;
-  match Tfrc.Loss_intervals.average t with
-  | Some avg -> checkf ~eps:1e-9 "weighted average" (!num /. !den) avg
-  | None -> Alcotest.fail "expected average"
+  checkf ~eps:1e-9 "weighted average" (!num /. !den)
+    (Tfrc.Loss_intervals.average t)
 
 let test_intervals_s0_rule () =
   (* The open interval only raises the estimate when including it would
@@ -217,26 +212,19 @@ let test_intervals_s0_rule () =
   for _ = 1 to 8 do
     Tfrc.Loss_intervals.record_interval t ~length:100.
   done;
-  let base =
-    match Tfrc.Loss_intervals.average t with Some a -> a | None -> 0.
-  in
+  let base = Tfrc.Loss_intervals.average t in
   (* Small s0: no effect. *)
-  Tfrc.Loss_intervals.set_open_interval t ~packets:5.;
-  (match Tfrc.Loss_intervals.average t with
-  | Some a -> checkf "small s0 ignored" base a
-  | None -> Alcotest.fail "expected average");
+  Tfrc.Loss_intervals.set_open_interval t ~packets:5;
+  checkf "small s0 ignored" base (Tfrc.Loss_intervals.average t);
   (* Huge s0: estimate rises. *)
-  Tfrc.Loss_intervals.set_open_interval t ~packets:1000.;
-  match Tfrc.Loss_intervals.average t with
-  | Some a -> Alcotest.(check bool) "large s0 raises estimate" true (a > base)
-  | None -> Alcotest.fail "expected average"
+  Tfrc.Loss_intervals.set_open_interval t ~packets:1000;
+  Alcotest.(check bool) "large s0 raises estimate" true
+    (Tfrc.Loss_intervals.average t > base)
 
 let test_intervals_seed () =
   let t = Tfrc.Loss_intervals.create () in
   Tfrc.Loss_intervals.seed t ~interval:42.;
-  (match Tfrc.Loss_intervals.average t with
-  | Some a -> checkf "seeded" 42. a
-  | None -> Alcotest.fail "expected average");
+  checkf "seeded" 42. (Tfrc.Loss_intervals.average t);
   Alcotest.check_raises "cannot seed twice"
     (Invalid_argument "Loss_intervals.seed: history not empty") (fun () ->
       Tfrc.Loss_intervals.seed t ~interval:10.)
@@ -248,9 +236,7 @@ let test_intervals_shift () =
   for _ = 1 to 8 do
     Tfrc.Loss_intervals.record_interval t ~length:10.
   done;
-  match Tfrc.Loss_intervals.average t with
-  | Some a -> checkf "old interval evicted" 10. a
-  | None -> Alcotest.fail "expected average"
+  checkf "old interval evicted" 10. (Tfrc.Loss_intervals.average t)
 
 let test_history_discounting_speeds_decay () =
   (* After a long loss-free stretch, the discounted estimator must report a
@@ -260,8 +246,8 @@ let test_history_discounting_speeds_decay () =
     for _ = 1 to 8 do
       Tfrc.Loss_intervals.record_interval t ~length:100.
     done;
-    Tfrc.Loss_intervals.set_open_interval t ~packets:500.;
-    match Tfrc.Loss_intervals.average t with Some a -> a | None -> 0.
+    Tfrc.Loss_intervals.set_open_interval t ~packets:500;
+    Tfrc.Loss_intervals.average t
   in
   let plain = make false and discounted = make true in
   Alcotest.(check bool)
@@ -275,20 +261,16 @@ let test_discount_locked_in () =
   for _ = 1 to 8 do
     Tfrc.Loss_intervals.record_interval t ~length:100.
   done;
-  Tfrc.Loss_intervals.set_open_interval t ~packets:1000.;
+  Tfrc.Loss_intervals.set_open_interval t ~packets:1000;
   Tfrc.Loss_intervals.record_interval t ~length:1000.;
-  let with_discount =
-    match Tfrc.Loss_intervals.average t with Some a -> a | None -> 0.
-  in
+  let with_discount = Tfrc.Loss_intervals.average t in
   (* Undiscounted comparison: the same history without discounting. *)
   let u = Tfrc.Loss_intervals.create ~discounting:false () in
   for _ = 1 to 8 do
     Tfrc.Loss_intervals.record_interval u ~length:100.
   done;
   Tfrc.Loss_intervals.record_interval u ~length:1000.;
-  let without =
-    match Tfrc.Loss_intervals.average u with Some a -> a | None -> 0.
-  in
+  let without = Tfrc.Loss_intervals.average u in
   Alcotest.(check bool)
     (Printf.sprintf "locked-in discount %.1f > %.1f" with_discount without)
     true (with_discount > without)
@@ -308,12 +290,10 @@ let test_discount_threshold_clamp_exact () =
     Tfrc.Loss_intervals.record_interval t ~length:100.;
     Tfrc.Loss_intervals.record_interval t ~length:100.;
     Tfrc.Loss_intervals.set_open_interval t ~packets:s0;
-    match Tfrc.Loss_intervals.average t with
-    | Some a -> a
-    | None -> Alcotest.fail "expected average"
+    Tfrc.Loss_intervals.average t
   in
-  checkf ~eps:1e-9 "clamped at threshold" 700. (make 1000.);
-  checkf ~eps:1e-6 "smooth factor above threshold" (1300. /. 7.) (make 300.)
+  checkf ~eps:1e-9 "clamped at threshold" 700. (make 1000);
+  checkf ~eps:1e-6 "smooth factor above threshold" (1300. /. 7.) (make 300)
 
 let test_discount_lock_exact () =
   (* Same setup; when the 1000-packet open interval finally closes (as a
@@ -327,11 +307,10 @@ let test_discount_lock_exact () =
   in
   Tfrc.Loss_intervals.record_interval t ~length:100.;
   Tfrc.Loss_intervals.record_interval t ~length:100.;
-  Tfrc.Loss_intervals.set_open_interval t ~packets:1000.;
+  Tfrc.Loss_intervals.set_open_interval t ~packets:1000;
   Tfrc.Loss_intervals.record_interval t ~length:50.;
-  (match Tfrc.Loss_intervals.mean_closed t with
-  | Some m -> checkf ~eps:1e-6 "locked discount factors" (100. /. 1.5) m
-  | None -> Alcotest.fail "expected mean");
+  checkf ~eps:1e-6 "locked discount factors" (100. /. 1.5)
+    (Tfrc.Loss_intervals.mean_closed t);
   Alcotest.(check int) "three closed intervals" 3
     (Tfrc.Loss_intervals.n_closed t)
 
@@ -349,13 +328,9 @@ let test_ring_full_average_exact () =
     Tfrc.Loss_intervals.record_interval t ~length:(float_of_int i)
   done;
   Alcotest.(check int) "ring capped at n" 4 (Tfrc.Loss_intervals.n_closed t);
-  (match Tfrc.Loss_intervals.mean_closed t with
-  | Some m -> checkf ~eps:1e-9 "closed mean after wrap" 4.5 m
-  | None -> Alcotest.fail "expected mean");
-  Tfrc.Loss_intervals.set_open_interval t ~packets:10.;
-  match Tfrc.Loss_intervals.average t with
-  | Some a -> checkf ~eps:1e-9 "shifted mean wins" 6.25 a
-  | None -> Alcotest.fail "expected average"
+  checkf ~eps:1e-9 "closed mean after wrap" 4.5 (Tfrc.Loss_intervals.mean_closed t);
+  Tfrc.Loss_intervals.set_open_interval t ~packets:10;
+  checkf ~eps:1e-9 "shifted mean wins" 6.25 (Tfrc.Loss_intervals.average t)
 
 let prop_rate_in_unit_interval =
   QCheck.Test.make ~name:"loss event rate in [0,1]" ~count:300
@@ -374,7 +349,7 @@ let prop_estimate_decreases_only_with_evidence =
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 10) (float_range 1. 1e3))
-        (float_range 0. 1e4))
+        (int_range 0 10_000))
     (fun (intervals, s0) ->
       let t = Tfrc.Loss_intervals.create () in
       List.iter
@@ -382,7 +357,7 @@ let prop_estimate_decreases_only_with_evidence =
         intervals;
       Tfrc.Loss_intervals.set_open_interval t ~packets:s0;
       let p1 = Tfrc.Loss_intervals.loss_event_rate t in
-      Tfrc.Loss_intervals.set_open_interval t ~packets:(s0 +. 100.);
+      Tfrc.Loss_intervals.set_open_interval t ~packets:(s0 + 100);
       let p2 = Tfrc.Loss_intervals.loss_event_rate t in
       p2 <= p1 +. 1e-12)
 
@@ -408,8 +383,8 @@ let test_detector_no_loss () =
   let d = Tfrc.Loss_events.create () in
   let iv = Tfrc.Loss_intervals.create () in
   for seq = 0 to 20 do
-    let o = feed d iv ~seq ~sent_at:(0.01 *. float_of_int seq) ~rtt:0.1 in
-    Alcotest.(check int) "no events" 0 o.Tfrc.Loss_events.new_events
+    let n = feed d iv ~seq ~sent_at:(0.01 *. float_of_int seq) ~rtt:0.1 in
+    Alcotest.(check int) "no events" 0 n
   done;
   Alcotest.(check bool) "not in loss" false (Tfrc.Loss_events.in_loss d);
   Alcotest.(check int) "max seq" 20 (Tfrc.Loss_events.max_seq d)
@@ -421,9 +396,10 @@ let test_detector_confirms_after_ndupack () =
   ignore (feed d iv ~seq:2 ~sent_at:0.02 ~rtt:0.1) (* hole at 1 *);
   Alcotest.(check bool) "not yet confirmed" false (Tfrc.Loss_events.in_loss d);
   ignore (feed d iv ~seq:3 ~sent_at:0.03 ~rtt:0.1);
-  let o = feed d iv ~seq:4 ~sent_at:0.04 ~rtt:0.1 in
-  Alcotest.(check int) "first loss event" 1 o.Tfrc.Loss_events.new_events;
-  Alcotest.(check bool) "first_loss flagged" true o.Tfrc.Loss_events.first_loss;
+  Alcotest.(check bool) "still loss-free" false (Tfrc.Loss_events.in_loss d);
+  let n = feed d iv ~seq:4 ~sent_at:0.04 ~rtt:0.1 in
+  Alcotest.(check int) "first loss event" 1 n;
+  Alcotest.(check bool) "first loss: now in loss" true (Tfrc.Loss_events.in_loss d);
   Alcotest.(check int) "one lost packet" 1 (Tfrc.Loss_events.lost_packets d)
 
 let test_detector_reordering_rescue () =
@@ -465,13 +441,11 @@ let test_detector_separate_events_across_rtt () =
   Alcotest.(check int) "two events" 2 (Tfrc.Loss_events.loss_events d);
   Alcotest.(check int) "one closed interval" 1 (Tfrc.Loss_intervals.n_closed iv);
   (* Interval length = distance between event starts = 40. *)
-  match Tfrc.Loss_intervals.average iv with
-  | Some a ->
-      Alcotest.(check bool)
-        (Printf.sprintf "interval ~40, got %.1f" a)
-        true
-        (Float.abs (a -. 40.) < 1.)
-  | None -> Alcotest.fail "expected average"
+  let a = Tfrc.Loss_intervals.average iv in
+  Alcotest.(check bool)
+    (Printf.sprintf "interval ~40, got %.1f" a)
+    true
+    (Float.abs (a -. 40.) < 1.)
 
 let test_detector_open_interval_tracks () =
   let d = Tfrc.Loss_events.create ~ndupack:1 () in
@@ -482,6 +456,177 @@ let test_detector_open_interval_tracks () =
   done;
   checkf "open interval = max_seq - event_start" 25.
     (Tfrc.Loss_intervals.open_interval iv)
+
+(* Differential against the list-based reference detector: random arrival
+   streams mixing in-order packets, gaps (some far past the frontier),
+   reordering, duplicates and ECN marks, at ndupack 1-4 and varying RTTs.
+   Seqs are non-negative, as senders and the wire codec produce them.
+   Every arrival is fed to both, duplicates included, and everything either
+   detector exposes must agree after it, floats bit for bit. *)
+let gen_arrivals =
+  QCheck.Gen.(
+    pair (int_range 1 4)
+      (list_size (int_range 1 120)
+         (quad (int_range 0 11) (int_range 0 9) (int_range 0 4) (int_range 0 4))))
+
+let print_arrivals (ndupack, ops) =
+  Printf.sprintf "ndupack %d: %s" ndupack
+    (String.concat " "
+       (List.map (fun (k, r, m, q) -> Printf.sprintf "(%d,%d,%d,%d)" k r m q) ops))
+
+let prop_detector_matches_reference =
+  QCheck.Test.make ~name:"hole ring matches the list reference" ~count:600
+    (QCheck.make ~print:print_arrivals gen_arrivals)
+    (fun (ndupack, ops) ->
+      let d = Tfrc.Loss_events.create ~ndupack () in
+      let iv = Tfrc.Loss_intervals.create () in
+      let rd = Ref_loss_events.create ~ndupack () in
+      let riv = Tfrc.Loss_intervals.create () in
+      let rtts = [| 0.; 0.02; 0.1; 0.5; -0.05 |] in
+      let next = ref 0 and last = ref 0 in
+      let bits = Int64.bits_of_float in
+      List.iteri
+        (fun step (kind, r, mark, q) ->
+          let seq =
+            match kind with
+            | 0 | 1 | 2 | 3 | 4 -> !next (* in order *)
+            | 5 | 6 -> !next + r + 1 (* a gap *)
+            | 7 -> !next + 40 + (r * 25) (* far past the frontier *)
+            | 8 | 9 -> max 0 (!next - 1 - r) (* reordered, or a straggler *)
+            | _ -> !last (* duplicate *)
+          in
+          if seq >= !next then next := seq + 1;
+          last := seq;
+          let sent_at = (0.01 *. float_of_int seq) +. (0.0013 *. float_of_int q) in
+          let rtt = rtts.(q) in
+          let had_loss = Tfrc.Loss_events.in_loss d in
+          let n = Tfrc.Loss_events.on_packet d ~seq ~sent_at ~rtt ~intervals:iv in
+          let o = Ref_loss_events.on_packet rd ~seq ~sent_at ~rtt ~intervals:riv in
+          let n, ref_n, ref_first =
+            if mark = 0 then begin
+              let m = Tfrc.Loss_events.on_marked d ~seq ~sent_at ~rtt ~intervals:iv in
+              let rm = Ref_loss_events.on_marked rd ~seq ~sent_at ~rtt ~intervals:riv in
+              ( n + m,
+                o.new_events + rm.new_events,
+                o.first_loss || rm.first_loss )
+            end
+            else (n, o.new_events, o.first_loss)
+          in
+          let first = (not had_loss) && Tfrc.Loss_events.in_loss d in
+          let fail what = QCheck.Test.fail_reportf "step %d (seq %d): %s" step seq what in
+          if n <> ref_n then fail (Printf.sprintf "new events %d, reference %d" n ref_n);
+          if first <> ref_first then fail "first loss";
+          let open Tfrc.Loss_events in
+          if max_seq d <> Ref_loss_events.max_seq rd then fail "max_seq";
+          if lost_packets d <> Ref_loss_events.lost_packets rd then fail "lost_packets";
+          if marked_packets d <> Ref_loss_events.marked_packets rd then
+            fail "marked_packets";
+          if loss_events d <> Ref_loss_events.loss_events rd then fail "loss_events";
+          if in_loss d <> Ref_loss_events.in_loss rd then fail "in_loss";
+          for s = max_seq d - 8 to max_seq d + 2 do
+            if seen_before d ~seq:s <> Ref_loss_events.seen_before rd ~seq:s then
+              fail (Printf.sprintf "seen_before %d" s)
+          done;
+          let open Tfrc.Loss_intervals in
+          if n_closed iv <> n_closed riv then fail "n_closed";
+          if bits (open_interval iv) <> bits (open_interval riv) then
+            fail "open_interval";
+          if bits (average iv) <> bits (average riv) then fail "average";
+          if bits (loss_event_rate iv) <> bits (loss_event_rate riv) then
+            fail "loss_event_rate")
+        ops;
+      true)
+
+(* --- Allocation budgets ------------------------------------------------ *)
+
+(* Minor words allocated by [f ()], less what reading the counter costs. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  w2 -. w1 -. (w1 -. w0)
+
+(* A receiver with default configuration (ndupack 3, expedited loss
+   feedback), counting the feedback packets it sends. *)
+let budget_receiver () =
+  let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
+  let feedbacks = ref 0 in
+  let r =
+    Tfrc.Tfrc_receiver.create rt ~config:(Tfrc.Tfrc_config.default ()) ~flow:1
+      ~transmit:(fun _ -> incr feedbacks)
+      ()
+  in
+  (rt, r, Tfrc.Tfrc_receiver.recv r, feedbacks)
+
+let tfrc_data rt ~seq ~sent_at =
+  Netsim.Packet.make rt ~flow:1 ~seq ~size:1000 ~now:sent_at
+    (Netsim.Packet.Tfrc_data { rtt = 0.1 })
+
+(* Data packets [lo..hi] sent 10 ms apart, skipping [skip]. *)
+let deliver rt recv ?(skip = []) lo hi =
+  for seq = lo to hi do
+    if not (List.mem seq skip) then
+      recv (tfrc_data rt ~seq ~sent_at:(0.01 *. float_of_int seq))
+  done
+
+(* An in-order data packet after the first loss updates the counters, the
+   detector and the open interval and allocates nothing. *)
+let in_order_words = 4.
+
+(* The arrival that confirms a loss starting a new event: 2 words each for
+   the closed interval's length, the stored receive rate and the returned
+   average and loss event rate (boxed floats), then the 10-word feedback
+   packet and its 5-word [Tfrc_feedback] payload with two fresh float
+   boxes. *)
+let loss_feedback_words = 28.
+
+let test_receiver_in_order_budget () =
+  let rt, r, recv, _ = budget_receiver () in
+  deliver rt recv ~skip:[ 50 ] 0 99;
+  Alcotest.(check bool) "in loss" true
+    (Tfrc.Loss_events.in_loss (Tfrc.Tfrc_receiver.detector r));
+  let pkt = tfrc_data rt ~seq:100 ~sent_at:1.0 in
+  let words = minor_words_of (fun () -> recv pkt) in
+  checkf "open interval advanced" 50.
+    (Tfrc.Loss_intervals.open_interval (Tfrc.Tfrc_receiver.intervals r));
+  if words > in_order_words then
+    Alcotest.failf "in-order packet: %.0f minor words (bound %.0f)" words
+      in_order_words
+
+let test_receiver_loss_feedback_budget () =
+  let rt, r, recv, feedbacks = budget_receiver () in
+  deliver rt recv ~skip:[ 50; 101 ] 0 103;
+  let before = !feedbacks in
+  let pkt = tfrc_data rt ~seq:104 ~sent_at:1.04 in
+  let words = minor_words_of (fun () -> recv pkt) in
+  Alcotest.(check int) "loss feedback sent" 1 (!feedbacks - before);
+  Alcotest.(check int) "second loss event" 2
+    (Tfrc.Loss_events.loss_events (Tfrc.Tfrc_receiver.detector r));
+  if words > loss_feedback_words then
+    Alcotest.failf "loss-confirming packet: %.0f minor words (bound %.0f)" words
+      loss_feedback_words
+
+(* Wire frames carry a u32 seq, so one frame can land 2^20 seqs past the
+   frontier. Its holes are confirmed in the loop that finds them: the
+   arrival costs no more than a 4-seq gap with the same outcome (one loss
+   event, the history seeded, one loss feedback). *)
+let test_far_gap_budget () =
+  let words gap =
+    let rt, r, recv, feedbacks = budget_receiver () in
+    deliver rt recv 0 9;
+    let pkt = tfrc_data rt ~seq:(9 + gap) ~sent_at:0.1 in
+    let w = minor_words_of (fun () -> recv pkt) in
+    let d = Tfrc.Tfrc_receiver.detector r in
+    Alcotest.(check int) "one loss event" 1 (Tfrc.Loss_events.loss_events d);
+    Alcotest.(check int) "holes confirmed" (gap - 3) (Tfrc.Loss_events.lost_packets d);
+    Alcotest.(check int) "one feedback" 1 !feedbacks;
+    w
+  in
+  let near = words 4 and far = words (1 lsl 20) in
+  if far > near then
+    Alcotest.failf "2^20-seq gap: %.0f minor words, 4-seq gap %.0f" far near
 
 (* --- Rtt_estimator --------------------------------------------------------- *)
 
@@ -598,6 +743,15 @@ let () =
             test_detector_separate_events_across_rtt;
           Alcotest.test_case "open interval tracks" `Quick
             test_detector_open_interval_tracks;
+          qtest prop_detector_matches_reference;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "receiver in-order packet" `Quick
+            test_receiver_in_order_budget;
+          Alcotest.test_case "receiver loss feedback" `Quick
+            test_receiver_loss_feedback_budget;
+          Alcotest.test_case "far gap" `Quick test_far_gap_budget;
         ] );
       ( "rtt_estimator",
         [

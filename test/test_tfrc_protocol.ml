@@ -201,6 +201,35 @@ let test_initial_nofb_timer_configurable () =
        "Tfrc_config: initial_nofb_timeout must be positive (got 0)")
     (fun () -> ignore (Tfrc.Tfrc_config.default ~initial_nofb_timeout:0. ()))
 
+(* Cancelled timers leave the queue in bulk when they are the majority of
+   at least 64 entries, so stopping 64 receivers whose feedback ticks are
+   cancelled empties it at the next run; ticks left armed would stay
+   queued. *)
+let test_receiver_stop_cancels_feedback () =
+  let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
+  let feedbacks = ref 0 in
+  let config = Tfrc.Tfrc_config.default ~initial_rtt:0.1 () in
+  let receivers =
+    List.init 64 (fun flow ->
+        Tfrc.Tfrc_receiver.create rt ~config ~flow
+          ~transmit:(fun _ -> incr feedbacks)
+          ())
+  in
+  (* Data arrives, so each next tick would send a feedback. *)
+  List.iteri
+    (fun flow r ->
+      Tfrc.Tfrc_receiver.recv r
+        (Netsim.Packet.make rt ~flow ~seq:0 ~size:1000 ~now:0.
+           (Netsim.Packet.Tfrc_data { rtt = 0.1 })))
+    receivers;
+  Alcotest.(check int) "one tick per receiver" 64 (Engine.Sim.pending_events sim);
+  List.iter Tfrc.Tfrc_receiver.stop receivers;
+  Engine.Sim.run sim ~until:0.05;
+  Alcotest.(check int) "ticks cancelled and swept" 0 (Engine.Sim.pending_events sim);
+  Engine.Sim.run sim ~until:2.;
+  Alcotest.(check int) "no feedback after stop" 0 !feedbacks
+
 let test_sender_stop_halts_traffic () =
   let p = wire ~drop:(fun _ -> false) () in
   Tfrc.Tfrc_sender.start p.sender ~at:0.;
@@ -361,6 +390,8 @@ let () =
           Alcotest.test_case "initial nofb timer knob" `Quick
             test_initial_nofb_timer_configurable;
           Alcotest.test_case "stop" `Quick test_sender_stop_halts_traffic;
+          Alcotest.test_case "receiver stop cancels feedback" `Quick
+            test_receiver_stop_cancels_feedback;
         ] );
       ( "appendix",
         [
