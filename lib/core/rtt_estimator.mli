@@ -4,7 +4,11 @@
     recent raw sample R0, and an EWMA [M] of sqrt(RTT) with the same time
     constant. The control equation uses the smoothed R; the interpacket
     spacing uses sqrt(R0)/M to add damped short-term delay-based congestion
-    avoidance. t_RTO is the paper's heuristic [t_rto_factor * R]. *)
+    avoidance. t_RTO is the paper's heuristic [t_rto_factor * R].
+
+    The estimates are held unboxed; {!rtt}, {!t_rto} and {!delay_factor}
+    are inlined where the build allows cross-module inlining, so the
+    sender's per-packet arithmetic on them boxes nothing. *)
 
 type t
 

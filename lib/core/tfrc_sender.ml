@@ -1,11 +1,19 @@
+(* The rate state, in a record of floats only so writes store unboxed. *)
+type floats = {
+  mutable rate : float; (* allowed sending rate, bytes/s *)
+  mutable p : float; (* loss event rate from the last feedback *)
+}
+
 type t = {
   rt : Engine.Runtime.t;
   config : Tfrc_config.t;
   flow : int;
   transmit : Netsim.Packet.handler;
   rtt_est : Rtt_estimator.t;
-  mutable rate : float; (* allowed sending rate, bytes/s *)
-  mutable p : float; (* loss event rate from the last feedback *)
+  fl : floats;
+  mutable data : Netsim.Packet.payload;
+      (* [Tfrc_data] with the current smoothed RTT, shared by every packet
+         until an RTT sample changes it *)
   mutable slow_start : bool;
   mutable running : bool;
   mutable seq : int;
@@ -16,40 +24,14 @@ type t = {
   mutable expiries_since_fb : int; (* expirations since the last feedback *)
   mutable app_limit : float option; (* application ceiling on the pace, bytes/s *)
   mutable send_timer : Engine.Runtime.handle;
+  mutable on_send : unit -> unit; (* the pacing callback, built once *)
   mutable nofb_timer : Engine.Runtime.handle;
+  mutable on_nofb : unit -> unit; (* the no-feedback callback, built once *)
   mutable start_timer : Engine.Runtime.handle;
   mutable listeners : (float -> rate:float -> rtt:float -> p:float -> unit) list;
 }
 
-let create rt ~config ~flow ~transmit () =
-  {
-    rt;
-    config;
-    flow;
-    transmit;
-    rtt_est =
-      Rtt_estimator.create ~gain:config.Tfrc_config.rtt_gain
-        ~initial_rtt:config.Tfrc_config.initial_rtt
-        ~t_rto_factor:config.Tfrc_config.t_rto_factor;
-    rate =
-      float_of_int config.Tfrc_config.packet_size /. config.Tfrc_config.initial_rtt;
-    p = 0.;
-    slow_start = config.Tfrc_config.slow_start;
-    running = false;
-    seq = 0;
-    packets = 0;
-    bytes = 0;
-    feedbacks = 0;
-    nofb_expiries = 0;
-    expiries_since_fb = 0;
-    app_limit = None;
-    send_timer = Engine.Runtime.null_handle;
-    nofb_timer = Engine.Runtime.null_handle;
-    start_timer = Engine.Runtime.null_handle;
-    listeners = [];
-  }
-
-let s_bytes t = float_of_int t.config.Tfrc_config.packet_size
+let[@inline] s_bytes t = float_of_int t.config.Tfrc_config.packet_size
 
 let tracing t = Engine.Trace.active (Engine.Runtime.trace t.rt)
 
@@ -59,24 +41,26 @@ let trace_ev t name fields =
     (("flow", Engine.Trace.Int t.flow) :: fields)
 
 let notify t =
-  let now = Engine.Runtime.now t.rt in
-  List.iter
-    (fun f -> f now ~rate:t.rate ~rtt:(Rtt_estimator.rtt t.rtt_est) ~p:t.p)
-    t.listeners
+  match t.listeners with
+  | [] -> ()
+  | listeners ->
+      let now = Engine.Runtime.now t.rt in
+      let rate = t.fl.rate and rtt = Rtt_estimator.rtt t.rtt_est and p = t.fl.p in
+      List.iter (fun f -> f now ~rate ~rtt ~p) listeners
 
 (* Pace at the allowed rate, unless the application asked for less. *)
-let pacing_rate t =
+let[@inline] pacing_rate t =
   match t.app_limit with
-  | Some limit -> Float.max t.config.Tfrc_config.min_rate (Float.min t.rate limit)
-  | None -> t.rate
+  | Some limit -> Float.max t.config.Tfrc_config.min_rate (Float.min t.fl.rate limit)
+  | None -> t.fl.rate
 
-let interpacket_interval t =
+let[@inline] interpacket_interval t =
   let base = s_bytes t /. pacing_rate t in
   if t.config.Tfrc_config.delay_gain && Rtt_estimator.has_sample t.rtt_est then
     base *. Rtt_estimator.delay_factor t.rtt_est
   else base
 
-let rec send_packet t =
+let send_packet t =
   if t.running then begin
     (* burst_pkts > 1: emit a small back-to-back burst every burst_pkts
        interpacket intervals (Section 4.1's fairness aid for small-window
@@ -85,8 +69,7 @@ let rec send_packet t =
       let pkt =
         Netsim.Packet.make t.rt ~ecn:t.config.Tfrc_config.ecn ~flow:t.flow
           ~seq:t.seq ~size:t.config.Tfrc_config.packet_size
-          ~now:(Engine.Runtime.now t.rt)
-          (Netsim.Packet.Tfrc_data { rtt = Rtt_estimator.rtt t.rtt_est })
+          ~now:(Engine.Runtime.now t.rt) t.data
       in
       t.seq <- t.seq + 1;
       t.packets <- t.packets + 1;
@@ -97,7 +80,7 @@ let rec send_packet t =
       Engine.Runtime.after t.rt
         (float_of_int t.config.Tfrc_config.burst_pkts
         *. interpacket_interval t)
-        (fun () -> send_packet t)
+        t.on_send
   end
 
 (* The timer interval grows as the rate halves (2s/X doubles per expiry),
@@ -113,20 +96,19 @@ let nofb_interval t =
     else t.config.Tfrc_config.initial_nofb_timeout
   in
   Float.min
-    (Float.max rto_term (2. *. s_bytes t /. t.rate))
+    (Float.max rto_term (2. *. s_bytes t /. t.fl.rate))
     t.config.Tfrc_config.t_mbi
 
-let rec restart_nofb_timer t =
+let restart_nofb_timer t =
   Engine.Runtime.cancel t.nofb_timer;
   if t.running then
-    t.nofb_timer <-
-      Engine.Runtime.after t.rt (nofb_interval t) (fun () -> on_nofb_expiry t)
+    t.nofb_timer <- Engine.Runtime.after t.rt (nofb_interval t) t.on_nofb
 
-and on_nofb_expiry t =
+let on_nofb_expiry t =
   if t.running then begin
     t.nofb_expiries <- t.nofb_expiries + 1;
     t.expiries_since_fb <- t.expiries_since_fb + 1;
-    t.rate <- Float.max (t.rate /. 2.) t.config.Tfrc_config.min_rate;
+    t.fl.rate <- Float.max (t.fl.rate /. 2.) t.config.Tfrc_config.min_rate;
     notify t;
     restart_nofb_timer t;
     if tracing t then
@@ -135,15 +117,58 @@ and on_nofb_expiry t =
          announced in this flow's [tfrc/start] event. *)
       trace_ev t "nofb_expiry"
         [
-          ("rate", Engine.Trace.Float t.rate);
+          ("rate", Engine.Trace.Float t.fl.rate);
           ("interval", Engine.Trace.Float (nofb_interval t));
           ("consecutive", Engine.Trace.Int t.expiries_since_fb);
         ]
   end
 
+let create rt ~config ~flow ~transmit () =
+  let rtt_est =
+    Rtt_estimator.create ~gain:config.Tfrc_config.rtt_gain
+      ~initial_rtt:config.Tfrc_config.initial_rtt
+      ~t_rto_factor:config.Tfrc_config.t_rto_factor
+  in
+  let t =
+    {
+      rt;
+      config;
+      flow;
+      transmit;
+      rtt_est;
+      fl =
+        {
+          rate =
+            float_of_int config.Tfrc_config.packet_size
+            /. config.Tfrc_config.initial_rtt;
+          p = 0.;
+        };
+      data = Netsim.Packet.Tfrc_data { rtt = Rtt_estimator.rtt rtt_est };
+      slow_start = config.Tfrc_config.slow_start;
+      running = false;
+      seq = 0;
+      packets = 0;
+      bytes = 0;
+      feedbacks = 0;
+      nofb_expiries = 0;
+      expiries_since_fb = 0;
+      app_limit = None;
+      send_timer = Engine.Runtime.null_handle;
+      on_send = ignore;
+      nofb_timer = Engine.Runtime.null_handle;
+      on_nofb = ignore;
+      start_timer = Engine.Runtime.null_handle;
+      listeners = [];
+    }
+  in
+  t.on_send <- (fun () -> send_packet t);
+  t.on_nofb <- (fun () -> on_nofb_expiry t);
+  t
+
 let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
   t.feedbacks <- t.feedbacks + 1;
-  let prev_rate = t.rate in
+  let fl = t.fl in
+  let prev_rate = fl.rate in
   (* Slow restart: feedback arriving after no-feedback expirations reports
      on a path we backed away from — the loss rate and RTT it carries are
      stale. Don't jump back to the pre-outage rate; cap at twice what the
@@ -155,21 +180,24 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
   t.expiries_since_fb <- 0;
   let now = Engine.Runtime.now t.rt in
   let rtt_sample = now -. ts_echo -. ts_delay in
-  if rtt_sample > 0. then Rtt_estimator.sample t.rtt_est rtt_sample;
+  if rtt_sample > 0. then begin
+    Rtt_estimator.sample t.rtt_est rtt_sample;
+    t.data <- Netsim.Packet.Tfrc_data { rtt = Rtt_estimator.rtt t.rtt_est }
+  end;
   let r = Rtt_estimator.rtt t.rtt_est in
-  t.p <- p;
+  fl.p <- p;
   if p <= 0. then begin
     (* Loss-free: slow start, doubling per RTT but no more than twice the
        rate the receiver reports actually arriving (Section 3.4.1). *)
     if t.slow_start then begin
-      let doubled = Float.min (2. *. t.rate) (2. *. recv_rate) in
-      t.rate <- Float.max t.rate doubled;
-      t.rate <- Float.max t.rate (s_bytes t /. r)
+      let doubled = Float.min (2. *. fl.rate) (2. *. recv_rate) in
+      fl.rate <- Float.max fl.rate doubled;
+      fl.rate <- Float.max fl.rate (s_bytes t /. r)
     end
     else if recovering then
       (* Out of an outage with no loss on record: ramp from the backed-off
          rate instead of staying parked at the floor. *)
-      t.rate <- Float.max t.rate (Float.min (2. *. t.rate) (2. *. recv_rate))
+      fl.rate <- Float.max fl.rate (Float.min (2. *. fl.rate) (2. *. recv_rate))
   end
   else begin
     t.slow_start <- false;
@@ -189,12 +217,12 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
         Float.min x_eq (2. *. recv_rate)
       else x_eq
     in
-    t.rate <- Float.max x_eq t.config.Tfrc_config.min_rate
+    fl.rate <- Float.max x_eq t.config.Tfrc_config.min_rate
   end;
   if recovering then
-    t.rate <-
+    fl.rate <-
       Float.max t.config.Tfrc_config.min_rate
-        (Float.min t.rate (Float.max (2. *. recv_rate) (s_bytes t /. r)));
+        (Float.min fl.rate (Float.max (2. *. recv_rate) (s_bytes t /. r)));
   notify t;
   restart_nofb_timer t;
   if tracing t then
@@ -202,7 +230,7 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
        [tfrc/start] event, keeping this per-feedback record small. *)
     trace_ev t "rate_update"
       [
-        ("rate", Engine.Trace.Float t.rate);
+        ("rate", Engine.Trace.Float fl.rate);
         ("prev_rate", Engine.Trace.Float prev_rate);
         ("recv_rate", Engine.Trace.Float recv_rate);
         ("p", Engine.Trace.Float p);
@@ -226,7 +254,7 @@ let start t ~at =
         if tracing t then
           trace_ev t "start"
             [
-              ("rate", Engine.Trace.Float t.rate);
+              ("rate", Engine.Trace.Float t.fl.rate);
               ("s", Engine.Trace.Float (s_bytes t));
               ("min_rate", Engine.Trace.Float t.config.Tfrc_config.min_rate);
               ("rv", Engine.Trace.Bool t.config.Tfrc_config.rate_validation);
@@ -241,10 +269,10 @@ let stop t =
   Engine.Runtime.cancel t.send_timer;
   Engine.Runtime.cancel t.nofb_timer
 
-let rate t = t.rate
-let rate_pkts_per_rtt t = t.rate *. Rtt_estimator.rtt t.rtt_est /. s_bytes t
+let rate t = t.fl.rate
+let rate_pkts_per_rtt t = t.fl.rate *. Rtt_estimator.rtt t.rtt_est /. s_bytes t
 let rtt t = Rtt_estimator.rtt t.rtt_est
-let loss_event_rate t = t.p
+let loss_event_rate t = t.fl.p
 let in_slow_start t = t.slow_start
 let packets_sent t = t.packets
 let bytes_sent t = t.bytes
@@ -255,7 +283,7 @@ let on_rate_update t f = t.listeners <- f :: t.listeners
 
 let set_app_limit t limit =
   (match limit with
-  | Some l when l <= 0. -> invalid_arg "Tfrc_sender.set_app_limit: rate <= 0"
+  | Some l when not (l > 0.) -> invalid_arg "Tfrc_sender.set_app_limit: rate <= 0"
   | _ -> ());
   t.app_limit <- limit
 

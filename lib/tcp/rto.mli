@@ -30,7 +30,13 @@ val srtt : t -> float option
 (** [rttvar t] is the smoothed mean deviation. *)
 val rttvar : t -> float
 
-(** [rto t] is the current timeout including backoff. *)
+(** [rto t] is the current timeout including backoff: the smoothed RTT
+    plus four mean deviations ([1.2 * srtt] in [`Aggressive] mode, and
+    [initial_rto] before any sample), quantized to the granularity, raised
+    to the floor ([min_rto], or 0.05 s in [`Aggressive] mode), times the
+    backoff, capped at [max_rto]. The state is held unboxed and [rto] is
+    inlined where the build allows cross-module inlining, so a caller
+    that uses the result in float arithmetic boxes nothing. *)
 val rto : t -> float
 
 (** [backoff t] doubles the timeout (capped at [max_rto]). *)

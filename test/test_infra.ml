@@ -263,6 +263,19 @@ let test_app_limit_validation () =
       let _, sender, _ = wire_tfrc ~config ~drop:(fun _ -> false) () in
       Tfrc.Tfrc_sender.set_app_limit sender (Some 0.))
 
+(* [nan <= 0.] is false: the check must reject what is not positive, or
+   the next send schedules a timer [nan] seconds out. *)
+let test_app_limit_rejects_nan () =
+  let config = Tfrc.Tfrc_config.default () in
+  let sim, sender, _ = wire_tfrc ~config ~drop:(fun _ -> false) () in
+  Alcotest.check_raises "nan limit"
+    (Invalid_argument "Tfrc_sender.set_app_limit: rate <= 0") (fun () ->
+      Tfrc.Tfrc_sender.set_app_limit sender (Some Float.nan));
+  Tfrc.Tfrc_sender.start sender ~at:0.;
+  Engine.Sim.run sim ~until:1.;
+  Alcotest.(check bool) "still sending" true
+    (Tfrc.Tfrc_sender.packets_sent sender > 1)
+
 let test_rate_validation_prevents_banked_headroom () =
   (* An app-limited flow under light loss: without validation the allowed
      rate grows far above what is actually sent; with validation it stays
@@ -429,6 +442,7 @@ let () =
         [
           Alcotest.test_case "caps pace" `Quick test_app_limit_caps_pace;
           Alcotest.test_case "validates input" `Quick test_app_limit_validation;
+          Alcotest.test_case "rejects nan" `Quick test_app_limit_rejects_nan;
           Alcotest.test_case "rate validation" `Quick
             test_rate_validation_prevents_banked_headroom;
         ] );
