@@ -28,8 +28,10 @@ let validate t =
     err "Tfrc_config: packet_size must be positive (got %d)" t.packet_size;
   if t.feedback_size <= 0 then
     err "Tfrc_config: feedback_size must be positive (got %d)" t.feedback_size;
-  if t.n_intervals < 1 then
-    err "Tfrc_config: n_intervals must be at least 1 (got %d)" t.n_intervals;
+  (* The weights of Section 3.3 split the history into two halves. *)
+  if t.n_intervals < 2 || t.n_intervals mod 2 <> 0 then
+    err "Tfrc_config: n_intervals must be even and at least 2 (got %d)"
+      t.n_intervals;
   if t.discount_threshold <= 0. || t.discount_threshold > 1. then
     err "Tfrc_config: discount_threshold must be in (0, 1] (got %g)"
       t.discount_threshold;

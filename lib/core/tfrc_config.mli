@@ -3,7 +3,7 @@
 type t = {
   packet_size : int;  (** s, bytes (paper: 1000) *)
   feedback_size : int;  (** feedback packet size, bytes *)
-  n_intervals : int;  (** loss-interval history size, paper: 8 *)
+  n_intervals : int;  (** loss-interval history size, even and >= 2; paper: 8 *)
   history_discounting : bool;
   discount_threshold : float;  (** maximum discount, 0.25 *)
   constant_weights : bool;  (** disable the decreasing weight tail *)

@@ -201,6 +201,20 @@ let test_initial_nofb_timer_configurable () =
        "Tfrc_config: initial_nofb_timeout must be positive (got 0)")
     (fun () -> ignore (Tfrc.Tfrc_config.default ~initial_nofb_timeout:0. ()))
 
+(* The loss-interval weights split the history into two halves, so the
+   configuration rejects an odd or too-small history up front, not when a
+   receiver is built. *)
+let test_n_intervals_validated () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "n_intervals %d" n)
+        (Invalid_argument
+           (Printf.sprintf
+              "Tfrc_config: n_intervals must be even and at least 2 (got %d)" n))
+        (fun () -> ignore (Tfrc.Tfrc_config.default ~n_intervals:n ())))
+    [ 0; 1; 3; 7 ];
+  ignore (Tfrc.Tfrc_config.default ~n_intervals:2 ())
+
 (* Cancelled timers leave the queue in bulk when they are the majority of
    at least 64 entries, so stopping 64 receivers whose feedback ticks are
    cancelled empties it at the next run; ticks left armed would stay
@@ -392,6 +406,8 @@ let () =
           Alcotest.test_case "stop" `Quick test_sender_stop_halts_traffic;
           Alcotest.test_case "receiver stop cancels feedback" `Quick
             test_receiver_stop_cancels_feedback;
+          Alcotest.test_case "n_intervals validated" `Quick
+            test_n_intervals_validated;
         ] );
       ( "appendix",
         [
