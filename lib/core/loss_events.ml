@@ -19,7 +19,10 @@ type t = {
 }
 
 let create ?(ndupack = 3) () =
-  let rec ring_size s = if s >= ndupack then s else ring_size (2 * s) in
+  (* Past the largest array the doubling stops and [Array.make] refuses. *)
+  let rec ring_size s =
+    if s >= ndupack || s > Sys.max_array_length then s else ring_size (2 * s)
+  in
   let size = ring_size 1 in
   {
     ndupack;

@@ -16,12 +16,15 @@
     Between calls every candidate hole lies in
     [(max_seq - ndupack, max_seq)], so at most [ndupack - 1] are pending.
     They live in a ring of [int] seqs and unboxed send times whose size is
-    the next power of two [>= ndupack], allocated once in {!create}; the
-    arrival path allocates nothing, however far past the frontier a packet
-    lands (the holes it confirms at once are never stored). *)
+    the next power of two [>= ndupack], allocated once in {!create}. An
+    arrival allocates nothing of its own, however far past the frontier it
+    lands (the holes it confirms at once are never stored); only a loss
+    event that closes an interval pays for {!Loss_intervals.record_interval}. *)
 
 type t
 
+(** [create ?ndupack ()] allocates the hole ring: two arrays of [ndupack]
+    rounded up to a power of two. *)
 val create : ?ndupack:int (** default 3 *) -> unit -> t
 
 (** [on_packet t ~seq ~sent_at ~rtt ~intervals] processes a data-packet

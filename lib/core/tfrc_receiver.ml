@@ -21,44 +21,7 @@ type t = {
   mutable fb_timer : Engine.Runtime.handle; (* the pending feedback tick *)
 }
 
-let send_feedback t =
-  let now = Engine.Runtime.now t.rt in
-  let elapsed = now -. t.last_fb_time in
-  let recv_rate =
-    if elapsed > 0. then float_of_int t.bytes_since_fb /. elapsed
-    else t.prev_recv_rate
-  in
-  t.prev_recv_rate <- recv_rate;
-  t.bytes_since_fb <- 0;
-  t.last_fb_time <- now;
-  t.feedbacks <- t.feedbacks + 1;
-  t.fb_seq <- t.fb_seq + 1;
-  let avg = Loss_intervals.average t.intervals in
-  let p = Loss_intervals.rate_of_average avg in
-  let tr = Engine.Runtime.trace t.rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:now ~cat:"tfrc" ~name:"feedback"
-      [
-        ("flow", Engine.Trace.Int t.flow);
-        ("p", Engine.Trace.Float p);
-        ("recv_rate", Engine.Trace.Float recv_rate);
-        ("n_closed", Engine.Trace.Int (Loss_intervals.n_closed t.intervals));
-        ("avg_interval", Engine.Trace.Float (if Float.is_nan avg then 0. else avg));
-      ];
-  let pkt =
-    Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.fb_seq
-      ~size:t.config.Tfrc_config.feedback_size ~now
-      (Netsim.Packet.Tfrc_feedback
-         {
-           p;
-           recv_rate;
-           ts_echo = t.last_data_sent_at;
-           ts_delay = now -. t.last_data_arrival;
-         })
-  in
-  t.transmit pkt
-
-let create rt ~config ~flow ~transmit () =
+let rec create rt ~config ~flow ~transmit () =
   let t =
     {
       rt;
@@ -96,6 +59,43 @@ let create rt ~config ~flow ~transmit () =
   in
   t.fb_timer <- Engine.Runtime.after rt t.rtt tick;
   t
+
+and send_feedback t =
+  let now = Engine.Runtime.now t.rt in
+  let elapsed = now -. t.last_fb_time in
+  let recv_rate =
+    if elapsed > 0. then float_of_int t.bytes_since_fb /. elapsed
+    else t.prev_recv_rate
+  in
+  t.prev_recv_rate <- recv_rate;
+  t.bytes_since_fb <- 0;
+  t.last_fb_time <- now;
+  t.feedbacks <- t.feedbacks + 1;
+  t.fb_seq <- t.fb_seq + 1;
+  let avg = Loss_intervals.average t.intervals in
+  let p = Loss_intervals.rate_of_average avg in
+  let tr = Engine.Runtime.trace t.rt in
+  if Engine.Trace.active tr then
+    Engine.Trace.emit tr ~time:now ~cat:"tfrc" ~name:"feedback"
+      [
+        ("flow", Engine.Trace.Int t.flow);
+        ("p", Engine.Trace.Float p);
+        ("recv_rate", Engine.Trace.Float recv_rate);
+        ("n_closed", Engine.Trace.Int (Loss_intervals.n_closed t.intervals));
+        ("avg_interval", Engine.Trace.Float (if Float.is_nan avg then 0. else avg));
+      ];
+  let pkt =
+    Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.fb_seq
+      ~size:t.config.Tfrc_config.feedback_size ~now
+      (Netsim.Packet.Tfrc_feedback
+         {
+           p;
+           recv_rate;
+           ts_echo = t.last_data_sent_at;
+           ts_delay = now -. t.last_data_arrival;
+         })
+  in
+  t.transmit pkt
 
 (* Synthetic first interval: the loss interval that would make the control
    equation produce half the rate at which data was arriving when the first

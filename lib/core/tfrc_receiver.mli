@@ -47,5 +47,5 @@ val duplicates_discarded : t -> int
 (** Arrivals discarded because the packet was corrupted in flight. *)
 val corrupted_discarded : t -> int
 
-(** Stops the feedback timer. *)
+(** Stops the receiver and cancels its pending feedback tick. *)
 val stop : t -> unit
