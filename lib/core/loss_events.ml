@@ -12,7 +12,7 @@ type t = {
   hole_sent : Float.Array.t; (* its interpolated send time *)
   fl : floats;
   mutable max_seq : int;
-  mutable event_start_seq : int; (* -1 when no loss event yet *)
+  mutable event_start_seq : int; (* meaningful once [events > 0] *)
   mutable lost : int;
   mutable marked : int;
   mutable events : int;
@@ -51,13 +51,14 @@ let seen_before t ~seq = seq <= t.max_seq && not (pending t seq)
 let lost_packets t = t.lost
 let marked_packets t = t.marked
 let loss_events t = t.events
-let in_loss t = t.event_start_seq >= 0
+(* Not [event_start_seq >= 0]: a mark may arrive on any seq, -1 included. *)
+let in_loss t = t.events > 0
 
 (* A congestion signal (confirmed loss or ECN mark) at [seq], sent at
    [est_sent]: fold into the current loss event or start a new one. Inlined
    so the send time stays unboxed. *)
 let[@inline] process_signal t ~intervals ~rtt seq est_sent =
-  if t.event_start_seq < 0 then begin
+  if t.events = 0 then begin
     (* First loss ever: open the first interval. Seeding of the synthetic
        history entry is the caller's job. *)
     t.event_start_seq <- seq;

@@ -5,7 +5,7 @@ type t = {
   mutable max_seq : int;
   mutable max_seq_sent : float; (* send timestamp of max_seq *)
   mutable pending : hole list; (* candidate losses, ascending seq *)
-  mutable event_start_seq : int; (* -1 when no loss event yet *)
+  mutable event_start_seq : int; (* meaningful once [events > 0] *)
   mutable event_start_sent : float;
   mutable lost : int;
   mutable marked : int;
@@ -39,12 +39,13 @@ let seen_before t ~seq =
 let lost_packets t = t.lost
 let marked_packets t = t.marked
 let loss_events t = t.events
-let in_loss t = t.event_start_seq >= 0
+(* Not [event_start_seq >= 0]: a mark may arrive on any seq, -1 included. *)
+let in_loss t = t.events > 0
 
 (* A congestion signal (confirmed loss or ECN mark): fold into the current
    loss event or start a new one. Returns 1 if a new event started. *)
 let process_signal t ~intervals ~rtt (h : hole) =
-  if t.event_start_seq < 0 then begin
+  if t.events = 0 then begin
     (* First loss ever: open the first interval. Seeding of the synthetic
        history entry is the caller's job. *)
     t.event_start_seq <- h.seq;

@@ -457,12 +457,31 @@ let test_detector_open_interval_tracks () =
   checkf "open interval = max_seq - event_start" 25.
     (Tfrc.Loss_intervals.open_interval iv)
 
+(* A mark on seq -1 (the detector's old "no loss yet" value) opens the
+   first loss event like any other, so a later loss closes an interval
+   instead of counting as the first loss again. *)
+let test_detector_mark_at_minus_one () =
+  let d = Tfrc.Loss_events.create ~ndupack:1 () in
+  let iv = Tfrc.Loss_intervals.create () in
+  let n = Tfrc.Loss_events.on_marked d ~seq:(-1) ~sent_at:0. ~rtt:0.1 ~intervals:iv in
+  Alcotest.(check int) "the mark starts an event" 1 n;
+  Alcotest.(check bool) "in a loss event" true (Tfrc.Loss_events.in_loss d);
+  (* Seq 10 is lost, one RTT past the mark. *)
+  for seq = 0 to 11 do
+    if seq <> 10 then
+      ignore (feed d iv ~seq ~sent_at:(0.1 *. float_of_int seq) ~rtt:0.1)
+  done;
+  Alcotest.(check int) "two events" 2 (Tfrc.Loss_events.loss_events d);
+  Alcotest.(check int) "the loss closed the mark's interval" 1
+    (Tfrc.Loss_intervals.n_closed iv)
+
 (* Differential against the list-based reference detector: random arrival
    streams mixing in-order packets, gaps (some far past the frontier),
    reordering, duplicates and ECN marks, at ndupack 1-4 and varying RTTs.
-   Seqs are non-negative, as senders and the wire codec produce them.
-   Every arrival is fed to both, duplicates included, and everything either
-   detector exposes must agree after it, floats bit for bit. *)
+   A reordered seq may reach -1, so a mark there is covered too. Every
+   arrival is fed to both,
+   duplicates included, and everything either detector exposes must agree
+   after it, floats bit for bit. *)
 let gen_arrivals =
   QCheck.Gen.(
     pair (int_range 1 4)
@@ -492,7 +511,7 @@ let prop_detector_matches_reference =
             | 0 | 1 | 2 | 3 | 4 -> !next (* in order *)
             | 5 | 6 -> !next + r + 1 (* a gap *)
             | 7 -> !next + 40 + (r * 25) (* far past the frontier *)
-            | 8 | 9 -> max 0 (!next - 1 - r) (* reordered, or a straggler *)
+            | 8 | 9 -> max (-1) (!next - 1 - r) (* reordered, or a straggler *)
             | _ -> !last (* duplicate *)
           in
           if seq >= !next then next := seq + 1;
@@ -743,6 +762,8 @@ let () =
             test_detector_separate_events_across_rtt;
           Alcotest.test_case "open interval tracks" `Quick
             test_detector_open_interval_tracks;
+          Alcotest.test_case "mark at seq -1" `Quick
+            test_detector_mark_at_minus_one;
           qtest prop_detector_matches_reference;
         ] );
       ( "budget",
