@@ -90,14 +90,16 @@ let discount_slope ~discounting =
       ~delay_gain:false ~initial_rtt:0.1 ~ndupack:1
       ~history_discounting:discounting ()
   in
+  let sim = Engine.Sim.create () in
   let count = ref 0 in
-  let time = ref (fun () -> 0.) in
   let drop _ =
     incr count;
-    !time () < 10. && !count mod 100 = 0
+    Engine.Sim.now sim < 10. && !count mod 100 = 0
   in
-  let path = Direct_path.create ~config ~rtt:0.1 ~drop () in
-  (time := fun () -> Engine.Sim.now path.sim);
+  let path =
+    Direct_path.create ~config sim ~rtt:0.1
+      ~loss:(Netsim.Loss_model.custom ~drop) ()
+  in
   let samples = ref [] in
   Tfrc.Tfrc_sender.on_rate_update path.sender (fun t ~rate ~rtt:r ~p:_ ->
       samples := (t, rate *. r /. 1000.) :: !samples);
@@ -188,14 +190,16 @@ let expedited_rtts ~feedback_on_loss =
     Tfrc.Tfrc_config.default ~response:Tfrc.Response_function.Pftk
       ~delay_gain:false ~initial_rtt:0.1 ~ndupack:1 ~feedback_on_loss ()
   in
+  let sim = Engine.Sim.create () in
   let count = ref 0 in
-  let time = ref (fun () -> 0.) in
   let drop _ =
     incr count;
-    if !time () < 10. then !count mod 100 = 0 else !count mod 2 = 0
+    if Engine.Sim.now sim < 10. then !count mod 100 = 0 else !count mod 2 = 0
   in
-  let path = Direct_path.create ~config ~rtt:0.1 ~drop () in
-  (time := fun () -> Engine.Sim.now path.sim);
+  let path =
+    Direct_path.create ~config sim ~rtt:0.1
+      ~loss:(Netsim.Loss_model.custom ~drop) ()
+  in
   let samples = ref [] in
   Tfrc.Tfrc_sender.on_rate_update path.sender (fun t ~rate ~rtt:_ ~p:_ ->
       samples := (t, rate) :: !samples);

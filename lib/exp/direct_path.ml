@@ -4,30 +4,30 @@ type t = {
   receiver : Tfrc.Tfrc_receiver.t;
 }
 
-let create ?config ~rtt ~drop () =
+let create ?config sim ~rtt ~loss () =
   let config =
     match config with Some c -> c | None -> Tfrc.Tfrc_config.default ()
   in
-  let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
   let one_way = rtt /. 2. in
   (* Forward references broken with a mutable cell: the sender needs a
      transmit function before the receiver exists. *)
   let receiver_cell = ref None in
-  let to_receiver pkt =
-    if not (drop pkt) then
-      ignore
-        (Engine.Sim.after sim one_way (fun () ->
-             match !receiver_cell with
-             | Some r -> Tfrc.Tfrc_receiver.recv r pkt
-             | None -> ()))
+  let to_receiver =
+    loss (fun pkt ->
+        ignore
+          (Engine.Sim.after sim one_way (fun () ->
+               match !receiver_cell with
+               | Some r -> Tfrc.Tfrc_receiver.recv r pkt
+               | None -> ())))
   in
-  let sender = Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim) ~config ~flow:1 ~transmit:to_receiver () in
+  let sender = Tfrc.Tfrc_sender.create rt ~config ~flow:1 ~transmit:to_receiver () in
   let to_sender pkt =
     ignore
       (Engine.Sim.after sim one_way (fun () -> Tfrc.Tfrc_sender.recv sender pkt))
   in
   let receiver =
-    Tfrc.Tfrc_receiver.create (Engine.Sim.runtime sim) ~config ~flow:1 ~transmit:to_sender ()
+    Tfrc.Tfrc_receiver.create rt ~config ~flow:1 ~transmit:to_sender ()
   in
   receiver_cell := Some receiver;
   { sim; sender; receiver }

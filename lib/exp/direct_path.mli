@@ -1,5 +1,5 @@
 (** A TFRC connection over an idealized path: fixed propagation delay, no
-    bandwidth limit, and an arbitrary drop function on the data direction.
+    bandwidth limit, and a loss process on the data direction.
 
     This is the setup of the paper's controlled experiments: Figure 2
     (periodic loss whose rate changes over time) and Figures 19-21
@@ -11,13 +11,16 @@ type t = {
   receiver : Tfrc.Tfrc_receiver.t;
 }
 
-(** [create ?config ~rtt ~drop ()] wires sender and receiver over a
-    symmetric path of [rtt/2] one-way delay; data packets for which
-    [drop pkt] is true are discarded in flight. *)
+(** [create ?config sim ~rtt ~loss ()] wires sender and receiver on [sim]
+    over a symmetric path of [rtt/2] one-way delay. Data packets pass
+    through [loss] (a {!Netsim.Loss_model} wrapper, or any handler
+    wrapper) as they are sent, so a dropper that reads [sim]'s clock
+    sees the send time. *)
 val create :
   ?config:Tfrc.Tfrc_config.t ->
+  Engine.Sim.t ->
   rtt:float ->
-  drop:(Netsim.Packet.t -> bool) ->
+  loss:(Netsim.Packet.handler -> Netsim.Packet.handler) ->
   unit ->
   t
 

@@ -1,62 +1,48 @@
 (* Loss traces are lists of loss-interval lengths. Each environment mirrors
    a network condition from the paper's Internet experiment set. *)
 
-let bernoulli_trace rng ~p ~packets =
-  let out = ref [] and run = ref 0 and n = ref 0 in
-  while !n < packets do
-    incr n;
+(* [packets] packets through a loss process: each drop closes a loss
+   interval of the packets since the previous drop, this one included. *)
+let trace ~packets loss =
+  let out = ref [] and run = ref 0 and passed = ref false in
+  let deliver = loss (fun _ -> passed := true) in
+  for _ = 1 to packets do
     incr run;
-    if Engine.Rng.bool rng ~p then begin
+    passed := false;
+    deliver Netsim.Packet.none;
+    if not !passed then begin
       out := float_of_int !run :: !out;
       run := 0
     end
   done;
   List.rev !out
 
-let gilbert_trace rng ~p_gb ~p_bg ~loss_bad ~packets =
-  let out = ref [] and run = ref 0 and n = ref 0 and bad = ref false in
-  while !n < packets do
-    incr n;
-    incr run;
-    (if !bad then begin
-       if Engine.Rng.bool rng ~p:p_bg then bad := false
-     end
-     else if Engine.Rng.bool rng ~p:p_gb then bad := true);
-    let p = if !bad then loss_bad else 0.001 in
-    if Engine.Rng.bool rng ~p then begin
-      out := float_of_int !run :: !out;
-      run := 0
-    end
-  done;
-  List.rev !out
-
-let switching_trace rng ~p1 ~p2 ~switch_every ~packets =
-  let out = ref [] and run = ref 0 and n = ref 0 in
-  while !n < packets do
-    incr n;
-    incr run;
-    let phase = !n / switch_every mod 2 in
-    let p = if phase = 0 then p1 else p2 in
-    if Engine.Rng.bool rng ~p then begin
-      out := float_of_int !run :: !out;
-      run := 0
-    end
-  done;
-  List.rev !out
+(* Bernoulli loss at [p1] and [p2] in alternating phases of
+   [switch_every] packets. *)
+let switching rng ~p1 ~p2 ~switch_every =
+  let n = ref 0 in
+  Netsim.Loss_model.custom ~drop:(fun _ ->
+      incr n;
+      Engine.Rng.bool rng ~p:(if !n / switch_every mod 2 = 0 then p1 else p2))
 
 let standard_traces ~seed ~packets_per_trace =
   (* Environments span the paper's Internet loss range (~0.1%% to 5%%). *)
   let rng = Engine.Rng.create ~seed in
-  let p = packets_per_trace in
+  let packets = packets_per_trace in
+  let bernoulli p =
+    trace ~packets (Netsim.Loss_model.bernoulli (Engine.Rng.split rng) ~p)
+  in
   [
-    bernoulli_trace (Engine.Rng.split rng) ~p:0.002 ~packets:p;
-    bernoulli_trace (Engine.Rng.split rng) ~p:0.005 ~packets:p;
-    bernoulli_trace (Engine.Rng.split rng) ~p:0.01 ~packets:p;
-    bernoulli_trace (Engine.Rng.split rng) ~p:0.03 ~packets:p;
-    gilbert_trace (Engine.Rng.split rng) ~p_gb:0.002 ~p_bg:0.1 ~loss_bad:0.05
-      ~packets:p;
-    switching_trace (Engine.Rng.split rng) ~p1:0.005 ~p2:0.02
-      ~switch_every:(p / 10) ~packets:p;
+    bernoulli 0.002;
+    bernoulli 0.005;
+    bernoulli 0.01;
+    bernoulli 0.03;
+    trace ~packets
+      (Netsim.Loss_model.gilbert (Engine.Rng.split rng) ~p_gb:0.002 ~p_bg:0.1
+         ~loss_good:0.001 ~loss_bad:0.05);
+    trace ~packets
+      (switching (Engine.Rng.split rng) ~p1:0.005 ~p2:0.02
+         ~switch_every:(packets / 10));
   ]
 
 (* Drive the estimator over a trace: before observing intervals i..i+3,

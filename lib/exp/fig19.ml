@@ -8,16 +8,16 @@ let trace ~duration () =
     Tfrc.Tfrc_config.default ~response:Tfrc.Response_function.Simple
       ~delay_gain:false ~initial_rtt:rtt ~ndupack:1 ()
   in
+  let sim = Engine.Sim.create () in
   let count = ref 0 in
-  let path_time = ref (fun () -> 0.) in
   let drop _pkt =
     incr count;
-    let now = !path_time () in
     (* Every 100th packet dropped until t = 10. *)
-    now < 10. && !count mod 100 = 0
+    Engine.Sim.now sim < 10. && !count mod 100 = 0
   in
-  let path = Direct_path.create ~config ~rtt ~drop () in
-  (path_time := fun () -> Engine.Sim.now path.sim);
+  let path =
+    Direct_path.create ~config sim ~rtt ~loss:(Netsim.Loss_model.custom ~drop) ()
+  in
   let out = ref [] in
   Tfrc.Tfrc_sender.on_rate_update path.sender (fun time ~rate ~rtt:r ~p:_ ->
       out := (time, rate *. r /. float_of_int pkt) :: !out);

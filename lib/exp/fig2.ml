@@ -7,26 +7,11 @@ let samples ?(rtt = 0.1) ~duration () =
   (* delay_gain off: the path has no queueing, so the adjustment is inert
      but keeps M warm-up noise out of the plotted rate. *)
   let config = Tfrc.Tfrc_config.default ~delay_gain:false ~initial_rtt:rtt () in
-  let path_ref = ref None in
-  let drop =
-    let acc = ref 0. in
-    fun (pkt : Netsim.Packet.t) ->
-      ignore pkt;
-      let now =
-        match !path_ref with
-        | Some (p : Direct_path.t) -> Engine.Sim.now p.sim
-        | None -> 0.
-      in
-      let rate = schedule now in
-      acc := !acc +. rate;
-      if !acc >= 1. then begin
-        acc := !acc -. 1.;
-        true
-      end
-      else false
+  let sim = Engine.Sim.create () in
+  let loss =
+    Netsim.Loss_model.time_varying ~schedule ~now:(fun () -> Engine.Sim.now sim)
   in
-  let path = Direct_path.create ~config ~rtt ~drop () in
-  path_ref := Some path;
+  let path = Direct_path.create ~config sim ~rtt ~loss () in
   Tfrc.Tfrc_sender.on_rate_update path.sender (fun time ~rate ~rtt:_ ~p ->
       let intervals = Tfrc.Tfrc_receiver.intervals path.receiver in
       let s0 = Tfrc.Loss_intervals.open_interval intervals in

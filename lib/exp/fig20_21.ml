@@ -7,16 +7,16 @@ let rtts_to_halve ~p0 =
     Tfrc.Tfrc_config.default ~response:Tfrc.Response_function.Pftk
       ~delay_gain:false ~initial_rtt:rtt ~ndupack:1 ()
   in
+  let sim = Engine.Sim.create () in
   let count = ref 0 in
-  let path_time = ref (fun () -> 0.) in
   let period = max 2 (int_of_float (1. /. p0)) in
   let drop _pkt =
     incr count;
-    let now = !path_time () in
-    if now < 10. then !count mod period = 0 else !count mod 2 = 0
+    if Engine.Sim.now sim < 10. then !count mod period = 0 else !count mod 2 = 0
   in
-  let path = Direct_path.create ~config ~rtt ~drop () in
-  (path_time := fun () -> Engine.Sim.now path.sim);
+  let path =
+    Direct_path.create ~config sim ~rtt ~loss:(Netsim.Loss_model.custom ~drop) ()
+  in
   let samples = ref [] in
   Tfrc.Tfrc_sender.on_rate_update path.sender (fun time ~rate ~rtt:_ ~p:_ ->
       samples := (time, rate) :: !samples);
