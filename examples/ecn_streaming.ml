@@ -3,8 +3,8 @@
    A video-like stream (application-limited to 1.2 Mb/s) runs over an
    ECN-enabled RED bottleneck next to ECN TCP. Congestion is signalled by
    marks instead of drops, so the stream adapts with (almost) no packets
-   lost — the property a codec cares most about. Also shows the Session
-   wiring API and app-limited pacing with RFC 5348 rate validation.
+   lost — the property a codec cares most about. Also shows app-limited
+   pacing with RFC 5348 rate validation.
 
      dune exec examples/ecn_streaming.exe *)
 
@@ -33,17 +33,17 @@ let () =
   (* The stream: TFRC with ECN and rate validation, app-limited at the
      codec's top bitrate. *)
   let config = Tfrc.Tfrc_config.default ~ecn:true ~rate_validation:true () in
-  let session = Tfrc.Session.over_dumbbell db ~config ~flow:10 ~rtt_base:0.08 () in
-  Tfrc.Tfrc_sender.set_app_limit session.sender
+  let stream = Exp.Scenario.attach_tfrc db ~flow:10 ~rtt_base:0.08 ~config in
+  Tfrc.Tfrc_sender.set_app_limit stream.tfrc_sender
     (Some (Engine.Units.bps_to_byte_rate (Engine.Units.mbps 1.2)));
-  Tfrc.Session.start session ~at:0.;
+  Tfrc.Tfrc_sender.start stream.tfrc_sender ~at:0.;
   let duration = 90. in
   Engine.Sim.run sim ~until:duration;
-  let detector = Tfrc.Tfrc_receiver.detector session.receiver in
+  let detector = Tfrc.Tfrc_receiver.detector stream.tfrc_receiver in
   Printf.printf
     "An app-limited (1.2 Mb/s) ECN stream next to 2 ECN TCP flows on 3 Mb/s:\n\n";
   Printf.printf "  stream rate:       %.1f KB/s (app ceiling %.1f KB/s)\n"
-    (float_of_int (Tfrc.Tfrc_receiver.bytes_received session.receiver)
+    (float_of_int (Tfrc.Tfrc_receiver.bytes_received stream.tfrc_receiver)
     /. duration /. 1e3)
     (Engine.Units.bps_to_byte_rate (Engine.Units.mbps 1.2) /. 1e3);
   List.iteri
@@ -57,7 +57,7 @@ let () =
     (Tfrc.Loss_events.marked_packets detector);
   Printf.printf "  packets lost:      %d (of %d delivered)\n"
     (Tfrc.Loss_events.lost_packets detector)
-    (Tfrc.Tfrc_receiver.packets_received session.receiver);
+    (Tfrc.Tfrc_receiver.packets_received stream.tfrc_receiver);
   Printf.printf "  bottleneck drops:  %.2f%%\n"
     (100. *. Netsim.Dumbbell.forward_drop_rate db);
   Printf.printf

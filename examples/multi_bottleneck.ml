@@ -25,22 +25,13 @@ let () =
       ()
   in
   (* The monitored through flow: TFRC end to end. *)
+  let topo = Netsim.Parking_lot.topology lot in
   Netsim.Parking_lot.add_through_flow lot ~flow:1 ~rtt_base:0.09;
-  let config = Tfrc.Tfrc_config.default () in
   let mon = Netsim.Flowmon.create (fun () -> Engine.Sim.now sim) in
-  let receiver =
-    Tfrc.Tfrc_receiver.create (Engine.Sim.runtime sim) ~config ~flow:1
-      ~transmit:(Netsim.Parking_lot.dst_sender lot ~flow:1)
-      ()
+  let sender, _ =
+    Exp.Scenario.connect_tfrc topo ~flow:1 ~config:(Tfrc.Tfrc_config.default ())
+      ~data:(Netsim.Flowmon.wrap mon) ()
   in
-  Netsim.Parking_lot.set_dst_recv lot ~flow:1
-    (Netsim.Flowmon.wrap mon (Tfrc.Tfrc_receiver.recv receiver));
-  let sender =
-    Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim) ~config ~flow:1
-      ~transmit:(Netsim.Parking_lot.src_sender lot ~flow:1)
-      ()
-  in
-  Netsim.Parking_lot.set_src_recv lot ~flow:1 (Tfrc.Tfrc_sender.recv sender);
   Tfrc.Tfrc_sender.start sender ~at:0.;
   (* Two TCP cross flows per hop. *)
   let cross_mons =
@@ -50,22 +41,11 @@ let () =
           (fun k ->
             let flow = (100 * hop) + k in
             Netsim.Parking_lot.add_cross_flow lot ~flow ~hop ~rtt_base:0.06;
-            let tcp_config = Tcpsim.Tcp_common.ns_sack in
             let cmon = Netsim.Flowmon.create (fun () -> Engine.Sim.now sim) in
-            let sink =
-              Tcpsim.Tcp_sink.create (Engine.Sim.runtime sim) ~config:tcp_config ~flow
-                ~transmit:(Netsim.Parking_lot.dst_sender lot ~flow)
-                ()
+            let tcp, _ =
+              Exp.Scenario.connect_tcp topo ~flow ~config:Tcpsim.Tcp_common.ns_sack
+                ~data:(Netsim.Flowmon.wrap cmon) ()
             in
-            Netsim.Parking_lot.set_dst_recv lot ~flow
-              (Netsim.Flowmon.wrap cmon (Tcpsim.Tcp_sink.recv sink));
-            let tcp =
-              Tcpsim.Tcp_sender.create (Engine.Sim.runtime sim) ~config:tcp_config ~flow
-                ~transmit:(Netsim.Parking_lot.src_sender lot ~flow)
-                ()
-            in
-            Netsim.Parking_lot.set_src_recv lot ~flow
-              (Tcpsim.Tcp_sender.recv tcp);
             Tcpsim.Tcp_sender.start tcp
               ~at:(0.3 *. float_of_int ((2 * hop) + k));
             (hop, cmon))

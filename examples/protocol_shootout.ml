@@ -9,13 +9,16 @@
 
 let bandwidth = Engine.Units.mbps 4.
 let duration = 120.
+let t0 = 30.
 
 type contender = Tfrc_c | Rap_c | Tfrcp_c | Tear_c
 
-let run contender ~seed =
+(* The contender's arrival series and the TCP opponent's mean rate. *)
+let run contender =
   let sim = Engine.Sim.create () in
+  let rt = Engine.Sim.runtime sim in
   let db =
-    Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth ~delay:0.02
+    Netsim.Dumbbell.create rt ~bandwidth ~delay:0.02
       ~queue:(Netsim.Dumbbell.Droptail_q 35) ()
   in
   (* The TCP opponent. *)
@@ -24,102 +27,37 @@ let run contender ~seed =
       ~config:Tcpsim.Tcp_common.ns_sack
   in
   Tcpsim.Tcp_sender.start tcp.tcp_sender ~at:0.2;
-  (* The rate-controlled contender on flow 2. *)
+  (* The rate-controlled contender on flow 2, monitored at its receiver. *)
   let flow = 2 in
-  let now () = Engine.Sim.now sim in
-  let mon = Netsim.Flowmon.create now in
+  Netsim.Dumbbell.add_flow db ~flow ~rtt_base:0.08;
+  let topo = Netsim.Dumbbell.topology db in
+  let mon = Netsim.Flowmon.create (fun () -> Engine.Sim.now sim) in
+  let data = Netsim.Flowmon.wrap mon in
   (match contender with
   | Tfrc_c ->
-      let h =
-        Exp.Scenario.attach_tfrc db ~flow ~rtt_base:0.08
-          ~config:(Tfrc.Tfrc_config.default ())
+      let sender, _ =
+        Exp.Scenario.connect_tfrc topo ~flow
+          ~config:(Tfrc.Tfrc_config.default ()) ~data ()
       in
-      Tfrc.Tfrc_sender.start h.tfrc_sender ~at:0.
+      Tfrc.Tfrc_sender.start sender ~at:0.
   | Rap_c ->
-      Netsim.Dumbbell.add_flow db ~flow ~rtt_base:0.08;
-      let sink =
-        Baselines.Echo_sink.create (Engine.Sim.runtime sim) ~flow
-          ~transmit:(Netsim.Dumbbell.dst_sender db ~flow) ()
-      in
-      Netsim.Dumbbell.set_dst_recv db ~flow
-        (Netsim.Flowmon.wrap mon (Baselines.Echo_sink.recv sink));
-      let rap =
-        Baselines.Rap.create (Engine.Sim.runtime sim) ~flow
-          ~transmit:(Netsim.Dumbbell.src_sender db ~flow) ()
-      in
-      Netsim.Dumbbell.set_src_recv db ~flow (Baselines.Rap.recv rap);
-      Baselines.Rap.start rap ~at:0.
+      let sender, _ = Exp.Scenario.connect_rap topo ~flow ~data () in
+      Baselines.Rap.start sender ~at:0.
   | Tfrcp_c ->
-      Netsim.Dumbbell.add_flow db ~flow ~rtt_base:0.08;
-      let sink =
-        Baselines.Echo_sink.create (Engine.Sim.runtime sim) ~flow
-          ~transmit:(Netsim.Dumbbell.dst_sender db ~flow) ()
-      in
-      Netsim.Dumbbell.set_dst_recv db ~flow
-        (Netsim.Flowmon.wrap mon (Baselines.Echo_sink.recv sink));
-      let tp =
-        Baselines.Tfrcp.create (Engine.Sim.runtime sim) ~flow
-          ~transmit:(Netsim.Dumbbell.src_sender db ~flow) ()
-      in
-      Netsim.Dumbbell.set_src_recv db ~flow (Baselines.Tfrcp.recv tp);
-      Baselines.Tfrcp.start tp ~at:0.
+      let sender, _ = Exp.Scenario.connect_tfrcp topo ~flow ~data () in
+      Baselines.Tfrcp.start sender ~at:0.
   | Tear_c ->
-      Netsim.Dumbbell.add_flow db ~flow ~rtt_base:0.08;
-      let recvr =
-        Baselines.Tear.Receiver.create (Engine.Sim.runtime sim) ~flow
-          ~transmit:(Netsim.Dumbbell.dst_sender db ~flow) ()
+      let sender, _ =
+        Exp.Scenario.connect topo ~flow ~data
+          ( (fun transmit -> Baselines.Tear.Receiver.create rt ~flow ~transmit ()),
+            Baselines.Tear.Receiver.recv )
+          ( (fun transmit -> Baselines.Tear.Sender.create rt ~flow ~transmit ()),
+            Baselines.Tear.Sender.recv )
       in
-      Netsim.Dumbbell.set_dst_recv db ~flow
-        (Netsim.Flowmon.wrap mon (Baselines.Tear.Receiver.recv recvr));
-      let snd =
-        Baselines.Tear.Sender.create (Engine.Sim.runtime sim) ~flow
-          ~transmit:(Netsim.Dumbbell.src_sender db ~flow) ()
-      in
-      Netsim.Dumbbell.set_src_recv db ~flow (Baselines.Tear.Sender.recv snd);
-      Baselines.Tear.Sender.start snd ~at:0.);
-  ignore seed;
+      Baselines.Tear.Sender.start sender ~at:0.);
   Engine.Sim.run sim ~until:duration;
-  let t0 = 30. and t1 = duration in
-  (* The TFRC contender records into its own handle's monitor. *)
-  let contender_series =
-    if contender = Tfrc_c then
-      (* attach_tfrc installed its own monitor; rebuild from receive side by
-         re-deriving the flow's stats through the dumbbell's registered
-         handler is not possible post-hoc, so TFRC uses its handle above.
-         To keep this uniform we re-run attach for the TFRC case. *)
-      None
-    else Some (Netsim.Flowmon.series mon)
-  in
-  let fair = Engine.Units.bps_to_byte_rate bandwidth /. 2. in
-  let tcp_rate = Netsim.Flowmon.mean_rate tcp.tcp_recv_mon ~t0 ~t1 in
-  (contender_series, tcp_rate, fair, t0, t1)
-
-(* TFRC needs its own variant that returns its monitor. *)
-let run_tfrc ~seed =
-  let sim = Engine.Sim.create () in
-  let db =
-    Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth ~delay:0.02
-      ~queue:(Netsim.Dumbbell.Droptail_q 35) ()
-  in
-  let tcp =
-    Exp.Scenario.attach_tcp db ~flow:1 ~rtt_base:0.085
-      ~config:Tcpsim.Tcp_common.ns_sack
-  in
-  Tcpsim.Tcp_sender.start tcp.tcp_sender ~at:0.2;
-  let h =
-    Exp.Scenario.attach_tfrc db ~flow:2 ~rtt_base:0.08
-      ~config:(Tfrc.Tfrc_config.default ())
-  in
-  Tfrc.Tfrc_sender.start h.tfrc_sender ~at:0.;
-  ignore seed;
-  Engine.Sim.run sim ~until:duration;
-  let t0 = 30. and t1 = duration in
-  let fair = Engine.Units.bps_to_byte_rate bandwidth /. 2. in
-  ( Netsim.Flowmon.series h.tfrc_recv_mon,
-    Netsim.Flowmon.mean_rate tcp.tcp_recv_mon ~t0 ~t1,
-    fair,
-    t0,
-    t1 )
+  ( Netsim.Flowmon.series mon,
+    Netsim.Flowmon.mean_rate tcp.tcp_recv_mon ~t0 ~t1:duration )
 
 let () =
   Printf.printf
@@ -128,26 +66,18 @@ let () =
     (Engine.Units.bps_to_byte_rate bandwidth /. 2. /. 1e3);
   Printf.printf "%-7s %-12s %-12s %-10s %s\n" "proto" "own KB/s" "tcp KB/s"
     "CoV(0.5s)" "verdict";
-  let report label series tcp_rate fair t0 t1 =
-    let rate = Stats.Time_series.mean_rate series ~t0 ~t1 in
-    let cov = Stats.Metrics.cov_at_timescale series ~t0 ~t1 ~tau:0.5 in
-    let fairness = Float.min (rate /. tcp_rate) (tcp_rate /. rate) in
-    Printf.printf "%-7s %-12.1f %-12.1f %-10.2f fairness %.2f %s\n" label
-      (rate /. 1e3) (tcp_rate /. 1e3) cov fairness
-      (if fairness > 0.5 then "" else "(poor)");
-    ignore fair
-  in
-  let s, tcp_rate, fair, t0, t1 = run_tfrc ~seed:3 in
-  report "TFRC" s tcp_rate fair t0 t1;
-  (match run Rap_c ~seed:3 with
-  | Some s, tcp_rate, fair, t0, t1 -> report "RAP" s tcp_rate fair t0 t1
-  | None, _, _, _, _ -> ());
-  (match run Tfrcp_c ~seed:3 with
-  | Some s, tcp_rate, fair, t0, t1 -> report "TFRCP" s tcp_rate fair t0 t1
-  | None, _, _, _, _ -> ());
-  (match run Tear_c ~seed:3 with
-  | Some s, tcp_rate, fair, t0, t1 -> report "TEAR" s tcp_rate fair t0 t1
-  | None, _, _, _, _ -> ());
+  List.iter
+    (fun (label, contender) ->
+      let series, tcp_rate = run contender in
+      let rate = Stats.Time_series.mean_rate series ~t0 ~t1:duration in
+      let cov =
+        Stats.Metrics.cov_at_timescale series ~t0 ~t1:duration ~tau:0.5
+      in
+      let fairness = Float.min (rate /. tcp_rate) (tcp_rate /. rate) in
+      Printf.printf "%-7s %-12.1f %-12.1f %-10.2f fairness %.2f %s\n" label
+        (rate /. 1e3) (tcp_rate /. 1e3) cov fairness
+        (if fairness > 0.5 then "" else "(poor)"))
+    [ ("TFRC", Tfrc_c); ("RAP", Rap_c); ("TFRCP", Tfrcp_c); ("TEAR", Tear_c) ];
   Printf.printf
     "\nTFRC pairs competitive throughput with the lowest rate variation; \
      RAP is fair but saw-toothed, TFRCP's fixed epochs react late, TEAR's \

@@ -21,31 +21,22 @@ let () =
   let flow = 1 in
   Netsim.Dumbbell.add_flow db ~flow ~rtt_base:0.060;
 
-  (* 3. A TFRC receiver whose feedback goes back across the dumbbell, and
-        a monitor recording everything it receives. *)
+  (* 3. A TFRC sender and receiver on the flow's two ends, with a monitor
+        recording everything the receiver gets. [connect_tfrc] builds the
+        receiver (its feedback goes back across the dumbbell), then the
+        sender, and joins both to the flow's ports on the topology. *)
   let config = Tfrc.Tfrc_config.default () in
   let monitor = Netsim.Flowmon.create (fun () -> Engine.Sim.now sim) in
-  let receiver =
-    Tfrc.Tfrc_receiver.create (Engine.Sim.runtime sim) ~config ~flow
-      ~transmit:(Netsim.Dumbbell.dst_sender db ~flow)
-      ()
+  let sender, receiver =
+    Exp.Scenario.connect_tfrc (Netsim.Dumbbell.topology db) ~flow ~config
+      ~data:(Netsim.Flowmon.wrap monitor) ()
   in
-  Netsim.Dumbbell.set_dst_recv db ~flow
-    (Netsim.Flowmon.wrap monitor (Tfrc.Tfrc_receiver.recv receiver));
 
-  (* 4. A TFRC sender; feedback packets are routed to it. *)
-  let sender =
-    Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim) ~config ~flow
-      ~transmit:(Netsim.Dumbbell.src_sender db ~flow)
-      ()
-  in
-  Netsim.Dumbbell.set_src_recv db ~flow (Tfrc.Tfrc_sender.recv sender);
-
-  (* 5. Run for 60 simulated seconds. *)
+  (* 4. Run for 60 simulated seconds. *)
   Tfrc.Tfrc_sender.start sender ~at:0.;
   Engine.Sim.run sim ~until:60.;
 
-  (* 6. Results. *)
+  (* 5. Results. *)
   Printf.printf "TFRC over a 1.5 Mb/s link for 60 s\n";
   Printf.printf "  received:        %.1f KB/s (link capacity %.1f KB/s)\n"
     (float_of_int (Netsim.Flowmon.bytes monitor) /. 60. /. 1e3)

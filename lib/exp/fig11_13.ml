@@ -34,16 +34,17 @@ let one ~sources ~duration ~seed =
   in
   Tfrc.Tfrc_sender.start tfrc.tfrc_sender ~at:(Engine.Rng.float rng 2.);
   (* Background ON/OFF UDP sources. *)
+  let topo = Netsim.Dumbbell.topology db in
   for i = 1 to sources do
     let flow = 100 + i in
     Netsim.Dumbbell.add_flow db ~flow
       ~rtt_base:(Engine.Rng.uniform rng 0.08 0.12);
-    Netsim.Dumbbell.set_dst_recv db ~flow ignore;
+    Netsim.Topology.set_dst_recv topo ~flow ignore;
     let src =
       Traffic.On_off.create (Engine.Sim.runtime sim) (Engine.Rng.split rng) ~flow
         ~on_rate:(Engine.Units.kbps 500.) ~pkt_size:1000 ~mean_on:1.
         ~mean_off:2.
-        ~transmit:(Netsim.Dumbbell.src_sender db ~flow)
+        ~transmit:(Netsim.Topology.src_sender topo ~flow)
         ()
     in
     Traffic.On_off.start src ~at:(Engine.Rng.float rng 5.)

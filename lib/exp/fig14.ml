@@ -44,10 +44,11 @@ let one ~proto ~duration ~seed =
   Traffic.Web_mix.start web ~at:0.;
   (* Light reverse-path traffic: a CBR stream at ~5% of capacity. *)
   Netsim.Dumbbell.add_flow db ~flow:9999 ~rtt_base:0.045;
-  Netsim.Dumbbell.set_src_recv db ~flow:9999 ignore;
+  let topo = Netsim.Dumbbell.topology db in
+  Netsim.Topology.set_src_recv topo ~flow:9999 ignore;
   let rev =
     Traffic.Cbr.create (Engine.Sim.runtime sim) ~flow:9999 ~rate:(0.05 *. bandwidth) ~pkt_size:1000
-      ~transmit:(Netsim.Dumbbell.dst_sender db ~flow:9999) ()
+      ~transmit:(Netsim.Topology.dst_sender topo ~flow:9999) ()
   in
   Traffic.Cbr.start rev ~at:0.;
   let sampler =

@@ -101,25 +101,16 @@ let run_case ~seed ~proto ~fault ~run_until =
   let send_mon = Netsim.Flowmon.create now in
   let recv_mon = Netsim.Flowmon.create now in
   let pace_samples = ref [] in
+  let topo = Netsim.Dumbbell.topology db in
+  let send = Netsim.Flowmon.wrap send_mon in
+  let data h = wrap_data (Netsim.Flowmon.wrap recv_mon h) in
   let nofb =
     match proto with
     | `Tfrc ->
-        let config = tfrc_config () in
-        let receiver =
-          Tfrc.Tfrc_receiver.create (Engine.Sim.runtime sim) ~config ~flow
-            ~transmit:(wrap_fb (Netsim.Dumbbell.dst_sender db ~flow))
-            ()
+        let sender, _ =
+          Scenario.connect_tfrc topo ~flow ~config:(tfrc_config ()) ~send ~data
+            ~feedback:wrap_fb ()
         in
-        Netsim.Dumbbell.set_dst_recv db ~flow
-          (wrap_data
-             (Netsim.Flowmon.wrap recv_mon (Tfrc.Tfrc_receiver.recv receiver)));
-        let sender =
-          Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim) ~config ~flow
-            ~transmit:
-              (Netsim.Flowmon.wrap send_mon (Netsim.Dumbbell.src_sender db ~flow))
-            ()
-        in
-        Netsim.Dumbbell.set_src_recv db ~flow (Tfrc.Tfrc_sender.recv sender);
         (* Sample the pacing rate on a fixed clock so the floor check sees
            the rate between updates too. *)
         let rec sample () =
@@ -130,22 +121,10 @@ let run_case ~seed ~proto ~fault ~run_until =
         Tfrc.Tfrc_sender.start sender ~at:0.;
         fun () -> Tfrc.Tfrc_sender.no_feedback_expirations sender
     | `Tcp ->
-        let config = Tcpsim.Tcp_common.ns_sack in
-        let sink =
-          Tcpsim.Tcp_sink.create (Engine.Sim.runtime sim) ~config ~flow
-            ~transmit:(wrap_fb (Netsim.Dumbbell.dst_sender db ~flow))
-            ()
+        let sender, _ =
+          Scenario.connect_tcp topo ~flow ~config:Tcpsim.Tcp_common.ns_sack
+            ~send ~data ~feedback:wrap_fb ()
         in
-        Netsim.Dumbbell.set_dst_recv db ~flow
-          (wrap_data
-             (Netsim.Flowmon.wrap recv_mon (Tcpsim.Tcp_sink.recv sink)));
-        let sender =
-          Tcpsim.Tcp_sender.create (Engine.Sim.runtime sim) ~config ~flow
-            ~transmit:
-              (Netsim.Flowmon.wrap send_mon (Netsim.Dumbbell.src_sender db ~flow))
-            ()
-        in
-        Netsim.Dumbbell.set_src_recv db ~flow (Tcpsim.Tcp_sender.recv sender);
         Tcpsim.Tcp_sender.start sender ~at:0.;
         fun () -> 0
   in

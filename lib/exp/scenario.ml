@@ -12,47 +12,74 @@ type tfrc_handle = {
   tfrc_recv_mon : Netsim.Flowmon.t;
 }
 
+type wrap = Netsim.Packet.handler -> Netsim.Packet.handler
+
+(* Both endpoints transmit into the flow's ports, not into each other, so
+   neither needs the other to exist and no forward cell is needed. *)
+let connect topo ~flow ?(send = Fun.id) ?(data = Fun.id) ?(feedback = Fun.id)
+    (make_receiver, receiver_recv) (make_sender, sender_recv) =
+  let module T = Netsim.Topology in
+  let receiver = make_receiver (feedback (T.dst_sender topo ~flow)) in
+  T.set_dst_recv topo ~flow (data (receiver_recv receiver));
+  let sender = make_sender (send (T.src_sender topo ~flow)) in
+  T.set_src_recv topo ~flow (sender_recv sender);
+  (sender, receiver)
+
+let connect_tfrc topo ~flow ~config ?send ?data ?feedback () =
+  let rt = Netsim.Topology.runtime topo in
+  connect topo ~flow ?send ?data ?feedback
+    ( (fun transmit -> Tfrc.Tfrc_receiver.create rt ~config ~flow ~transmit ()),
+      Tfrc.Tfrc_receiver.recv )
+    ( (fun transmit -> Tfrc.Tfrc_sender.create rt ~config ~flow ~transmit ()),
+      Tfrc.Tfrc_sender.recv )
+
+let connect_tcp topo ~flow ~config ?send ?data ?feedback () =
+  let rt = Netsim.Topology.runtime topo in
+  connect topo ~flow ?send ?data ?feedback
+    ( (fun transmit -> Tcpsim.Tcp_sink.create rt ~config ~flow ~transmit ()),
+      Tcpsim.Tcp_sink.recv )
+    ( (fun transmit -> Tcpsim.Tcp_sender.create rt ~config ~flow ~transmit ()),
+      Tcpsim.Tcp_sender.recv )
+
+let echo_sink rt ~flow =
+  ( (fun transmit -> Baselines.Echo_sink.create rt ~flow ~transmit ()),
+    Baselines.Echo_sink.recv )
+
+let connect_rap topo ~flow ?send ?data ?feedback () =
+  let rt = Netsim.Topology.runtime topo in
+  connect topo ~flow ?send ?data ?feedback (echo_sink rt ~flow)
+    ( (fun transmit -> Baselines.Rap.create rt ~flow ~transmit ()),
+      Baselines.Rap.recv )
+
+let connect_tfrcp topo ~flow ?send ?data ?feedback () =
+  let rt = Netsim.Topology.runtime topo in
+  connect topo ~flow ?send ?data ?feedback (echo_sink rt ~flow)
+    ( (fun transmit -> Baselines.Tfrcp.create rt ~flow ~transmit ()),
+      Baselines.Tfrcp.recv )
+
 let attach_tcp db ~flow ~rtt_base ~config =
-  let rt = Netsim.Dumbbell.runtime db in
-  let now () = Engine.Runtime.now rt in
+  let topo = Netsim.Dumbbell.topology db in
+  let now () = Engine.Runtime.now (Netsim.Topology.runtime topo) in
   Netsim.Dumbbell.add_flow db ~flow ~rtt_base;
-  let send_mon = Netsim.Flowmon.create now in
-  let recv_mon = Netsim.Flowmon.create now in
-  let tcp_sink =
-    Tcpsim.Tcp_sink.create rt ~config ~flow
-      ~transmit:(Netsim.Dumbbell.dst_sender db ~flow) ()
+  let tcp_send_mon = Netsim.Flowmon.create now in
+  let tcp_recv_mon = Netsim.Flowmon.create now in
+  let tcp_sender, tcp_sink =
+    connect_tcp topo ~flow ~config ~send:(Netsim.Flowmon.wrap tcp_send_mon)
+      ~data:(Netsim.Flowmon.wrap tcp_recv_mon) ()
   in
-  Netsim.Dumbbell.set_dst_recv db ~flow
-    (Netsim.Flowmon.wrap recv_mon (Tcpsim.Tcp_sink.recv tcp_sink));
-  let tcp_sender =
-    Tcpsim.Tcp_sender.create rt ~config ~flow
-      ~transmit:
-        (Netsim.Flowmon.wrap send_mon (Netsim.Dumbbell.src_sender db ~flow))
-      ()
-  in
-  Netsim.Dumbbell.set_src_recv db ~flow (Tcpsim.Tcp_sender.recv tcp_sender);
-  { tcp_sender; tcp_sink; tcp_send_mon = send_mon; tcp_recv_mon = recv_mon }
+  { tcp_sender; tcp_sink; tcp_send_mon; tcp_recv_mon }
 
 let attach_tfrc db ~flow ~rtt_base ~config =
-  let rt = Netsim.Dumbbell.runtime db in
-  let now () = Engine.Runtime.now rt in
+  let topo = Netsim.Dumbbell.topology db in
+  let now () = Engine.Runtime.now (Netsim.Topology.runtime topo) in
   Netsim.Dumbbell.add_flow db ~flow ~rtt_base;
-  let send_mon = Netsim.Flowmon.create now in
-  let recv_mon = Netsim.Flowmon.create now in
-  let tfrc_receiver =
-    Tfrc.Tfrc_receiver.create rt ~config ~flow
-      ~transmit:(Netsim.Dumbbell.dst_sender db ~flow) ()
+  let tfrc_send_mon = Netsim.Flowmon.create now in
+  let tfrc_recv_mon = Netsim.Flowmon.create now in
+  let tfrc_sender, tfrc_receiver =
+    connect_tfrc topo ~flow ~config ~send:(Netsim.Flowmon.wrap tfrc_send_mon)
+      ~data:(Netsim.Flowmon.wrap tfrc_recv_mon) ()
   in
-  Netsim.Dumbbell.set_dst_recv db ~flow
-    (Netsim.Flowmon.wrap recv_mon (Tfrc.Tfrc_receiver.recv tfrc_receiver));
-  let tfrc_sender =
-    Tfrc.Tfrc_sender.create rt ~config ~flow
-      ~transmit:
-        (Netsim.Flowmon.wrap send_mon (Netsim.Dumbbell.src_sender db ~flow))
-      ()
-  in
-  Netsim.Dumbbell.set_src_recv db ~flow (Tfrc.Tfrc_sender.recv tfrc_sender);
-  { tfrc_sender; tfrc_receiver; tfrc_send_mon = send_mon; tfrc_recv_mon = recv_mon }
+  { tfrc_sender; tfrc_receiver; tfrc_send_mon; tfrc_recv_mon }
 
 let scaled_queue kind ~bandwidth =
   (* ~100 packets at 15 Mb/s, linear in bandwidth, never below 10. *)

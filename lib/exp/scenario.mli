@@ -1,6 +1,74 @@
-(** Shared plumbing for the paper's experiments: wiring protocol agents
-    onto a dumbbell, monitored on both the send and receive side, plus the
-    mixed TCP/TFRC workload used by Figures 6-10. *)
+(** Shared plumbing for the paper's experiments: attaching a protocol's
+    endpoint pair to a {!Netsim.Topology} flow, the monitored dumbbell
+    variants of that, and the mixed TCP/TFRC workload used by Figures
+    6-10. *)
+
+(** {1 Endpoint pairs on a flow} *)
+
+(** A handler wrapper: given the handler packets would reach, the one to
+    hand them to instead (a monitor, a loss process, a fault). *)
+type wrap = Netsim.Packet.handler -> Netsim.Packet.handler
+
+(** [connect topo ~flow ?send ?data ?feedback (make_receiver, receiver_recv)
+    (make_sender, sender_recv)] attaches an endpoint pair to a flow already
+    added to [topo] and returns [(sender, receiver)]. The receiver is
+    built first, transmitting into [feedback] of the flow's destination
+    port, and receives through [data] of its own handler; then the
+    sender, transmitting into [send] of the source port. The wrappers
+    default to the identity. *)
+val connect :
+  Netsim.Topology.t ->
+  flow:int ->
+  ?send:wrap ->
+  ?data:wrap ->
+  ?feedback:wrap ->
+  (Netsim.Packet.handler -> 'r) * ('r -> Netsim.Packet.handler) ->
+  (Netsim.Packet.handler -> 's) * ('s -> Netsim.Packet.handler) ->
+  's * 'r
+
+(** {!connect} for a TFRC sender and receiver. *)
+val connect_tfrc :
+  Netsim.Topology.t ->
+  flow:int ->
+  config:Tfrc.Tfrc_config.t ->
+  ?send:wrap ->
+  ?data:wrap ->
+  ?feedback:wrap ->
+  unit ->
+  Tfrc.Tfrc_sender.t * Tfrc.Tfrc_receiver.t
+
+(** {!connect} for a TCP sender and sink. *)
+val connect_tcp :
+  Netsim.Topology.t ->
+  flow:int ->
+  config:Tcpsim.Tcp_common.config ->
+  ?send:wrap ->
+  ?data:wrap ->
+  ?feedback:wrap ->
+  unit ->
+  Tcpsim.Tcp_sender.t * Tcpsim.Tcp_sink.t
+
+(** {!connect} for a RAP sender over an {!Baselines.Echo_sink}. *)
+val connect_rap :
+  Netsim.Topology.t ->
+  flow:int ->
+  ?send:wrap ->
+  ?data:wrap ->
+  ?feedback:wrap ->
+  unit ->
+  Baselines.Rap.t * Baselines.Echo_sink.t
+
+(** {!connect} for a TFRCP sender over an {!Baselines.Echo_sink}. *)
+val connect_tfrcp :
+  Netsim.Topology.t ->
+  flow:int ->
+  ?send:wrap ->
+  ?data:wrap ->
+  ?feedback:wrap ->
+  unit ->
+  Baselines.Tfrcp.t * Baselines.Echo_sink.t
+
+(** {1 Monitored dumbbell flows} *)
 
 type tcp_handle = {
   tcp_sender : Tcpsim.Tcp_sender.t;
@@ -17,7 +85,8 @@ type tfrc_handle = {
 }
 
 (** [attach_tcp db ~flow ~rtt_base ~config] registers the flow on the
-    dumbbell and wires a monitored sender/sink pair. Call
+    dumbbell and connects a sender/sink pair with a monitor on the
+    sender's output and one on the sink's input. Call
     [Tcpsim.Tcp_sender.start] on the result. *)
 val attach_tcp :
   Netsim.Dumbbell.t ->

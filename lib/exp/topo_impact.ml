@@ -35,23 +35,15 @@ let build sim =
 
 (* One TFRC session per probe flow; returns the per-flow goodput series. *)
 let wire_flows sim wan =
-  let rt = Engine.Sim.runtime sim in
   let now () = Engine.Sim.now sim in
   List.map
     (fun (flow, fname, _, _) ->
       let config = Tfrc.Tfrc_config.default ~initial_rtt:0.1 () in
       let recv_mon = Netsim.Flowmon.create now in
-      let receiver =
-        Tfrc.Tfrc_receiver.create rt ~config ~flow
-          ~transmit:(TB.dst_sender wan ~flow) ()
+      let sender, _ =
+        Scenario.connect_tfrc (TB.topology wan) ~flow ~config
+          ~data:(Netsim.Flowmon.wrap recv_mon) ()
       in
-      TB.set_dst_recv wan ~flow
-        (Netsim.Flowmon.wrap recv_mon (Tfrc.Tfrc_receiver.recv receiver));
-      let sender =
-        Tfrc.Tfrc_sender.create rt ~config ~flow
-          ~transmit:(TB.src_sender wan ~flow) ()
-      in
-      TB.set_src_recv wan ~flow (Tfrc.Tfrc_sender.recv sender);
       Tfrc.Tfrc_sender.start sender ~at:0.;
       (flow, fname, recv_mon))
     probe_flows

@@ -77,16 +77,6 @@ let oracle_names =
     "determinism";
   ]
 
-(* Uniform view over the three topologies, so flow wiring and fault
-   application are written once. A [Path] is a one-hop parking lot. *)
-type net = {
-  src_sender : flow:int -> Netsim.Packet.handler;
-  dst_sender : flow:int -> Netsim.Packet.handler;
-  set_src_recv : flow:int -> Netsim.Packet.handler -> unit;
-  set_dst_recv : flow:int -> Netsim.Packet.handler -> unit;
-  links : Netsim.Link.t list;
-}
-
 let mean_pktsize = 1000.
 
 let make_queue (sc : Scenario.t) sim () =
@@ -105,6 +95,9 @@ let graph_endpoints ~nodes ~flow =
   let dst = (flow + max 1 (nodes / 2)) mod nodes in
   if dst = src then (src, (src + 1) mod nodes) else (src, dst)
 
+(* The scenario's topology with every flow added, and its queued links
+   (the first is where link-level faults strike). A [Path] is a one-hop
+   parking lot. *)
 let build_net sim (sc : Scenario.t) =
   match sc.topology with
   | Scenario.Dumbbell ->
@@ -123,14 +116,8 @@ let build_net sim (sc : Scenario.t) =
         (fun flow (f : Scenario.flow) ->
           Netsim.Dumbbell.add_flow db ~flow ~rtt_base:f.rtt_base)
         sc.flows;
-      {
-        src_sender = (fun ~flow -> Netsim.Dumbbell.src_sender db ~flow);
-        dst_sender = (fun ~flow -> Netsim.Dumbbell.dst_sender db ~flow);
-        set_src_recv = (fun ~flow h -> Netsim.Dumbbell.set_src_recv db ~flow h);
-        set_dst_recv = (fun ~flow h -> Netsim.Dumbbell.set_dst_recv db ~flow h);
-        links =
-          [ Netsim.Dumbbell.forward_link db; Netsim.Dumbbell.reverse_link db ];
-      }
+      ( Netsim.Dumbbell.topology db,
+        [ Netsim.Dumbbell.forward_link db; Netsim.Dumbbell.reverse_link db ] )
   | Scenario.Path | Scenario.Parking_lot _ ->
       let hops = Scenario.hops sc in
       let pl =
@@ -146,16 +133,8 @@ let build_net sim (sc : Scenario.t) =
           | None ->
               Netsim.Parking_lot.add_through_flow pl ~flow ~rtt_base:f.rtt_base)
         sc.flows;
-      {
-        src_sender = (fun ~flow -> Netsim.Parking_lot.src_sender pl ~flow);
-        dst_sender = (fun ~flow -> Netsim.Parking_lot.dst_sender pl ~flow);
-        set_src_recv =
-          (fun ~flow h -> Netsim.Parking_lot.set_src_recv pl ~flow h);
-        set_dst_recv =
-          (fun ~flow h -> Netsim.Parking_lot.set_dst_recv pl ~flow h);
-        links =
-          List.init hops (fun i -> Netsim.Parking_lot.link pl ~hop:(i + 1));
-      }
+      ( Netsim.Parking_lot.topology pl,
+        List.init hops (fun i -> Netsim.Parking_lot.link pl ~hop:(i + 1)) )
   | Scenario.Graph { nodes; extra } ->
       (* Routed graph: [nodes] routers on a bidirectional ring plus
          [extra] bidirectional chords; feedback shares the graph (no
@@ -197,13 +176,7 @@ let build_net sim (sc : Scenario.t) =
           in
           Netsim.Topology.add_flow topo ~flow ~src:(host src_r) ~dst:(host dst_r))
         sc.flows;
-      {
-        src_sender = (fun ~flow -> Netsim.Topology.src_sender topo ~flow);
-        dst_sender = (fun ~flow -> Netsim.Topology.dst_sender topo ~flow);
-        set_src_recv = (fun ~flow h -> Netsim.Topology.set_src_recv topo ~flow h);
-        set_dst_recv = (fun ~flow h -> Netsim.Topology.set_dst_recv topo ~flow h);
-        links = List.rev !links;
-      }
+      (topo, List.rev !links)
 
 (* Sampled-value checks: `Rate values must be finite and non-negative,
    `Loss values must additionally stay within [0, 1]. *)
@@ -226,8 +199,8 @@ let run_once ~mutate (sc : Scenario.t) =
   let sim = Engine.Sim.create ~trace:p.bus () in
   let rng = Engine.Rng.create ~seed:sc.sim_seed in
   let now () = Engine.Sim.now sim in
-  let net = build_net sim sc in
-  let bottleneck = List.hd net.links in
+  let topo, links = build_net sim sc in
+  let bottleneck = List.hd links in
   (* Link-level faults hit the first congested link (the dumbbell's
      forward bottleneck / the parking lot's first hop). *)
   List.iter
@@ -273,9 +246,10 @@ let run_once ~mutate (sc : Scenario.t) =
     else fst (Netsim.Faults.blackout ~now ~windows:blackout_windows dest)
   in
   let delivered = ref 0 in
-  let count dest pkt =
-    incr delivered;
-    dest pkt
+  let data dest =
+    wrap_data (fun pkt ->
+        incr delivered;
+        dest pkt)
   in
   let gauges = ref [] in
   let add_gauge name get kind = gauges := (name, get, kind) :: !gauges in
@@ -284,19 +258,10 @@ let run_once ~mutate (sc : Scenario.t) =
       let g name = Printf.sprintf "flow%d/%s" flow name in
       match f.proto with
       | Scenario.Tfrc ->
-          let config = Tfrc.Tfrc_config.default () in
-          let receiver =
-            Tfrc.Tfrc_receiver.create (Engine.Sim.runtime sim) ~config ~flow
-              ~transmit:(wrap_fb (net.dst_sender ~flow))
-              ()
+          let sender, receiver =
+            Exp.Scenario.connect_tfrc topo ~flow
+              ~config:(Tfrc.Tfrc_config.default ()) ~data ~feedback:wrap_fb ()
           in
-          net.set_dst_recv ~flow
-            (wrap_data (count (Tfrc.Tfrc_receiver.recv receiver)));
-          let sender =
-            Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim) ~config ~flow
-              ~transmit:(net.src_sender ~flow) ()
-          in
-          net.set_src_recv ~flow (Tfrc.Tfrc_sender.recv sender);
           Tfrc.Tfrc_sender.start sender ~at:f.start;
           add_gauge (g "rate")
             (fun () -> Tfrc.Tfrc_sender.rate sender)
@@ -308,51 +273,27 @@ let run_once ~mutate (sc : Scenario.t) =
             (fun () -> Tfrc.Tfrc_receiver.loss_event_rate receiver)
             Loss_gauge
       | Scenario.Tcp ->
-          let config = Tcpsim.Tcp_common.ns_sack in
-          let sink =
-            Tcpsim.Tcp_sink.create (Engine.Sim.runtime sim) ~config ~flow
-              ~transmit:(wrap_fb (net.dst_sender ~flow))
-              ()
+          let sender, _ =
+            Exp.Scenario.connect_tcp topo ~flow ~config:Tcpsim.Tcp_common.ns_sack
+              ~data ~feedback:wrap_fb ()
           in
-          net.set_dst_recv ~flow (wrap_data (count (Tcpsim.Tcp_sink.recv sink)));
-          let sender =
-            Tcpsim.Tcp_sender.create (Engine.Sim.runtime sim) ~config ~flow
-              ~transmit:(net.src_sender ~flow) ()
-          in
-          net.set_src_recv ~flow (Tcpsim.Tcp_sender.recv sender);
           Tcpsim.Tcp_sender.start sender ~at:f.start;
           add_gauge (g "cwnd")
             (fun () -> Tcpsim.Tcp_sender.cwnd sender)
             Rate_gauge
       | Scenario.Tfrcp ->
-          let sink =
-            Baselines.Echo_sink.create (Engine.Sim.runtime sim) ~flow
-              ~transmit:(wrap_fb (net.dst_sender ~flow))
-              ()
+          let sender, _ =
+            Exp.Scenario.connect_tfrcp topo ~flow ~data ~feedback:wrap_fb ()
           in
-          net.set_dst_recv ~flow
-            (wrap_data (count (Baselines.Echo_sink.recv sink)));
-          let sender =
-            Baselines.Tfrcp.create (Engine.Sim.runtime sim) ~flow ~transmit:(net.src_sender ~flow) ()
-          in
-          net.set_src_recv ~flow (Baselines.Tfrcp.recv sender);
           Baselines.Tfrcp.start sender ~at:f.start;
           add_gauge (g "rate") (fun () -> Baselines.Tfrcp.rate sender) Rate_gauge;
           add_gauge (g "p_est")
             (fun () -> Baselines.Tfrcp.loss_estimate sender)
             Loss_gauge
       | Scenario.Rap ->
-          let sink =
-            Baselines.Echo_sink.create (Engine.Sim.runtime sim) ~flow
-              ~transmit:(wrap_fb (net.dst_sender ~flow))
-              ()
+          let sender, _ =
+            Exp.Scenario.connect_rap topo ~flow ~data ~feedback:wrap_fb ()
           in
-          net.set_dst_recv ~flow
-            (wrap_data (count (Baselines.Echo_sink.recv sink)));
-          let sender =
-            Baselines.Rap.create (Engine.Sim.runtime sim) ~flow ~transmit:(net.src_sender ~flow) ()
-          in
-          net.set_src_recv ~flow (Baselines.Rap.recv sender);
           Baselines.Rap.start sender ~at:f.start;
           add_gauge (g "rate") (fun () -> Baselines.Rap.rate sender) Rate_gauge)
     sc.flows;
@@ -397,7 +338,7 @@ let run_once ~mutate (sc : Scenario.t) =
        an outage — the historical outage-drain double-count, resurrected
        on demand so the harness can prove it would catch it. *)
     match
-      List.find_opt (fun l -> Netsim.Link.outage_drops l > 0) net.links
+      List.find_opt (fun l -> Netsim.Link.outage_drops l > 0) links
     with
     | Some l ->
         let st = (Netsim.Link.queue l).Netsim.Queue_disc.stats in
@@ -418,7 +359,7 @@ let run_once ~mutate (sc : Scenario.t) =
                   (Netsim.Link.label l)
                   (Netsim.Queue_disc.imbalance q);
             })
-      net.links
+      links
   in
   let inv_failures =
     violations ~oracle:"invariants"

@@ -31,7 +31,6 @@ let create rt ~bandwidth ~delay ~queue ?reverse_queue ?(mean_pktsize = 1000) () 
   ignore (Topology.add_link topo ~src:right ~dst:left bwd);
   { topo; left; right; fwd; bwd }
 
-let runtime t = Topology.runtime t.topo
 let topology t = t.topo
 
 let add_flow t ~flow ~rtt_base =
@@ -46,20 +45,7 @@ let add_flow t ~flow ~rtt_base =
   let dst = Topology.add_host t.topo ~router:t.right ~access in
   Topology.add_flow t.topo ~flow ~src ~dst
 
-let known t flow =
-  if Topology.mem_flow t.topo flow then flow
-  else invalid_arg (Printf.sprintf "Dumbbell: unknown flow %d" flow)
-
-let set_src_recv t ~flow = Topology.set_src_recv t.topo ~flow:(known t flow)
-let set_dst_recv t ~flow = Topology.set_dst_recv t.topo ~flow:(known t flow)
-let src_sender t ~flow = Topology.src_sender t.topo ~flow:(known t flow)
-let dst_sender t ~flow = Topology.dst_sender t.topo ~flow:(known t flow)
-
-let src_send t ~flow pkt = src_sender t ~flow pkt
-let dst_send t ~flow pkt = dst_sender t ~flow pkt
 let forward_link t = t.fwd
 let reverse_link t = t.bwd
 let on_forward_drop t f = Link.on_drop t.fwd f
 let forward_drop_rate t = Queue_disc.drop_rate (Link.queue t.fwd)
-let in_flight t = Topology.in_flight t.topo
-let teardown t = Topology.teardown t.topo

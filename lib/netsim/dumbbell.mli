@@ -7,12 +7,13 @@
     same bandwidth carries acknowledgements/feedback (and optional
     reverse-path traffic).
 
-    Per-flow wiring: an agent on the left sends with [src_send] and receives
-    reverse packets through the handler registered with [set_src_recv]; the
-    right-side agent uses [dst_send]/[set_dst_recv]. Per-flow access delay
-    sets the base RTT. Underneath is a {!Topology} of two routers, with a
-    {!Topology.add_host} at each end of a flow: adding a flow mid-run
-    costs no route recompute. *)
+    The builder encodes only the shape: two routers joined by the two
+    bottleneck links, and a {!Topology.add_host} at each end of a flow,
+    whose access delay sets the flow's base RTT. Adding a flow mid-run
+    costs no route recompute. A flow's ports (sending into it, receiving
+    from it) are {!Topology}'s: [Topology.src_sender] and
+    [Topology.set_src_recv] on the left, [Topology.dst_sender] and
+    [Topology.set_dst_recv] on the right, all on {!topology}. *)
 
 type queue_spec =
   | Droptail_q of int  (** buffer limit in packets *)
@@ -35,9 +36,7 @@ val create :
   unit ->
   t
 
-val runtime : t -> Engine.Runtime.t
-
-(** The underlying graph, for routing queries and counters. *)
+(** The underlying graph: the flows' ports, routing queries and counters. *)
 val topology : t -> Topology.t
 
 (** [add_flow t ~flow ~rtt_base] registers a flow whose base round-trip
@@ -47,20 +46,6 @@ val topology : t -> Topology.t
     otherwise, or if the flow id is taken. *)
 val add_flow : t -> flow:int -> rtt_base:float -> unit
 
-val set_src_recv : t -> flow:int -> Packet.handler -> unit
-val set_dst_recv : t -> flow:int -> Packet.handler -> unit
-
-(** [src_send t ~flow pkt] injects a packet at the left (data direction). *)
-val src_send : t -> flow:int -> Packet.t -> unit
-
-(** [dst_send t ~flow pkt] injects at the right (ack/feedback direction). *)
-val dst_send : t -> flow:int -> Packet.t -> unit
-
-(** Direct handlers, convenient to hand to agents. *)
-val src_sender : t -> flow:int -> Packet.handler
-
-val dst_sender : t -> flow:int -> Packet.handler
-
 val forward_link : t -> Link.t
 val reverse_link : t -> Link.t
 
@@ -69,13 +54,3 @@ val on_forward_drop : t -> Packet.handler -> unit
 
 (** Loss fraction at the forward bottleneck queue so far. *)
 val forward_drop_rate : t -> float
-
-(** Number of packets on access segments, not yet delivered. *)
-val in_flight : t -> int
-
-(** [teardown t] drops every packet on an access segment
-    ({!Topology.teardown}), so no packet reaches an endpoint after the
-    scenario has stopped (packets still in a bottleneck are discarded as
-    they leave it). The topology remains usable (subsequent sends
-    schedule normally). *)
-val teardown : t -> unit

@@ -24,7 +24,7 @@ let create rt ~hops ~bandwidth ~delay ~queue () =
     links;
   { topo; links; delay }
 
-let runtime t = Topology.runtime t.topo
+let topology t = t.topo
 let n_hops t = Array.length t.links
 
 (* Routers are nodes 0 .. hops: hop [k] (0-based) runs from [k] to [k + 1]. *)
@@ -53,15 +53,6 @@ let add_cross_flow t ~flow ~hop ~rtt_base =
   if hop < 1 || hop > n_hops t then invalid_arg "Parking_lot: bad hop";
   register t ~flow ~entry:(hop - 1) ~exit_:(hop - 1) ~rtt_base
 
-let known t flow =
-  if Topology.mem_flow t.topo flow then flow
-  else invalid_arg (Printf.sprintf "Parking_lot: unknown flow %d" flow)
-
-let set_src_recv t ~flow = Topology.set_src_recv t.topo ~flow:(known t flow)
-let set_dst_recv t ~flow = Topology.set_dst_recv t.topo ~flow:(known t flow)
-let src_sender t ~flow = Topology.src_sender t.topo ~flow:(known t flow)
-let dst_sender t ~flow = Topology.dst_sender t.topo ~flow:(known t flow)
-
 let link t ~hop =
   if hop < 1 || hop > n_hops t then invalid_arg "Parking_lot: bad hop";
   t.links.(hop - 1)
@@ -75,6 +66,3 @@ let drop_rate t =
       drops := !drops + s.drops)
     t.links;
   if !arrivals = 0 then 0. else float_of_int !drops /. float_of_int !arrivals
-
-let in_flight t = Topology.in_flight t.topo
-let teardown t = Topology.teardown t.topo

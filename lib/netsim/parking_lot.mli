@@ -10,8 +10,12 @@
 
     Reverse direction (acks/feedback) is modelled as a well-provisioned
     fixed-delay path, since the paper's scenarios never congest it.
-    Underneath is a {!Topology}; each flow dirties its routes, so add
-    every flow before the run. *)
+
+    The builder encodes only the shape: the hop chain, and per flow a
+    source and destination host plus that reverse wire. Each flow dirties
+    the routes, so add every flow before the run. A flow's ports are
+    {!Topology}'s ([Topology.src_sender], [Topology.set_dst_recv], …, on
+    {!topology}). *)
 
 type t
 
@@ -28,7 +32,9 @@ val create :
   unit ->
   t
 
-val runtime : t -> Engine.Runtime.t
+(** The underlying graph: the flows' ports and counters. *)
+val topology : t -> Topology.t
+
 val n_hops : t -> int
 
 (** [add_through_flow t ~flow ~rtt_base] registers an end-to-end flow.
@@ -40,21 +46,8 @@ val add_through_flow : t -> flow:int -> rtt_base:float -> unit
     [hop] (1-based). *)
 val add_cross_flow : t -> flow:int -> hop:int -> rtt_base:float -> unit
 
-val set_src_recv : t -> flow:int -> Packet.handler -> unit
-val set_dst_recv : t -> flow:int -> Packet.handler -> unit
-val src_sender : t -> flow:int -> Packet.handler
-val dst_sender : t -> flow:int -> Packet.handler
-
 (** [link t ~hop] is the forward link of the given hop (1-based). *)
 val link : t -> hop:int -> Link.t
 
 (** Aggregate drop rate across all hops. *)
 val drop_rate : t -> float
-
-(** Number of packets on access/reverse segments, not yet delivered. *)
-val in_flight : t -> int
-
-(** [teardown t] drops every packet on an access/reverse segment
-    ({!Topology.teardown}), so none reaches an endpoint after the
-    scenario has stopped. *)
-val teardown : t -> unit

@@ -1,8 +1,9 @@
 (* Scenario builders over {!Topology} with redundant paths, the shapes
    routing and failure-impact analysis exist for. Each flow attaches two
    leaf hosts with [Topology.add_host], so adding one costs no route
-   recompute. The paper's dumbbell and parking lot are {!Dumbbell} and
-   {!Parking_lot}, also over {!Topology}. *)
+   recompute. A builder holds its shape and named links only; a flow's
+   ports are [Topology]'s. The paper's dumbbell and parking lot are
+   {!Dumbbell} and {!Parking_lot}, also over {!Topology}. *)
 
 (* --- fat tree ------------------------------------------------------------- *)
 
@@ -64,11 +65,6 @@ module Fat_tree = struct
     let src = host t.edges.(src_pod).(src_edge) in
     let dst = host t.edges.(dst_pod).(dst_edge) in
     Topology.add_flow t.topo ~flow ~src ~dst
-
-  let set_src_recv t ~flow h = Topology.set_src_recv t.topo ~flow h
-  let set_dst_recv t ~flow h = Topology.set_dst_recv t.topo ~flow h
-  let src_sender t ~flow = Topology.src_sender t.topo ~flow
-  let dst_sender t ~flow = Topology.dst_sender t.topo ~flow
 
   let link t label =
     match Topology.find_link t.topo label with
@@ -152,11 +148,6 @@ module Transcontinental = struct
         (Printf.sprintf "Transcontinental.add_flow: flow %d already exists" flow);
     let host city = Topology.add_host t.topo ~router:(node t city) ~access in
     Topology.add_flow t.topo ~flow ~src:(host src) ~dst:(host dst)
-
-  let set_src_recv t ~flow h = Topology.set_src_recv t.topo ~flow h
-  let set_dst_recv t ~flow h = Topology.set_dst_recv t.topo ~flow h
-  let src_sender t ~flow = Topology.src_sender t.topo ~flow
-  let dst_sender t ~flow = Topology.dst_sender t.topo ~flow
 
   let link t label =
     match Topology.find_link t.topo label with

@@ -1,8 +1,10 @@
 (** Scenario builders over {!Topology} with redundant paths, for routing
     and failure-impact studies. A flow's endpoints are
     {!Topology.add_host} leaves, so adding one costs no route recompute.
-    The paper's dumbbell and parking lot are {!Dumbbell} and
-    {!Parking_lot}, over the same {!Topology}. *)
+    A builder returns its shape and named links; a flow's ports
+    ([Topology.src_sender], [Topology.set_dst_recv], …) are {!Topology}'s,
+    on the builder's [topology]. The paper's dumbbell and parking lot are
+    {!Dumbbell} and {!Parking_lot}, over the same {!Topology}. *)
 
 module Fat_tree : sig
   type t
@@ -37,11 +39,6 @@ module Fat_tree : sig
     access:float ->
     unit
 
-  val set_src_recv : t -> flow:int -> Packet.handler -> unit
-  val set_dst_recv : t -> flow:int -> Packet.handler -> unit
-  val src_sender : t -> flow:int -> Packet.handler
-  val dst_sender : t -> flow:int -> Packet.handler
-
   (** [link t label] finds a switch link by label; raises if absent. *)
   val link : t -> string -> Link.t
 end
@@ -63,10 +60,6 @@ module Transcontinental : sig
   val topology : t -> Topology.t
 
   val add_flow : t -> flow:int -> src:city -> dst:city -> access:float -> unit
-  val set_src_recv : t -> flow:int -> Packet.handler -> unit
-  val set_dst_recv : t -> flow:int -> Packet.handler -> unit
-  val src_sender : t -> flow:int -> Packet.handler
-  val dst_sender : t -> flow:int -> Packet.handler
 
   (** [link t label] finds a segment by label; raises if absent. *)
   val link : t -> string -> Link.t * Topology.edge

@@ -39,8 +39,11 @@ let transfer_size t =
   let n = Engine.Rng.pareto t.rng ~shape:t.shape ~scale in
   max 1 (int_of_float (ceil n))
 
+let runtime t = Netsim.Topology.runtime (Netsim.Dumbbell.topology t.db)
+
 let spawn t =
-  let rt = Netsim.Dumbbell.runtime t.db in
+  let topo = Netsim.Dumbbell.topology t.db in
+  let rt = Netsim.Topology.runtime topo in
   let flow = t.next_flow in
   t.next_flow <- t.next_flow + 1;
   t.started <- t.started + 1;
@@ -49,14 +52,14 @@ let spawn t =
   Netsim.Dumbbell.add_flow t.db ~flow ~rtt_base:rtt;
   let sink =
     Tcpsim.Tcp_sink.create rt ~config:t.config ~flow
-      ~transmit:(Netsim.Dumbbell.dst_sender t.db ~flow) ()
+      ~transmit:(Netsim.Topology.dst_sender topo ~flow) ()
   in
-  Netsim.Dumbbell.set_dst_recv t.db ~flow (Tcpsim.Tcp_sink.recv sink);
+  Netsim.Topology.set_dst_recv topo ~flow (Tcpsim.Tcp_sink.recv sink);
   let sender =
     Tcpsim.Tcp_sender.create rt ~config:t.config ~flow
-      ~transmit:(Netsim.Dumbbell.src_sender t.db ~flow) ()
+      ~transmit:(Netsim.Topology.src_sender topo ~flow) ()
   in
-  Netsim.Dumbbell.set_src_recv t.db ~flow (Tcpsim.Tcp_sender.recv sender);
+  Netsim.Topology.set_src_recv topo ~flow (Tcpsim.Tcp_sender.recv sender);
   let size = transfer_size t in
   Tcpsim.Tcp_sender.set_limit sender size;
   Tcpsim.Tcp_sender.on_complete sender (fun () ->
@@ -66,7 +69,7 @@ let spawn t =
 
 let rec arrival_loop t =
   if t.running then begin
-    let rt = Netsim.Dumbbell.runtime t.db in
+    let rt = runtime t in
     let gap = Engine.Rng.exponential t.rng ~mean:(1. /. t.arrival_rate) in
     ignore
       (Engine.Runtime.after rt gap (fun () ->
@@ -77,7 +80,7 @@ let rec arrival_loop t =
   end
 
 let start t ~at =
-  let rt = Netsim.Dumbbell.runtime t.db in
+  let rt = runtime t in
   t.start_timer <-
     Engine.Runtime.at rt at (fun () ->
         t.running <- true;

@@ -25,18 +25,19 @@ let ns2_trace_dumbbell () =
     Netsim.Dumbbell.create rt ~bandwidth:1e5 ~delay:0.01
       ~queue:(Netsim.Dumbbell.Droptail_q 2) ()
   in
+  let topo = Netsim.Dumbbell.topology db in
   Netsim.Dumbbell.add_flow db ~flow:1 ~rtt_base:0.04;
   let received = ref 0 in
-  Netsim.Dumbbell.set_dst_recv db ~flow:1 (fun _ -> incr received);
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
   let pkt seq =
     Netsim.Packet.make rt ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data
   in
   ignore
     (Engine.Sim.at sim 0. (fun () ->
          for i = 1 to 6 do
-           Netsim.Dumbbell.src_sender db ~flow:1 (pkt i)
+           Netsim.Topology.src_sender topo ~flow:1 (pkt i)
          done;
-         Netsim.Dumbbell.dst_sender db ~flow:1 (pkt 7)));
+         Netsim.Topology.dst_sender topo ~flow:1 (pkt 7)));
   Engine.Sim.run sim ~until:2.;
   Engine.Trace.close bus;
   close_out oc;
@@ -78,12 +79,13 @@ let make_lot ?(hops = 3) sim =
 let test_lot_through_flow_traverses_all_hops () =
   let sim = Engine.Sim.create () in
   let lot = make_lot sim in
+  let topo = Netsim.Parking_lot.topology lot in
   Netsim.Parking_lot.add_through_flow lot ~flow:1 ~rtt_base:0.1;
   let got = ref 0 in
-  Netsim.Parking_lot.set_dst_recv lot ~flow:1 (fun _ -> incr got);
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr got);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Parking_lot.src_sender lot ~flow:1 (mk_pkt ~seq:0 ())));
+         Netsim.Topology.src_sender topo ~flow:1 (mk_pkt ~seq:0 ())));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check int) "delivered end to end" 1 !got;
   (* Every hop forwarded it. *)
@@ -99,12 +101,13 @@ let test_lot_through_flow_traverses_all_hops () =
 let test_lot_cross_flow_single_hop () =
   let sim = Engine.Sim.create () in
   let lot = make_lot sim in
+  let topo = Netsim.Parking_lot.topology lot in
   Netsim.Parking_lot.add_cross_flow lot ~flow:2 ~hop:2 ~rtt_base:0.05;
   let got = ref 0 in
-  Netsim.Parking_lot.set_dst_recv lot ~flow:2 (fun _ -> incr got);
+  Netsim.Topology.set_dst_recv topo ~flow:2 (fun _ -> incr got);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Parking_lot.src_sender lot ~flow:2 (mk_pkt ~flow:2 ~seq:0 ())));
+         Netsim.Topology.src_sender topo ~flow:2 (mk_pkt ~flow:2 ~seq:0 ())));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check int) "delivered" 1 !got;
   Alcotest.(check int) "hop 1 untouched" 0
@@ -119,15 +122,16 @@ let test_lot_cross_flow_single_hop () =
 let test_lot_reverse_path () =
   let sim = Engine.Sim.create () in
   let lot = make_lot sim in
+  let topo = Netsim.Parking_lot.topology lot in
   Netsim.Parking_lot.add_through_flow lot ~flow:1 ~rtt_base:0.1;
   let echoed = ref 0. in
-  Netsim.Parking_lot.set_dst_recv lot ~flow:1 (fun pkt ->
-      Netsim.Parking_lot.dst_sender lot ~flow:1 pkt);
-  Netsim.Parking_lot.set_src_recv lot ~flow:1 (fun _ ->
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun pkt ->
+      Netsim.Topology.dst_sender topo ~flow:1 pkt);
+  Netsim.Topology.set_src_recv topo ~flow:1 (fun _ ->
       echoed := Engine.Sim.now sim);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Parking_lot.src_sender lot ~flow:1 (mk_pkt ~seq:0 ())));
+         Netsim.Topology.src_sender topo ~flow:1 (mk_pkt ~seq:0 ())));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check bool)
     (Printf.sprintf "round trip ~0.1 s (got %.4f)" !echoed)
@@ -168,21 +172,10 @@ let test_lot_tfrc_end_to_end () =
       ()
   in
   Netsim.Parking_lot.add_through_flow lot ~flow:1 ~rtt_base:0.08;
-  let config = Tfrc.Tfrc_config.default () in
-  let mon = Netsim.Flowmon.create (fun () -> Engine.Sim.now sim) in
-  let receiver =
-    Tfrc.Tfrc_receiver.create (Engine.Sim.runtime sim) ~config ~flow:1
-      ~transmit:(Netsim.Parking_lot.dst_sender lot ~flow:1)
-      ()
+  let sender, _ =
+    Exp.Scenario.connect_tfrc (Netsim.Parking_lot.topology lot) ~flow:1
+      ~config:(Tfrc.Tfrc_config.default ()) ()
   in
-  Netsim.Parking_lot.set_dst_recv lot ~flow:1
-    (Netsim.Flowmon.wrap mon (Tfrc.Tfrc_receiver.recv receiver));
-  let sender =
-    Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim) ~config ~flow:1
-      ~transmit:(Netsim.Parking_lot.src_sender lot ~flow:1)
-      ()
-  in
-  Netsim.Parking_lot.set_src_recv lot ~flow:1 (Tfrc.Tfrc_sender.recv sender);
   Tfrc.Tfrc_sender.start sender ~at:0.;
   Engine.Sim.run sim ~until:30.;
   let util =
@@ -307,29 +300,41 @@ let test_rate_validation_prevents_banked_headroom () =
     true
     (validated <= 20_000. +. 1_000. && validated < unvalidated)
 
-(* --- Session -------------------------------------------------------------------- *)
+(* --- Endpoint pairs on a topology flow --------------------------------------- *)
 
-let test_session_loopback () =
-  (* Loss-free loopback: keep the run short — with nothing to stop slow
+(* Two routers joined by a pure-delay wire each way, a zero-access host
+   under each, and flow 1 between the hosts: a loss-free path of [one_way]
+   in each direction. *)
+let wire_path sim ~one_way =
+  let module T = Netsim.Topology in
+  let topo = T.create (Engine.Sim.runtime sim) () in
+  let a = T.add_node topo in
+  let b = T.add_node topo in
+  ignore (T.add_wire topo ~src:a ~dst:b one_way);
+  ignore (T.add_wire topo ~src:b ~dst:a one_way);
+  let src = T.add_host topo ~router:a ~access:0. in
+  let dst = T.add_host topo ~router:b ~access:0. in
+  T.add_flow topo ~flow:1 ~src ~dst;
+  topo
+
+let tfrc_pair ?send ?data ?feedback topo =
+  Exp.Scenario.connect_tfrc topo ~flow:1 ~config:(Tfrc.Tfrc_config.default ())
+    ?send ?data ?feedback ()
+
+let test_connect_loopback () =
+  (* Loss-free path: keep the run short — with nothing to stop slow
      start, the rate doubles every RTT and virtual seconds get
      exponentially expensive. *)
   let sim = Engine.Sim.create () in
-  let session =
-    Tfrc.Session.create (Engine.Sim.runtime sim) ~flow:1
-      ~data_path:(fun deliver pkt ->
-        ignore (Engine.Sim.after sim 0.05 (fun () -> deliver pkt)))
-      ~feedback_path:(fun deliver pkt ->
-        ignore (Engine.Sim.after sim 0.05 (fun () -> deliver pkt)))
-      ()
-  in
-  Tfrc.Session.start session ~at:0.;
+  let sender, receiver = tfrc_pair (wire_path sim ~one_way:0.05) in
+  Tfrc.Tfrc_sender.start sender ~at:0.;
   Engine.Sim.run sim ~until:2.5;
   Alcotest.(check bool) "data delivered" true
-    (Tfrc.Tfrc_receiver.packets_received session.receiver > 50);
+    (Tfrc.Tfrc_receiver.packets_received receiver > 50);
   Alcotest.(check bool) "feedback flowing" true
-    (Tfrc.Tfrc_sender.feedbacks_received session.sender > 10)
+    (Tfrc.Tfrc_sender.feedbacks_received sender > 10)
 
-let test_session_over_dumbbell () =
+let test_connect_over_dumbbell () =
   let sim = Engine.Sim.create () in
   let db =
     Netsim.Dumbbell.create (Engine.Sim.runtime sim)
@@ -337,8 +342,9 @@ let test_session_over_dumbbell () =
       ~delay:0.01
       ~queue:(Netsim.Dumbbell.Droptail_q 20) ()
   in
-  let session = Tfrc.Session.over_dumbbell db ~flow:1 ~rtt_base:0.06 () in
-  Tfrc.Session.start session ~at:0.;
+  Netsim.Dumbbell.add_flow db ~flow:1 ~rtt_base:0.06;
+  let sender, _ = tfrc_pair (Netsim.Dumbbell.topology db) in
+  Tfrc.Tfrc_sender.start sender ~at:0.;
   Engine.Sim.run sim ~until:30.;
   let util =
     Netsim.Link.utilization (Netsim.Dumbbell.forward_link db) ~duration:30.
@@ -347,22 +353,62 @@ let test_session_over_dumbbell () =
     (Printf.sprintf "fills the link (util %.2f)" util)
     true (util > 0.8)
 
-let test_session_stop () =
+let test_connect_stop () =
   let sim = Engine.Sim.create () in
-  let session =
-    Tfrc.Session.create (Engine.Sim.runtime sim) ~flow:1
-      ~data_path:(fun deliver pkt ->
-        ignore (Engine.Sim.after sim 0.02 (fun () -> deliver pkt)))
-      ~feedback_path:(fun deliver pkt ->
-        ignore (Engine.Sim.after sim 0.02 (fun () -> deliver pkt)))
-      ()
-  in
-  Tfrc.Session.start session ~at:0.;
+  let sender, receiver = tfrc_pair (wire_path sim ~one_way:0.02) in
+  Tfrc.Tfrc_sender.start sender ~at:0.;
   Engine.Sim.run sim ~until:1.5;
-  Tfrc.Session.stop session;
-  let sent = Tfrc.Tfrc_sender.packets_sent session.sender in
+  Tfrc.Tfrc_sender.stop sender;
+  Tfrc.Tfrc_receiver.stop receiver;
+  let sent = Tfrc.Tfrc_sender.packets_sent sender in
   Engine.Sim.run sim ~until:5.;
-  Alcotest.(check int) "halted" sent (Tfrc.Tfrc_sender.packets_sent session.sender)
+  Alcotest.(check int) "halted" sent (Tfrc.Tfrc_sender.packets_sent sender)
+
+(* Each wrapper sits on its own leg: [send] on the sender's output (data,
+   from t = 0), [data] on the receiver's input (data, one way later),
+   [feedback] on the receiver's output (reports). Swapping any two shows
+   up as the wrong packet kind or the wrong first arrival. *)
+let test_connect_wrappers () =
+  let sim = Engine.Sim.create () in
+  let one_way = 0.05 in
+  let taps = Hashtbl.create 3 in
+  let tap leg dest (pkt : Netsim.Packet.t) =
+    let kind =
+      match pkt.payload with
+      | Netsim.Packet.Tfrc_data _ -> "data"
+      | Netsim.Packet.Tfrc_feedback _ -> "feedback"
+      | _ -> "other"
+    in
+    let first, kinds =
+      Option.value (Hashtbl.find_opt taps leg) ~default:(Engine.Sim.now sim, [])
+    in
+    Hashtbl.replace taps leg
+      (first, if List.mem kind kinds then kinds else kind :: kinds);
+    dest pkt
+  in
+  let sender, receiver =
+    tfrc_pair ~send:(tap "send") ~data:(tap "data") ~feedback:(tap "feedback")
+      (wire_path sim ~one_way)
+  in
+  Tfrc.Tfrc_sender.start sender ~at:0.;
+  Engine.Sim.run sim ~until:1.;
+  let leg name =
+    match Hashtbl.find_opt taps name with
+    | Some l -> l
+    | None -> Alcotest.failf "the %s wrapper saw no packet" name
+  in
+  let check_leg name ~kind ~first_at =
+    let first, kinds = leg name in
+    Alcotest.(check (list string)) (name ^ " leg carries") [ kind ] kinds;
+    Alcotest.(check (float 1e-9)) (name ^ " leg first packet at") first_at first
+  in
+  check_leg "send" ~kind:"data" ~first_at:0.;
+  check_leg "data" ~kind:"data" ~first_at:one_way;
+  Alcotest.(check string) "feedback leg carries" "feedback"
+    (String.concat "," (snd (leg "feedback")));
+  Alcotest.(check bool) "the pair still talks" true
+    (Tfrc.Tfrc_receiver.packets_received receiver > 0
+    && Tfrc.Tfrc_sender.feedbacks_received sender > 0)
 
 (* --- Plot ----------------------------------------------------------------------- *)
 
@@ -448,9 +494,11 @@ let () =
         ] );
       ( "session",
         [
-          Alcotest.test_case "loopback" `Quick test_session_loopback;
-          Alcotest.test_case "over dumbbell" `Quick test_session_over_dumbbell;
-          Alcotest.test_case "stop" `Quick test_session_stop;
+          Alcotest.test_case "loopback" `Quick test_connect_loopback;
+          Alcotest.test_case "over dumbbell" `Quick test_connect_over_dumbbell;
+          Alcotest.test_case "stop" `Quick test_connect_stop;
+          Alcotest.test_case "wrappers on their legs" `Quick
+            test_connect_wrappers;
         ] );
       ( "plot",
         [

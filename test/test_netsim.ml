@@ -582,16 +582,17 @@ let test_dumbbell_roundtrip_delay () =
     Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:1e8 ~delay:0.01
       ~queue:(Netsim.Dumbbell.Droptail_q 100) ()
   in
+  let topo = Netsim.Dumbbell.topology db in
   Netsim.Dumbbell.add_flow db ~flow:1 ~rtt_base:0.1;
   let fwd_arrival = ref 0. and bwd_arrival = ref 0. in
-  Netsim.Dumbbell.set_dst_recv db ~flow:1 (fun pkt ->
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun pkt ->
       fwd_arrival := Engine.Sim.now sim;
-      Netsim.Dumbbell.dst_send db ~flow:1 pkt);
-  Netsim.Dumbbell.set_src_recv db ~flow:1 (fun _ ->
+      Netsim.Topology.dst_sender topo ~flow:1 pkt);
+  Netsim.Topology.set_src_recv topo ~flow:1 (fun _ ->
       bwd_arrival := Engine.Sim.now sim);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Dumbbell.src_send db ~flow:1 (mk_pkt ~size:100 ())));
+         Netsim.Topology.src_sender topo ~flow:1 (mk_pkt ~size:100 ())));
   Engine.Sim.run sim ~until:1.;
   (* One-way base = 0.05 + serialization (100B at 1e8 = 8 microseconds). *)
   Alcotest.(check bool)
@@ -646,9 +647,10 @@ let test_dumbbell_unknown_flow () =
     Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:1e6 ~delay:0.01
       ~queue:(Netsim.Dumbbell.Droptail_q 10) ()
   in
+  let topo = Netsim.Dumbbell.topology db in
   Alcotest.check_raises "unknown flow"
-    (Invalid_argument "Dumbbell: unknown flow 9") (fun () ->
-      Netsim.Dumbbell.src_send db ~flow:9 (mk_pkt ()))
+    (Invalid_argument "Topology: unknown flow 9") (fun () ->
+      Netsim.Topology.src_sender topo ~flow:9 (mk_pkt ()))
 
 let test_dumbbell_isolation () =
   (* Two flows: packets demux to the right receivers. *)
@@ -657,17 +659,18 @@ let test_dumbbell_isolation () =
     Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:1e7 ~delay:0.005
       ~queue:(Netsim.Dumbbell.Droptail_q 100) ()
   in
+  let topo = Netsim.Dumbbell.topology db in
   Netsim.Dumbbell.add_flow db ~flow:1 ~rtt_base:0.05;
   Netsim.Dumbbell.add_flow db ~flow:2 ~rtt_base:0.05;
   let got1 = ref 0 and got2 = ref 0 in
-  Netsim.Dumbbell.set_dst_recv db ~flow:1 (fun _ -> incr got1);
-  Netsim.Dumbbell.set_dst_recv db ~flow:2 (fun _ -> incr got2);
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr got1);
+  Netsim.Topology.set_dst_recv topo ~flow:2 (fun _ -> incr got2);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
          for i = 1 to 3 do
-           Netsim.Dumbbell.src_send db ~flow:1 (mk_pkt ~flow:1 ~seq:i ())
+           Netsim.Topology.src_sender topo ~flow:1 (mk_pkt ~flow:1 ~seq:i ())
          done;
-         Netsim.Dumbbell.src_send db ~flow:2 (mk_pkt ~flow:2 ~seq:1 ())));
+         Netsim.Topology.src_sender topo ~flow:2 (mk_pkt ~flow:2 ~seq:1 ())));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check int) "flow 1 packets" 3 !got1;
   Alcotest.(check int) "flow 2 packets" 1 !got2

@@ -16,18 +16,19 @@ let prop_dumbbell_conserves_packets =
         Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:1e6 ~delay:0.005
           ~queue:(Netsim.Dumbbell.Droptail_q 5) ()
       in
+      let topo = Netsim.Dumbbell.topology db in
       let delivered = ref 0 in
       let sources =
         List.init n_flows (fun i ->
             let flow = i + 1 in
             Netsim.Dumbbell.add_flow db ~flow
               ~rtt_base:(0.02 +. (0.01 *. float_of_int i));
-            Netsim.Dumbbell.set_dst_recv db ~flow (fun _ -> incr delivered);
+            Netsim.Topology.set_dst_recv topo ~flow (fun _ -> incr delivered);
             let src =
               Traffic.Cbr.create (Engine.Sim.runtime sim) ~flow
                 ~rate:(1e6 /. float_of_int n_flows *. 1.5)
                 ~pkt_size:1000
-                ~transmit:(Netsim.Dumbbell.src_sender db ~flow)
+                ~transmit:(Netsim.Topology.src_sender topo ~flow)
                 ()
             in
             Traffic.Cbr.start src
@@ -328,13 +329,14 @@ let prop_parking_lot_through_conservation =
           ~queue:(fun () -> Netsim.Droptail.create ~limit_pkts:4)
           ()
       in
+      let topo = Netsim.Parking_lot.topology lot in
       Netsim.Parking_lot.add_through_flow lot ~flow:1
         ~rtt_base:(0.01 +. (0.004 *. float_of_int hops));
       let delivered = ref 0 in
-      Netsim.Parking_lot.set_dst_recv lot ~flow:1 (fun _ -> incr delivered);
+      Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr delivered);
       let src =
         Traffic.Cbr.create (Engine.Sim.runtime sim) ~flow:1 ~rate:1.5e6 ~pkt_size:1000
-          ~transmit:(Netsim.Parking_lot.src_sender lot ~flow:1)
+          ~transmit:(Netsim.Topology.src_sender topo ~flow:1)
           ()
       in
       Traffic.Cbr.start src ~at:0.;

@@ -189,21 +189,22 @@ let test_dumbbell_teardown () =
     Netsim.Dumbbell.create rt ~bandwidth:8e5 ~delay:0.005
       ~queue:(Netsim.Dumbbell.Droptail_q 50) ()
   in
+  let topo = Netsim.Dumbbell.topology db in
   (* rtt_base 0.1 puts 22.5 ms of scheduled access delay on each side. *)
   Netsim.Dumbbell.add_flow db ~flow:1 ~rtt_base:0.1;
   let received = ref 0 in
-  Netsim.Dumbbell.set_dst_recv db ~flow:1 (fun _ -> incr received);
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Dumbbell.src_sender db ~flow:1 (mk_pkt rt ~now:0.)));
+         Netsim.Topology.src_sender topo ~flow:1 (mk_pkt rt ~now:0.)));
   ignore
     (Engine.Sim.at sim 0.01 (fun () ->
          Alcotest.(check bool) "delivery pending mid-flight" true
-           (Netsim.Dumbbell.in_flight db > 0);
-         Netsim.Dumbbell.teardown db));
+           (Netsim.Topology.in_flight topo > 0);
+         Netsim.Topology.teardown topo));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check int) "cancelled delivery never arrives" 0 !received;
-  Alcotest.(check int) "no pending handles" 0 (Netsim.Dumbbell.in_flight db)
+  Alcotest.(check int) "no pending handles" 0 (Netsim.Topology.in_flight topo)
 
 let test_parking_lot_teardown () =
   let sim = Engine.Sim.create () in
@@ -213,20 +214,21 @@ let test_parking_lot_teardown () =
       ~queue:(fun () -> Netsim.Droptail.create ~limit_pkts:50)
       ()
   in
+  let topo = Netsim.Parking_lot.topology pl in
   Netsim.Parking_lot.add_through_flow pl ~flow:1 ~rtt_base:0.1;
   let received = ref 0 in
-  Netsim.Parking_lot.set_dst_recv pl ~flow:1 (fun _ -> incr received);
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Parking_lot.src_sender pl ~flow:1 (mk_pkt rt ~now:0.)));
+         Netsim.Topology.src_sender topo ~flow:1 (mk_pkt rt ~now:0.)));
   ignore
     (Engine.Sim.at sim 0.005 (fun () ->
          Alcotest.(check bool) "delivery pending mid-flight" true
-           (Netsim.Parking_lot.in_flight pl > 0);
-         Netsim.Parking_lot.teardown pl));
+           (Netsim.Topology.in_flight topo > 0);
+         Netsim.Topology.teardown topo));
   Engine.Sim.run sim ~until:1.;
   Alcotest.(check int) "cancelled delivery never arrives" 0 !received;
-  Alcotest.(check int) "no pending handles" 0 (Netsim.Parking_lot.in_flight pl)
+  Alcotest.(check int) "no pending handles" 0 (Netsim.Topology.in_flight topo)
 
 let test_topology_teardown () =
   let sim = Engine.Sim.create () in
@@ -263,14 +265,15 @@ let test_parking_lot_zero_access () =
       ~queue:(fun () -> Netsim.Droptail.create ~limit_pkts:50)
       ()
   in
+  let topo = Netsim.Parking_lot.topology pl in
   Netsim.Parking_lot.add_through_flow pl ~flow:1 ~rtt_base:(2. *. 2. *. 0.005);
   let received = ref 0 in
-  Netsim.Parking_lot.set_dst_recv pl ~flow:1 (fun _ -> incr received);
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
   ignore
     (Engine.Sim.at sim 0. (fun () ->
-         Netsim.Parking_lot.src_sender pl ~flow:1 (mk_pkt rt ~now:0.);
+         Netsim.Topology.src_sender topo ~flow:1 (mk_pkt rt ~now:0.);
          Alcotest.(check int) "no access delivery pending" 0
-           (Netsim.Parking_lot.in_flight pl);
+           (Netsim.Topology.in_flight topo);
          let q = Netsim.Link.queue (Netsim.Parking_lot.link pl ~hop:1) in
          Alcotest.(check int) "packet reached the first link" 1
            q.Netsim.Queue_disc.stats.arrivals));

@@ -358,18 +358,9 @@ let run_dumbbell_checked ~seed ~rogue =
   let flow = 1 in
   Netsim.Dumbbell.add_flow db ~flow ~rtt_base:0.04;
   let config = Tfrc.Tfrc_config.default ~initial_rtt:0.1 ~min_rate:1000. () in
-  let receiver =
-    Tfrc.Tfrc_receiver.create (Engine.Sim.runtime sim) ~config ~flow
-      ~transmit:(Netsim.Dumbbell.dst_sender db ~flow)
-      ()
+  let sender, _ =
+    Exp.Scenario.connect_tfrc (Netsim.Dumbbell.topology db) ~flow ~config ()
   in
-  Netsim.Dumbbell.set_dst_recv db ~flow (Tfrc.Tfrc_receiver.recv receiver);
-  let sender =
-    Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim) ~config ~flow
-      ~transmit:(Netsim.Dumbbell.src_sender db ~flow)
-      ()
-  in
-  Netsim.Dumbbell.set_src_recv db ~flow (Tfrc.Tfrc_sender.recv sender);
   Tfrc.Tfrc_sender.start sender ~at:0.;
   if rogue then
     (* A fabricated flow that violates the 2·X_recv bound mid-run: the
