@@ -52,7 +52,7 @@ let micro () =
            for i = 0 to 199 do
              now := float_of_int i *. 1e-3;
              let pkt =
-               Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:1 ~seq:i ~size:1000 ~now:!now
+               Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow:1 ~seq:i ~size:1000 ~now:!now
                  Netsim.Packet.Data
              in
              ignore (q.Netsim.Queue_disc.enqueue pkt);
@@ -236,7 +236,7 @@ let many_flows_json ~flows ~wall =
     incr events;
     let now = Engine.Sim.now sim in
     let p =
-      Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:i ~seq:!events ~size:1000 ~now
+      Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow:i ~seq:!events ~size:1000 ~now
         Netsim.Packet.Data
     in
     Stats.Running.add stats.(i) (float_of_int p.Netsim.Packet.size);

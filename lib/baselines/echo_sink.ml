@@ -16,7 +16,7 @@ let recv t (pkt : Netsim.Packet.t) =
       t.packets <- t.packets + 1;
       t.bytes <- t.bytes + pkt.size;
       let echo =
-        Netsim.Packet.make t.rt ~flow:t.flow ~seq:pkt.seq ~size:t.ack_size
+        Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:pkt.seq ~size:t.ack_size
           ~now:(Engine.Runtime.now t.rt)
           (Netsim.Packet.Tcp_ack
              { ack = pkt.seq + 1; sack = []; ece = pkt.ecn_marked })

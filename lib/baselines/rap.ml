@@ -41,7 +41,7 @@ let rec send_loop t =
   if t.running then begin
     let now = Engine.Runtime.now t.rt in
     let pkt =
-      Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
+      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
         Netsim.Packet.Data
     in
     if t.send_times = None then t.send_times <- Some (t.seq, now);

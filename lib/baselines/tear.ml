@@ -27,7 +27,7 @@ module Sender = struct
   let rec send_loop t =
     if t.running then begin
       let pkt =
-        Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.seq ~size:t.pkt_size
+        Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size
           ~now:(Engine.Runtime.now t.rt)
           (Netsim.Packet.Tfrc_data { rtt = t.rtt })
       in
@@ -127,7 +127,7 @@ module Receiver = struct
       let now = Engine.Runtime.now t.rt in
       t.fb_seq <- t.fb_seq + 1;
       t.transmit
-        (Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.fb_seq ~size:40 ~now
+        (Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.fb_seq ~size:40 ~now
            (Netsim.Packet.Tfrc_feedback
               {
                 p = 0.;

@@ -47,7 +47,7 @@ let rec send_loop t =
   if t.running then begin
     let now = Engine.Runtime.now t.rt in
     let pkt =
-      Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
+      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
         Netsim.Packet.Data
     in
     if t.timing = None then t.timing <- Some (t.seq, now);

@@ -5,9 +5,10 @@ let check ~s ~r ~p =
   if r <= 0. then invalid_arg "Response_function: RTT must be positive";
   if p <= 0. || p > 1. then invalid_arg "Response_function: p must be in (0,1]"
 
-let rate kind ~s ~r ~t_rto ~p =
-  check ~s ~r ~p;
-  let s = float_of_int s in
+(* The control equation, unchecked, in bytes/s for packet size [s]
+   bytes. Inlined where it is called, so a float argument or result is
+   boxed only where a caller keeps it. *)
+let[@inline] equation kind s r t_rto p =
   match kind with
   | Simple -> s *. sqrt 1.5 /. (r *. sqrt p)
   | Pftk ->
@@ -17,23 +18,30 @@ let rate kind ~s ~r ~t_rto ~p =
       in
       s /. denom
 
+let rate kind ~s ~r ~t_rto ~p =
+  check ~s ~r ~p;
+  equation kind (float_of_int s) r t_rto p
+
 let rate_pkts_per_rtt kind ~t_rto_rtts ~p =
   (* Dividing T by s/R gives packets per RTT; equivalently evaluate with
      s = 1 byte, R = 1 s, t_RTO = t_rto_rtts seconds. *)
   rate kind ~s:1 ~r:1. ~t_rto:t_rto_rtts ~p
 
+(* Bisection in a loop over unboxed locals, with the equation inlined:
+   one call allocates only its boxed result. Every [p] it evaluates lies
+   in [1e-8, 1], so [rate]'s checks reduce to [s] and [r], made once. *)
 let inverse kind ~s ~r ~t_rto ~rate:target =
   if target <= 0. then invalid_arg "Response_function.inverse: rate must be positive";
-  let f p = rate kind ~s ~r ~t_rto ~p in
-  let lo = 1e-8 and hi = 1.0 in
+  check ~s ~r ~p:1.;
+  let s = float_of_int s in
   (* rate is decreasing in p *)
-  if f lo <= target then lo
-  else if f hi >= target then hi
+  if equation kind s r t_rto 1e-8 <= target then 1e-8
+  else if equation kind s r t_rto 1.0 >= target then 1.0
   else begin
-    let lo = ref lo and hi = ref hi in
+    let lo = ref 1e-8 and hi = ref 1.0 in
     for _ = 1 to 100 do
       let mid = sqrt (!lo *. !hi) (* geometric: p spans many decades *) in
-      if f mid > target then lo := mid else hi := mid
+      if equation kind s r t_rto mid > target then lo := mid else hi := mid
     done;
     sqrt (!lo *. !hi)
   end

@@ -85,7 +85,7 @@ and send_feedback t =
         ("avg_interval", Engine.Trace.Float (if Float.is_nan avg then 0. else avg));
       ];
   let pkt =
-    Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.fb_seq
+    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.fb_seq
       ~size:t.config.Tfrc_config.feedback_size ~now
       (Netsim.Packet.Tfrc_feedback
          {

@@ -63,9 +63,10 @@ val make :
   fresh_id:(unit -> int) ->
   t
 
-(** [with_post t post] is [t] with an implementation's native {!post}
-    ({!Sim.runtime} supplies one that allocates nothing). [post delay g a]
-    must honour the {!post} contract below. *)
+(** [with_post t post] is [t] with an implementation's native {!post}.
+    {!Sim.runtime} and [Wire.Loop.runtime] both supply one built on
+    {!Timers.post} that allocates nothing. [post delay g a] must honour
+    the {!post} contract below. *)
 val with_post : t -> (float -> (int -> unit) -> int -> unit) -> t
 
 (** Current time in seconds on this runtime's clock (0 at creation). *)

@@ -7,7 +7,7 @@ let exp_on_off sim rng ~flow ~on_rate ~pkt_size ~mean_on ~mean_off ~transmit =
     if Engine.Sim.now sim >= until then off_phase ()
     else begin
       let pkt =
-        Netsim.Packet.make (Engine.Sim.runtime sim) ~flow ~seq:!seq ~size:pkt_size
+        Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow ~seq:!seq ~size:pkt_size
           ~now:(Engine.Sim.now sim) Netsim.Packet.Data
       in
       incr seq;

@@ -60,27 +60,34 @@ let counted f =
   let n = ref 0 in
   (f (fun () -> incr n), fun () -> !n)
 
+(* Packets held back by a wrapper, at the indices their posts carry;
+   [arrive] is built once per wrapper and hands each one to [dest]. *)
+let held dest =
+  let flight = Engine.Slots.create Packet.none in
+  (flight, fun k -> dest (Engine.Slots.take flight k))
+
 let reorder rt rng ~p ~jitter dest =
   if p < 0. || p > 1. then invalid_arg "Faults.reorder: bad p";
   if jitter < 0. then invalid_arg "Faults.reorder: negative jitter";
+  let flight, arrive = held dest in
   counted (fun hit pkt ->
       if jitter > 0. && Engine.Rng.bool rng ~p then begin
         hit ();
-        ignore
-          (Engine.Runtime.after rt (Engine.Rng.float rng jitter) (fun () ->
-               dest pkt))
+        Engine.Runtime.post rt (Engine.Rng.float rng jitter) arrive
+          (Engine.Slots.add flight pkt)
       end
       else dest pkt)
 
 let duplicate rt rng ~p ?(delay = 0.) dest =
   if p < 0. || p > 1. then invalid_arg "Faults.duplicate: bad p";
   if delay < 0. then invalid_arg "Faults.duplicate: negative delay";
+  let flight, arrive = held dest in
   counted (fun hit pkt ->
       dest pkt;
       if Engine.Rng.bool rng ~p then begin
         hit ();
         if delay > 0. then
-          ignore (Engine.Runtime.after rt delay (fun () -> dest pkt))
+          Engine.Runtime.post rt delay arrive (Engine.Slots.add flight pkt)
         else dest pkt
       end)
 

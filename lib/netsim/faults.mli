@@ -60,7 +60,10 @@ val route_change :
 (** {1 Handler faults}
 
     Each wrapper keeps a count of the faults it injected, readable through
-    the second component of the returned pair. *)
+    the second component of the returned pair. [reorder] and [duplicate]
+    hold a delayed packet in an {!Engine.Slots} table and
+    {!Engine.Runtime.post} its index to one callback built with the
+    wrapper, so a held packet costs no closure or handle. *)
 
 (** [reorder rt rng ~p ~jitter dest] delays each packet by an extra
     uniform [0, jitter) seconds with probability [p] before delivering it,

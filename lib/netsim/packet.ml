@@ -28,7 +28,7 @@ type handler = t -> unit
    leaks identity across jobs even sequentially, breaking byte-identical
    replay of a grid cell. Taking {!Engine.Runtime.t} (not [Sim.t]) keeps
    packet construction usable from the real-time wire loop too. *)
-let make rt ?(ecn = false) ~flow ~seq ~size ~now payload =
+let make rt ~ecn ~flow ~seq ~size ~now payload =
   {
     id = Engine.Runtime.fresh_id rt;
     flow;

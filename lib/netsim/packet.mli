@@ -45,16 +45,17 @@ type t = {
 (** A packet is written once at allocation; only the in-flight marks
     [ecn_marked] and [corrupted] change afterwards. *)
 
-(** [make rt ?ecn ~flow ~seq ~size ~now payload] allocates a packet whose
+(** [make rt ~ecn ~flow ~seq ~size ~now payload] allocates a packet whose
     id is drawn from [rt]'s per-runtime counter
     ({!Engine.Runtime.fresh_id}), so packet identity is deterministic per
     simulation (pass [Engine.Sim.runtime sim]) and safe under
     domain-parallel runs — there is no process-global id state. The wire
     loop's runtime serves the same role for real-time endpoints. [ecn]
-    (default false) declares the flow ECN-capable. *)
+    declares the flow ECN-capable; it is a plain argument, not an
+    optional one, so a caller passing a flow's setting boxes no [Some]. *)
 val make :
   Engine.Runtime.t ->
-  ?ecn:bool ->
+  ecn:bool ->
   flow:int ->
   seq:int ->
   size:int ->

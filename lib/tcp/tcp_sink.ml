@@ -33,7 +33,7 @@ let send_ack t =
   t.unacked <- 0;
   Engine.Runtime.cancel t.delack_timer;
   let pkt =
-    Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.next_expected ~size:t.config.ack_size
+    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.next_expected ~size:t.config.ack_size
       ~now:(Engine.Runtime.now t.rt)
       (Netsim.Packet.Tcp_ack
          {

@@ -25,7 +25,7 @@ let create rt ~flow ~rate ~pkt_size ~transmit () =
 let rec send t =
   if t.running then begin
     let pkt =
-      Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.seq ~size:t.pkt_size
+      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size
         ~now:(Engine.Runtime.now t.rt) Netsim.Packet.Data
     in
     t.seq <- t.seq + 1;

@@ -47,7 +47,7 @@ let rec send_loop t =
     if now >= t.phase_end then go_off t
     else begin
       let pkt =
-        Netsim.Packet.make t.rt ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
+        Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
           Netsim.Packet.Data
       in
       t.seq <- t.seq + 1;

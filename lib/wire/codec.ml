@@ -42,10 +42,11 @@ let fnv1a32 b ~pos ~len ~init =
   done;
   !h
 
-(* Checksum of everything except the checksum field itself (bytes 7-10). *)
-let frame_checksum b =
+(* Checksum of everything in a [len]-byte frame except the checksum
+   field itself (bytes 7-10). *)
+let frame_checksum b ~len =
   let head = fnv1a32 b ~pos:0 ~len:7 ~init:fnv_seed in
-  fnv1a32 b ~pos:11 ~len:(Bytes.length b - 11) ~init:head
+  fnv1a32 b ~pos:11 ~len:(len - 11) ~init:head
 
 let tag_of_payload : Netsim.Packet.payload -> int = function
   | Data -> 0
@@ -135,7 +136,7 @@ let encode ?(epoch = 0) (p : Netsim.Packet.t) =
           set_u32 b (38 + (8 * i)) lo;
           set_u32 b (42 + (8 * i)) hi)
         sack);
-  set_u32 b 7 (frame_checksum b);
+  set_u32 b 7 (frame_checksum b ~len:(Bytes.length b));
   Bytes.unsafe_to_string b
 
 let encode_ctrl ~tag ~epoch ~flow ~now =
@@ -145,7 +146,7 @@ let encode_ctrl ~tag ~epoch ~flow ~now =
     invalid_arg "Wire.Codec.encode_close: non-finite time";
   let b = Bytes.create header_len in
   write_header b ~tag ~flags:0 ~epoch ~flow ~seq:0 ~size:0 ~sent_at:now;
-  set_u32 b 7 (frame_checksum b);
+  set_u32 b 7 (frame_checksum b ~len:(Bytes.length b));
   Bytes.unsafe_to_string b
 
 let encode_close ~epoch ~flow ~now = encode_ctrl ~tag:tag_close ~epoch ~flow ~now
@@ -160,89 +161,102 @@ type body =
 
 type msg = { epoch : int; flow : int; body : body }
 
-(* Monadic short-circuit keeps the check sequence flat. *)
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let non_finite what = Error (Bad_value (what ^ " is not finite"))
 
-let finite what f =
-  if Float.is_finite f then Ok f
-  else Error (Bad_value (what ^ " is not finite"))
+(* The frame length its tag declares, or -1 for an unknown tag. A
+   Tcp_ack's sack count lives 7 bytes into its payload, so a caller must
+   have checked that a tag-1 frame is at least that long. *)
+let frame_len b tag =
+  match tag with
+  | 0 | 4 | 5 -> header_len
+  | 2 -> header_len + 8
+  | 3 -> header_len + 32
+  | 1 -> header_len + 7 + (8 * Bytes.get_uint16_be b 36)
+  | _ -> -1
 
-let decode rt s =
-  let got = String.length s in
+(* A decoded packet frame: the header fields the payload does not
+   carry, read from [b]. *)
+let packet_msg rt b ~epoch ~flow ~sent_at payload =
+  let flags = Bytes.get_uint8 b 4 in
+  let p =
+    Netsim.Packet.make rt
+      ~ecn:(flags land 1 <> 0)
+      ~flow ~seq:(get_u32 b 15) ~size:(get_u32 b 19) ~now:sent_at payload
+  in
+  p.ecn_marked <- flags land 2 <> 0;
+  p.corrupted <- flags land 4 <> 0;
+  Ok { epoch; flow; body = Packet p }
+
+(* Checks run in a fixed order and the first failure is the result.
+   Plain branches, not a result monad: a valid frame allocates its
+   message and packet and nothing else. *)
+let decode_bytes rt b ~len:got =
+  if got < 0 || got > Bytes.length b then
+    invalid_arg "Wire.Codec.decode_bytes: len outside the buffer";
   if got > max_frame then Error (Oversized { limit = max_frame; got })
   else if got < header_len then
     Error (Truncated { expected = header_len; got })
-  else begin
-    let b = Bytes.unsafe_of_string s in
-    if Bytes.get b 0 <> 'T' || Bytes.get b 1 <> 'F' then Error Bad_magic
-    else begin
-      let v = Bytes.get_uint8 b 2 in
-      if v <> version then Error (Bad_version v)
-      else begin
-        let tag = Bytes.get_uint8 b 3 in
-        let expected_len =
-          match tag with
-          | 0 -> Ok header_len
-          | 2 -> Ok (header_len + 8)
-          | 3 -> Ok (header_len + 32)
-          | 4 | 5 -> Ok header_len
-          | 1 ->
-              (* Variable: the sack count lives 7 bytes into the payload. *)
-              if got < header_len + 7 then
-                Error (Truncated { expected = header_len + 7; got })
-              else Ok (header_len + 7 + (8 * Bytes.get_uint16_be b 36))
-          | tag -> Error (Bad_tag tag)
-        in
-        let* expected = expected_len in
-        if got <> expected then Error (Bad_length { expected; got })
-        else begin
+  else if Bytes.get b 0 <> 'T' || Bytes.get b 1 <> 'F' then Error Bad_magic
+  else
+    let v = Bytes.get_uint8 b 2 in
+    if v <> version then Error (Bad_version v)
+    else
+      let tag = Bytes.get_uint8 b 3 in
+      if tag = 1 && got < header_len + 7 then
+        Error (Truncated { expected = header_len + 7; got })
+      else
+        let expected = frame_len b tag in
+        if expected < 0 then Error (Bad_tag tag)
+        else if got <> expected then Error (Bad_length { expected; got })
+        else
           let sum = get_u32 b 7 in
-          let computed = frame_checksum b in
+          let computed = frame_checksum b ~len:got in
           if sum <> computed then
             Error (Bad_checksum { expected = computed; got = sum })
-          else begin
+          else
             let epoch = Bytes.get_uint16_be b 5 in
             let flow = get_u32 b 11 in
             if tag = tag_close then Ok { epoch; flow; body = Close }
-            else if tag = tag_close_ack then Ok { epoch; flow; body = Close_ack }
-            else begin
-              let flags = Bytes.get_uint8 b 4 in
-              let* sent_at = finite "sent_at" (get_f64 b 23) in
-              let* payload =
+            else if tag = tag_close_ack then
+              Ok { epoch; flow; body = Close_ack }
+            else
+              let sent_at = get_f64 b 23 in
+              if not (Float.is_finite sent_at) then non_finite "sent_at"
+              else
                 match tag with
-                | 0 -> Ok Netsim.Packet.Data
+                | 0 -> packet_msg rt b ~epoch ~flow ~sent_at Netsim.Packet.Data
                 | 2 ->
-                    let* rtt = finite "rtt" (get_f64 b 31) in
-                    Ok (Netsim.Packet.Tfrc_data { rtt })
+                    let rtt = get_f64 b 31 in
+                    if not (Float.is_finite rtt) then non_finite "rtt"
+                    else
+                      packet_msg rt b ~epoch ~flow ~sent_at
+                        (Netsim.Packet.Tfrc_data { rtt })
                 | 3 ->
-                    let* p = finite "p" (get_f64 b 31) in
-                    let* recv_rate = finite "recv_rate" (get_f64 b 39) in
-                    let* ts_echo = finite "ts_echo" (get_f64 b 47) in
-                    let* ts_delay = finite "ts_delay" (get_f64 b 55) in
-                    Ok (Netsim.Packet.Tfrc_feedback
-                          { p; recv_rate; ts_echo; ts_delay })
+                    let p = get_f64 b 31
+                    and recv_rate = get_f64 b 39
+                    and ts_echo = get_f64 b 47
+                    and ts_delay = get_f64 b 55 in
+                    if not (Float.is_finite p) then non_finite "p"
+                    else if not (Float.is_finite recv_rate) then
+                      non_finite "recv_rate"
+                    else if not (Float.is_finite ts_echo) then
+                      non_finite "ts_echo"
+                    else if not (Float.is_finite ts_delay) then
+                      non_finite "ts_delay"
+                    else
+                      packet_msg rt b ~epoch ~flow ~sent_at
+                        (Netsim.Packet.Tfrc_feedback
+                           { p; recv_rate; ts_echo; ts_delay })
                 | _ ->
-                    let ack = get_u32 b 31 in
-                    let ece = Bytes.get_uint8 b 35 <> 0 in
                     let n = Bytes.get_uint16_be b 36 in
                     let sack =
                       List.init n (fun i ->
                           (get_u32 b (38 + (8 * i)), get_u32 b (42 + (8 * i))))
                     in
-                    Ok (Netsim.Packet.Tcp_ack { ack; sack; ece })
-              in
-              let p =
-                Netsim.Packet.make rt
-                  ~ecn:(flags land 1 <> 0)
-                  ~flow ~seq:(get_u32 b 15) ~size:(get_u32 b 19)
-                  ~now:sent_at payload
-              in
-              p.ecn_marked <- flags land 2 <> 0;
-              p.corrupted <- flags land 4 <> 0;
-              Ok { epoch; flow; body = Packet p }
-            end
-          end
-        end
-      end
-    end
-  end
+                    packet_msg rt b ~epoch ~flow ~sent_at
+                      (Netsim.Packet.Tcp_ack
+                         { ack = get_u32 b 31; sack;
+                           ece = Bytes.get_uint8 b 35 <> 0 })
+
+let decode rt s =
+  decode_bytes rt (Bytes.unsafe_of_string s) ~len:(String.length s)

@@ -37,9 +37,10 @@
     differential depends on that.
 
     {!decode} is total: any byte string returns [Ok] or [Error], never
-    raises. The checksum covers everything except its own field, so a
-    corrupted datagram (any flipped bit) is rejected rather than parsed
-    into a half-plausible packet. *)
+    raises; so is {!decode_bytes} over any in-range length. The checksum
+    covers everything except its own field, so a corrupted datagram (any
+    flipped bit) is rejected rather than parsed into a half-plausible
+    packet. *)
 
 val header_len : int
 
@@ -92,8 +93,17 @@ type body =
     a control message. For [Packet p], [flow = p.flow]. *)
 type msg = { epoch : int; flow : int; body : body }
 
-(** [decode rt s] parses a datagram. A packet's id is drawn fresh from
-    [rt] ({!Engine.Runtime.fresh_id}) — wire ids are local to the
-    receiving loop, exactly as simulated ids are local to their sim;
-    control frames draw nothing. *)
+(** [decode_bytes rt b ~len] parses the datagram held in the first [len]
+    bytes of [b], in place: a receive buffer decodes with no copy. A
+    packet's id is drawn fresh from [rt] ({!Engine.Runtime.fresh_id}) —
+    wire ids are local to the receiving loop, exactly as simulated ids
+    are local to their sim; control frames draw nothing. The checks run
+    in a fixed order and the first that fails is the [Error]; a
+    non-finite float field is reported by its name, the first in frame
+    order. Bytes of [b] past [len] are never read, and the result shares
+    nothing with [b]. Raises [Invalid_argument] only if [len] is outside
+    [0 .. Bytes.length b]. *)
+val decode_bytes : Engine.Runtime.t -> Bytes.t -> len:int -> (msg, error) result
+
+(** [decode rt s] is {!decode_bytes} over all of [s]. *)
 val decode : Engine.Runtime.t -> string -> (msg, error) result

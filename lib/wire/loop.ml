@@ -16,6 +16,9 @@ type t = {
   mutable next_id : int;
   mutable stopping : bool;
   mutable watches : watch list;
+  (* The watched descriptors, [select]'s first argument: rebuilt by
+     [watch_fd]/[unwatch_fd], not on every poll. *)
+  mutable fds : Unix.file_descr list;
   mutable runtime : Engine.Runtime.t option;
   (* Per-socket sends-minus-receives counters ({!Netio.t.inflight});
      their sum is the number of datagrams inside the kernel between this
@@ -41,6 +44,7 @@ let create ?trace ?(mode = `Monotonic) () =
       next_id = 0;
       stopping = false;
       watches = [];
+      fds = [];
       runtime = None;
       inflight_refs = [];
       polls = 0;
@@ -85,11 +89,23 @@ let at t time f =
   in
   Engine.Timers.schedule t.timers ~time f
 
-let after t delay f =
+let check_delay name delay =
   if not (Float.is_finite delay) then
-    invalid_arg (Printf.sprintf "Wire.Loop.after: non-finite delay %g" delay);
-  if delay < 0. then invalid_arg "Wire.Loop.after: negative delay";
+    invalid_arg
+      (Printf.sprintf "Wire.Loop.%s: non-finite delay %g" name delay);
+  if delay < 0. then
+    invalid_arg (Printf.sprintf "Wire.Loop.%s: negative delay" name)
+
+let after t delay f =
+  check_delay "after" delay;
   at t (now t +. delay) f
+
+(* The deadline is [now t +. delay], the value [after] computes; it is
+   never in the past, so [at]'s clamp and past-time check have nothing
+   to do. *)
+let post t delay g a =
+  check_delay "post" delay;
+  Engine.Timers.post t.timers ~now:(now t) ~delay g a
 
 let cancel = Engine.Timers.cancel
 let is_pending = Engine.Timers.is_pending
@@ -106,12 +122,14 @@ let runtime t =
   | Some rt -> rt
   | None ->
       let rt =
-        Engine.Runtime.make
-          ~now:(fun () -> now t)
-          ~at:(fun time f -> at t time f)
-          ~after:(fun delay f -> after t delay f)
-          ~trace:t.trace
-          ~fresh_id:(fun () -> fresh_id t)
+        Engine.Runtime.with_post
+          (Engine.Runtime.make
+             ~now:(fun () -> now t)
+             ~at:(fun time f -> at t time f)
+             ~after:(fun delay f -> after t delay f)
+             ~trace:t.trace
+             ~fresh_id:(fun () -> fresh_id t))
+          (fun delay g a -> post t delay g a)
       in
       t.runtime <- Some rt;
       rt
@@ -127,13 +145,16 @@ let polls t = t.polls
 let fired t = t.fired
 let io_giveups t = t.io_giveups
 
+let set_watches t ws =
+  t.watches <- ws;
+  t.fds <- List.map (fun w -> w.wfd) ws
+
 let watch_fd t fd ~on_readable =
-  t.watches <-
-    { wfd = fd; on_readable }
-    :: List.filter (fun w -> w.wfd <> fd) t.watches
+  set_watches t
+    ({ wfd = fd; on_readable } :: List.filter (fun w -> w.wfd <> fd) t.watches)
 
 let unwatch_fd t fd =
-  t.watches <- List.filter (fun w -> w.wfd <> fd) t.watches
+  set_watches t (List.filter (fun w -> w.wfd <> fd) t.watches)
 
 let maybe_sweep t =
   let before = Engine.Timers.size t.timers in
@@ -144,6 +165,15 @@ let maybe_sweep t =
         ("after", Engine.Trace.Int (Engine.Timers.size t.timers));
       ]
 
+(* Call the watches whose descriptor is in [ready], in watch order. A
+   callback that (un)watches descriptors changes [t.watches], not the list
+   this pass walks. *)
+let rec service ready = function
+  | [] -> ()
+  | w :: ws ->
+      if List.mem w.wfd ready then w.on_readable ();
+      service ready ws
+
 (* Service watched descriptors, sleeping at most [timeout] (0 = poll).
    With nothing watched this is a plain sleep. EINTR is a retry at the
    caller's next iteration, not an error. *)
@@ -152,12 +182,8 @@ let poll_fds t ~timeout =
   match t.watches with
   | [] -> if timeout > 0. then ignore (Unix.select [] [] [] timeout)
   | ws -> (
-      let fds = List.map (fun w -> w.wfd) ws in
-      match Unix.select fds [] [] timeout with
-      | ready, _, _ ->
-          List.iter
-            (fun w -> if List.mem w.wfd ready then w.on_readable ())
-            ws
+      match Unix.select t.fds [] [] timeout with
+      | ready, _, _ -> service ready ws
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
 (* Pop the next queued timer, due at [time], and fire it unless it was

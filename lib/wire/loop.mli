@@ -57,6 +57,16 @@ val at : t -> float -> (unit -> unit) -> timer
     non-negative). *)
 val after : t -> float -> (unit -> unit) -> timer
 
+(** [post t delay g a] runs [g a] in [delay] seconds, with [after]'s
+    delay checks and deadline ([now t +. delay]), but with no closure and
+    no handle: it cannot be cancelled. It takes a scheduling sequence
+    number where [after] would, so posts and [at]/[after] timers fire in
+    one (deadline, scheduling order). This is the {!runtime}'s
+    {!Engine.Runtime.post}, built on {!Engine.Timers.post} as
+    [Engine.Sim.post] is; a post and its fire allocate nothing in the
+    timer core. *)
+val post : t -> float -> (int -> unit) -> int -> unit
+
 val cancel : timer -> unit
 val is_pending : timer -> bool
 
@@ -67,7 +77,8 @@ val pending_timers : t -> int
 
 (** [watch_fd t fd ~on_readable] has [run] call [on_readable] whenever
     [fd] selects readable. One watch per descriptor; watching an already
-    watched [fd] replaces its callback. *)
+    watched [fd] replaces its callback. The descriptor list [select]
+    takes is rebuilt here and in {!unwatch_fd}, not on every poll. *)
 val watch_fd : t -> Unix.file_descr -> on_readable:(unit -> unit) -> unit
 
 val unwatch_fd : t -> Unix.file_descr -> unit
@@ -99,8 +110,11 @@ val fired : t -> int
 val io_giveups : t -> int
 
 (** The sans-IO view of this loop, memoized. Timers scheduled through it
-    are loop timers; ids come from the loop's private counter, so decoded
-    packets get deterministic identities per loop. *)
+    are loop timers, and its {!Engine.Runtime.post} is the native
+    {!post}, so components that post slot indices (a {!Shaper}, a
+    {!Netsim.Link}) allocate no closure or handle per event on a loop
+    either. Ids come from the loop's private counter, so decoded packets
+    get deterministic identities per loop. *)
 val runtime : t -> Engine.Runtime.t
 
 (** [run t ~until] drives the loop until loop time reaches [until], or

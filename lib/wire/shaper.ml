@@ -28,18 +28,27 @@ type 'a t = {
   rt : Engine.Runtime.t;
   rng : Engine.Rng.t;
   config : config;
-  deliver : 'a -> unit;
+  (* Frames in flight, at the indices their posts carry. *)
+  flight : 'a Engine.Slots.t;
+  (* Built once: takes a posted index's frame and delivers it. *)
+  arrive : int -> unit;
   mutable sent : int;
   mutable dropped : int;
   mutable reordered : int;
 }
 
 let create rt ~seed ?(config = passthrough) ~deliver () =
+  (* The table's free-cell sentinel. A shaper carries any type, so it has
+     no value of its own to spare; the table only stores the sentinel in
+     free cells and compares it physically, never reads it as a frame,
+     and [take] hands back a cell's value whatever it is. *)
+  let flight = Engine.Slots.create (Obj.magic 0) in
   {
     rt;
     rng = Engine.Rng.create ~seed;
     config = validate config;
-    deliver;
+    flight;
+    arrive = (fun k -> deliver (Engine.Slots.take flight k));
     sent = 0;
     dropped = 0;
     reordered = 0;
@@ -69,7 +78,7 @@ let send t x =
     in
     (* Even a zero delay goes through the scheduler, keeping delivery at
        the same (time, insertion-seq) slot on every runtime. *)
-    ignore (Engine.Runtime.after t.rt delay (fun () -> t.deliver x))
+    Engine.Runtime.post t.rt delay t.arrive (Engine.Slots.add t.flight x)
   end
 
 let sent t = t.sent

@@ -9,10 +9,18 @@
 
     Draw-count discipline: a parameter set to zero draws nothing from the
     RNG, and an all-zero configuration schedules delivery via
-    [Runtime.after 0.] — same (time, insertion-sequence) position a
+    [Runtime.post 0.] — same (time, insertion-sequence) position a
     direct handler call would get from the scheduler, and zero RNG
     consumption. That is what makes a zero-config shaper transparent to
-    the byte-identity checks. *)
+    the byte-identity checks.
+
+    Frames in flight wait in an {!Engine.Slots} table. Each is posted by
+    its index ({!Engine.Runtime.post}) to one callback built in
+    {!create}, which takes the frame back out and delivers it: shaping a
+    frame allocates no closure and no timer handle. A post takes its
+    scheduling sequence number exactly where [Runtime.after] would, so
+    the posted delivery keeps the same (time, insertion-sequence)
+    position on every runtime. *)
 
 type config = {
   loss : float;  (** drop probability, [0, 1] *)

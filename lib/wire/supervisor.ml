@@ -208,8 +208,8 @@ let rec health_tick t =
     t.health_timer <-
       Some (Loop.after t.loop t.sup.health_period (fun () -> health_tick t))
 
-let handle_datagram t data _src =
-  match Codec.decode t.rt data with
+let handle_datagram t buf len _src =
+  match Codec.decode_bytes t.rt buf ~len with
   | Ok { body = Codec.Packet pkt; epoch = e; _ } ->
       if t.quiesced then t.post_quiesce <- t.post_quiesce + 1
       else if t.st = Closed || t.st = Backoff || e <> t.cur_epoch then
@@ -286,7 +286,7 @@ let create loop udp ~config ?(sup = default_config) ~flow ~dest ?send ~seed
     }
   in
   cell := Some t;
-  Udp.set_handler udp (fun data src -> handle_datagram t data src);
+  Udp.set_handler udp (fun buf len src -> handle_datagram t buf len src);
   (* Hard send errnos degrade an established session immediately — the
      paper's rate machinery never sees them (sends look like silence),
      so the lifecycle layer must. *)
@@ -382,8 +382,8 @@ module Receiver = struct
     r.delivered <- r.delivered + 1;
     Tfrc.Tfrc_receiver.recv r.machine pkt
 
-  let handle r data src =
-    match Codec.decode r.rt data with
+  let handle r buf len src =
+    match Codec.decode_bytes r.rt buf ~len with
     | Ok { body = Codec.Packet pkt; epoch = e; _ } ->
         if r.quiesced then r.post_quiesce <- r.post_quiesce + 1
         else if e > r.cur_epoch then begin
@@ -454,7 +454,7 @@ module Receiver = struct
       }
     in
     cell := Some r;
-    Udp.set_handler udp (fun data src -> handle r data src);
+    Udp.set_handler udp (fun buf len src -> handle r buf len src);
     r
 
   let machine r = r.machine

@@ -3,7 +3,7 @@ type t = {
   loop : Loop.t;
   netio : Netio.t;
   buf : Bytes.t;
-  mutable on_datagram : string -> Unix.sockaddr -> unit;
+  mutable on_datagram : Bytes.t -> int -> Unix.sockaddr -> unit;
   mutable on_health : Unix.error -> unit;
   mutable rx : int;
   mutable tx : int;
@@ -31,9 +31,10 @@ let rec drain t =
     | n, src ->
         (* n = 0 is a legitimate zero-length datagram, not end-of-input:
            count it and deliver it (Codec rejects it as truncated), then
-           keep draining. *)
+           keep draining. The handler reads the datagram in place; the
+           next receive overwrites it. *)
         t.rx <- t.rx + 1;
-        t.on_datagram (Bytes.sub_string t.buf 0 n) src;
+        t.on_datagram t.buf n src;
         drain t
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
         ()
@@ -66,7 +67,7 @@ let create loop ?(port = 0) ?netio () =
       loop;
       netio;
       buf = Bytes.create Codec.max_frame;
-      on_datagram = (fun _ _ -> ());
+      on_datagram = (fun _ _ _ -> ());
       on_health = (fun _ -> ());
       rx = 0;
       tx = 0;

@@ -34,9 +34,13 @@ val port : t -> int
 (** [addr ~port] is the loopback destination for [port]. *)
 val addr : port:int -> Unix.sockaddr
 
-(** [set_handler t f] installs the datagram handler, called with each
-    datagram's bytes and source address. Replaces any previous handler. *)
-val set_handler : t -> (string -> Unix.sockaddr -> unit) -> unit
+(** [set_handler t f] installs the datagram handler: [f buf len src] gets
+    each datagram as the first [len] bytes of [buf] and its source
+    address. [buf] is the socket's receive buffer, lent for the call
+    only: the next receive overwrites it, so a handler that keeps the
+    bytes copies them ([Bytes.sub_string buf 0 len]). {!Codec.decode_bytes}
+    reads a frame in place. Replaces any previous handler. *)
+val set_handler : t -> (Bytes.t -> int -> Unix.sockaddr -> unit) -> unit
 
 (** [set_health_handler t f] installs the hard-error observer: [f err]
     runs on every send or receive failure outside the transient set

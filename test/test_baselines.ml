@@ -72,7 +72,7 @@ let test_echo_sink_echoes_each_packet () =
   let recv = Baselines.Echo_sink.recv sink in
   List.iter
     (fun seq ->
-      recv (Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data))
+      recv (Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data))
     [ 0; 1; 3 ];
   Alcotest.(check (list int)) "echoes seq+1, per packet" [ 1; 2; 4 ]
     (List.rev !echoes);
@@ -85,7 +85,7 @@ let test_echo_sink_ignores_acks () =
     Baselines.Echo_sink.create (Engine.Sim.runtime sim) ~flow:1 ~transmit:(fun _ -> incr echoes) ()
   in
   Baselines.Echo_sink.recv sink
-    (Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:1 ~seq:0 ~size:40 ~now:0.
+    (Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow:1 ~seq:0 ~size:40 ~now:0.
        (Netsim.Packet.Tcp_ack { ack = 1; sack = []; ece = false }));
   Alcotest.(check int) "no echo for an ack" 0 !echoes
 

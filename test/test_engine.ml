@@ -385,6 +385,38 @@ let prop_post_shares_order =
       in
       drain_tagged q last = expect)
 
+(* The same through a warp loop, after its clock has moved: a
+   [Loop.post], a post through its runtime and a [Loop.after] each take
+   the next scheduling sequence number, so a mixed sequence fires at
+   [now +. delay] in the order a stable sort by deadline gives. *)
+let prop_loop_post_shares_order =
+  QCheck.Test.make ~name:"wire loop: posts and schedules share one order"
+    ~count:200
+    QCheck.(list (pair (int_range 0 40) (int_range 0 2)))
+    (fun entries ->
+      let loop =
+        Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp ()
+      in
+      let rt = Wire.Loop.runtime loop in
+      Wire.Loop.run loop ~until:1.5;
+      let log = ref [] in
+      let fire i = log := (Wire.Loop.now loop, i) :: !log in
+      let delay tq = 0.25 *. float_of_int tq in
+      List.iteri
+        (fun i (tq, how) ->
+          match how with
+          | 0 -> Wire.Loop.post loop (delay tq) fire i
+          | 1 -> Engine.Runtime.post rt (delay tq) fire i
+          | _ -> ignore (Wire.Loop.after loop (delay tq) (fun () -> fire i)))
+        entries;
+      Wire.Loop.run loop ~until:infinity;
+      let expect =
+        List.stable_sort
+          (fun (a, _) (b, _) -> Float.compare a b)
+          (List.mapi (fun i (tq, _) -> (1.5 +. delay tq, i)) entries)
+      in
+      List.rev !log = expect)
+
 let quiet_sim () = Engine.Sim.create ~trace:(Engine.Trace.create ()) ()
 
 (* --- Slot reuse ----------------------------------------------------------
@@ -727,8 +759,7 @@ type hop = { delay : float; next : int }
 
 let post_words_bound = 2.
 
-let test_sim_post_words () =
-  let sim = quiet_sim () in
+let words_per_post name post run =
   let n = 50_000 and fired = ref 0 in
   let hops =
     Array.init 500 (fun i ->
@@ -736,16 +767,16 @@ let test_sim_post_words () =
   in
   let rec g k =
     incr fired;
-    if !fired <= n then Engine.Sim.post sim hops.(k).delay g hops.(k).next
+    if !fired <= n then post hops.(k).delay g hops.(k).next
   in
   let round () =
     fired := 0;
     for i = 0 to 63 do
-      Engine.Sim.post sim 1e-3 g i
+      post 1e-3 g i
     done;
     let w0 = Gc.minor_words () in
     let w1 = Gc.minor_words () in
-    Engine.Sim.run sim ~until:infinity;
+    run ();
     let w2 = Gc.minor_words () in
     (* The run fires the 64 first posts and [n] reposts. *)
     check Alcotest.int "all fired" (n + 64) !fired;
@@ -754,8 +785,21 @@ let test_sim_post_words () =
   ignore (round ());
   let words = round () in
   if words > post_words_bound then
-    Alcotest.failf "Sim: %.4f minor words per post (bound %.1f)" words
+    Alcotest.failf "%s: %.4f minor words per post (bound %.1f)" name words
       post_words_bound
+
+let test_sim_post_words () =
+  let sim = quiet_sim () in
+  words_per_post "Sim" (Engine.Sim.post sim) (fun () ->
+      Engine.Sim.run sim ~until:infinity)
+
+(* The loop's runtime posts natively too: the same bound holds through
+   [Runtime.post], with the loop's clock and timer core behind it. *)
+let test_loop_post_words () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  words_per_post "Wire.Loop"
+    (Engine.Runtime.post (Wire.Loop.runtime loop))
+    (fun () -> Wire.Loop.run loop ~until:infinity)
 
 (* --- Sim --------------------------------------------------------------- *)
 
@@ -1083,6 +1127,7 @@ let () =
             test_wheel_clear_releases;
           qtest prop_wheel_sorts;
           qtest prop_post_shares_order;
+          qtest prop_loop_post_shares_order;
         ] );
       ( "sim",
         [
@@ -1113,6 +1158,8 @@ let () =
           Alcotest.test_case "wire loop words per timer" `Quick
             test_loop_timer_words;
           Alcotest.test_case "sim words per post" `Quick test_sim_post_words;
+          Alcotest.test_case "wire loop words per post" `Quick
+            test_loop_post_words;
         ] );
       ( "slot_reuse",
         [

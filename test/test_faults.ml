@@ -6,7 +6,7 @@
 let pkt_sim = Engine.Sim.create ()
 
 let mk_pkt ?(flow = 1) ?(seq = 0) ?(size = 1000) ?(now = 0.) () =
-  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow ~seq ~size ~now Netsim.Packet.Data
+  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow ~seq ~size ~now Netsim.Packet.Data
 
 let mk_link ?(bandwidth = 8e5) ?(delay = 0.) ?(limit = 100) sim =
   Netsim.Link.create (Engine.Sim.runtime sim) ~bandwidth ~delay
@@ -312,7 +312,7 @@ let feed_receiver recv seqs =
   List.iteri
     (fun i seq ->
       let pkt =
-        Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow:1 ~seq ~size:1000
+        Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq ~size:1000
           ~now:(0.01 *. float_of_int i)
           (Netsim.Packet.Tfrc_data { rtt = 0.1 })
       in
@@ -356,7 +356,7 @@ let test_receiver_discards_corrupted () =
   let recv = Tfrc.Tfrc_receiver.recv r in
   feed_receiver recv [ 0; 1 ];
   let bad =
-    Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow:1 ~seq:2 ~size:1000 ~now:0.03
+    Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq:2 ~size:1000 ~now:0.03
       (Netsim.Packet.Tfrc_data { rtt = 0.1 })
   in
   bad.Netsim.Packet.corrupted <- true;

@@ -397,7 +397,7 @@ let prop_receiver_survives_hostile_streams =
                        { rtt = Engine.Rng.uniform rng 0. 0.5 }
                in
                let pkt =
-                 Netsim.Packet.make (Engine.Sim.runtime sim) ~flow ~seq ~size:1000 ~now payload
+                 Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow ~seq ~size:1000 ~now payload
                in
                if Engine.Rng.bool rng ~p:0.15 then
                  pkt.Netsim.Packet.corrupted <- true;

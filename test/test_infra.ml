@@ -5,7 +5,7 @@
 let pkt_sim = Engine.Sim.create ()
 
 let mk_pkt ?(flow = 1) ~seq () =
-  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow ~seq ~size:1000 ~now:0. Netsim.Packet.Data
+  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow ~seq ~size:1000 ~now:0. Netsim.Packet.Data
 
 (* --- ns-2 trace sink ---------------------------------------------------------- *)
 
@@ -30,7 +30,7 @@ let ns2_trace_dumbbell () =
   let received = ref 0 in
   Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr received);
   let pkt seq =
-    Netsim.Packet.make rt ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data
+    Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data
   in
   ignore
     (Engine.Sim.at sim 0. (fun () ->

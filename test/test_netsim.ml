@@ -9,7 +9,7 @@ let qtest t = QCheck_alcotest.to_alcotest t
 let pkt_sim = Engine.Sim.create ()
 
 let mk_pkt ?(flow = 1) ?(seq = 0) ?(size = 1000) ?(now = 0.) () =
-  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow ~seq ~size ~now Netsim.Packet.Data
+  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow ~seq ~size ~now Netsim.Packet.Data
 
 (* --- Packet --------------------------------------------------------------- *)
 
@@ -34,12 +34,12 @@ let test_packet_pp () =
 let test_packet_is_data () =
   Alcotest.(check bool) "data" true (Netsim.Packet.is_data (mk_pkt ()));
   let ack =
-    Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow:1 ~seq:0 ~size:40 ~now:0.
+    Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq:0 ~size:40 ~now:0.
       (Netsim.Packet.Tcp_ack { ack = 1; sack = []; ece = false })
   in
   Alcotest.(check bool) "ack is not data" false (Netsim.Packet.is_data ack);
   let fb =
-    Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow:1 ~seq:0 ~size:40 ~now:0.
+    Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq:0 ~size:40 ~now:0.
       (Netsim.Packet.Tfrc_feedback
          { p = 0.; recv_rate = 0.; ts_echo = 0.; ts_delay = 0. })
   in
@@ -52,7 +52,7 @@ let test_packet_is_data () =
    when traces carry packet ids. *)
 let test_packet_ids_per_sim () =
   let mk sim seq =
-    Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:1 ~seq ~size:100 ~now:0. Netsim.Packet.Data
+    Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow:1 ~seq ~size:100 ~now:0. Netsim.Packet.Data
   in
   let a = Engine.Sim.create () and b = Engine.Sim.create () in
   let ids_a = ref [] and ids_b = ref [] in
@@ -77,7 +77,7 @@ let prop_packet_ids_independent =
         (fun pick_a ->
           let sim, acc = if pick_a then (a, got_a) else (b, got_b) in
           let pkt =
-            Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:0 ~seq:0 ~size:40 ~now:0.
+            Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow:0 ~seq:0 ~size:40 ~now:0.
               Netsim.Packet.Data
           in
           acc := pkt.Netsim.Packet.id :: !acc)
@@ -404,7 +404,7 @@ let link_timing_holds ops =
              match op with
              | Send size ->
                  let pkt =
-                   Netsim.Packet.make rt ~flow:1 ~seq:0 ~size ~now:(time tq)
+                   Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq:0 ~size ~now:(time tq)
                      Netsim.Packet.Data
                  in
                  sent := pkt :: !sent;
@@ -480,7 +480,7 @@ let test_link_words () =
   Netsim.Link.set_dest link (fun _ -> incr received);
   let pkts =
     Array.init 101 (fun seq ->
-        Netsim.Packet.make rt ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data)
+        Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data)
   in
   let one i =
     minor_words_of (fun () ->
@@ -683,7 +683,7 @@ let test_flowmon_records_data_only () =
   let sink = Netsim.Flowmon.tap mon in
   sink (mk_pkt ~size:100 ());
   sink
-    (Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow:1 ~seq:0 ~size:40 ~now:0.
+    (Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq:0 ~size:40 ~now:0.
        (Netsim.Packet.Tcp_ack { ack = 1; sack = []; ece = false }));
   Alcotest.(check int) "one data packet" 1 (Netsim.Flowmon.packets mon);
   Alcotest.(check int) "bytes" 100 (Netsim.Flowmon.bytes mon);

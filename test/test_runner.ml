@@ -304,7 +304,7 @@ let id_jobs =
             (Engine.Sim.at sim 0. (fun () ->
                  for seq = 1 to 8 do
                    Netsim.Link.send link
-                     (Netsim.Packet.make (Engine.Sim.runtime sim) ~flow:k ~seq ~size:1000 ~now:0.
+                     (Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow:k ~seq ~size:1000 ~now:0.
                         Netsim.Packet.Data)
                  done));
           Netsim.Faults.outage (Engine.Sim.runtime sim) link ~at:0.2 ~duration:0.2 ();

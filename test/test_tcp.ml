@@ -73,7 +73,7 @@ let test_rto_aggressive_mode () =
 let pkt_sim = Engine.Sim.create ()
 
 let mk_data ~seq =
-  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data
+  Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq ~size:1000 ~now:0. Netsim.Packet.Data
 
 let sink_harness () =
   let sim = Engine.Sim.create () in
@@ -635,7 +635,7 @@ let minor_words_of f =
   w2 -. w1 -. (w1 -. w0)
 
 let ack ?(sack = []) rt n =
-  Netsim.Packet.make rt ~flow:1 ~seq:n ~size:40 ~now:0.
+  Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq:n ~size:40 ~now:0.
     (Netsim.Packet.Tcp_ack { ack = n; sack; ece = false })
 
 (* A partial ack carrying a SACK block in Sack recovery sends one hole

@@ -87,6 +87,66 @@ let prop_inverse_roundtrip =
       in
       Float.abs (p' -. p) /. p < 0.01)
 
+(* The bisection as it was first written, over its own copy of the
+   control equation: the reference [inverse] must match bit for bit. *)
+let ref_inverse kind ~s ~r ~t_rto ~rate:target =
+  let f p =
+    let s = float_of_int s in
+    match kind with
+    | Tfrc.Response_function.Simple -> s *. sqrt 1.5 /. (r *. sqrt p)
+    | Pftk ->
+        let denom =
+          (r *. sqrt (2. *. p /. 3.))
+          +. (t_rto *. (3. *. sqrt (3. *. p /. 8.)) *. p *. (1. +. (32. *. p *. p)))
+        in
+        s /. denom
+  in
+  let lo = 1e-8 and hi = 1.0 in
+  if f lo <= target then lo
+  else if f hi >= target then hi
+  else begin
+    let lo = ref lo and hi = ref hi in
+    for _ = 1 to 100 do
+      let mid = sqrt (!lo *. !hi) in
+      if f mid > target then lo := mid else hi := mid
+    done;
+    sqrt (!lo *. !hi)
+  end
+
+(* Both equations, packet sizes, RTTs and RTO factors, and target rates
+   over fourteen decades, clamped ends included. *)
+let test_inverse_matches_reference () =
+  let mismatches = ref 0 and cases = ref 0 in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun s ->
+          List.iter
+            (fun r ->
+              List.iter
+                (fun rto ->
+                  for e = -40 to 100 do
+                    let rate = 10. ** (float_of_int e /. 10.) in
+                    let t_rto = rto *. r in
+                    let got =
+                      Tfrc.Response_function.inverse kind ~s ~r ~t_rto ~rate
+                    and want = ref_inverse kind ~s ~r ~t_rto ~rate in
+                    incr cases;
+                    if Int64.bits_of_float got <> Int64.bits_of_float want then begin
+                      incr mismatches;
+                      if !mismatches <= 5 then
+                        Printf.printf "s=%d r=%h t_rto=%h rate=%h: %h, reference %h\n"
+                          s r t_rto rate got want
+                    end
+                  done)
+                [ 0.; 1.; 4. ])
+            [ 0.001; 0.0371; 0.1; 0.5; 2.7 ])
+        [ 1; 40; 576; 1000; 1460 ])
+    [ Tfrc.Response_function.Pftk; Tfrc.Response_function.Simple ];
+  Alcotest.(check int)
+    (Printf.sprintf "bit-identical on %d inputs" !cases)
+    0 !mismatches
+
 let test_loss_event_fraction () =
   checkf ~eps:1e-9 "p_loss=0" 0.
     (Tfrc.Response_function.loss_event_fraction ~p_loss:0. ~n:10.);
@@ -566,6 +626,27 @@ let minor_words_of f =
   let w2 = Gc.minor_words () in
   w2 -. w1 -. (w1 -. w0)
 
+(* [inverse] bisects over unboxed locals with the equation inlined: a
+   call allocates its boxed result (2 words) and nothing per step. *)
+let inverse_words = 4.
+
+let test_inverse_budget () =
+  let n = 100 in
+  let words =
+    minor_words_of (fun () ->
+        for i = 1 to n do
+          ignore
+            (Sys.opaque_identity
+               (Tfrc.Response_function.inverse Tfrc.Response_function.Pftk
+                  ~s:1000 ~r:0.1 ~t_rto:0.4
+                  ~rate:(float_of_int (i * 1000))))
+        done)
+    /. float_of_int n
+  in
+  if words > inverse_words then
+    Alcotest.failf "inverse: %.1f minor words per call (bound %.0f)" words
+      inverse_words
+
 (* A receiver with default configuration (ndupack 3, expedited loss
    feedback), counting the feedback packets it sends. *)
 let budget_receiver () =
@@ -580,7 +661,7 @@ let budget_receiver () =
   (rt, r, Tfrc.Tfrc_receiver.recv r, feedbacks)
 
 let tfrc_data rt ~seq ~sent_at =
-  Netsim.Packet.make rt ~flow:1 ~seq ~size:1000 ~now:sent_at
+  Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq ~size:1000 ~now:sent_at
     (Netsim.Packet.Tfrc_data { rtt = 0.1 })
 
 (* Data packets [lo..hi] sent 10 ms apart, skipping [skip]. *)
@@ -720,6 +801,8 @@ let () =
           qtest prop_rate_decreasing_in_p;
           qtest prop_rate_decreasing_in_rtt;
           qtest prop_inverse_roundtrip;
+          Alcotest.test_case "inverse matches reference" `Quick
+            test_inverse_matches_reference;
           qtest prop_event_fraction_below_loss;
         ] );
       ( "loss_intervals",
@@ -773,6 +856,8 @@ let () =
           Alcotest.test_case "receiver loss feedback" `Quick
             test_receiver_loss_feedback_budget;
           Alcotest.test_case "far gap" `Quick test_far_gap_budget;
+          Alcotest.test_case "response function inverse" `Quick
+            test_inverse_budget;
         ] );
       ( "rtt_estimator",
         [

@@ -234,7 +234,7 @@ let test_receiver_stop_cancels_feedback () =
   List.iteri
     (fun flow r ->
       Tfrc.Tfrc_receiver.recv r
-        (Netsim.Packet.make rt ~flow ~seq:0 ~size:1000 ~now:0.
+        (Netsim.Packet.make rt ~ecn:false ~flow ~seq:0 ~size:1000 ~now:0.
            (Netsim.Packet.Tfrc_data { rtt = 0.1 })))
     receivers;
   Alcotest.(check int) "one tick per receiver" 64 (Engine.Sim.pending_events sim);

@@ -180,7 +180,7 @@ let test_recompute_on_state_change () =
 (* --- Teardown cancels in-flight deliveries --------------------------------- *)
 
 let mk_pkt rt ~now =
-  Netsim.Packet.make rt ~flow:1 ~seq:0 ~size:1000 ~now Netsim.Packet.Data
+  Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq:0 ~size:1000 ~now Netsim.Packet.Data
 
 let test_dumbbell_teardown () =
   let sim = Engine.Sim.create () in

@@ -226,6 +226,68 @@ let test_codec_rejects_v1 () =
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "v1 frame decoded"
 
+(* [decode_bytes] over a prefix of a larger buffer, whose tail is junk,
+   gives what [decode] gives on that prefix as a string: every sample
+   frame whole and at every truncation. *)
+let test_codec_decode_bytes_prefix () =
+  let rt = fresh_rt () in
+  let same what a b =
+    match (a, b) with
+    | Ok { Wire.Codec.body = Packet p; epoch; flow },
+      Ok { Wire.Codec.body = Packet q; epoch = e'; flow = f' } ->
+        check Alcotest.bool what true (packet_eq p q && epoch = e' && flow = f')
+    | Ok m, Ok m' -> check Alcotest.bool what true (m = m')
+    | Error e, Error e' ->
+        check Alcotest.string what (Wire.Codec.error_to_string e)
+          (Wire.Codec.error_to_string e')
+    | _ -> Alcotest.failf "%s: one decoder accepted, the other refused" what
+  in
+  let buf = Bytes.make Wire.Codec.max_frame 'T' in
+  List.iteri
+    (fun i payload ->
+      let p =
+        mk_packet rt ~ecn:(i mod 2 = 1) ~flow:(i + 2) ~seq:(i * 5) ~size:900
+          ~sent_at:(0.25 *. float_of_int i) payload
+      in
+      let frame = Wire.Codec.encode ~epoch:(i + 1) p in
+      Bytes.blit_string frame 0 buf 0 (String.length frame);
+      for len = 0 to String.length frame do
+        same
+          (Printf.sprintf "payload %d, %d bytes" i len)
+          (Wire.Codec.decode rt (String.sub frame 0 len))
+          (Wire.Codec.decode_bytes rt buf ~len)
+      done)
+    sample_payloads;
+  List.iter
+    (fun len ->
+      match Wire.Codec.decode_bytes rt (Bytes.create 40) ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "len %d outside a 40-byte buffer accepted" len)
+    [ -1; 41 ]
+
+(* Floats travel as raw bits, so the encoder writes non-finite fields
+   under a valid checksum. The decoder names the first in frame order. *)
+let test_codec_names_first_non_finite () =
+  let rt = fresh_rt () in
+  let expect what sent_at payload =
+    let p = mk_packet rt ~flow:1 ~seq:1 ~size:100 ~sent_at payload in
+    match Wire.Codec.decode rt (Wire.Codec.encode p) with
+    | Error (Wire.Codec.Bad_value v) ->
+        check Alcotest.string "first non-finite field" (what ^ " is not finite") v
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Wire.Codec.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: non-finite frame decoded" what
+  in
+  let fb ?(p = 0.1) ?(recv_rate = 1e5) ?(ts_echo = 1.) ?(ts_delay = 0.) () =
+    Netsim.Packet.Tfrc_feedback { p; recv_rate; ts_echo; ts_delay }
+  in
+  expect "sent_at" Float.nan (Tfrc_data { rtt = Float.infinity });
+  expect "sent_at" Float.neg_infinity (fb ~p:Float.nan ());
+  expect "rtt" 0. (Tfrc_data { rtt = Float.nan });
+  expect "p" 0. (fb ~p:Float.infinity ~ts_delay:Float.nan ());
+  expect "recv_rate" 0. (fb ~recv_rate:Float.nan ~ts_echo:Float.nan ());
+  expect "ts_echo" 0. (fb ~ts_echo:Float.neg_infinity ~ts_delay:Float.nan ());
+  expect "ts_delay" 0. (fb ~ts_delay:Float.infinity ())
+
 (* --- Shaper ------------------------------------------------------------- *)
 
 (* Same seed => identical drop/delay/reorder pattern, on any runtime. *)
@@ -271,6 +333,28 @@ let test_shaper_passthrough_ordered () =
     (List.init 100 (fun i -> i + 1))
     (List.map fst log)
 
+(* The shaper's slot table holds whatever it carries: boxed floats (whose
+   arrays OCaml may flatten), immediates including 0, and strings. *)
+let test_shaper_carries_any_type () =
+  let carry (type a) (items : a list) (eq : a -> a -> bool) =
+    let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
+    let got = ref [] in
+    let config = { Wire.Shaper.passthrough with delay = 0.01; jitter = 0.02 } in
+    let sh =
+      Wire.Shaper.create (Engine.Sim.runtime sim) ~seed:5 ~config
+        ~deliver:(fun x -> got := x :: !got)
+        ()
+    in
+    List.iter (Wire.Shaper.send sh) items;
+    Engine.Sim.run sim ~until:1.;
+    let sorted l = List.sort compare l in
+    check Alcotest.bool "every item delivered intact" true
+      (List.equal eq (sorted items) (sorted !got))
+  in
+  carry [ 0.5; -0.; 1e300; 3.25; 0.5 ] Float.equal;
+  carry [ 0; 1; 0; -7 ] Int.equal;
+  carry [ "a"; ""; "frame" ] String.equal
+
 (* --- Faultio ------------------------------------------------------------ *)
 
 (* Timer-driven traffic between two real sockets, send faults on one
@@ -302,7 +386,8 @@ let faultio_session ~seed =
   let a = Wire.Udp.create loop ~netio:(Wire.Faultio.netio fa) () in
   let b = Wire.Udp.create loop ~netio:(Wire.Faultio.netio fb) () in
   let got = ref [] in
-  Wire.Udp.set_handler b (fun data _src -> got := data :: !got);
+  Wire.Udp.set_handler b (fun buf len _src ->
+      got := Bytes.sub_string buf 0 len :: !got);
   let dest = Wire.Udp.addr ~port:(Wire.Udp.port b) in
   for i = 1 to 200 do
     ignore
@@ -481,8 +566,8 @@ let test_udp_socket_basics () =
   let a = Wire.Udp.create loop () in
   let b = Wire.Udp.create loop () in
   let got = ref [] in
-  Wire.Udp.set_handler b (fun data _src ->
-      got := data :: !got;
+  Wire.Udp.set_handler b (fun buf len _src ->
+      got := Bytes.sub_string buf 0 len :: !got;
       if List.length !got >= 2 then Wire.Loop.stop loop);
   let dest = Wire.Udp.addr ~port:(Wire.Udp.port b) in
   Wire.Udp.send a ~dest "hello";
@@ -506,8 +591,8 @@ let test_udp_zero_length_datagram () =
   let a = Wire.Udp.create loop () in
   let b = Wire.Udp.create loop () in
   let got = ref None in
-  Wire.Udp.set_handler b (fun data _src ->
-      got := Some data;
+  Wire.Udp.set_handler b (fun buf len _src ->
+      got := Some (Bytes.sub_string buf 0 len);
       Wire.Loop.stop loop);
   Wire.Udp.send a ~dest:(Wire.Udp.addr ~port:(Wire.Udp.port b)) "";
   Wire.Loop.run loop ~until:5.;
@@ -810,7 +895,7 @@ let test_supervisor_close_in_backoff () =
         S.close sup
       end);
   S.start sup ~at:0.;
-  Wire.Loop.run loop ~until:15.;
+  Wire.Loop.run loop ~until:25.;
   match !closed_at with
   | None -> Alcotest.fail "never reached backoff"
   | Some (frames, epoch) ->
@@ -836,8 +921,8 @@ let test_receiver_epoch_adoption () =
   let src1 = Wire.Udp.create loop () in
   let src2 = Wire.Udp.create loop () in
   let got1 = ref 0 and got2 = ref 0 in
-  Wire.Udp.set_handler src1 (fun _ _ -> incr got1);
-  Wire.Udp.set_handler src2 (fun _ _ -> incr got2);
+  Wire.Udp.set_handler src1 (fun _ _ _ -> incr got1);
+  Wire.Udp.set_handler src2 (fun _ _ _ -> incr got2);
   let rcv_udp = Wire.Udp.create loop () in
   let rcv =
     Wire.Supervisor.Receiver.create loop rcv_udp ~config:sup_tfrc_config
@@ -874,6 +959,65 @@ let test_receiver_epoch_adoption () =
   check Alcotest.bool "feedback re-targeted the newest peer" true (!got2 > 0);
   Wire.Supervisor.Receiver.quiesce rcv;
   List.iter Wire.Udp.close [ src1; src2; rcv_udp ]
+
+(* --- Allocation budget ---------------------------------------------------- *)
+
+(* A supervised sender and receiver on one warp loop over two loopback
+   sockets, each direction through a seeded shaper (1% loss, 10 ms), as
+   in the wire benchmark. After 5 s of slow start, minor words per
+   datagram sent over the next 20 s. Per datagram the path pays for the
+   kernel's source address and [select]'s ready list, the EAGAIN that
+   ends each drain, the decoded packet and message, the encoded frame,
+   the protocol's own timers and the timer core's float boxes: 104.3
+   words on OCaml 5.1.1, built as [dune runtest] builds it (the dev
+   profile). A closure and handle per shaped frame, an fd list rebuilt
+   per poll, a copy of each received datagram and a decode through
+   result continuations together cost 64.4 more (168.7). *)
+let datagram_words_bound = 115.
+
+let test_wire_words_per_datagram () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  let rt = Wire.Loop.runtime loop in
+  let su = Wire.Udp.create loop () and ru = Wire.Udp.create loop () in
+  let saddr = Wire.Udp.addr ~port:(Wire.Udp.port su)
+  and raddr = Wire.Udp.addr ~port:(Wire.Udp.port ru) in
+  let shaper seed udp dest =
+    Wire.Shaper.create rt ~seed
+      ~config:{ Wire.Shaper.passthrough with loss = 0.01; delay = 0.01 }
+      ~deliver:(fun frame -> Wire.Udp.send udp ~dest frame)
+      ()
+  in
+  let data = shaper 11 su raddr and fb = shaper 12 ru saddr in
+  let config = Tfrc.Tfrc_config.default ~initial_rtt:0.05 () in
+  let sup =
+    Wire.Supervisor.create loop su ~config ~flow:1 ~dest:raddr
+      ~send:(Wire.Shaper.send data) ~seed:3 ()
+  in
+  let rcv =
+    Wire.Supervisor.Receiver.create loop ru ~config ~flow:1
+      ~send:(Wire.Shaper.send fb) ()
+  in
+  Wire.Supervisor.start sup ~at:0.;
+  Wire.Loop.run loop ~until:5.;
+  let sent () = Wire.Udp.datagrams_sent su + Wire.Udp.datagrams_sent ru in
+  let d0 = sent () in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  Wire.Loop.run loop ~until:25.;
+  let w2 = Gc.minor_words () in
+  let datagrams = sent () - d0 in
+  Wire.Supervisor.quiesce sup;
+  Wire.Supervisor.Receiver.quiesce rcv;
+  Wire.Udp.close su;
+  Wire.Udp.close ru;
+  check Alcotest.bool "established" true
+    (Wire.Supervisor.state sup = Wire.Supervisor.Established);
+  check Alcotest.int "no settle give-ups" 0 (Wire.Loop.io_giveups loop);
+  check Alcotest.bool "traffic flowed" true (datagrams > 5_000);
+  let words = (w2 -. w1 -. (w1 -. w0)) /. float_of_int datagrams in
+  if words > datagram_words_bound then
+    Alcotest.failf "%.1f minor words per datagram (bound %.0f)" words
+      datagram_words_bound
 
 (* --- Chaos soak --------------------------------------------------------- *)
 
@@ -953,12 +1097,18 @@ let () =
             test_codec_epoch_roundtrip;
           Alcotest.test_case "control frames" `Quick test_codec_control_frames;
           Alcotest.test_case "rejects v1" `Quick test_codec_rejects_v1;
+          Alcotest.test_case "decode_bytes reads a prefix" `Quick
+            test_codec_decode_bytes_prefix;
+          Alcotest.test_case "names the first non-finite field" `Quick
+            test_codec_names_first_non_finite;
         ] );
       ( "shaper",
         [
           Alcotest.test_case "deterministic" `Quick test_shaper_deterministic;
           Alcotest.test_case "passthrough order" `Quick
             test_shaper_passthrough_ordered;
+          Alcotest.test_case "carries any type" `Quick
+            test_shaper_carries_any_type;
         ] );
       ( "faultio",
         [
@@ -1009,6 +1159,11 @@ let () =
             test_supervisor_close_in_backoff;
           Alcotest.test_case "epoch adoption" `Quick
             test_receiver_epoch_adoption;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "warp pair words per datagram" `Quick
+            test_wire_words_per_datagram;
         ] );
       ( "soak",
         [
