@@ -169,17 +169,19 @@ let checkpoint_overhead_json ~seed =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "tfrc_bench_ckpt" in
   let grid = Exp.Registry.grid_id e ~full:false ~seed in
   let checkpointed () =
-    (* resume:false truncates, so every timed run pays the full write load. *)
+    (* A fresh store each run, so every timed run pays the full write load;
+       removed afterwards so no store is left in the temp directory. *)
     let ck = Exp.Checkpoint.open_store ~dir ~grid ~resume:false in
     Fun.protect
-      ~finally:(fun () -> Exp.Checkpoint.close ck)
+      ~finally:(fun () ->
+        Exp.Checkpoint.close ck;
+        Sys.remove (Exp.Checkpoint.path ck))
       (fun () ->
         (Exp.Runner.run_experiment ~checkpoint:ck ~full:false ~seed e null_ppf
           : Exp.Runner.report))
   in
   let plain_s = time_run plain in
   let ckpt_s = time_run checkpointed in
-  (try Sys.remove (Filename.concat dir (grid ^ ".jsonl")) with Sys_error _ -> ());
   Printf.sprintf
     "{\"bench\":\"checkpoint_overhead\",\"scenario\":\"fig5\",\"cells\":%d,\"plain_s\":%.4f,\"checkpointed_s\":%.4f,\"overhead_pct\":%.2f,\"per_cell_ms\":%.3f}"
     cells plain_s ckpt_s

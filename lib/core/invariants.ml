@@ -276,9 +276,9 @@ let check_queue_snapshot t (ev : Engine.Trace.event) =
 
 (* Supervised endpoint lifecycle (the wire library's Supervisor): every
    [wire/sup_transition] must continue from the last recorded state and
-   take a legal edge. The relation is duplicated here as strings because
-   this library cannot depend on the wire library; Supervisor.legal is
-   the authoritative copy and the wire tests pin the two together. *)
+   take a legal edge. This is the one copy of the relation drawn in
+   supervisor.mli, over state names as Supervisor.state_name prints them
+   (this library cannot depend on the wire library). *)
 let sup_legal from to_ =
   match (from, to_) with
   | "starting", ("established" | "degraded" | "backoff" | "closed") -> true

@@ -51,10 +51,6 @@ val detach : t -> Engine.Trace.t -> unit
 (** Feed one event directly (what the sink does); exposed for unit tests. *)
 val check_event : t -> Engine.Trace.event -> unit
 
-(** The [wire-sup-legal] transition relation over state names, exposed so
-    the wire layer's own [legal] stays pinned to the checker's table. *)
-val sup_legal : string -> string -> bool
-
 (** Events seen since creation. *)
 val n_events : t -> int
 

@@ -208,7 +208,7 @@ let int_field name v =
 let float_field name v =
   match field name v with
   | Some (Atom s) -> (
-      match Engine.Hexfloat.of_string_opt s with
+      match Hexfloat.of_string_opt s with
       | Some f -> f
       | None -> parse_error "field %S is not a float: %S" name s)
   | _ -> missing "float" name

@@ -1,12 +1,16 @@
-(** Minimal s-expressions for scenario and repro-bundle serialization.
+(** Minimal s-expressions: the one record codec of the tree. Its two
+    users are the fuzzer's scenario and repro-bundle files
+    ([Fuzz.Scenario], [Fuzz.Bundle]) and the experiment checkpoint store
+    ([Exp.Checkpoint]), which writes one {!to_string} line per record.
 
     Atoms that contain whitespace, parentheses, quotes or control
     characters are printed as double-quoted strings with backslash
     escapes; everything round-trips exactly ([of_string (to_string v) =
     v] for any value, including atoms holding arbitrary bytes). Floats
-    are serialized elsewhere as hex-float atoms ([%h]), which
-    [float_of_string] reads back losslessly — the same trick the
-    checkpoint store uses. *)
+    are hex-float atoms ({!Hexfloat}), which read back losslessly. A
+    strict prefix of a {!to_string} list never parses (it leaves a list
+    or a quoted atom open), which is what lets the checkpoint loader
+    treat a torn final line as unreadable. *)
 
 type t = Atom of string | List of t list
 

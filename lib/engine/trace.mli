@@ -93,6 +93,10 @@ val stdout_sink : unit -> sink
     renders as [null]. *)
 val to_json : event -> string
 
+(** JSON string-content escaping (backslash, quote, control characters),
+    as {!to_json} applies it; shared with the supervised runner's report. *)
+val json_escape : string -> string
+
 (** Field accessors; [get_float] also accepts [Int] fields. *)
 val find : event -> string -> value option
 

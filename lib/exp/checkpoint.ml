@@ -1,18 +1,18 @@
-(* Durable JSONL checkpoint store for supervised experiment runs.
+(* Durable checkpoint store for supervised experiment runs.
 
-   One file per grid identity (experiment id + seed + scale): a header line
-   naming the grid, then one line per completed cell. Every append is
-   fsync'd before [record] returns, so after SIGKILL the file holds exactly
-   the cells whose results were handed back — at worst one torn final line,
-   which the loader discards. Resume = load the file into a key-indexed
-   table and skip those cells.
+   One file per grid identity (experiment id + seed + scale), named
+   <grid>.sexp: a header line naming the grid, then one line per completed
+   cell. Each line is one [Engine.Sexp.to_string] list, the same codec as
+   the fuzzer's repro bundles. Every append is fsync'd before [record]
+   returns, so after SIGKILL the file holds exactly the cells whose results
+   were handed back — at worst one torn final line, which the loader
+   discards (a strict prefix of a one-line list never parses) and a resume
+   truncates away before appending. Resume = load the file into a
+   key-indexed table and skip those cells.
 
-   Byte-identical resume needs lossless round-trips, and %.12g (Job.to_json)
-   is not one for doubles. Floats are therefore encoded as hex-float
-   strings ({"f":"0x1.9p-4"}) via [Engine.Hexfloat] (shared with the
-   fuzzer's scenario codec), which reads back exactly; ints, bools,
-   strings and lists use plain JSON, so the Int/Float distinction in
-   Job.value survives too.
+   Byte-identical resume needs lossless round-trips, which [Job.to_sexp]
+   gives: floats are hex floats and every value carries its constructor
+   tag, so the Int/Float distinction in Job.value survives too.
 
    [record] may be called from worker domains (the parallel runner
    checkpoints each cell as it completes, not at batch end — that is what
@@ -27,217 +27,28 @@ type t = {
   mutable closed : bool;
 }
 
-(* --- Serialization -------------------------------------------------------- *)
+(* --- Lines ----------------------------------------------------------------- *)
 
-let add_quoted buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (Job.json_escape s);
-  Buffer.add_char buf '"'
+let header grid =
+  Engine.Sexp.List [ Engine.Sexp.Atom "grid"; Engine.Sexp.Atom grid ]
 
-let rec add_value buf (v : Job.value) =
-  match v with
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      Buffer.add_string buf "{\"f\":\"";
-      Buffer.add_string buf (Engine.Hexfloat.to_string f);
-      Buffer.add_string buf "\"}"
-  | Str s -> add_quoted buf s
-  | List l ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_value buf v)
-        l;
-      Buffer.add_char buf ']'
+let line v = Engine.Sexp.to_string v ^ "\n"
 
-let result_line ~key (r : Job.result) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"key\":";
-  add_quoted buf key;
-  Buffer.add_string buf ",\"result\":[";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '[';
-      add_quoted buf name;
-      Buffer.add_char buf ',';
-      add_value buf v;
-      Buffer.add_char buf ']')
-    r;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+let record_of_sexp : Engine.Sexp.t -> string * Job.result = function
+  | List [ Atom key; fields ] -> (key, Job.of_sexp fields)
+  | v ->
+      raise (Engine.Sexp.Parse_error ("bad record " ^ Engine.Sexp.to_string v))
 
-let header_line ~grid =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf "{\"grid\":";
-  add_quoted buf grid;
-  Buffer.add_string buf ",\"version\":1}\n";
-  Buffer.contents buf
-
-(* --- Minimal JSON parser -------------------------------------------------- *)
-
-(* Recursive descent over exactly the subset the serializer emits: objects,
-   arrays, strings with the escapes Job.json_escape produces, integers,
-   true/false. A malformed line (torn tail after a crash) raises [Bad] and
-   the loader stops there. *)
-
-exception Bad of string
-
-type json =
-  | J_bool of bool
-  | J_int of int
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise (Bad "eof") in
-  let advance () = incr pos in
-  let expect c =
-    if peek () <> c then raise (Bad (Printf.sprintf "expected %c" c));
-    advance ()
-  in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
-      advance ()
-    done
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 >= n then raise (Bad "short \\u escape");
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              (* The serializer only emits \u for control bytes < 0x20. *)
-              Buffer.add_char buf (Char.chr (code land 0xff));
-              pos := !pos + 4
-          | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> J_str (parse_string ())
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let name = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                fields ((name, v) :: acc)
-            | '}' ->
-                advance ();
-                List.rev ((name, v) :: acc)
-            | c -> raise (Bad (Printf.sprintf "bad object separator %c" c))
-          in
-          J_obj (fields [])
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          J_list []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elems (v :: acc)
-            | ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | c -> raise (Bad (Printf.sprintf "bad array separator %c" c))
-          in
-          J_list (elems [])
-        end
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          J_bool true
-        end
-        else raise (Bad "bad literal")
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          J_bool false
-        end
-        else raise (Bad "bad literal")
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if peek () = '-' then advance ();
-        while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-          advance ()
-        done;
-        if !pos = start then raise (Bad "empty number");
-        J_int (int_of_string (String.sub s start (!pos - start)))
-    | c -> raise (Bad (Printf.sprintf "unexpected %c" c))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing garbage");
-  v
-
-let rec value_of_json : json -> Job.value = function
-  | J_bool b -> Bool b
-  | J_int i -> Int i
-  | J_str s -> Str s
-  | J_obj [ ("f", J_str h) ] -> (
-      match Engine.Hexfloat.of_string_opt h with
-      | Some f -> Float f
-      | None -> raise (Bad ("bad hex float " ^ h)))
-  | J_list l -> List (List.map value_of_json l)
-  | J_obj _ -> raise (Bad "unexpected object value")
-
-let line_of_json : json -> string * Job.result = function
-  | J_obj [ ("key", J_str key); ("result", J_list pairs) ] ->
-      let field = function
-        | J_list [ J_str name; v ] -> (name, value_of_json v)
-        | _ -> raise (Bad "bad result field")
-      in
-      (key, List.map field pairs)
-  | _ -> raise (Bad "bad checkpoint line")
+(* [parse_line f s pos] decodes with [f] the line of [s] starting at [pos]
+   and returns it with the offset just past its newline; [None] when the
+   line is torn (no newline) or does not parse. *)
+let parse_line f s pos =
+  match String.index_from_opt s pos '\n' with
+  | None -> None
+  | Some nl -> (
+      match f (Engine.Sexp.of_string (String.sub s pos (nl - pos))) with
+      | x -> Some (x, nl + 1)
+      | exception Engine.Sexp.Parse_error _ -> None)
 
 (* --- Store ---------------------------------------------------------------- *)
 
@@ -261,37 +72,29 @@ let ensure_dir dir =
     failwith (Printf.sprintf "cannot create directory %s: %s" dir
                 "a file with that name exists")
 
-(* Loads a checkpoint file written for [grid]. Returns None when the file
-   is absent or its header names a different grid (stale identity: start
-   fresh rather than resume someone else's cells). Stops at the first
-   malformed line — after a crash only the final line can be torn. *)
+(* Loads a checkpoint file written for [grid]: the completed cells and the
+   length of the readable prefix. Returns None when the file is absent or
+   its header is unreadable, in another format, or names a different grid
+   (stale identity: start fresh rather than resume someone else's cells).
+   Stops at the first line that is torn or fails to parse — after a crash
+   only the final line can be torn. *)
 let load ~grid path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None (* missing or unreadable: start fresh *)
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file -> None
-        | header -> (
-            match parse header with
-            | exception Bad _ -> None
-            | J_obj (("grid", J_str g) :: _) when String.equal g grid ->
-                let completed = Hashtbl.create 64 in
-                let rec lines () =
-                  match input_line ic with
-                  | exception End_of_file -> ()
-                  | line -> (
-                      match line_of_json (parse line) with
-                      | exception Bad _ -> () (* torn tail: stop *)
-                      | key, r ->
-                          Hashtbl.replace completed key r;
-                          lines ())
-                in
-                lines ();
-                Some completed
-            | _ -> None))
+  | s -> (
+      match parse_line Fun.id s 0 with
+      | Some (h, start) when h = header grid ->
+          let completed = Hashtbl.create 64 in
+          let rec records pos =
+            match parse_line record_of_sexp s pos with
+            | Some ((key, r), next) ->
+                Hashtbl.replace completed key r;
+                records next
+            | None -> pos
+          in
+          let readable = records start in
+          Some (completed, readable)
+      | _ -> None)
 
 let append_fsync t s =
   let len = String.length s in
@@ -310,7 +113,7 @@ let open_store ~dir ~grid ~resume =
       if c = '/' || c = '\x00' then
         invalid_arg "Checkpoint.open_store: grid identity has unsafe characters")
     grid;
-  let path = Filename.concat dir (grid ^ ".jsonl") in
+  let path = Filename.concat dir (grid ^ ".sexp") in
   let openfile path flags =
     try Unix.openfile path flags 0o644
     with Unix.Unix_error (err, _, _) ->
@@ -320,8 +123,11 @@ let open_store ~dir ~grid ~resume =
   in
   let prior = if resume then load ~grid path else None in
   match prior with
-  | Some completed ->
+  | Some (completed, readable) ->
       let fd = openfile path [ O_WRONLY; O_APPEND ] in
+      (* Cut a torn or unreadable tail, so the next record starts a fresh
+         line instead of being glued onto the torn bytes. *)
+      Unix.ftruncate fd readable;
       { path; fd; m = Mutex.create (); completed; closed = false }
   | None ->
       let fd = openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] in
@@ -329,7 +135,7 @@ let open_store ~dir ~grid ~resume =
         { path; fd; m = Mutex.create (); completed = Hashtbl.create 64;
           closed = false }
       in
-      append_fsync t (header_line ~grid);
+      append_fsync t (line (header grid));
       t
 
 let path t = t.path
@@ -337,12 +143,13 @@ let find t key = Hashtbl.find_opt t.completed key
 let completed_count t = Hashtbl.length t.completed
 
 let record t ~key r =
+  let l = line (Engine.Sexp.List [ Engine.Sexp.Atom key; Job.to_sexp r ]) in
   Mutex.lock t.m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () ->
       if t.closed then invalid_arg "Checkpoint.record: store is closed";
-      append_fsync t (result_line ~key r);
+      append_fsync t l;
       Hashtbl.replace t.completed key r)
 
 let close t =

@@ -1,11 +1,13 @@
-(** Durable JSONL checkpoint store for supervised experiment runs.
+(** Durable checkpoint store for supervised experiment runs.
 
-    One file per grid identity (see [Registry.grid_id]): a header line
-    naming the grid, then one line per completed cell, appended and
-    fsync'd as each cell finishes — on worker domains too, so a SIGKILL
-    mid-batch loses at most the cells still in flight (and at worst one
-    torn final line, which the loader discards). Floats are stored as
-    hex-float strings, so a resumed render is byte-identical to an
+    One file per grid identity (see [Registry.grid_id]), [DIR/<grid>.sexp]:
+    a header line naming the grid, then one line per completed cell, each
+    a one-line {!Engine.Sexp} list ([Job.to_sexp]), appended and fsync'd
+    as each cell finishes — on worker domains too, so a SIGKILL mid-batch
+    loses at most the cells still in flight (and at worst one torn final
+    line, which the loader discards and a resume truncates away before
+    appending). Floats are stored as hex floats and every value keeps its
+    constructor tag, so a resumed render is byte-identical to an
     uninterrupted run.
 
     Thread-safety: {!record} and {!close} may be called from any domain
@@ -25,8 +27,8 @@ val ensure_dir : string -> unit
 (** [open_store ~dir ~grid ~resume] opens (creating [dir] if needed) the
     checkpoint file for [grid]. With [resume] true, an existing file whose
     header matches [grid] is loaded — its cells are served by {!find} and
-    new records append after them; a missing, mismatched or unreadable
-    file starts fresh. With [resume] false the file is truncated. Raises
+    new records append after the last readable one; a missing, mismatched,
+    unreadable or old-format file starts fresh. With [resume] false the file is truncated. Raises
     [Failure] with a clear message when [dir] cannot be created or the
     file cannot be opened for writing. *)
 val open_store : dir:string -> grid:string -> resume:bool -> t

@@ -142,41 +142,48 @@ let lookup finished key =
   | Some r -> r
   | None -> failwith (Printf.sprintf "Job: no result for key %S" key)
 
-(* --- JSON ---------------------------------------------------------------- *)
+(* --- Sexp codec ------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Every value carries a one-letter type tag, so Int stays distinct from
+   Float, and floats are hex-float atoms that read back bit-exactly:
+   (f 0x1.8p+0), (i -42), (b true), (s "a b"), (l (f nan) (i 3)). *)
 
-let json_float f =
-  if Float.is_nan f then "null"
-  else if f = Float.infinity then "1e999"
-  else if f = Float.neg_infinity then "-1e999"
-  else Printf.sprintf "%.12g" f
+let rec value_to_sexp v =
+  let tag t x = Engine.Sexp.List [ Engine.Sexp.Atom t; Engine.Sexp.Atom x ] in
+  match v with
+  | Bool b -> tag "b" (string_of_bool b)
+  | Int i -> tag "i" (string_of_int i)
+  | Float f -> tag "f" (Engine.Hexfloat.to_string f)
+  | Str s -> tag "s" s
+  | List l -> Engine.Sexp.List (Engine.Sexp.Atom "l" :: List.map value_to_sexp l)
 
-let rec json_value = function
-  | Bool b -> string_of_bool b
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | List l -> Printf.sprintf "[%s]" (String.concat "," (List.map json_value l))
+let rec value_of_sexp (v : Engine.Sexp.t) =
+  let bad () =
+    raise (Engine.Sexp.Parse_error ("bad value " ^ Engine.Sexp.to_string v))
+  in
+  let parse conv x = match conv x with Some y -> y | None -> bad () in
+  match v with
+  | List [ Atom "b"; Atom x ] -> Bool (parse bool_of_string_opt x)
+  | List [ Atom "i"; Atom x ] -> Int (parse int_of_string_opt x)
+  | List [ Atom "f"; Atom x ] -> Float (parse Engine.Hexfloat.of_string_opt x)
+  | List [ Atom "s"; Atom x ] -> Str x
+  | List (Atom "l" :: l) -> List (List.map value_of_sexp l)
+  | _ -> bad ()
 
-let to_json (r : result) =
-  Printf.sprintf "{%s}"
-    (String.concat ","
-       (List.map
-          (fun (k, v) ->
-            Printf.sprintf "\"%s\":%s" (json_escape k) (json_value v))
-          r))
+let to_sexp (r : result) =
+  Engine.Sexp.List
+    (List.map
+       (fun (k, v) -> Engine.Sexp.List [ Engine.Sexp.Atom k; value_to_sexp v ])
+       r)
+
+let of_sexp : Engine.Sexp.t -> result = function
+  | List fields ->
+      List.map
+        (function
+          | Engine.Sexp.List [ Atom k; v ] -> (k, value_of_sexp v)
+          | v ->
+              raise
+                (Engine.Sexp.Parse_error ("bad field " ^ Engine.Sexp.to_string v)))
+        fields
+  | Atom a ->
+      raise (Engine.Sexp.Parse_error ("expected a field list, got " ^ a))

@@ -88,9 +88,15 @@ val get_strs : result -> string -> string list
     (as handed to a render step). Raises [Failure] on unknown keys. *)
 val lookup : (string * result) list -> string -> result
 
-(** One-line JSON rendering of a result, e.g. for machine-readable logs. *)
-val to_json : result -> string
+(** {2 Codec}
 
-(** JSON string-content escaping (backslash, quote, control characters);
-    shared by the checkpoint store and the runner's report writer. *)
-val json_escape : string -> string
+    Lossless s-expression form of a result, one [(name value)] pair per
+    field. Each value is tagged with its constructor ([(f 0x1.8p+0)],
+    [(i -42)], [(b true)], [(s "…")], [(l …)]) and floats are hex floats,
+    so [of_sexp (to_sexp r)] equals [r] under [Stdlib.compare]. *)
+
+val to_sexp : result -> Engine.Sexp.t
+
+(** Raises [Engine.Sexp.Parse_error] on anything {!to_sexp} does not
+    produce. *)
+val of_sexp : Engine.Sexp.t -> result

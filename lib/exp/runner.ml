@@ -69,7 +69,7 @@ let status_str = function
 let report_json r =
   let job s =
     Printf.sprintf "{\"key\":\"%s\",\"status\":\"%s\",\"attempts\":%d,\"wall_s\":%.3f}"
-      (Job.json_escape s.key) (status_str s.status) s.attempts s.wall_s
+      (Engine.Trace.json_escape s.key) (status_str s.status) s.attempts s.wall_s
   in
   Printf.sprintf
     "{\"report\":\"supervised_run\",\"total\":%d,\"ok\":%d,\"resumed\":%d,\"retried\":%d,\"timed_out\":%d,\"failed\":%d,\"wall_s\":%.3f,\"jobs\":[%s]}"

@@ -26,23 +26,32 @@ let make ~case_key ~fuzz_seed ~mutate ?scenario ?original ?(shrink_steps = 0)
   }
 
 let strings_field name l =
-  Sexp.List [ Sexp.Atom name; Sexp.List (List.map (fun s -> Sexp.Atom s) l) ]
+  Engine.Sexp.List
+    [
+      Engine.Sexp.Atom name;
+      Engine.Sexp.List (List.map (fun s -> Engine.Sexp.Atom s) l);
+    ]
 
 let scenario_field name = function
   | None -> []
-  | Some sc -> [ Sexp.List [ Sexp.Atom name; Scenario.to_sexp sc ] ]
+  | Some sc -> [ Engine.Sexp.List [ Engine.Sexp.Atom name; Scenario.to_sexp sc ] ]
 
 let to_sexp t =
-  Sexp.List
+  Engine.Sexp.List
     ([
-       Sexp.Atom "repro";
-       Sexp.List [ Sexp.Atom "case"; Sexp.Atom t.case_key ];
-       Sexp.List [ Sexp.Atom "fuzz-seed"; Sexp.Atom (string_of_int t.fuzz_seed) ];
-       Sexp.List [ Sexp.Atom "mutate"; Sexp.Atom (string_of_bool t.mutate) ];
+       Engine.Sexp.Atom "repro";
+       Engine.Sexp.List [ Engine.Sexp.Atom "case"; Engine.Sexp.Atom t.case_key ];
+       Engine.Sexp.List
+         [ Engine.Sexp.Atom "fuzz-seed"; Engine.Sexp.Atom (string_of_int t.fuzz_seed) ];
+       Engine.Sexp.List
+         [ Engine.Sexp.Atom "mutate"; Engine.Sexp.Atom (string_of_bool t.mutate) ];
        strings_field "oracles" t.oracles;
        strings_field "details" t.details;
-       Sexp.List
-         [ Sexp.Atom "shrink-steps"; Sexp.Atom (string_of_int t.shrink_steps) ];
+       Engine.Sexp.List
+         [
+           Engine.Sexp.Atom "shrink-steps";
+           Engine.Sexp.Atom (string_of_int t.shrink_steps);
+         ];
      ]
     @ scenario_field "scenario" t.scenario
     @ scenario_field "original" t.original
@@ -51,39 +60,39 @@ let to_sexp t =
 let atoms name v =
   List.map
     (function
-      | Sexp.Atom s -> s
+      | Engine.Sexp.Atom s -> s
       | l ->
           raise
-            (Sexp.Parse_error
+            (Engine.Sexp.Parse_error
                (Printf.sprintf "field %S: expected atom, got %s" name
-                  (Sexp.to_string l))))
-    (Sexp.list_field name v)
+                  (Engine.Sexp.to_string l))))
+    (Engine.Sexp.list_field name v)
 
 let scenario_of_field name v =
   Option.map
     (fun sx ->
       try Scenario.of_sexp sx
-      with Sexp.Parse_error msg ->
-        raise (Sexp.Parse_error (Printf.sprintf "field %S: %s" name msg)))
-    (Sexp.field name v)
+      with Engine.Sexp.Parse_error msg ->
+        raise (Engine.Sexp.Parse_error (Printf.sprintf "field %S: %s" name msg)))
+    (Engine.Sexp.field name v)
 
 let of_sexp v =
   match v with
-  | Sexp.List (Sexp.Atom "repro" :: _) ->
+  | Engine.Sexp.List (Engine.Sexp.Atom "repro" :: _) ->
       {
-        case_key = Sexp.atom_field "case" v;
-        fuzz_seed = Sexp.int_field "fuzz-seed" v;
-        mutate = Sexp.bool_field "mutate" v;
+        case_key = Engine.Sexp.atom_field "case" v;
+        fuzz_seed = Engine.Sexp.int_field "fuzz-seed" v;
+        mutate = Engine.Sexp.bool_field "mutate" v;
         oracles = atoms "oracles" v;
         details = atoms "details" v;
         scenario = scenario_of_field "scenario" v;
         original = scenario_of_field "original" v;
-        shrink_steps = Sexp.int_field "shrink-steps" v;
+        shrink_steps = Engine.Sexp.int_field "shrink-steps" v;
         trace_tail = atoms "trace-tail" v;
       }
   | _ ->
       raise
-        (Sexp.Parse_error ("expected (repro ...): got " ^ Sexp.to_string v))
+        (Engine.Sexp.Parse_error ("expected (repro ...): got " ^ Engine.Sexp.to_string v))
 
 let filename ~case_key =
   String.map (fun c -> if c = '/' then '-' else c) case_key ^ ".repro"
@@ -95,7 +104,7 @@ let save ~dir t =
   | oc ->
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Sexp.to_string_hum (to_sexp t)))
+        (fun () -> output_string oc (Engine.Sexp.to_string_hum (to_sexp t)))
   | exception Sys_error msg ->
       failwith (Printf.sprintf "cannot write repro bundle %s: %s" path msg));
   path
@@ -110,9 +119,9 @@ let load path =
     | exception Sys_error msg ->
         failwith (Printf.sprintf "cannot read repro bundle %s: %s" path msg)
   in
-  match of_sexp (Sexp.of_string contents) with
+  match of_sexp (Engine.Sexp.of_string contents) with
   | t -> t
-  | exception Sexp.Parse_error msg ->
+  | exception Engine.Sexp.Parse_error msg ->
       failwith (Printf.sprintf "malformed repro bundle %s: %s" path msg)
 
 let pp ppf t =

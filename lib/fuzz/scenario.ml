@@ -145,68 +145,73 @@ let generate ~id rng =
 
 (* ----- sexp codec -----
 
-   Floats are hex-float atoms via [Engine.Hexfloat] (shared with
-   [Exp.Checkpoint]); they read back bit-exactly, so a scenario file
+   Floats are hex-float atoms via [Engine.Hexfloat] (as in
+   [Exp.Job.to_sexp], which the checkpoint store writes); they read back bit-exactly, so a scenario file
    replays the identical simulation. *)
 
-let fl f = Sexp.Atom (Engine.Hexfloat.to_string f)
-let int i = Sexp.Atom (string_of_int i)
-let fld name v = Sexp.List [ Sexp.Atom name; v ]
+let fl f = Engine.Sexp.Atom (Engine.Hexfloat.to_string f)
+let int i = Engine.Sexp.Atom (string_of_int i)
+let fld name v = Engine.Sexp.List [ Engine.Sexp.Atom name; v ]
 let ffld name f = fld name (fl f)
 let ifld name i = fld name (int i)
 
 let topology_to_sexp = function
-  | Path -> Sexp.Atom "path"
-  | Dumbbell -> Sexp.Atom "dumbbell"
-  | Parking_lot h -> Sexp.List [ Sexp.Atom "parking-lot"; int h ]
-  | Graph { nodes; extra } -> Sexp.List [ Sexp.Atom "graph"; int nodes; int extra ]
+  | Path -> Engine.Sexp.Atom "path"
+  | Dumbbell -> Engine.Sexp.Atom "dumbbell"
+  | Parking_lot h -> Engine.Sexp.List [ Engine.Sexp.Atom "parking-lot"; int h ]
+  | Graph { nodes; extra } ->
+      Engine.Sexp.List [ Engine.Sexp.Atom "graph"; int nodes; int extra ]
 
 let topology_of_sexp = function
-  | Sexp.Atom "path" -> Path
-  | Sexp.Atom "dumbbell" -> Dumbbell
-  | Sexp.List [ Sexp.Atom "parking-lot"; Sexp.Atom h ] as v -> (
+  | Engine.Sexp.Atom "path" -> Path
+  | Engine.Sexp.Atom "dumbbell" -> Dumbbell
+  | Engine.Sexp.List [ Engine.Sexp.Atom "parking-lot"; Engine.Sexp.Atom h ] as v -> (
       match int_of_string_opt h with
       | Some h when h >= 2 -> Parking_lot h
       | _ ->
-          raise (Sexp.Parse_error ("bad parking-lot hops: " ^ Sexp.to_string v)))
-  | Sexp.List [ Sexp.Atom "graph"; Sexp.Atom n; Sexp.Atom x ] as v -> (
+          raise
+            (Engine.Sexp.Parse_error
+               ("bad parking-lot hops: " ^ Engine.Sexp.to_string v)))
+  | Engine.Sexp.List
+      [ Engine.Sexp.Atom "graph"; Engine.Sexp.Atom n; Engine.Sexp.Atom x ] as v
+    -> (
       match (int_of_string_opt n, int_of_string_opt x) with
       | Some nodes, Some extra when nodes >= 3 && extra >= 0 ->
           Graph { nodes; extra }
-      | _ -> raise (Sexp.Parse_error ("bad graph: " ^ Sexp.to_string v)))
-  | v -> raise (Sexp.Parse_error ("unknown topology: " ^ Sexp.to_string v))
+      | _ -> raise (Engine.Sexp.Parse_error ("bad graph: " ^ Engine.Sexp.to_string v)))
+  | v -> raise (Engine.Sexp.Parse_error ("unknown topology: " ^ Engine.Sexp.to_string v))
 
 let queue_to_sexp = function
-  | Droptail limit -> Sexp.List [ Sexp.Atom "droptail"; int limit ]
+  | Droptail limit -> Engine.Sexp.List [ Engine.Sexp.Atom "droptail"; int limit ]
   | Red { min_th; max_th; limit } ->
-      Sexp.List [ Sexp.Atom "red"; fl min_th; fl max_th; int limit ]
+      Engine.Sexp.List [ Engine.Sexp.Atom "red"; fl min_th; fl max_th; int limit ]
 
 let float_atom v =
   match v with
-  | Sexp.Atom s -> (
+  | Engine.Sexp.Atom s -> (
       match Engine.Hexfloat.of_string_opt s with
       | Some f -> f
-      | None -> raise (Sexp.Parse_error ("not a float: " ^ s)))
-  | _ -> raise (Sexp.Parse_error "expected float atom")
+      | None -> raise (Engine.Sexp.Parse_error ("not a float: " ^ s)))
+  | _ -> raise (Engine.Sexp.Parse_error "expected float atom")
 
 let int_atom v =
   match v with
-  | Sexp.Atom s -> (
+  | Engine.Sexp.Atom s -> (
       match int_of_string_opt s with
       | Some i -> i
-      | None -> raise (Sexp.Parse_error ("not an int: " ^ s)))
-  | _ -> raise (Sexp.Parse_error "expected int atom")
+      | None -> raise (Engine.Sexp.Parse_error ("not an int: " ^ s)))
+  | _ -> raise (Engine.Sexp.Parse_error "expected int atom")
 
 let queue_of_sexp = function
-  | Sexp.List [ Sexp.Atom "droptail"; limit ] -> Droptail (int_atom limit)
-  | Sexp.List [ Sexp.Atom "red"; min_th; max_th; limit ] ->
+  | Engine.Sexp.List [ Engine.Sexp.Atom "droptail"; limit ] -> Droptail (int_atom limit)
+  | Engine.Sexp.List [ Engine.Sexp.Atom "red"; min_th; max_th; limit ] ->
       Red
         {
           min_th = float_atom min_th;
           max_th = float_atom max_th;
           limit = int_atom limit;
         }
-  | v -> raise (Sexp.Parse_error ("unknown queue: " ^ Sexp.to_string v))
+  | v -> raise (Engine.Sexp.Parse_error ("unknown queue: " ^ Engine.Sexp.to_string v))
 
 let proto_to_string = function
   | Tfrc -> "tfrc"
@@ -219,52 +224,56 @@ let proto_of_string = function
   | "tcp" -> Tcp
   | "tfrcp" -> Tfrcp
   | "rap" -> Rap
-  | s -> raise (Sexp.Parse_error ("unknown proto: " ^ s))
+  | s -> raise (Engine.Sexp.Parse_error ("unknown proto: " ^ s))
 
 let flow_to_sexp f =
   let base =
     [
-      Sexp.Atom "flow";
-      fld "proto" (Sexp.Atom (proto_to_string f.proto));
+      Engine.Sexp.Atom "flow";
+      fld "proto" (Engine.Sexp.Atom (proto_to_string f.proto));
       ffld "rtt" f.rtt_base;
       ffld "start" f.start;
     ]
   in
   let hop = match f.hop with None -> [] | Some h -> [ ifld "hop" h ] in
-  Sexp.List (base @ hop)
+  Engine.Sexp.List (base @ hop)
 
 let flow_of_sexp v =
   match v with
-  | Sexp.List (Sexp.Atom "flow" :: _) ->
+  | Engine.Sexp.List (Engine.Sexp.Atom "flow" :: _) ->
       {
-        proto = proto_of_string (Sexp.atom_field "proto" v);
-        rtt_base = Sexp.float_field "rtt" v;
-        start = Sexp.float_field "start" v;
+        proto = proto_of_string (Engine.Sexp.atom_field "proto" v);
+        rtt_base = Engine.Sexp.float_field "rtt" v;
+        start = Engine.Sexp.float_field "start" v;
         hop =
-          (match Sexp.field "hop" v with
+          (match Engine.Sexp.field "hop" v with
           | Some h -> Some (int_atom h)
           | None -> None);
       }
-  | _ -> raise (Sexp.Parse_error ("expected (flow ...): " ^ Sexp.to_string v))
+  | _ ->
+      raise
+        (Engine.Sexp.Parse_error ("expected (flow ...): " ^ Engine.Sexp.to_string v))
 
 let fault_to_sexp = function
   | Outage { at; duration } ->
-      Sexp.List [ Sexp.Atom "outage"; fl at; fl duration ]
+      Engine.Sexp.List [ Engine.Sexp.Atom "outage"; fl at; fl duration ]
   | Flap { at; stop; period; down_fraction } ->
-      Sexp.List [ Sexp.Atom "flap"; fl at; fl stop; fl period; fl down_fraction ]
+      Engine.Sexp.List
+        [ Engine.Sexp.Atom "flap"; fl at; fl stop; fl period; fl down_fraction ]
   | Route_change { at; bandwidth_factor } ->
-      Sexp.List [ Sexp.Atom "route-change"; fl at; fl bandwidth_factor ]
-  | Reorder { p; jitter } -> Sexp.List [ Sexp.Atom "reorder"; fl p; fl jitter ]
+      Engine.Sexp.List [ Engine.Sexp.Atom "route-change"; fl at; fl bandwidth_factor ]
+  | Reorder { p; jitter } ->
+      Engine.Sexp.List [ Engine.Sexp.Atom "reorder"; fl p; fl jitter ]
   | Duplicate { p; delay } ->
-      Sexp.List [ Sexp.Atom "duplicate"; fl p; fl delay ]
-  | Corrupt { p } -> Sexp.List [ Sexp.Atom "corrupt"; fl p ]
+      Engine.Sexp.List [ Engine.Sexp.Atom "duplicate"; fl p; fl delay ]
+  | Corrupt { p } -> Engine.Sexp.List [ Engine.Sexp.Atom "corrupt"; fl p ]
   | Fb_blackout { at; duration } ->
-      Sexp.List [ Sexp.Atom "fb-blackout"; fl at; fl duration ]
+      Engine.Sexp.List [ Engine.Sexp.Atom "fb-blackout"; fl at; fl duration ]
 
 let fault_of_sexp = function
-  | Sexp.List [ Sexp.Atom "outage"; at; duration ] ->
+  | Engine.Sexp.List [ Engine.Sexp.Atom "outage"; at; duration ] ->
       Outage { at = float_atom at; duration = float_atom duration }
-  | Sexp.List [ Sexp.Atom "flap"; at; stop; period; down_fraction ] ->
+  | Engine.Sexp.List [ Engine.Sexp.Atom "flap"; at; stop; period; down_fraction ] ->
       Flap
         {
           at = float_atom at;
@@ -272,59 +281,60 @@ let fault_of_sexp = function
           period = float_atom period;
           down_fraction = float_atom down_fraction;
         }
-  | Sexp.List [ Sexp.Atom "route-change"; at; bandwidth_factor ] ->
+  | Engine.Sexp.List [ Engine.Sexp.Atom "route-change"; at; bandwidth_factor ] ->
       Route_change
         { at = float_atom at; bandwidth_factor = float_atom bandwidth_factor }
-  | Sexp.List [ Sexp.Atom "reorder"; p; jitter ] ->
+  | Engine.Sexp.List [ Engine.Sexp.Atom "reorder"; p; jitter ] ->
       Reorder { p = float_atom p; jitter = float_atom jitter }
-  | Sexp.List [ Sexp.Atom "duplicate"; p; delay ] ->
+  | Engine.Sexp.List [ Engine.Sexp.Atom "duplicate"; p; delay ] ->
       Duplicate { p = float_atom p; delay = float_atom delay }
-  | Sexp.List [ Sexp.Atom "corrupt"; p ] -> Corrupt { p = float_atom p }
-  | Sexp.List [ Sexp.Atom "fb-blackout"; at; duration ] ->
+  | Engine.Sexp.List [ Engine.Sexp.Atom "corrupt"; p ] -> Corrupt { p = float_atom p }
+  | Engine.Sexp.List [ Engine.Sexp.Atom "fb-blackout"; at; duration ] ->
       Fb_blackout { at = float_atom at; duration = float_atom duration }
-  | v -> raise (Sexp.Parse_error ("unknown fault: " ^ Sexp.to_string v))
+  | v -> raise (Engine.Sexp.Parse_error ("unknown fault: " ^ Engine.Sexp.to_string v))
 
 let to_sexp t =
-  Sexp.List
+  Engine.Sexp.List
     [
-      Sexp.Atom "scenario";
-      fld "id" (Sexp.Atom t.id);
+      Engine.Sexp.Atom "scenario";
+      fld "id" (Engine.Sexp.Atom t.id);
       ifld "sim-seed" t.sim_seed;
       fld "topology" (topology_to_sexp t.topology);
       ffld "bandwidth" t.bandwidth;
       ffld "delay" t.delay;
       fld "queue" (queue_to_sexp t.queue);
-      fld "flows" (Sexp.List (List.map flow_to_sexp t.flows));
-      fld "faults" (Sexp.List (List.map fault_to_sexp t.faults));
+      fld "flows" (Engine.Sexp.List (List.map flow_to_sexp t.flows));
+      fld "faults" (Engine.Sexp.List (List.map fault_to_sexp t.faults));
       ffld "duration" t.duration;
     ]
 
 let of_sexp v =
   match v with
-  | Sexp.List (Sexp.Atom "scenario" :: _) ->
+  | Engine.Sexp.List (Engine.Sexp.Atom "scenario" :: _) ->
       let flows =
-        match Sexp.field "flows" v with
-        | Some (Sexp.List l) -> List.map flow_of_sexp l
-        | _ -> raise (Sexp.Parse_error "missing or malformed flows")
+        match Engine.Sexp.field "flows" v with
+        | Some (Engine.Sexp.List l) -> List.map flow_of_sexp l
+        | _ -> raise (Engine.Sexp.Parse_error "missing or malformed flows")
       in
-      if flows = [] then raise (Sexp.Parse_error "scenario has no flows");
+      if flows = [] then raise (Engine.Sexp.Parse_error "scenario has no flows");
       {
-        id = Sexp.atom_field "id" v;
-        sim_seed = Sexp.int_field "sim-seed" v;
-        topology = topology_of_sexp (Sexp.value_field "topology" v);
-        bandwidth = Sexp.float_field "bandwidth" v;
-        delay = Sexp.float_field "delay" v;
-        queue = queue_of_sexp (Sexp.value_field "queue" v);
+        id = Engine.Sexp.atom_field "id" v;
+        sim_seed = Engine.Sexp.int_field "sim-seed" v;
+        topology = topology_of_sexp (Engine.Sexp.value_field "topology" v);
+        bandwidth = Engine.Sexp.float_field "bandwidth" v;
+        delay = Engine.Sexp.float_field "delay" v;
+        queue = queue_of_sexp (Engine.Sexp.value_field "queue" v);
         flows;
         faults =
-          (match Sexp.field "faults" v with
-          | Some (Sexp.List l) -> List.map fault_of_sexp l
-          | _ -> raise (Sexp.Parse_error "missing or malformed faults"));
-        duration = Sexp.float_field "duration" v;
+          (match Engine.Sexp.field "faults" v with
+          | Some (Engine.Sexp.List l) -> List.map fault_of_sexp l
+          | _ -> raise (Engine.Sexp.Parse_error "missing or malformed faults"));
+        duration = Engine.Sexp.float_field "duration" v;
       }
   | _ ->
       raise
-        (Sexp.Parse_error ("expected (scenario ...): got " ^ Sexp.to_string v))
+        (Engine.Sexp.Parse_error
+           ("expected (scenario ...): got " ^ Engine.Sexp.to_string v))
 
 (* ----- display ----- *)
 

@@ -67,10 +67,10 @@ val min_rtt : topology -> delay:float -> float
     equal scenarios. *)
 val generate : id:string -> Engine.Rng.t -> t
 
-val to_sexp : t -> Sexp.t
+val to_sexp : t -> Engine.Sexp.t
 
-(** Raises {!Sexp.Parse_error} on malformed input. *)
-val of_sexp : Sexp.t -> t
+(** Raises {!Engine.Sexp.Parse_error} on malformed input. *)
+val of_sexp : Engine.Sexp.t -> t
 
 val pp : Format.formatter -> t -> unit
 

@@ -94,7 +94,7 @@ let write_header b ~tag ~flags ~epoch ~flow ~seq ~size ~sent_at =
   set_u32 b 19 size;
   set_f64 b 23 sent_at
 
-let encode ?(epoch = 0) (p : Netsim.Packet.t) =
+let encode ~epoch (p : Netsim.Packet.t) =
   check_u32 "flow" p.flow;
   check_u32 "seq" p.seq;
   check_u32 "size" p.size;

@@ -71,12 +71,12 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-(** [encode ?epoch p] renders [p] as one datagram stamped with the
-    session [epoch] (default 0). Raises [Invalid_argument] if a field
+(** [encode ~epoch p] renders [p] as one datagram stamped with the
+    session [epoch]. Raises [Invalid_argument] if a field
     does not fit the format (negative or >2^32-1 counters, epoch outside
     u16, more than 65535 sack ranges) — encoder misuse, not a runtime
     condition. *)
-val encode : ?epoch:int -> Netsim.Packet.t -> string
+val encode : epoch:int -> Netsim.Packet.t -> string
 
 (** Header-only control frames for graceful teardown. [flow] and [now]
     fill the flow-id and [sent_at] fields. *)

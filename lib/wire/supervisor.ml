@@ -7,14 +7,6 @@ let state_name = function
   | Backoff -> "backoff"
   | Closed -> "closed"
 
-let legal from to_ =
-  match (from, to_) with
-  | Starting, (Established | Degraded | Backoff | Closed) -> true
-  | Established, (Degraded | Closed) -> true
-  | Degraded, (Established | Backoff | Closed) -> true
-  | Backoff, (Starting | Closed) -> true
-  | _ -> false
-
 type config = {
   degrade_expiries : int;
   dead_expiries : int;

@@ -37,15 +37,12 @@
     rather than corrupting the fresh RTT/loss state. All outgoing frames
     (data and control) go through the configured send path, and every
     transition is recorded and emitted as a [wire/sup_transition] trace
-    event, checked for legality by {!Tfrc.Invariants}. *)
+    event. The edges drawn above are enforced by {!Tfrc.Invariants}'
+    [wire-sup-legal] rule, which holds the one copy of the relation. *)
 
 type state = Starting | Established | Degraded | Backoff | Closed
 
 val state_name : state -> string
-
-(** [legal from to_] is the transition relation drawn above — what the
-    invariant checker enforces. No self-loops. *)
-val legal : state -> state -> bool
 
 type config = {
   degrade_expiries : int;

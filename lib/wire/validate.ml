@@ -73,7 +73,8 @@ let run_wire ~config ~seed ~shaper ~app_limit ~duration =
         failwith ("wire validate: decode failed: " ^ Codec.error_to_string e)
   in
   let finish =
-    session rt ~config ~seed ~shaper ~app_limit ~encode:Codec.encode ~decode
+    session rt ~config ~seed ~shaper ~app_limit
+      ~encode:(Codec.encode ~epoch:0) ~decode
   in
   Loop.run loop ~until:duration;
   finish ()

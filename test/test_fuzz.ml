@@ -8,12 +8,12 @@ let qtest t = QCheck_alcotest.to_alcotest t
 
 let sexp_round_trip v =
   Alcotest.(check bool)
-    (Fuzz.Sexp.to_string v)
+    (Engine.Sexp.to_string v)
     true
-    (Fuzz.Sexp.of_string (Fuzz.Sexp.to_string v) = v)
+    (Engine.Sexp.of_string (Engine.Sexp.to_string v) = v)
 
 let test_sexp_round_trip () =
-  let open Fuzz.Sexp in
+  let open Engine.Sexp in
   sexp_round_trip (Atom "plain");
   sexp_round_trip (Atom "");
   sexp_round_trip (Atom "with space");
@@ -30,11 +30,11 @@ let test_sexp_round_trip () =
 
 let test_sexp_errors () =
   let bad s =
-    match Fuzz.Sexp.of_string s with
-    | exception Fuzz.Sexp.Parse_error _ -> ()
+    match Engine.Sexp.of_string s with
+    | exception Engine.Sexp.Parse_error _ -> ()
     | v ->
         Alcotest.failf "expected parse error for %S, got %s" s
-          (Fuzz.Sexp.to_string v)
+          (Engine.Sexp.to_string v)
   in
   bad "(unclosed";
   bad "extra)";
@@ -57,8 +57,8 @@ let prop_scenario_codec_round_trip =
     QCheck.(pair (int_range 0 10_000) small_nat)
     (fun (seed, i) ->
       let sc = gen ~seed ~id:(Printf.sprintf "fuzz/%04d" i) in
-      Fuzz.Scenario.of_sexp (Fuzz.Sexp.of_string
-        (Fuzz.Sexp.to_string (Fuzz.Scenario.to_sexp sc))) = sc)
+      Fuzz.Scenario.of_sexp (Engine.Sexp.of_string
+        (Engine.Sexp.to_string (Fuzz.Scenario.to_sexp sc))) = sc)
 
 (* Every generated scenario and every shrink candidate must be buildable:
    RTT floors hold, cross-flow hops exist, at least one flow remains. *)
@@ -209,7 +209,7 @@ let test_bundle_load_errors () =
   (* Well-formed s-expressions with one bad field: the failure names the
      path and the field instead of escaping as another exception. *)
   let valid =
-    Fuzz.Sexp.to_string_hum
+    Engine.Sexp.to_string_hum
       (Fuzz.Bundle.to_sexp
          {
            Fuzz.Bundle.case_key = "fuzz/0001";

@@ -242,7 +242,9 @@ let test_determinism_fig6_subset () =
   | Some e ->
       let dump results =
         String.concat "\n"
-          (List.map (fun (k, r) -> k ^ " " ^ Exp.Job.to_json r) results)
+          (List.map
+             (fun (k, r) -> k ^ " " ^ Engine.Sexp.to_string (Exp.Job.to_sexp r))
+             results)
       in
       check string "fig6 subset -j1 = -j4"
         (dump (Exp.Runner.run_jobs ~j:1 ~seed:42 (subset e)))

@@ -240,7 +240,7 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-(* Round-trip every value shape through the JSONL store, including the
+(* Round-trip every value shape through the store, including the
    floats %.12g would mangle. Stdlib.compare treats nan as equal to
    itself, which is exactly the equality a byte-identical resume needs. *)
 let gnarly : Exp.Job.result =
@@ -280,25 +280,81 @@ let test_checkpoint_roundtrip () =
   Exp.Checkpoint.close ck3;
   rm_rf dir
 
+(* What a SIGKILL mid-append leaves: the store's final record line cut to
+   its first [keep len] bytes, where [len] is the line's length without
+   its newline — a strict prefix of a real line. *)
+let tear_last_line path ~keep =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let start = String.rindex_from s (String.length s - 2) '\n' + 1 in
+  Unix.truncate path (start + keep (String.length s - 1 - start))
+
 (* A SIGKILL can tear the final line; the loader must keep every complete
-   line before it. *)
+   line before it, whether the cut falls mid-line or just drops the
+   newline. *)
 let test_checkpoint_torn_tail () =
   let dir = tmp_dir "ckpt_torn" in
+  let torn ~keep =
+    rm_rf dir;
+    let ck = Exp.Checkpoint.open_store ~dir ~grid:"torn.seed1.quick" ~resume:false in
+    Exp.Checkpoint.record ck ~key:"cell/a" [ ("x", Exp.Job.f 1.5) ];
+    Exp.Checkpoint.record ck ~key:"cell/b" [ ("x", Exp.Job.f 2.5) ];
+    Exp.Checkpoint.record ck ~key:"cell/c" [ ("x", Exp.Job.f 3.5) ];
+    let path = Exp.Checkpoint.path ck in
+    Exp.Checkpoint.close ck;
+    tear_last_line path ~keep;
+    let ck2 = Exp.Checkpoint.open_store ~dir ~grid:"torn.seed1.quick" ~resume:true in
+    check int "complete lines kept, torn tail dropped" 2
+      (Exp.Checkpoint.completed_count ck2);
+    check bool "cell/b intact" true (Exp.Checkpoint.find ck2 "cell/b" <> None);
+    check bool "torn cell absent" true (Exp.Checkpoint.find ck2 "cell/c" = None);
+    Exp.Checkpoint.close ck2
+  in
+  torn ~keep:(fun len -> len / 2);
+  torn ~keep:Fun.id;
+  rm_rf dir
+
+(* Records appended by a resume that found a torn tail must start on a
+   line of their own: a second resume sees every complete cell. *)
+let test_checkpoint_resume_after_torn_tail () =
+  let dir = tmp_dir "ckpt_torn_resume" in
   rm_rf dir;
-  let ck = Exp.Checkpoint.open_store ~dir ~grid:"torn.seed1.quick" ~resume:false in
+  let grid = "torn.seed2.quick" in
+  let ck = Exp.Checkpoint.open_store ~dir ~grid ~resume:false in
   Exp.Checkpoint.record ck ~key:"cell/a" [ ("x", Exp.Job.f 1.5) ];
-  Exp.Checkpoint.record ck ~key:"cell/b" [ ("x", Exp.Job.f 2.5) ];
+  Exp.Checkpoint.record ck ~key:"cell/torn" [ ("x", Exp.Job.f 9.5) ];
   let path = Exp.Checkpoint.path ck in
   Exp.Checkpoint.close ck;
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc "{\"key\":\"cell/c\",\"result\":[[\"x\",{\"f\":\"0x1";
-  close_out oc;
-  let ck2 = Exp.Checkpoint.open_store ~dir ~grid:"torn.seed1.quick" ~resume:true in
-  check int "complete lines kept, torn tail dropped" 2
-    (Exp.Checkpoint.completed_count ck2);
-  check bool "cell/b intact" true (Exp.Checkpoint.find ck2 "cell/b" <> None);
-  check bool "torn cell absent" true (Exp.Checkpoint.find ck2 "cell/c" = None);
+  tear_last_line path ~keep:(fun len -> len / 2);
+  let ck2 = Exp.Checkpoint.open_store ~dir ~grid ~resume:true in
+  Exp.Checkpoint.record ck2 ~key:"cell/b" [ ("x", Exp.Job.f 2.5) ];
+  Exp.Checkpoint.record ck2 ~key:"cell/c" [ ("x", Exp.Job.i 3) ];
   Exp.Checkpoint.close ck2;
+  let ck3 = Exp.Checkpoint.open_store ~dir ~grid ~resume:true in
+  check int "a, b and c all loaded" 3 (Exp.Checkpoint.completed_count ck3);
+  check bool "cell/c intact" true
+    (Exp.Checkpoint.find ck3 "cell/c" = Some [ ("x", Exp.Job.i 3) ]);
+  Exp.Checkpoint.close ck3;
+  rm_rf dir
+
+(* A store in another format (here the JSON lines of earlier versions) at
+   the store's path reads as "start fresh", never as an error. *)
+let test_checkpoint_foreign_format () =
+  let dir = tmp_dir "ckpt_foreign" in
+  rm_rf dir;
+  let grid = "foreign.seed1.quick" in
+  let ck = Exp.Checkpoint.open_store ~dir ~grid ~resume:false in
+  let path = Exp.Checkpoint.path ck in
+  Exp.Checkpoint.close ck;
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\"grid\":%S,\"version\":1}\n" grid;
+      output_string oc "{\"key\":\"cell/a\",\"result\":[[\"x\",1]]}\n");
+  let ck2 = Exp.Checkpoint.open_store ~dir ~grid ~resume:true in
+  check int "foreign store starts fresh" 0 (Exp.Checkpoint.completed_count ck2);
+  Exp.Checkpoint.record ck2 ~key:"cell/a" [ ("x", Exp.Job.i 1) ];
+  Exp.Checkpoint.close ck2;
+  let ck3 = Exp.Checkpoint.open_store ~dir ~grid ~resume:true in
+  check int "rewritten store resumes" 1 (Exp.Checkpoint.completed_count ck3);
+  Exp.Checkpoint.close ck3;
   rm_rf dir
 
 (* --- Kill-and-resume byte-identity -------------------------------------------- *)
@@ -422,6 +478,10 @@ let () =
         [
           test_case "value round-trip" `Quick test_checkpoint_roundtrip;
           test_case "torn tail tolerated" `Quick test_checkpoint_torn_tail;
+          test_case "resume after torn tail" `Quick
+            test_checkpoint_resume_after_torn_tail;
+          test_case "foreign format starts fresh" `Quick
+            test_checkpoint_foreign_format;
         ] );
       ( "resume",
         [

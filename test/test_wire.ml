@@ -54,7 +54,7 @@ let test_codec_roundtrip () =
           payload
       in
       p.ecn_marked <- i mod 3 = 0;
-      let frame = Wire.Codec.encode p in
+      let frame = Wire.Codec.encode ~epoch:0 p in
       match Wire.Codec.decode rt frame with
       | Error e -> Alcotest.failf "decode %d: %s" i (Wire.Codec.error_to_string e)
       | Ok { body = Close | Close_ack; _ } ->
@@ -67,7 +67,7 @@ let test_codec_roundtrip () =
              string equality covers every field bit-for-bit. *)
           check Alcotest.string
             (Printf.sprintf "payload %d re-encodes identically" i)
-            frame (Wire.Codec.encode p'))
+            frame (Wire.Codec.encode ~epoch:0 p'))
     sample_payloads
 
 let arb_payload : Netsim.Packet.payload QCheck.arbitrary =
@@ -114,13 +114,13 @@ let prop_codec_roundtrip =
           ~sent_at:(float_of_int seq *. 0.01)
           payload
       in
-      let frame = Wire.Codec.encode p in
+      let frame = Wire.Codec.encode ~epoch:0 p in
       match Wire.Codec.decode rt frame with
       | Error e -> QCheck.Test.fail_report (Wire.Codec.error_to_string e)
       | Ok { body = Close | Close_ack; _ } ->
           QCheck.Test.fail_report "decoded to a control frame"
       | Ok { body = Packet p'; _ } ->
-          packet_eq p p' && String.equal frame (Wire.Codec.encode p'))
+          packet_eq p p' && String.equal frame (Wire.Codec.encode ~epoch:0 p'))
 
 let test_codec_rejects_hostile () =
   let rt = fresh_rt () in
@@ -129,7 +129,7 @@ let test_codec_rejects_hostile () =
       (Tfrc_feedback
          { p = 0.01; recv_rate = 5e5; ts_echo = 1.25; ts_delay = 0.004 })
   in
-  let frame = Wire.Codec.encode p in
+  let frame = Wire.Codec.encode ~epoch:0 p in
   let expect_error what = function
     | Ok _ -> Alcotest.failf "%s decoded successfully" what
     | Error _ -> ()
@@ -167,11 +167,11 @@ let test_codec_rejects_hostile () =
 let test_codec_encode_validates () =
   let rt = fresh_rt () in
   let p = mk_packet rt ~flow:(-1) ~seq:0 ~size:10 ~sent_at:0. Data in
-  (match Wire.Codec.encode p with
+  (match Wire.Codec.encode ~epoch:0 p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative flow encoded");
   let p = mk_packet rt ~flow:1 ~seq:0x1_0000_0000 ~size:10 ~sent_at:0. Data in
-  match Wire.Codec.encode p with
+  match Wire.Codec.encode ~epoch:0 p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range seq encoded"
 
@@ -219,7 +219,7 @@ let test_codec_rejects_v1 () =
      misparsed: the epoch/checksum fields moved between v1 and v2. *)
   let rt = fresh_rt () in
   let p = mk_packet rt ~flow:1 ~seq:2 ~size:100 ~sent_at:0.5 Data in
-  let b = Bytes.of_string (Wire.Codec.encode p) in
+  let b = Bytes.of_string (Wire.Codec.encode ~epoch:0 p) in
   Bytes.set_uint8 b 2 1;
   match Wire.Codec.decode rt (Bytes.to_string b) with
   | Error (Wire.Codec.Bad_version 1) -> ()
@@ -271,7 +271,7 @@ let test_codec_names_first_non_finite () =
   let rt = fresh_rt () in
   let expect what sent_at payload =
     let p = mk_packet rt ~flow:1 ~seq:1 ~size:100 ~sent_at payload in
-    match Wire.Codec.decode rt (Wire.Codec.encode p) with
+    match Wire.Codec.decode rt (Wire.Codec.encode ~epoch:0 p) with
     | Error (Wire.Codec.Bad_value v) ->
         check Alcotest.string "first non-finite field" (what ^ " is not finite") v
     | Error e -> Alcotest.failf "%s: wrong error %s" what (Wire.Codec.error_to_string e)
@@ -721,24 +721,6 @@ let finish_session loop sup rcv a b ~until =
   Wire.Udp.close a;
   Wire.Udp.close b
 
-let test_supervisor_legal_matches_checker () =
-  (* The wire layer's transition relation and the invariant checker's
-     string table must agree edge-for-edge. *)
-  let states =
-    Wire.Supervisor.[ Starting; Established; Degraded; Backoff; Closed ]
-  in
-  List.iter
-    (fun from ->
-      List.iter
-        (fun to_ ->
-          let n = Wire.Supervisor.state_name in
-          check Alcotest.bool
-            (Printf.sprintf "%s -> %s" (n from) (n to_))
-            (Tfrc.Invariants.sup_legal (n from) (n to_))
-            (Wire.Supervisor.legal from to_))
-        states)
-    states
-
 let test_supervisor_death_and_recovery () =
   (* The acceptance scenario: every send fails with EHOSTUNREACH for a
      long window. The loop must not crash; the supervisor must degrade,
@@ -1143,8 +1125,6 @@ let () =
         ] );
       ( "supervisor",
         [
-          Alcotest.test_case "legal matches checker" `Quick
-            test_supervisor_legal_matches_checker;
           Alcotest.test_case "death and recovery" `Quick
             test_supervisor_death_and_recovery;
           Alcotest.test_case "mutate caught" `Quick
