@@ -11,10 +11,12 @@ check:
 test:
 	dune runtest
 
-# No top-level mutable ref/counter state in lib/ outside the engine
-# allowlist (also enforced by `dune runtest` via a rule in ./dune).
+# Both lints of ./dune: no top-level mutable ref/counter state in lib/
+# outside the engine allowlist, and no export of lib/ without a caller
+# outside its own unit (or a line in tools/unused_exports.allow). Both
+# also run under `dune runtest`.
 lint:
-	bash tools/lint_global_state.sh
+	dune build --force @@runtest
 
 bench:
 	dune exec bench/main.exe

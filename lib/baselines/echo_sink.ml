@@ -4,17 +4,15 @@ type t = {
   flow : int;
   transmit : Netsim.Packet.handler;
   mutable packets : int;
-  mutable bytes : int;
 }
 
 let create rt ?(ack_size = 40) ~flow ~transmit () =
-  { rt; ack_size; flow; transmit; packets = 0; bytes = 0 }
+  { rt; ack_size; flow; transmit; packets = 0 }
 
 let recv t (pkt : Netsim.Packet.t) =
   match pkt.payload with
   | Data | Tfrc_data _ ->
       t.packets <- t.packets + 1;
-      t.bytes <- t.bytes + pkt.size;
       let echo =
         Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:pkt.seq ~size:t.ack_size
           ~now:(Engine.Runtime.now t.rt)
@@ -26,4 +24,3 @@ let recv t (pkt : Netsim.Packet.t) =
 
 let recv t = recv t
 let packets_received t = t.packets
-let bytes_received t = t.bytes

@@ -16,4 +16,3 @@ val create :
 
 val recv : t -> Netsim.Packet.handler
 val packets_received : t -> int
-val bytes_received : t -> int

@@ -113,5 +113,4 @@ let stop t =
   Engine.Runtime.cancel t.start_timer;
   t.running <- false
 let rate t = t.rate
-let packets_sent t = t.seq
 let loss_events t = t.loss_events

@@ -27,5 +27,4 @@ val start : t -> at:float -> unit
 val stop : t -> unit
 val rate : t -> float (** bytes/s *)
 
-val packets_sent : t -> int
 val loss_events : t -> int

@@ -86,7 +86,6 @@ module Receiver = struct
     mutable last_data_sent_at : float;
     mutable last_data_arrival : float;
     mutable fb_seq : int;
-    mutable running : bool;
   }
 
   let rec create rt ?(pkt_size = 1000) ?(ewma = 0.1) ?(initial_rtt = 0.5)
@@ -110,14 +109,11 @@ module Receiver = struct
         last_data_sent_at = 0.;
         last_data_arrival = 0.;
         fb_seq = 0;
-        running = true;
       }
     in
     let rec tick () =
-      if t.running then begin
-        send_feedback t;
-        ignore (Engine.Runtime.after rt t.rtt tick)
-      end
+      send_feedback t;
+      ignore (Engine.Runtime.after rt t.rtt tick)
     in
     ignore (Engine.Runtime.after rt t.rtt tick);
     t
@@ -188,8 +184,6 @@ module Receiver = struct
     | Data | Tcp_ack _ | Tfrc_feedback _ -> ()
 
   let recv t = recv t
-  let stop t = t.running <- false
   let cwnd t = t.cwnd
-  let rate t = t.smoothed_rate
   let losses t = t.losses
 end

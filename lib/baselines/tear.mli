@@ -49,13 +49,9 @@ module Receiver : sig
     t
 
   val recv : t -> Netsim.Packet.handler
-  val stop : t -> unit
 
   (** Emulated congestion window, packets. *)
   val cwnd : t -> float
-
-  (** Smoothed allowed rate, bytes/s. *)
-  val rate : t -> float
 
   val losses : t -> int
 end

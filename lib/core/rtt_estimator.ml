@@ -39,8 +39,6 @@ let sample t rtt =
   fl.last <- rtt
 
 let[@inline] rtt t = t.fl.srtt
-let last_sample t = t.fl.last
-let sqrt_mean t = t.fl.sqrt_mean
 let[@inline] t_rto t = t.t_rto_factor *. t.fl.srtt
 let has_sample t = t.have
 

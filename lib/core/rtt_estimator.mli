@@ -19,12 +19,6 @@ val sample : t -> float -> unit
 (** Smoothed RTT ([initial_rtt] until the first sample). *)
 val rtt : t -> float
 
-(** Most recent raw sample (falls back to [initial_rtt]). *)
-val last_sample : t -> float
-
-(** EWMA of sqrt(RTT). *)
-val sqrt_mean : t -> float
-
 val t_rto : t -> float
 val has_sample : t -> bool
 

@@ -18,7 +18,6 @@ type t = {
   mutable running : bool;
   mutable seq : int;
   mutable packets : int;
-  mutable bytes : int;
   mutable feedbacks : int;
   mutable nofb_expiries : int;
   mutable expiries_since_fb : int; (* expirations since the last feedback *)
@@ -73,7 +72,6 @@ let send_packet t =
       in
       t.seq <- t.seq + 1;
       t.packets <- t.packets + 1;
-      t.bytes <- t.bytes + pkt.size;
       t.transmit pkt
     done;
     t.send_timer <-
@@ -148,7 +146,6 @@ let create rt ~config ~flow ~transmit () =
       running = false;
       seq = 0;
       packets = 0;
-      bytes = 0;
       feedbacks = 0;
       nofb_expiries = 0;
       expiries_since_fb = 0;
@@ -270,12 +267,10 @@ let stop t =
   Engine.Runtime.cancel t.nofb_timer
 
 let rate t = t.fl.rate
-let rate_pkts_per_rtt t = t.fl.rate *. Rtt_estimator.rtt t.rtt_est /. s_bytes t
 let rtt t = Rtt_estimator.rtt t.rtt_est
 let loss_event_rate t = t.fl.p
 let in_slow_start t = t.slow_start
 let packets_sent t = t.packets
-let bytes_sent t = t.bytes
 let feedbacks_received t = t.feedbacks
 let no_feedback_expirations t = t.nofb_expiries
 let expiries_since_feedback t = t.expiries_since_fb

@@ -41,9 +41,6 @@ val stop : t -> unit
 (** Current allowed sending rate, bytes/s. *)
 val rate : t -> float
 
-(** Current allowed rate in packets per RTT. *)
-val rate_pkts_per_rtt : t -> float
-
 (** Smoothed RTT estimate. *)
 val rtt : t -> float
 
@@ -52,7 +49,6 @@ val loss_event_rate : t -> float
 
 val in_slow_start : t -> bool
 val packets_sent : t -> int
-val bytes_sent : t -> int
 val feedbacks_received : t -> int
 
 (** Total no-feedback timer expirations; monotone over a run. *)

@@ -1,17 +1,3 @@
 let to_string f = Printf.sprintf "%h" f
 
-let of_string s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> failwith (Printf.sprintf "Hexfloat.of_string: %S" s)
-
 let of_string_opt = float_of_string_opt
-
-(* [%h] renders every NaN as "nan", so payload bits do not survive the
-   round trip — only NaN-ness does. Treating all NaNs as equal matches
-   what the consumers check (Stdlib.compare in Checkpoint's resume test
-   does the same); everything else is compared bit-for-bit, which keeps
-   -0. distinct from 0. *)
-let equal a b =
-  (Float.is_nan a && Float.is_nan b)
-  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)

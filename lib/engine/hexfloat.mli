@@ -12,16 +12,6 @@
     finite values, ["nan"] / ["inf"] / ["-inf"] for the specials. *)
 val to_string : float -> string
 
-(** [of_string s] parses anything {!to_string} produces (and any other
-    [float_of_string] syntax). Raises [Failure] on malformed input. *)
-val of_string : string -> float
-
-(** [of_string_opt s] is [of_string] returning [None] on malformed
-    input. *)
+(** [of_string_opt s] parses anything {!to_string} produces (and any
+    other [float_of_string] syntax); [None] on malformed input. *)
 val of_string_opt : string -> float option
-
-(** [equal a b] is round-trip equality: any NaN equals any NaN (payload
-    bits do not survive ["nan"]), every other value compares bit-for-bit,
-    so [0.] differs from [-0.]. This is the equality the round-trip
-    tests check, not IEEE [=]. *)
-val equal : float -> float -> bool

@@ -1,10 +1,10 @@
 (* Fixed pool of worker domains fed from a mutex+condition work queue.
 
    Stdlib-only by design (no domainslib in the image): workers block on
-   [nonempty] until a task or shutdown arrives; [map] enqueues one task per
-   array element and blocks on [all_done] until the last one finishes.
+   [nonempty] until a task or shutdown arrives; [try_map] enqueues one task
+   per array element and blocks on [all_done] until the last one finishes.
 
-   Memory-model note: [map]'s results array is written by workers and read
+   Memory-model note: [try_map]'s results array is written by workers and read
    by the caller, but every slot write happens before the worker's matching
    [remaining] decrement under the pool mutex, and the caller only reads the
    array after observing [remaining = 0] under that same mutex — so all
@@ -45,72 +45,40 @@ let create n =
   t.workers <- Array.init n (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-let size t = Array.length t.workers
-
-(* Shared batch machinery. Each task records its own ('b, exn * bt) result
-   slot; [drain_on_error] additionally cancels the batch's queued-but-
-   unstarted tasks the moment one task raises. Only one batch can be in
-   flight at a time (map/try_map block their caller and tasks may not
-   submit work), so everything sitting in [t.tasks] at failure time belongs
-   to this batch and clearing the queue drops exactly the unstarted
-   remainder — their slots stay [None]. *)
-let run_batch ~drain_on_error t f items =
-  let n = Array.length items in
-  let results = Array.make n None in
-  let first_error = ref None in
-  let remaining = ref n in
-  let all_done = Condition.create () in
-  Mutex.lock t.m;
-  if t.closing then begin
-    Mutex.unlock t.m;
-    invalid_arg "Pool.map: pool is shut down"
-  end;
-  for i = 0 to n - 1 do
-    Queue.add
-      (fun () ->
-        (match f items.(i) with
-        | r -> results.(i) <- Some (Ok r)
-        | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            results.(i) <- Some (Error (e, bt));
-            Mutex.lock t.m;
-            if !first_error = None then first_error := Some (e, bt);
-            if drain_on_error then begin
-              remaining := !remaining - Queue.length t.tasks;
-              Queue.clear t.tasks
-            end;
-            Mutex.unlock t.m);
-        Mutex.lock t.m;
-        decr remaining;
-        if !remaining <= 0 then Condition.signal all_done;
-        Mutex.unlock t.m)
-      t.tasks
-  done;
-  Condition.broadcast t.nonempty;
-  while !remaining > 0 do
-    Condition.wait all_done t.m
-  done;
-  Mutex.unlock t.m;
-  (results, !first_error)
-
 let try_map t f items =
-  if Array.length items = 0 then [||]
-  else
-    let results, _ = run_batch ~drain_on_error:false t f items in
+  let n = Array.length items in
+  if n = 0 then [||]
+  else begin
+    let results = Array.make n None in
+    let remaining = ref n in
+    let all_done = Condition.create () in
+    Mutex.lock t.m;
+    if t.closing then begin
+      Mutex.unlock t.m;
+      invalid_arg "Pool.try_map: pool is shut down"
+    end;
+    for i = 0 to n - 1 do
+      Queue.add
+        (fun () ->
+          (results.(i) <-
+             match f items.(i) with
+             | r -> Some (Ok r)
+             | exception e -> Some (Error (e, Printexc.get_raw_backtrace ())));
+          Mutex.lock t.m;
+          decr remaining;
+          if !remaining = 0 then Condition.signal all_done;
+          Mutex.unlock t.m)
+        t.tasks
+    done;
+    Condition.broadcast t.nonempty;
+    while !remaining > 0 do
+      Condition.wait all_done t.m
+    done;
+    Mutex.unlock t.m;
     Array.map
       (function Some r -> r | None -> assert false (* every task ran *))
       results
-
-let map t f items =
-  if Array.length items = 0 then [||]
-  else
-    let results, first_error = run_batch ~drain_on_error:true t f items in
-    match first_error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-        Array.map
-          (function Some (Ok r) -> r | _ -> assert false (* error raised *))
-          results
+  end
 
 let shutdown t =
   Mutex.lock t.m;

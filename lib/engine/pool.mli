@@ -6,7 +6,7 @@
     picks it up. Results come back positionally, so callers see the same
     ordering regardless of scheduling.
 
-    Threading contract: [map] and [shutdown] must be called from the owning
+    Threading contract: [try_map] and [shutdown] must be called from the owning
     (coordinating) domain; tasks run on worker domains and must not touch
     the coordinator's domain-local state (e.g. its {!Trace.default} bus —
     each worker domain has its own). *)
@@ -18,28 +18,15 @@ type t
     domain count. *)
 val create : int -> t
 
-(** Number of worker domains. *)
-val size : t -> int
-
 (** [try_map t f items] runs [f items.(i)] for every [i] on the pool and
     blocks until all are done. Every task runs to completion regardless of
     other tasks' failures: slot [i] is [Ok (f items.(i))], or
     [Error (exn, backtrace)] if that task raised — one crashing cell never
-    poisons the batch. Tasks must not themselves call [try_map], [map] or
+    poisons the batch. Tasks must not themselves call [try_map] or
     [shutdown] on this pool. *)
 val try_map :
   t -> ('a -> 'b) -> 'a array -> ('b, exn * Printexc.raw_backtrace) result array
 
-(** [map t f items] is the fail-fast variant: result [i] is [f items.(i)],
-    and if any task raises, the batch's queued-but-unstarted tasks are
-    discarded (they never run), in-flight tasks finish, and the first
-    exception observed is re-raised on the caller with its backtrace — so
-    [map] returns promptly after a failure and a subsequent {!shutdown}
-    does not burn time on abandoned work. Use {!try_map} to run every task
-    and observe per-task outcomes instead. Tasks must not themselves call
-    [try_map], [map] or [shutdown] on this pool. *)
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-
 (** [shutdown t] finishes queued work, then joins all workers. Idempotent.
-    Calling [map] afterwards raises [Invalid_argument]. *)
+    Calling [try_map] afterwards raises [Invalid_argument]. *)
 val shutdown : t -> unit

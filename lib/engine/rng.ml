@@ -122,10 +122,6 @@ let pareto t ~shape ~scale =
   in
   scale /. (positive () ** (1. /. shape))
 
-let pareto_mean ~shape ~scale =
-  assert (shape > 1.);
-  scale *. shape /. (shape -. 1.)
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

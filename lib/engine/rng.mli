@@ -54,8 +54,5 @@ val exponential : t -> mean:float -> float
     [shape <= 2]; used for self-similar ON/OFF traffic. *)
 val pareto : t -> shape:float -> scale:float -> float
 
-(** [pareto_mean ~shape ~scale] is the analytic mean, for [shape > 1]. *)
-val pareto_mean : shape:float -> scale:float -> float
-
 (** [shuffle t a] permutes the array in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit

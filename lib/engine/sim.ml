@@ -83,7 +83,6 @@ let create ?trace () =
   t
 
 let now t = t.clock
-let trace t = t.trace
 
 let fresh_id t =
   t.next_id <- t.next_id + 1;
@@ -117,7 +116,6 @@ let post t delay g a =
   Timers.post t.timers ~now:t.clock ~delay g a
 
 let cancel = Timers.cancel
-let is_pending = Timers.is_pending
 let null_handle = Timers.null_handle
 let pending_events t = Timers.size t.timers
 

@@ -19,16 +19,6 @@ val create : ?trace:Trace.t -> unit -> t
 (** [now t] is the current virtual time in seconds. *)
 val now : t -> float
 
-(** The trace bus this scheduler (and components built on it) emits to. *)
-val trace : t -> Trace.t
-
-(** [fresh_id t] allocates the next identity from this simulation's private
-    counter (1, 2, 3, ...). Used for packet ids and default link labels, so
-    identities are deterministic per simulation: the stream depends only on
-    this sim's own allocation order, never on other sims in the process or
-    on which domain runs the sim. *)
-val fresh_id : t -> int
-
 (** [ids_allocated t] is how many ids {!fresh_id} has handed out. *)
 val ids_allocated : t -> int
 
@@ -41,15 +31,9 @@ val at : t -> float -> (unit -> unit) -> handle
     [delay] must be finite and non-negative. *)
 val after : t -> float -> (unit -> unit) -> handle
 
-(** [post t delay g a] runs [g a] [delay] seconds from now, with no
-    handle: {!Runtime.post}'s contract, allocating nothing. [delay] is
-    checked as in {!after}. *)
-val post : t -> float -> (int -> unit) -> int -> unit
-
-(** {!Timers.cancel}, {!Timers.is_pending} and {!Timers.null_handle}. *)
+(** {!Timers.cancel} and {!Timers.null_handle}. *)
 val cancel : handle -> unit
 
-val is_pending : handle -> bool
 val null_handle : handle
 
 (** [runtime t] is the sans-IO {!Runtime} view of this scheduler — virtual
@@ -86,10 +70,6 @@ val budget : ?max_events:int -> ?max_time:float -> unit -> budget
     (consulted by every {!run} without an explicit [?budget]), runs [f],
     and restores the previous ambient budget — even on exceptions. *)
 val with_budget : budget -> (unit -> 'a) -> 'a
-
-(** [set_budget b] sets the calling domain's ambient budget directly;
-    [current_budget ()] reads it. Prefer {!with_budget}. *)
-val set_budget : budget option -> unit
 
 val current_budget : unit -> budget option
 

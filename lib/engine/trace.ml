@@ -175,15 +175,6 @@ let memory_sink () =
   ( { emit = (fun ev -> events := ev :: !events); close = ignore },
     fun () -> List.rev !events )
 
-let jsonl_sink oc =
-  {
-    emit =
-      (fun ev ->
-        output_string oc (to_json ev);
-        output_char oc '\n');
-    close = (fun () -> flush oc);
-  }
-
 let file_sink path =
   let oc = open_out path in
   {
@@ -193,5 +184,3 @@ let file_sink path =
         output_char oc '\n');
     close = (fun () -> close_out oc);
   }
-
-let stdout_sink () = jsonl_sink stdout

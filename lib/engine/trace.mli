@@ -80,14 +80,8 @@ val recent : t -> event list
     received, in emission order. *)
 val memory_sink : unit -> sink * (unit -> event list)
 
-(** JSONL sink on an existing channel; [close] flushes but does not close
-    the channel. *)
-val jsonl_sink : out_channel -> sink
-
 (** JSONL sink writing to [path] (truncates); [close] closes the file. *)
 val file_sink : string -> sink
-
-val stdout_sink : unit -> sink
 
 (** One-line JSON rendering: [{"t":…,"cat":"…","ev":"…",<fields>}]. NaN
     renders as [null]. *)

@@ -1,24 +1,8 @@
 let bits_of_bytes b = 8. *. float_of_int b
-let bytes_of_bits b = b /. 8.
 let mbps f = f *. 1e6
 let kbps f = f *. 1e3
 let bps_to_byte_rate bps = bps /. 8.
-let byte_rate_to_mbps r = r *. 8. /. 1e6
-let kbytes_per_s r = r /. 1e3
-let ms f = f /. 1e3
 
 let tx_time ~bits_per_s ~bytes =
   assert (bits_per_s > 0.);
   bits_of_bytes bytes /. bits_per_s
-
-let pp_rate ppf r =
-  let abs = Float.abs r in
-  if abs >= 1e6 then Format.fprintf ppf "%.2f MB/s" (r /. 1e6)
-  else if abs >= 1e3 then Format.fprintf ppf "%.2f KB/s" (r /. 1e3)
-  else Format.fprintf ppf "%.1f B/s" r
-
-let pp_time ppf t =
-  let abs = Float.abs t in
-  if abs >= 1. then Format.fprintf ppf "%.3f s" t
-  else if abs >= 1e-3 then Format.fprintf ppf "%.2f ms" (t *. 1e3)
-  else Format.fprintf ppf "%.1f us" (t *. 1e6)

@@ -1,10 +1,7 @@
-(** Unit conversions and pretty-printers used throughout the simulator.
+(** Unit conversions used throughout the simulator.
 
     Internal conventions: time in seconds, rates in bytes/second, sizes in
     bytes, link bandwidths in bits/second. *)
-
-val bits_of_bytes : int -> float
-val bytes_of_bits : float -> float
 
 (** [mbps f] converts megabits/second to bits/second. *)
 val mbps : float -> float
@@ -15,20 +12,5 @@ val kbps : float -> float
 (** [bps_to_byte_rate bps] converts bits/second to bytes/second. *)
 val bps_to_byte_rate : float -> float
 
-(** [byte_rate_to_mbps r] converts bytes/second to megabits/second. *)
-val byte_rate_to_mbps : float -> float
-
-(** [kbytes_per_s r] converts bytes/second to kilobytes/second (KB = 1000). *)
-val kbytes_per_s : float -> float
-
-(** [ms f] converts milliseconds to seconds. *)
-val ms : float -> float
-
 (** [tx_time ~bits_per_s ~bytes] is the serialization delay of a packet. *)
 val tx_time : bits_per_s:float -> bytes:int -> float
-
-(** [pp_rate ppf r] prints a byte rate with an adaptive unit. *)
-val pp_rate : Format.formatter -> float -> unit
-
-(** [pp_time ppf t] prints a duration with an adaptive unit. *)
-val pp_time : Format.formatter -> float -> unit

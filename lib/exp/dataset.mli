@@ -9,9 +9,6 @@
 (** [enabled ()] is true when [TFRC_DATA_DIR] is set. *)
 val enabled : unit -> bool
 
-(** [dir ()] is the target directory, if enabled. *)
-val dir : unit -> string option
-
 (** [write_series ~name ~columns rows] writes [name].dat with a header
     naming the columns. Row arity must match. No-op when disabled; errors
     writing the file are reported on stderr, never raised. *)

@@ -24,5 +24,3 @@ type result = {
   cov_tfrc : float list;
   cov_tcp : float list;
 }
-
-val one : sources:int -> duration:float -> seed:int -> result

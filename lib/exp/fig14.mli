@@ -23,5 +23,3 @@ type result = {
   queue_sd : float;
   queue_series : float array;  (** sampled occupancy, packets *)
 }
-
-val one : proto:[ `Tcp | `Tfrc ] -> duration:float -> seed:int -> result

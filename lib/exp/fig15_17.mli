@@ -42,5 +42,3 @@ type path_result = {
   tfrc_rate : float;
   loss_rate : float;
 }
-
-val measure_path : profile -> duration:float -> seed:int -> path_result

@@ -21,12 +21,3 @@ type cell = {
   utilization : float;
   drop_rate : float;
 }
-
-(** One grid cell; [queue] selects the discipline. *)
-val cell :
-  queue:[ `Droptail | `Red ] ->
-  link_mbps:float ->
-  total_flows:int ->
-  duration:float ->
-  seed:int ->
-  cell

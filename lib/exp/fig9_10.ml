@@ -51,29 +51,6 @@ let one_run ~duration ~seed =
     List.map (fun tau -> cov tcp tau) timescales,
     r.drop_rate )
 
-let compute ~runs ~duration ~seed =
-  let results =
-    List.init runs (fun i -> one_run ~duration ~seed:(seed + (1009 * i)))
-  in
-  let collect f =
-    (* For each timescale index, CI over runs. *)
-    List.mapi
-      (fun ti _ ->
-        Stats.Ci.of_samples
-          (Array.of_list (List.map (fun r -> List.nth (f r) ti) results)))
-      timescales
-  in
-  {
-    timescales;
-    tfrc_tfrc = collect (fun (a, _, _, _, _, _) -> a);
-    tcp_tcp = collect (fun (_, b, _, _, _, _) -> b);
-    tfrc_tcp = collect (fun (_, _, c, _, _, _) -> c);
-    cov_tfrc = collect (fun (_, _, _, d, _, _) -> d);
-    cov_tcp = collect (fun (_, _, _, _, e, _) -> e);
-    loss_rate =
-      Scenario.mean (List.map (fun (_, _, _, _, _, l) -> l) results);
-  }
-
 (* One job per independent run; the render step aggregates the runs into
    confidence intervals. *)
 let key i = Printf.sprintf "fig9_10/run%d" i

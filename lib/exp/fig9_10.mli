@@ -25,5 +25,3 @@ type curves = {
   cov_tcp : Stats.Ci.t list;
   loss_rate : float;  (** mean bottleneck loss over runs *)
 }
-
-val compute : runs:int -> duration:float -> seed:int -> curves

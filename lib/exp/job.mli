@@ -61,11 +61,6 @@ val strs : string list -> value
 
 val missing : reason:string -> result
 
-(** [missing_reason r] is [Some reason] iff [r] is a placeholder. *)
-val missing_reason : result -> string option
-
-val is_missing : result -> bool
-
 (** {2 Accessors}
 
     All raise [Failure] naming the field when it is absent or has the wrong
@@ -74,7 +69,6 @@ val is_missing : result -> bool
     {!missing} placeholder the typed accessors return hole values instead
     of raising (see above). *)
 
-val get : result -> string -> value
 val get_float : result -> string -> float
 val get_int : result -> string -> int
 val get_str : result -> string -> string

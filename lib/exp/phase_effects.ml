@@ -29,7 +29,7 @@ let nokia ~delay_gain ~duration ~seed =
   /. fair
 
 (* 4 TCP flows; returns (Jain index, bottleneck utilization). *)
-let tcp_phase_full ~queue ~identical_rtt ~duration ~seed =
+let tcp_phase ~queue ~identical_rtt ~duration ~seed =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed in
   let bandwidth = Engine.Units.mbps 10. in
@@ -62,9 +62,6 @@ let tcp_phase_full ~queue ~identical_rtt ~duration ~seed =
   ( Stats.Fairness.jain rates,
     Netsim.Link.utilization (Netsim.Dumbbell.forward_link db) ~duration )
 
-let tcp_phase ~queue ~identical_rtt ~duration ~seed =
-  fst (tcp_phase_full ~queue ~identical_rtt ~duration ~seed)
-
 let nokia_key i = Printf.sprintf "phase/nokia/%d" i
 let phase_combos = [ ("DropTail", `Droptail, true); ("DropTail", `Droptail, false);
                      ("RED", `Red, true); ("RED", `Red, false) ]
@@ -89,7 +86,7 @@ let jobs ~full =
       (fun (qlabel, queue, identical) ->
         Job.make (phase_key qlabel identical) (fun rng ->
             let jain, util =
-              tcp_phase_full ~queue ~identical_rtt:identical ~duration
+              tcp_phase ~queue ~identical_rtt:identical ~duration
                 ~seed:(Job.derive_seed rng)
             in
             [ ("jain", Job.f jain); ("util", Job.f util) ]))

@@ -17,16 +17,3 @@ val render :
   (string * Job.result) list ->
   Format.formatter ->
   unit
-
-(** [nokia ~delay_gain ~duration ~seed] is the T1 scenario: 6 TFRC + 1 TCP
-    on 1.5 Mb/s DropTail; returns the TCP flow's share of its fair share. *)
-val nokia : delay_gain:bool -> duration:float -> seed:int -> float
-
-(** [tcp_phase ~queue ~identical_rtt ~duration ~seed] runs 4 TCP flows and
-    returns the Jain index of their throughputs. *)
-val tcp_phase :
-  queue:[ `Droptail | `Red ] ->
-  identical_rtt:bool ->
-  duration:float ->
-  seed:int ->
-  float

@@ -140,8 +140,6 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-let ids () = List.map (fun e -> e.id) all
-
 (* Identity of one concrete grid instantiation — everything that determines
    the cell set and each cell's result. A checkpoint written under one
    grid id must never be resumed under another (different seed or scale =

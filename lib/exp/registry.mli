@@ -22,7 +22,6 @@ type experiment = {
 
 val all : experiment list
 val find : string -> experiment option
-val ids : unit -> string list
 
 (** [grid_id e ~full ~seed] names one concrete grid instantiation, e.g.
     ["fig6.seed42.quick"] — the key under which a checkpoint store for

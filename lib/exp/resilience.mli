@@ -31,16 +31,9 @@ type report = {
   post_rate : float;  (** mean goodput in the tail window, bytes/s *)
 }
 
-(** The scaled-down fault matrix (both protocols), for tests and the
-    benchmark harness. Runs with an invariant audit (see
-    {!audited_matrix}); the checker result is discarded here. *)
+(** The scaled-down fault matrix (both protocols). Runs with an
+    invariant audit whose checker result is discarded. *)
 val matrix : seed:int -> full:bool -> report list
-
-(** Like {!matrix}, but also returns the {!Tfrc.Invariants} checker that
-    was subscribed to the default trace bus for the whole matrix: callers
-    can assert [Tfrc.Invariants.ok checker] to turn RFC 3448 conformance
-    under faults into a hard pass/fail signal. *)
-val audited_matrix : seed:int -> full:bool -> report list * Tfrc.Invariants.t
 
 (** One scripted TFRC outage run, the acceptance scenario: a mid-flow
     outage of [duration] seconds starting at [at]. Returns the report plus

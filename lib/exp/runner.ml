@@ -295,18 +295,6 @@ let run_jobs_supervised ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~seed jobs =
   end;
   (outcomes, report)
 
-let run_jobs ?(j = 1) ~seed jobs =
-  let outcomes, _ = run_jobs_supervised ~j ~seed jobs in
-  (* Legacy raising contract: traces were already replayed above; now
-     surface the first failure in job-list order with its original
-     backtrace. Note every job ran (crash isolation) before this raise. *)
-  List.map
-    (fun (key, o) ->
-      match o with
-      | Completed r -> (key, r)
-      | Gave_up f -> Printexc.raise_with_backtrace f.exn_ f.backtrace)
-    outcomes
-
 let run_experiment ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~full ~seed
     (e : Registry.experiment) ppf =
   let outcomes, report =

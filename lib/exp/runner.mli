@@ -51,8 +51,6 @@ type report = {
 (** One human-readable line, e.g. ["timed out after 3 attempts: ..."]. *)
 val failure_summary : failure -> string
 
-val status_str : status -> string
-
 (** One-line JSON rendering of a report, for machine-readable logs. *)
 val report_json : report -> string
 
@@ -79,14 +77,6 @@ val run_jobs_supervised :
   seed:int ->
   Job.t list ->
   (string * outcome) list * report
-
-(** [run_jobs ~j ~seed jobs] executes every job and returns
-    [(key, result)] pairs in job-list order — the unsupervised contract.
-    Every job still runs to an outcome (crash isolation) and captured
-    trace events are replayed first; then, if any job failed, the first
-    failure in job-list order is re-raised with its original backtrace. *)
-val run_jobs :
-  ?j:int -> seed:int -> Job.t list -> (string * Job.result) list
 
 (** [run_experiment ~j ~retries ~budget ~checkpoint ~full ~seed e ppf]
     builds [e]'s grid, runs it supervised, and renders the finished

@@ -16,9 +16,3 @@ val render :
   (string * Job.result) list ->
   Format.formatter ->
   unit
-
-(** [hurst_of_aggregate ~sources ~shape ~duration ~seed] builds the
-    aggregate and estimates H. [shape <= 0.] selects exponential ON/OFF
-    durations instead of Pareto (the control). *)
-val hurst_of_aggregate :
-  sources:int -> shape:float -> duration:float -> seed:int -> float

@@ -41,9 +41,6 @@ val make :
 
 val to_sexp : t -> Engine.Sexp.t
 
-(** Raises {!Engine.Sexp.Parse_error} naming the missing or malformed field. *)
-val of_sexp : Engine.Sexp.t -> t
-
 (** Bundle filename for a case key, e.g. ["fuzz-0013.repro"]. *)
 val filename : case_key:string -> string
 

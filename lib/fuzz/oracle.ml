@@ -67,16 +67,6 @@ let twice ~fingerprint run =
         };
       ] )
 
-let oracle_names =
-  [
-    "no-crash";
-    "termination";
-    "invariants";
-    "queue-conservation";
-    "rate-range";
-    "determinism";
-  ]
-
 let mean_pktsize = 1000.
 
 let make_queue (sc : Scenario.t) sim () =

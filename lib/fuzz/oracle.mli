@@ -68,9 +68,6 @@ val twice : fingerprint:('a -> string) -> (unit -> 'a) -> 'a * verdict list
 
 (** {1 Simulator scenarios} *)
 
-(** Stable oracle names, in evaluation order. *)
-val oracle_names : string list
-
 (** [run ?mutate sc] executes the scenario and evaluates every oracle.
     [mutate] (default false) plants a deterministic accounting bug — one
     phantom queue arrival on a link that dropped packets during an

@@ -1,15 +1,3 @@
-let oracle_names =
-  [
-    "no-crash";
-    "sup-legal";
-    "invariants";
-    "recovery";
-    "conservation";
-    "io-health";
-    "busy-loop";
-    "determinism";
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Case generation                                                     *)
 

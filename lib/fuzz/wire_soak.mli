@@ -35,9 +35,6 @@
     (steady, death or graceful close). *)
 type case
 
-(** Stable oracle names, in evaluation order. *)
-val oracle_names : string list
-
 (** The soak case kind: job keys ["soak/NNNN"], no shrinker. The
     [--mutate] plant — a dead peer restarts immediately, skipping
     [Backoff] — must trip [sup-legal]. *)

@@ -18,7 +18,6 @@ let wrap t handler pkt =
   record t pkt;
   handler pkt
 
-let tap t = wrap t ignore
 let series t = t.series
 let packets t = t.packets
 let bytes t = t.bytes

@@ -14,9 +14,6 @@ val create : (unit -> float) -> t
     data packets ([Data] / [Tfrc_data]) are recorded. *)
 val wrap : t -> Packet.handler -> Packet.handler
 
-(** [tap t] is [wrap t ignore]: a pure sink that records. *)
-val tap : t -> Packet.handler
-
 val series : t -> Stats.Time_series.t
 val packets : t -> int
 val bytes : t -> int

@@ -29,7 +29,7 @@ type payload =
 type t = {
   id : int;
       (** unique within the owning simulation, allocated by
-          {!Engine.Sim.fresh_id}; deterministic per sim *)
+          {!Engine.Runtime.fresh_id}; deterministic per sim *)
   flow : int;
   seq : int;
   size : int;  (** bytes *)

@@ -56,13 +56,3 @@ let add_cross_flow t ~flow ~hop ~rtt_base =
 let link t ~hop =
   if hop < 1 || hop > n_hops t then invalid_arg "Parking_lot: bad hop";
   t.links.(hop - 1)
-
-let drop_rate t =
-  let arrivals = ref 0 and drops = ref 0 in
-  Array.iter
-    (fun l ->
-      let s = (Link.queue l).Queue_disc.stats in
-      arrivals := !arrivals + s.arrivals;
-      drops := !drops + s.drops)
-    t.links;
-  if !arrivals = 0 then 0. else float_of_int !drops /. float_of_int !arrivals

@@ -35,8 +35,6 @@ val create :
 (** The underlying graph: the flows' ports and counters. *)
 val topology : t -> Topology.t
 
-val n_hops : t -> int
-
 (** [add_through_flow t ~flow ~rtt_base] registers an end-to-end flow.
     [rtt_base] must be finite and at least the chain's round-trip
     propagation; [Invalid_argument] otherwise. *)
@@ -48,6 +46,3 @@ val add_cross_flow : t -> flow:int -> hop:int -> rtt_base:float -> unit
 
 (** [link t ~hop] is the forward link of the given hop (1-based). *)
 val link : t -> hop:int -> Link.t
-
-(** Aggregate drop rate across all hops. *)
-val drop_rate : t -> float

@@ -105,16 +105,6 @@ module Transcontinental = struct
     | Sfo -> "sfo"
     | Atl -> "atl"
 
-  let city_of_string = function
-    | "nyc" -> Some Nyc
-    | "chi" -> Some Chi
-    | "den" -> Some Den
-    | "sfo" -> Some Sfo
-    | "atl" -> Some Atl
-    | _ -> None
-
-  let cities = [ Nyc; Chi; Den; Sfo; Atl ]
-
   let create rt ~queue () =
     let topo = Topology.create ~cost_model:Topology.Delay rt () in
     let nyc = Topology.add_node topo in
@@ -153,9 +143,4 @@ module Transcontinental = struct
     match Topology.find_link t.topo label with
     | Some (l, e) -> (l, e)
     | None -> invalid_arg ("Transcontinental.link: no link labelled " ^ label)
-
-  let labels t =
-    List.filter_map
-      (fun e -> Option.map Link.label (Topology.edge_link e))
-      (Topology.edges t.topo)
 end

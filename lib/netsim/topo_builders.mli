@@ -47,10 +47,6 @@ module Transcontinental : sig
   type t
   type city = Nyc | Chi | Den | Sfo | Atl
 
-  val city_str : city -> string
-  val city_of_string : string -> city option
-  val cities : city list
-
   (** [create rt ~queue ()] builds the two-route WAN: a fast northern path
       nyc-chi-den-sfo and a thin southern detour nyc-atl-sfo, under the
       [Delay] cost model so the north is preferred while it is up. Links
@@ -63,7 +59,4 @@ module Transcontinental : sig
 
   (** [link t label] finds a segment by label; raises if absent. *)
   val link : t -> string -> Link.t * Topology.edge
-
-  (** All link labels, in creation order. *)
-  val labels : t -> string list
 end

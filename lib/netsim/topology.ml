@@ -480,9 +480,6 @@ let set_cost t e c =
 
 let edges t = List.rev t.all_edges
 let edge_id e = e.eid
-let edge_src e = e.esrc
-let edge_dst e = e.edst
-let edge_link e = match e.kind with Queued l -> Some l | Wire _ -> None
 
 let find_link t label =
   List.find_map

@@ -97,11 +97,6 @@ val recomputes : t -> int
 val edges : t -> edge list
 
 val edge_id : edge -> int
-val edge_src : edge -> node
-val edge_dst : edge -> node
-
-(** The underlying link of a queued edge; [None] for wires. *)
-val edge_link : edge -> Link.t option
 
 (** [find_link t label] finds a queued edge by its link's trace label. *)
 val find_link : t -> string -> (Link.t * edge) option

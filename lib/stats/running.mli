@@ -26,9 +26,8 @@ val variance : t -> float
 val population_variance : t -> float
 
 val stddev : t -> float
-val population_stddev : t -> float
 
-(** [cov t] is the coefficient of variation, [population_stddev /. mean];
+(** [cov t] is the coefficient of variation, population stddev over mean;
     0. when the mean's magnitude is below [Float.min_float] (zero or
     denormal — a ratio against such a mean is numeric noise). *)
 val cov : t -> float

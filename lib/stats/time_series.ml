@@ -64,9 +64,4 @@ let mean_rate t ~t0 ~t1 =
   done;
   !sum /. (t1 -. t0)
 
-let iter t f =
-  for i = 0 to t.n - 1 do
-    f t.times.(i) t.values.(i)
-  done
-
 let events t = Array.init t.n (fun i -> (t.times.(i), t.values.(i)))

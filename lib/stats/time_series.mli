@@ -34,8 +34,5 @@ val rates : t -> t0:float -> t1:float -> bin:float -> float array
     over its duration, with the same endpoint rule as {!binned}. *)
 val mean_rate : t -> t0:float -> t1:float -> float
 
-(** [iter t f] applies [f time value] to every event in order. *)
-val iter : t -> (float -> float -> unit) -> unit
-
 (** [events t] returns a copy of all events in order. *)
 val events : t -> (float * float) array

@@ -37,12 +37,6 @@ let default ?(variant = Sack) ?(mss = 1000) ?(init_cwnd = 2.) ?(max_cwnd = 10000
     md;
   }
 
-let variant_name = function
-  | Tahoe -> "tahoe"
-  | Reno -> "reno"
-  | Newreno -> "newreno"
-  | Sack -> "sack"
-
 let ns_sack = default ~variant:Sack ()
 let freebsd_coarse = default ~variant:Reno ~granularity:0.5 ~min_rto:1.0 ()
 let solaris_aggressive = default ~variant:Reno ~rto_mode:`Aggressive ~min_rto:0.05 ()

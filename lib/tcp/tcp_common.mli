@@ -42,8 +42,6 @@ val default :
   unit ->
   config
 
-val variant_name : variant -> string
-
 (** Profile matching ns-2 Sack1 with fine timers (the paper's simulation
     baseline). *)
 val ns_sack : config

@@ -6,7 +6,6 @@ type t = {
   mutable next_expected : int;
   ooo : Seq_window.t; (* out-of-order packets; left edge next_expected *)
   mutable last_arrival : int; (* most recently arrived seq, for SACK order *)
-  mutable packets : int;
   mutable bytes : int;
   mutable unacked : int; (* data packets since last ack (delack) *)
   mutable delack_timer : Engine.Runtime.handle;
@@ -22,7 +21,6 @@ let create rt ~config ~flow ~transmit () =
     next_expected = 0;
     ooo = Seq_window.create ();
     last_arrival = -1;
-    packets = 0;
     bytes = 0;
     unacked = 0;
     delack_timer = Engine.Runtime.null_handle;
@@ -51,7 +49,6 @@ let recv t (pkt : Netsim.Packet.t) =
   match pkt.payload with
   | _ when pkt.corrupted -> () (* checksum failure: segment is discarded *)
   | Data | Tfrc_data _ ->
-      t.packets <- t.packets + 1;
       t.bytes <- t.bytes + pkt.size;
       if t.config.ecn && pkt.ecn_marked then t.ce_pending <- true;
       t.last_arrival <- pkt.seq;
@@ -78,6 +75,5 @@ let recv t (pkt : Netsim.Packet.t) =
       end
   | Tcp_ack _ | Tfrc_feedback _ -> ()
 
-let packets_received t = t.packets
 let bytes_received t = t.bytes
 let next_expected t = t.next_expected

@@ -18,7 +18,6 @@ val create :
 (** Feed incoming data packets here. *)
 val recv : t -> Netsim.Packet.handler
 
-val packets_received : t -> int
 val bytes_received : t -> int
 
 (** Next in-order sequence number expected (= current cumulative ack). *)

@@ -12,8 +12,6 @@ type t = {
   mutable on : bool;
   mutable phase_end : float; (* when the current ON phase ends *)
   mutable seq : int;
-  mutable on_time : float;
-  mutable started_at : float;
   mutable start_timer : Engine.Runtime.handle;
 }
 
@@ -36,8 +34,6 @@ let create rt rng ~flow ~on_rate ~pkt_size ~mean_on ~mean_off ?(shape = 1.5)
     on = false;
     phase_end = 0.;
     seq = 0;
-    on_time = 0.;
-    started_at = 0.;
     start_timer = Engine.Runtime.null_handle;
   }
 
@@ -60,7 +56,6 @@ and go_on t =
   if t.running then begin
     let d = Engine.Rng.pareto t.rng ~shape:t.shape ~scale:t.on_scale in
     t.on <- true;
-    t.on_time <- t.on_time +. d;
     t.phase_end <- Engine.Runtime.now t.rt +. d;
     send_loop t
   end
@@ -76,15 +71,9 @@ let start t ~at =
   t.start_timer <-
     Engine.Runtime.at t.rt at (fun () ->
         t.running <- true;
-        t.started_at <- Engine.Runtime.now t.rt;
         (* Begin in a random phase to decorrelate sources. *)
         if Engine.Rng.bool t.rng ~p:(1. /. 3.) then go_on t else go_off t)
 
 let stop t =
   Engine.Runtime.cancel t.start_timer;
   t.running <- false
-let packets_sent t = t.seq
-
-let on_fraction t =
-  let elapsed = Engine.Runtime.now t.rt -. t.started_at in
-  if elapsed <= 0. then 0. else Float.min 1. (t.on_time /. elapsed)

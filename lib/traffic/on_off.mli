@@ -23,7 +23,3 @@ val create :
 
 val start : t -> at:float -> unit
 val stop : t -> unit
-val packets_sent : t -> int
-
-(** Fraction of elapsed time spent ON so far (diagnostics). *)
-val on_fraction : t -> float

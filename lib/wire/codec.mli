@@ -1,7 +1,7 @@
 (** Binary wire format for {!Netsim.Packet} headers and session control
     frames.
 
-    Layout (big-endian), [header_len] = 31 bytes:
+    Layout (big-endian), a 31-byte header:
 
     {v
       0-1   magic 'T' 'F'
@@ -42,12 +42,8 @@
     flipped bit) is rejected rather than parsed into a half-plausible
     packet. *)
 
-val header_len : int
-
 (** Largest frame {!encode} emits / {!decode} accepts (one UDP datagram). *)
 val max_frame : int
-
-val version : int
 
 (** Epochs are u16: [0] (the default for unsupervised endpoints) through
     [max_epoch]. *)
@@ -68,7 +64,6 @@ type error =
           non-finite [sent_at]) — only reachable with a correct checksum,
           i.e. a crafted datagram *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 (** [encode ~epoch p] renders [p] as one datagram stamped with the

@@ -58,8 +58,6 @@ let create ?trace ?(mode = `Monotonic) () =
           | `Monotonic -> "monotonic" | `Warp -> "warp")) ];
   t
 
-let mode t = t.mode
-
 let now t =
   (match t.mode with
   | `Warp -> ()
@@ -108,7 +106,6 @@ let post t delay g a =
   Engine.Timers.post t.timers ~now:(now t) ~delay g a
 
 let cancel = Engine.Timers.cancel
-let is_pending = Engine.Timers.is_pending
 let pending_timers t = Engine.Timers.size t.timers
 
 let stop t = t.stopping <- true

@@ -34,8 +34,6 @@ type mode = [ `Monotonic | `Warp ]
     (default {!Engine.Trace.default}); [mode] defaults to [`Monotonic]. *)
 val create : ?trace:Engine.Trace.t -> ?mode:mode -> unit -> t
 
-val mode : t -> mode
-
 (** Current loop time, seconds: elapsed monotonic time since [create]
     ([`Monotonic]) or the virtual clock ([`Warp]). Never decreases. *)
 val now : t -> float
@@ -44,31 +42,11 @@ val now : t -> float
     {!Engine.Timers}'. *)
 type timer = Engine.Timers.handle
 
-(** [at t time f] schedules [f] at absolute loop time [time] ([time]
-    must be finite; [Invalid_argument] otherwise). A [time] earlier than
-    [now t] is clamped to the current instant in [`Monotonic] mode —
-    on a real clock every absolute deadline races against time itself —
-    but raises [Invalid_argument] in [`Warp] mode, where the clock only
-    moves when timers fire, making a past deadline a caller bug (same
-    contract as [Engine.Sim.at]). *)
-val at : t -> float -> (unit -> unit) -> timer
-
 (** [after t delay f] schedules [f] in [delay] seconds ([delay] finite and
     non-negative). *)
 val after : t -> float -> (unit -> unit) -> timer
 
-(** [post t delay g a] runs [g a] in [delay] seconds, with [after]'s
-    delay checks and deadline ([now t +. delay]), but with no closure and
-    no handle: it cannot be cancelled. It takes a scheduling sequence
-    number where [after] would, so posts and [at]/[after] timers fire in
-    one (deadline, scheduling order). This is the {!runtime}'s
-    {!Engine.Runtime.post}, built on {!Engine.Timers.post} as
-    [Engine.Sim.post] is; a post and its fire allocate nothing in the
-    timer core. *)
-val post : t -> float -> (int -> unit) -> int -> unit
-
 val cancel : timer -> unit
-val is_pending : timer -> bool
 
 (** Timers still queued, including cancelled ones not yet swept. Before
     each pop, [run] applies {!Engine.Timers.maybe_sweep}, emitting a
@@ -110,11 +88,15 @@ val fired : t -> int
 val io_giveups : t -> int
 
 (** The sans-IO view of this loop, memoized. Timers scheduled through it
-    are loop timers, and its {!Engine.Runtime.post} is the native
-    {!post}, so components that post slot indices (a {!Shaper}, a
-    {!Netsim.Link}) allocate no closure or handle per event on a loop
-    either. Ids come from the loop's private counter, so decoded packets
-    get deterministic identities per loop. *)
+    are loop timers. Its {!Engine.Runtime.at} clamps a past deadline to
+    the current instant in [`Monotonic] mode (on a real clock every
+    absolute deadline races against time itself) but raises
+    [Invalid_argument] in [`Warp] mode, as [Engine.Sim.at] does. Its
+    {!Engine.Runtime.post} is native, built on {!Engine.Timers.post}, so
+    components that post slot indices (a {!Shaper}, a {!Netsim.Link})
+    allocate no closure or handle per event on a loop either. Ids come
+    from the loop's private counter, so decoded packets get deterministic
+    identities per loop. *)
 val runtime : t -> Engine.Runtime.t
 
 (** [run t ~until] drives the loop until loop time reaches [until], or

@@ -449,7 +449,6 @@ module Receiver = struct
     Udp.set_handler udp (fun buf len src -> handle r buf len src);
     r
 
-  let machine r = r.machine
   let current_epoch r = r.cur_epoch
   let epochs_seen r = r.epochs_seen
   let closed r = r.closed

@@ -163,10 +163,6 @@ module Receiver : sig
     unit ->
     r
 
-  (** The current incarnation's machine; its counters restart with
-      each adopted epoch. *)
-  val machine : r -> Tfrc.Tfrc_receiver.t
-
   (** Epoch currently served (0 until a supervised sender appears). *)
   val current_epoch : r -> int
 

@@ -9,7 +9,6 @@ type t = {
   mutable tx : int;
   mutable tx_drops : int;
   mutable tx_errors : int;
-  mutable rx_errors : int;
   mutable closed : bool;
 }
 
@@ -44,10 +43,9 @@ let rec drain t =
            datagram it refers to is already counted as sent. *)
         drain t
     | exception Unix.Unix_error (err, _, _) ->
-        (* Anything else (ENOMEM, injected chaos): count, surface to the
+        (* Anything else (ENOMEM, injected chaos): trace, surface to the
            health handler, stop this drain — the loop survives and the
            next readiness event retries. *)
-        t.rx_errors <- t.rx_errors + 1;
         emit_errno_event t ~name:"rx_error" err;
         t.on_health err
 
@@ -73,7 +71,6 @@ let create loop ?(port = 0) ?netio () =
       tx = 0;
       tx_drops = 0;
       tx_errors = 0;
-      rx_errors = 0;
       closed = false;
     }
   in
@@ -121,12 +118,10 @@ let send t ~dest data =
   if not t.closed then
     send_bytes t (Bytes.unsafe_of_string data) len dest 3
 
-let drain_now t = drain t
 let datagrams_received t = t.rx
 let datagrams_sent t = t.tx
 let send_drops t = t.tx_drops
 let send_errors t = t.tx_errors
-let recv_errors t = t.rx_errors
 
 let close t =
   if not t.closed then begin

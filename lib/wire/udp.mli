@@ -52,12 +52,6 @@ val set_health_handler : t -> (Unix.error -> unit) -> unit
     [Invalid_argument] if [data] exceeds {!Codec.max_frame}. *)
 val send : t -> dest:Unix.sockaddr -> string -> unit
 
-(** [drain_now t] synchronously drains every currently readable
-    datagram, as the loop's readiness callback would. For harness
-    finalization (flush what the kernel still holds before reading
-    counters). *)
-val drain_now : t -> unit
-
 val datagrams_received : t -> int
 val datagrams_sent : t -> int
 
@@ -67,9 +61,6 @@ val send_drops : t -> int
 
 (** Sends that failed with a hard errno (routed to the health handler). *)
 val send_errors : t -> int
-
-(** Drain passes ended by an unexpected errno. *)
-val recv_errors : t -> int
 
 (** Unregisters from the loop and closes the socket. Idempotent. *)
 val close : t -> unit

@@ -42,7 +42,7 @@ let test_sparkline () =
 (* --- Registry ----------------------------------------------------------- *)
 
 let test_registry_ids_unique () =
-  let ids = Exp.Registry.ids () in
+  let ids = List.map (fun (e : Exp.Registry.experiment) -> e.id) Exp.Registry.all in
   let sorted = List.sort_uniq compare ids in
   Alcotest.(check int) "no duplicate ids" (List.length ids) (List.length sorted)
 

@@ -680,7 +680,7 @@ let test_dumbbell_isolation () =
 let test_flowmon_records_data_only () =
   let now = ref 1.5 in
   let mon = Netsim.Flowmon.create (fun () -> !now) in
-  let sink = Netsim.Flowmon.tap mon in
+  let sink = Netsim.Flowmon.wrap mon ignore in
   sink (mk_pkt ~size:100 ());
   sink
     (Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq:0 ~size:40 ~now:0.

@@ -84,45 +84,10 @@ let test_pool_map_order () =
     ~finally:(fun () -> Engine.Pool.shutdown pool)
     (fun () ->
       let items = Array.init 100 (fun i -> i) in
-      let out = Engine.Pool.map pool (fun i -> (i * i) + 1) items in
+      let out = Engine.Pool.try_map pool (fun i -> (i * i) + 1) items in
       check (list int) "positional results"
         (Array.to_list (Array.map (fun i -> (i * i) + 1) items))
-        (Array.to_list out))
-
-let test_pool_map_exception () =
-  let pool = Engine.Pool.create 2 in
-  Fun.protect
-    ~finally:(fun () -> Engine.Pool.shutdown pool)
-    (fun () ->
-      check_raises "first task exception re-raised" (Failure "boom")
-        (fun () ->
-          ignore
-            (Engine.Pool.map pool
-               (fun i -> if i = 5 then failwith "boom" else i)
-               (Array.init 10 (fun i -> i)))))
-
-(* After a task raises, map must drop the batch's queued-but-unstarted
-   tasks: with a single worker the failing head task is the only one that
-   can have started, so the side-effect counter stays at zero. The pool
-   itself must survive — the next batch runs normally. *)
-let test_pool_map_drains_on_failure () =
-  let pool = Engine.Pool.create 1 in
-  Fun.protect
-    ~finally:(fun () -> Engine.Pool.shutdown pool)
-    (fun () ->
-      let ran = Atomic.make 0 in
-      (try
-         ignore
-           (Engine.Pool.map pool
-              (fun i ->
-                if i = 0 then failwith "head task fails";
-                Atomic.incr ran)
-              (Array.init 64 (fun i -> i)))
-       with Failure _ -> ());
-      check int "queued tasks dropped, none ran" 0 (Atomic.get ran);
-      let out = Engine.Pool.map pool (fun i -> i + 1) [| 1; 2; 3 |] in
-      check (list int) "pool usable after failed batch" [ 2; 3; 4 ]
-        (Array.to_list out))
+        (Array.to_list out |> List.map Result.get_ok))
 
 (* try_map isolates failures per task: every task runs, failures come back
    as Error slots alongside the survivors' Ok values. *)
@@ -147,13 +112,30 @@ let test_pool_try_map_isolation () =
           | Error _ -> fail "unexpected exception kind")
         out)
 
+(* A batch with failing tasks leaves the pool usable: the next batch runs
+   normally on the same workers. *)
+let test_pool_usable_after_failure () =
+  let pool = Engine.Pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Engine.Pool.shutdown pool)
+    (fun () ->
+      let failed =
+        Engine.Pool.try_map pool
+          (fun i -> if i = 0 then failwith "head task fails" else i)
+          (Array.init 64 (fun i -> i))
+      in
+      check bool "head task failed" true (Result.is_error failed.(0));
+      let out = Engine.Pool.try_map pool (fun i -> i + 1) [| 1; 2; 3 |] in
+      check (list int) "pool usable after failed batch" [ 2; 3; 4 ]
+        (Array.to_list out |> List.map Result.get_ok))
+
 let test_pool_use_after_shutdown () =
   let pool = Engine.Pool.create 2 in
   Engine.Pool.shutdown pool;
   Engine.Pool.shutdown pool (* idempotent *);
-  check_raises "map after shutdown"
-    (Invalid_argument "Pool.map: pool is shut down") (fun () ->
-      ignore (Engine.Pool.map pool (fun i -> i) [| 1; 2 |]))
+  check_raises "try_map after shutdown"
+    (Invalid_argument "Pool.try_map: pool is shut down") (fun () ->
+      ignore (Engine.Pool.try_map pool (fun i -> i) [| 1; 2 |]))
 
 (* --- Sim cancelled-event sweep ---------------------------------------------- *)
 
@@ -235,6 +217,16 @@ let test_determinism_fig5 () =
 (* fig6's full quick grid takes ~80 s per run, too slow to run twice here
    (the CI `all -j` smoke covers it); a 4-cell subset of its real jobs
    exercises the same code path. *)
+(* [(key, result)] in job-list order; a job the runner gave up on fails
+   the test. *)
+let completed ~j ~seed jobs =
+  List.map
+    (fun (key, o) ->
+      match o with
+      | Exp.Runner.Completed r -> (key, r)
+      | Gave_up f -> failf "%s: %s" key (Exp.Runner.failure_summary f))
+    (fst (Exp.Runner.run_jobs_supervised ~j ~seed jobs))
+
 let test_determinism_fig6_subset () =
   let subset e = List.filteri (fun i _ -> i < 4) (e.Exp.Registry.jobs ~full:false) in
   match Exp.Registry.find "fig6" with
@@ -247,8 +239,8 @@ let test_determinism_fig6_subset () =
              results)
       in
       check string "fig6 subset -j1 = -j4"
-        (dump (Exp.Runner.run_jobs ~j:1 ~seed:42 (subset e)))
-        (dump (Exp.Runner.run_jobs ~j:4 ~seed:42 (subset e)))
+        (dump (completed ~j:1 ~seed:42 (subset e)))
+        (dump (completed ~j:4 ~seed:42 (subset e)))
 
 (* --- Trace capture and merge ------------------------------------------------- *)
 
@@ -274,7 +266,7 @@ let observed ~j =
   let results =
     Fun.protect
       ~finally:(fun () -> Engine.Trace.remove_sink bus sink)
-      (fun () -> Exp.Runner.run_jobs ~j ~seed:11 trace_jobs)
+      (fun () -> completed ~j ~seed:11 trace_jobs)
   in
   (results, captured ())
 
@@ -320,7 +312,7 @@ let observed_ids ~j =
   let results =
     Fun.protect
       ~finally:(fun () -> Engine.Trace.remove_sink bus sink)
-      (fun () -> Exp.Runner.run_jobs ~j ~seed:7 id_jobs)
+      (fun () -> completed ~j ~seed:7 id_jobs)
   in
   (results, String.concat "\n" (List.map Engine.Trace.to_json (captured ())))
 
@@ -335,9 +327,9 @@ let test_determinism_packet_ids () =
   check bool "trace carries packet ids" true (mentions_id t1);
   check string "id-bearing trace byte-identical j1 vs j4" t1 t4
 
-(* Captured worker events must be replayed even when the batch ultimately
-   raises: a --trace file should show the work that was done, including the
-   events of the job that failed. *)
+(* Captured worker events must be replayed even when a job fails: a --trace
+   file should show the work that was done, including the events of the job
+   that failed. *)
 let test_trace_replay_on_failure () =
   let jobs =
     List.init 4 (fun i ->
@@ -351,15 +343,15 @@ let test_trace_replay_on_failure () =
   let bus = Engine.Trace.default () in
   let sink, captured = Engine.Trace.memory_sink () in
   Engine.Trace.add_sink bus sink;
-  let raised =
+  let outcomes, _ =
     Fun.protect
       ~finally:(fun () -> Engine.Trace.remove_sink bus sink)
-      (fun () ->
-        match Exp.Runner.run_jobs ~j:4 ~seed:3 jobs with
-        | _ -> false
-        | exception Failure m -> m = "kaput")
+      (fun () -> Exp.Runner.run_jobs_supervised ~j:4 ~seed:3 jobs)
   in
-  check bool "failure re-raised" true raised;
+  check bool "failure reported" true
+    (match List.assoc "replay-fail/2" outcomes with
+    | Gave_up { exn_ = Failure m; _ } -> m = "kaput"
+    | _ -> false);
   let events = captured () in
   check (list string) "all jobs' events replayed, in job order"
     [ "0"; "1"; "2"; "3" ]
@@ -381,11 +373,10 @@ let () =
       ( "pool",
         [
           test_case "map keeps order" `Quick test_pool_map_order;
-          test_case "map re-raises" `Quick test_pool_map_exception;
-          test_case "map drains on failure" `Quick
-            test_pool_map_drains_on_failure;
           test_case "try_map isolates failures" `Quick
             test_pool_try_map_isolation;
+          test_case "usable after a failed batch" `Quick
+            test_pool_usable_after_failure;
           test_case "use after shutdown" `Quick test_pool_use_after_shutdown;
         ] );
       ( "sim",

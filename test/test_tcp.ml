@@ -346,6 +346,12 @@ let test_sender_stop_before_start () =
   Alcotest.(check int) "a sender stopped before its start never sends" 0
     (Tcpsim.Tcp_sender.stats h.sender).packets_sent
 
+let variant_name : Tcpsim.Tcp_common.variant -> string = function
+  | Tahoe -> "tahoe"
+  | Reno -> "reno"
+  | Newreno -> "newreno"
+  | Sack -> "sack"
+
 (* Each variant must fill a clean pipe. *)
 let test_variant_throughput variant () =
   let config = Tcpsim.Tcp_common.default ~variant ~max_cwnd:64. () in
@@ -361,7 +367,7 @@ let test_variant_throughput variant () =
   let st = Tcpsim.Tcp_sender.stats h.sender in
   Alcotest.(check bool)
     (Printf.sprintf "%s delivered %d, rtx %d, to %d"
-       (Tcpsim.Tcp_common.variant_name variant)
+       (variant_name variant)
        !(h.delivered) st.retransmits st.timeouts)
     true
     (!(h.delivered) > 2000)

@@ -906,8 +906,16 @@ let test_graph_parallel_identical () =
             ]))
       scs
   in
-  let r1 = Exp.Runner.run_jobs ~j:1 ~seed:5 jobs in
-  let r2 = Exp.Runner.run_jobs ~j:2 ~seed:5 jobs in
+  let completed ~j =
+    List.map
+      (fun (key, o) ->
+        match o with
+        | Exp.Runner.Completed r -> (key, r)
+        | Gave_up f -> Alcotest.failf "%s: %s" key (Exp.Runner.failure_summary f))
+      (fst (Exp.Runner.run_jobs_supervised ~j ~seed:5 jobs))
+  in
+  let r1 = completed ~j:1 in
+  let r2 = completed ~j:2 in
   Alcotest.(check bool) "-j 2 graph results identical to -j 1" true (r1 = r2);
   List.iter
     (fun (key, res) ->

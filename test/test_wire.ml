@@ -28,19 +28,19 @@ let sample_payloads : Netsim.Packet.payload list =
 (* Field-level equality; ids are per-runtime so they legitimately differ. *)
 let packet_eq (a : Netsim.Packet.t) (b : Netsim.Packet.t) =
   a.flow = b.flow && a.seq = b.seq && a.size = b.size
-  && Engine.Hexfloat.equal a.sent_at b.sent_at
+  && Float_eq.equal a.sent_at b.sent_at
   && a.ecn_capable = b.ecn_capable
   && a.ecn_marked = b.ecn_marked
   && a.corrupted = b.corrupted
   &&
   match (a.payload, b.payload) with
   | Data, Data -> true
-  | Tfrc_data { rtt = x }, Tfrc_data { rtt = y } -> Engine.Hexfloat.equal x y
+  | Tfrc_data { rtt = x }, Tfrc_data { rtt = y } -> Float_eq.equal x y
   | Tfrc_feedback x, Tfrc_feedback y ->
-      Engine.Hexfloat.equal x.p y.p
-      && Engine.Hexfloat.equal x.recv_rate y.recv_rate
-      && Engine.Hexfloat.equal x.ts_echo y.ts_echo
-      && Engine.Hexfloat.equal x.ts_delay y.ts_delay
+      Float_eq.equal x.p y.p
+      && Float_eq.equal x.recv_rate y.recv_rate
+      && Float_eq.equal x.ts_echo y.ts_echo
+      && Float_eq.equal x.ts_delay y.ts_delay
   | Tcp_ack x, Tcp_ack y -> x.ack = y.ack && x.sack = y.sack && x.ece = y.ece
   | _ -> false
 
@@ -391,7 +391,7 @@ let faultio_session ~seed =
   let dest = Wire.Udp.addr ~port:(Wire.Udp.port b) in
   for i = 1 to 200 do
     ignore
-      (Wire.Loop.at loop
+      (Engine.Runtime.at (Wire.Loop.runtime loop)
          (float_of_int i *. 0.01)
          (fun () -> Wire.Udp.send a ~dest (Printf.sprintf "datagram-%03d" i)))
   done;
@@ -496,7 +496,7 @@ let test_warp_matches_sim_order () =
   let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
   let loop_log =
     schedule_mix
-      (fun t f -> Wire.Loop.at loop t f)
+      (fun t f -> Engine.Runtime.at (Wire.Loop.runtime loop) t f)
       Wire.Loop.cancel
       (fun () -> Wire.Loop.now loop)
   in
@@ -509,16 +509,16 @@ let test_warp_matches_sim_order () =
 
 let test_loop_guards () =
   let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
-  (match Wire.Loop.at loop Float.nan ignore with
+  (match Engine.Runtime.at (Wire.Loop.runtime loop) Float.nan ignore with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "nan accepted");
   (match Wire.Loop.after loop (-1.) ignore with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative delay accepted");
   let h = Wire.Loop.after loop 1. ignore in
-  check Alcotest.bool "pending" true (Wire.Loop.is_pending h);
+  check Alcotest.bool "pending" true (Engine.Runtime.is_pending h);
   Wire.Loop.cancel h;
-  check Alcotest.bool "cancelled" false (Wire.Loop.is_pending h);
+  check Alcotest.bool "cancelled" false (Engine.Runtime.is_pending h);
   Wire.Loop.run loop ~until:2.;
   check Alcotest.(float 0.) "time advanced to until" 2. (Wire.Loop.now loop)
 
@@ -913,7 +913,7 @@ let test_receiver_epoch_adoption () =
   let dest = Wire.Udp.addr ~port:(Wire.Udp.port rcv_udp) in
   let send_at udp t ~epoch ~seq =
     ignore
-      (Wire.Loop.at loop t (fun () ->
+      (Engine.Runtime.at (Wire.Loop.runtime loop) t (fun () ->
            let p =
              mk_packet rt ~flow:1 ~seq ~size:1000 ~sent_at:t
                (Tfrc_data { rtt = 0.05 })
