@@ -13,7 +13,6 @@ type t = {
   mutable last_decrease : float;
   mutable loss_events : int;
   mutable last_ack_at : float;
-  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
@@ -32,37 +31,32 @@ let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
     last_decrease = -1e9;
     loss_events = 0;
     last_ack_at = 0.;
-    start_timer = Engine.Runtime.null_handle;
   }
 
 let s_bytes t = float_of_int t.pkt_size
 
 let rec send_loop t =
-  if t.running then begin
-    let now = Engine.Runtime.now t.rt in
-    let pkt =
-      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
-        Netsim.Packet.Data
-    in
-    if t.send_times = None then t.send_times <- Some (t.seq, now);
-    t.seq <- t.seq + 1;
-    t.transmit pkt;
-    ignore (Engine.Runtime.after t.rt (s_bytes t /. t.rate) (fun () -> send_loop t))
-  end
+  let now = Engine.Runtime.now t.rt in
+  let pkt =
+    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
+      Netsim.Packet.Data
+  in
+  if t.send_times = None then t.send_times <- Some (t.seq, now);
+  t.seq <- t.seq + 1;
+  t.transmit pkt;
+  ignore (Engine.Runtime.after t.rt (s_bytes t /. t.rate) (fun () -> send_loop t))
 
 (* Additive increase: one packet per RTT, applied once per RTT. *)
 let rec increase_loop t =
-  if t.running then begin
-    let now = Engine.Runtime.now t.rt in
-    (* Silence detection: no acks for several RTTs means heavy loss. *)
-    if now -. t.last_ack_at > 4. *. t.srtt && t.have_rtt then begin
-      t.rate <- Float.max (s_bytes t /. 4.) (t.rate /. 2.);
-      t.loss_events <- t.loss_events + 1;
-      t.last_decrease <- now
-    end
-    else t.rate <- t.rate +. (s_bytes t /. t.srtt);
-    ignore (Engine.Runtime.after t.rt t.srtt (fun () -> increase_loop t))
+  let now = Engine.Runtime.now t.rt in
+  (* Silence detection: no acks for several RTTs means heavy loss. *)
+  if now -. t.last_ack_at > 4. *. t.srtt && t.have_rtt then begin
+    t.rate <- Float.max (s_bytes t /. 4.) (t.rate /. 2.);
+    t.loss_events <- t.loss_events + 1;
+    t.last_decrease <- now
   end
+  else t.rate <- t.rate +. (s_bytes t /. t.srtt);
+  ignore (Engine.Runtime.after t.rt t.srtt (fun () -> increase_loop t))
 
 let decrease t =
   let now = Engine.Runtime.now t.rt in
@@ -102,15 +96,12 @@ let recv t (pkt : Netsim.Packet.t) =
 let recv t = recv t
 
 let start t ~at =
-  t.start_timer <-
-    Engine.Runtime.at t.rt at (fun () ->
-        t.running <- true;
-        t.last_ack_at <- Engine.Runtime.now t.rt;
-        send_loop t;
-        increase_loop t)
+  ignore
+    (Engine.Runtime.at t.rt at (fun () ->
+         t.running <- true;
+         t.last_ack_at <- Engine.Runtime.now t.rt;
+         send_loop t;
+         increase_loop t))
 
-let stop t =
-  Engine.Runtime.cancel t.start_timer;
-  t.running <- false
 let rate t = t.rate
 let loss_events t = t.loss_events

@@ -24,7 +24,6 @@ val create :
 
 val recv : t -> Netsim.Packet.handler
 val start : t -> at:float -> unit
-val stop : t -> unit
 val rate : t -> float (** bytes/s *)
 
 val loss_events : t -> int

@@ -8,7 +8,6 @@ module Sender = struct
     mutable rtt : float;
     mutable running : bool;
     mutable seq : int;
-    mutable start_timer : Engine.Runtime.handle;
   }
 
   let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
@@ -21,23 +20,20 @@ module Sender = struct
       rtt = initial_rtt;
       running = false;
       seq = 0;
-      start_timer = Engine.Runtime.null_handle;
     }
 
   let rec send_loop t =
-    if t.running then begin
-      let pkt =
-        Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size
-          ~now:(Engine.Runtime.now t.rt)
-          (Netsim.Packet.Tfrc_data { rtt = t.rtt })
-      in
-      t.seq <- t.seq + 1;
-      t.transmit pkt;
-      ignore
-        (Engine.Runtime.after t.rt
-           (float_of_int t.pkt_size /. t.rate)
-           (fun () -> send_loop t))
-    end
+    let pkt =
+      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size
+        ~now:(Engine.Runtime.now t.rt)
+        (Netsim.Packet.Tfrc_data { rtt = t.rtt })
+    in
+    t.seq <- t.seq + 1;
+    t.transmit pkt;
+    ignore
+      (Engine.Runtime.after t.rt
+         (float_of_int t.pkt_size /. t.rate)
+         (fun () -> send_loop t))
 
   (* The receiver dictates the rate; the sender only paces. *)
   let recv t (pkt : Netsim.Packet.t) =
@@ -54,17 +50,12 @@ module Sender = struct
   let recv t = recv t
 
   let start t ~at =
-    t.start_timer <-
-      Engine.Runtime.at t.rt at (fun () ->
-          t.running <- true;
-          send_loop t)
-
-  let stop t =
-    Engine.Runtime.cancel t.start_timer;
-    t.running <- false
+    ignore
+      (Engine.Runtime.at t.rt at (fun () ->
+           t.running <- true;
+           send_loop t))
 
   let rate t = t.rate
-  let packets_sent t = t.seq
 end
 
 module Receiver = struct

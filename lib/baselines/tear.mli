@@ -29,10 +29,8 @@ module Sender : sig
 
   val recv : t -> Netsim.Packet.handler
   val start : t -> at:float -> unit
-  val stop : t -> unit
   val rate : t -> float (** bytes/s *)
 
-  val packets_sent : t -> int
 end
 
 module Receiver : sig

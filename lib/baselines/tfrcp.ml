@@ -16,7 +16,6 @@ type t = {
   (* Per-epoch accounting. *)
   mutable epoch_echoes : int;
   mutable epoch_holes : int;
-  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ?(update_interval = 0.5)
@@ -38,44 +37,39 @@ let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ?(update_interval = 0.5)
     p = 0.;
     epoch_echoes = 0;
     epoch_holes = 0;
-    start_timer = Engine.Runtime.null_handle;
   }
 
 let s_bytes t = float_of_int t.pkt_size
 
 let rec send_loop t =
-  if t.running then begin
-    let now = Engine.Runtime.now t.rt in
-    let pkt =
-      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
-        Netsim.Packet.Data
-    in
-    if t.timing = None then t.timing <- Some (t.seq, now);
-    t.seq <- t.seq + 1;
-    t.transmit pkt;
-    ignore (Engine.Runtime.after t.rt (s_bytes t /. t.rate) (fun () -> send_loop t))
-  end
+  let now = Engine.Runtime.now t.rt in
+  let pkt =
+    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
+      Netsim.Packet.Data
+  in
+  if t.timing = None then t.timing <- Some (t.seq, now);
+  t.seq <- t.seq + 1;
+  t.transmit pkt;
+  ignore (Engine.Runtime.after t.rt (s_bytes t /. t.rate) (fun () -> send_loop t))
 
 let rec epoch_loop t =
-  if t.running then begin
-    (* Loss fraction over the epoch: holes observed in the echo stream over
-       echoes + holes. Measuring per fixed epoch (rather than per loss
-       interval) is exactly the weakness the paper points out. *)
-    let samples = t.epoch_echoes + t.epoch_holes in
-    if samples > 0 then begin
-      let frac = float_of_int t.epoch_holes /. float_of_int samples in
-      t.p <- ((1. -. t.ewma) *. t.p) +. (t.ewma *. frac);
-      if t.p > 1e-6 then
-        t.rate <-
-          Float.max (s_bytes t /. 4.)
-            (Tfrc.Response_function.rate Tfrc.Response_function.Pftk
-               ~s:t.pkt_size ~r:t.srtt ~t_rto:(4. *. t.srtt) ~p:t.p)
-      else t.rate <- 2. *. t.rate
-    end;
-    t.epoch_echoes <- 0;
-    t.epoch_holes <- 0;
-    ignore (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t))
-  end
+  (* Loss fraction over the epoch: holes observed in the echo stream over
+     echoes + holes. Measuring per fixed epoch (rather than per loss
+     interval) is exactly the weakness the paper points out. *)
+  let samples = t.epoch_echoes + t.epoch_holes in
+  if samples > 0 then begin
+    let frac = float_of_int t.epoch_holes /. float_of_int samples in
+    t.p <- ((1. -. t.ewma) *. t.p) +. (t.ewma *. frac);
+    if t.p > 1e-6 then
+      t.rate <-
+        Float.max (s_bytes t /. 4.)
+          (Tfrc.Response_function.rate Tfrc.Response_function.Pftk
+             ~s:t.pkt_size ~r:t.srtt ~t_rto:(4. *. t.srtt) ~p:t.p)
+    else t.rate <- 2. *. t.rate
+  end;
+  t.epoch_echoes <- 0;
+  t.epoch_holes <- 0;
+  ignore (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t))
 
 let recv t (pkt : Netsim.Packet.t) =
   match pkt.payload with
@@ -103,16 +97,12 @@ let recv t (pkt : Netsim.Packet.t) =
 let recv t = recv t
 
 let start t ~at =
-  t.start_timer <-
-    Engine.Runtime.at t.rt at (fun () ->
-        t.running <- true;
-        send_loop t;
-        ignore
-          (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t)))
+  ignore
+    (Engine.Runtime.at t.rt at (fun () ->
+         t.running <- true;
+         send_loop t;
+         ignore
+           (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t))))
 
-let stop t =
-  Engine.Runtime.cancel t.start_timer;
-  t.running <- false
 let rate t = t.rate
 let loss_estimate t = t.p
-let packets_sent t = t.seq

@@ -25,8 +25,6 @@ val create :
 
 val recv : t -> Netsim.Packet.handler
 val start : t -> at:float -> unit
-val stop : t -> unit
 val rate : t -> float (** bytes/s *)
 
 val loss_estimate : t -> float
-val packets_sent : t -> int

@@ -22,6 +22,11 @@ type t = {
   slow_restart : bool;
 }
 
+(* Every float check is an in-band test, which NaN fails; [finite_pos]
+   also refuses infinity. *)
+let finite_pos x = x > 0. && x < infinity
+let unit_interval x = x > 0. && x <= 1.
+
 let validate t =
   let err fmt = Printf.ksprintf invalid_arg fmt in
   if t.packet_size <= 0 then
@@ -32,26 +37,28 @@ let validate t =
   if t.n_intervals < 2 || t.n_intervals mod 2 <> 0 then
     err "Tfrc_config: n_intervals must be even and at least 2 (got %d)"
       t.n_intervals;
-  if t.discount_threshold <= 0. || t.discount_threshold > 1. then
+  if not (unit_interval t.discount_threshold) then
     err "Tfrc_config: discount_threshold must be in (0, 1] (got %g)"
       t.discount_threshold;
-  if t.rtt_gain <= 0. || t.rtt_gain > 1. then
+  if not (unit_interval t.rtt_gain) then
     err "Tfrc_config: rtt_gain must be in (0, 1] (got %g)" t.rtt_gain;
-  if t.t_rto_factor <= 0. then
-    err "Tfrc_config: t_rto_factor must be positive (got %g)" t.t_rto_factor;
-  if t.initial_rtt <= 0. then
-    err "Tfrc_config: initial_rtt must be positive (got %g)" t.initial_rtt;
-  if t.initial_nofb_timeout <= 0. then
-    err "Tfrc_config: initial_nofb_timeout must be positive (got %g)"
+  if not (finite_pos t.t_rto_factor) then
+    err "Tfrc_config: t_rto_factor must be positive and finite (got %g)"
+      t.t_rto_factor;
+  if not (finite_pos t.initial_rtt) then
+    err "Tfrc_config: initial_rtt must be positive and finite (got %g)"
+      t.initial_rtt;
+  if not (finite_pos t.initial_nofb_timeout) then
+    err "Tfrc_config: initial_nofb_timeout must be positive and finite (got %g)"
       t.initial_nofb_timeout;
   if t.ndupack < 1 then
     err "Tfrc_config: ndupack must be at least 1 (got %d)" t.ndupack;
-  if t.min_rate <= 0. then
-    err "Tfrc_config: min_rate must be positive (got %g)" t.min_rate;
+  if not (finite_pos t.min_rate) then
+    err "Tfrc_config: min_rate must be positive and finite (got %g)" t.min_rate;
   if t.burst_pkts < 1 then
     err "Tfrc_config: burst_pkts must be at least 1 (got %d)" t.burst_pkts;
-  if t.t_mbi <= 0. then
-    err "Tfrc_config: t_mbi must be positive (got %g)" t.t_mbi;
+  if not (finite_pos t.t_mbi) then
+    err "Tfrc_config: t_mbi must be positive and finite (got %g)" t.t_mbi;
   t
 
 let default ?(packet_size = 1000) ?(n_intervals = 8) ?(history_discounting = true)

@@ -1,6 +1,9 @@
-(** TFRC protocol parameters, with the paper's defaults. *)
+(** TFRC protocol parameters, with the paper's defaults.
 
-type t = {
+    The record is private: {!default} is its only constructor, so every
+    configuration in use has passed its checks. *)
+
+type t = private {
   packet_size : int;  (** s, bytes (paper: 1000) *)
   feedback_size : int;  (** feedback packet size, bytes *)
   n_intervals : int;  (** loss-interval history size, even and >= 2; paper: 8 *)
@@ -56,9 +59,11 @@ type t = {
 }
 
 (** Build a configuration, validating it on the way out: every numeric
-    parameter is range-checked ([packet_size], [min_rate], [initial_rtt],
-    [rtt_gain], [t_rto_factor], [t_mbi] must be positive, counts at least
-    1) and [Invalid_argument] is raised on violation, so a malformed
+    parameter is range-checked ([packet_size] positive; [rtt_gain] in
+    (0, 1]; [t_rto_factor], [initial_rtt], [initial_nofb_timeout],
+    [min_rate] and [t_mbi] positive and finite; [n_intervals] even and at
+    least 2; the other counts at least 1). NaN fails every check, and
+    [Invalid_argument] names the offending field, so a malformed
     configuration cannot silently misbehave deep inside a simulation.
     [min_rate] defaults to one packet per 64 s ([packet_size] / 64, the
     RFC 3448 minimum of one packet per [t_mbi]). *)
@@ -84,8 +89,3 @@ val default :
   ?slow_restart:bool ->
   unit ->
   t
-
-(** [validate t] re-checks an arbitrary record (e.g. built with [{ c with
-    ... }]) and returns it; raises [Invalid_argument] with the offending
-    field on violation. *)
-val validate : t -> t

@@ -76,7 +76,6 @@ let split t =
   let i = Int64.of_int (bits32 t) in
   make ~state:(Int64.logor (Int64.shift_left s 32) i) ~inc:i
 
-let copy t = { state = t.state; inc = t.inc }
 
 let int t bound =
   assert (bound > 0);

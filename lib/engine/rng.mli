@@ -28,9 +28,6 @@ val for_key : seed:int -> string -> t
     the attempt-0 stream. *)
 val for_attempt : seed:int -> attempt:int -> string -> t
 
-(** [copy t] duplicates the generator state (same future stream). *)
-val copy : t -> t
-
 (** [bits32 t] returns the next raw 32-bit output (as a non-negative int). *)
 val bits32 : t -> int
 

@@ -3,7 +3,6 @@ type handle = Timers.handle
 type t = {
   mutable clock : float;
   timers : Timers.t;
-  mutable stopping : bool;
   trace : Trace.t;
   (* Per-simulation identity allocator (packet ids, default link labels).
      Keeping the counter on the scheduler — not in a process-global ref —
@@ -71,7 +70,6 @@ let create ?trace () =
     {
       clock = 0.;
       timers = Timers.create ();
-      stopping = false;
       trace;
       next_id = 0;
       runtime = None;
@@ -118,8 +116,6 @@ let post t delay g a =
 let cancel = Timers.cancel
 let null_handle = Timers.null_handle
 let pending_events t = Timers.size t.timers
-
-let stop t = t.stopping <- true
 
 (* The canonical {!Runtime} implementation: virtual time, the timer
    wheel, this sim's trace bus and id allocator. *)
@@ -174,12 +170,11 @@ let run ?budget t ~until =
   let budget =
     match budget with Some _ as b -> b | None -> current_budget ()
   in
-  t.stopping <- false;
   if Trace.active t.trace then
     Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"run_start"
       [ ("until", Trace.Float until) ];
   let continue = ref true in
-  while !continue && not t.stopping do
+  while !continue do
     maybe_sweep t;
     if Timers.is_empty t.timers then continue := false
     else begin
@@ -195,7 +190,7 @@ let run ?budget t ~until =
       end
     end
   done;
-  if until < infinity && t.clock < until && not t.stopping then t.clock <- until;
+  if until < infinity && t.clock < until then t.clock <- until;
   if Trace.active t.trace then
     Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"run_end"
       [ ("pending", Trace.Int (Timers.size t.timers)) ]

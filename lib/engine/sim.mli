@@ -71,8 +71,6 @@ val budget : ?max_events:int -> ?max_time:float -> unit -> budget
     and restores the previous ambient budget — even on exceptions. *)
 val with_budget : budget -> (unit -> 'a) -> 'a
 
-val current_budget : unit -> budget option
-
 (** [run t ~until] executes events in time order until the wheel is empty
     or the next event is past [until]; the clock ends at [until] (or at
     the last event if the wheel drains first and [until] is infinite).
@@ -95,6 +93,3 @@ val run : ?budget:budget -> t -> until:float -> unit
     cancelled events that have not yet been swept out (see {!run} for when
     sweeps happen). *)
 val pending_events : t -> int
-
-(** [stop t] makes [run] return after the currently executing event. *)
-val stop : t -> unit

@@ -1,5 +1,4 @@
-(* Free cells hold [empty]; [free.(0 .. n_free - 1)] are their indices. A
-   cell emptied by [clear] is off the free list until its [take]. *)
+(* Free cells hold [empty]; [free.(0 .. n_free - 1)] are their indices. *)
 type 'a t = {
   empty : 'a;
   mutable cells : 'a array;
@@ -30,18 +29,10 @@ let get t k = t.cells.(k)
 
 let take t k =
   let v = t.cells.(k) in
-  if v != t.empty then begin
-    t.cells.(k) <- t.empty;
-    t.live <- t.live - 1
-  end;
+  t.cells.(k) <- t.empty;
+  t.live <- t.live - 1;
   t.free.(t.n_free) <- k;
   t.n_free <- t.n_free + 1;
   v
 
 let live t = t.live
-
-let clear t =
-  if t.live > 0 then begin
-    Array.fill t.cells 0 (Array.length t.cells) t.empty;
-    t.live <- 0
-  end

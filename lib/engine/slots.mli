@@ -21,13 +21,9 @@ val add : 'a t -> 'a -> int
 (** [get t k] is the value at [k], left in place. *)
 val get : 'a t -> int -> 'a
 
-(** [take t k] frees index [k] and returns its value, or the sentinel if
-    {!clear} emptied it. Each index from {!add} is taken exactly once. *)
+(** [take t k] frees index [k] and returns its value. Each index from
+    {!add} is taken exactly once. *)
 val take : 'a t -> int -> 'a
 
-(** Values held and not cleared. *)
+(** Values held. *)
 val live : 'a t -> int
-
-(** [clear t] empties every held cell; each {!take} still due returns
-    the sentinel. *)
-val clear : 'a t -> unit

@@ -13,8 +13,8 @@
    arrays of slots. Filing, cascading, sifting and sweeping therefore move
    ints: no write barrier, no pointer chasing, and scheduling allocates
    only the caller's handle (posting allocates nothing). A slot goes back
-   on the free list (LIFO) as soon as its timer is fired, swept or
-   cleared, and its callback is replaced by a no-op then, so the queue
+   on the free list (LIFO) as soon as its timer is fired or swept, and
+   its callback is replaced by a no-op then, so the queue
    never retains a dead timer's closure.
 
    Stamps and handles. A queued timer's stamp is twice its scheduling
@@ -478,19 +478,6 @@ let take_all_buckets t f =
       if t.heads.(l).(k) <> nil then take_bucket t l k f
     done
   done
-
-let clear t =
-  take_all_buckets t (fun t _ _ s -> release t s);
-  for i = 0 to t.ready.size - 1 do
-    release t t.ready.a.(i)
-  done;
-  for i = 0 to t.overflow.size - 1 do
-    release t t.overflow.a.(i)
-  done;
-  t.ready.size <- 0;
-  t.overflow.size <- 0;
-  t.total <- 0;
-  t.cancelled <- 0
 
 let sweep t =
   heap_sweep t t.ready;

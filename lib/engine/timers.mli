@@ -20,14 +20,14 @@
     which are immediate ints, so none of that work goes through OCaml 5's
     write barrier ([caml_modify]), and scheduling allocates neither an
     entry record nor a float box; {!post} allocates nothing at all. A
-    slot is recycled as soon as its timer is fired, swept or cleared, and
-    its callback is dropped then: the queue never retains a dead timer's
+    slot is recycled as soon as its timer is fired or swept, and its
+    callback is dropped then: the queue never retains a dead timer's
     closure.
 
     {b Handles and generations.} A handle is one small immutable block
     naming the queue, the slot and the generation its timer was issued
-    with. Generations are never reused, so a handle kept past fire, sweep
-    or clear is stale: it reads not pending and cancels nothing, even
+    with. Generations are never reused, so a handle kept past fire or
+    sweep is stale: it reads not pending and cancels nothing, even
     after a newer timer reuses the slot.
 
     {b Queue.} Level [l] of the wheel consists of [slots] buckets of width
@@ -69,7 +69,7 @@ val create : ?granularity:float -> ?slots:int -> ?levels:int -> unit -> t
 val schedule : t -> time:float -> (unit -> unit) -> handle
 
 (** [post t ~now ~delay g a] queues [g a] at [now +. delay] and returns
-    no handle, so nothing but {!clear} can remove it. The deadline is
+    no handle, so nothing but {!fire} can remove it. The deadline is
     summed here, so that a caller passing its clock and a stored delay
     boxes no float. It takes the next sequence number exactly as
     {!schedule} would: posted and scheduled timers share one (deadline,
@@ -82,11 +82,11 @@ val post : t -> now:float -> delay:float -> (int -> unit) -> int -> unit
 val custom : cancel:(unit -> unit) -> is_pending:(unit -> bool) -> handle
 
 (** [cancel h] prevents the timer from firing. Idempotent; a no-op on a
-    fired, swept or cleared timer's handle. *)
+    fired or swept timer's handle. *)
 val cancel : handle -> unit
 
 (** [is_pending h] is [true] if the timer has neither fired nor been
-    cancelled (nor cleared). *)
+    cancelled. *)
 val is_pending : handle -> bool
 
 (** A handle that is never pending; useful as an initial value. *)
@@ -116,9 +116,6 @@ val peek_pending : t -> bool
     on an empty queue. The entry's handle reads not pending from the
     callback on, and the queue keeps no reference to the callback. *)
 val fire : t -> unit
-
-(** [clear t] empties the queue; every handle it held reads not pending. *)
-val clear : t -> unit
 
 (** [sweep t] removes every cancelled entry, preserving the order of the
     rest, and shrinks the queue's heaps to fit. *)

@@ -3,8 +3,6 @@ let dir () =
   | Some d when d <> "" -> Some d
   | _ -> None
 
-let enabled () = dir () <> None
-
 let write_series ~name ~columns rows =
   match dir () with
   | None -> ()

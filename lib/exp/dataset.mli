@@ -6,9 +6,6 @@
     tables as the primary interface while letting users regenerate the
     paper's actual plots. *)
 
-(** [enabled ()] is true when [TFRC_DATA_DIR] is set. *)
-val enabled : unit -> bool
-
 (** [write_series ~name ~columns rows] writes [name].dat with a header
     naming the columns. Row arity must match. No-op when disabled; errors
     writing the file are reported on stderr, never raised. *)

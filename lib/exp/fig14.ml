@@ -51,14 +51,14 @@ let one ~proto ~duration ~seed =
       ~transmit:(Netsim.Topology.dst_sender topo ~flow:9999) ()
   in
   Traffic.Cbr.start rev ~at:0.;
-  let sampler =
+  let queue_len =
     Netsim.Flowmon.Queue_sampler.start (Engine.Sim.runtime sim) ~period:0.1
       ~queue:(Netsim.Link.queue (Netsim.Dumbbell.forward_link db))
   in
   Engine.Sim.run sim ~until:duration;
   let t0 = 20. and t1 = duration in
   let qs =
-    Stats.Time_series.events (Netsim.Flowmon.Queue_sampler.series sampler)
+    Stats.Time_series.events queue_len
     |> Array.to_list
     |> List.filter (fun (t, _) -> t >= t0 && t < t1)
     |> List.map snd |> Array.of_list

@@ -1,36 +1,21 @@
-let glyphs = [| '*'; '+'; 'o'; 'x'; '#' |]
-
-let bounds named_series =
-  let xs = List.concat_map (fun (_, pts) -> List.map fst pts) named_series in
-  let ys = List.concat_map (fun (_, pts) -> List.map snd pts) named_series in
-  match (xs, ys) with
-  | [], _ | _, [] -> invalid_arg "Plot: empty series"
-  | _ ->
-      let min_l = List.fold_left Float.min infinity in
-      let max_l = List.fold_left Float.max neg_infinity in
-      (min_l xs, max_l xs, min_l ys, max_l ys)
-
-let render ppf ~title ~ylabel ~height ~width named_series =
-  let x0, x1, y0, y1 = bounds named_series in
+let series ppf ~title ~ylabel ?(height = 12) ?(width = 64) points =
+  if points = [] then invalid_arg "Plot: empty series";
+  let min_l = List.fold_left Float.min infinity in
+  let max_l = List.fold_left Float.max neg_infinity in
+  let xs = List.map fst points and ys = List.map snd points in
+  let x0 = min_l xs and x1 = max_l xs and y0 = min_l ys and y1 = max_l ys in
   let xspan = if x1 > x0 then x1 -. x0 else 1. in
   let yspan = if y1 > y0 then y1 -. y0 else 1. in
   let grid = Array.make_matrix height width ' ' in
-  List.iteri
-    (fun si (_, pts) ->
-      let glyph = glyphs.(si mod Array.length glyphs) in
-      List.iter
-        (fun (x, y) ->
-          let col =
-            int_of_float ((x -. x0) /. xspan *. float_of_int (width - 1))
-          in
-          let row =
-            height - 1
-            - int_of_float ((y -. y0) /. yspan *. float_of_int (height - 1))
-          in
-          if row >= 0 && row < height && col >= 0 && col < width then
-            grid.(row).(col) <- glyph)
-        pts)
-    named_series;
+  List.iter
+    (fun (x, y) ->
+      let col = int_of_float ((x -. x0) /. xspan *. float_of_int (width - 1)) in
+      let row =
+        height - 1 - int_of_float ((y -. y0) /. yspan *. float_of_int (height - 1))
+      in
+      if row >= 0 && row < height && col >= 0 && col < width then
+        grid.(row).(col) <- '*')
+    points;
   Format.fprintf ppf "%s@." title;
   Array.iteri
     (fun row line ->
@@ -48,20 +33,4 @@ let render ppf ~title ~ylabel ~height ~width named_series =
   let left = Printf.sprintf "%.3g" x0 and right = Printf.sprintf "%.3g" x1 in
   let pad = max 1 (width - String.length left - String.length right) in
   Format.fprintf ppf "%10s  %s%s%s   (%s)@." "" left (String.make pad ' ')
-    right ylabel;
-  if List.length named_series > 1 then begin
-    Format.fprintf ppf "%10s  " "";
-    List.iteri
-      (fun si (name, _) ->
-        Format.fprintf ppf "%c = %s   " glyphs.(si mod Array.length glyphs) name)
-      named_series;
-    Format.fprintf ppf "@."
-  end
-
-let multi ppf ~title ~ylabel ?(height = 12) ?(width = 64) named_series =
-  if named_series = [] || List.exists (fun (_, p) -> p = []) named_series then
-    invalid_arg "Plot: empty series";
-  render ppf ~title ~ylabel ~height ~width named_series
-
-let series ppf ~title ~ylabel ?(height = 12) ?(width = 64) points =
-  multi ppf ~title ~ylabel ~height ~width [ ("", points) ]
+    right ylabel

@@ -3,8 +3,8 @@
     tracking, figure 20's rate collapse). *)
 
 (** [series ppf ~title ~ylabel ?height ?width points] renders one (x, y)
-    series as a dot plot with a y-axis scale and x-range footer. Points
-    must be non-empty; x ascending is assumed for the footer but not
+    series as a dot plot of [*] glyphs with a y-axis scale and x-range
+    footer. Points must be non-empty; x ascending is assumed for the footer but not
     required for rendering. *)
 val series :
   Format.formatter ->
@@ -13,15 +13,4 @@ val series :
   ?height:int ->
   ?width:int ->
   (float * float) list ->
-  unit
-
-(** [multi ppf ~title ~ylabel ?height ?width named_series] overlays up to
-    five series, each drawn with its own glyph, with a legend line. *)
-val multi :
-  Format.formatter ->
-  title:string ->
-  ylabel:string ->
-  ?height:int ->
-  ?width:int ->
-  (string * (float * float) list) list ->
   unit

@@ -80,7 +80,6 @@ let run_case ~seed ~proto ~fault ~run_until =
         (Netsim.Dumbbell.forward_link db)
         ~at
         ~bandwidth:(bottleneck_bw *. bandwidth_factor)
-        ()
   | Reorder _ | Fb_blackout _ -> ());
   (* Handler-level faults: [wrap_data] sits between the bottleneck and the
      receiving endpoint, [wrap_fb] on the endpoint's feedback/ack path. *)
@@ -254,8 +253,6 @@ let audited_matrix ~seed ~full =
           (cases ~full))
   in
   (reports, checker)
-
-let matrix ~seed ~full = fst (audited_matrix ~seed ~full)
 
 let tfrc_outage_case ~seed ~at ~duration () =
   let until = Float.max 40. (at +. duration +. 20.) in

@@ -31,10 +31,6 @@ type report = {
   post_rate : float;  (** mean goodput in the tail window, bytes/s *)
 }
 
-(** The scaled-down fault matrix (both protocols). Runs with an
-    invariant audit whose checker result is discarded. *)
-val matrix : seed:int -> full:bool -> report list
-
 (** One scripted TFRC outage run, the acceptance scenario: a mid-flow
     outage of [duration] seconds starting at [at]. Returns the report plus
     the sampled sender pacing-rate series (time, bytes/s) for timeline

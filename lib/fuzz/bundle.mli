@@ -39,13 +39,9 @@ val make :
   Oracle.outcome ->
   t
 
-val to_sexp : t -> Engine.Sexp.t
-
-(** Bundle filename for a case key, e.g. ["fuzz-0013.repro"]. *)
-val filename : case_key:string -> string
-
 (** [save ~dir t] writes the bundle under [dir] (created, with parents,
-    if needed) and returns the path. Raises [Failure] with a clear
+    if needed) as [<case key with '/' as '-'>.repro], e.g.
+    [fuzz-0013.repro], and returns the path. Raises [Failure] with a clear
     message when the directory cannot be created or the file cannot be
     written. *)
 val save : dir:string -> t -> string

@@ -204,7 +204,6 @@ let run_once ~mutate (sc : Scenario.t) =
       | Scenario.Route_change { at; bandwidth_factor } ->
           Netsim.Faults.route_change (Engine.Sim.runtime sim) bottleneck ~at
             ~bandwidth:(sc.bandwidth *. bandwidth_factor)
-            ()
       | Scenario.Reorder _ | Scenario.Duplicate _ | Scenario.Corrupt _
       | Scenario.Fb_blackout _ ->
           ())

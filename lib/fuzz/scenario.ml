@@ -44,6 +44,8 @@ type t = {
 let hops t =
   match t.topology with Parking_lot h -> h | Path | Dumbbell | Graph _ -> 1
 
+(* Smallest base RTT that clears the topology's propagation constraint for
+   an end-to-end flow (access delays must be non-negative). *)
 let min_rtt topology ~delay =
   match topology with
   | Path | Dumbbell -> 2. *. delay

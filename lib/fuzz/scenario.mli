@@ -58,10 +58,6 @@ type t = {
 (** Number of congested hops ([Path] = 1, [Dumbbell] = 1 forward hop). *)
 val hops : t -> int
 
-(** Smallest base RTT that clears the topology's propagation constraint
-    for an end-to-end flow (access delays must be non-negative). *)
-val min_rtt : topology -> delay:float -> float
-
 (** [generate ~id rng] draws a complete scenario. Everything, including
     [sim_seed], comes from [rng], so equal [(id, rng stream)] pairs give
     equal scenarios. *)

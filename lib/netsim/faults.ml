@@ -43,11 +43,10 @@ let flapping rt link ~start ~stop ~period ~down_fraction ?(policy = Link.Drop_qu
   (* Whatever phase the last cycle ended in, the link is up after [stop]. *)
   ignore (Engine.Runtime.at rt stop (fun () -> Link.set_up link true))
 
-let route_change rt link ~at ?bandwidth ?delay () =
+let route_change rt link ~at ~bandwidth =
   ignore
     (Engine.Runtime.at rt at (fun () ->
-         Option.iter (Link.set_bandwidth link) bandwidth;
-         Option.iter (Link.set_delay link) delay;
+         Link.set_bandwidth link bandwidth;
          fault_ev rt link "route_change"
            [
              ("bandwidth", Engine.Trace.Float (Link.bandwidth link));

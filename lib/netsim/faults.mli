@@ -4,8 +4,8 @@
 
     {ol
     {- {b Link-level faults} driven by the scheduler: outages, flapping and
-       route changes mutate a {!Link}'s up/down state, bandwidth or delay
-       at scripted times.}
+       route changes mutate a {!Link}'s up/down state or bandwidth at
+       scripted times.}
     {- {b Handler-level faults}: wrappers around a {!Packet.handler} that
        reorder, duplicate, corrupt or black out packets in flight. They
        compose with each other and with {!Loss_model} wrappers, e.g.
@@ -44,18 +44,12 @@ val flapping :
   unit ->
   unit
 
-(** [route_change rt link ~at ?bandwidth ?delay ()] applies new link
-    parameters at time [at], emulating a route switching to a path with
-    different capacity and propagation delay. Omitted parameters keep
-    their current value. *)
+(** [route_change rt link ~at ~bandwidth] sets the link's bandwidth at
+    time [at], emulating a route switching to a path with different
+    capacity. Its [fault/route_change] event also reports the link's
+    (fixed) delay. *)
 val route_change :
-  Engine.Runtime.t ->
-  Link.t ->
-  at:float ->
-  ?bandwidth:float ->
-  ?delay:float ->
-  unit ->
-  unit
+  Engine.Runtime.t -> Link.t -> at:float -> bandwidth:float -> unit
 
 (** {1 Handler faults}
 

@@ -22,17 +22,10 @@ val bytes : t -> int
 val mean_rate : t -> t0:float -> t1:float -> float
 
 module Queue_sampler : sig
-  type sampler
-
   (** [start rt ~period ~queue] records (time, queue length in packets)
-      immediately and then every [period] seconds until the simulation ends
-      or {!stop} is called. Samples are also emitted as [queue/sample]
-      trace events when the simulation's bus is active. *)
-  val start : Engine.Runtime.t -> period:float -> queue:Queue_disc.t -> sampler
-
-  val series : sampler -> Stats.Time_series.t
-
-  (** [stop s] stops sampling and cancels the pending timer, so the sampler
-      is no longer reachable from the timer wheel. Idempotent. *)
-  val stop : sampler -> unit
+      immediately and then every [period] seconds until the simulation
+      ends, into the series it returns. Samples are also emitted as
+      [queue/sample] trace events when the simulation's bus is active. *)
+  val start :
+    Engine.Runtime.t -> period:float -> queue:Queue_disc.t -> Stats.Time_series.t
 end

@@ -4,7 +4,7 @@ type t = {
   rt : Engine.Runtime.t;
   label : string;
   mutable bandwidth : float;
-  mutable delay : float;
+  delay : float;
   queue : Queue_disc.t;
   mutable dest : Packet.handler;
   mutable dest_set : bool;
@@ -84,10 +84,6 @@ let set_bandwidth t bw =
   check "set_bandwidth" ~bandwidth:bw ~delay:t.delay;
   t.bandwidth <- bw
 
-let set_delay t d =
-  check "set_delay" ~bandwidth:t.bandwidth ~delay:d;
-  t.delay <- d
-
 let utilization t ~duration =
   if duration <= 0. then 0.
   else 8. *. float_of_int t.delivered_bytes /. (t.bandwidth *. duration)
@@ -119,8 +115,8 @@ let ns2_sink ~label oc =
   ({ Engine.Trace.emit; close = (fun () -> flush oc) }, fun () -> !lines)
 
 (* Serialize the head-of-line packet; at end of serialization schedule
-   the delivery with the delay in force then, and start the next one. The
-   packet keeps its [flight] index from one event to the next. *)
+   its delivery and start the next one. The packet keeps its [flight]
+   index from one event to the next. *)
 let rec start_tx t =
   let pkt = if t.up then t.queue.Queue_disc.dequeue () else Packet.none in
   t.busy <- pkt != Packet.none;

@@ -7,9 +7,9 @@
     is serializing), like a real link and like ns-2's DelayLink.
 
     For fault injection the link carries mutable state: it can be taken
-    down and brought back up ({!set_up}), and its bandwidth and delay can
-    change mid-simulation ({!set_bandwidth}, {!set_delay}) to emulate route
-    changes. See {!Faults} for schedulable outage/flap helpers. *)
+    down and brought back up ({!set_up}), and its bandwidth can change
+    mid-simulation ({!set_bandwidth}) to emulate route changes. Its delay
+    is fixed. See {!Faults} for schedulable outage/flap helpers. *)
 
 type t
 
@@ -26,7 +26,7 @@ type down_policy = Drop_queued | Hold_queued
     runtime's id allocator); the invariant checker keys per-link
     packet-conservation counters on it. Raises [Invalid_argument] unless
     [bandwidth] is positive and finite and [delay] finite and
-    non-negative (as {!set_bandwidth} and {!set_delay} do).
+    non-negative (as {!set_bandwidth} does for the bandwidth).
 
     When the simulation's trace bus is active the link emits [link/send],
     [link/deliver], [link/drop] (with a ["queue"] or ["outage"] reason) and
@@ -96,12 +96,6 @@ val on_state_change : t -> (bool -> unit) -> unit
 (** [set_bandwidth t bw] changes the serialization rate for subsequent
     packets (the head-of-line packet finishes at the old rate). *)
 val set_bandwidth : t -> float -> unit
-
-(** [set_delay t d] changes the propagation delay for subsequent
-    deliveries: a packet takes the delay in force when it finishes
-    serializing, so after a decrease a later packet can arrive before an
-    earlier one. *)
-val set_delay : t -> float -> unit
 
 val queue : t -> Queue_disc.t
 val bandwidth : t -> float

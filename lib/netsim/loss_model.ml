@@ -50,11 +50,3 @@ let gilbert rng ~p_gb ~p_bg ~loss_good ~loss_bad dest =
        else if Engine.Rng.bool rng ~p:p_gb then bad := true);
       Engine.Rng.bool rng ~p:(if !bad then loss_bad else loss_good))
     dest
-
-let counted dest =
-  let n = ref 0 in
-  let handler pkt =
-    incr n;
-    dest pkt
-  in
-  (handler, fun () -> !n)

@@ -39,8 +39,3 @@ val gilbert :
 
 (** [custom ~drop dest] drops packets for which [drop pkt] is [true]. *)
 val custom : drop:(Packet.t -> bool) -> Packet.handler -> Packet.handler
-
-(** [counted dest] returns the wrapped handler plus a counter of packets
-    that passed through it. Place one before and one after a dropper to
-    measure the realized loss fraction. *)
-val counted : Packet.handler -> Packet.handler * (unit -> int)

@@ -46,14 +46,3 @@ let none =
     ecn_capable = false; ecn_marked = false; corrupted = false }
 
 let is_data p = match p.payload with Data | Tfrc_data _ -> true | _ -> false
-
-let pp ppf p =
-  let kind =
-    match p.payload with
-    | Data -> "data"
-    | Tcp_ack { ack; _ } -> Printf.sprintf "ack=%d" ack
-    | Tfrc_data _ -> "tfrc-data"
-    | Tfrc_feedback { p = lr; _ } -> Printf.sprintf "fb p=%.4f" lr
-  in
-  Format.fprintf ppf "[flow %d seq %d %dB %s @%.4f]" p.flow p.seq p.size kind
-    p.sent_at

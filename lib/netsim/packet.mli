@@ -72,4 +72,3 @@ val none : t
 type handler = t -> unit
 
 val is_data : t -> bool
-val pp : Format.formatter -> t -> unit

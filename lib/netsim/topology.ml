@@ -9,11 +9,10 @@ type edge = {
   esrc : node;
   edst : node;
   kind : edge_kind;
-  mutable cost : float option; (* explicit override; None = cost model *)
 }
 
 (* The empty routing-table cell: "no next hop". Compared physically. *)
-let no_edge = { eid = -1; esrc = -1; edst = -1; kind = Wire 0.; cost = None }
+let no_edge = { eid = -1; esrc = -1; edst = -1; kind = Wire 0. }
 
 type cost_model = Hop | Delay
 
@@ -75,8 +74,8 @@ type t = {
   (* Recompute scratch, rebuilt with the tables only when routers or edges
      between them were added ([grown]): those edges in id order, each
      router's out- and in-edges in ascending id order (by table index),
-     per-edge cost and up flag by edge id (refreshed every recompute), and
-     the Dijkstra state. Host wires never enter it. *)
+     per-edge cost and up flag by edge id (the flag refreshed every
+     recompute), and the Dijkstra state. Host wires never enter it. *)
   mutable grown : bool;
   mutable routed : edge array;
   mutable outs : edge array array;
@@ -97,7 +96,6 @@ type t = {
 let runtime t = t.rt
 let n_nodes t = t.n_nodes
 let recomputes t = t.recomputes
-let invalidate t = t.dirty <- true
 
 let new_node t ~ix =
   let n = t.n_nodes in
@@ -147,20 +145,14 @@ let loop_ev t node (pkt : Packet.t) =
    reversed graph with an indexed binary heap, O(E log n), then each node's
    next hop is its out-edge minimizing [cost e + dist (edst e)], ties broken
    by lowest edge id so routes are deterministic. No cost is negative
-   (explicit costs are checked here, delays by [Link] and [add_wire]), so
-   the distances do not depend on the order in which equal-distance nodes
-   settle. *)
+   (delays are checked by [Link] and [add_wire]), so the distances do not
+   depend on the order in which equal-distance nodes settle. *)
 
 let edge_cost t e =
-  match e.cost with
-  | Some c -> c
-  | None -> (
-      match t.cost_model with
-      | Hop -> 1.
-      | Delay -> (
-          match e.kind with
-          | Wire wdelay -> wdelay
-          | Queued l -> Link.delay l))
+  match (t.cost_model, e.kind) with
+  | Hop, _ -> 1.
+  | Delay, Wire wdelay -> wdelay
+  | Delay, Queued l -> Link.delay l
 
 let edge_usable up_only e =
   (not up_only)
@@ -287,11 +279,11 @@ let prepare t =
     t.outs <- by_router t (fun e -> e.esrc);
     t.ins <- by_router t (fun e -> e.edst);
     t.costs <- Array.make t.n_edges 0.;
-    t.up <- Array.make t.n_edges false
+    t.up <- Array.make t.n_edges false;
+    Array.iter (fun e -> t.costs.(e.eid) <- edge_cost t e) t.routed
   end;
   for i = 0 to Array.length t.routed - 1 do
     let e = t.routed.(i) in
-    t.costs.(e.eid) <- edge_cost t e;
     t.up.(e.eid) <- edge_usable true e
   done
 
@@ -378,10 +370,7 @@ and forward t e pkt =
       end
       else arrive t e.edst pkt
 
-(* A packet cleared by [teardown] is [Packet.none]: dropped on landing. *)
-let landed t k =
-  let pkt = Engine.Slots.take t.flight k in
-  if pkt != Packet.none then arrive t t.flight_dst.(k) pkt
+let landed t k = arrive t t.flight_dst.(k) (Engine.Slots.take t.flight k)
 
 let create ?(cost_model = Hop) rt () =
   let rec t =
@@ -420,13 +409,6 @@ let create ?(cost_model = Hop) rt () =
 
 (* --- construction --------------------------------------------------------- *)
 
-let check_cost name = function
-  | Some c when not (Float.is_finite c && c >= 0.) ->
-      invalid_arg
-        (Printf.sprintf "Topology.%s: cost must be finite and non-negative"
-           name)
-  | _ -> ()
-
 let check_delay name what d =
   (* NaN would fail [wdelay > 0.] and make the wire silently synchronous. *)
   if not (Float.is_finite d && d >= 0.) then
@@ -434,35 +416,33 @@ let check_delay name what d =
       (Printf.sprintf "Topology.%s: %s must be finite and non-negative" name
          what)
 
-let new_edge t ~src ~dst ?cost kind =
-  let e = { eid = t.n_edges; esrc = src; edst = dst; kind; cost } in
+let new_edge t ~src ~dst kind =
+  let e = { eid = t.n_edges; esrc = src; edst = dst; kind } in
   t.all_edges <- e :: t.all_edges;
   t.n_edges <- t.n_edges + 1;
   e
 
 (* An edge between routers: it enters the routing tables. *)
-let add_routed t ~src ~dst ?cost kind =
+let add_routed t ~src ~dst kind =
   t.grown <- true;
   t.dirty <- true;
-  new_edge t ~src ~dst ?cost kind
+  new_edge t ~src ~dst kind
 
-let add_link t ~src ~dst ?cost link =
+let add_link t ~src ~dst link =
   check_router t src "add_link";
   check_router t dst "add_link";
-  check_cost "add_link" cost;
-  let e = add_routed t ~src ~dst ?cost (Queued link) in
+  let e = add_routed t ~src ~dst (Queued link) in
   Link.set_dest link (fun pkt -> arrive t dst pkt);
   (* A dropped packet is dead: forget its forwarding state. *)
   Link.on_drop link (fun pkt -> Itbl.remove t.targets pkt.Packet.id);
   Link.on_state_change link (fun _ -> t.dirty <- true);
   e
 
-let add_wire t ~src ~dst ?cost delay =
+let add_wire t ~src ~dst delay =
   check_router t src "add_wire";
   check_router t dst "add_wire";
   check_delay "add_wire" "delay" delay;
-  check_cost "add_wire" cost;
-  add_routed t ~src ~dst ?cost (Wire delay)
+  add_routed t ~src ~dst (Wire delay)
 
 (* The tables stay clean: the host routes by its router's cells. *)
 let add_host t ~router ~access =
@@ -472,11 +452,6 @@ let add_host t ~router ~access =
   t.up_of.(h) <- new_edge t ~src:h ~dst:router (Wire access);
   t.down_of.(h) <- new_edge t ~src:router ~dst:h (Wire access);
   h
-
-let set_cost t e c =
-  check_cost "set_cost" (Some c);
-  e.cost <- Some c;
-  t.dirty <- true
 
 let edges t = List.rev t.all_edges
 let edge_id e = e.eid
@@ -528,10 +503,6 @@ let dst_sender t ~flow =
   fun pkt -> send t fi `Bwd pkt
 
 let in_flight t = Engine.Slots.live t.flight
-
-let teardown t =
-  Engine.Slots.clear t.flight;
-  Itbl.reset t.targets
 
 (* --- routing / impact queries --------------------------------------------- *)
 

@@ -7,8 +7,8 @@
     queue-conservation rule holds per queue across the graph.
 
     Forwarding is per-hop: packets follow static shortest-path routes
-    (Dijkstra over configurable link costs, deterministic lowest-edge-id
-    tie-break). Routes are recomputed lazily whenever a link changes
+    (Dijkstra over hop counts or propagation delays, deterministic
+    lowest-edge-id tie-break). Routes are recomputed lazily whenever a link changes
     up/down state, so {!Faults.outage} and flapping actually shift traffic
     onto alternate paths when one exists. When no up path remains, packets
     fall back to the full-graph route and blackhole at the failed link's
@@ -23,9 +23,8 @@
     router, O(r · E log r) in all, into scratch arrays it reuses; only a
     router graph that has grown since the last recompute reallocates
     them. Adding a router does not itself trigger a recompute: until the
-    next one (after an edge is added, a link changes state, or
-    {!invalidate}) it has no route, and packets to or from it are
-    discarded.
+    next one (after an edge is added or a link changes state) it has no
+    route, and packets to or from it are discarded.
 
     {!impact} answers the planning-side question a failure poses: which
     flows does losing this edge partition (no alternate path) and which
@@ -37,10 +36,8 @@ type t
 (** An edge of the graph; compare with {!edge_id}. *)
 type edge
 
-(** Default per-edge cost when none is given explicitly: [Hop] counts
-    edges; [Delay] reads each edge's propagation delay at recompute time
-    (so a {!Faults.route_change} that alters a link's delay shifts routes
-    after {!invalidate}). *)
+(** Per-edge routing cost: [Hop] counts edges; [Delay] uses each edge's
+    propagation delay, which is fixed when the edge is added. *)
 type cost_model = Hop | Delay
 
 type impact_kind = Partitioned | Rerouted | Unaffected
@@ -64,36 +61,25 @@ val add_host : t -> router:node -> access:float -> node
 
 val n_nodes : t -> int
 
-(** [add_link t ~src ~dst ?cost link] adds a unidirectional queued edge
+(** [add_link t ~src ~dst link] adds a unidirectional queued edge
     between routers, carried by [link]. The topology takes over the link's
     destination handler and registers drop/state-change listeners; callers
     may still add their own drop listeners and drive faults at the link.
-    Raises [Invalid_argument] on a host end, or unless [cost] is finite
-    and non-negative. *)
-val add_link : t -> src:node -> dst:node -> ?cost:float -> Link.t -> edge
+    Raises [Invalid_argument] on a host end. *)
+val add_link : t -> src:node -> dst:node -> Link.t -> edge
 
-(** [add_wire t ~src ~dst ?cost delay] adds a unidirectional pure-delay
-    edge between routers. With [delay = 0] the hop (like a zero-delay host
+(** [add_wire t ~src ~dst delay] adds a unidirectional pure-delay edge
+    between routers. With [delay = 0] the hop (like a zero-delay host
     wire) is traversed synchronously. Raises [Invalid_argument] on a host
-    end, or unless [delay] and [cost] are finite and non-negative. *)
-val add_wire : t -> src:node -> dst:node -> ?cost:float -> float -> edge
-
-(** [set_cost t e c] overrides the edge's cost and invalidates routes
-    (a host wire's cost routes nothing). Raises [Invalid_argument] unless [c] is finite and non-negative: a NaN
-    cost would never relax and silently cut off the nodes behind the edge,
-    and a negative one breaks Dijkstra's precondition. *)
-val set_cost : t -> edge -> float -> unit
-
-(** Mark routing tables stale; the next packet (or query) recomputes them.
-    Needed only for changes the topology cannot observe itself, e.g. a
-    [Faults.route_change] delay shift under the [Delay] cost model. *)
-val invalidate : t -> unit
+    end, or unless [delay] is finite and non-negative. *)
+val add_wire : t -> src:node -> dst:node -> float -> edge
 
 (** Number of routing recomputations so far (tests assert outages
     actually trigger one). *)
 val recomputes : t -> int
 
-(** Edges in creation order. *)
+(** Edges in creation order. Like {!edge_id} and {!next_hop}, a probe that
+    holds the tables to a reference model in the tests. *)
 val edges : t -> edge list
 
 val edge_id : edge -> int
@@ -141,9 +127,3 @@ val impact_str : impact_kind -> string
 
 (** Packets on delayed wires, not yet delivered. *)
 val in_flight : t -> int
-
-(** [teardown t] drops every packet on a delayed wire and forgets
-    per-packet forwarding state. A wire posts its deliveries without a
-    handle ({!Engine.Runtime.post}), so their events still fire, at
-    their instants, but deliver nothing. *)
-val teardown : t -> unit

@@ -5,10 +5,3 @@ let jain = function
       let s = List.fold_left ( +. ) 0. xs in
       let s2 = List.fold_left (fun a x -> a +. (x *. x)) 0. xs in
       if s2 = 0. then 1. else s *. s /. (n *. s2)
-
-let min_max_ratio = function
-  | [] -> invalid_arg "Fairness.min_max_ratio: empty"
-  | xs ->
-      let mn = List.fold_left Float.min infinity xs in
-      let mx = List.fold_left Float.max neg_infinity xs in
-      if mx <= 0. then 0. else mn /. mx

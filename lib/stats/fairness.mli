@@ -4,6 +4,3 @@
     1.0 means perfectly equal shares; 1/n means one flow has everything.
     Raises [Invalid_argument] on an empty list. *)
 val jain : float list -> float
-
-(** [min_max_ratio xs] is [min/max] of the allocations (0. if max is 0). *)
-val min_max_ratio : float list -> float

@@ -14,14 +14,10 @@ val cov_of_bins : float array -> float
     and returns the CoV of the resulting per-bin totals. *)
 val cov_at_timescale : Time_series.t -> t0:float -> t1:float -> tau:float -> float
 
-(** [equivalence_of_bins a b] implements equation (3) on two equal-length
-    binned series: for each index where [a.(i) > 0 || b.(i) > 0] take
-    [min (a/b) (b/a)] (0. if one side is 0), and return the mean of the
-    defined elements. Returns [None] when no element is defined. *)
-val equivalence_of_bins : float array -> float array -> float option
-
-(** [equivalence_ratio a b ~t0 ~t1 ~tau] bins both series at [tau] over the
-    window and applies [equivalence_of_bins]. *)
+(** [equivalence_ratio a b ~t0 ~t1 ~tau] implements equation (3): it bins
+    both series at [tau] over the window and, for each bin where either
+    total is positive, takes [min (a/b) (b/a)] (0. if one side is 0). It
+    returns the mean over those bins, or [None] when there are none. *)
 val equivalence_ratio :
   Time_series.t -> Time_series.t -> t0:float -> t1:float -> tau:float -> float option
 

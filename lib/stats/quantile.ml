@@ -1,7 +1,7 @@
 let quantile_sorted sorted q =
   let n = Array.length sorted in
   if n = 0 then invalid_arg "Quantile.quantile: empty array";
-  if q < 0. || q > 1. then invalid_arg "Quantile.quantile: q out of range";
+  if not (q >= 0. && q <= 1.) then invalid_arg "Quantile.quantile: q out of range";
   if n = 1 then sorted.(0)
   else begin
     let pos = q *. float_of_int (n - 1) in

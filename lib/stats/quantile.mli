@@ -1,7 +1,8 @@
 (** Order statistics on float arrays. *)
 
 (** [quantile a q] for [q] in [\[0, 1\]] using linear interpolation between
-    order statistics. Raises [Invalid_argument] on an empty array. *)
+    order statistics. Raises [Invalid_argument] on an empty array or a
+    [q] outside [\[0, 1\]] (NaN included). *)
 val quantile : float array -> float -> float
 
 val median : float array -> float

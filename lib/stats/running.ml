@@ -2,37 +2,21 @@ type t = {
   mutable n : int;
   mutable mean : float;
   mutable m2 : float; (* sum of squared deviations from the mean *)
-  mutable min_v : float;
-  mutable max_v : float;
-  mutable total : float;
   mutable nans : int; (* NaN samples, counted but excluded from the moments *)
 }
 
-let create () =
-  {
-    n = 0;
-    mean = 0.;
-    m2 = 0.;
-    min_v = infinity;
-    max_v = neg_infinity;
-    total = 0.;
-    nans = 0;
-  }
+let create () = { n = 0; mean = 0.; m2 = 0.; nans = 0 }
 
 let add t x =
-  (* A NaN sample used to poison mean/total while min/max silently ignored
-     it (both comparisons are false), leaving the accumulator internally
-     inconsistent. Count NaNs on the side instead, so the moments stay
-     meaningful and the caller can still detect that bad samples arrived. *)
+  (* A NaN sample would poison every moment. Count NaNs on the side
+     instead, so the moments stay meaningful and the caller can still
+     detect that bad samples arrived. *)
   if Float.is_nan x then t.nans <- t.nans + 1
   else begin
     t.n <- t.n + 1;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x;
-    t.total <- t.total +. x
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
   end
 
 let count t = t.n
@@ -49,32 +33,6 @@ let cov t =
      such means through). *)
   let m = mean t in
   if Float.abs m < Float.min_float then 0. else population_stddev t /. m
-
-let min_value t = t.min_v
-let max_value t = t.max_v
-let total t = t.total
-
-let merge a b =
-  if a.n = 0 then { b with nans = a.nans + b.nans }
-  else if b.n = 0 then { a with nans = a.nans + b.nans }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
-    {
-      n;
-      mean;
-      m2;
-      min_v = Float.min a.min_v b.min_v;
-      max_v = Float.max a.max_v b.max_v;
-      total = a.total +. b.total;
-      nans = a.nans + b.nans;
-    }
-  end
 
 let of_array arr =
   let t = create () in

@@ -16,7 +16,3 @@
     otherwise bias H upward. Requires at least 16 points; result clamped
     to [0.5, 1.0]. *)
 val hurst_variance_time : ?min_m:int -> float array -> float
-
-(** [aggregate counts m] sums consecutive groups of [m] entries (dropping
-    the ragged tail). *)
-val aggregate : float array -> int -> float array

@@ -5,10 +5,9 @@ type t = {
   mutable times : float array;
   mutable values : float array;
   mutable n : int;
-  mutable total : float;
 }
 
-let create () = { times = [||]; values = [||]; n = 0; total = 0. }
+let create () = { times = [||]; values = [||]; n = 0 }
 
 let grow t =
   let cap = max 64 (2 * Array.length t.times) in
@@ -24,20 +23,19 @@ let add t ~time ~value =
   if t.n = Array.length t.times then grow t;
   t.times.(t.n) <- time;
   t.values.(t.n) <- value;
-  t.n <- t.n + 1;
-  t.total <- t.total +. value
-
-let n_events t = t.n
-let total t = t.total
-let first_time t = if t.n = 0 then None else Some t.times.(0)
-let last_time t = if t.n = 0 then None else Some t.times.(t.n - 1)
+  t.n <- t.n + 1
 
 (* The window is closed on both ends: an event exactly at [t1] lands in the
    last bin (the index clamp below) rather than being dropped, so summing a
-   series over [first_time, last_time] conserves its total. *)
+   series over its first to its last event time conserves its total. The
+   checks are in-band tests, which a NaN fails; an infinite bin or window
+   would size the bin array at zero or beyond any array. *)
 let binned t ~t0 ~t1 ~bin =
-  if bin <= 0. then invalid_arg "Time_series.binned: bin must be positive";
-  if t1 <= t0 then invalid_arg "Time_series.binned: empty window";
+  if not (bin > 0. && bin < infinity) then
+    invalid_arg "Time_series.binned: bin must be positive and finite";
+  if not (t1 > t0) then invalid_arg "Time_series.binned: empty window";
+  if not (Float.is_finite t0 && Float.is_finite t1) then
+    invalid_arg "Time_series.binned: window must be finite";
   let nbins = int_of_float (ceil ((t1 -. t0) /. bin)) in
   let out = Array.make nbins 0. in
   for i = 0 to t.n - 1 do
@@ -56,7 +54,7 @@ let rates t ~t0 ~t1 ~bin =
 
 (* Closed window, matching [binned]. *)
 let mean_rate t ~t0 ~t1 =
-  if t1 <= t0 then invalid_arg "Time_series.mean_rate: empty window";
+  if not (t1 > t0) then invalid_arg "Time_series.mean_rate: empty window";
   let sum = ref 0. in
   for i = 0 to t.n - 1 do
     let time = t.times.(i) in

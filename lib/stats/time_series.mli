@@ -12,18 +12,11 @@ val create : unit -> t
 (** [add t ~time ~value] appends an event. Times must be non-decreasing. *)
 val add : t -> time:float -> value:float -> unit
 
-val n_events : t -> int
-val total : t -> float
-
-(** [first_time t] / [last_time t]: event time bounds; [None] when empty. *)
-val first_time : t -> float option
-
-val last_time : t -> float option
-
 (** [binned t ~t0 ~t1 ~bin] sums event values into consecutive bins of width
     [bin] covering the closed window [\[t0, t1\]]; an event exactly at [t1]
     counts in the final bin. Events outside the window are ignored. The
-    result has [ceil ((t1 - t0) / bin)] entries. *)
+    result has [ceil ((t1 - t0) / bin)] entries. Raises [Invalid_argument]
+    unless [bin] is positive and finite and [t0 < t1] are finite. *)
 val binned : t -> t0:float -> t1:float -> bin:float -> float array
 
 (** [rates t ~t0 ~t1 ~bin] is [binned] divided by the bin width: per-bin
@@ -31,7 +24,8 @@ val binned : t -> t0:float -> t1:float -> bin:float -> float array
 val rates : t -> t0:float -> t1:float -> bin:float -> float array
 
 (** [mean_rate t ~t0 ~t1] is total value in the closed window [\[t0, t1\]]
-    over its duration, with the same endpoint rule as {!binned}. *)
+    over its duration, with the same endpoint rule as {!binned}. Raises
+    [Invalid_argument] unless [t0 < t1]. *)
 val mean_rate : t -> t0:float -> t1:float -> float
 
 (** [events t] returns a copy of all events in order. *)

@@ -40,7 +40,6 @@ type t = {
          the RTO (Karn's algorithm). *)
   mutable rto_timer : Engine.Runtime.handle;
   mutable on_rto : unit -> unit; (* the RTO callback, built once *)
-  mutable start_timer : Engine.Runtime.handle;
   mutable limit : int option; (* total packets to transfer; None = infinite *)
   mutable on_complete : unit -> unit;
   stats : stats;
@@ -316,7 +315,6 @@ let create rt ~config ~flow ~transmit () =
       timed_seq = -1;
       rto_timer = Engine.Runtime.null_handle;
       on_rto = ignore;
-      start_timer = Engine.Runtime.null_handle;
       limit = None;
       on_complete = ignore;
       stats =
@@ -333,15 +331,10 @@ let create rt ~config ~flow ~transmit () =
   t
 
 let start t ~at =
-  t.start_timer <-
-    Engine.Runtime.at t.rt at (fun () ->
-        t.running <- true;
-        maybe_send t)
-
-let stop t =
-  Engine.Runtime.cancel t.start_timer;
-  t.running <- false;
-  Engine.Runtime.cancel t.rto_timer
+  ignore
+    (Engine.Runtime.at t.rt at (fun () ->
+         t.running <- true;
+         maybe_send t))
 
 let set_limit t n =
   if n <= 0 then invalid_arg "Tcp_sender.set_limit: must be positive";

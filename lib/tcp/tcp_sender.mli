@@ -34,9 +34,6 @@ val recv : t -> Netsim.Packet.handler
 (** [start t ~at] begins transmission at virtual time [at]. *)
 val start : t -> at:float -> unit
 
-(** [stop t] halts transmission and cancels timers. *)
-val stop : t -> unit
-
 val cwnd : t -> float
 val ssthresh : t -> float
 val stats : t -> stats

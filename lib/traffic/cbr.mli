@@ -14,5 +14,4 @@ val create :
   t
 
 val start : t -> at:float -> unit
-val stop : t -> unit
 val packets_sent : t -> int

@@ -22,4 +22,3 @@ val create :
   t
 
 val start : t -> at:float -> unit
-val stop : t -> unit

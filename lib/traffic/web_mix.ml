@@ -7,11 +7,9 @@ type t = {
   rtt_base : float;
   config : Tcpsim.Tcp_common.config;
   mutable next_flow : int;
-  mutable running : bool;
   mutable started : int;
   mutable completed : int;
   mutable delivered : int;
-  mutable start_timer : Engine.Runtime.handle;
 }
 
 let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(shape = 1.3)
@@ -27,11 +25,9 @@ let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(shape = 1.3)
     rtt_base;
     config;
     next_flow = first_flow_id;
-    running = false;
     started = 0;
     completed = 0;
     delivered = 0;
-    start_timer = Engine.Runtime.null_handle;
   }
 
 let transfer_size t =
@@ -68,27 +64,14 @@ let spawn t =
   Tcpsim.Tcp_sender.start sender ~at:(Engine.Runtime.now rt)
 
 let rec arrival_loop t =
-  if t.running then begin
-    let rt = runtime t in
-    let gap = Engine.Rng.exponential t.rng ~mean:(1. /. t.arrival_rate) in
-    ignore
-      (Engine.Runtime.after rt gap (fun () ->
-           if t.running then begin
-             spawn t;
-             arrival_loop t
-           end))
-  end
-
-let start t ~at =
   let rt = runtime t in
-  t.start_timer <-
-    Engine.Runtime.at rt at (fun () ->
-        t.running <- true;
-        arrival_loop t)
+  let gap = Engine.Rng.exponential t.rng ~mean:(1. /. t.arrival_rate) in
+  ignore
+    (Engine.Runtime.after rt gap (fun () ->
+         spawn t;
+         arrival_loop t))
 
-let stop t =
-  Engine.Runtime.cancel t.start_timer;
-  t.running <- false
+let start t ~at = ignore (Engine.Runtime.at (runtime t) at (fun () -> arrival_loop t))
 let connections_started t = t.started
 let connections_completed t = t.completed
 let packets_delivered t = t.delivered

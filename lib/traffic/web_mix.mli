@@ -20,7 +20,6 @@ val create :
   t
 
 val start : t -> at:float -> unit
-val stop : t -> unit
 val connections_started : t -> int
 val connections_completed : t -> int
 val packets_delivered : t -> int

@@ -20,15 +20,6 @@ let test_rng_seed_sensitivity () =
   done;
   check Alcotest.bool "different seeds differ" true !differs
 
-let test_rng_copy () =
-  let a = Engine.Rng.create ~seed:3 in
-  ignore (Engine.Rng.bits32 a);
-  let b = Engine.Rng.copy a in
-  for _ = 1 to 50 do
-    check Alcotest.int "copy continues stream" (Engine.Rng.bits32 a)
-      (Engine.Rng.bits32 b)
-  done
-
 let test_rng_split_independent () =
   let a = Engine.Rng.create ~seed:3 in
   let b = Engine.Rng.split a in
@@ -338,23 +329,6 @@ let test_wheel_pop_releases () =
   check Alcotest.bool "popped timers collectable" true (collected w);
   check Alcotest.int "empty" 0 (Engine.Timers.size q)
 
-let test_wheel_clear_releases () =
-  (* After one pop, a timer sits in each of the ready heap, a wheel slot
-     and the overflow heap. *)
-  let q = Engine.Timers.create () in
-  let w = Weak.create 3 in
-  ignore (Engine.Timers.schedule q ~time:1. ignore);
-  let h = schedule_weak (Engine.Timers.schedule q ~time:1.) w in
-  ignore (schedule_weak ~i:1 (Engine.Timers.schedule q ~time:2.) w);
-  ignore (schedule_weak ~i:2 (Engine.Timers.schedule q ~time:1e6) w);
-  Engine.Timers.fire q;
-  Engine.Timers.clear q;
-  check Alcotest.bool "cleared handle not pending" false
-    (Engine.Timers.is_pending h);
-  ignore (Sys.opaque_identity h);
-  check Alcotest.bool "cleared timers collectable" true (collected w);
-  check Alcotest.int "empty" 0 (Engine.Timers.size q)
-
 let prop_wheel_sorts =
   QCheck.Test.make ~name:"timing wheel sorts any input" ~count:200
     QCheck.(list (float_range 0. 1e6))
@@ -421,7 +395,7 @@ let quiet_sim () = Engine.Sim.create ~trace:(Engine.Trace.create ()) ()
 
 (* --- Slot reuse ----------------------------------------------------------
 
-   A timer's slot is recycled once it fires or is swept or cleared. A
+   A timer's slot is recycled once it fires or is swept. A
    handle kept past that point must read not pending, and cancelling it
    must leave the newer timer that reuses its slot alone. *)
 
@@ -456,7 +430,6 @@ let test_timers_slot_reuse () =
   check_reuse "swept" q ~retire:(fun h ->
       Engine.Timers.cancel h;
       Engine.Timers.sweep q);
-  check_reuse "cleared" q ~retire:(fun _ -> Engine.Timers.clear q);
   check Alcotest.int "drained" 0 (Engine.Timers.size q)
 
 (* The same through a runtime: a fired timer's handle, kept, against the
@@ -492,7 +465,6 @@ type slot_op =
   | Cancel_nth of int
   | Pop_one
   | Sweep_all
-  | Clear_all
   | Advance of float
 
 let slot_op_print = function
@@ -500,7 +472,6 @@ let slot_op_print = function
   | Cancel_nth i -> Printf.sprintf "cancel %d" i
   | Pop_one -> "pop"
   | Sweep_all -> "sweep"
-  | Clear_all -> "clear"
   | Advance d -> Printf.sprintf "advance %g" d
 
 (* Schedules and cancels, plus the weighted [extra] ops of one target. *)
@@ -558,7 +529,7 @@ let prop_timers_slot_reuse =
     ~count:300
     (slot_ops_arb
        QCheck.Gen.
-         [ (3, return Pop_one); (1, return Sweep_all); (1, return Clear_all) ])
+         [ (3, return Pop_one); (1, return Sweep_all) ])
     (fun ops ->
       let q = Engine.Timers.create ~granularity:1e-3 ~slots:4 ~levels:2 () in
       let m = model_create () in
@@ -592,11 +563,6 @@ let prop_timers_slot_reuse =
             | Sweep_all ->
                 Engine.Timers.sweep q;
                 Event_queue.prune m.ref_q ~keep:(Hashtbl.find m.live);
-                true
-            | Clear_all ->
-                Engine.Timers.clear q;
-                Event_queue.clear m.ref_q;
-                Hashtbl.filter_map_inplace (fun _ _ -> Some false) m.live;
                 true
             | Advance _ -> true
           in
@@ -638,7 +604,7 @@ let runtime_slot_reuse rt run ops =
             | _ -> ()
           in
           drain ()
-      | Pop_one | Sweep_all | Clear_all -> ());
+      | Pop_one | Sweep_all -> ());
       !log = !expect && handles_agree m Engine.Runtime.is_pending !handles)
     ops
 
@@ -870,18 +836,6 @@ let test_sim_rejects_non_finite () =
   Engine.Sim.run sim ~until:2.;
   check Alcotest.bool "still usable" true !fired
 
-let test_sim_stop () =
-  let sim = Engine.Sim.create () in
-  let count = ref 0 in
-  let rec tick () =
-    incr count;
-    if !count >= 5 then Engine.Sim.stop sim
-    else ignore (Engine.Sim.after sim 1. tick)
-  in
-  ignore (Engine.Sim.after sim 1. tick);
-  Engine.Sim.run sim ~until:100.;
-  check Alcotest.int "stopped after 5 ticks" 5 !count
-
 let test_sim_cascading_events () =
   let sim = Engine.Sim.create () in
   let log = ref [] in
@@ -1071,7 +1025,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "split independence" `Quick
             test_rng_split_independent;
           Alcotest.test_case "uniform mean" `Quick test_rng_uniform_mean;
@@ -1110,8 +1063,6 @@ let () =
           Alcotest.test_case "prune" `Quick test_wheel_prune;
           Alcotest.test_case "pop releases reference" `Quick
             test_wheel_pop_releases;
-          Alcotest.test_case "clear releases references" `Quick
-            test_wheel_clear_releases;
           qtest prop_wheel_sorts;
           qtest prop_post_shares_order;
           qtest prop_loop_post_shares_order;
@@ -1125,7 +1076,6 @@ let () =
           Alcotest.test_case "past raises" `Quick test_sim_past_raises;
           Alcotest.test_case "rejects non-finite times" `Quick
             test_sim_rejects_non_finite;
-          Alcotest.test_case "stop" `Quick test_sim_stop;
           Alcotest.test_case "cascading events" `Quick test_sim_cascading_events;
           Alcotest.test_case "is_pending" `Quick test_sim_is_pending;
           Alcotest.test_case "fresh_id monotone" `Quick

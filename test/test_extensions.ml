@@ -20,10 +20,6 @@ let test_jain_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Fairness.jain: empty")
     (fun () -> ignore (Stats.Fairness.jain []))
 
-let test_min_max_ratio () =
-  checkf "ratio" 0.5 (Stats.Fairness.min_max_ratio [ 1.; 2. ]);
-  checkf "all zero" 0. (Stats.Fairness.min_max_ratio [ 0.; 0. ])
-
 let prop_jain_range =
   QCheck.Test.make ~name:"jain in [1/n, 1]" ~count:300
     QCheck.(list_of_size Gen.(int_range 1 30) (float_range 0. 1e6))
@@ -302,7 +298,6 @@ let () =
           Alcotest.test_case "jain single hog" `Quick test_jain_single_hog;
           Alcotest.test_case "jain known" `Quick test_jain_known;
           Alcotest.test_case "jain empty" `Quick test_jain_empty;
-          Alcotest.test_case "min max ratio" `Quick test_min_max_ratio;
           qtest prop_jain_range;
         ] );
       ( "ecn_red",

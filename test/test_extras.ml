@@ -73,15 +73,6 @@ let test_tear_steady_rate_reasonable () =
     true
     (rate > 120. /. 2.5 && rate < 120. *. 2.5)
 
-let test_tear_sender_stop () =
-  let sim, sender, _, _ = wire_tear ~drop:(fun _ -> false) () in
-  Baselines.Tear.Sender.start sender ~at:0.;
-  Engine.Sim.run sim ~until:1.;
-  Baselines.Tear.Sender.stop sender;
-  let sent = Baselines.Tear.Sender.packets_sent sender in
-  Engine.Sim.run sim ~until:3.;
-  Alcotest.(check int) "halted" sent (Baselines.Tear.Sender.packets_sent sender)
-
 (* --- AIMD(a,b) --------------------------------------------------------------- *)
 
 let test_tcp_compatible_aimd_formula () =
@@ -177,12 +168,6 @@ let test_smooth_aimd_comparable_throughput () =
 
 (* --- Self-similarity --------------------------------------------------------- *)
 
-let test_aggregate () =
-  Alcotest.(check (array (float 1e-9)))
-    "sum pairs"
-    [| 3.; 7. |]
-    (Stats.Selfsim.aggregate [| 1.; 2.; 3.; 4.; 5. |] 2)
-
 let test_hurst_iid_near_half () =
   let rng = Engine.Rng.create ~seed:5 in
   let counts = Array.init 4096 (fun _ -> Engine.Rng.float rng 10.) in
@@ -230,7 +215,6 @@ let () =
           Alcotest.test_case "halves on loss" `Quick
             test_tear_halves_emulated_window_on_loss;
           Alcotest.test_case "steady rate" `Quick test_tear_steady_rate_reasonable;
-          Alcotest.test_case "stop" `Quick test_tear_sender_stop;
         ] );
       ( "aimd",
         [
@@ -244,7 +228,6 @@ let () =
         ] );
       ( "selfsim",
         [
-          Alcotest.test_case "aggregate" `Quick test_aggregate;
           Alcotest.test_case "iid near 0.5" `Quick test_hurst_iid_near_half;
           Alcotest.test_case "pareto on/off high" `Slow test_hurst_pareto_onoff_high;
           Alcotest.test_case "needs data" `Quick test_hurst_needs_data;

@@ -187,10 +187,7 @@ let test_link_setters_validate () =
   let link = mk_link sim in
   Alcotest.check_raises "bad bandwidth"
     (Invalid_argument "Link.set_bandwidth: bandwidth must be positive")
-    (fun () -> Netsim.Link.set_bandwidth link 0.);
-  Alcotest.check_raises "bad delay"
-    (Invalid_argument "Link.set_delay: negative delay") (fun () ->
-      Netsim.Link.set_delay link (-1.))
+    (fun () -> Netsim.Link.set_bandwidth link 0.)
 
 (* --- Scheduled link faults ------------------------------------------------- *)
 
@@ -231,10 +228,12 @@ let test_route_change () =
   let sim = Engine.Sim.create () in
   let link = mk_link ~bandwidth:8e3 ~delay:0.1 sim in
   Netsim.Link.set_dest link ignore;
-  Netsim.Faults.route_change (Engine.Sim.runtime sim) link ~at:1. ~bandwidth:16e3 ~delay:0.3 ();
+  Netsim.Faults.route_change (Engine.Sim.runtime sim) link ~at:1. ~bandwidth:16e3;
+  Engine.Sim.run sim ~until:0.5;
+  Alcotest.(check (float 1e-9)) "old bandwidth until [at]" 8e3 (Netsim.Link.bandwidth link);
   Engine.Sim.run sim ~until:2.;
   Alcotest.(check (float 1e-9)) "new bandwidth" 16e3 (Netsim.Link.bandwidth link);
-  Alcotest.(check (float 1e-9)) "new delay" 0.3 (Netsim.Link.delay link)
+  Alcotest.(check (float 1e-9)) "delay unchanged" 0.1 (Netsim.Link.delay link)
 
 (* --- Handler fault wrappers ------------------------------------------------ *)
 
@@ -391,9 +390,19 @@ let test_config_validation () =
   check_raises "bad t_rto_factor" (fun () ->
       Tfrc.Tfrc_config.default ~t_rto_factor:0. ());
   check_raises "bad t_mbi" (fun () -> Tfrc.Tfrc_config.default ~t_mbi:0. ());
-  check_raises "record update" (fun () ->
-      Tfrc.Tfrc_config.validate
-        { (Tfrc.Tfrc_config.default ()) with ndupack = 0 });
+  (* NaN fails every in-band check, and infinity every finite one. *)
+  check_raises "NaN initial_rtt" (fun () ->
+      Tfrc.Tfrc_config.default ~initial_rtt:Float.nan ());
+  check_raises "NaN rtt_gain" (fun () ->
+      Tfrc.Tfrc_config.default ~rtt_gain:Float.nan ());
+  check_raises "NaN min_rate" (fun () ->
+      Tfrc.Tfrc_config.default ~min_rate:Float.nan ());
+  check_raises "infinite t_mbi" (fun () ->
+      Tfrc.Tfrc_config.default ~t_mbi:Float.infinity ());
+  check_raises "infinite t_rto_factor" (fun () ->
+      Tfrc.Tfrc_config.default ~t_rto_factor:Float.infinity ());
+  check_raises "infinite initial_nofb_timeout" (fun () ->
+      Tfrc.Tfrc_config.default ~initial_nofb_timeout:Float.infinity ());
   (* A valid config passes through unchanged. *)
   let c = Tfrc.Tfrc_config.default ~min_rate:123. () in
   Alcotest.(check (float 1e-9)) "explicit min_rate kept" 123.
@@ -458,24 +467,33 @@ let test_outage_backoff_and_slow_restart () =
 
 (* --- Matrix sanity and JSON ------------------------------------------------ *)
 
+(* The matrix's cells as its JSON line reports them: (case, proto,
+   pre_rate, floor_ok, nofb_expiries). *)
+let matrix_cells line =
+  match String.split_on_char '{' line with
+  | _ :: _ :: cells ->
+      List.map
+        (fun cell ->
+          Scanf.sscanf cell
+            "\"case\":\"%s@\",\"proto\":\"%s@\",\"pre_rate\":%f,\"min_send_during\":%f,\"floor_ok\":%B,\"nofb_expiries\":%d"
+            (fun case proto pre_rate _ floor_ok nofb -> (case, proto, pre_rate, floor_ok, nofb)))
+        cells
+  | _ -> Alcotest.fail "no cells in the JSON line"
+
 let test_matrix_sane () =
-  let reports = Exp.Resilience.matrix ~seed:42 ~full:false in
-  Alcotest.(check int) "5 cases x 2 protocols" 10 (List.length reports);
+  let cells = matrix_cells (Exp.Resilience.json_line ~seed:42) in
+  Alcotest.(check int) "5 cases x 2 protocols" 10 (List.length cells);
   List.iter
-    (fun (r : Exp.Resilience.report) ->
+    (fun (case, proto, pre_rate, floor_ok, nofb_expiries) ->
+      Alcotest.(check bool) (Printf.sprintf "%s/%s floor" case proto) true floor_ok;
       Alcotest.(check bool)
-        (Printf.sprintf "%s/%s floor" r.case r.proto)
-        true r.floor_ok;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s/%s pre_rate positive" r.case r.proto)
-        true (r.pre_rate > 0.);
-      if r.proto = "tfrc" && (r.case = "outage-2s" || r.case = "fb-blackout-2s")
-      then
+        (Printf.sprintf "%s/%s pre_rate positive" case proto)
+        true (pre_rate > 0.);
+      if proto = "tfrc" && (case = "outage-2s" || case = "fb-blackout-2s") then
         Alcotest.(check bool)
-          (Printf.sprintf "%s/%s saw expirations" r.case r.proto)
-          true
-          (r.nofb_expiries > 0))
-    reports
+          (Printf.sprintf "%s/%s saw expirations" case proto)
+          true (nofb_expiries > 0))
+    cells
 
 let test_json_line () =
   let line = Exp.Resilience.json_line ~seed:1 in

@@ -60,6 +60,18 @@ let prop_scenario_codec_round_trip =
       Fuzz.Scenario.of_sexp (Engine.Sexp.of_string
         (Engine.Sexp.to_string (Fuzz.Scenario.to_sexp sc))) = sc)
 
+(* The RTT floor of an end-to-end flow: two propagation delays per hop of
+   the longest shortest path (under [nodes] hops in a graph), so that both
+   access wires have a non-negative delay. *)
+let rtt_floor (sc : Fuzz.Scenario.t) =
+  let path_hops =
+    match sc.topology with
+    | Fuzz.Scenario.Path | Fuzz.Scenario.Dumbbell -> 1
+    | Fuzz.Scenario.Parking_lot h -> h
+    | Fuzz.Scenario.Graph { nodes; _ } -> nodes
+  in
+  2. *. float_of_int path_hops *. sc.delay
+
 (* Every generated scenario and every shrink candidate must be buildable:
    RTT floors hold, cross-flow hops exist, at least one flow remains. *)
 let well_formed (sc : Fuzz.Scenario.t) =
@@ -71,8 +83,7 @@ let well_formed (sc : Fuzz.Scenario.t) =
          | Some h ->
              h >= 1 && h <= hops && f.rtt_base >= 2. *. sc.delay
          | None ->
-             f.rtt_base
-             >= Fuzz.Scenario.min_rtt sc.topology ~delay:sc.delay -. 1e-12)
+             f.rtt_base >= rtt_floor sc -. 1e-12)
        sc.flows
   && (match sc.topology with
      | Fuzz.Scenario.Parking_lot h -> h >= 2
@@ -209,19 +220,23 @@ let test_bundle_load_errors () =
   (* Well-formed s-expressions with one bad field: the failure names the
      path and the field instead of escaping as another exception. *)
   let valid =
-    Engine.Sexp.to_string_hum
-      (Fuzz.Bundle.to_sexp
-         {
-           Fuzz.Bundle.case_key = "fuzz/0001";
-           fuzz_seed = 1;
-           mutate = true;
-           oracles = [ "queue-conservation" ];
-           details = [ "d" ];
-           scenario = Some outage_scenario;
-           original = None;
-           shrink_steps = 0;
-           trace_tail = [];
-         })
+    let path =
+      Fuzz.Bundle.save ~dir
+        {
+          Fuzz.Bundle.case_key = "fuzz/0001";
+          fuzz_seed = 1;
+          mutate = true;
+          oracles = [ "queue-conservation" ];
+          details = [ "d" ];
+          scenario = Some outage_scenario;
+          original = None;
+          shrink_steps = 0;
+          trace_tail = [];
+        }
+    in
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
   in
   let replace ~sub ~by s =
     match Astring.String.cut ~sep:sub s with

@@ -189,7 +189,6 @@ let test_lot_tfrc_end_to_end () =
 
 let test_dataset_disabled_noop () =
   Unix.putenv "TFRC_DATA_DIR" "";
-  Alcotest.(check bool) "disabled" false (Exp.Dataset.enabled ());
   (* Must not raise or write anywhere. *)
   Exp.Dataset.write_xy ~name:"nope" ~x:"t" ~y:"v" [ (1., 2.) ]
 
@@ -198,7 +197,6 @@ let test_dataset_writes_file () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   Unix.putenv "TFRC_DATA_DIR" dir;
-  Alcotest.(check bool) "enabled" true (Exp.Dataset.enabled ());
   Exp.Dataset.write_series ~name:"test" ~columns:[ "a"; "b"; "c" ]
     [ [ 1.; 2.; 3. ]; [ 4.; 5.; 6.5 ] ];
   let ic = open_in (Filename.concat dir "test.dat") in
@@ -430,22 +428,6 @@ let test_plot_series () =
   Alcotest.(check bool) "has points" true (String.contains out '*');
   Alcotest.(check bool) "has axis" true (String.contains out '|')
 
-let test_plot_multi_legend () =
-  let out =
-    render_plot (fun ppf ->
-        Exp.Plot.multi ppf ~title:"two" ~ylabel:"v"
-          [ ("a", [ (0., 1.); (1., 2.) ]); ("b", [ (0., 2.); (1., 1.) ]) ])
-  in
-  Alcotest.(check bool) "legend mentions both" true
-    (let has s sub =
-       let n = String.length sub in
-       let rec scan i =
-         i + n <= String.length s && (String.sub s i n = sub || scan (i + 1))
-       in
-       scan 0
-     in
-     has out "* = a" && has out "+ = b")
-
 let test_plot_rejects_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Plot: empty series")
     (fun () ->
@@ -503,7 +485,6 @@ let () =
       ( "plot",
         [
           Alcotest.test_case "series" `Quick test_plot_series;
-          Alcotest.test_case "multi legend" `Quick test_plot_multi_legend;
           Alcotest.test_case "rejects empty" `Quick test_plot_rejects_empty;
           Alcotest.test_case "constant series" `Quick test_plot_constant_series;
         ] );

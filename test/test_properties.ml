@@ -6,7 +6,8 @@ let qtest t = QCheck_alcotest.to_alcotest t
 (* --- Conservation at the dumbbell ------------------------------------------- *)
 
 (* Everything a CBR source injects is either delivered or dropped at the
-   bottleneck queue — the topology neither loses nor duplicates packets. *)
+   bottleneck queue — the topology neither loses nor duplicates packets.
+   Injection stops at t=5 so that the run can drain by t=7. *)
 let prop_dumbbell_conserves_packets =
   QCheck.Test.make ~name:"dumbbell conserves packets" ~count:30
     QCheck.(pair (int_range 1 1000) (int_range 1 5))
@@ -17,34 +18,30 @@ let prop_dumbbell_conserves_packets =
           ~queue:(Netsim.Dumbbell.Droptail_q 5) ()
       in
       let topo = Netsim.Dumbbell.topology db in
-      let delivered = ref 0 in
-      let sources =
-        List.init n_flows (fun i ->
-            let flow = i + 1 in
-            Netsim.Dumbbell.add_flow db ~flow
-              ~rtt_base:(0.02 +. (0.01 *. float_of_int i));
-            Netsim.Topology.set_dst_recv topo ~flow (fun _ -> incr delivered);
-            let src =
-              Traffic.Cbr.create (Engine.Sim.runtime sim) ~flow
-                ~rate:(1e6 /. float_of_int n_flows *. 1.5)
-                ~pkt_size:1000
-                ~transmit:(Netsim.Topology.src_sender topo ~flow)
-                ()
-            in
-            Traffic.Cbr.start src
-              ~at:(0.001 *. float_of_int (seed mod 7));
-            src)
-      in
-      Engine.Sim.run sim ~until:5.;
-      (* Drain in-flight packets. *)
-      List.iter Traffic.Cbr.stop sources;
+      let sent = ref 0 and delivered = ref 0 in
+      for i = 0 to n_flows - 1 do
+        let flow = i + 1 in
+        Netsim.Dumbbell.add_flow db ~flow
+          ~rtt_base:(0.02 +. (0.01 *. float_of_int i));
+        Netsim.Topology.set_dst_recv topo ~flow (fun _ -> incr delivered);
+        let inject = Netsim.Topology.src_sender topo ~flow in
+        let src =
+          Traffic.Cbr.create (Engine.Sim.runtime sim) ~flow
+            ~rate:(1e6 /. float_of_int n_flows *. 1.5)
+            ~pkt_size:1000
+            ~transmit:(fun pkt ->
+              if Engine.Sim.now sim < 5. then begin
+                incr sent;
+                inject pkt
+              end)
+            ()
+        in
+        Traffic.Cbr.start src ~at:(0.001 *. float_of_int (seed mod 7))
+      done;
       Engine.Sim.run sim ~until:7.;
-      let sent =
-        List.fold_left (fun a s -> a + Traffic.Cbr.packets_sent s) 0 sources
-      in
       let q = Netsim.Link.queue (Netsim.Dumbbell.forward_link db) in
       let dropped = q.Netsim.Queue_disc.stats.drops in
-      sent = !delivered + dropped)
+      !sent = !delivered + dropped)
 
 (* --- TCP reliability ----------------------------------------------------------- *)
 
@@ -334,21 +331,26 @@ let prop_parking_lot_through_conservation =
         ~rtt_base:(0.01 +. (0.004 *. float_of_int hops));
       let delivered = ref 0 in
       Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr delivered);
+      (* Injection stops at t=3 so that the run can drain by t=5. *)
+      let sent = ref 0 in
+      let inject = Netsim.Topology.src_sender topo ~flow:1 in
       let src =
         Traffic.Cbr.create (Engine.Sim.runtime sim) ~flow:1 ~rate:1.5e6 ~pkt_size:1000
-          ~transmit:(Netsim.Topology.src_sender topo ~flow:1)
+          ~transmit:(fun pkt ->
+            if Engine.Sim.now sim < 3. then begin
+              incr sent;
+              inject pkt
+            end)
           ()
       in
       Traffic.Cbr.start src ~at:0.;
-      Engine.Sim.run sim ~until:3.;
-      Traffic.Cbr.stop src;
       Engine.Sim.run sim ~until:5.;
       let dropped = ref 0 in
       for hop = 1 to hops do
         let q = Netsim.Link.queue (Netsim.Parking_lot.link lot ~hop) in
         dropped := !dropped + q.Netsim.Queue_disc.stats.drops
       done;
-      Traffic.Cbr.packets_sent src = !delivered + !dropped)
+      !sent = !delivered + !dropped)
 
 let () =
   Alcotest.run "properties"

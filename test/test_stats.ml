@@ -11,42 +11,23 @@ let test_running_known () =
   let r = Stats.Running.of_array [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
   checkf "mean" 5. (Stats.Running.mean r);
   checkf "pop variance" 4. (Stats.Running.population_variance r);
-  checkf ~eps:1e-6 "sample variance" (32. /. 7.) (Stats.Running.variance r);
-  checkf "min" 2. (Stats.Running.min_value r);
-  checkf "max" 9. (Stats.Running.max_value r);
-  checkf "total" 40. (Stats.Running.total r);
+  checkf ~eps:1e-6 "sample stddev" (sqrt (32. /. 7.)) (Stats.Running.stddev r);
   Alcotest.(check int) "count" 8 (Stats.Running.count r)
 
 let test_running_empty () =
   let r = Stats.Running.create () in
   checkf "mean of empty" 0. (Stats.Running.mean r);
-  checkf "variance of empty" 0. (Stats.Running.variance r);
+  checkf "stddev of empty" 0. (Stats.Running.stddev r);
   checkf "cov of empty" 0. (Stats.Running.cov r)
 
 let test_running_single () =
   let r = Stats.Running.of_array [| 42. |] in
   checkf "mean" 42. (Stats.Running.mean r);
-  checkf "variance needs two" 0. (Stats.Running.variance r)
-
-let test_running_merge () =
-  let a = Stats.Running.of_array [| 1.; 2.; 3. |] in
-  let b = Stats.Running.of_array [| 4.; 5.; 6.; 7. |] in
-  let m = Stats.Running.merge a b in
-  let whole = Stats.Running.of_array [| 1.; 2.; 3.; 4.; 5.; 6.; 7. |] in
-  checkf ~eps:1e-9 "merged mean" (Stats.Running.mean whole) (Stats.Running.mean m);
-  checkf ~eps:1e-9 "merged variance" (Stats.Running.variance whole)
-    (Stats.Running.variance m);
-  Alcotest.(check int) "merged count" 7 (Stats.Running.count m)
-
-let test_running_merge_empty () =
-  let a = Stats.Running.create () in
-  let b = Stats.Running.of_array [| 1.; 2. |] in
-  checkf "empty+b mean" 1.5 (Stats.Running.mean (Stats.Running.merge a b));
-  checkf "b+empty mean" 1.5 (Stats.Running.mean (Stats.Running.merge b a))
+  checkf "stddev needs two" 0. (Stats.Running.stddev r)
 
 let test_running_nan_explicit () =
-  (* Regression: a NaN sample used to poison mean/total while min/max
-     silently ignored it. Now it is counted aside and excluded. *)
+  (* Regression: a NaN sample used to poison the moments. Now it is
+     counted aside and excluded. *)
   let r = Stats.Running.create () in
   Stats.Running.add r 1.;
   Stats.Running.add r Float.nan;
@@ -54,9 +35,7 @@ let test_running_nan_explicit () =
   Alcotest.(check int) "count excludes NaN" 2 (Stats.Running.count r);
   Alcotest.(check int) "nans counted" 1 (Stats.Running.nans r);
   checkf "mean unpoisoned" 2. (Stats.Running.mean r);
-  checkf "total unpoisoned" 4. (Stats.Running.total r);
-  checkf "min" 1. (Stats.Running.min_value r);
-  checkf "max" 3. (Stats.Running.max_value r)
+  checkf "stddev unpoisoned" (sqrt 2.) (Stats.Running.stddev r)
 
 let test_cov_denormal_mean () =
   (* Regression: cov compared the mean to 0. exactly, so a denormal mean
@@ -65,38 +44,6 @@ let test_cov_denormal_mean () =
   Alcotest.(check bool) "mean is tiny" true
     (Float.abs (Stats.Running.mean r) < Float.min_float);
   checkf "cov guards denormal mean" 0. (Stats.Running.cov r)
-
-let sample_gen =
-  (* Samples including occasional NaN, so the merge property covers the
-     nans-field bookkeeping too. *)
-  QCheck.Gen.(
-    list_size (int_range 0 40)
-      (frequency [ (9, float_range (-1e3) 1e3); (1, return Float.nan) ]))
-
-let prop_merge_matches_concat =
-  QCheck.Test.make ~name:"merge a b = of_array (a @ b)" ~count:300
-    (QCheck.make
-       ~print:(fun (a, b) ->
-         let s l = String.concat "," (List.map string_of_float l) in
-         Printf.sprintf "[%s] [%s]" (s a) (s b))
-       (QCheck.Gen.pair sample_gen sample_gen))
-    (fun (xs, ys) ->
-      let a = Stats.Running.of_array (Array.of_list xs) in
-      let b = Stats.Running.of_array (Array.of_list ys) in
-      let m = Stats.Running.merge a b in
-      let w = Stats.Running.of_array (Array.of_list (xs @ ys)) in
-      let feq x y =
-        (* min/max of disjoint streams are exact; the moments accumulate in
-           a different order, so compare to relative tolerance. *)
-        Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs y)
-      in
-      Stats.Running.count m = Stats.Running.count w
-      && Stats.Running.nans m = Stats.Running.nans w
-      && feq (Stats.Running.mean m) (Stats.Running.mean w)
-      && feq (Stats.Running.variance m) (Stats.Running.variance w)
-      && Stats.Running.min_value m = Stats.Running.min_value w
-      && Stats.Running.max_value m = Stats.Running.max_value w
-      && feq (Stats.Running.total m) (Stats.Running.total w))
 
 let prop_welford_matches_naive =
   QCheck.Test.make ~name:"Welford variance matches two-pass" ~count:200
@@ -109,7 +56,7 @@ let prop_welford_matches_naive =
       let var =
         Array.fold_left (fun a x -> a +. ((x -. mean) ** 2.)) 0. arr /. (n -. 1.)
       in
-      Float.abs (Stats.Running.variance r -. var)
+      Float.abs ((Stats.Running.stddev r ** 2.) -. var)
       <= 1e-6 *. Float.max 1. (Float.abs var))
 
 let prop_cov_nonneg =
@@ -166,22 +113,36 @@ let test_ts_monotone_required () =
       Stats.Time_series.add ts ~time:0.5 ~value:1.)
 
 let test_ts_meta () =
-  let ts = series_of [ (1., 5.); (2., 7.) ] in
-  Alcotest.(check int) "n_events" 2 (Stats.Time_series.n_events ts);
-  checkf "total" 12. (Stats.Time_series.total ts);
-  Alcotest.(check (option (float 1e-9))) "first" (Some 1.)
-    (Stats.Time_series.first_time ts);
-  Alcotest.(check (option (float 1e-9))) "last" (Some 2.)
-    (Stats.Time_series.last_time ts)
+  let ev = Stats.Time_series.events (series_of [ (1., 5.); (2., 7.) ]) in
+  Alcotest.(check int) "n_events" 2 (Array.length ev);
+  checkf "total" 12. (Array.fold_left (fun a (_, v) -> a +. v) 0. ev);
+  checkf "first" 1. (fst ev.(0));
+  checkf "last" 2. (fst ev.(Array.length ev - 1))
 
 let test_ts_bad_args () =
   let ts = series_of [ (1., 1.) ] in
-  Alcotest.check_raises "zero bin"
-    (Invalid_argument "Time_series.binned: bin must be positive") (fun () ->
-      ignore (Stats.Time_series.binned ts ~t0:0. ~t1:1. ~bin:0.));
+  let bad_bin = Invalid_argument "Time_series.binned: bin must be positive and finite" in
+  List.iter
+    (fun bin ->
+      Alcotest.check_raises (Printf.sprintf "bin %h" bin) bad_bin (fun () ->
+          ignore (Stats.Time_series.binned ts ~t0:0. ~t1:2. ~bin)))
+    [ 0.; Float.nan; Float.infinity ];
   Alcotest.check_raises "empty window"
     (Invalid_argument "Time_series.binned: empty window") (fun () ->
-      ignore (Stats.Time_series.binned ts ~t0:1. ~t1:1. ~bin:0.5))
+      ignore (Stats.Time_series.binned ts ~t0:1. ~t1:1. ~bin:0.5));
+  Alcotest.check_raises "NaN window end"
+    (Invalid_argument "Time_series.binned: empty window") (fun () ->
+      ignore (Stats.Time_series.binned ts ~t0:0. ~t1:Float.nan ~bin:0.5));
+  Alcotest.check_raises "infinite window"
+    (Invalid_argument "Time_series.binned: window must be finite") (fun () ->
+      ignore (Stats.Time_series.binned ts ~t0:0. ~t1:Float.infinity ~bin:0.5));
+  List.iter
+    (fun t1 ->
+      Alcotest.check_raises
+        (Printf.sprintf "mean_rate t1 %h" t1)
+        (Invalid_argument "Time_series.mean_rate: empty window")
+        (fun () -> ignore (Stats.Time_series.mean_rate ts ~t0:1. ~t1)))
+    [ 1.; Float.nan ]
 
 let prop_binned_conserves_total =
   QCheck.Test.make ~name:"binning conserves in-window total" ~count:200
@@ -200,22 +161,29 @@ let prop_binned_conserves_total =
 
 (* --- Metrics ------------------------------------------------------------ *)
 
+(* Equation (3) over given per-bin totals: one event mid-bin per entry,
+   binned at width 1 over a window that covers both arrays. *)
+let equivalence_of_bins a b =
+  let series bins = series_of (List.mapi (fun i v -> (float_of_int i +. 0.5, v)) (Array.to_list bins)) in
+  let t1 = float_of_int (max (Array.length a) (Array.length b)) in
+  Stats.Metrics.equivalence_ratio (series a) (series b) ~t0:0. ~t1 ~tau:1.
+
 let test_equivalence_identical () =
-  match Stats.Metrics.equivalence_of_bins [| 1.; 2.; 3. |] [| 1.; 2.; 3. |] with
+  match equivalence_of_bins [| 1.; 2.; 3. |] [| 1.; 2.; 3. |] with
   | Some v -> checkf "identical flows" 1. v
   | None -> Alcotest.fail "expected defined"
 
 let test_equivalence_known () =
   (* bins: (2,1) -> 0.5; (0,4) -> 0.; (3,3) -> 1. Average = 0.5 *)
   match
-    Stats.Metrics.equivalence_of_bins [| 2.; 0.; 3. |] [| 1.; 4.; 3. |]
+    equivalence_of_bins [| 2.; 0.; 3. |] [| 1.; 4.; 3. |]
   with
   | Some v -> checkf "mixed" 0.5 v
   | None -> Alcotest.fail "expected defined"
 
 let test_equivalence_skips_empty_bins () =
   match
-    Stats.Metrics.equivalence_of_bins [| 0.; 2. |] [| 0.; 2. |]
+    equivalence_of_bins [| 0.; 2. |] [| 0.; 2. |]
   with
   | Some v -> checkf "empty bins skipped" 1. v
   | None -> Alcotest.fail "expected defined"
@@ -223,14 +191,14 @@ let test_equivalence_skips_empty_bins () =
 let test_equivalence_undefined () =
   Alcotest.(check bool)
     "all-zero is undefined" true
-    (Stats.Metrics.equivalence_of_bins [| 0.; 0. |] [| 0.; 0. |] = None)
+    (equivalence_of_bins [| 0.; 0. |] [| 0.; 0. |] = None)
 
 let prop_equivalence_range =
   let gen = QCheck.(list_of_size Gen.(int_range 1 40) (float_range 0. 1e3)) in
   QCheck.Test.make ~name:"equivalence in [0,1]" ~count:300 (QCheck.pair gen gen)
     (fun (a, b) ->
       match
-        Stats.Metrics.equivalence_of_bins (Array.of_list a) (Array.of_list b)
+        equivalence_of_bins (Array.of_list a) (Array.of_list b)
       with
       | None -> true
       | Some v -> v >= 0. && v <= 1.)
@@ -240,7 +208,7 @@ let prop_equivalence_symmetric =
   QCheck.Test.make ~name:"equivalence is symmetric" ~count:300
     (QCheck.pair gen gen) (fun (a, b) ->
       let a = Array.of_list a and b = Array.of_list b in
-      Stats.Metrics.equivalence_of_bins a b = Stats.Metrics.equivalence_of_bins b a)
+      equivalence_of_bins a b = equivalence_of_bins b a)
 
 let test_cov_at_timescale () =
   (* Constant rate: CoV 0. *)
@@ -285,7 +253,13 @@ let test_quantile_unsorted_input () =
 
 let test_quantile_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Quantile.quantile: empty array")
-    (fun () -> ignore (Stats.Quantile.median [||]))
+    (fun () -> ignore (Stats.Quantile.median [||]));
+  List.iter
+    (fun q ->
+      Alcotest.check_raises (Printf.sprintf "q %h" q)
+        (Invalid_argument "Quantile.quantile: q out of range") (fun () ->
+          ignore (Stats.Quantile.quantile [| 1.; 2.; 3. |] q)))
+    [ -0.1; 1.1; Float.nan ]
 
 let test_percentiles () =
   let a = Array.init 101 float_of_int in
@@ -329,15 +303,12 @@ let () =
           Alcotest.test_case "known values" `Quick test_running_known;
           Alcotest.test_case "empty" `Quick test_running_empty;
           Alcotest.test_case "single" `Quick test_running_single;
-          Alcotest.test_case "merge" `Quick test_running_merge;
-          Alcotest.test_case "merge empty" `Quick test_running_merge_empty;
           Alcotest.test_case "NaN handled explicitly" `Quick
             test_running_nan_explicit;
           Alcotest.test_case "cov denormal-mean guard" `Quick
             test_cov_denormal_mean;
           qtest prop_welford_matches_naive;
           qtest prop_cov_nonneg;
-          qtest prop_merge_matches_concat;
         ] );
       ( "time_series",
         [

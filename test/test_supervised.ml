@@ -45,20 +45,24 @@ let test_budget_shared_across_runs () =
   | () -> fail "second run should exhaust the shared meter"
   | exception Engine.Sim.Budget_exhausted _ -> ()
 
+(* The ambient budget shows in what a 50-event run of the spinner does:
+   it completes with none installed and is exhausted under a 10-event one. *)
+let spins_50 () =
+  match Engine.Sim.run (spin_sim ()) ~until:49.5 with
+  | () -> true
+  | exception Engine.Sim.Budget_exhausted _ -> false
+
 let test_with_budget_restores () =
-  check bool "no ambient budget initially" true
-    (Engine.Sim.current_budget () = None);
+  check bool "no ambient budget initially" true (spins_50 ());
   let b = Engine.Sim.budget ~max_events:10 () in
   (match
      Engine.Sim.with_budget b (fun () ->
-         check bool "ambient budget installed" true
-           (Engine.Sim.current_budget () <> None);
+         check bool "ambient budget installed" false (spins_50 ());
          failwith "escape")
    with
   | _ -> fail "exception swallowed"
   | exception Failure _ -> ());
-  check bool "ambient budget restored after exception" true
-    (Engine.Sim.current_budget () = None)
+  check bool "ambient budget restored after exception" true (spins_50 ())
 
 (* --- Attempt-derived RNG streams -------------------------------------------- *)
 

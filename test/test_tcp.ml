@@ -328,24 +328,6 @@ let test_sender_limit_with_loss () =
   Engine.Sim.run h.sim ~until:10.;
   Alcotest.(check bool) "completed despite a loss" true !completed
 
-let test_sender_stop () =
-  let h = wire ~drop:(fun _ -> false) () in
-  Tcpsim.Tcp_sender.start h.sender ~at:0.;
-  Engine.Sim.run h.sim ~until:0.5;
-  Tcpsim.Tcp_sender.stop h.sender;
-  let sent = (Tcpsim.Tcp_sender.stats h.sender).packets_sent in
-  Engine.Sim.run h.sim ~until:2.;
-  Alcotest.(check int) "no sends after stop" sent
-    (Tcpsim.Tcp_sender.stats h.sender).packets_sent
-
-let test_sender_stop_before_start () =
-  let h = wire ~drop:(fun _ -> false) () in
-  Tcpsim.Tcp_sender.start h.sender ~at:1.;
-  ignore (Engine.Sim.at h.sim 0.1 (fun () -> Tcpsim.Tcp_sender.stop h.sender));
-  Engine.Sim.run h.sim ~until:5.;
-  Alcotest.(check int) "a sender stopped before its start never sends" 0
-    (Tcpsim.Tcp_sender.stats h.sender).packets_sent
-
 let variant_name : Tcpsim.Tcp_common.variant -> string = function
   | Tahoe -> "tahoe"
   | Reno -> "reno"
@@ -748,9 +730,6 @@ let () =
             test_sender_recovers_after_blackout;
           Alcotest.test_case "respects limit" `Quick test_sender_respects_limit;
           Alcotest.test_case "limit with loss" `Quick test_sender_limit_with_loss;
-          Alcotest.test_case "stop" `Quick test_sender_stop;
-          Alcotest.test_case "stop before start" `Quick
-            test_sender_stop_before_start;
           Alcotest.test_case "srtt measured" `Quick test_srtt_measured;
         ] );
       ( "seq_window",

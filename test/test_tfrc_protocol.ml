@@ -198,7 +198,7 @@ let test_initial_nofb_timer_configurable () =
     (Tfrc.Tfrc_sender.no_feedback_expirations p.sender >= 1);
   Alcotest.check_raises "knob must be positive"
     (Invalid_argument
-       "Tfrc_config: initial_nofb_timeout must be positive (got 0)")
+       "Tfrc_config: initial_nofb_timeout must be positive and finite (got 0)")
     (fun () -> ignore (Tfrc.Tfrc_config.default ~initial_nofb_timeout:0. ()))
 
 (* The loss-interval weights split the history into two halves, so the

@@ -1049,7 +1049,8 @@ let test_soak_mutate_self_test () =
   let path = List.hd paths in
   check Alcotest.string "bundle named after the key"
     (Filename.concat dir
-       (Fuzz.Bundle.filename ~case_key:(List.hd s.failures).key))
+       (String.map (fun c -> if c = '/' then '-' else c) (List.hd s.failures).key
+       ^ ".repro"))
     path;
   let bundle = Fuzz.Bundle.load path in
   check Alcotest.bool "bundle carries no scenario" true

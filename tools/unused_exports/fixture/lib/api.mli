@@ -1,4 +1,5 @@
-(* Four exports, one per way the lint can see (or miss) a caller. *)
+(* Six exports: one per way the lint can see (or miss) a caller, and two
+   reference probes called only from test/. *)
 
 val via_alias : int -> int
 (** Called from [User] through a local module alias. *)
@@ -11,3 +12,9 @@ val test_only : int -> int
 
 val never_called : int -> int
 (** Called from nowhere. *)
+
+val probe_checked : int -> int
+(** A reference probe whose allow line names an existing test file. *)
+
+val probe_unchecked : int -> int
+(** A reference probe whose allow line names a missing test file. *)

@@ -7,7 +7,11 @@
    "no caller" (nothing references it) and "tests only" (only units under
    test/ do). It exits 1 if a listed value is missing from
    tools/unused_exports.allow, or if an allow line has no reason or names
-   a value that is not listed (it gained a caller, or is gone).
+   a value that is not listed (it gained a caller, or is gone). Lines
+   after the allow file's [\[reference probes\]] header are reference
+   probes: each must be called only from test/, and its reason must name
+   the reference model it is compared against as an existing test/*.ml
+   file.
 
    Names are canonical dune paths: the unit [engine__Sim], the alias path
    [Engine.Sim] and [Engine__.Sim] (the alias module of a library with a
@@ -117,20 +121,43 @@ let is_under ~prefix v =
   let n = String.length prefix in
   String.length v > n && String.sub v 0 n = prefix && v.[n] = '.'
 
+let probes_header = "[reference probes]"
+
+(* The test/*.ml paths a reason names: its words made of path characters
+   that start with "test/" and end in ".ml". *)
+let named_tests reason =
+  let path_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '/' | '-' -> true
+    | _ -> false
+  in
+  String.map (fun c -> if path_char c then c else ' ') reason
+  |> String.split_on_char ' '
+  |> List.filter (fun w ->
+         String.starts_with ~prefix:"test/" w && Filename.check_suffix w ".ml")
+
 (* Allow lines are [Lib.Module.value  # reason]; blank and [#] lines are
-   comments. Returns the allowed values and the lines with no reason. *)
+   comments, and the [probes_header] line starts the probe entries.
+   Returns the entries as (value, reason, is_probe) and the lines with no
+   reason. *)
 let read_allow () =
   if not (Sys.file_exists allow_file) then ([], [])
   else
+    let in_probes = ref false in
     In_channel.with_open_text allow_file In_channel.input_all
     |> String.split_on_char '\n' |> List.map String.trim
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-    |> List.partition_map (fun l ->
-           match String.index_opt l '#' with
-           | Some i
-             when String.trim (String.sub l (i + 1) (String.length l - i - 1)) <> "" ->
-               Left (String.trim (String.sub l 0 i))
-           | _ -> Right l)
+    |> List.filter_map (fun l ->
+           if l = probes_header then (in_probes := true; None)
+           else
+             match String.index_opt l '#' with
+             | Some i ->
+                 let reason =
+                   String.trim (String.sub l (i + 1) (String.length l - i - 1))
+                 in
+                 if reason = "" then Some (Either.Right l)
+                 else Some (Either.Left (String.trim (String.sub l 0 i), reason, !in_probes))
+             | None -> Some (Either.Right l))
+    |> List.partition_map Fun.id
 
 (* [(root, file)] for every file with [suffix] under [roots]. *)
 let annot_files roots suffix =
@@ -174,9 +201,25 @@ let () =
   let no_caller, tests_only =
     List.partition (fun v -> not (Hashtbl.mem tested v)) unused
   in
-  let allowed, no_reason = read_allow () in
+  let entries, no_reason = read_allow () in
+  let allowed = List.map (fun (v, _, _) -> v) entries in
   let unlisted l = List.filter (fun v -> not (List.mem v allowed)) l in
-  let stale = List.filter (fun v -> not (List.mem v unused)) allowed in
+  (* A probe stays only while tests, and nothing else, call it. *)
+  let stale =
+    List.filter_map
+      (fun (v, _, probe) ->
+        if List.mem v (if probe then tests_only else unused) then None else Some v)
+      entries
+  in
+  let unchecked_probes =
+    List.filter_map
+      (fun (v, reason, probe) ->
+        let named = named_tests reason in
+        if probe && (named = [] || not (List.for_all Sys.file_exists named)) then
+          Some (v ^ "  # " ^ reason)
+        else None)
+      entries
+  in
   Printf.printf
     "unused_exports: %d exported vals, %d with no caller, %d called only from tests\n"
     (List.length exported) (List.length no_caller) (List.length tests_only);
@@ -186,6 +229,8 @@ let () =
       ("tests only, not in " ^ allow_file, unlisted tests_only);
       ("stale in " ^ allow_file, stale);
       ("no reason in " ^ allow_file, no_reason);
+      ("reference probe naming no existing test/*.ml in " ^ allow_file,
+        unchecked_probes);
     ]
     |> List.filter (fun (_, l) -> l <> [])
   in
