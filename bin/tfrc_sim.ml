@@ -215,6 +215,18 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the paper's experiments.")
     Term.(const run $ const ())
 
+let events_cmd =
+  let run () =
+    Exp.Table.print Format.std_formatter ~header:[ "event"; "fields" ]
+      (List.map
+         (fun (ev, fields) -> [ ev; String.concat " " fields ])
+         Engine.Trace.catalog)
+  in
+  Cmd.v
+    (Cmd.info "events"
+       ~doc:"List the trace events that --trace writes, with their fields.")
+    Term.(const run $ const ())
+
 let run_one ~j ~full ~seed ~sup id =
   match Exp.Registry.find id with
   | None ->
@@ -940,6 +952,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            list_cmd; exp_cmd; all_cmd; duel_cmd; chaos_cmd; topo_cmd;
+            list_cmd; events_cmd; exp_cmd; all_cmd; duel_cmd; chaos_cmd; topo_cmd;
             trace_cmd; fuzz_cmd; repro_cmd; wire_cmd;
           ]))

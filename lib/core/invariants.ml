@@ -27,7 +27,11 @@
      supervisor) follow the state machine — each event's [from] matches
      the last recorded state for its flow, and the edge is in the legal
      relation (no self-loops; Backoff only from Degraded or Starting;
-     Closed terminal). *)
+     Closed terminal).
+   - topo-loop-free: a [topo/loop] event is always a violation.
+
+   Events arrive as [Engine.Trace.kind] constructors: each rule reads typed
+   fields, with no name lookups and no defaults for missing fields. *)
 
 type violation = { time : float; rule : string; detail : string }
 
@@ -44,6 +48,14 @@ type flow_state = {
 }
 type link_state = { mutable sent : int; mutable delivered : int; mutable dropped : int }
 
+(* How many link labels the per-link cache remembers. A dumbbell's two
+   bottleneck directions fit. *)
+let cached_links = 4
+
+(* Fills the cache's empty slots. It never leaves this module, so no event
+   label is physically equal to it. *)
+let no_label = String.make 1 '?'
+
 type t = {
   mutable last_time : float;
   mutable n_events : int;
@@ -51,6 +63,12 @@ type t = {
   mutable violations : violation list; (* newest first, capped *)
   flows : (int, flow_state) Hashtbl.t;
   links : (string, link_state) Hashtbl.t;
+  (* The most recently looked-up labels and their states, matched by
+     physical identity: a link puts the same label string on every event,
+     so a hit costs a pointer compare and no hashing. *)
+  recent_labels : string array;
+  recent_links : link_state array;
+  mutable recent_next : int;
   sup_states : (int, string) Hashtbl.t; (* per-flow last supervisor state *)
   mutable self_sink : Engine.Trace.sink option; (* cached so detach matches attach *)
 }
@@ -68,6 +86,9 @@ let create () =
     violations = [];
     flows = Hashtbl.create 8;
     links = Hashtbl.create 8;
+    recent_labels = Array.make cached_links no_label;
+    recent_links = Array.make cached_links { sent = 0; delivered = 0; dropped = 0 };
+    recent_next = 0;
     sup_states = Hashtbl.create 4;
     self_sink = None;
   }
@@ -76,6 +97,7 @@ let reset_run_state t =
   t.last_time <- neg_infinity;
   Hashtbl.reset t.flows;
   Hashtbl.reset t.links;
+  Array.fill t.recent_labels 0 cached_links no_label;
   Hashtbl.reset t.sup_states
 
 let violate t ~time ~rule fmt =
@@ -87,9 +109,9 @@ let violate t ~time ~rule fmt =
     fmt
 
 let flow_state t flow =
-  match Hashtbl.find_opt t.flows flow with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.flows flow with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           last_nofb_interval = 0.;
@@ -102,54 +124,28 @@ let flow_state t flow =
       Hashtbl.replace t.flows flow s;
       s
 
-let link_state t link =
-  match Hashtbl.find_opt t.links link with
-  | Some s -> s
-  | None ->
-      let s = { sent = 0; delivered = 0; dropped = 0 } in
-      Hashtbl.replace t.links link s;
-      s
+let rec link_state_from t link i =
+  if i = cached_links then begin
+    let s =
+      match Hashtbl.find t.links link with
+      | s -> s
+      | exception Not_found ->
+          let s = { sent = 0; delivered = 0; dropped = 0 } in
+          Hashtbl.replace t.links link s;
+          s
+    in
+    let k = t.recent_next in
+    t.recent_labels.(k) <- link;
+    t.recent_links.(k) <- s;
+    t.recent_next <- (k + 1) mod cached_links;
+    s
+  end
+  else if t.recent_labels.(i) == link then t.recent_links.(i)
+  else link_state_from t link (i + 1)
 
-let ffield = Engine.Trace.get_float
-let ifield = Engine.Trace.get_int
-let sfield = Engine.Trace.get_str
-let bfield = Engine.Trace.get_bool
+let link_state t link = link_state_from t link 0
 
-let check_start t (ev : Engine.Trace.event) =
-  let flow = ifield ev "flow" ~default:0 in
-  let st = flow_state t flow in
-  st.s <- ffield ev "s" ~default:0.;
-  st.min_rate <- ffield ev "min_rate" ~default:0.;
-  st.rv <- bfield ev "rv" ~default:false;
-  st.t_mbi <- ffield ev "t_mbi" ~default:Float.infinity;
-  st.last_nofb_interval <- 0.
-
-(* The checks below run per event on hot paths; each first pattern-matches
-   the exact field shape the instrumented sender/receiver emits (an
-   allocation-free single pass) and only falls back to keyed {!ffield}
-   lookups for hand-built events, e.g. from tests. *)
-
-let check_rate_update t (ev : Engine.Trace.event) =
-  let time = ev.time in
-  let flow, rate, prev_rate, recv_rate, p, rtt =
-    match ev.fields with
-    | [
-     ("flow", Engine.Trace.Int flow);
-     ("rate", Float rate);
-     ("prev_rate", Float prev_rate);
-     ("recv_rate", Float recv_rate);
-     ("p", Float p);
-     ("rtt", Float rtt);
-    ] ->
-        (flow, rate, prev_rate, recv_rate, p, rtt)
-    | _ ->
-        ( ifield ev "flow" ~default:0,
-          ffield ev "rate" ~default:nan,
-          ffield ev "prev_rate" ~default:0.,
-          ffield ev "recv_rate" ~default:0.,
-          ffield ev "p" ~default:0.,
-          ffield ev "rtt" ~default:0. )
-  in
+let check_rate_update t ~time ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt =
   let st = flow_state t flow in
   if not (Float.is_finite rate) || rate <= 0. then
     violate t ~time ~rule:"sender-rate-bound" "flow %d: rate %g not finite positive"
@@ -177,23 +173,7 @@ let check_rate_update t (ev : Engine.Trace.event) =
   (* A feedback arrival ends any no-feedback backoff sequence. *)
   st.last_nofb_interval <- 0.
 
-let check_nofb_expiry t (ev : Engine.Trace.event) =
-  let time = ev.time in
-  let flow, rate, interval, consecutive =
-    match ev.fields with
-    | [
-     ("flow", Engine.Trace.Int flow);
-     ("rate", Float rate);
-     ("interval", Float interval);
-     ("consecutive", Int consecutive);
-    ] ->
-        (flow, rate, interval, consecutive)
-    | _ ->
-        ( ifield ev "flow" ~default:0,
-          ffield ev "rate" ~default:nan,
-          ffield ev "interval" ~default:nan,
-          ifield ev "consecutive" ~default:1 )
-  in
+let check_nofb_expiry t ~time ~flow ~rate ~interval ~consecutive =
   let st = flow_state t flow in
   if not (Float.is_finite interval) || interval <= 0. then
     violate t ~time ~rule:"nofb-backoff" "flow %d: bad no-feedback interval %g" flow
@@ -213,25 +193,7 @@ let check_nofb_expiry t (ev : Engine.Trace.event) =
       "flow %d: backed-off rate %.1f below floor %.1f" flow rate st.min_rate;
   st.last_nofb_interval <- interval
 
-let check_feedback t (ev : Engine.Trace.event) =
-  let time = ev.time in
-  let flow, p, recv_rate, n_closed, avg =
-    match ev.fields with
-    | [
-     ("flow", Engine.Trace.Int flow);
-     ("p", Float p);
-     ("recv_rate", Float recv_rate);
-     ("n_closed", Int n_closed);
-     ("avg_interval", Float avg);
-    ] ->
-        (flow, p, recv_rate, n_closed, avg)
-    | _ ->
-        ( ifield ev "flow" ~default:0,
-          ffield ev "p" ~default:nan,
-          ffield ev "recv_rate" ~default:0.,
-          ifield ev "n_closed" ~default:0,
-          ffield ev "avg_interval" ~default:0. )
-  in
+let check_feedback t ~time ~flow ~p ~recv_rate ~n_closed ~avg =
   if not (Float.is_finite p) || p < 0. || p > 1. then
     violate t ~time ~rule:"loss-rate-range"
       "flow %d: loss event rate %g outside [0, 1]" flow p
@@ -246,16 +208,10 @@ let check_feedback t (ev : Engine.Trace.event) =
     violate t ~time ~rule:"loss-rate-range" "flow %d: negative X_recv %g" flow
       recv_rate
 
-let check_link t (ev : Engine.Trace.event) =
-  let link = sfield ev "link" ~default:"?" in
-  let st = link_state t link in
-  (match ev.name with
-  | "send" -> st.sent <- st.sent + 1
-  | "deliver" -> st.delivered <- st.delivered + 1
-  | "drop" -> st.dropped <- st.dropped + 1
-  | _ -> ());
+(* Checked after every [link/*] packet or state event of the link. *)
+let check_link t ~time link st =
   if st.delivered + st.dropped > st.sent then
-    violate t ~time:ev.time ~rule:"link-conservation"
+    violate t ~time ~rule:"link-conservation"
       "link %s: delivered %d + dropped %d > offered %d" link st.delivered
       st.dropped st.sent
 
@@ -263,14 +219,9 @@ let check_link t (ev : Engine.Trace.event) =
    link-conservation (an inequality, because packets may legitimately be
    in flight), queue counters admit an exact balance: every arrival either
    departed, was dropped, or is still queued. *)
-let check_queue_snapshot t (ev : Engine.Trace.event) =
-  let link = sfield ev "link" ~default:"?" in
-  let arrivals = ifield ev "arrivals" ~default:0 in
-  let departures = ifield ev "departures" ~default:0 in
-  let drops = ifield ev "drops" ~default:0 in
-  let queued = ifield ev "queued" ~default:0 in
+let check_queue_snapshot t ~time ~link ~arrivals ~departures ~drops ~queued =
   if arrivals <> departures + drops + queued then
-    violate t ~time:ev.time ~rule:"queue-conservation"
+    violate t ~time ~rule:"queue-conservation"
       "link %s: arrivals %d <> departures %d + drops %d + queued %d" link
       arrivals departures drops queued
 
@@ -287,53 +238,73 @@ let sup_legal from to_ =
   | "backoff", ("starting" | "closed") -> true
   | _ -> false
 
-let check_sup_transition t (ev : Engine.Trace.event) =
-  let flow = ifield ev "flow" ~default:0 in
-  let from = sfield ev "from" ~default:"?" in
-  let to_ = sfield ev "to" ~default:"?" in
+let check_sup_transition t ~time ~flow ~from ~to_ =
   (match Hashtbl.find_opt t.sup_states flow with
   | Some prev when prev <> from ->
-      violate t ~time:ev.time ~rule:"wire-sup-legal"
+      violate t ~time ~rule:"wire-sup-legal"
         "flow %d: transition claims from=%s but last recorded state is %s"
         flow from prev
   | _ -> ());
   if not (sup_legal from to_) then
-    violate t ~time:ev.time ~rule:"wire-sup-legal"
+    violate t ~time ~rule:"wire-sup-legal"
       "flow %d: illegal supervisor transition %s -> %s" flow from to_;
   Hashtbl.replace t.sup_states flow to_
 
-let check_event t (ev : Engine.Trace.event) =
+let check_event t ({ time; kind } : Engine.Trace.event) =
   t.n_events <- t.n_events + 1;
-  if ev.cat = "sim" && ev.name = "created" then reset_run_state t
-  else if ev.cat = "exp" then
-    (* Runner bookkeeping (exp/job, exp/report): carries wall-clock fields
-       and a zero timestamp, not simulation time — exempt from the
-       time-monotone watermark. *)
-    ()
-  else begin
-    if ev.time < t.last_time -. 1e-9 then
-      violate t ~time:ev.time ~rule:"time-monotone"
-        "%s/%s at %.9f after watermark %.9f" ev.cat ev.name ev.time t.last_time;
-    if ev.time > t.last_time then t.last_time <- ev.time;
-    match (ev.cat, ev.name) with
-    | "tfrc", "rate_update" -> check_rate_update t ev
-    | "tfrc", "nofb_expiry" -> check_nofb_expiry t ev
-    | "tfrc", "feedback" -> check_feedback t ev
-    | "tfrc", "start" -> check_start t ev
-    | "link", "queue" -> check_queue_snapshot t ev
-    | "link", _ -> check_link t ev
-    | "wire", "sup_transition" -> check_sup_transition t ev
-    | "topo", "loop" ->
-        (* Netsim.Topology emits topo/loop only when a packet exhausts its
-           TTL, which a shortest-path routing table can never cause — any
-           such event is a routing bug, so the rule is simply "never". *)
-        violate t ~time:ev.time ~rule:"topo-loop-free"
-          "packet %d (flow %d) looped at node %d"
-          (ifield ev "id" ~default:(-1))
-          (ifield ev "flow" ~default:(-1))
-          (ifield ev "node" ~default:(-1))
-    | _ -> ()
-  end
+  match kind with
+  | Sim_created -> reset_run_state t
+  | Exp_job _ | Exp_report _ ->
+      (* Runner bookkeeping: carries wall-clock fields and a zero
+         timestamp, not simulation time — exempt from the time-monotone
+         watermark. *)
+      ()
+  | _ -> (
+      if time < t.last_time -. 1e-9 then begin
+        let cat, name, _ = Engine.Trace.view kind in
+        violate t ~time ~rule:"time-monotone" "%s/%s at %.9f after watermark %.9f"
+          cat name time t.last_time
+      end;
+      if time > t.last_time then t.last_time <- time;
+      match kind with
+      | Tfrc_start { flow; s; min_rate; rv; t_mbi; _ } ->
+          let st = flow_state t flow in
+          st.s <- s;
+          st.min_rate <- min_rate;
+          st.rv <- rv;
+          st.t_mbi <- t_mbi;
+          st.last_nofb_interval <- 0.
+      | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
+          check_rate_update t ~time ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt
+      | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
+          check_nofb_expiry t ~time ~flow ~rate ~interval ~consecutive
+      | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
+          check_feedback t ~time ~flow ~p ~recv_rate ~n_closed ~avg:avg_interval
+      | Link_send { link; _ } ->
+          let st = link_state t link in
+          st.sent <- st.sent + 1;
+          check_link t ~time link st
+      | Link_deliver { link; _ } ->
+          let st = link_state t link in
+          st.delivered <- st.delivered + 1;
+          check_link t ~time link st
+      | Link_drop { link; _ } ->
+          let st = link_state t link in
+          st.dropped <- st.dropped + 1;
+          check_link t ~time link st
+      | Link_up { link } | Link_down { link } ->
+          check_link t ~time link (link_state t link)
+      | Link_queue { link; arrivals; departures; drops; queued } ->
+          check_queue_snapshot t ~time ~link ~arrivals ~departures ~drops ~queued
+      | Wire_sup_transition { flow; from; to_; _ } ->
+          check_sup_transition t ~time ~flow ~from ~to_
+      | Topo_loop { node; id; flow } ->
+          (* Netsim.Topology emits topo/loop only when a packet exhausts its
+             TTL, which a shortest-path routing table can never cause — any
+             such event is a routing bug, so the rule is simply "never". *)
+          violate t ~time ~rule:"topo-loop-free"
+            "packet %d (flow %d) looped at node %d" id flow node
+      | _ -> ())
 
 (* The same sink record is reused across attach/detach, which remove by
    physical equality. *)

@@ -27,11 +27,18 @@
       in {!Netsim.Topology}) is always a violation: shortest-path routing
       tables cannot loop, so any occurrence is a routing bug.
 
-    Per-flow constants the rules depend on (segment size, rate floor,
-    rate-validation flag, t_mbi) are taken from the flow's one-shot
-    [tfrc/start] event; until one is seen the checker assumes lenient
-    defaults (no floor, no rate validation, infinite t_mbi) so a partial
-    trace never false-positives on config-dependent rules. *)
+    - [wire-sup-legal] — a [wire/sup_transition] continues from its flow's
+      last recorded state and takes a legal supervisor edge.
+
+    The checker matches on the {!Engine.Trace.kind} constructors, so every
+    field a rule reads is present and typed. Per-flow constants the rules
+    depend on (segment size, rate floor, rate-validation flag, t_mbi) are
+    taken from the flow's one-shot [tfrc/start] event; until one is seen
+    the checker assumes lenient defaults (no floor, no rate validation,
+    infinite t_mbi) so a partial trace never false-positives on
+    config-dependent rules. Per packet it allocates nothing: a link's
+    counters are found through a small cache keyed on the label string's
+    physical identity, in front of a table keyed on its contents. *)
 
 type violation = { time : float; rule : string; detail : string }
 
@@ -47,9 +54,6 @@ val sink : t -> Engine.Trace.sink
 val attach : t -> Engine.Trace.t -> unit
 
 val detach : t -> Engine.Trace.t -> unit
-
-(** Feed one event directly (what the sink does); exposed for unit tests. *)
-val check_event : t -> Engine.Trace.event -> unit
 
 (** Events seen since creation. *)
 val n_events : t -> int

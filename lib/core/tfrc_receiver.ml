@@ -76,14 +76,15 @@ and send_feedback t =
   let p = Loss_intervals.rate_of_average avg in
   let tr = Engine.Runtime.trace t.rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:now ~cat:"tfrc" ~name:"feedback"
-      [
-        ("flow", Engine.Trace.Int t.flow);
-        ("p", Engine.Trace.Float p);
-        ("recv_rate", Engine.Trace.Float recv_rate);
-        ("n_closed", Engine.Trace.Int (Loss_intervals.n_closed t.intervals));
-        ("avg_interval", Engine.Trace.Float (if Float.is_nan avg then 0. else avg));
-      ];
+    Engine.Trace.emit tr ~time:now
+      (Tfrc_feedback
+         {
+           flow = t.flow;
+           p;
+           recv_rate;
+           n_closed = Loss_intervals.n_closed t.intervals;
+           avg_interval = (if Float.is_nan avg then 0. else avg);
+         });
   let pkt =
     Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.fb_seq
       ~size:t.config.Tfrc_config.feedback_size ~now

@@ -34,10 +34,8 @@ let[@inline] s_bytes t = float_of_int t.config.Tfrc_config.packet_size
 
 let tracing t = Engine.Trace.active (Engine.Runtime.trace t.rt)
 
-let trace_ev t name fields =
-  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt)
-    ~cat:"tfrc" ~name
-    (("flow", Engine.Trace.Int t.flow) :: fields)
+let trace_ev t kind =
+  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt) kind
 
 let notify t =
   match t.listeners with
@@ -113,12 +111,14 @@ let on_nofb_expiry t =
       (* [interval] recomputes the interval just scheduled (nothing changed
          since); the checker validates the backoff ladder against the t_mbi
          announced in this flow's [tfrc/start] event. *)
-      trace_ev t "nofb_expiry"
-        [
-          ("rate", Engine.Trace.Float t.fl.rate);
-          ("interval", Engine.Trace.Float (nofb_interval t));
-          ("consecutive", Engine.Trace.Int t.expiries_since_fb);
-        ]
+      trace_ev t
+        (Tfrc_nofb_expiry
+           {
+             flow = t.flow;
+             rate = t.fl.rate;
+             interval = nofb_interval t;
+             consecutive = t.expiries_since_fb;
+           })
   end
 
 let create rt ~config ~flow ~transmit () =
@@ -225,14 +225,9 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
   if tracing t then
     (* Per-flow constants (s, min_rate, rv, t_mbi) ride on the one-shot
        [tfrc/start] event, keeping this per-feedback record small. *)
-    trace_ev t "rate_update"
-      [
-        ("rate", Engine.Trace.Float fl.rate);
-        ("prev_rate", Engine.Trace.Float prev_rate);
-        ("recv_rate", Engine.Trace.Float recv_rate);
-        ("p", Engine.Trace.Float p);
-        ("rtt", Engine.Trace.Float r);
-      ]
+    trace_ev t
+      (Tfrc_rate_update
+         { flow = t.flow; rate = fl.rate; prev_rate; recv_rate; p; rtt = r })
 
 let recv t (pkt : Netsim.Packet.t) =
   if pkt.corrupted then ()
@@ -249,14 +244,16 @@ let start t ~at =
     Engine.Runtime.at t.rt at (fun () ->
         t.running <- true;
         if tracing t then
-          trace_ev t "start"
-            [
-              ("rate", Engine.Trace.Float t.fl.rate);
-              ("s", Engine.Trace.Float (s_bytes t));
-              ("min_rate", Engine.Trace.Float t.config.Tfrc_config.min_rate);
-              ("rv", Engine.Trace.Bool t.config.Tfrc_config.rate_validation);
-              ("t_mbi", Engine.Trace.Float t.config.Tfrc_config.t_mbi);
-            ];
+          trace_ev t
+            (Tfrc_start
+               {
+                 flow = t.flow;
+                 rate = t.fl.rate;
+                 s = s_bytes t;
+                 min_rate = t.config.Tfrc_config.min_rate;
+                 rv = t.config.Tfrc_config.rate_validation;
+                 t_mbi = t.config.Tfrc_config.t_mbi;
+               });
         send_packet t;
         restart_nofb_timer t)
 

@@ -77,7 +77,7 @@ let create ?trace () =
   in
   (* Marks a fresh virtual clock: observers (e.g. the invariant checker)
      reset per-run state like the time-monotonicity watermark here. *)
-  if Trace.active trace then Trace.emit trace ~time:0. ~cat:"sim" ~name:"created" [];
+  if Trace.active trace then Trace.emit trace ~time:0. Sim_created;
   t
 
 let now t = t.clock
@@ -139,16 +139,12 @@ let runtime t =
 let maybe_sweep t =
   let before = Timers.size t.timers in
   if Timers.maybe_sweep t.timers && Trace.active t.trace then
-    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"sweep"
-      [
-        ("before", Trace.Int before);
-        ("after", Trace.Int (Timers.size t.timers));
-      ]
+    Trace.emit t.trace ~time:t.clock
+      (Sim_sweep { before; after = Timers.size t.timers })
 
 let exhaust t detail =
   if Trace.active t.trace then
-    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"budget_exhausted"
-      [ ("detail", Trace.Str detail) ];
+    Trace.emit t.trace ~time:t.clock (Sim_budget_exhausted { detail });
   raise (Budget_exhausted detail)
 
 (* The budget is checked against the next pending entry while it is still
@@ -171,8 +167,7 @@ let run ?budget t ~until =
     match budget with Some _ as b -> b | None -> current_budget ()
   in
   if Trace.active t.trace then
-    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"run_start"
-      [ ("until", Trace.Float until) ];
+    Trace.emit t.trace ~time:t.clock (Sim_run_start { until });
   let continue = ref true in
   while !continue do
     maybe_sweep t;
@@ -192,5 +187,5 @@ let run ?budget t ~until =
   done;
   if until < infinity && t.clock < until then t.clock <- until;
   if Trace.active t.trace then
-    Trace.emit t.trace ~time:t.clock ~cat:"sim" ~name:"run_end"
-      [ ("pending", Trace.Int (Timers.size t.timers)) ]
+    Trace.emit t.trace ~time:t.clock
+      (Sim_run_end { pending = Timers.size t.timers })

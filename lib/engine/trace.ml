@@ -2,17 +2,91 @@
    optional in-memory ring of the most recent events for post-mortems. A bus
    with no sinks and no ring is inactive and [emit] is a no-op, so
    instrumentation sites guard with [active] and pay one branch when tracing
-   is off. *)
+   is off. Events are catalog constructors; [view] is the one place that
+   names them and orders their fields for rendering. *)
 
-type value = Bool of bool | Int of int | Float of float | Str of string
+type kind =
+  | Sim_created
+  | Sim_sweep of { before : int; after : int }
+  | Sim_budget_exhausted of { detail : string }
+  | Sim_run_start of { until : float }
+  | Sim_run_end of { pending : int }
+  | Exp_job of { key : string; status : string; attempts : int; wall_s : float }
+  | Exp_report of {
+      total : int;
+      ok : int;
+      resumed : int;
+      retried : int;
+      timed_out : int;
+      failed : int;
+      wall_s : float;
+    }
+  | Tfrc_start of {
+      flow : int;
+      rate : float;
+      s : float;
+      min_rate : float;
+      rv : bool;
+      t_mbi : float;
+    }
+  | Tfrc_rate_update of {
+      flow : int;
+      rate : float;
+      prev_rate : float;
+      recv_rate : float;
+      p : float;
+      rtt : float;
+    }
+  | Tfrc_nofb_expiry of {
+      flow : int;
+      rate : float;
+      interval : float;
+      consecutive : int;
+    }
+  | Tfrc_feedback of {
+      flow : int;
+      p : float;
+      recv_rate : float;
+      n_closed : int;
+      avg_interval : float;
+    }
+  | Link_send of { link : string; id : int; flow : int; seq : int; size : int }
+  | Link_deliver of { link : string; id : int; flow : int; seq : int; size : int }
+  | Link_drop of {
+      link : string;
+      id : int;
+      flow : int;
+      seq : int;
+      size : int;
+      reason : string;
+    }
+  | Link_up of { link : string }
+  | Link_down of { link : string }
+  | Link_queue of {
+      link : string;
+      arrivals : int;
+      departures : int;
+      drops : int;
+      queued : int;
+    }
+  | Queue_sample of { len : int }
+  | Topo_loop of { node : int; id : int; flow : int }
+  | Fault_outage_start of { link : string; duration : float }
+  | Fault_outage_end of { link : string }
+  | Fault_route_change of { link : string; bandwidth : float; delay : float }
+  | Wire_loop_created of { mode : string }
+  | Wire_sweep of { before : int; after : int }
+  | Wire_settle_giveup of { inflight : int }
+  | Wire_run_start of { until : float }
+  | Wire_run_end of { pending : int }
+  | Wire_decode_error of { error : string }
+  | Wire_sup_transition of { flow : int; from : string; to_ : string; epoch : int }
+  | Wire_faultio of { op : string; kind : string }
+  | Wire_rx_error of { errno : string }
+  | Wire_tx_drop of { errno : string }
+  | Wire_tx_error of { errno : string }
 
-type event = {
-  time : float;
-  cat : string;
-  name : string;
-  fields : (string * value) list;
-}
-
+type event = { time : float; kind : kind }
 type sink = { emit : event -> unit; close : unit -> unit }
 
 type t = {
@@ -61,9 +135,9 @@ let rec fanout sinks ev =
       s.emit ev;
       fanout rest ev
 
-let emit t ~time ~cat ~name fields =
+let emit t ~time kind =
   if active t then begin
-    let ev = { time; cat; name; fields } in
+    let ev = { time; kind } in
     t.emitted <- t.emitted + 1;
     if t.ring_cap > 0 then begin
       if t.ring = [||] then t.ring <- Array.make t.ring_cap ev;
@@ -78,55 +152,158 @@ let recent t =
   List.init t.ring_len (fun i ->
       t.ring.((t.ring_pos - t.ring_len + i + (2 * t.ring_cap)) mod t.ring_cap))
 
-(* --- Field access -------------------------------------------------------- *)
+(* --- Rendered view ------------------------------------------------------- *)
 
-(* These scans are on the checker's per-event hot path: [String.equal]
-   (not polymorphic [=], which goes through the generic compare runtime)
-   and a direct default return (no intermediate option allocation). *)
+type value = Bool of bool | Int of int | Float of float | Str of string
 
-let find ev key =
-  let rec go = function
-    | [] -> None
-    | (k, v) :: rest -> if String.equal k key then Some v else go rest
-  in
-  go ev.fields
+let packet link id flow seq size =
+  [
+    ("link", Str link); ("id", Int id); ("flow", Int flow); ("seq", Int seq);
+    ("size", Int size);
+  ]
 
-let get_float ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then
-          match v with Float f -> f | Int i -> float_of_int i | _ -> default
-        else go rest
-  in
-  go ev.fields
+let view = function
+  | Sim_created -> ("sim", "created", [])
+  | Sim_sweep { before; after } ->
+      ("sim", "sweep", [ ("before", Int before); ("after", Int after) ])
+  | Sim_budget_exhausted { detail } ->
+      ("sim", "budget_exhausted", [ ("detail", Str detail) ])
+  | Sim_run_start { until } -> ("sim", "run_start", [ ("until", Float until) ])
+  | Sim_run_end { pending } -> ("sim", "run_end", [ ("pending", Int pending) ])
+  | Exp_job { key; status; attempts; wall_s } ->
+      ( "exp", "job",
+        [
+          ("key", Str key); ("status", Str status); ("attempts", Int attempts);
+          ("wall_s", Float wall_s);
+        ] )
+  | Exp_report { total; ok; resumed; retried; timed_out; failed; wall_s } ->
+      ( "exp", "report",
+        [
+          ("total", Int total); ("ok", Int ok); ("resumed", Int resumed);
+          ("retried", Int retried); ("timed_out", Int timed_out);
+          ("failed", Int failed); ("wall_s", Float wall_s);
+        ] )
+  | Tfrc_start { flow; rate; s; min_rate; rv; t_mbi } ->
+      ( "tfrc", "start",
+        [
+          ("flow", Int flow); ("rate", Float rate); ("s", Float s);
+          ("min_rate", Float min_rate); ("rv", Bool rv); ("t_mbi", Float t_mbi);
+        ] )
+  | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
+      ( "tfrc", "rate_update",
+        [
+          ("flow", Int flow); ("rate", Float rate); ("prev_rate", Float prev_rate);
+          ("recv_rate", Float recv_rate); ("p", Float p); ("rtt", Float rtt);
+        ] )
+  | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
+      ( "tfrc", "nofb_expiry",
+        [
+          ("flow", Int flow); ("rate", Float rate); ("interval", Float interval);
+          ("consecutive", Int consecutive);
+        ] )
+  | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
+      ( "tfrc", "feedback",
+        [
+          ("flow", Int flow); ("p", Float p); ("recv_rate", Float recv_rate);
+          ("n_closed", Int n_closed); ("avg_interval", Float avg_interval);
+        ] )
+  | Link_send { link; id; flow; seq; size } ->
+      ("link", "send", packet link id flow seq size)
+  | Link_deliver { link; id; flow; seq; size } ->
+      ("link", "deliver", packet link id flow seq size)
+  | Link_drop { link; id; flow; seq; size; reason } ->
+      ("link", "drop", packet link id flow seq size @ [ ("reason", Str reason) ])
+  | Link_up { link } -> ("link", "up", [ ("link", Str link) ])
+  | Link_down { link } -> ("link", "down", [ ("link", Str link) ])
+  | Link_queue { link; arrivals; departures; drops; queued } ->
+      ( "link", "queue",
+        [
+          ("link", Str link); ("arrivals", Int arrivals);
+          ("departures", Int departures); ("drops", Int drops);
+          ("queued", Int queued);
+        ] )
+  | Queue_sample { len } -> ("queue", "sample", [ ("len", Int len) ])
+  | Topo_loop { node; id; flow } ->
+      ("topo", "loop", [ ("node", Int node); ("id", Int id); ("flow", Int flow) ])
+  | Fault_outage_start { link; duration } ->
+      ( "fault", "outage_start",
+        [ ("link", Str link); ("duration", Float duration) ] )
+  | Fault_outage_end { link } -> ("fault", "outage_end", [ ("link", Str link) ])
+  | Fault_route_change { link; bandwidth; delay } ->
+      ( "fault", "route_change",
+        [
+          ("link", Str link); ("bandwidth", Float bandwidth);
+          ("delay", Float delay);
+        ] )
+  | Wire_loop_created { mode } -> ("wire", "loop_created", [ ("mode", Str mode) ])
+  | Wire_sweep { before; after } ->
+      ("wire", "sweep", [ ("before", Int before); ("after", Int after) ])
+  | Wire_settle_giveup { inflight } ->
+      ("wire", "settle_giveup", [ ("inflight", Int inflight) ])
+  | Wire_run_start { until } -> ("wire", "run_start", [ ("until", Float until) ])
+  | Wire_run_end { pending } -> ("wire", "run_end", [ ("pending", Int pending) ])
+  | Wire_decode_error { error } ->
+      ("wire", "decode_error", [ ("error", Str error) ])
+  | Wire_sup_transition { flow; from; to_; epoch } ->
+      ( "wire", "sup_transition",
+        [
+          ("flow", Int flow); ("from", Str from); ("to", Str to_);
+          ("epoch", Int epoch);
+        ] )
+  | Wire_faultio { op; kind } ->
+      ("wire", "faultio", [ ("op", Str op); ("kind", Str kind) ])
+  | Wire_rx_error { errno } -> ("wire", "rx_error", [ ("errno", Str errno) ])
+  | Wire_tx_drop { errno } -> ("wire", "tx_drop", [ ("errno", Str errno) ])
+  | Wire_tx_error { errno } -> ("wire", "tx_error", [ ("errno", Str errno) ])
 
-let get_int ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then match v with Int i -> i | _ -> default
-        else go rest
-  in
-  go ev.fields
-
-let get_str ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then match v with Str s -> s | _ -> default
-        else go rest
-  in
-  go ev.fields
-
-let get_bool ev key ~default =
-  let rec go = function
-    | [] -> default
-    | (k, v) :: rest ->
-        if String.equal k key then match v with Bool b -> b | _ -> default
-        else go rest
-  in
-  go ev.fields
+(* One placeholder of every constructor, in declaration order: [view]
+   supplies the names. *)
+let catalog =
+  List.map
+    (fun k ->
+      let cat, name, fields = view k in
+      (cat ^ "/" ^ name, List.map fst fields))
+    [
+      Sim_created;
+      Sim_sweep { before = 0; after = 0 };
+      Sim_budget_exhausted { detail = "" };
+      Sim_run_start { until = 0. };
+      Sim_run_end { pending = 0 };
+      Exp_job { key = ""; status = ""; attempts = 0; wall_s = 0. };
+      Exp_report
+        {
+          total = 0; ok = 0; resumed = 0; retried = 0; timed_out = 0; failed = 0;
+          wall_s = 0.;
+        };
+      Tfrc_start { flow = 0; rate = 0.; s = 0.; min_rate = 0.; rv = false; t_mbi = 0. };
+      Tfrc_rate_update
+        { flow = 0; rate = 0.; prev_rate = 0.; recv_rate = 0.; p = 0.; rtt = 0. };
+      Tfrc_nofb_expiry { flow = 0; rate = 0.; interval = 0.; consecutive = 0 };
+      Tfrc_feedback
+        { flow = 0; p = 0.; recv_rate = 0.; n_closed = 0; avg_interval = 0. };
+      Link_send { link = ""; id = 0; flow = 0; seq = 0; size = 0 };
+      Link_deliver { link = ""; id = 0; flow = 0; seq = 0; size = 0 };
+      Link_drop { link = ""; id = 0; flow = 0; seq = 0; size = 0; reason = "" };
+      Link_up { link = "" };
+      Link_down { link = "" };
+      Link_queue { link = ""; arrivals = 0; departures = 0; drops = 0; queued = 0 };
+      Queue_sample { len = 0 };
+      Topo_loop { node = 0; id = 0; flow = 0 };
+      Fault_outage_start { link = ""; duration = 0. };
+      Fault_outage_end { link = "" };
+      Fault_route_change { link = ""; bandwidth = 0.; delay = 0. };
+      Wire_loop_created { mode = "" };
+      Wire_sweep { before = 0; after = 0 };
+      Wire_settle_giveup { inflight = 0 };
+      Wire_run_start { until = 0. };
+      Wire_run_end { pending = 0 };
+      Wire_decode_error { error = "" };
+      Wire_sup_transition { flow = 0; from = ""; to_ = ""; epoch = 0 };
+      Wire_faultio { op = ""; kind = "" };
+      Wire_rx_error { errno = "" };
+      Wire_tx_drop { errno = "" };
+      Wire_tx_error { errno = "" };
+    ]
 
 (* --- JSON ---------------------------------------------------------------- *)
 
@@ -158,14 +335,15 @@ let json_value = function
   | Float f -> json_float f
   | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
 
+(* Category, event and field names are identifiers, so only values need
+   escaping. *)
 let to_json ev =
+  let cat, name, fields = view ev.kind in
   let fields =
-    List.map
-      (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (json_value v))
-      ev.fields
+    List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (json_value v)) fields
   in
   Printf.sprintf "{\"t\":%s,\"cat\":\"%s\",\"ev\":\"%s\"%s}" (json_float ev.time)
-    (json_escape ev.cat) (json_escape ev.name)
+    cat name
     (match fields with [] -> "" | l -> "," ^ String.concat "," l)
 
 (* --- Sinks --------------------------------------------------------------- *)

@@ -144,8 +144,7 @@ let exec ~seed ~retries ~budget ~checkpoint ~capture (jb : Job.t) =
 
 let replay bus events =
   List.iter
-    (fun (e : Engine.Trace.event) ->
-      Engine.Trace.emit bus ~time:e.time ~cat:e.cat ~name:e.name e.fields)
+    (fun (e : Engine.Trace.event) -> Engine.Trace.emit bus ~time:e.time e.kind)
     events
 
 (* --- Batch execution ------------------------------------------------------ *)
@@ -274,24 +273,26 @@ let run_jobs_supervised ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~seed jobs =
   if supervised && Engine.Trace.active main_bus then begin
     List.iter
       (fun s ->
-        Engine.Trace.emit main_bus ~time:0. ~cat:"exp" ~name:"job"
-          [
-            ("key", Engine.Trace.Str s.key);
-            ("status", Engine.Trace.Str (status_str s.status));
-            ("attempts", Engine.Trace.Int s.attempts);
-            ("wall_s", Engine.Trace.Float s.wall_s);
-          ])
+        Engine.Trace.emit main_bus ~time:0.
+          (Exp_job
+             {
+               key = s.key;
+               status = status_str s.status;
+               attempts = s.attempts;
+               wall_s = s.wall_s;
+             }))
       stats;
-    Engine.Trace.emit main_bus ~time:0. ~cat:"exp" ~name:"report"
-      [
-        ("total", Engine.Trace.Int report.total);
-        ("ok", Engine.Trace.Int report.ok);
-        ("resumed", Engine.Trace.Int report.resumed);
-        ("retried", Engine.Trace.Int report.retried);
-        ("timed_out", Engine.Trace.Int report.timed_out);
-        ("failed", Engine.Trace.Int report.failed);
-        ("wall_s", Engine.Trace.Float report.wall_s);
-      ]
+    Engine.Trace.emit main_bus ~time:0.
+      (Exp_report
+         {
+           total = report.total;
+           ok = report.ok;
+           resumed = report.resumed;
+           retried = report.retried;
+           timed_out = report.timed_out;
+           failed = report.failed;
+           wall_s = report.wall_s;
+         })
   end;
   (outcomes, report)
 

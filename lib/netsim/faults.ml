@@ -3,23 +3,21 @@
 (* Fault events ride the simulation's trace bus alongside the [link/*]
    events the link itself emits, so a trace reader can tell injected faults
    from organic congestion. *)
-let fault_ev rt link name fields =
+let fault_ev rt link event =
   let tr = Engine.Runtime.trace rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt) ~cat:"fault" ~name
-      (("link", Engine.Trace.Str (Link.label link)) :: fields)
+    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt) (event (Link.label link))
 
 let outage rt link ~at ~duration ?(policy = Link.Drop_queued) () =
   if duration < 0. then invalid_arg "Faults.outage: negative duration";
   ignore
     (Engine.Runtime.at rt at (fun () ->
          Link.set_up link ~policy false;
-         fault_ev rt link "outage_start"
-           [ ("duration", Engine.Trace.Float duration) ]));
+         fault_ev rt link (fun link -> Fault_outage_start { link; duration })));
   ignore
     (Engine.Runtime.at rt (at +. duration) (fun () ->
          Link.set_up link true;
-         fault_ev rt link "outage_end" []))
+         fault_ev rt link (fun link -> Fault_outage_end { link })))
 
 let flapping rt link ~start ~stop ~period ~down_fraction ?(policy = Link.Drop_queued)
     () =
@@ -47,11 +45,13 @@ let route_change rt link ~at ~bandwidth =
   ignore
     (Engine.Runtime.at rt at (fun () ->
          Link.set_bandwidth link bandwidth;
-         fault_ev rt link "route_change"
-           [
-             ("bandwidth", Engine.Trace.Float (Link.bandwidth link));
-             ("delay", Engine.Trace.Float (Link.delay link));
-           ]))
+         fault_ev rt link (fun label ->
+             Fault_route_change
+               {
+                 link = label;
+                 bandwidth = Link.bandwidth link;
+                 delay = Link.delay link;
+               })))
 
 (* Handler faults ----------------------------------------------------------- *)
 

@@ -33,8 +33,7 @@ module Queue_sampler = struct
       Stats.Time_series.add s ~time:now ~value:(float_of_int len);
       let tr = Engine.Runtime.trace rt in
       if Engine.Trace.active tr then
-        Engine.Trace.emit tr ~time:now ~cat:"queue" ~name:"sample"
-          [ ("len", Engine.Trace.Int len) ]
+        Engine.Trace.emit tr ~time:now (Queue_sample { len })
     in
     let rec tick () =
       sample ();

@@ -32,22 +32,12 @@ let check name ~bandwidth ~delay =
   if delay < 0. then fail "negative delay";
   if not (Float.is_finite delay) then fail "delay must be finite"
 
-(* Trace instrumentation: [tracing t] is the hot-path guard; [ev] builds and
-   emits, so call sites only allocate field lists when a sink is attached. *)
+(* Trace instrumentation: [tracing t] is the hot-path guard, so call sites
+   only build an event when a sink is attached. *)
 let tracing t = Engine.Trace.active (Engine.Runtime.trace t.rt)
 
-let ev t name fields =
-  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt)
-    ~cat:"link" ~name
-    (("link", Engine.Trace.Str t.label) :: fields)
-
-let pkt_fields (pkt : Packet.t) =
-  [
-    ("id", Engine.Trace.Int pkt.id);
-    ("flow", Engine.Trace.Int pkt.flow);
-    ("seq", Engine.Trace.Int pkt.seq);
-    ("size", Engine.Trace.Int pkt.size);
-  ]
+let ev t kind =
+  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt) kind
 
 (* Snapshot of the queue discipline's conservation counters; the invariant
    checker verifies arrivals = departures + drops + queued exactly on each
@@ -55,13 +45,15 @@ let pkt_fields (pkt : Packet.t) =
 let emit_queue_stats t =
   if tracing t then begin
     let st = t.queue.Queue_disc.stats in
-    ev t "queue"
-      [
-        ("arrivals", Engine.Trace.Int st.arrivals);
-        ("departures", Engine.Trace.Int st.departures);
-        ("drops", Engine.Trace.Int st.drops);
-        ("queued", Engine.Trace.Int (t.queue.Queue_disc.len_pkts ()));
-      ]
+    ev t
+      (Link_queue
+         {
+           link = t.label;
+           arrivals = st.arrivals;
+           departures = st.departures;
+           drops = st.drops;
+           queued = t.queue.Queue_disc.len_pkts ();
+         })
   end
 
 let set_dest t handler =
@@ -90,26 +82,45 @@ let utilization t ~duration =
 
 let drop ?(reason = "queue") t pkt =
   if tracing t then
-    ev t "drop" (pkt_fields pkt @ [ ("reason", Engine.Trace.Str reason) ]);
+    ev t
+      (Link_drop
+         {
+           link = t.label;
+           id = pkt.Packet.id;
+           flow = pkt.flow;
+           seq = pkt.seq;
+           size = pkt.size;
+           reason;
+         });
   List.iter (fun f -> f pkt) t.drop_listeners
 
 let deliver t pkt =
-  if tracing t then ev t "deliver" (pkt_fields pkt);
+  if tracing t then
+    ev t
+      (Link_deliver
+         {
+           link = t.label;
+           id = pkt.Packet.id;
+           flow = pkt.flow;
+           seq = pkt.seq;
+           size = pkt.size;
+         });
   t.dest pkt
 
 (* ns-2 trace lines from this module's own events: [deliver] is "r",
    [drop] is "d". *)
 let ns2_sink ~label oc =
   let lines = ref 0 in
-  let emit (ev : Engine.Trace.event) =
-    match (ev.cat, ev.name) with
-    | "link", (("deliver" | "drop") as name)
-      when Engine.Trace.get_str ev "link" ~default:"" = label ->
-        let field k = Engine.Trace.get_int ev k ~default:0 in
-        Printf.fprintf oc "%s %.6f %d %d %d %d\n"
-          (if name = "deliver" then "r" else "d")
-          ev.time (field "flow") (field "seq") (field "size") (field "id");
-        incr lines
+  let line code time flow seq size id =
+    Printf.fprintf oc "%s %.6f %d %d %d %d\n" code time flow seq size id;
+    incr lines
+  in
+  let emit ({ time; kind } : Engine.Trace.event) =
+    match kind with
+    | Link_deliver { link; id; flow; seq; size } when String.equal link label ->
+        line "r" time flow seq size id
+    | Link_drop { link; id; flow; seq; size; _ } when String.equal link label ->
+        line "d" time flow seq size id
     | _ -> ()
   in
   ({ Engine.Trace.emit; close = (fun () -> flush oc) }, fun () -> !lines)
@@ -167,7 +178,8 @@ let create rt ?label ~bandwidth ~delay ~queue () =
 let set_up t ?(policy = Drop_queued) up =
   if up <> t.up then begin
     t.up <- up;
-    if tracing t then ev t (if up then "up" else "down") [];
+    if tracing t then
+      ev t (if up then Link_up { link = t.label } else Link_down { link = t.label });
     if not up then begin
       (* Packets already serialized are on the wire and still arrive; the
          transmitter stalls at the next head-of-line packet. *)
@@ -192,7 +204,16 @@ let send t pkt =
   if not t.dest_set then
     invalid_arg
       "Link.send: destination not set (call Link.set_dest before sending)";
-  if tracing t then ev t "send" (pkt_fields pkt);
+  if tracing t then
+    ev t
+      (Link_send
+         {
+           link = t.label;
+           id = pkt.Packet.id;
+           flow = pkt.flow;
+           seq = pkt.seq;
+           size = pkt.size;
+         });
   if not t.up then begin
     (* A down link blackholes at the ingress: no queueing, immediate loss. *)
     t.outage_drops <- t.outage_drops + 1;

@@ -134,12 +134,8 @@ let check_router t v name =
 let loop_ev t node (pkt : Packet.t) =
   let tr = Engine.Runtime.trace t.rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now t.rt) ~cat:"topo" ~name:"loop"
-      [
-        ("node", Engine.Trace.Int node);
-        ("id", Engine.Trace.Int pkt.id);
-        ("flow", Engine.Trace.Int pkt.flow);
-      ]
+    Engine.Trace.emit tr ~time:(Engine.Runtime.now t.rt)
+      (Topo_loop { node; id = pkt.id; flow = pkt.flow })
 
 (* Shortest-path recomputation: one Dijkstra per destination over the
    reversed graph with an indexed binary heap, O(E log n), then each node's

@@ -101,8 +101,7 @@ let record t ~op ~kind =
   t.log <- Printf.sprintf "%.6f %s" time label :: t.log;
   let tr = Engine.Runtime.trace t.rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time ~cat:"wire" ~name:"faultio"
-      [ ("op", Engine.Trace.Str op); ("kind", Engine.Trace.Str kind) ]
+    Engine.Trace.emit tr ~time (Wire_faultio { op; kind })
 
 let in_window t = function
   | Some (t0, t1) ->

@@ -53,9 +53,9 @@ let create ?trace ?(mode = `Monotonic) () =
     }
   in
   if Engine.Trace.active trace then
-    Engine.Trace.emit trace ~time:0. ~cat:"wire" ~name:"loop_created"
-      [ ("mode", Engine.Trace.Str (match mode with
-          | `Monotonic -> "monotonic" | `Warp -> "warp")) ];
+    Engine.Trace.emit trace ~time:0.
+      (Wire_loop_created
+         { mode = (match mode with `Monotonic -> "monotonic" | `Warp -> "warp") });
   t
 
 let now t =
@@ -156,11 +156,8 @@ let unwatch_fd t fd =
 let maybe_sweep t =
   let before = Engine.Timers.size t.timers in
   if Engine.Timers.maybe_sweep t.timers && Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire" ~name:"sweep"
-      [
-        ("before", Engine.Trace.Int before);
-        ("after", Engine.Trace.Int (Engine.Timers.size t.timers));
-      ]
+    Engine.Trace.emit t.trace ~time:t.vnow
+      (Wire_sweep { before; after = Engine.Timers.size t.timers })
 
 (* Call the watches whose descriptor is in [ready], in watch order. A
    callback that (un)watches descriptors changes [t.watches], not the list
@@ -216,9 +213,8 @@ let settle_io t =
     if total_inflight t > 0 then begin
       t.io_giveups <- t.io_giveups + 1;
       if Engine.Trace.active t.trace then
-        Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire"
-          ~name:"settle_giveup"
-          [ ("inflight", Engine.Trace.Int (total_inflight t)) ];
+        Engine.Trace.emit t.trace ~time:t.vnow
+          (Wire_settle_giveup { inflight = total_inflight t });
       List.iter (fun r -> r := 0) t.inflight_refs
     end
   end
@@ -277,11 +273,10 @@ let run_monotonic t ~until =
 let run t ~until =
   t.stopping <- false;
   if Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:(now t) ~cat:"wire" ~name:"run_start"
-      [ ("until", Engine.Trace.Float until) ];
+    Engine.Trace.emit t.trace ~time:(now t) (Wire_run_start { until });
   (match t.mode with
   | `Warp -> run_warp t ~until
   | `Monotonic -> run_monotonic t ~until);
   if Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:t.vnow ~cat:"wire" ~name:"run_end"
-      [ ("pending", Engine.Trace.Int (Engine.Timers.size t.timers)) ]
+    Engine.Trace.emit t.trace ~time:t.vnow
+      (Wire_run_end { pending = Engine.Timers.size t.timers })

@@ -79,9 +79,8 @@ type t = {
 let trace_decode_error rt err =
   let tr = Engine.Runtime.trace rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt) ~cat:"wire"
-      ~name:"decode_error"
-      [ ("error", Engine.Trace.Str (Codec.error_to_string err)) ]
+    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt)
+      (Wire_decode_error { error = Codec.error_to_string err })
 
 (* Records unconditionally — the mutate plant uses this to emit an
    illegal (possibly self-loop) edge the invariant rule must flag. *)
@@ -92,13 +91,14 @@ let record_transition t to_ =
   t.transitions <- (time, from, to_) :: t.transitions;
   let tr = Engine.Runtime.trace t.rt in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time ~cat:"wire" ~name:"sup_transition"
-      [
-        ("flow", Engine.Trace.Int t.flow);
-        ("from", Engine.Trace.Str (state_name from));
-        ("to", Engine.Trace.Str (state_name to_));
-        ("epoch", Engine.Trace.Int t.cur_epoch);
-      ]
+    Engine.Trace.emit tr ~time
+      (Wire_sup_transition
+         {
+           flow = t.flow;
+           from = state_name from;
+           to_ = state_name to_;
+           epoch = t.cur_epoch;
+         })
 
 let transition t to_ = if t.st <> to_ then record_transition t to_
 

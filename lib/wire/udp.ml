@@ -14,11 +14,10 @@ type t = {
 
 let addr ~port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
-let emit_errno_event t ~name err =
+let emit_errno_event t event err =
   let tr = Engine.Runtime.trace (Loop.runtime t.loop) in
   if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Loop.now t.loop) ~cat:"wire" ~name
-      [ ("errno", Engine.Trace.Str (Unix.error_message err)) ]
+    Engine.Trace.emit tr ~time:(Loop.now t.loop) (event (Unix.error_message err))
 
 (* Drain every queued datagram: select is level-triggered, but one
    callback per readiness event would add a loop turn of latency per
@@ -46,7 +45,7 @@ let rec drain t =
         (* Anything else (ENOMEM, injected chaos): trace, surface to the
            health handler, stop this drain — the loop survives and the
            next readiness event retries. *)
-        emit_errno_event t ~name:"rx_error" err;
+        emit_errno_event t (fun errno -> Wire_rx_error { errno }) err;
         t.on_health err
 
 let create loop ?(port = 0) ?netio () =
@@ -104,10 +103,10 @@ let rec send_bytes t data len dest retries =
           _,
           _ ) ->
       t.tx_drops <- t.tx_drops + 1;
-      emit_errno_event t ~name:"tx_drop" err
+      emit_errno_event t (fun errno -> Wire_tx_drop { errno }) err
   | exception Unix.Unix_error (err, _, _) ->
       t.tx_errors <- t.tx_errors + 1;
-      emit_errno_event t ~name:"tx_error" err;
+      emit_errno_event t (fun errno -> Wire_tx_error { errno }) err;
       t.on_health err
 
 let send t ~dest data =

@@ -1,7 +1,7 @@
 (* Array-backed binary min-heap ordered by (time, seq). The sequence number
    breaks ties so that simultaneous events run in insertion order.
 
-   Slots at indices >= size are always [Free]: [pop] and [clear] overwrite
+   Slots at indices >= size are always [Free]: [pop] and [prune] overwrite
    vacated slots so the queue never retains popped or cancelled closures
    (an earlier version parked the popped entry at [heap.(size)], keeping it —
    and everything its closure captured — reachable for the life of the
@@ -88,10 +88,6 @@ let peek_time q =
 
 let size q = q.size
 let is_empty q = q.size = 0
-
-let clear q =
-  Array.fill q.heap 0 q.size Free;
-  q.size <- 0
 
 let prune q ~keep =
   (* Collect survivors, order them by (time, seq), and store them back as a

@@ -3,7 +3,7 @@
     contract is the one the wheel must match exactly — events with equal
     timestamps dequeue in insertion order.
 
-    The queue never retains references to popped or cleared elements:
+    The queue never retains references to popped or pruned elements:
     vacated slots are reset immediately, so a long-lived queue does not pin
     fired or cancelled closures (and whatever they captured). *)
 
@@ -22,9 +22,6 @@ val peek_time : 'a t -> float option
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-
-(** [clear q] removes all elements, dropping every reference they held. *)
-val clear : 'a t -> unit
 
 (** [prune q ~keep] removes every element [v] with [keep v = false],
     preserving (time, seq) order among survivors. O(n log n). *)

@@ -187,7 +187,8 @@ let test_cancel_heavy_bounded () =
   let sweeps =
     List.length
       (List.filter
-         (fun (e : Engine.Trace.event) -> e.cat = "wire" && e.name = "sweep")
+         (fun (e : Engine.Trace.event) ->
+           match e.kind with Wire_sweep _ -> true | _ -> false)
          (captured ()))
   in
   check bool (Printf.sprintf "wire/sweep emitted (%d)" sweeps) true (sweeps > 0)
@@ -253,10 +254,10 @@ let trace_jobs =
       Exp.Job.make (Printf.sprintf "trace-test/%d" i) (fun rng ->
           let bus = Engine.Trace.default () in
           let r = Engine.Rng.bits32 rng in
-          Engine.Trace.emit bus ~time:(float_of_int i) ~cat:"test" ~name:"job"
-            [ ("i", Engine.Trace.Int i); ("draw", Engine.Trace.Int r) ];
-          Engine.Trace.emit bus ~time:(float_of_int i +. 0.5) ~cat:"test"
-            ~name:"done" [];
+          Engine.Trace.emit bus ~time:(float_of_int i)
+            (Queue_sample { len = r });
+          Engine.Trace.emit bus ~time:(float_of_int i +. 0.5)
+            (Sim_run_end { pending = i });
           [ ("draw", Exp.Job.i r) ]))
 
 let observed ~j =
@@ -335,8 +336,8 @@ let test_trace_replay_on_failure () =
     List.init 4 (fun i ->
         Exp.Job.make (Printf.sprintf "replay-fail/%d" i) (fun _rng ->
             let bus = Engine.Trace.default () in
-            Engine.Trace.emit bus ~time:(float_of_int i) ~cat:"test" ~name:"ran"
-              [ ("i", Engine.Trace.Int i) ];
+            Engine.Trace.emit bus ~time:(float_of_int i)
+              (Queue_sample { len = i });
             if i = 2 then failwith "kaput";
             [ ("i", Exp.Job.i i) ]))
   in

@@ -4,3 +4,4 @@ let test_only x = x + 3
 let never_called x = x + 4
 let probe_checked x = x + 5
 let probe_unchecked x = x + 6
+let misgrouped x = x + 7

@@ -1,5 +1,6 @@
-(* Six exports: one per way the lint can see (or miss) a caller, and two
-   reference probes called only from test/. *)
+(* Seven exports: one per way the lint can see (or miss) a caller, two
+   reference probes called only from test/, and one called only from
+   test/ that the allow file lists as having no caller. *)
 
 val via_alias : int -> int
 (** Called from [User] through a local module alias. *)
@@ -18,3 +19,6 @@ val probe_checked : int -> int
 
 val probe_unchecked : int -> int
 (** A reference probe whose allow line names a missing test file. *)
+
+val misgrouped : int -> int
+(** Called only from test/, but listed under [\[no caller\]]. *)

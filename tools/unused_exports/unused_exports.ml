@@ -6,12 +6,13 @@
    under lib/, bin/, examples/, bench/ or test/ references, in two groups:
    "no caller" (nothing references it) and "tests only" (only units under
    test/ do). It exits 1 if a listed value is missing from
-   tools/unused_exports.allow, or if an allow line has no reason or names
-   a value that is not listed (it gained a caller, or is gone). Lines
-   after the allow file's [\[reference probes\]] header are reference
-   probes: each must be called only from test/, and its reason must name
-   the reference model it is compared against as an existing test/*.ml
-   file.
+   tools/unused_exports.allow, or if an allow line has no reason, sits
+   before the first section header, or names a value that is not in its
+   section's group (it gained a caller, lost its last test caller, or is
+   gone). The allow file's sections are [\[no caller\]], [\[tests only\]]
+   and [\[reference probes\]]. A reference probe must be called only from
+   test/, and its reason must name the reference model it is compared
+   against as an existing test/*.ml file.
 
    Names are canonical dune paths: the unit [engine__Sim], the alias path
    [Engine.Sim] and [Engine__.Sim] (the alias module of a library with a
@@ -121,7 +122,17 @@ let is_under ~prefix v =
   let n = String.length prefix in
   String.length v > n && String.sub v 0 n = prefix && v.[n] = '.'
 
-let probes_header = "[reference probes]"
+(* The allow file's sections: which group an entry claims its value is
+   in. *)
+type group = No_caller | Tests_only | Probe
+
+let headers =
+  [ ("[no caller]", No_caller); ("[tests only]", Tests_only); ("[reference probes]", Probe) ]
+
+let header_of = function
+  | No_caller -> "[no caller]"
+  | Tests_only -> "[tests only]"
+  | Probe -> "[reference probes]"
 
 (* The test/*.ml paths a reason names: its words made of path characters
    that start with "test/" and end in ".ml". *)
@@ -136,28 +147,34 @@ let named_tests reason =
          String.starts_with ~prefix:"test/" w && Filename.check_suffix w ".ml")
 
 (* Allow lines are [Lib.Module.value  # reason]; blank and [#] lines are
-   comments, and the [probes_header] line starts the probe entries.
-   Returns the entries as (value, reason, is_probe) and the lines with no
-   reason. *)
+   comments, and a [headers] line starts that group's entries. Returns the
+   entries as (value, reason, group), the lines with no reason and the
+   entries before any header. *)
 let read_allow () =
-  if not (Sys.file_exists allow_file) then ([], [])
+  if not (Sys.file_exists allow_file) then ([], [], [])
   else
-    let in_probes = ref false in
-    In_channel.with_open_text allow_file In_channel.input_all
-    |> String.split_on_char '\n' |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-    |> List.filter_map (fun l ->
-           if l = probes_header then (in_probes := true; None)
-           else
-             match String.index_opt l '#' with
-             | Some i ->
+    let _, entries, no_reason, no_section =
+      In_channel.with_open_text allow_file In_channel.input_all
+      |> String.split_on_char '\n' |> List.map String.trim
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      |> List.fold_left
+           (fun (group, entries, no_reason, no_section) l ->
+             match (List.assoc_opt l headers, String.index_opt l '#') with
+             | Some g, _ -> (Some g, entries, no_reason, no_section)
+             | None, None -> (group, entries, l :: no_reason, no_section)
+             | None, Some i -> (
                  let reason =
                    String.trim (String.sub l (i + 1) (String.length l - i - 1))
                  in
-                 if reason = "" then Some (Either.Right l)
-                 else Some (Either.Left (String.trim (String.sub l 0 i), reason, !in_probes))
-             | None -> Some (Either.Right l))
-    |> List.partition_map Fun.id
+                 match (reason, group) with
+                 | "", _ -> (group, entries, l :: no_reason, no_section)
+                 | _, None -> (group, entries, no_reason, l :: no_section)
+                 | _, Some g ->
+                     let v = String.trim (String.sub l 0 i) in
+                     (group, (v, reason, g) :: entries, no_reason, no_section)))
+           (None, [], [], [])
+    in
+    (List.rev entries, List.rev no_reason, List.rev no_section)
 
 (* [(root, file)] for every file with [suffix] under [roots]. *)
 let annot_files roots suffix =
@@ -201,21 +218,31 @@ let () =
   let no_caller, tests_only =
     List.partition (fun v -> not (Hashtbl.mem tested v)) unused
   in
-  let entries, no_reason = read_allow () in
+  let entries, no_reason, no_section = read_allow () in
   let allowed = List.map (fun (v, _, _) -> v) entries in
   let unlisted l = List.filter (fun v -> not (List.mem v allowed)) l in
-  (* A probe stays only while tests, and nothing else, call it. *)
+  let status v =
+    if List.mem v no_caller then "no caller"
+    else if List.mem v tests_only then "called only from tests"
+    else if List.mem v exported then "called outside test/"
+    else "not exported"
+  in
+  (* An entry stays only while its value is in its section's group: a
+     probe, like a tests-only entry, while tests and nothing else call
+     it. *)
   let stale =
     List.filter_map
-      (fun (v, _, probe) ->
-        if List.mem v (if probe then tests_only else unused) then None else Some v)
+      (fun (v, _, g) ->
+        let members = match g with No_caller -> no_caller | Tests_only | Probe -> tests_only in
+        if List.mem v members then None
+        else Some (Printf.sprintf "%s  (under %s; %s)" v (header_of g) (status v)))
       entries
   in
   let unchecked_probes =
     List.filter_map
-      (fun (v, reason, probe) ->
+      (fun (v, reason, g) ->
         let named = named_tests reason in
-        if probe && (named = [] || not (List.for_all Sys.file_exists named)) then
+        if g = Probe && (named = [] || not (List.for_all Sys.file_exists named)) then
           Some (v ^ "  # " ^ reason)
         else None)
       entries
@@ -229,6 +256,7 @@ let () =
       ("tests only, not in " ^ allow_file, unlisted tests_only);
       ("stale in " ^ allow_file, stale);
       ("no reason in " ^ allow_file, no_reason);
+      ("before any section header in " ^ allow_file, no_section);
       ("reference probe naming no existing test/*.ml in " ^ allow_file,
         unchecked_probes);
     ]
