@@ -1,5 +1,5 @@
 (** Receiver for unreliable rate-based protocols (RAP, TFRCP): echoes every
-    data packet individually as an ack carrying [seq + 1], with no
+    data packet individually as a 40-byte ack carrying [seq + 1], with no
     cumulative semantics — the sender infers losses from gaps in the echo
     stream. (A cumulative-ack sink would stall at the first hole, since
     these protocols never retransmit.) *)
@@ -8,7 +8,6 @@ type t
 
 val create :
   Engine.Runtime.t ->
-  ?ack_size:int ->
   flow:int ->
   transmit:Netsim.Packet.handler ->
   unit ->

@@ -1,6 +1,8 @@
+let pkt_size = 1000
+let s_bytes = float_of_int pkt_size
+
 type t = {
   rt : Engine.Runtime.t;
-  pkt_size : int;
   flow : int;
   transmit : Netsim.Packet.handler;
   mutable rate : float; (* bytes/s *)
@@ -15,13 +17,12 @@ type t = {
   mutable last_ack_at : float;
 }
 
-let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
+let create rt ?(initial_rtt = 0.5) ~flow ~transmit () =
   {
     rt;
-    pkt_size;
     flow;
     transmit;
-    rate = float_of_int pkt_size /. initial_rtt;
+    rate = s_bytes /. initial_rtt;
     srtt = initial_rtt;
     have_rtt = false;
     running = false;
@@ -33,29 +34,27 @@ let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
     last_ack_at = 0.;
   }
 
-let s_bytes t = float_of_int t.pkt_size
-
 let rec send_loop t =
   let now = Engine.Runtime.now t.rt in
   let pkt =
-    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
+    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:pkt_size ~now
       Netsim.Packet.Data
   in
   if t.send_times = None then t.send_times <- Some (t.seq, now);
   t.seq <- t.seq + 1;
   t.transmit pkt;
-  ignore (Engine.Runtime.after t.rt (s_bytes t /. t.rate) (fun () -> send_loop t))
+  ignore (Engine.Runtime.after t.rt (s_bytes /. t.rate) (fun () -> send_loop t))
 
 (* Additive increase: one packet per RTT, applied once per RTT. *)
 let rec increase_loop t =
   let now = Engine.Runtime.now t.rt in
   (* Silence detection: no acks for several RTTs means heavy loss. *)
   if now -. t.last_ack_at > 4. *. t.srtt && t.have_rtt then begin
-    t.rate <- Float.max (s_bytes t /. 4.) (t.rate /. 2.);
+    t.rate <- Float.max (s_bytes /. 4.) (t.rate /. 2.);
     t.loss_events <- t.loss_events + 1;
     t.last_decrease <- now
   end
-  else t.rate <- t.rate +. (s_bytes t /. t.srtt);
+  else t.rate <- t.rate +. (s_bytes /. t.srtt);
   ignore (Engine.Runtime.after t.rt t.srtt (fun () -> increase_loop t))
 
 let decrease t =
@@ -63,7 +62,7 @@ let decrease t =
   (* At most one multiplicative decrease per RTT: losses within a round
      trip are one congestion signal. *)
   if now -. t.last_decrease > t.srtt then begin
-    t.rate <- Float.max (s_bytes t /. 4.) (t.rate /. 2.);
+    t.rate <- Float.max (s_bytes /. 4.) (t.rate /. 2.);
     t.loss_events <- t.loss_events + 1;
     t.last_decrease <- now
   end

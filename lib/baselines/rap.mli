@@ -15,8 +15,7 @@ type t
 
 val create :
   Engine.Runtime.t ->
-  ?pkt_size:int ->
-  ?initial_rtt:float ->
+  ?initial_rtt:float (** seeds the rate and RTT estimate, default 0.5 s *) ->
   flow:int ->
   transmit:Netsim.Packet.handler ->
   unit ->

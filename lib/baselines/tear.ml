@@ -1,7 +1,9 @@
+let pkt_size = 1000
+let initial_rtt = 0.5
+
 module Sender = struct
   type t = {
     rt : Engine.Runtime.t;
-    pkt_size : int;
     flow : int;
     transmit : Netsim.Packet.handler;
     mutable rate : float;
@@ -10,10 +12,9 @@ module Sender = struct
     mutable seq : int;
   }
 
-  let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ~flow ~transmit () =
+  let create rt ~flow ~transmit () =
     {
       rt;
-      pkt_size;
       flow;
       transmit;
       rate = float_of_int pkt_size /. initial_rtt;
@@ -24,7 +25,7 @@ module Sender = struct
 
   let rec send_loop t =
     let pkt =
-      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size
+      Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:pkt_size
         ~now:(Engine.Runtime.now t.rt)
         (Netsim.Packet.Tfrc_data { rtt = t.rtt })
     in
@@ -32,7 +33,7 @@ module Sender = struct
     t.transmit pkt;
     ignore
       (Engine.Runtime.after t.rt
-         (float_of_int t.pkt_size /. t.rate)
+         (float_of_int pkt_size /. t.rate)
          (fun () -> send_loop t))
 
   (* The receiver dictates the rate; the sender only paces. *)
@@ -43,7 +44,7 @@ module Sender = struct
           let sample = Engine.Runtime.now t.rt -. ts_echo -. ts_delay in
           if sample > 0. then t.rtt <- (0.9 *. t.rtt) +. (0.1 *. sample);
           if recv_rate > 0. then
-            t.rate <- Float.max (float_of_int t.pkt_size /. 8.) recv_rate
+            t.rate <- Float.max (float_of_int pkt_size /. 8.) recv_rate
         end
     | Data | Tcp_ack _ | Tfrc_data _ -> ()
 
@@ -59,10 +60,10 @@ module Sender = struct
 end
 
 module Receiver = struct
+  let ewma = 0.1
+
   type t = {
     rt : Engine.Runtime.t;
-    pkt_size : int;
-    ewma : float;
     flow : int;
     transmit : Netsim.Packet.handler;
     mutable rtt : float; (* piggybacked sender estimate *)
@@ -79,13 +80,10 @@ module Receiver = struct
     mutable fb_seq : int;
   }
 
-  let rec create rt ?(pkt_size = 1000) ?(ewma = 0.1) ?(initial_rtt = 0.5)
-      ~flow ~transmit () =
+  let rec create rt ~flow ~transmit () =
     let t =
       {
         rt;
-        pkt_size;
-        ewma;
         flow;
         transmit;
         rtt = initial_rtt;
@@ -129,10 +127,10 @@ module Receiver = struct
      smoothing there would throttle the startup the window emulation is
      supposed to provide. *)
   let end_round t =
-    let sample = t.cwnd *. float_of_int t.pkt_size /. t.rtt in
+    let sample = t.cwnd *. float_of_int pkt_size /. t.rtt in
     if t.have_rate && t.cwnd >= t.ssthresh then
       t.smoothed_rate <-
-        ((1. -. t.ewma) *. t.smoothed_rate) +. (t.ewma *. sample)
+        ((1. -. ewma) *. t.smoothed_rate) +. (ewma *. sample)
     else begin
       t.smoothed_rate <- sample;
       t.have_rate <- true

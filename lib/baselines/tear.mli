@@ -6,22 +6,22 @@
 
     the {e receiver} emulates a TCP congestion window against the arrival
     stream (slow start, congestion avoidance, halving on a loss, at most
-    once per emulated round), smooths cwnd/RTT with an EWMA, and feeds the
-    resulting rate to the sender, which simply paces at it. Rate changes
+    once per emulated round), smooths cwnd/RTT with an EWMA (weight 0.1 on
+    the newest sample), and feeds the resulting rate to the sender, which
+    simply paces at it. Rate changes
     are smoother than TCP's because of the receiver-side smoothing, but the
     window emulation is still AIMD underneath.
 
     Wire format: the sender emits [Tfrc_data] packets (for the piggybacked
     RTT); the receiver replies with [Tfrc_feedback] whose [recv_rate] field
-    carries the computed allowed rate. *)
+    carries the computed allowed rate. Both ends use 1000-byte packets and
+    start from a 0.5 s RTT estimate. *)
 
 module Sender : sig
   type t
 
   val create :
     Engine.Runtime.t ->
-    ?pkt_size:int ->
-    ?initial_rtt:float ->
     flow:int ->
     transmit:Netsim.Packet.handler ->
     unit ->
@@ -38,9 +38,6 @@ module Receiver : sig
 
   val create :
     Engine.Runtime.t ->
-    ?pkt_size:int ->
-    ?ewma:float (** weight on the newest cwnd/RTT sample, default 0.1 *) ->
-    ?initial_rtt:float ->
     flow:int ->
     transmit:Netsim.Packet.handler ->
     unit ->

@@ -1,8 +1,10 @@
+let pkt_size = 1000
+let s_bytes = float_of_int pkt_size
+let update_interval = 0.5
+let ewma = 0.3
+
 type t = {
   rt : Engine.Runtime.t;
-  pkt_size : int;
-  update_interval : float;
-  ewma : float;
   flow : int;
   transmit : Netsim.Packet.handler;
   mutable rate : float; (* bytes/s *)
@@ -18,16 +20,12 @@ type t = {
   mutable epoch_holes : int;
 }
 
-let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ?(update_interval = 0.5)
-    ?(ewma = 0.3) ~flow ~transmit () =
+let create rt ?(initial_rtt = 0.5) ~flow ~transmit () =
   {
     rt;
-    pkt_size;
-    update_interval;
-    ewma;
     flow;
     transmit;
-    rate = float_of_int pkt_size /. initial_rtt;
+    rate = s_bytes /. initial_rtt;
     srtt = initial_rtt;
     have_rtt = false;
     running = false;
@@ -39,18 +37,16 @@ let create rt ?(pkt_size = 1000) ?(initial_rtt = 0.5) ?(update_interval = 0.5)
     epoch_holes = 0;
   }
 
-let s_bytes t = float_of_int t.pkt_size
-
 let rec send_loop t =
   let now = Engine.Runtime.now t.rt in
   let pkt =
-    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:t.pkt_size ~now
+    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.seq ~size:pkt_size ~now
       Netsim.Packet.Data
   in
   if t.timing = None then t.timing <- Some (t.seq, now);
   t.seq <- t.seq + 1;
   t.transmit pkt;
-  ignore (Engine.Runtime.after t.rt (s_bytes t /. t.rate) (fun () -> send_loop t))
+  ignore (Engine.Runtime.after t.rt (s_bytes /. t.rate) (fun () -> send_loop t))
 
 let rec epoch_loop t =
   (* Loss fraction over the epoch: holes observed in the echo stream over
@@ -59,17 +55,17 @@ let rec epoch_loop t =
   let samples = t.epoch_echoes + t.epoch_holes in
   if samples > 0 then begin
     let frac = float_of_int t.epoch_holes /. float_of_int samples in
-    t.p <- ((1. -. t.ewma) *. t.p) +. (t.ewma *. frac);
+    t.p <- ((1. -. ewma) *. t.p) +. (ewma *. frac);
     if t.p > 1e-6 then
       t.rate <-
-        Float.max (s_bytes t /. 4.)
+        Float.max (s_bytes /. 4.)
           (Tfrc.Response_function.rate Tfrc.Response_function.Pftk
-             ~s:t.pkt_size ~r:t.srtt ~t_rto:(4. *. t.srtt) ~p:t.p)
+             ~s:pkt_size ~r:t.srtt ~t_rto:(4. *. t.srtt) ~p:t.p)
     else t.rate <- 2. *. t.rate
   end;
   t.epoch_echoes <- 0;
   t.epoch_holes <- 0;
-  ignore (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t))
+  ignore (Engine.Runtime.after t.rt update_interval (fun () -> epoch_loop t))
 
 let recv t (pkt : Netsim.Packet.t) =
   match pkt.payload with
@@ -102,7 +98,7 @@ let start t ~at =
          t.running <- true;
          send_loop t;
          ignore
-           (Engine.Runtime.after t.rt t.update_interval (fun () -> epoch_loop t))))
+           (Engine.Runtime.after t.rt update_interval (fun () -> epoch_loop t))))
 
 let rate t = t.rate
 let loss_estimate t = t.p

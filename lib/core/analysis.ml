@@ -19,7 +19,8 @@ let recent_weight ~n =
   let sum = Array.fold_left ( +. ) 0. w in
   w.(0) /. sum
 
-let recent_weight_discounted ?(threshold = 0.25) ~n () =
+let recent_weight_discounted ~n () =
+  let threshold = 0.25 in
   let w = Loss_intervals.weights ~n ~constant:false in
   let sum = ref 0. in
   Array.iteri (fun i x -> sum := !sum +. if i = 0 then x else threshold *. x) w;

@@ -23,6 +23,6 @@ val max_delta_t : w:float -> float
     with the standard decreasing weights: w_1 / sum(w). 1/6 for n = 8. *)
 val recent_weight : n:int -> float
 
-(** Same under maximal history discounting (older weights scaled by
-    [threshold], default 0.25): 0.4-ish for n = 8. *)
-val recent_weight_discounted : ?threshold:float -> n:int -> unit -> float
+(** Same under maximal history discounting (older weights scaled by the
+    0.25 discount threshold): 0.4-ish for n = 8. *)
+val recent_weight_discounted : n:int -> unit -> float

@@ -4,7 +4,6 @@ type t = {
   n_intervals : int;
   history_discounting : bool;
   discount_threshold : float;
-  constant_weights : bool;
   rtt_gain : float;
   delay_gain : bool;
   t_rto_factor : float;
@@ -12,14 +11,12 @@ type t = {
   initial_rtt : float;
   initial_nofb_timeout : float;
   ndupack : int;
-  slow_start : bool;
   min_rate : float;
   feedback_on_loss : bool;
   ecn : bool;
   burst_pkts : int;
   rate_validation : bool;
   t_mbi : float;
-  slow_restart : bool;
 }
 
 (* Every float check is an in-band test, which NaN fails; [finite_pos]
@@ -29,22 +26,12 @@ let unit_interval x = x > 0. && x <= 1.
 
 let validate t =
   let err fmt = Printf.ksprintf invalid_arg fmt in
-  if t.packet_size <= 0 then
-    err "Tfrc_config: packet_size must be positive (got %d)" t.packet_size;
-  if t.feedback_size <= 0 then
-    err "Tfrc_config: feedback_size must be positive (got %d)" t.feedback_size;
   (* The weights of Section 3.3 split the history into two halves. *)
   if t.n_intervals < 2 || t.n_intervals mod 2 <> 0 then
     err "Tfrc_config: n_intervals must be even and at least 2 (got %d)"
       t.n_intervals;
-  if not (unit_interval t.discount_threshold) then
-    err "Tfrc_config: discount_threshold must be in (0, 1] (got %g)"
-      t.discount_threshold;
   if not (unit_interval t.rtt_gain) then
     err "Tfrc_config: rtt_gain must be in (0, 1] (got %g)" t.rtt_gain;
-  if not (finite_pos t.t_rto_factor) then
-    err "Tfrc_config: t_rto_factor must be positive and finite (got %g)"
-      t.t_rto_factor;
   if not (finite_pos t.initial_rtt) then
     err "Tfrc_config: initial_rtt must be positive and finite (got %g)"
       t.initial_rtt;
@@ -61,14 +48,13 @@ let validate t =
     err "Tfrc_config: t_mbi must be positive and finite (got %g)" t.t_mbi;
   t
 
-let default ?(packet_size = 1000) ?(n_intervals = 8) ?(history_discounting = true)
-    ?(constant_weights = false) ?(rtt_gain = 0.1) ?(delay_gain = true)
-    ?(t_rto_factor = 4.) ?(response = Response_function.Pftk)
-    ?(initial_rtt = 0.5) ?(initial_nofb_timeout = 2.) ?(slow_start = true)
-    ?(feedback_on_loss = true)
-    ?(ndupack = 3) ?(ecn = false) ?(burst_pkts = 1)
-    ?(rate_validation = false) ?min_rate ?(t_mbi = 64.) ?(slow_restart = true)
-    () =
+let packet_size = 1000
+
+let default ?(n_intervals = 8) ?(history_discounting = true) ?(rtt_gain = 0.1)
+    ?(delay_gain = true) ?(response = Response_function.Pftk)
+    ?(initial_rtt = 0.5) ?(initial_nofb_timeout = 2.) ?(feedback_on_loss = true)
+    ?(ndupack = 3) ?(ecn = false) ?(burst_pkts = 1) ?(rate_validation = false)
+    ?min_rate ?(t_mbi = 64.) () =
   let min_rate =
     match min_rate with
     | Some r -> r
@@ -81,20 +67,17 @@ let default ?(packet_size = 1000) ?(n_intervals = 8) ?(history_discounting = tru
       n_intervals;
       history_discounting;
       discount_threshold = 0.25;
-      constant_weights;
       rtt_gain;
       delay_gain;
-      t_rto_factor;
+      t_rto_factor = 4.;
       response;
       initial_rtt;
       initial_nofb_timeout;
       ndupack;
-      slow_start;
       min_rate;
       feedback_on_loss;
       ecn;
       burst_pkts;
       rate_validation;
       t_mbi;
-      slow_restart;
     }

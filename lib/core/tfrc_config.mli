@@ -1,15 +1,17 @@
 (** TFRC protocol parameters, with the paper's defaults.
 
     The record is private: {!default} is its only constructor, so every
-    configuration in use has passed its checks. *)
+    configuration in use has passed its checks. The sender always starts
+    in slow start and always restarts slowly after a feedback outage
+    ({!Tfrc_sender}), and the loss-interval history always uses the
+    decreasing weights of Section 3.3. *)
 
 type t = private {
-  packet_size : int;  (** s, bytes (paper: 1000) *)
-  feedback_size : int;  (** feedback packet size, bytes *)
+  packet_size : int;  (** s, bytes: 1000, as in the paper *)
+  feedback_size : int;  (** feedback packet size, bytes: 40 *)
   n_intervals : int;  (** loss-interval history size, even and >= 2; paper: 8 *)
   history_discounting : bool;
   discount_threshold : float;  (** maximum discount, 0.25 *)
-  constant_weights : bool;  (** disable the decreasing weight tail *)
   rtt_gain : float;
       (** EWMA weight on a new RTT sample; the paper recommends a small
           value (0.05-0.1) paired with the interpacket-spacing
@@ -17,7 +19,7 @@ type t = private {
   delay_gain : bool;
       (** scale interpacket spacing by sqrt(R0)/M (Section 3.4); the
           short-term delay-based congestion-avoidance term *)
-  t_rto_factor : float;  (** t_RTO = factor * R; paper heuristic: 4 *)
+  t_rto_factor : float;  (** t_RTO = factor * R: 4, the paper's heuristic *)
   response : Response_function.kind;  (** control equation (Equation 1) *)
   initial_rtt : float;  (** RTT assumed before the first measurement *)
   initial_nofb_timeout : float;
@@ -27,7 +29,6 @@ type t = private {
           before any feedback the RTT "estimate" is only an assumption.
           Default 2. (the RFC value). *)
   ndupack : int;  (** reordering tolerance at the receiver *)
-  slow_start : bool;  (** rate-doubling startup with receive-rate cap *)
   min_rate : float;  (** floor on the sending rate, bytes/s *)
   feedback_on_loss : bool;
       (** send expedited feedback when a new loss event is detected *)
@@ -50,35 +51,25 @@ type t = private {
           (RFC 3448 section 4.4's t_mbi): during a prolonged feedback
           outage the timer's interval grows as the rate halves but never
           beyond this, so the sender keeps probing the path. Default 64. *)
-  slow_restart : bool;
-      (** after no-feedback expirations, cap the rate restored by the next
-          feedback at max(2 * recv_rate, s/R) instead of jumping back to
-          the equation rate computed from stale pre-outage state; the
-          sender then ramps up as fresh receive-rate reports come in
-          (RFC 3448 section 4.4 behavior). Default true. *)
 }
 
 (** Build a configuration, validating it on the way out: every numeric
-    parameter is range-checked ([packet_size] positive; [rtt_gain] in
-    (0, 1]; [t_rto_factor], [initial_rtt], [initial_nofb_timeout],
-    [min_rate] and [t_mbi] positive and finite; [n_intervals] even and at
-    least 2; the other counts at least 1). NaN fails every check, and
-    [Invalid_argument] names the offending field, so a malformed
-    configuration cannot silently misbehave deep inside a simulation.
+    parameter is range-checked ([rtt_gain] in (0, 1]; [initial_rtt],
+    [initial_nofb_timeout], [min_rate] and [t_mbi] positive and finite;
+    [n_intervals] even and at least 2; the other counts at least 1). NaN
+    fails every check, and [Invalid_argument] names the offending field,
+    so a malformed configuration cannot silently misbehave deep inside a
+    simulation.
     [min_rate] defaults to one packet per 64 s ([packet_size] / 64, the
     RFC 3448 minimum of one packet per [t_mbi]). *)
 val default :
-  ?packet_size:int ->
   ?n_intervals:int ->
   ?history_discounting:bool ->
-  ?constant_weights:bool ->
   ?rtt_gain:float ->
   ?delay_gain:bool ->
-  ?t_rto_factor:float ->
   ?response:Response_function.kind ->
   ?initial_rtt:float ->
   ?initial_nofb_timeout:float ->
-  ?slow_start:bool ->
   ?feedback_on_loss:bool ->
   ?ndupack:int ->
   ?ecn:bool ->
@@ -86,6 +77,5 @@ val default :
   ?rate_validation:bool ->
   ?min_rate:float ->
   ?t_mbi:float ->
-  ?slow_restart:bool ->
   unit ->
   t

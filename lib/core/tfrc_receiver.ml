@@ -31,8 +31,7 @@ let rec create rt ~config ~flow ~transmit () =
       intervals =
         Loss_intervals.create ~n:config.Tfrc_config.n_intervals
           ~discounting:config.Tfrc_config.history_discounting
-          ~discount_threshold:config.Tfrc_config.discount_threshold
-          ~constant_weights:config.Tfrc_config.constant_weights ();
+          ~discount_threshold:config.Tfrc_config.discount_threshold ();
       detector = Loss_events.create ~ndupack:config.Tfrc_config.ndupack ();
       rtt = config.Tfrc_config.initial_rtt;
       last_data_sent_at = 0.;
@@ -153,9 +152,7 @@ let recv t (pkt : Netsim.Packet.t) =
         else new_events
       in
       (* This arrival (or its mark) confirmed the first loss ever. *)
-      if (not had_loss) && Loss_events.in_loss t.detector
-         && t.config.Tfrc_config.slow_start
-      then seed_history t;
+      if (not had_loss) && Loss_events.in_loss t.detector then seed_history t;
       if new_events > 0 && t.config.Tfrc_config.feedback_on_loss then
         send_feedback t
   | Data | Tcp_ack _ | Tfrc_feedback _ -> ()

@@ -142,7 +142,7 @@ let create rt ~config ~flow ~transmit () =
           p = 0.;
         };
       data = Netsim.Packet.Tfrc_data { rtt = Rtt_estimator.rtt rtt_est };
-      slow_start = config.Tfrc_config.slow_start;
+      slow_start = true;
       running = false;
       seq = 0;
       packets = 0;
@@ -171,9 +171,7 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
      stale. Don't jump back to the pre-outage rate; cap at twice what the
      receiver is actually getting now (at least one packet per RTT) and let
      subsequent reports ratchet the rate up. *)
-  let recovering =
-    t.config.Tfrc_config.slow_restart && t.expiries_since_fb > 0
-  in
+  let recovering = t.expiries_since_fb > 0 in
   t.expiries_since_fb <- 0;
   let now = Engine.Runtime.now t.rt in
   let rtt_sample = now -. ts_echo -. ts_delay in

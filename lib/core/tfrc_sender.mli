@@ -13,7 +13,7 @@
     no-feedback expirations halve the rate down to
     {!Tfrc_config.t.min_rate}, the timer interval growing with each halving
     up to {!Tfrc_config.t.t_mbi}; when feedback finally returns after such
-    an outage, {!Tfrc_config.t.slow_restart} caps the restored rate at
+    an outage, slow restart caps the restored rate at
     [max(2 * recv_rate, s/R)] — the sender ramps back up from what the
     receiver verifiably gets, never jumping to a rate computed from stale
     pre-outage state. Corrupted feedback packets are discarded. *)

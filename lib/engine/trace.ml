@@ -307,8 +307,7 @@ let catalog =
 
 (* --- JSON ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -317,34 +316,54 @@ let json_escape s =
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
   Buffer.contents buf
 
-let json_float f =
-  if Float.is_nan f then "null"
-  else if f = Float.infinity then "1e999"
-  else if f = Float.neg_infinity then "-1e999"
-  else Printf.sprintf "%.12g" f
+let add_float buf f =
+  if Float.is_nan f then Buffer.add_string buf "null"
+  else if f = Float.infinity then Buffer.add_string buf "1e999"
+  else if f = Float.neg_infinity then Buffer.add_string buf "-1e999"
+  else Printf.bprintf buf "%.12g" f
 
-let json_value = function
-  | Bool b -> string_of_bool b
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+let add_value buf = function
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> add_float buf f
+  | Str s ->
+      Buffer.add_char buf '"';
+      add_escaped buf s;
+      Buffer.add_char buf '"'
 
 (* Category, event and field names are identifiers, so only values need
    escaping. *)
-let to_json ev =
+let add_json buf ev =
   let cat, name, fields = view ev.kind in
-  let fields =
-    List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (json_value v)) fields
-  in
-  Printf.sprintf "{\"t\":%s,\"cat\":\"%s\",\"ev\":\"%s\"%s}" (json_float ev.time)
-    cat name
-    (match fields with [] -> "" | l -> "," ^ String.concat "," l)
+  Buffer.add_string buf "{\"t\":";
+  add_float buf ev.time;
+  Buffer.add_string buf ",\"cat\":\"";
+  Buffer.add_string buf cat;
+  Buffer.add_string buf "\",\"ev\":\"";
+  Buffer.add_string buf name;
+  Buffer.add_char buf '"';
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string buf ",\"";
+      Buffer.add_string buf k;
+      Buffer.add_string buf "\":";
+      add_value buf v)
+    fields;
+  Buffer.add_char buf '}'
+
+let to_json ev =
+  let buf = Buffer.create 128 in
+  add_json buf ev;
+  Buffer.contents buf
 
 (* --- Sinks --------------------------------------------------------------- *)
 

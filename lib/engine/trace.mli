@@ -205,6 +205,10 @@ val catalog : (string * string list) list
     infinities as [1e999] and [-1e999]. *)
 val to_json : event -> string
 
+(** [add_json buf ev] appends [to_json ev] to [buf], for a sink that
+    renders every event into one reused buffer. *)
+val add_json : Buffer.t -> event -> unit
+
 (** JSON string-content escaping (backslash, quote, control characters),
     as {!to_json} applies it; shared with the supervised runner's report. *)
 val json_escape : string -> string

@@ -2,7 +2,8 @@
    mirroring the paper's idealized illustration. *)
 let schedule t = if t < 6. then 0.01 else if t < 9. then 0.10 else 0.005
 
-let samples ?(rtt = 0.1) ~duration () =
+let samples ~duration () =
+  let rtt = 0.1 in
   let out = ref [] in
   (* delay_gain off: the path has no queueing, so the adjustment is inert
      but keeps M warm-up noise out of the plotted rate. *)

@@ -14,6 +14,6 @@ val render :
   unit
 
 (** Raw samples for tests: (time, s0, estimated_interval, p, tx_rate_bytes_s)
-    sampled at each sender rate update. *)
+    sampled at each sender rate update, on a 100 ms path. *)
 val samples :
-  ?rtt:float -> duration:float -> unit -> (float * float * float * float * float) list
+  duration:float -> unit -> (float * float * float * float * float) list

@@ -19,9 +19,9 @@ type result = (string * value) list
    [max_time] caps each Sim.run's virtual clock. *)
 type budget = { max_events : int option; max_time : float option }
 
-type t = { key : string; run : Engine.Rng.t -> result; budget : budget option }
+type t = { key : string; run : Engine.Rng.t -> result }
 
-let make ?budget key run = { key; run; budget }
+let make key run = { key; run }
 
 (* Jobs that need an integer seed for sub-components (e.g. Scenario.run_mixed
    takes [seed : int]) derive one from their keyed stream, so the value still

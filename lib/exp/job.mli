@@ -20,17 +20,13 @@ type result = (string * value) list
 (** A per-cell execution budget, enforced cooperatively by [Engine.Sim.run]
     when the supervised runner installs it around the job: [max_events]
     meters executed simulator events across the whole cell, [max_time]
-    caps each run's virtual clock (seconds). A job's own budget overrides
-    the runner-wide default. *)
+    caps each run's virtual clock (seconds). One budget applies to every
+    cell of a run. *)
 type budget = { max_events : int option; max_time : float option }
 
-type t = {
-  key : string;
-  run : Engine.Rng.t -> result;
-  budget : budget option;  (** default budget for this cell; [None] = the runner's *)
-}
+type t = { key : string; run : Engine.Rng.t -> result }
 
-val make : ?budget:budget -> string -> (Engine.Rng.t -> result) -> t
+val make : string -> (Engine.Rng.t -> result) -> t
 
 (** [derive_seed rng] draws an integer seed for sub-components that take
     [seed : int] (e.g. {!Scenario.run_mixed}), keeping the value a pure

@@ -1,4 +1,7 @@
-let series ppf ~title ~ylabel ?(height = 12) ?(width = 64) points =
+let height = 12
+let width = 64
+
+let series ppf ~title ~ylabel points =
   if points = [] then invalid_arg "Plot: empty series";
   let min_l = List.fold_left Float.min infinity in
   let max_l = List.fold_left Float.max neg_infinity in

@@ -85,7 +85,6 @@ let sim_budget (b : Job.budget) =
    fresh attempt-derived RNG and a fresh budget meter. The final attempt's
    exception decides the failure kind. *)
 let supervise ~seed ~retries ~budget (jb : Job.t) =
-  let budget = match jb.budget with Some _ as b -> b | None -> budget in
   let attempt_once attempt =
     let rng = Engine.Rng.for_attempt ~seed ~attempt jb.key in
     match budget with

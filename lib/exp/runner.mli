@@ -61,10 +61,10 @@ val report_json : report -> string
     [min j n] worker domains with capture-and-replay. A cell that raises
     is retried up to [retries] times (default 0), each attempt with the
     RNG from {!Engine.Rng.for_attempt}; [budget] (default none) installs
-    a cooperative meter around each attempt unless the job carries its
-    own. With [checkpoint], cells found in the store are returned as
-    [Completed] without running (status [`Resumed]) and fresh completions
-    are recorded as they finish.
+    a cooperative meter around each attempt. With [checkpoint], cells
+    found in the store are returned as [Completed] without running
+    (status [`Resumed]) and fresh completions are recorded as they
+    finish.
 
     When supervision is active (retries, a budget, or a checkpoint) and
     the calling domain's trace bus has sinks, per-job ["exp"/"job"] events

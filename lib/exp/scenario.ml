@@ -45,15 +45,15 @@ let echo_sink rt ~flow =
   ( (fun transmit -> Baselines.Echo_sink.create rt ~flow ~transmit ()),
     Baselines.Echo_sink.recv )
 
-let connect_rap topo ~flow ?send ?data ?feedback () =
+let connect_rap topo ~flow ?data ?feedback () =
   let rt = Netsim.Topology.runtime topo in
-  connect topo ~flow ?send ?data ?feedback (echo_sink rt ~flow)
+  connect topo ~flow ?data ?feedback (echo_sink rt ~flow)
     ( (fun transmit -> Baselines.Rap.create rt ~flow ~transmit ()),
       Baselines.Rap.recv )
 
-let connect_tfrcp topo ~flow ?send ?data ?feedback () =
+let connect_tfrcp topo ~flow ?data ?feedback () =
   let rt = Netsim.Topology.runtime topo in
-  connect topo ~flow ?send ?data ?feedback (echo_sink rt ~flow)
+  connect topo ~flow ?data ?feedback (echo_sink rt ~flow)
     ( (fun transmit -> Baselines.Tfrcp.create rt ~flow ~transmit ()),
       Baselines.Tfrcp.recv )
 

@@ -48,21 +48,21 @@ val connect_tcp :
   unit ->
   Tcpsim.Tcp_sender.t * Tcpsim.Tcp_sink.t
 
-(** {!connect} for a RAP sender over an {!Baselines.Echo_sink}. *)
+(** {!connect} for a RAP sender over an {!Baselines.Echo_sink}; the
+    sender transmits into the source port unwrapped. *)
 val connect_rap :
   Netsim.Topology.t ->
   flow:int ->
-  ?send:wrap ->
   ?data:wrap ->
   ?feedback:wrap ->
   unit ->
   Baselines.Rap.t * Baselines.Echo_sink.t
 
-(** {!connect} for a TFRCP sender over an {!Baselines.Echo_sink}. *)
+(** {!connect} for a TFRCP sender over an {!Baselines.Echo_sink}, as
+    {!connect_rap}. *)
 val connect_tfrcp :
   Netsim.Topology.t ->
   flow:int ->
-  ?send:wrap ->
   ?data:wrap ->
   ?feedback:wrap ->
   unit ->

@@ -24,11 +24,11 @@ let f2 v = Printf.sprintf "%.2f" v
 let f3 v = Printf.sprintf "%.3f" v
 let f4 v = Printf.sprintf "%.4f" v
 
-let series ppf ~label ?(fmt = f2) pairs =
+let series ppf ~label pairs =
   Format.fprintf ppf "%s:@." label;
   List.iteri
     (fun i (t, v) ->
-      Format.fprintf ppf " %6.2f:%-8s" t (fmt v);
+      Format.fprintf ppf " %6.2f:%-8s" t (f2 v);
       if (i + 1) mod 6 = 0 then Format.fprintf ppf "@.")
     pairs;
   if List.length pairs mod 6 <> 0 then Format.fprintf ppf "@."

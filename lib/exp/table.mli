@@ -6,9 +6,9 @@
 val print : Format.formatter -> header:string list -> string list list -> unit
 
 (** [series ppf ~label pairs] prints "label: t=v t=v ..." rows of a
-    (time, value) series, one pair per column, wrapped. *)
-val series :
-  Format.formatter -> label:string -> ?fmt:(float -> string) -> (float * float) list -> unit
+    (time, value) series, one pair per column, wrapped, values to two
+    decimals. *)
+val series : Format.formatter -> label:string -> (float * float) list -> unit
 
 val f2 : float -> string
 val f3 : float -> string

@@ -20,19 +20,25 @@ type probe = {
   mutable digest : int;
 }
 
-(* FNV-1a over each event's JSON rendering. The constants are part of
-   the pinned digests in the topology and scheduler tests. *)
+(* FNV-1a over each event's JSON rendering, written into one reused
+   buffer. The constants are part of the pinned digests in the topology
+   and scheduler tests. *)
 let probe () =
   let bus = Engine.Trace.create ~ring:40 () in
   let checker = Tfrc.Invariants.create () in
   Tfrc.Invariants.attach checker bus;
   let p = { bus; checker; digest = 0x811c9dc5 } in
-  let mix c = p.digest <- (p.digest lxor Char.code c) * 0x100000001b3 in
-  Engine.Trace.add_sink bus
-    {
-      Engine.Trace.emit = (fun ev -> String.iter mix (Engine.Trace.to_json ev));
-      close = ignore;
-    };
+  let buf = Buffer.create 256 in
+  let emit ev =
+    Buffer.clear buf;
+    Engine.Trace.add_json buf ev;
+    let d = ref p.digest in
+    for i = 0 to Buffer.length buf - 1 do
+      d := (!d lxor Char.code (Buffer.nth buf i)) * 0x100000001b3
+    done;
+    p.digest <- !d
+  in
+  Engine.Trace.add_sink bus { Engine.Trace.emit; close = ignore };
   p
 
 let tail p = List.map Engine.Trace.to_json (Engine.Trace.recent p.bus)
@@ -67,16 +73,15 @@ let twice ~fingerprint run =
         };
       ] )
 
-let mean_pktsize = 1000.
+let queue_spec (sc : Scenario.t) =
+  match sc.queue with
+  | Scenario.Droptail limit -> Netsim.Dumbbell.Droptail_q limit
+  | Scenario.Red { min_th; max_th; limit } ->
+      Netsim.Dumbbell.Red_q (Netsim.Red.params ~min_th ~max_th ~limit_pkts:limit ())
 
 let make_queue (sc : Scenario.t) sim () =
-  match sc.queue with
-  | Scenario.Droptail limit -> Netsim.Droptail.create ~limit_pkts:limit
-  | Scenario.Red { min_th; max_th; limit } ->
-      let params = Netsim.Red.params ~min_th ~max_th ~limit_pkts:limit () in
-      Netsim.Red.create ~params
-        ~now:(fun () -> Engine.Sim.now sim)
-        ~ptc:(sc.bandwidth /. (8. *. mean_pktsize))
+  Netsim.Dumbbell.make_queue (Engine.Sim.runtime sim) ~bandwidth:sc.bandwidth
+    (queue_spec sc)
 
 (* Flow endpoints on a [Graph] scenario: a pure function of flow index
    and node count, so the scenario file alone still replays the run. *)
@@ -91,16 +96,9 @@ let graph_endpoints ~nodes ~flow =
 let build_net sim (sc : Scenario.t) =
   match sc.topology with
   | Scenario.Dumbbell ->
-      let queue =
-        match sc.queue with
-        | Scenario.Droptail limit -> Netsim.Dumbbell.Droptail_q limit
-        | Scenario.Red { min_th; max_th; limit } ->
-            Netsim.Dumbbell.Red_q
-              (Netsim.Red.params ~min_th ~max_th ~limit_pkts:limit ())
-      in
       let db =
         Netsim.Dumbbell.create (Engine.Sim.runtime sim) ~bandwidth:sc.bandwidth
-          ~delay:sc.delay ~queue ()
+          ~delay:sc.delay ~queue:(queue_spec sc) ()
       in
       List.iteri
         (fun flow (f : Scenario.flow) ->

@@ -68,7 +68,7 @@ let generate ~id rng =
         (* A send blackout long enough that the no-feedback machinery
            demonstrably halves to the floor and the supervisor declares
            the peer dead at least once: halving to min_rate takes at
-           most ~initial_nofb + 6 * t_mbi, then dead_expiries more. *)
+           most ~initial_nofb + 6 * t_mbi, then three more expiries. *)
         let t1 = t0 +. 5.5 +. Engine.Rng.float rng 2.5 in
         ({ snd_plan with Wire.Faultio.send_blackout = Some (t0, t1) }, t1)
     | Steady | Close ->
@@ -114,8 +114,7 @@ let case_summary c =
    in one fault window. *)
 let soak_sup =
   {
-    Wire.Supervisor.default_config with
-    backoff_base = 0.25;
+    Wire.Supervisor.backoff_base = 0.25;
     backoff_max = 2.;
     close_timeout = 0.5;
     health_period = 0.05;

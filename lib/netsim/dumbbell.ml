@@ -10,18 +10,18 @@ type t = {
   bwd : Link.t;
 }
 
-let make_queue rt ~spec ~bandwidth ~mean_pktsize =
-  match spec with
+let mean_pktsize = 1000
+
+let make_queue rt ~bandwidth = function
   | Droptail_q limit -> Droptail.create ~limit_pkts:limit
   | Red_q params ->
       Red.create ~params
         ~now:(fun () -> Engine.Runtime.now rt)
         ~ptc:(bandwidth /. (8. *. float_of_int mean_pktsize))
 
-let create rt ~bandwidth ~delay ~queue ?reverse_queue ?(mean_pktsize = 1000) () =
-  let reverse_queue = Option.value reverse_queue ~default:queue in
-  let fwd_q = make_queue rt ~spec:queue ~bandwidth ~mean_pktsize in
-  let bwd_q = make_queue rt ~spec:reverse_queue ~bandwidth ~mean_pktsize in
+let create rt ~bandwidth ~delay ~queue () =
+  let fwd_q = make_queue rt ~bandwidth queue in
+  let bwd_q = make_queue rt ~bandwidth queue in
   let fwd = Link.create rt ~label:"bottleneck-fwd" ~bandwidth ~delay ~queue:fwd_q () in
   let bwd = Link.create rt ~label:"bottleneck-bwd" ~bandwidth ~delay ~queue:bwd_q () in
   let topo = Topology.create rt () in

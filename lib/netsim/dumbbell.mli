@@ -19,20 +19,22 @@ type queue_spec =
   | Droptail_q of int  (** buffer limit in packets *)
   | Red_q of Red.params
 
+(** [make_queue rt ~bandwidth spec] builds a fresh discipline of [spec]
+    for a link of [bandwidth] bits/s on [rt]. RED ages its idle-time
+    average at that link's rate of 1000-byte packets. *)
+val make_queue : Engine.Runtime.t -> bandwidth:float -> queue_spec -> Queue_disc.t
+
 type t
 
 (** [create rt ~bandwidth ~delay ~queue ()] builds the bottleneck pair on
     the given sans-IO runtime (use [Engine.Sim.runtime sim] under the
     simulator). [bandwidth] in bits/s, [delay] one-way propagation of the
-    bottleneck. [reverse_queue] defaults to [queue]. [mean_pktsize]
-    (default 1000) calibrates RED's idle-time aging. *)
+    bottleneck. Each direction gets its own queue of [queue]. *)
 val create :
   Engine.Runtime.t ->
   bandwidth:float ->
   delay:float ->
   queue:queue_spec ->
-  ?reverse_queue:queue_spec ->
-  ?mean_pktsize:int ->
   unit ->
   t
 

@@ -8,19 +8,18 @@ let fault_ev rt link event =
   if Engine.Trace.active tr then
     Engine.Trace.emit tr ~time:(Engine.Runtime.now rt) (event (Link.label link))
 
-let outage rt link ~at ~duration ?(policy = Link.Drop_queued) () =
+let outage rt link ~at ~duration () =
   if duration < 0. then invalid_arg "Faults.outage: negative duration";
   ignore
     (Engine.Runtime.at rt at (fun () ->
-         Link.set_up link ~policy false;
+         Link.set_up link false;
          fault_ev rt link (fun link -> Fault_outage_start { link; duration })));
   ignore
     (Engine.Runtime.at rt (at +. duration) (fun () ->
          Link.set_up link true;
          fault_ev rt link (fun link -> Fault_outage_end { link })))
 
-let flapping rt link ~start ~stop ~period ~down_fraction ?(policy = Link.Drop_queued)
-    () =
+let flapping rt link ~start ~stop ~period ~down_fraction () =
   if period <= 0. then invalid_arg "Faults.flapping: period must be positive";
   if down_fraction < 0. || down_fraction > 1. then
     invalid_arg "Faults.flapping: down_fraction must be in [0, 1]";
@@ -30,7 +29,7 @@ let flapping rt link ~start ~stop ~period ~down_fraction ?(policy = Link.Drop_qu
       let down_at = at +. up_span in
       if down_at < stop then begin
         ignore
-          (Engine.Runtime.at rt down_at (fun () -> Link.set_up link ~policy false));
+          (Engine.Runtime.at rt down_at (fun () -> Link.set_up link false));
         let up_at = Float.min (at +. period) stop in
         ignore (Engine.Runtime.at rt up_at (fun () -> Link.set_up link true));
         cycle (at +. period)

@@ -17,22 +17,21 @@
 
 (** {1 Link faults} *)
 
-(** [outage rt link ~at ~duration ?policy ()] takes the link down at time
-    [at] and restores it [duration] seconds later. [policy] (default
-    [Drop_queued]) governs packets queued at the moment of failure. *)
+(** [outage rt link ~at ~duration ()] takes the link down at time [at],
+    flushing its queue ({!Link.set_up}), and restores it [duration] seconds
+    later. *)
 val outage :
   Engine.Runtime.t ->
   Link.t ->
   at:float ->
   duration:float ->
-  ?policy:Link.down_policy ->
   unit ->
   unit
 
-(** [flapping rt link ~start ~stop ~period ~down_fraction ?policy ()]
-    makes the link flap between [start] and [stop]: each [period] it is up
-    for [(1 - down_fraction) * period] then down for the rest. The link is
-    left up at [stop]. *)
+(** [flapping rt link ~start ~stop ~period ~down_fraction ()] makes the
+    link flap between [start] and [stop]: each [period] it is up for
+    [(1 - down_fraction) * period] then down for the rest, each going-down
+    flushing its queue. The link is left up at [stop]. *)
 val flapping :
   Engine.Runtime.t ->
   Link.t ->
@@ -40,7 +39,6 @@ val flapping :
   stop:float ->
   period:float ->
   down_fraction:float ->
-  ?policy:Link.down_policy ->
   unit ->
   unit
 

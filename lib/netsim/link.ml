@@ -1,4 +1,3 @@
-type down_policy = Drop_queued | Hold_queued
 
 type t = {
   rt : Engine.Runtime.t;
@@ -175,25 +174,21 @@ let create rt ?label ~bandwidth ~delay ~queue () =
   in
   t
 
-let set_up t ?(policy = Drop_queued) up =
+let set_up t up =
   if up <> t.up then begin
     t.up <- up;
     if tracing t then
       ev t (if up then Link_up { link = t.label } else Link_down { link = t.label });
     if not up then begin
       (* Packets already serialized are on the wire and still arrive; the
-         transmitter stalls at the next head-of-line packet. *)
-      match policy with
-      | Hold_queued -> ()
-      | Drop_queued ->
-          (* Flush through the discipline's drain op, which books the
-             flushed packets as drops in one place. Dequeuing them here
-             would count each as a departure (as if delivered) *and* an
-             outage drop — double-counted and mis-bucketed, skewing
-             Flowmon and the conservation invariant. *)
-          let flushed = t.queue.Queue_disc.drain () in
-          t.outage_drops <- t.outage_drops + List.length flushed;
-          List.iter (fun pkt -> drop ~reason:"outage" t pkt) flushed
+         queued ones are flushed through the discipline's drain op, which
+         books them as drops in one place. Dequeuing them here would count
+         each as a departure (as if delivered) *and* an outage drop —
+         double-counted and mis-bucketed, skewing Flowmon and the
+         conservation invariant. *)
+      let flushed = t.queue.Queue_disc.drain () in
+      t.outage_drops <- t.outage_drops + List.length flushed;
+      List.iter (fun pkt -> drop ~reason:"outage" t pkt) flushed
     end
     else if not t.busy then start_tx t;
     emit_queue_stats t;

@@ -13,12 +13,6 @@
 
 type t
 
-(** What happens to packets sitting in the queue when the link goes down:
-    [Drop_queued] flushes them through the drop listeners (a router losing
-    power), [Hold_queued] parks them until the link comes back (a pause or
-    layer-2 rerouting hiccup). *)
-type down_policy = Drop_queued | Hold_queued
-
 (** [create rt ?label ~bandwidth ~delay ~queue ()] makes a link, initially
     up, on the given sans-IO runtime (use [Engine.Sim.runtime sim] under the
     simulator). Set the destination with [set_dest] before sending. [label]
@@ -62,17 +56,17 @@ val send : t -> Packet.t -> unit
     whether dropped by the queue discipline or by an outage. *)
 val on_drop : t -> Packet.handler -> unit
 
-(** [set_up t ?policy up] changes the link's operational state. Going down
-    applies [policy] (default [Drop_queued]) to queued packets and stalls
+(** [set_up t up] changes the link's operational state. Going down
+    flushes the queued packets, as a router losing power does, and stalls
     the transmitter; packets already serialized still propagate. While
-    down, [send] drops immediately. Coming up resumes transmission of any
-    held queue. No-op if the state is unchanged.
+    down, [send] drops immediately. Coming up restarts the transmitter.
+    No-op if the state is unchanged.
 
-    [Drop_queued] flushes via the discipline's [drain] operation, so the
+    The flush goes through the discipline's [drain] operation, so the
     flushed packets are booked as queue {e drops} (not departures) exactly
     once, keeping [Queue_disc] stats conservation exact; each flushed
     packet then reaches the drop listeners with reason ["outage"]. *)
-val set_up : t -> ?policy:down_policy -> bool -> unit
+val set_up : t -> bool -> unit
 
 (** [ns2_sink ~label oc] is a trace-bus sink that writes the [link/deliver]
     and [link/drop] events of the link labelled [label] to [oc] in ns-2

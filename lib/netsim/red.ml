@@ -1,19 +1,13 @@
-type params = {
-  w_q : float;
-  min_th : float;
-  max_th : float;
-  max_p : float;
-  gentle : bool;
-  limit_pkts : int;
-  ecn : bool;
-}
+type params = { min_th : float; max_th : float; limit_pkts : int; ecn : bool }
 
-let params ?(w_q = 0.002) ?(max_p = 0.1) ?(gentle = true) ?(ecn = false)
-    ~min_th ~max_th ~limit_pkts () =
+let w_q = 0.002
+let max_p = 0.1
+
+let params ?(ecn = false) ~min_th ~max_th ~limit_pkts () =
   if min_th <= 0. || max_th <= min_th then
     invalid_arg "Red.params: need 0 < min_th < max_th";
   if limit_pkts <= 0 then invalid_arg "Red.params: limit must be positive";
-  { w_q; min_th; max_th; max_p; gentle; limit_pkts; ecn }
+  { min_th; max_th; limit_pkts; ecn }
 
 (* All floats, so stored unboxed: writing the average allocates nothing. *)
 type avg = {
@@ -48,13 +42,13 @@ let update_avg st len =
     (* Age the average across the idle period: pretend m small packets
        could have been transmitted. *)
     let m = st.ptc *. (st.now () -. f.idle_since) in
-    f.avg <- f.avg *. ((1. -. st.p.w_q) ** Float.max 0. m)
+    f.avg <- f.avg *. ((1. -. w_q) ** Float.max 0. m)
   end
-  else f.avg <- f.avg +. (st.p.w_q *. (qlen -. f.avg))
+  else f.avg <- f.avg +. (w_q *. (qlen -. f.avg))
 
 (* Returns [true] when the arriving packet should be dropped early. *)
 let early_drop st =
-  let { min_th; max_th; max_p; gentle; _ } = st.p in
+  let { min_th; max_th; _ } = st.p in
   let avg = st.f.avg in
   if avg < min_th then begin
     st.count <- -1;
@@ -63,7 +57,7 @@ let early_drop st =
   else begin
     let p_b =
       if avg < max_th then max_p *. (avg -. min_th) /. (max_th -. min_th)
-      else if gentle && avg < 2. *. max_th then
+      else if avg < 2. *. max_th then
         max_p +. ((1. -. max_p) *. (avg -. max_th) /. max_th)
       else 1.
     in

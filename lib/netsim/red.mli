@@ -1,33 +1,27 @@
 (** Random Early Detection queue management (Floyd & Jacobson 1993), with
-    the "gentle" extension enabled in the paper's simulations.
+    the "gentle" extension the paper's simulations use.
 
-    Average queue length is an EWMA updated at each arrival, with idle-time
-    compensation based on the link's packet transmission capacity. Between
-    [min_th] and [max_th] the drop probability rises linearly to [max_p];
-    with [gentle], between [max_th] and [2*max_th] it rises linearly from
-    [max_p] to 1 instead of jumping to forced drop. The inter-drop spacing
+    Average queue length is an EWMA (weight [w_q = 0.002], as ns-2)
+    updated at each arrival, with idle-time compensation based on the
+    link's packet transmission capacity. Between [min_th] and [max_th] the
+    drop probability rises linearly to [max_p = 0.1]; between [max_th] and
+    [2*max_th] it rises linearly from [max_p] to 1, and only above that
+    does every arrival drop. The inter-drop spacing
     uniformization (count-based p_a = p_b / (1 - count*p_b)) follows the
     original paper. *)
 
 type params = {
-  w_q : float;  (** EWMA weight for the average queue (default 0.002) *)
   min_th : float;  (** packets *)
   max_th : float;  (** packets *)
-  max_p : float;
-  gentle : bool;
   limit_pkts : int;  (** physical buffer limit *)
   ecn : bool;
       (** mark ECN-capable packets on early congestion instead of dropping
           them (physical overflow still drops) *)
 }
 
-(** Defaults modelled on ns-2: [w_q = 0.002], [max_p = 0.1],
-    [gentle = true], [ecn = false]. [min_th], [max_th] and [limit_pkts]
-    must be given. *)
+(** [ecn] defaults to [false]. Raises [Invalid_argument] unless
+    [0 < min_th < max_th] and [limit_pkts > 0]. *)
 val params :
-  ?w_q:float ->
-  ?max_p:float ->
-  ?gentle:bool ->
   ?ecn:bool ->
   min_th:float ->
   max_th:float ->

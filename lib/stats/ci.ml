@@ -1,42 +1,25 @@
 type t = { mean : float; half_width : float; n : int }
 
-(* Two-sided Student's t critical values by degrees of freedom; rows for the
-   confidence levels we support. Values beyond df=30 use the normal
-   approximation. *)
+(* Two-sided Student's t critical values at 90% by degrees of freedom.
+   Values beyond df=30 use the normal approximation. *)
 let t_table_90 =
   [| 6.314; 2.920; 2.353; 2.132; 2.015; 1.943; 1.895; 1.860; 1.833; 1.812;
      1.796; 1.782; 1.771; 1.761; 1.753; 1.746; 1.740; 1.734; 1.729; 1.725;
      1.721; 1.717; 1.714; 1.711; 1.708; 1.706; 1.703; 1.701; 1.699; 1.697 |]
 
-let t_table_95 =
-  [| 12.706; 4.303; 3.182; 2.776; 2.571; 2.447; 2.365; 2.306; 2.262; 2.228;
-     2.201; 2.179; 2.160; 2.145; 2.131; 2.120; 2.110; 2.101; 2.093; 2.086;
-     2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052; 2.048; 2.045; 2.042 |]
-
-let t_table_99 =
-  [| 63.657; 9.925; 5.841; 4.604; 4.032; 3.707; 3.499; 3.355; 3.250; 3.169;
-     3.106; 3.055; 3.012; 2.977; 2.947; 2.921; 2.898; 2.878; 2.861; 2.845;
-     2.831; 2.819; 2.807; 2.797; 2.787; 2.779; 2.771; 2.763; 2.756; 2.750 |]
-
-let critical ~level ~df =
-  let table, z =
-    if Float.abs (level -. 0.90) < 1e-9 then (t_table_90, 1.645)
-    else if Float.abs (level -. 0.95) < 1e-9 then (t_table_95, 1.960)
-    else if Float.abs (level -. 0.99) < 1e-9 then (t_table_99, 2.576)
-    else invalid_arg "Ci: unsupported confidence level"
-  in
+let critical ~df =
   if df < 1 then 0.
-  else if df <= Array.length table then table.(df - 1)
-  else z
+  else if df <= Array.length t_table_90 then t_table_90.(df - 1)
+  else 1.645
 
-let of_samples ?(level = 0.90) xs =
+let of_samples xs =
   let r = Running.of_array xs in
   let n = Running.count r in
   let mean = Running.mean r in
   if n < 2 then { mean; half_width = 0.; n }
   else begin
     let se = Running.stddev r /. sqrt (float_of_int n) in
-    { mean; half_width = critical ~level ~df:(n - 1) *. se; n }
+    { mean; half_width = critical ~df:(n - 1) *. se; n }
   end
 
 let lower t = t.mean -. t.half_width

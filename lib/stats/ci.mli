@@ -6,10 +6,10 @@
 
 type t = { mean : float; half_width : float; n : int }
 
-(** [of_samples ?level xs] computes the mean and the half-width of the
-    confidence interval at [level] (default [0.90]). With fewer than two
-    samples the half-width is 0. Supported levels: 0.90, 0.95, 0.99. *)
-val of_samples : ?level:float -> float array -> t
+(** [of_samples xs] computes the mean and the half-width of the 90%
+    confidence interval, the paper's level. With fewer than two samples
+    the half-width is 0. *)
+val of_samples : float array -> t
 
 val lower : t -> float
 val upper : t -> float

@@ -8,25 +8,23 @@ type floats = {
   mutable backoff : float; (* multiplier, power of two *)
 }
 
+let max_rto = 64.
+let initial_rto = 3.0
+
 type t = {
   granularity : float;
   min_rto : float;
-  max_rto : float;
-  initial_rto : float;
   mode : mode;
   fl : floats;
   mutable have_sample : bool;
 }
 
-let create ?(granularity = 0.) ?(min_rto = 1.0) ?(max_rto = 64.) ?(initial_rto = 3.0)
-    ?(mode = `Normal) () =
+let create ?(granularity = 0.) ?(min_rto = 1.0) ?(mode = `Normal) () =
   if granularity < 0. then invalid_arg "Rto.create: negative granularity";
   if min_rto <= 0. || max_rto < min_rto then invalid_arg "Rto.create: bad bounds";
   {
     granularity;
     min_rto;
-    max_rto;
-    initial_rto;
     mode;
     fl = { srtt = 0.; rttvar = 0.; backoff = 1. };
     have_sample = false;
@@ -56,7 +54,7 @@ let[@inline] quantize t v =
 let[@inline] rto t =
   let fl = t.fl in
   let base =
-    if not t.have_sample then t.initial_rto
+    if not t.have_sample then initial_rto
     else
       match t.mode with
       | `Normal -> fl.srtt +. (4. *. fl.rttvar)
@@ -65,7 +63,7 @@ let[@inline] rto t =
           1.2 *. fl.srtt
   in
   let floor_rto = match t.mode with `Normal -> t.min_rto | `Aggressive -> 0.05 in
-  Float.min t.max_rto (Float.max floor_rto (quantize t base) *. fl.backoff)
+  Float.min max_rto (Float.max floor_rto (quantize t base) *. fl.backoff)
 
 let backoff t = t.fl.backoff <- Float.min 64. (t.fl.backoff *. 2.)
 let reset_backoff t = t.fl.backoff <- 1.

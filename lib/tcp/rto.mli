@@ -12,11 +12,10 @@ type mode = [ `Normal | `Aggressive ]
 
 type t
 
+(** The timeout is 3 s before the first sample and never exceeds 64 s. *)
 val create :
   ?granularity:float (** rounding unit for the timeout, default 0. *) ->
   ?min_rto:float (** default 1.0 s, RFC 2988 *) ->
-  ?max_rto:float (** default 64 s *) ->
-  ?initial_rto:float (** before any sample, default 3.0 s *) ->
   ?mode:mode ->
   unit ->
   t
@@ -32,14 +31,14 @@ val rttvar : t -> float
 
 (** [rto t] is the current timeout including backoff: the smoothed RTT
     plus four mean deviations ([1.2 * srtt] in [`Aggressive] mode, and
-    [initial_rto] before any sample), quantized to the granularity, raised
-    to the floor ([min_rto], or 0.05 s in [`Aggressive] mode), times the
-    backoff, capped at [max_rto]. The state is held unboxed and [rto] is
+    3 s before any sample), quantized to the granularity, raised to the
+    floor ([min_rto], or 0.05 s in [`Aggressive] mode), times the backoff,
+    capped at 64 s. The state is held unboxed and [rto] is
     inlined where the build allows cross-module inlining, so a caller
     that uses the result in float arithmetic boxes nothing. *)
 val rto : t -> float
 
-(** [backoff t] doubles the timeout (capped at [max_rto]). *)
+(** [backoff t] doubles the timeout (capped at 64 s). *)
 val backoff : t -> unit
 
 (** [reset_backoff t] clears exponential backoff after a valid sample. *)

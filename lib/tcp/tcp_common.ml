@@ -2,7 +2,6 @@ type variant = Tahoe | Reno | Newreno | Sack
 
 type config = {
   variant : variant;
-  mss : int;
   ack_size : int;
   init_cwnd : float;
   max_cwnd : float;
@@ -10,19 +9,16 @@ type config = {
   granularity : float;
   min_rto : float;
   rto_mode : Rto.mode;
-  delack : bool;
-  delack_timeout : float;
   ecn : bool;
   ai : float;
   md : float;
 }
 
-let default ?(variant = Sack) ?(mss = 1000) ?(init_cwnd = 2.) ?(max_cwnd = 10000.)
-    ?(granularity = 0.) ?(min_rto = 0.2) ?(rto_mode = `Normal) ?(delack = false)
-    ?(ecn = false) ?(ai = 1.) ?(md = 0.5) () =
+let default ?(variant = Sack) ?(init_cwnd = 2.) ?(max_cwnd = 10000.)
+    ?(granularity = 0.) ?(min_rto = 0.2) ?(rto_mode = `Normal) ?(ecn = false)
+    ?(ai = 1.) ?(md = 0.5) () =
   {
     variant;
-    mss;
     ack_size = 40;
     init_cwnd;
     max_cwnd;
@@ -30,8 +26,6 @@ let default ?(variant = Sack) ?(mss = 1000) ?(init_cwnd = 2.) ?(max_cwnd = 10000
     granularity;
     min_rto;
     rto_mode;
-    delack;
-    delack_timeout = 0.1;
     ecn;
     ai;
     md;

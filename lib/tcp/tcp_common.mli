@@ -1,7 +1,8 @@
 (** Shared TCP configuration.
 
-    Sequence numbers count packets (segments), as in ns-2; all segments
-    carry [mss] bytes. The paper's headline comparisons use Sack1 TCP;
+    Sequence numbers count packets (segments), as in ns-2; every data
+    segment carries 1000 bytes, the paper's packet size, and the sink acks
+    every segment. The paper's headline comparisons use Sack1 TCP;
     Tahoe/Reno/NewReno are provided because Section 4.1 also evaluates
     against them ("we have also looked at Tahoe and Reno..."). *)
 
@@ -9,7 +10,6 @@ type variant = Tahoe | Reno | Newreno | Sack
 
 type config = {
   variant : variant;
-  mss : int;  (** segment size, bytes (paper: 1000) *)
   ack_size : int;  (** ack packet size, bytes *)
   init_cwnd : float;  (** initial congestion window, packets *)
   max_cwnd : float;  (** receiver-advertised window, packets *)
@@ -17,8 +17,6 @@ type config = {
   granularity : float;  (** RTO clock granularity, seconds *)
   min_rto : float;
   rto_mode : Rto.mode;
-  delack : bool;  (** delayed acknowledgements at the sink *)
-  delack_timeout : float;
   ecn : bool;  (** negotiate ECN: data marked instead of dropped at an
                    ECN queue; the sender halves once per window on ECE *)
   ai : float;  (** additive increase per RTT, packets (standard TCP: 1) *)
@@ -27,15 +25,17 @@ type config = {
           (standard TCP: 0.5; DECbit-style smooth AIMD: 7/8) *)
 }
 
+(** [default ()] is Sack with a 2-packet initial window, a 10000-packet
+    advertised window, a fine clock, a 0.2 s minimum RTO and standard
+    AIMD (1 packet per RTT, halving). [init_cwnd], [max_cwnd], [ai] and
+    [md] let the dynamics tests size windows and the decrease. *)
 val default :
   ?variant:variant ->
-  ?mss:int ->
   ?init_cwnd:float ->
   ?max_cwnd:float ->
   ?granularity:float ->
   ?min_rto:float ->
   ?rto_mode:Rto.mode ->
-  ?delack:bool ->
   ?ecn:bool ->
   ?ai:float ->
   ?md:float ->

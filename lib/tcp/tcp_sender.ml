@@ -1,3 +1,6 @@
+(* Data segment size in bytes: the paper's packet size. *)
+let mss = 1000
+
 type stats = {
   mutable packets_sent : int;
   mutable retransmits : int;
@@ -100,7 +103,7 @@ and send_seq t seq =
   let retransmit = seq < t.high_water in
   if not retransmit then t.high_water <- seq + 1;
   let pkt =
-    Netsim.Packet.make t.rt ~ecn:t.config.ecn ~flow:t.flow ~seq ~size:t.config.mss
+    Netsim.Packet.make t.rt ~ecn:t.config.ecn ~flow:t.flow ~seq ~size:mss
       ~now:(Engine.Runtime.now t.rt) Netsim.Packet.Data
   in
   t.stats.packets_sent <- t.stats.packets_sent + 1;

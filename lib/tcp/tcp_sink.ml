@@ -7,8 +7,6 @@ type t = {
   ooo : Seq_window.t; (* out-of-order packets; left edge next_expected *)
   mutable last_arrival : int; (* most recently arrived seq, for SACK order *)
   mutable bytes : int;
-  mutable unacked : int; (* data packets since last ack (delack) *)
-  mutable delack_timer : Engine.Runtime.handle;
   mutable ce_pending : bool; (* a CE mark not yet echoed *)
 }
 
@@ -22,14 +20,10 @@ let create rt ~config ~flow ~transmit () =
     ooo = Seq_window.create ();
     last_arrival = -1;
     bytes = 0;
-    unacked = 0;
-    delack_timer = Engine.Runtime.null_handle;
     ce_pending = false;
   }
 
 let send_ack t =
-  t.unacked <- 0;
-  Engine.Runtime.cancel t.delack_timer;
   let pkt =
     Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.next_expected ~size:t.config.ack_size
       ~now:(Engine.Runtime.now t.rt)
@@ -61,18 +55,7 @@ let recv t (pkt : Netsim.Packet.t) =
         Seq_window.advance t.ooo t.next_expected
       end
       else if pkt.seq > t.next_expected then Seq_window.add t.ooo pkt.seq;
-      (* Immediate ack on any gap/out-of-order or when delack is off;
-         otherwise ack every second segment or on timer. *)
-      let gap = (not in_order) || Seq_window.cardinal t.ooo > 0 in
-      if (not t.config.delack) || gap then send_ack t
-      else begin
-        t.unacked <- t.unacked + 1;
-        if t.unacked >= 2 then send_ack t
-        else if not (Engine.Runtime.is_pending t.delack_timer) then
-          t.delack_timer <-
-            Engine.Runtime.after t.rt t.config.delack_timeout (fun () ->
-                if t.unacked > 0 then send_ack t)
-      end
+      send_ack t
   | Tcp_ack _ | Tfrc_feedback _ -> ()
 
 let bytes_received t = t.bytes

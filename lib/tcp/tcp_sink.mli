@@ -1,7 +1,7 @@
 (** TCP receiver: cumulative acknowledgements plus SACK blocks.
 
-    Acks every data packet (or every second packet with delayed acks; gaps
-    force an immediate duplicate ack, per RFC 5681). SACK blocks report
+    Acks every data packet at once, so a gap yields an immediate duplicate
+    ack (RFC 5681). SACK blocks report
     out-of-order data as half-open packet ranges, block containing the most
     recent arrival first, up to three blocks. *)
 

@@ -3,17 +3,17 @@ type t = {
   rng : Engine.Rng.t;
   arrival_rate : float;
   mean_size : float;
-  shape : float;
   rtt_base : float;
-  config : Tcpsim.Tcp_common.config;
   mutable next_flow : int;
   mutable started : int;
   mutable completed : int;
   mutable delivered : int;
 }
 
-let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(shape = 1.3)
-    ?(rtt_base = 0.08) ?(config = Tcpsim.Tcp_common.ns_sack) () =
+let shape = 1.3
+let config = Tcpsim.Tcp_common.ns_sack
+
+let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(rtt_base = 0.08) () =
   if arrival_rate <= 0. then invalid_arg "Web_mix.create: arrival rate";
   if mean_size < 1. then invalid_arg "Web_mix.create: mean size";
   {
@@ -21,9 +21,7 @@ let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(shape = 1.3)
     rng;
     arrival_rate;
     mean_size;
-    shape;
     rtt_base;
-    config;
     next_flow = first_flow_id;
     started = 0;
     completed = 0;
@@ -31,8 +29,8 @@ let create db rng ~first_flow_id ~arrival_rate ~mean_size ?(shape = 1.3)
   }
 
 let transfer_size t =
-  let scale = t.mean_size *. (t.shape -. 1.) /. t.shape in
-  let n = Engine.Rng.pareto t.rng ~shape:t.shape ~scale in
+  let scale = t.mean_size *. (shape -. 1.) /. shape in
+  let n = Engine.Rng.pareto t.rng ~shape ~scale in
   max 1 (int_of_float (ceil n))
 
 let runtime t = Netsim.Topology.runtime (Netsim.Dumbbell.topology t.db)
@@ -47,12 +45,12 @@ let spawn t =
   let rtt = t.rtt_base *. (0.8 +. Engine.Rng.float t.rng 0.4) in
   Netsim.Dumbbell.add_flow t.db ~flow ~rtt_base:rtt;
   let sink =
-    Tcpsim.Tcp_sink.create rt ~config:t.config ~flow
+    Tcpsim.Tcp_sink.create rt ~config ~flow
       ~transmit:(Netsim.Topology.dst_sender topo ~flow) ()
   in
   Netsim.Topology.set_dst_recv topo ~flow (Tcpsim.Tcp_sink.recv sink);
   let sender =
-    Tcpsim.Tcp_sender.create rt ~config:t.config ~flow
+    Tcpsim.Tcp_sender.create rt ~config ~flow
       ~transmit:(Netsim.Topology.src_sender topo ~flow) ()
   in
   Netsim.Topology.set_src_recv topo ~flow (Tcpsim.Tcp_sender.recv sender);

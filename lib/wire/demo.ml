@@ -13,14 +13,10 @@ type demo_result = {
 
 let default_demo_shaper = { Shaper.passthrough with delay = 0.002 }
 
-let loopback_demo ~packets ~seed ?config ?(shaper = default_demo_shaper)
-    ?(timeout = 30.) () =
+let loopback_demo ~packets ~seed ?(shaper = default_demo_shaper) ?(timeout = 30.)
+    () =
   if packets <= 0 then invalid_arg "loopback_demo: packets must be positive";
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Tfrc.Tfrc_config.default ~initial_rtt:0.05 ()
-  in
+  let config = Tfrc.Tfrc_config.default ~initial_rtt:0.05 () in
   let loop = Loop.create ~mode:`Monotonic () in
   let rt = Loop.runtime loop in
   let snd_udp = Udp.create loop () in

@@ -20,16 +20,15 @@ type demo_result = {
     with both directions passing through a seeded {!Shaper} (default:
     2 ms one-way delay, no loss), and returns once the receiver has
     [packets] data packets or [timeout] (default 30 s of loop time)
-    expires. Counters span sender incarnations. [config] defaults to the
-    paper's parameters with [initial_rtt] = 50 ms so slow start reaches a
-    useful rate within a short demo. Deterministic apart from wall-clock
+    expires. Counters span sender incarnations. Both ends run the paper's
+    parameters with [initial_rtt] = 50 ms so slow start reaches a useful
+    rate within a short demo. Deterministic apart from wall-clock
     pacing: the shaper's loss/reorder pattern and the supervisor's
     backoff jitter depend only on [seed]. Raises [Invalid_argument] if
     [packets] is not positive. *)
 val loopback_demo :
   packets:int ->
   seed:int ->
-  ?config:Tfrc.Tfrc_config.t ->
   ?shaper:Shaper.config ->
   ?timeout:float ->
   unit ->

@@ -3,10 +3,7 @@ type plan = {
   send_enobufs : float;
   send_eintr : float;
   send_refused : float;
-  send_hard : float;
-  send_hard_errno : Unix.error;
   send_blackout : (float * float) option;
-  blackout_errno : Unix.error;
   recv_drop : float;
   recv_truncate : float;
   recv_eintr : float;
@@ -20,10 +17,7 @@ let no_faults =
     send_enobufs = 0.;
     send_eintr = 0.;
     send_refused = 0.;
-    send_hard = 0.;
-    send_hard_errno = Unix.EHOSTUNREACH;
     send_blackout = None;
-    blackout_errno = Unix.EHOSTUNREACH;
     recv_drop = 0.;
     recv_truncate = 0.;
     recv_eintr = 0.;
@@ -41,7 +35,6 @@ let check_plan p =
   prob "send_enobufs" p.send_enobufs;
   prob "send_eintr" p.send_eintr;
   prob "send_refused" p.send_refused;
-  prob "send_hard" p.send_hard;
   prob "recv_drop" p.recv_drop;
   prob "recv_truncate" p.recv_truncate;
   prob "recv_eintr" p.recv_eintr;
@@ -53,8 +46,7 @@ let check_plan p =
            what v)
   in
   sum "send"
-    (p.send_eagain +. p.send_enobufs +. p.send_eintr +. p.send_refused
-   +. p.send_hard);
+    (p.send_eagain +. p.send_enobufs +. p.send_eintr +. p.send_refused);
   sum "recv" (p.recv_drop +. p.recv_truncate +. p.recv_eintr +. p.recv_refused);
   let window what = function
     | None -> ()
@@ -117,7 +109,6 @@ let send_fate t =
   let p = t.plan in
   let total =
     p.send_eagain +. p.send_enobufs +. p.send_eintr +. p.send_refused
-    +. p.send_hard
   in
   if total <= 0. then `Pass
   else begin
@@ -125,17 +116,14 @@ let send_fate t =
     if u < p.send_eagain then `Eagain
     else if u < p.send_eagain +. p.send_enobufs then `Enobufs
     else if u < p.send_eagain +. p.send_enobufs +. p.send_eintr then `Eintr
-    else if
-      u < p.send_eagain +. p.send_enobufs +. p.send_eintr +. p.send_refused
-    then `Refused
-    else if u < total then `Hard
+    else if u < total then `Refused
     else `Pass
   end
 
 let sendto t fd b pos len dest =
   if in_window t t.plan.send_blackout then begin
     record t ~op:"send" ~kind:"blackout";
-    raise_errno t.plan.blackout_errno "sendto"
+    raise_errno Unix.EHOSTUNREACH "sendto"
   end;
   (match send_fate t with
   | `Pass -> ()
@@ -150,10 +138,7 @@ let sendto t fd b pos len dest =
       raise_errno Unix.EINTR "sendto"
   | `Refused ->
       record t ~op:"send" ~kind:"refused";
-      raise_errno Unix.ECONNREFUSED "sendto"
-  | `Hard ->
-      record t ~op:"send" ~kind:"hard";
-      raise_errno t.plan.send_hard_errno "sendto");
+      raise_errno Unix.ECONNREFUSED "sendto");
   t.inner.sendto fd b pos len dest
 
 let deliver buf pos len data dlen src =

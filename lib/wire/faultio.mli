@@ -34,13 +34,9 @@ type plan = {
   send_eintr : float;  (** P(sendto raises EINTR) — retried by {!Udp} *)
   send_refused : float;
       (** P(sendto raises ECONNREFUSED) — ICMP error replay *)
-  send_hard : float;  (** P(sendto raises [send_hard_errno]) *)
-  send_hard_errno : Unix.error;
-      (** the hard-failure errno, default [EHOSTUNREACH] *)
   send_blackout : (float * float) option;
       (** [(t0, t1)]: every send with [t0 <= now < t1] raises
-          [blackout_errno]; no RNG draws *)
-  blackout_errno : Unix.error;  (** default [EHOSTUNREACH] *)
+          EHOSTUNREACH, a hard errno; no RNG draws *)
   recv_drop : float;  (** P(a pulled datagram is discarded) *)
   recv_truncate : float;
       (** P(a pulled datagram is delivered cut to a strict prefix) *)

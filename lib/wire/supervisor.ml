@@ -8,42 +8,32 @@ let state_name = function
   | Closed -> "closed"
 
 type config = {
-  degrade_expiries : int;
-  dead_expiries : int;
-  starve_factor : float;
   backoff_base : float;
   backoff_max : float;
-  backoff_jitter : float;
   close_timeout : float;
   health_period : float;
 }
 
 let default_config =
-  {
-    degrade_expiries = 1;
-    dead_expiries = 3;
-    starve_factor = 4.;
-    backoff_base = 0.5;
-    backoff_max = 8.;
-    backoff_jitter = 0.1;
-    close_timeout = 1.;
-    health_period = 0.1;
-  }
+  { backoff_base = 0.5; backoff_max = 8.; close_timeout = 1.; health_period = 0.1 }
+
+(* Lifecycle thresholds: Established degrades after [degrade_expiries]
+   no-feedback expiries since the last feedback, or after silence beyond
+   [starve_factor * t_mbi]; the peer is dead after [dead_expiries]
+   expiries at the min-rate floor. Each backoff delay is scaled by
+   [1 + U[0, backoff_jitter)]. *)
+let degrade_expiries = 1
+let dead_expiries = 3
+let starve_factor = 4.
+let backoff_jitter = 0.1
 
 let check_config c =
-  if c.degrade_expiries < 1 then
-    invalid_arg "Wire.Supervisor: degrade_expiries must be >= 1";
-  if c.dead_expiries < c.degrade_expiries then
-    invalid_arg "Wire.Supervisor: dead_expiries must be >= degrade_expiries";
   let pos what v =
     if not (Float.is_finite v) || v <= 0. then
       invalid_arg (Printf.sprintf "Wire.Supervisor: %s must be positive" what)
   in
-  pos "starve_factor" c.starve_factor;
   pos "backoff_base" c.backoff_base;
   pos "backoff_max" c.backoff_max;
-  if not (Float.is_finite c.backoff_jitter) || c.backoff_jitter < 0. then
-    invalid_arg "Wire.Supervisor: backoff_jitter must be non-negative";
   pos "close_timeout" c.close_timeout;
   pos "health_period" c.health_period;
   c
@@ -53,6 +43,10 @@ type t = {
   rt : Engine.Runtime.t;
   tfrc_config : Tfrc.Tfrc_config.t;
   sup : config;
+  health_period : float;
+      (* [sup.health_period], boxed once here: [config] holds only floats,
+         so it stores them flat, and reading one for every health tick
+         would box it *)
   flow : int;
   send_out : string -> unit;
   rng : Engine.Rng.t;
@@ -151,11 +145,7 @@ let die t =
       Float.min t.sup.backoff_max
         (t.sup.backoff_base *. Float.pow 2. (float_of_int (t.restarts - 1)))
     in
-    let delay =
-      if t.sup.backoff_jitter > 0. then
-        delay *. (1. +. Engine.Rng.float t.rng t.sup.backoff_jitter)
-      else delay
-    in
+    let delay = delay *. (1. +. Engine.Rng.float t.rng backoff_jitter) in
     t.backoff_timer <-
       Some
         (Loop.after t.loop delay (fun () ->
@@ -187,18 +177,18 @@ let rec health_tick t =
       let m = t.machine in
       let exp = Tfrc.Tfrc_sender.expiries_since_feedback m in
       let rate = Tfrc.Tfrc_sender.rate m in
-      if exp >= t.sup.dead_expiries && at_floor t rate then die t
+      if exp >= dead_expiries && at_floor t rate then die t
       else if t.st = Established then begin
         let now = Loop.now t.loop in
         let starved =
           now -. t.last_contact
-          > t.sup.starve_factor *. t.tfrc_config.Tfrc.Tfrc_config.t_mbi
+          > starve_factor *. t.tfrc_config.Tfrc.Tfrc_config.t_mbi
         in
-        if exp >= t.sup.degrade_expiries || starved then transition t Degraded
+        if exp >= degrade_expiries || starved then transition t Degraded
       end);
   if t.st <> Closed && not t.quiesced then
     t.health_timer <-
-      Some (Loop.after t.loop t.sup.health_period (fun () -> health_tick t))
+      Some (Loop.after t.loop t.health_period (fun () -> health_tick t))
 
 let handle_datagram t buf len _src =
   match Codec.decode_bytes t.rt buf ~len with
@@ -254,6 +244,7 @@ let create loop udp ~config ?(sup = default_config) ~flow ~dest ?send ~seed
       rt;
       tfrc_config = config;
       sup;
+      health_period = sup.health_period;
       flow;
       send_out;
       rng = Engine.Rng.for_key ~seed "wire/supervisor";

@@ -22,13 +22,14 @@
       arrived yet.
     - [Established]: feedback flows.
     - [Degraded]: still transmitting, but feedback has starved beyond the
-      no-feedback thresholds ([degrade_expiries] timer expiries since the
-      last feedback, or silence beyond [starve_factor * t_mbi]), or sends
-      are failing with hard errnos (the {!Udp} health signal).
-    - [Backoff]: the peer was declared dead — [dead_expiries] consecutive
+      no-feedback thresholds (one timer expiry since the last feedback, or
+      silence beyond [4 * t_mbi]), or sends are failing with hard errnos
+      (the {!Udp} health signal).
+    - [Backoff]: the peer was declared dead — three consecutive
       no-feedback halvings with the rate at the floor — so the incarnation
-      was torn down; a restart timer runs with bounded exponential backoff
-      and deterministic jitter.
+      was torn down; a restart timer runs with bounded exponential backoff,
+      each delay scaled by [1 + U[0, 0.1)] from the supervisor's seeded
+      stream.
     - [Closed]: terminal, via graceful CLOSE/CLOSE-ACK (with a timeout
       fallback) or a peer-initiated CLOSE.
 
@@ -45,27 +46,13 @@ type state = Starting | Established | Degraded | Backoff | Closed
 val state_name : state -> string
 
 type config = {
-  degrade_expiries : int;
-      (** no-feedback expiries since last feedback before Established
-          degrades (default 1) *)
-  dead_expiries : int;
-      (** consecutive expiries, with the rate at the min-rate floor,
-          before the peer is declared dead (default 3) *)
-  starve_factor : float;
-      (** silence beyond this multiple of t_mbi degrades even without
-          expiries (default 4.) *)
   backoff_base : float;  (** first restart delay, seconds (default 0.5) *)
   backoff_max : float;  (** restart delay ceiling (default 8.) *)
-  backoff_jitter : float;
-      (** each delay is scaled by [1 + U[0, jitter)] from the
-          supervisor's seeded stream (default 0.1) *)
   close_timeout : float;
       (** how long to wait for CLOSE-ACK before closing anyway
           (default 1.) *)
   health_period : float;  (** lifecycle check period (default 0.1) *)
 }
-
-val default_config : config
 
 type t
 

@@ -99,10 +99,8 @@ let compare_logs sim_log wire_log =
   in
   go 0 (sim_log, wire_log)
 
-let run ?config ?(shaper = Shaper.passthrough) ?app_limit ~seed ~duration () =
-  let config =
-    match config with Some c -> c | None -> Tfrc.Tfrc_config.default ()
-  in
+let run ?(shaper = Shaper.passthrough) ?app_limit ~seed ~duration () =
+  let config = Tfrc.Tfrc_config.default () in
   let sim_log = run_sim ~config ~seed ~shaper ~app_limit ~duration in
   let wire_log = run_wire ~config ~seed ~shaper ~app_limit ~duration in
   let first_diff = compare_logs sim_log wire_log in

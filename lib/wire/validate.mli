@@ -31,15 +31,13 @@ type result = {
 }
 
 (** [run ~seed ~duration ()] drives both sides for [duration] seconds of
-    virtual time. [config] defaults to the paper's parameters; [shaper]
-    defaults to {!Shaper.passthrough} (the acceptance setting: zero
+    virtual time with the paper's TFRC parameters. [shaper] defaults to {!Shaper.passthrough} (the acceptance setting: zero
     loss/delay). [app_limit] (bytes/s), applied identically to both
     senders, bounds a loss-free run: without it slow start doubles the
     rate every RTT indefinitely and the event count grows exponentially
     with [duration] — pass a limit for durations beyond a few seconds of
     lossless virtual time. *)
 val run :
-  ?config:Tfrc.Tfrc_config.t ->
   ?shaper:Shaper.config ->
   ?app_limit:float ->
   seed:int ->

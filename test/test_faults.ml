@@ -55,29 +55,10 @@ let test_down_policy_drop_queued () =
   (* At t=0.5, packet 1 is mid-serialization and 2-4 are queued. *)
   ignore
     (Engine.Sim.at sim 0.5 (fun () ->
-         Netsim.Link.set_up link ~policy:Netsim.Link.Drop_queued false));
+         Netsim.Link.set_up link false));
   Engine.Sim.run sim ~until:10.;
   Alcotest.(check int) "only the in-flight packet arrives" 1 !received;
   Alcotest.(check int) "queued packets flushed" 3 !dropped
-
-let test_down_policy_hold_queued () =
-  let sim = Engine.Sim.create () in
-  let link = mk_link ~bandwidth:8e3 sim in
-  let received = ref 0 and dropped = ref 0 in
-  Netsim.Link.set_dest link (fun _ -> incr received);
-  Netsim.Link.on_drop link (fun _ -> incr dropped);
-  ignore
-    (Engine.Sim.at sim 0. (fun () ->
-         for i = 1 to 4 do
-           Netsim.Link.send link (mk_pkt ~seq:i ())
-         done));
-  ignore
-    (Engine.Sim.at sim 0.5 (fun () ->
-         Netsim.Link.set_up link ~policy:Netsim.Link.Hold_queued false));
-  ignore (Engine.Sim.at sim 2.0 (fun () -> Netsim.Link.set_up link true));
-  Engine.Sim.run sim ~until:20.;
-  Alcotest.(check int) "held packets delivered after restoration" 4 !received;
-  Alcotest.(check int) "nothing dropped" 0 !dropped
 
 (* Outage drain books every flushed packet as a drop exactly once: the
    queue's counters keep the exact conservation law
@@ -100,7 +81,7 @@ let check_outage_drain_conservation queue =
      packets 2-6 sit in the queue. *)
   ignore
     (Engine.Sim.at sim 0.5 (fun () ->
-         Netsim.Link.set_up link ~policy:Netsim.Link.Drop_queued false));
+         Netsim.Link.set_up link false));
   ignore (Engine.Sim.at sim 2.0 (fun () -> Netsim.Link.set_up link true));
   Engine.Sim.run sim ~until:10.;
   let q = Netsim.Link.queue link in
@@ -383,12 +364,8 @@ let test_config_validation () =
       Tfrc.Tfrc_config.default ~min_rate:(-5.) ());
   check_raises "negative initial_rtt" (fun () ->
       Tfrc.Tfrc_config.default ~initial_rtt:(-0.1) ());
-  check_raises "zero packet_size" (fun () ->
-      Tfrc.Tfrc_config.default ~packet_size:0 ());
   check_raises "bad rtt_gain" (fun () ->
       Tfrc.Tfrc_config.default ~rtt_gain:1.5 ());
-  check_raises "bad t_rto_factor" (fun () ->
-      Tfrc.Tfrc_config.default ~t_rto_factor:0. ());
   check_raises "bad t_mbi" (fun () -> Tfrc.Tfrc_config.default ~t_mbi:0. ());
   (* NaN fails every in-band check, and infinity every finite one. *)
   check_raises "NaN initial_rtt" (fun () ->
@@ -399,8 +376,6 @@ let test_config_validation () =
       Tfrc.Tfrc_config.default ~min_rate:Float.nan ());
   check_raises "infinite t_mbi" (fun () ->
       Tfrc.Tfrc_config.default ~t_mbi:Float.infinity ());
-  check_raises "infinite t_rto_factor" (fun () ->
-      Tfrc.Tfrc_config.default ~t_rto_factor:Float.infinity ());
   check_raises "infinite initial_nofb_timeout" (fun () ->
       Tfrc.Tfrc_config.default ~initial_nofb_timeout:Float.infinity ());
   (* A valid config passes through unchanged. *)
@@ -522,8 +497,6 @@ let () =
             test_down_link_drops_ingress;
           Alcotest.test_case "drop-queued policy" `Quick
             test_down_policy_drop_queued;
-          Alcotest.test_case "hold-queued policy" `Quick
-            test_down_policy_hold_queued;
           Alcotest.test_case "drain conservation (droptail)" `Quick
             test_outage_drain_conservation_droptail;
           Alcotest.test_case "drain conservation (red)" `Quick

@@ -108,9 +108,9 @@ let test_droptail_bad_limit () =
 
 (* --- RED ------------------------------------------------------------------ *)
 
-let make_red ?(min_th = 5.) ?(max_th = 15.) ?(limit = 50) ?(gentle = true) now =
+let make_red ?(min_th = 5.) ?(max_th = 15.) ?(limit = 50) now =
   Netsim.Red.create
-    ~params:(Netsim.Red.params ~min_th ~max_th ~gentle ~limit_pkts:limit ())
+    ~params:(Netsim.Red.params ~min_th ~max_th ~limit_pkts:limit ())
     ~now ~ptc:1000.
 
 let test_red_no_drop_below_minth () =
@@ -178,23 +178,26 @@ let test_red_idle_aging () =
     (Printf.sprintf "aged %.3f -> %.3f" avg_before avg_after)
     true (avg_after < 0.1 *. avg_before)
 
-let test_red_gentle_vs_not () =
-  (* Push the average far past max_th: the non-gentle queue force-drops
-     every arrival there; the gentle queue still accepts some. *)
-  let drive gentle =
-    let now = ref 0. in
-    let q = make_red ~min_th:2. ~max_th:4. ~gentle ~limit:200 (fun () -> !now) in
-    let accepted = ref 0 in
-    for i = 1 to 3000 do
-      now := !now +. 1e-5;
-      if q.Netsim.Queue_disc.enqueue (mk_pkt ~seq:i ()) then incr accepted
-    done;
-    !accepted
-  in
-  let strict = drive false and gentle = drive true in
+let test_red_gentle () =
+  (* Push the average past max_th: while it is below 2 * max_th the drop
+     probability ramps from max_p toward 1, so the queue drops some
+     arrivals and still accepts others, where a strict RED would drop
+     them all. *)
+  let now = ref 0. in
+  let max_th = 4. in
+  let q = make_red ~min_th:2. ~max_th ~limit:200 (fun () -> !now) in
+  let accepted = ref 0 and dropped = ref 0 in
+  for i = 1 to 3000 do
+    now := !now +. 1e-5;
+    let ok = q.Netsim.Queue_disc.enqueue (mk_pkt ~seq:i ()) in
+    let avg = Netsim.Red.avg_queue q in
+    if avg >= max_th && avg < 2. *. max_th then
+      incr (if ok then accepted else dropped)
+  done;
   Alcotest.(check bool)
-    (Printf.sprintf "gentle accepts more (%d vs %d)" gentle strict)
-    true (gentle > strict)
+    (Printf.sprintf "gentle band accepts %d and drops %d" !accepted !dropped)
+    true
+    (!accepted > 0 && !dropped > 0)
 
 let test_red_params_validation () =
   Alcotest.check_raises "min < max"
@@ -327,15 +330,14 @@ let test_link_rejects_non_finite () =
    serialization end; and the queue's counters balance. *)
 type link_op =
   | Send of int
-  | Down of Netsim.Link.down_policy
+  | Down
   | Up
 
 let link_delay = 1.
 
 let pp_link_op = function
   | Send size -> Printf.sprintf "send %d" size
-  | Down Netsim.Link.Drop_queued -> "down drop"
-  | Down Netsim.Link.Hold_queued -> "down hold"
+  | Down -> "down"
   | Up -> "up"
 
 let gen_link_ops =
@@ -344,7 +346,7 @@ let gen_link_ops =
     frequency
       [
         (6, map (fun k -> Send (256 * k)) (int_range 1 4));
-        (1, map (fun drop -> Down Netsim.Link.(if drop then Drop_queued else Hold_queued)) bool);
+        (1, return Down);
         (1, return Up);
       ]
   in
@@ -388,10 +390,10 @@ let link_timing_holds ops =
                  in
                  sent := pkt :: !sent;
                  Netsim.Link.send link pkt
-             | Down policy -> Netsim.Link.set_up link ~policy false
+             | Down -> Netsim.Link.set_up link false
              | Up -> Netsim.Link.set_up link true)))
     ops;
-  (* Bring the link back so held packets drain. *)
+  (* End with the link up. *)
   ignore (Engine.Sim.at sim 11. (fun () -> Netsim.Link.set_up link true));
   Engine.Sim.run sim ~until:infinity;
   let tx_end (pkt : Netsim.Packet.t) =
@@ -704,7 +706,7 @@ let () =
           Alcotest.test_case "avg tracks queue" `Quick test_red_avg_tracks_queue;
           Alcotest.test_case "idle aging" `Quick test_red_idle_aging;
           Alcotest.test_case "params validation" `Quick test_red_params_validation;
-          Alcotest.test_case "gentle vs strict" `Quick test_red_gentle_vs_not;
+          Alcotest.test_case "gentle vs strict" `Quick test_red_gentle;
         ] );
       ( "link",
         [

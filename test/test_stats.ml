@@ -282,19 +282,6 @@ let test_ci_single_sample () =
   checkf "mean" 5. ci.Stats.Ci.mean;
   checkf "zero width" 0. ci.Stats.Ci.half_width
 
-let test_ci_level_ordering () =
-  let samples = [| 10.; 12.; 8.; 11.; 9.; 10.5; 9.5 |] in
-  let c90 = Stats.Ci.of_samples ~level:0.90 samples in
-  let c99 = Stats.Ci.of_samples ~level:0.99 samples in
-  Alcotest.(check bool)
-    "99% interval wider than 90%" true
-    (c99.Stats.Ci.half_width > c90.Stats.Ci.half_width)
-
-let test_ci_unsupported_level () =
-  Alcotest.check_raises "bad level"
-    (Invalid_argument "Ci: unsupported confidence level") (fun () ->
-      ignore (Stats.Ci.of_samples ~level:0.5 [| 1.; 2.; 3. |]))
-
 let () =
   Alcotest.run "stats"
     [
@@ -347,7 +334,5 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_ci_basics;
           Alcotest.test_case "single sample" `Quick test_ci_single_sample;
-          Alcotest.test_case "level ordering" `Quick test_ci_level_ordering;
-          Alcotest.test_case "unsupported level" `Quick test_ci_unsupported_level;
         ] );
     ]

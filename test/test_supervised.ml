@@ -131,33 +131,6 @@ let test_runner_retries_spinner () =
       check int "all attempts consumed" 3 f.attempts
   | _ -> fail "spinner should time out"
 
-(* A job's own budget overrides the runner-wide default. *)
-let test_job_budget_overrides_default () =
-  let bounded =
-    Exp.Job.make ~budget:{ Exp.Job.max_events = Some 100_000; max_time = None }
-      "bounded/0"
-      (fun _rng ->
-        let sim = Engine.Sim.create () in
-        let count = ref 0 in
-        let rec tick () =
-          incr count;
-          if !count < 2_000 then ignore (Engine.Sim.after sim 0.001 tick)
-        in
-        ignore (Engine.Sim.at sim 0.0 tick);
-        Engine.Sim.run sim ~until:infinity;
-        [ ("events", Exp.Job.i !count) ])
-  in
-  let tiny = { Exp.Job.max_events = Some 10; max_time = None } in
-  let outcomes, report =
-    Exp.Runner.run_jobs_supervised ~budget:tiny ~seed:1 [ bounded ]
-  in
-  (match outcomes with
-  | [ (_, Exp.Runner.Completed r) ] ->
-      check int "ran to completion under its own budget" 2_000
-        (Exp.Job.get_int r "events")
-  | _ -> fail "job budget should override the runner default");
-  check int "report: ok" 1 report.ok
-
 (* A flaky job that fails on its first call and succeeds on the second:
    with one retry the batch completes, the result comes from the attempt-1
    RNG stream, and the report counts the retry. Runs must also be
@@ -471,8 +444,6 @@ let () =
           test_case "budget kills infinite job" `Quick
             test_runner_budget_kills_spinner;
           test_case "retries consume attempts" `Quick test_runner_retries_spinner;
-          test_case "job budget overrides default" `Quick
-            test_job_budget_overrides_default;
           test_case "retry recovers deterministically" `Quick
             test_retry_recovers_deterministically;
           test_case "crash isolation renders holes" `Quick

@@ -155,26 +155,6 @@ let test_sink_duplicate_data () =
   Alcotest.(check int) "next expected still 1" 1
     (Tcpsim.Tcp_sink.next_expected sink)
 
-let test_sink_delack () =
-  let sim = Engine.Sim.create () in
-  let acks = ref 0 in
-  let sink =
-    Tcpsim.Tcp_sink.create (Engine.Sim.runtime sim)
-      ~config:(Tcpsim.Tcp_common.default ~delack:true ())
-      ~flow:1
-      ~transmit:(fun _ -> incr acks)
-      ()
-  in
-  let recv = Tcpsim.Tcp_sink.recv sink in
-  ignore
-    (Engine.Sim.at sim 0. (fun () ->
-         recv (mk_data ~seq:0);
-         recv (mk_data ~seq:1);
-         recv (mk_data ~seq:2)));
-  Engine.Sim.run sim ~until:1.;
-  (* 3 in-order segments with delack: ack on 2nd, timer ack for 3rd = 2. *)
-  Alcotest.(check int) "delayed acks" 2 !acks
-
 (* --- Tcp_sender: controlled-path harness --------------------------------- *)
 
 type harness = {
@@ -714,7 +694,6 @@ let () =
             test_sink_sack_block_merging;
           Alcotest.test_case "sack block limit" `Quick test_sink_sack_limit;
           Alcotest.test_case "duplicate data" `Quick test_sink_duplicate_data;
-          Alcotest.test_case "delayed acks" `Quick test_sink_delack;
         ] );
       ( "sender",
         [

@@ -659,8 +659,7 @@ let test_udp_transient_errno_policy () =
 
 let sup_test_config =
   {
-    Wire.Supervisor.default_config with
-    backoff_base = 0.25;
+    Wire.Supervisor.backoff_base = 0.25;
     backoff_max = 1.;
     close_timeout = 0.5;
     health_period = 0.05;
@@ -730,7 +729,6 @@ let test_supervisor_death_and_recovery () =
     {
       Wire.Faultio.no_faults with
       send_blackout = Some (0.5, 6.);
-      blackout_errno = Unix.EHOSTUNREACH;
     }
   in
   let loop, checker, sup, rcv, a, b = sup_session ~snd_plan:plan ~seed:11 () in
@@ -769,7 +767,6 @@ let test_supervisor_mutate_caught () =
     {
       Wire.Faultio.no_faults with
       send_blackout = Some (0.5, 6.);
-      blackout_errno = Unix.EHOSTUNREACH;
     }
   in
   let loop, checker, sup, rcv, a, b =

@@ -1,6 +1,7 @@
 (* Seven exports: one per way the lint can see (or miss) a caller, two
    reference probes called only from test/, and one called only from
-   test/ that the allow file lists as having no caller. *)
+   test/ that the allow file lists as having no caller. Two more carry
+   the optional parameters the knob census sees. *)
 
 val via_alias : int -> int
 (** Called from [User] through a local module alias. *)
@@ -22,3 +23,13 @@ val probe_unchecked : int -> int
 
 val misgrouped : int -> int
 (** Called only from test/, but listed under [\[no caller\]]. *)
+
+val knobbed :
+  ?unpassed:int -> ?test_set:int -> ?seam:int -> ?own_set:int -> int -> int
+(** Called from [User] with no optional argument. [unpassed] is passed
+    from nowhere, [test_set] only from test/, [seam] only from test/ and
+    listed under [\[test seams\]], and [own_set] from {!wrapped} in this
+    unit but listed under [\[test seams\]]. *)
+
+val wrapped : int -> int
+(** Called from [User]. *)

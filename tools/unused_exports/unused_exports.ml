@@ -14,6 +14,16 @@
    test/, and its reason must name the reference model it is compared
    against as an existing test/*.ml file.
 
+   The same pass takes a census of the optional parameters of those
+   exported values. A parameter counts as passed where an application
+   gives it an argument; an omitted one is filled in by the type checker
+   with a ghost-located [None]. Applications inside the defining unit
+   count like any other outside test/. Every optional parameter that no
+   unit outside test/ passes fails the lint unless the [\[test seams\]]
+   section lists it as [Lib.Module.value ?label]; a seam must be passed
+   from test/ and nowhere else, and its reason must name an existing
+   test/*.ml file that needs it.
+
    Names are canonical dune paths: the unit [engine__Sim], the alias path
    [Engine.Sim] and [Engine__.Sim] (the alias module of a library with a
    main module) all read as [Engine.Sim]. *)
@@ -41,14 +51,26 @@ let rec files_under dir =
          let p = Filename.concat dir f in
          if Sys.is_directory p then files_under p else [ p ])
 
-(* Exported values of one interface, nested module signatures included. *)
+(* The labels of a value type's optional parameters, in order. *)
+let rec optional_labels (ct : Typedtree.core_type) =
+  match ct.ctyp_desc with
+  | Ttyp_poly (_, t) -> optional_labels t
+  | Ttyp_arrow (Optional l, _, ret) -> l :: optional_labels ret
+  | Ttyp_arrow (_, _, ret) -> optional_labels ret
+  | _ -> []
+
+let knob v label = v ^ " ?" ^ label
+
+(* Exported values of one interface, nested module signatures included,
+   each with its optional parameters. *)
 let exports prefix sg =
   let open Typedtree in
   let rec items prefix sg =
     List.concat_map
       (fun item ->
         match item.sig_desc with
-        | Tsig_value vd -> [ prefix ^ "." ^ vd.val_name.txt ]
+        | Tsig_value vd ->
+            [ (prefix ^ "." ^ vd.val_name.txt, optional_labels vd.val_desc) ]
         | Tsig_module
             {
               md_name = { txt = Some m; _ };
@@ -61,22 +83,52 @@ let exports prefix sg =
   in
   items prefix sg
 
+(* The unit's own structure-level values and modules, named as other
+   units name them ([prefix] is the unit's canonical name). *)
+let own_names prefix str =
+  let open Typedtree in
+  let names = Hashtbl.create 64 in
+  let rec structure prefix str =
+    List.iter
+      (fun item ->
+        match item.str_desc with
+        | Tstr_value (_, vbs) ->
+            List.iter
+              (fun id -> Hashtbl.replace names id (prefix ^ "." ^ Ident.name id))
+              (let_bound_idents vbs)
+        | Tstr_module { mb_id = Some id; mb_expr; _ } ->
+            let prefix = prefix ^ "." ^ Ident.name id in
+            Hashtbl.replace names id prefix;
+            module_expr prefix mb_expr
+        | _ -> ())
+      str.str_items
+  and module_expr prefix me =
+    match me.mod_desc with
+    | Tmod_structure str -> structure prefix str
+    | Tmod_constraint (me, _, _, _) -> module_expr prefix me
+    | _ -> ()
+  in
+  structure prefix str;
+  names
+
 (* What one implementation references: value paths, and module paths used
    as a whole (functor arguments, [include], packed modules), which count
    as referencing every value under them. A local module alias
    ([module X = A.B], [let module X = A.B in]) and an [open] are
-   resolved, not counted. *)
-let references str =
+   resolved, not counted. Also the optional parameters it passes, as
+   [knob] names; there a value of the unit itself counts too. *)
+let references prefix str =
   let open Typedtree in
-  let aliases = Hashtbl.create 16 in
-  let values = ref [] and modules = ref [] in
-  let rec resolve = function
+  let aliases = Hashtbl.create 16 and own = own_names prefix str in
+  let values = ref [] and modules = ref [] and knobs = ref [] in
+  let rec resolve ?own = function
     | Path.Pident id -> (
         match Hashtbl.find_opt aliases id with
         | Some _ as p -> p
         | None ->
-            if Ident.persistent id then Some (canonical (Ident.name id)) else None)
-    | Path.Pdot (p, s) -> Option.map (fun q -> q ^ "." ^ s) (resolve p)
+            if Ident.persistent id then Some (canonical (Ident.name id))
+            else Option.bind own (fun own -> Hashtbl.find_opt own id))
+    | Path.Pdot (p, s) -> Option.map (fun q -> q ^ "." ^ s) (resolve ?own p)
     | _ -> None
   in
   let alias id me =
@@ -110,13 +162,24 @@ let references str =
           match e.exp_desc with
           | Texp_ident (p, _, _) ->
               Option.iter (fun q -> values := q :: !values) (resolve p)
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+              Option.iter
+                (fun q ->
+                  List.iter
+                    (function
+                      | Asttypes.Optional l, Some a when not a.exp_loc.loc_ghost ->
+                          knobs := knob q l :: !knobs
+                      | _ -> ())
+                    args)
+                (resolve ~own p);
+              super.expr sub e
           | Texp_letmodule (id, _, _, me, body) when alias id me ->
               sub.expr sub body
           | _ -> super.expr sub e);
     }
   in
   iter.structure iter str;
-  (!values, !modules)
+  (!values, !modules, !knobs)
 
 let is_under ~prefix v =
   let n = String.length prefix in
@@ -124,15 +187,17 @@ let is_under ~prefix v =
 
 (* The allow file's sections: which group an entry claims its value is
    in. *)
-type group = No_caller | Tests_only | Probe
+type group = No_caller | Tests_only | Probe | Seam
 
 let headers =
-  [ ("[no caller]", No_caller); ("[tests only]", Tests_only); ("[reference probes]", Probe) ]
+  [
+    ("[no caller]", No_caller);
+    ("[tests only]", Tests_only);
+    ("[reference probes]", Probe);
+    ("[test seams]", Seam);
+  ]
 
-let header_of = function
-  | No_caller -> "[no caller]"
-  | Tests_only -> "[tests only]"
-  | Probe -> "[reference probes]"
+let header_of g = fst (List.find (fun (_, g') -> g' = g) headers)
 
 (* The test/*.ml paths a reason names: its words made of path characters
    that start with "test/" and end in ".ml". *)
@@ -146,7 +211,8 @@ let named_tests reason =
   |> List.filter (fun w ->
          String.starts_with ~prefix:"test/" w && Filename.check_suffix w ".ml")
 
-(* Allow lines are [Lib.Module.value  # reason]; blank and [#] lines are
+(* Allow lines are [Lib.Module.value  # reason], or
+   [Lib.Module.value ?label  # reason] for a test seam; blank and [#] lines are
    comments, and a [headers] line starts that group's entries. Returns the
    entries as (value, reason, group), the lines with no reason and the
    entries before any header. *)
@@ -197,15 +263,28 @@ let () =
            | _ -> [])
     |> List.sort_uniq compare
   in
-  (* Values referenced from outside test/, and from test/. *)
+  let knobs =
+    List.concat_map (fun (v, labels) -> List.map (knob v) labels) exported
+  in
+  let exported = List.map fst exported in
+  (* Values referenced and optional parameters passed from outside test/,
+     and from test/. *)
   let used = Hashtbl.create 1024 and tested = Hashtbl.create 1024 in
+  let passed = Hashtbl.create 256 and test_passed = Hashtbl.create 256 in
   List.iter
     (fun (root, f) ->
-      match (Cmt_format.read_cmt f).cmt_annots with
+      let cmt = Cmt_format.read_cmt f in
+      match cmt.cmt_annots with
       | Implementation str ->
           let tbl = if root = "test" then tested else used in
-          let values, modules = references str in
+          let values, modules, passes =
+            references (canonical cmt.cmt_modname) str
+          in
           List.iter (fun v -> Hashtbl.replace tbl v ()) values;
+          List.iter
+            (fun k ->
+              Hashtbl.replace (if root = "test" then test_passed else passed) k ())
+            passes;
           List.iter
             (fun m ->
               List.iter
@@ -218,6 +297,10 @@ let () =
   let no_caller, tests_only =
     List.partition (fun v -> not (Hashtbl.mem tested v)) unused
   in
+  let unpassed = List.filter (fun k -> not (Hashtbl.mem passed k)) knobs in
+  let never_passed, seams =
+    List.partition (fun k -> not (Hashtbl.mem test_passed k)) unpassed
+  in
   let entries, no_reason, no_section = read_allow () in
   let allowed = List.map (fun (v, _, _) -> v) entries in
   let unlisted l = List.filter (fun v -> not (List.mem v allowed)) l in
@@ -225,24 +308,32 @@ let () =
     if List.mem v no_caller then "no caller"
     else if List.mem v tests_only then "called only from tests"
     else if List.mem v exported then "called outside test/"
+    else if List.mem v never_passed then "passed by no unit"
+    else if List.mem v seams then "passed only from tests"
+    else if List.mem v knobs then "passed outside test/"
     else "not exported"
   in
   (* An entry stays only while its value is in its section's group: a
      probe, like a tests-only entry, while tests and nothing else call
-     it. *)
+     it, and a seam while tests and nothing else pass it. *)
   let stale =
     List.filter_map
       (fun (v, _, g) ->
-        let members = match g with No_caller -> no_caller | Tests_only | Probe -> tests_only in
+        let members =
+          match g with
+          | No_caller -> no_caller
+          | Tests_only | Probe -> tests_only
+          | Seam -> seams
+        in
         if List.mem v members then None
         else Some (Printf.sprintf "%s  (under %s; %s)" v (header_of g) (status v)))
       entries
   in
-  let unchecked_probes =
+  let unchecked =
     List.filter_map
       (fun (v, reason, g) ->
         let named = named_tests reason in
-        if g = Probe && (named = [] || not (List.for_all Sys.file_exists named)) then
+        if (g = Probe || g = Seam) && (named = [] || not (List.for_all Sys.file_exists named)) then
           Some (v ^ "  # " ^ reason)
         else None)
       entries
@@ -250,15 +341,22 @@ let () =
   Printf.printf
     "unused_exports: %d exported vals, %d with no caller, %d called only from tests\n"
     (List.length exported) (List.length no_caller) (List.length tests_only);
+  Printf.printf
+    "unused_exports: %d optional parameters, %d passed by no unit, %d passed only from tests\n"
+    (List.length knobs) (List.length never_passed) (List.length seams);
   let failures =
     [
       ("no caller, not in " ^ allow_file, unlisted no_caller);
       ("tests only, not in " ^ allow_file, unlisted tests_only);
+      ("optional parameter passed by no unit, not in " ^ allow_file,
+        unlisted never_passed);
+      ("optional parameter passed only from tests, not in " ^ allow_file,
+        unlisted seams);
       ("stale in " ^ allow_file, stale);
       ("no reason in " ^ allow_file, no_reason);
       ("before any section header in " ^ allow_file, no_section);
-      ("reference probe naming no existing test/*.ml in " ^ allow_file,
-        unchecked_probes);
+      ("probe or seam naming no existing test/*.ml in " ^ allow_file,
+        unchecked);
     ]
     |> List.filter (fun (_, l) -> l <> [])
   in
