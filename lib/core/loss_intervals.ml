@@ -9,7 +9,6 @@ type floats = {
 type t = {
   n : int;
   discounting : bool;
-  discount_threshold : float;
   w : float array; (* w.(0) weights the most recent closed interval *)
   intervals : float array; (* ring buffer, newest at [head] *)
   df : float array; (* locked-in discount factors, aligned with intervals *)
@@ -29,12 +28,13 @@ let weights ~n ~constant =
         1. -. ((i -. half) /. (half +. 1.))
       end)
 
-let create ?(n = 8) ?(discounting = true) ?(discount_threshold = 0.25)
-    ?(constant_weights = false) () =
+(* The floor on the history discount factor. *)
+let discount_threshold = 0.25
+
+let create ?(n = 8) ?(discounting = true) ?(constant_weights = false) () =
   {
     n;
     discounting;
-    discount_threshold;
     w = weights ~n ~constant:constant_weights;
     intervals = Array.make n 0.;
     df = Array.make n 1.;
@@ -88,7 +88,7 @@ let[@inline] current_df t =
     let avg = mean_with t ~extra_df:1. in
     if Float.is_nan avg then 1.
     else if t.fl.s0 > 2. *. avg && t.fl.s0 > 0. then
-      Float.max t.discount_threshold (2. *. avg /. t.fl.s0)
+      Float.max discount_threshold (2. *. avg /. t.fl.s0)
     else 1.
 
 (* The estimator: max of the history-only mean and the mean that shifts s0

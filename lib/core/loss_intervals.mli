@@ -9,7 +9,7 @@
 
     History discounting ([FHPW00] / RFC 5348 5.5): when the open interval
     exceeds twice the average, older intervals' weights are smoothly
-    discounted by a factor [2*avg / s0], floored at [discount_threshold];
+    discounted by a factor [2*avg / s0], floored at 0.25;
     the factor is locked into the history when the open interval finally
     closes.
 
@@ -23,7 +23,6 @@ type t
 val create :
   ?n:int (** history size, default 8 *) ->
   ?discounting:bool (** default true *) ->
-  ?discount_threshold:float (** default 0.25 *) ->
   ?constant_weights:bool
     (** all weights 1 instead of the decreasing tail; for the Figure 18
         comparison. Default false. *) ->

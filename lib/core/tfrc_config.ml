@@ -1,9 +1,7 @@
 type t = {
   packet_size : int;
-  feedback_size : int;
   n_intervals : int;
   history_discounting : bool;
-  discount_threshold : float;
   rtt_gain : float;
   delay_gain : bool;
   t_rto_factor : float;
@@ -63,10 +61,8 @@ let default ?(n_intervals = 8) ?(history_discounting = true) ?(rtt_gain = 0.1)
   validate
     {
       packet_size;
-      feedback_size = 40;
       n_intervals;
       history_discounting;
-      discount_threshold = 0.25;
       rtt_gain;
       delay_gain;
       t_rto_factor = 4.;

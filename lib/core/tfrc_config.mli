@@ -8,10 +8,8 @@
 
 type t = private {
   packet_size : int;  (** s, bytes: 1000, as in the paper *)
-  feedback_size : int;  (** feedback packet size, bytes: 40 *)
   n_intervals : int;  (** loss-interval history size, even and >= 2; paper: 8 *)
   history_discounting : bool;
-  discount_threshold : float;  (** maximum discount, 0.25 *)
   rtt_gain : float;
       (** EWMA weight on a new RTT sample; the paper recommends a small
           value (0.05-0.1) paired with the interpacket-spacing

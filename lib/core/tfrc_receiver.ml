@@ -1,3 +1,6 @@
+(* Feedback packet size, bytes. *)
+let feedback_size = 40
+
 type t = {
   rt : Engine.Runtime.t;
   config : Tfrc_config.t;
@@ -30,8 +33,7 @@ let rec create rt ~config ~flow ~transmit () =
       transmit;
       intervals =
         Loss_intervals.create ~n:config.Tfrc_config.n_intervals
-          ~discounting:config.Tfrc_config.history_discounting
-          ~discount_threshold:config.Tfrc_config.discount_threshold ();
+          ~discounting:config.Tfrc_config.history_discounting ();
       detector = Loss_events.create ~ndupack:config.Tfrc_config.ndupack ();
       rtt = config.Tfrc_config.initial_rtt;
       last_data_sent_at = 0.;
@@ -53,7 +55,7 @@ let rec create rt ~config ~flow ~transmit () =
   let rec tick () =
     if t.running then begin
       if t.bytes_since_fb > 0 then send_feedback t;
-      t.fb_timer <- Engine.Runtime.after rt t.rtt tick
+      t.fb_timer <- Engine.Runtime.rearm rt t.fb_timer t.rtt tick
     end
   in
   t.fb_timer <- Engine.Runtime.after rt t.rtt tick;
@@ -86,7 +88,7 @@ and send_feedback t =
          });
   let pkt =
     Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.fb_seq
-      ~size:t.config.Tfrc_config.feedback_size ~now
+      ~size:feedback_size ~now
       (Netsim.Packet.Tfrc_feedback
          {
            p;

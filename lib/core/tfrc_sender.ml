@@ -73,7 +73,7 @@ let send_packet t =
       t.transmit pkt
     done;
     t.send_timer <-
-      Engine.Runtime.after t.rt
+      Engine.Runtime.rearm t.rt t.send_timer
         (float_of_int t.config.Tfrc_config.burst_pkts
         *. interpacket_interval t)
         t.on_send
@@ -96,9 +96,10 @@ let nofb_interval t =
     t.config.Tfrc_config.t_mbi
 
 let restart_nofb_timer t =
-  Engine.Runtime.cancel t.nofb_timer;
   if t.running then
-    t.nofb_timer <- Engine.Runtime.after t.rt (nofb_interval t) t.on_nofb
+    t.nofb_timer <-
+      Engine.Runtime.rearm t.rt t.nofb_timer (nofb_interval t) t.on_nofb
+  else Engine.Runtime.cancel t.nofb_timer
 
 let on_nofb_expiry t =
   if t.running then begin

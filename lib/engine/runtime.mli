@@ -53,8 +53,9 @@ type t
     implementation's closures. [at] schedules at an absolute time on the
     runtime's clock; [after] relative to [now]; both must reject
     non-finite arguments rather than corrupt their timer queue. The
-    runtime's {!post} is [after] with a closure that applies the payload:
-    correct, but it allocates that closure and a handle per call. *)
+    runtime's {!post} is [after] with a closure that applies the payload,
+    and its {!rearm} is [cancel] then [after]: correct, but each call
+    allocates a handle (and, for [post], a closure). *)
 val make :
   now:(unit -> float) ->
   at:(float -> (unit -> unit) -> handle) ->
@@ -68,6 +69,12 @@ val make :
     {!Timers.post} that allocates nothing. [post delay g a] must honour
     the {!post} contract below. *)
 val with_post : t -> (float -> (int -> unit) -> int -> unit) -> t
+
+(** [with_rearm t rearm] is [t] with an implementation's native
+    {!rearm}. {!Sim.runtime} and [Wire.Loop.runtime] both supply one
+    built on {!Timers.rearm}. [rearm h delay f] must honour the {!rearm}
+    contract below. *)
+val with_rearm : t -> (handle -> float -> (unit -> unit) -> handle) -> t
 
 (** Current time in seconds on this runtime's clock (0 at creation). *)
 val now : t -> float
@@ -88,6 +95,21 @@ val after : t -> float -> (unit -> unit) -> handle
     posted event makes [g] ignore its payload. [delay] is checked as
     [after] checks it. *)
 val post : t -> float -> (int -> unit) -> int -> unit
+
+(** [rearm t h delay f] cancels [h] and schedules [f] in [delay]
+    seconds, like [cancel h; after t delay f], and returns the new
+    timer's handle, which the caller stores in place of [h]. The new
+    timer takes its sequence number where that [after] would, so it fires
+    at the same instant and in the same order. The runtimes of {!Sim} and
+    [Wire.Loop] write the new timer into [h] itself when it is one of
+    their own handles and return it: [h] then names the new timer, not
+    the old one, and nothing but the caller's boxed [delay] is allocated.
+    Anywhere else — a handle from another runtime or from {!handle}, or
+    a runtime built by {!make} without {!with_rearm} — it falls back to
+    [cancel h; after t delay f], which allocates a fresh handle. Hold a
+    handle in one place only if it is re-armed: a copy kept elsewhere
+    follows the re-arm. [delay] is checked as [after] checks it. *)
+val rearm : t -> handle -> float -> (unit -> unit) -> handle
 
 (** The trace bus components built on this runtime emit to. *)
 val trace : t -> Trace.t

@@ -113,6 +113,12 @@ let post t delay g a =
   check_delay "post" delay;
   Timers.post t.timers ~now:t.clock ~delay g a
 
+(* As [after], with the deadline computed the same way; [Timers.rearm]
+   rejects one that overflows, as [at] would. *)
+let rearm t h delay f =
+  check_delay "rearm" delay;
+  Timers.rearm t.timers h ~time:(t.clock +. delay) f
+
 let cancel = Timers.cancel
 let null_handle = Timers.null_handle
 let pending_events t = Timers.size t.timers
@@ -124,15 +130,15 @@ let runtime t =
   | Some rt -> rt
   | None ->
       let rt =
-        Runtime.with_post
-          (Runtime.make
-             ~now:(fun () -> t.clock)
-             ~at:(fun time f -> at t time f)
-             ~after:(fun delay f -> after t delay f)
-             ~trace:t.trace
-             ~fresh_id:(fun () -> fresh_id t))
-          (fun delay g a -> post t delay g a)
+        Runtime.make
+          ~now:(fun () -> t.clock)
+          ~at:(fun time f -> at t time f)
+          ~after:(fun delay f -> after t delay f)
+          ~trace:t.trace
+          ~fresh_id:(fun () -> fresh_id t)
       in
+      let rt = Runtime.with_post rt (fun delay g a -> post t delay g a) in
+      let rt = Runtime.with_rearm rt (fun h delay f -> rearm t h delay f) in
       t.runtime <- Some rt;
       rt
 

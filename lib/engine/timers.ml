@@ -12,9 +12,9 @@
    lists threaded through [link]; the ready and overflow heaps are int
    arrays of slots. Filing, cascading, sifting and sweeping therefore move
    ints: no write barrier, no pointer chasing, and scheduling allocates
-   only the caller's handle (posting allocates nothing). A slot goes back
-   on the free list (LIFO) as soon as its timer is fired or swept, and
-   its callback is replaced by a no-op then, so the queue
+   only the caller's handle (posting and re-arming allocate nothing). A
+   slot goes back on the free list (LIFO) as soon as its timer is fired
+   or swept, and its callback is replaced by a no-op then, so the queue
    never retains a dead timer's closure.
 
    Stamps and handles. A queued timer's stamp is twice its scheduling
@@ -26,7 +26,10 @@
    [cancel] does nothing. Two queued stamps compare as their sequence
    numbers do, so the stamp is also the heaps' tie-break. A posted timer
    takes its sequence number exactly as a scheduled one does; it only has
-   no handle, so nothing can cancel it.
+   no handle, so nothing can cancel it. [rearm] cancels a handle's timer
+   and schedules a new one as [cancel] then [schedule] would, but writes
+   the new slot and stamp into the handle it was given instead of
+   allocating another.
 
    Layout. Slot counts per level are powers of two, [nslots = 2^bits].
    Level l has [nslots] buckets of width w_l = granularity * 2^(bits*l); an
@@ -90,7 +93,7 @@ type t = {
 }
 
 type handle =
-  | Timer of { q : t; slot : int; gen : int }
+  | Timer of { q : t; mutable slot : int; mutable gen : int }
   | Custom of { cancel : unit -> unit; is_pending : unit -> bool }
 
 let nil = -1
@@ -102,12 +105,14 @@ let null_handle = Custom { cancel = ignore; is_pending = (fun () -> false) }
 
 let[@inline] live t s = t.stamp.(s) land 1 = 0
 
+let cancel_timer q slot gen =
+  if q.stamp.(slot) = gen then begin
+    q.stamp.(slot) <- gen + 1;
+    q.cancelled <- q.cancelled + 1
+  end
+
 let cancel = function
-  | Timer { q; slot; gen } ->
-      if q.stamp.(slot) = gen then begin
-        q.stamp.(slot) <- gen + 1;
-        q.cancelled <- q.cancelled + 1
-      end
+  | Timer { q; slot; gen } -> cancel_timer q slot gen
   | Custom c -> c.cancel ()
 
 let is_pending = function
@@ -326,6 +331,22 @@ let schedule t ~time f =
   let s = enqueue "schedule" t time in
   t.fn.(s) <- f;
   Timer { q = t; slot = s; gen = t.stamp.(s) }
+
+(* The new timer is queued before the old one is cancelled: neither step
+   reads what the other writes, and a rejected time leaves [h] as it was. *)
+let rearm t h ~time f =
+  match h with
+  | Timer r when r.q == t ->
+      let s = enqueue "rearm" t time in
+      cancel_timer t r.slot r.gen;
+      t.fn.(s) <- f;
+      r.slot <- s;
+      r.gen <- t.stamp.(s);
+      h
+  | _ ->
+      let fresh = schedule t ~time f in
+      cancel h;
+      fresh
 
 let post t ~now ~delay g a =
   let s = enqueue "post" t (now +. delay) in

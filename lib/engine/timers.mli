@@ -24,11 +24,14 @@
     callback is dropped then: the queue never retains a dead timer's
     closure.
 
-    {b Handles and generations.} A handle is one small immutable block
-    naming the queue, the slot and the generation its timer was issued
-    with. Generations are never reused, so a handle kept past fire or
-    sweep is stale: it reads not pending and cancels nothing, even
-    after a newer timer reuses the slot.
+    {b Handles and generations.} A handle is one small block naming the
+    queue, the slot and the generation its timer was issued with.
+    Generations are never reused, so a handle kept past fire or sweep is
+    stale: it reads not pending and cancels nothing, even after a newer
+    timer reuses the slot. {!rearm} overwrites the slot and generation of
+    the handle it is given, so a timer that is cancelled and scheduled
+    again on every packet reuses one handle block instead of allocating a
+    new one each time.
 
     {b Queue.} Level [l] of the wheel consists of [slots] buckets of width
     [granularity * slots^l] seconds; [slots] is a power of two, so bucket
@@ -67,6 +70,17 @@ val create : ?granularity:float -> ?slots:int -> ?levels:int -> unit -> t
     if [time] is NaN, infinite or negative; checking it against the clock
     is the runtime's job. *)
 val schedule : t -> time:float -> (unit -> unit) -> handle
+
+(** [rearm t h ~time f] cancels [h]'s timer and queues [f] at [time],
+    exactly as [cancel h; schedule t ~time f] would: the new timer takes
+    the next sequence number, and the old one, if still pending, counts
+    as cancelled. When [h] is a timer handle of [t], the new timer is
+    written into [h] itself, which is returned: the call allocates
+    nothing, and [h] stops naming the old timer. Any other handle
+    ({!null_handle}, a {!custom} one, another queue's) is cancelled and a
+    fresh handle from {!schedule} is returned. Raises [Invalid_argument]
+    as {!schedule} does, leaving [h] untouched. *)
+val rearm : t -> handle -> time:float -> (unit -> unit) -> handle
 
 (** [post t ~now ~delay g a] queues [g a] at [now +. delay] and returns
     no handle, so nothing but {!fire} can remove it. The deadline is

@@ -1,4 +1,8 @@
 
+(* Written once per transmission: a record of floats only stores it
+   unboxed. *)
+type floats = { mutable busy_time : float }
+
 type t = {
   rt : Engine.Runtime.t;
   label : string;
@@ -12,7 +16,7 @@ type t = {
   mutable drop_listeners : Packet.handler list;
   mutable state_listeners : (bool -> unit) list;
   mutable delivered_bytes : int;
-  mutable busy_time : float;
+  fl : floats;
   mutable outage_drops : int;
   (* Packets serializing or propagating, and the callbacks, built once,
      of the events that carry their indices. *)
@@ -68,7 +72,7 @@ let bandwidth t = t.bandwidth
 let delay t = t.delay
 let is_up t = t.up
 let delivered_bytes t = t.delivered_bytes
-let busy_time t = t.busy_time
+let busy_time t = t.fl.busy_time
 let outage_drops t = t.outage_drops
 
 let set_bandwidth t bw =
@@ -132,7 +136,7 @@ let rec start_tx t =
   t.busy <- pkt != Packet.none;
   if t.busy then begin
     let tx = Engine.Units.tx_time ~bits_per_s:t.bandwidth ~bytes:pkt.Packet.size in
-    t.busy_time <- t.busy_time +. tx;
+    t.fl.busy_time <- t.fl.busy_time +. tx;
     Engine.Runtime.post t.rt tx t.tx_done (Engine.Slots.add t.flight pkt)
   end
 
@@ -165,7 +169,7 @@ let create rt ?label ~bandwidth ~delay ~queue () =
       drop_listeners = [];
       state_listeners = [];
       delivered_bytes = 0;
-      busy_time = 0.;
+      fl = { busy_time = 0. };
       outage_drops = 0;
       flight = Engine.Slots.create Packet.none;
       tx_done = (fun k -> tx_done t k);

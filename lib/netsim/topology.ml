@@ -24,24 +24,9 @@ type flow_info = {
   mutable dst_recv : Packet.handler;
 }
 
-(* Per-packet forwarding state, installed at injection and removed at final
-   delivery, on any drop (queue, outage or TTL), or when the packet turns
-   out to be unroutable. Keyed by the packet's runtime-unique id. *)
-type target = {
-  tnode : node;
-  tflow : flow_info;
-  tdir : [ `Fwd | `Bwd ];
-  mutable ttl : int;
-}
-
-(* Packet ids are small sequential ints: a multiplicative hash spreads them
-   over the low bits the table indexes by, without the generic C hash. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let[@inline] hash x = (x * 0x2545F4914F6CDD1D) land max_int
-end)
+(* What a free cell of the forwarding table's flow column holds. *)
+let no_flow =
+  { fid = -1; fsrc = -1; fdst = -1; src_recv = ignore; dst_recv = ignore }
 
 type impact_kind = Partitioned | Rerouted | Unaffected
 
@@ -59,7 +44,18 @@ type t = {
   mutable all_edges : edge list; (* most recent first *)
   mutable n_edges : int;
   flows : (int, flow_info) Hashtbl.t;
-  targets : target Itbl.t;
+  (* Per-packet forwarding state, installed at injection and removed at
+     final delivery, on any drop (queue, outage or TTL), or when the
+     packet turns out to be unroutable: an open-addressed table keyed by
+     the packet's runtime-unique id, in parallel arrays of one power-of-
+     two length. [fkey] holds the id, or [empty]; [fnode] the node the
+     packet is bound for; [fttl] its remaining hops times 2, plus 1 when
+     it travels [`Bwd]; [fflow] its flow. [flive] counts the ids held. *)
+  mutable fkey : int array;
+  mutable fnode : int array;
+  mutable fttl : int array;
+  mutable fflow : flow_info array;
+  mutable flive : int;
   (* Routing tables over routers only: cell [ix u * tn + ix d] is router
      u's next hop toward router d, or [no_edge]. [next_up] uses only up
      links; [next_all] ignores link state and is the fallback that keeps
@@ -128,6 +124,93 @@ let check_router t v name =
   check_node t v name;
   if t.ix.(v) < 0 then
     invalid_arg (Printf.sprintf "Topology.%s: node %d is a host" name v)
+
+(* --- forwarding table ------------------------------------------------------ *)
+
+(* Linear probing from the id's home cell; a deletion shifts the rest of
+   its probe run back (no tombstones), and an insertion that fills more
+   than half the cells doubles them. Inserting, finding and deleting
+   allocate nothing but the doubling. [Packet.none]'s id is [empty], and
+   is never held. *)
+
+let empty = -1
+let fwd_capacity = 64
+
+(* Packet ids are small sequential ints: a multiplicative hash spreads them
+   over the low bits the table indexes by, without the generic C hash. *)
+let[@inline] home id mask = (id * 0x2545F4914F6CDD1D) land mask
+
+(* The cell holding [id], or the free cell that ends its probe run. *)
+let fwd_probe keys id =
+  let mask = Array.length keys - 1 in
+  let i = ref (home id mask) in
+  while
+    let k = Array.unsafe_get keys !i in
+    k <> empty && k <> id
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* The cell holding [id], or -1. *)
+let fwd_find t id =
+  let i = fwd_probe t.fkey id in
+  if id <> empty && t.fkey.(i) = id then i else -1
+
+let fwd_set t i id node ttl fi =
+  t.fkey.(i) <- id;
+  t.fnode.(i) <- node;
+  t.fttl.(i) <- ttl;
+  t.fflow.(i) <- fi
+
+let fwd_grow t =
+  let keys = t.fkey and node = t.fnode and ttl = t.fttl and flow = t.fflow in
+  let n = 2 * Array.length keys in
+  t.fkey <- Array.make n empty;
+  t.fnode <- Array.make n 0;
+  t.fttl <- Array.make n 0;
+  t.fflow <- Array.make n no_flow;
+  Array.iteri
+    (fun i k ->
+      if k <> empty then
+        fwd_set t (fwd_probe t.fkey k) k node.(i) ttl.(i) flow.(i))
+    keys
+
+(* Install [id]'s entry, replacing any it already has. *)
+let fwd_replace t id node ttl fi =
+  if id <> empty then begin
+    let i = fwd_probe t.fkey id in
+    if t.fkey.(i) = empty then t.flive <- t.flive + 1;
+    fwd_set t i id node ttl fi;
+    if 2 * t.flive > Array.length t.fkey then fwd_grow t
+  end
+
+(* Empty cell [i], then walk the probe run after it, moving back into
+   the hole every entry whose home does not lie cyclically in (hole, j]:
+   such an entry's probe passed the hole, and would stop there. The flow
+   column keeps stale pointers in free cells; every flow outlives the
+   table. *)
+let fwd_delete t i =
+  let keys = t.fkey in
+  let mask = Array.length keys - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while Array.unsafe_get keys !j <> empty do
+    let h = home keys.(!j) mask in
+    let stays =
+      if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j
+    in
+    if not stays then begin
+      fwd_set t !hole keys.(!j) t.fnode.(!j) t.fttl.(!j) t.fflow.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  keys.(!hole) <- empty;
+  t.flive <- t.flive - 1
+
+let fwd_remove t id =
+  let i = fwd_find t id in
+  if i >= 0 then fwd_delete t i
 
 (* --- packet movement ------------------------------------------------------ *)
 
@@ -324,31 +407,31 @@ let next_edge t u d =
   let e = step t t.next_up u d in
   if e != no_edge then e else step t t.next_all u d
 
+(* An id the table does not hold is an unrouted packet: silently
+   discarded. *)
 let rec arrive t node (pkt : Packet.t) =
-  match Itbl.find t.targets pkt.id with
-  | exception Not_found ->
-      () (* unrouted packet: silently discarded *)
-  | tg ->
-      if node = tg.tnode then begin
-        Itbl.remove t.targets pkt.id;
-        match tg.tdir with
-        | `Fwd -> tg.tflow.dst_recv pkt
-        | `Bwd -> tg.tflow.src_recv pkt
-      end
-      else if tg.ttl <= 0 then begin
-        (* Forwarding loop: impossible while routes come from a shortest-
-           path tree, so any occurrence is a routing bug. The trace event
-           trips the invariant checker's topo-loop-free rule. *)
-        Itbl.remove t.targets pkt.id;
-        loop_ev t node pkt
-      end
-      else begin
-        tg.ttl <- tg.ttl - 1;
-        let e = next_edge t node tg.tnode in
-        if e == no_edge then Itbl.remove t.targets pkt.id
-          (* statically unreachable *)
-        else forward t e pkt
-      end
+  let i = fwd_find t pkt.id in
+  if i >= 0 then begin
+    let tnode = t.fnode.(i) and ttl = t.fttl.(i) in
+    if node = tnode then begin
+      let fi = t.fflow.(i) in
+      fwd_delete t i;
+      if ttl land 1 = 0 then fi.dst_recv pkt else fi.src_recv pkt
+    end
+    else if ttl < 2 then begin
+      (* Forwarding loop: impossible while routes come from a shortest-
+         path tree, so any occurrence is a routing bug. The trace event
+         trips the invariant checker's topo-loop-free rule. *)
+      fwd_delete t i;
+      loop_ev t node pkt
+    end
+    else begin
+      t.fttl.(i) <- ttl - 2;
+      let e = next_edge t node tnode in
+      if e == no_edge then fwd_delete t i (* statically unreachable *)
+      else forward t e pkt
+    end
+  end
 
 and forward t e pkt =
   match e.kind with
@@ -381,7 +464,11 @@ let create ?(cost_model = Hop) rt () =
       all_edges = [];
       n_edges = 0;
       flows = Hashtbl.create 32;
-      targets = Itbl.create 256;
+      fkey = Array.make fwd_capacity empty;
+      fnode = Array.make fwd_capacity 0;
+      fttl = Array.make fwd_capacity 0;
+      fflow = Array.make fwd_capacity no_flow;
+      flive = 0;
       tn = 0;
       next_up = [||];
       next_all = [||];
@@ -430,7 +517,7 @@ let add_link t ~src ~dst link =
   let e = add_routed t ~src ~dst (Queued link) in
   Link.set_dest link (fun pkt -> arrive t dst pkt);
   (* A dropped packet is dead: forget its forwarding state. *)
-  Link.on_drop link (fun pkt -> Itbl.remove t.targets pkt.Packet.id);
+  Link.on_drop link (fun pkt -> fwd_remove t pkt.Packet.id);
   Link.on_state_change link (fun _ -> t.dirty <- true);
   e
 
@@ -480,23 +567,20 @@ let find t flow =
 let set_src_recv t ~flow h = (find t flow).src_recv <- h
 let set_dst_recv t ~flow h = (find t flow).dst_recv <- h
 
-let send t fi dir pkt =
-  let start, tnode =
-    match dir with
-    | `Fwd -> (fi.fsrc, fi.fdst)
-    | `Bwd -> (fi.fdst, fi.fsrc)
-  in
-  Itbl.replace t.targets pkt.Packet.id
-    { tnode; tflow = fi; tdir = dir; ttl = t.n_nodes };
-  arrive t start pkt
+(* [bwd] is 0 for a packet from the flow's source, 1 for one from its
+   destination. *)
+let send t fi bwd pkt =
+  let tnode = if bwd = 0 then fi.fdst else fi.fsrc in
+  fwd_replace t pkt.Packet.id tnode ((2 * t.n_nodes) + bwd) fi;
+  arrive t (if bwd = 0 then fi.fsrc else fi.fdst) pkt
 
 let src_sender t ~flow =
   let fi = find t flow in
-  fun pkt -> send t fi `Fwd pkt
+  fun pkt -> send t fi 0 pkt
 
 let dst_sender t ~flow =
   let fi = find t flow in
-  fun pkt -> send t fi `Bwd pkt
+  fun pkt -> send t fi 1 pkt
 
 let in_flight t = Engine.Slots.live t.flight
 

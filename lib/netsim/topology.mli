@@ -18,8 +18,14 @@
     owns no routing state: it leaves by its up wire and is reached by its
     router's route plus its down wire, so attaching one, even mid-run,
     costs no recompute. The routing tables are two flat r × r arrays of
-    next-hop edges over the r routers, so a hop reads one cell and hashes
-    nothing. A recompute runs one binary-heap Dijkstra per destination
+    next-hop edges over the r routers, so a next-hop lookup reads one
+    cell. A packet's own forwarding state (where it is bound, its hop
+    budget, its flow) sits in an open-addressed table keyed by packet
+    id, in parallel int arrays plus a flow column, with linear probing
+    and backward-shift deletion; it starts at 64 cells and doubles when
+    half full. A hop finds the packet's entry by probing from its id's
+    hash, and no step of injecting, forwarding or forgetting a packet
+    allocates. A recompute runs one binary-heap Dijkstra per destination
     router, O(r · E log r) in all, into scratch arrays it reuses; only a
     router graph that has grown since the last recompute reallocates
     them. Adding a router does not itself trigger a recompute: until the

@@ -2,10 +2,8 @@ type variant = Tahoe | Reno | Newreno | Sack
 
 type config = {
   variant : variant;
-  ack_size : int;
   init_cwnd : float;
   max_cwnd : float;
-  dupack_thresh : int;
   granularity : float;
   min_rto : float;
   rto_mode : Rto.mode;
@@ -19,10 +17,8 @@ let default ?(variant = Sack) ?(init_cwnd = 2.) ?(max_cwnd = 10000.)
     ?(ai = 1.) ?(md = 0.5) () =
   {
     variant;
-    ack_size = 40;
     init_cwnd;
     max_cwnd;
-    dupack_thresh = 3;
     granularity;
     min_rto;
     rto_mode;

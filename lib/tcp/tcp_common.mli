@@ -1,19 +1,18 @@
 (** Shared TCP configuration.
 
     Sequence numbers count packets (segments), as in ns-2; every data
-    segment carries 1000 bytes, the paper's packet size, and the sink acks
-    every segment. The paper's headline comparisons use Sack1 TCP;
-    Tahoe/Reno/NewReno are provided because Section 4.1 also evaluates
-    against them ("we have also looked at Tahoe and Reno..."). *)
+    segment carries 1000 bytes, the paper's packet size, the sink acks
+    every segment with a 40-byte ack, and the third duplicate ack
+    triggers fast retransmit. The paper's headline comparisons use Sack1
+    TCP; Tahoe/Reno/NewReno are provided because Section 4.1 also
+    evaluates against them ("we have also looked at Tahoe and Reno..."). *)
 
 type variant = Tahoe | Reno | Newreno | Sack
 
 type config = {
   variant : variant;
-  ack_size : int;  (** ack packet size, bytes *)
   init_cwnd : float;  (** initial congestion window, packets *)
   max_cwnd : float;  (** receiver-advertised window, packets *)
-  dupack_thresh : int;  (** fast-retransmit threshold, default 3 *)
   granularity : float;  (** RTO clock granularity, seconds *)
   min_rto : float;
   rto_mode : Rto.mode;

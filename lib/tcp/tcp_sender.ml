@@ -1,6 +1,9 @@
 (* Data segment size in bytes: the paper's packet size. *)
 let mss = 1000
 
+(* Duplicate acks that trigger fast retransmit. *)
+let dupack_thresh = 3
+
 type stats = {
   mutable packets_sent : int;
   mutable retransmits : int;
@@ -69,9 +72,10 @@ let in_recovery t = t.recovery <> None
 (* --- retransmission timer ------------------------------------------------ *)
 
 let rec set_rto_timer t =
-  Engine.Runtime.cancel t.rto_timer;
   if t.running && flight t > 0 then
-    t.rto_timer <- Engine.Runtime.after t.rt (Rto.rto t.rto) t.on_rto
+    t.rto_timer <-
+      Engine.Runtime.rearm t.rt t.rto_timer (Rto.rto t.rto) t.on_rto
+  else Engine.Runtime.cancel t.rto_timer
 
 and on_timeout t =
   if t.running && flight t > 0 then begin
@@ -171,7 +175,7 @@ let enter_loss_recovery t =
       t.snd_nxt <- t.snd_una + 1
   | Tcp_common.Reno | Tcp_common.Newreno ->
       t.recovery <- Some { recover };
-      t.fl.cwnd <- t.fl.ssthresh +. float_of_int t.config.dupack_thresh;
+      t.fl.cwnd <- t.fl.ssthresh +. float_of_int dupack_thresh;
       send_seq t t.snd_una
   | Tcp_common.Sack ->
       t.recovery <- Some { recover };
@@ -249,7 +253,7 @@ let on_dupack t =
       | Tcp_common.Tahoe -> ())
   | None ->
       if
-        t.dupacks = t.config.dupack_thresh
+        t.dupacks = dupack_thresh
         && flight t > 0
         && t.snd_una > t.recover_point
       then enter_loss_recovery t
@@ -314,7 +318,7 @@ let create rt ~config ~flow ~transmit () =
       recover_point = -1;
       dupacks = 0;
       recovery = None;
-      board = Scoreboard.create ~dupack_thresh:config.Tcp_common.dupack_thresh;
+      board = Scoreboard.create ~dupack_thresh;
       timed_seq = -1;
       rto_timer = Engine.Runtime.null_handle;
       on_rto = ignore;

@@ -1,3 +1,5 @@
+let ack_size = 40
+
 type t = {
   rt : Engine.Runtime.t;
   config : Tcp_common.config;
@@ -25,7 +27,7 @@ let create rt ~config ~flow ~transmit () =
 
 let send_ack t =
   let pkt =
-    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.next_expected ~size:t.config.ack_size
+    Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.next_expected ~size:ack_size
       ~now:(Engine.Runtime.now t.rt)
       (Netsim.Packet.Tcp_ack
          {

@@ -105,6 +105,12 @@ let post t delay g a =
   check_delay "post" delay;
   Engine.Timers.post t.timers ~now:(now t) ~delay g a
 
+(* The deadline is [post]'s: never in the past, so [at]'s clamp and
+   past-time check have nothing to do. *)
+let rearm t h delay f =
+  check_delay "rearm" delay;
+  Engine.Timers.rearm t.timers h ~time:(now t +. delay) f
+
 let cancel = Engine.Timers.cancel
 let pending_timers t = Engine.Timers.size t.timers
 
@@ -119,14 +125,18 @@ let runtime t =
   | Some rt -> rt
   | None ->
       let rt =
-        Engine.Runtime.with_post
-          (Engine.Runtime.make
-             ~now:(fun () -> now t)
-             ~at:(fun time f -> at t time f)
-             ~after:(fun delay f -> after t delay f)
-             ~trace:t.trace
-             ~fresh_id:(fun () -> fresh_id t))
-          (fun delay g a -> post t delay g a)
+        Engine.Runtime.make
+          ~now:(fun () -> now t)
+          ~at:(fun time f -> at t time f)
+          ~after:(fun delay f -> after t delay f)
+          ~trace:t.trace
+          ~fresh_id:(fun () -> fresh_id t)
+      in
+      let rt =
+        Engine.Runtime.with_post rt (fun delay g a -> post t delay g a)
+      in
+      let rt =
+        Engine.Runtime.with_rearm rt (fun h delay f -> rearm t h delay f)
       in
       t.runtime <- Some rt;
       rt

@@ -615,6 +615,183 @@ let prop_loop_slot_reuse =
         (fun until -> Wire.Loop.run loop ~until)
         ops)
 
+(* --- Re-arming in place ---------------------------------------------------
+
+   [rearm] must be indistinguishable from [cancel] then [schedule], except
+   that it reuses the handle block. *)
+
+type rearm_op =
+  | R_sched of float
+  | R_cancel of int
+  | R_rearm of int * float
+  | R_pop
+  | R_sweep
+
+let rearm_op_print = function
+  | R_sched t -> Printf.sprintf "sched %g" t
+  | R_cancel i -> Printf.sprintf "cancel %d" i
+  | R_rearm (i, t) -> Printf.sprintf "rearm %d %g" i t
+  | R_pop -> "pop"
+  | R_sweep -> "sweep"
+
+(* Every op runs on two queues of the small geometry: [q] re-arms in
+   place, [r] cancels and schedules. Handle [k] of each starts as
+   [null_handle] (the fallback) and is then replaced by what each call
+   returns. After every op both queues hold as many entries and agree on
+   which handles are pending; every pop fires the same callback at the
+   same time, and a re-arm of one of [q]'s own handles returns it. *)
+let prop_rearm_matches_cancel_schedule =
+  let open QCheck.Gen in
+  let time =
+    oneof [ float_bound_inclusive 0.01; float_bound_inclusive 5.; return 0. ]
+  in
+  let op =
+    frequency
+      [
+        (3, map (fun t -> R_sched t) time);
+        (2, map (fun i -> R_cancel i) nat);
+        (5, map2 (fun i t -> R_rearm (i, t)) nat time);
+        (4, return R_pop);
+        (1, return R_sweep);
+      ]
+  in
+  QCheck.Test.make ~name:"rearm fires as cancel + schedule" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map rearm_op_print l))
+       (list_size (int_range 0 300) op))
+    (fun ops ->
+      let geometry () =
+        Engine.Timers.create ~granularity:1e-3 ~slots:4 ~levels:2 ()
+      in
+      let q = geometry () and r = geometry () in
+      let hq = ref [| Engine.Timers.null_handle |]
+      and hr = ref [| Engine.Timers.null_handle |] in
+      let tags = ref 0 and fired_q = ref (-1) and fired_r = ref (-1) in
+      let fresh () =
+        let tag = !tags in
+        incr tags;
+        ((fun () -> fired_q := tag), fun () -> fired_r := tag)
+      in
+      let pop () =
+        let tq = Engine.Timers.peek_time q and tr = Engine.Timers.peek_time r in
+        fired_q := -1;
+        fired_r := -1;
+        Engine.Timers.fire q;
+        Engine.Timers.fire r;
+        tq = tr && !fired_q = !fired_r
+      in
+      let agree () =
+        Engine.Timers.size q = Engine.Timers.size r
+        && Array.for_all2
+             (fun a b -> Engine.Timers.is_pending a = Engine.Timers.is_pending b)
+             !hq !hr
+      in
+      let ok =
+        List.for_all
+          (fun op ->
+            let n = Array.length !hq in
+            let step =
+              match op with
+              | R_sched time ->
+                  let fq, fr = fresh () in
+                  hq := Array.append !hq [| Engine.Timers.schedule q ~time fq |];
+                  hr := Array.append !hr [| Engine.Timers.schedule r ~time fr |];
+                  true
+              | R_cancel i ->
+                  Engine.Timers.cancel !hq.(i mod n);
+                  Engine.Timers.cancel !hr.(i mod n);
+                  true
+              | R_rearm (i, time) ->
+                  let k = i mod n and fq, fr = fresh () in
+                  let old = !hq.(k) in
+                  !hq.(k) <- Engine.Timers.rearm q old ~time fq;
+                  Engine.Timers.cancel !hr.(k);
+                  !hr.(k) <- Engine.Timers.schedule r ~time fr;
+                  old == Engine.Timers.null_handle || !hq.(k) == old
+              | R_pop -> pop ()
+              | R_sweep ->
+                  Engine.Timers.sweep q;
+                  Engine.Timers.sweep r;
+                  true
+            in
+            step && agree ())
+          ops
+      in
+      let rec drain () = Engine.Timers.is_empty q || (pop () && drain ()) in
+      ok && drain () && Engine.Timers.is_empty r)
+
+(* Through a runtime: the re-armed handle is the one passed in, the
+   timer it named never fires, and the new one fires once, at the new
+   deadline. *)
+let check_runtime_rearm name rt now run =
+  let log = ref [] in
+  let h = Engine.Runtime.after rt 1. (fun () -> log := "old" :: !log) in
+  let h' =
+    Engine.Runtime.rearm rt h 2. (fun () -> log := Printf.sprintf "new %g" (now ()) :: !log)
+  in
+  check Alcotest.bool (name ^ ": same handle") true (h' == h);
+  check Alcotest.bool (name ^ ": pending") true (Engine.Runtime.is_pending h);
+  run 5.;
+  check Alcotest.(list string) (name ^ ": only the new timer fired") [ "new 2" ]
+    !log;
+  check Alcotest.bool (name ^ ": fired") false (Engine.Runtime.is_pending h);
+  (* A fired handle is re-armed in place too, and a null one is replaced. *)
+  let h'' = Engine.Runtime.rearm rt h 1. (fun () -> log := "again" :: !log) in
+  check Alcotest.bool (name ^ ": fired handle reused") true (h'' == h);
+  let n = Engine.Runtime.rearm rt Engine.Runtime.null_handle 1. ignore in
+  check Alcotest.bool (name ^ ": null handle replaced") true
+    (n != Engine.Runtime.null_handle && Engine.Runtime.is_pending n);
+  run 10.;
+  check Alcotest.(list string) (name ^ ": re-armed after firing")
+    [ "again"; "new 2" ] !log
+
+let test_sim_rearm () =
+  let sim = quiet_sim () in
+  check_runtime_rearm "sim" (Engine.Sim.runtime sim)
+    (fun () -> Engine.Sim.now sim)
+    (fun until -> Engine.Sim.run sim ~until)
+
+let test_loop_rearm () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  check_runtime_rearm "wire loop" (Wire.Loop.runtime loop)
+    (fun () -> Wire.Loop.now loop)
+    (fun until -> Wire.Loop.run loop ~until)
+
+(* A re-arm through a runtime allocates at most the deadline it boxes to
+   pass to the timer core (2 words): no handle, no closure. The delays
+   are constants, so the caller boxes none. Half the re-arms cancel a
+   pending timer and half re-arm a cancelled one. A first round grows the
+   slot store, and [run] drains it; the second is measured. *)
+let rearm_words_bound = 2.
+
+let check_rearm_words name rt run =
+  let n = 10_000 in
+  let round () =
+    let h = ref (Engine.Runtime.after rt 1. ignore) in
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    for i = 1 to n do
+      if i land 1 = 0 then Engine.Runtime.cancel !h;
+      h := Engine.Runtime.rearm rt !h (if i land 1 = 0 then 0.5 else 1.5) ignore
+    done;
+    let w2 = Gc.minor_words () in
+    run ();
+    (w2 -. w1 -. (w1 -. w0)) /. float_of_int n
+  in
+  ignore (round ());
+  let words = round () in
+  if words > rearm_words_bound then
+    Alcotest.failf "%s: %.2f minor words per re-arm (bound %.0f)" name words
+      rearm_words_bound
+
+let test_rearm_words () =
+  let sim = quiet_sim () in
+  check_rearm_words "Sim" (Engine.Sim.runtime sim) (fun () ->
+      Engine.Sim.run sim ~until:infinity);
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  check_rearm_words "Wire.Loop" (Wire.Loop.runtime loop) (fun () ->
+      Wire.Loop.run loop ~until:infinity)
+
 (* --- Timers: retention and allocation ----------------------------------- *)
 
 let test_fired_releases () =
@@ -1081,6 +1258,13 @@ let () =
           Alcotest.test_case "sim words per post" `Quick test_sim_post_words;
           Alcotest.test_case "wire loop words per post" `Quick
             test_loop_post_words;
+        ] );
+      ( "rearm",
+        [
+          qtest prop_rearm_matches_cancel_schedule;
+          Alcotest.test_case "sim runtime" `Quick test_sim_rearm;
+          Alcotest.test_case "wire loop runtime" `Quick test_loop_rearm;
+          Alcotest.test_case "words per re-arm" `Quick test_rearm_words;
         ] );
       ( "slot_reuse",
         [

@@ -431,10 +431,11 @@ let minor_words_of f =
   w2 -. w1 -. (w1 -. w0)
 
 (* One packet through a DropTail link, serialized, propagated and
-   delivered: two posted events, no closure, handle or option. What is
-   left are float boxes: the serialization time, the busy-time sum, and
-   the two popped deadlines that become the clock. *)
-let link_words_bound = 12.
+   delivered: two posted events, no closure, handle or option, and the
+   busy-time sum is stored unboxed. What is left are float boxes: the
+   serialization time and the two popped deadlines that become the
+   clock. *)
+let link_words_bound = 6.
 
 let test_link_words () =
   let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in

@@ -344,8 +344,7 @@ let test_discount_threshold_clamp_exact () =
        s_hat_new = (300 + 2/3*100*2) / (1 + 2/3*2) = 433.33/2.33 = 185.71. *)
   let make s0 =
     let t =
-      Tfrc.Loss_intervals.create ~n:4 ~constant_weights:true ~discounting:true
-        ~discount_threshold:0.25 ()
+      Tfrc.Loss_intervals.create ~n:4 ~constant_weights:true ~discounting:true ()
     in
     Tfrc.Loss_intervals.record_interval t ~length:100.;
     Tfrc.Loss_intervals.record_interval t ~length:100.;
@@ -362,8 +361,7 @@ let test_discount_lock_exact () =
        mean_closed = (50 + 0.25*100 + 0.25*100) / (1 + 0.25 + 0.25) = 66.67,
      not (50 + 100 + 100)/3 = 83.33 as it would be without locking. *)
   let t =
-    Tfrc.Loss_intervals.create ~n:4 ~constant_weights:true ~discounting:true
-      ~discount_threshold:0.25 ()
+    Tfrc.Loss_intervals.create ~n:4 ~constant_weights:true ~discounting:true ()
   in
   Tfrc.Loss_intervals.record_interval t ~length:100.;
   Tfrc.Loss_intervals.record_interval t ~length:100.;

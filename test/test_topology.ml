@@ -5,8 +5,9 @@
    routing tables under both cost models against a selection-Dijkstra
    reference model, leaf hosts (routes equal to plain nodes wired the same way, no
    recompute when one is attached, tables sized to routers), allocation
-   bounds on recompute and route queries, and graph fuzz scenarios under
-   parallel execution. *)
+   bounds on recompute and route queries, the per-packet forwarding table
+   against a [Hashtbl] model, and graph fuzz scenarios under parallel
+   execution. *)
 
 module TB = Netsim.Topo_builders.Transcontinental
 
@@ -628,10 +629,10 @@ let minor_words_of f =
 
 (* Injecting a packet, carrying it over one delayed wire and delivering
    it. The hop posts one event with the packet's index in the topology's
-   in-flight table, so no closure or handle is made; what remains is the
-   packet's forwarding entry (a 5-word record and a 4-word bucket, 9
-   words) and the popped deadline that becomes the clock (2 words). *)
-let hop_words_bound = 14.
+   in-flight table, so no closure or handle is made, and the packet's
+   forwarding entry is written into the flat forwarding table; what
+   remains is the popped deadline that becomes the clock (2 words). *)
+let hop_words_bound = 2.
 
 let test_hop_words () =
   let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
@@ -661,6 +662,171 @@ let test_hop_words () =
   if !words > hop_words_bound then
     Alcotest.failf "%.1f minor words per packet (bound %.1f)" !words
       hop_words_bound
+
+(* --- Forwarding table ------------------------------------------------------
+
+   h1 -- r1 == link ==> r2 -- h2, with flow 1 from h1 to h2 and zero-delay
+   host wires, which are crossed synchronously. The sim is never run, so
+   the first packet injected stays in serialization and every later one
+   in the link's queue: each keeps its forwarding entry until it leaves.
+   Handing a packet to the link's destination handler ([exit]) is its
+   arrival at r2: with an entry it is delivered to h2 at once, otherwise
+   it is discarded as unrouted. *)
+type path = {
+  topo : Netsim.Topology.t;
+  link : Netsim.Link.t;
+  send : Netsim.Packet.handler;
+  exit : Netsim.Packet.handler;
+  delivered : int ref;
+}
+
+let one_link_path ~limit_pkts =
+  let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
+  let rt = Engine.Sim.runtime sim in
+  let topo = Netsim.Topology.create rt () in
+  let r1 = Netsim.Topology.add_node topo in
+  let r2 = Netsim.Topology.add_node topo in
+  let link =
+    Netsim.Link.create rt ~bandwidth:1e6 ~delay:0.01
+      ~queue:(Netsim.Droptail.create ~limit_pkts)
+      ()
+  in
+  ignore (Netsim.Topology.add_link topo ~src:r1 ~dst:r2 link);
+  let h1 = Netsim.Topology.add_host topo ~router:r1 ~access:0. in
+  let h2 = Netsim.Topology.add_host topo ~router:r2 ~access:0. in
+  Netsim.Topology.add_flow topo ~flow:1 ~src:h1 ~dst:h2;
+  let delivered = ref 0 in
+  Netsim.Topology.set_dst_recv topo ~flow:1 (fun _ -> incr delivered);
+  {
+    topo;
+    link;
+    send = Netsim.Topology.src_sender topo ~flow:1;
+    exit = Netsim.Link.current_dest link;
+    delivered;
+  }
+
+let pkt_with_id id = { Netsim.Packet.none with id; flow = 1; size = 1000 }
+
+(* Whether [exit] delivered the packet it was just handed. *)
+let exits p pkt =
+  let before = !(p.delivered) in
+  p.exit pkt;
+  !(p.delivered) > before
+
+type fwd_op = Inject of int | Exit of int | Flush
+
+let fwd_op_print = function
+  | Inject id -> Printf.sprintf "inject %d" id
+  | Exit id -> Printf.sprintf "exit %d" id
+  | Flush -> "flush"
+
+(* Random injections, exits and queue flushes against a [Hashtbl] of the
+   ids that hold an entry. Ids come from a universe a few times the
+   table's initial 64 cells, so streams re-inject held ids, hold more
+   than 32 (the table doubles), and collide: a cell's home is the low
+   bits of the id's hash, so every id that agrees with another in those
+   bits lands in one probe run, and the runs that start near the end of
+   the array wrap to its start, where deletions must shift entries back
+   across it. A flush takes the link down and up again: every queued
+   packet is dropped and forgets its entry, and only the one in
+   serialization stays. *)
+let prop_forwarding_table_matches_model =
+  let open QCheck.Gen in
+  let id = int_range 0 255 in
+  let op =
+    frequency
+      [
+        (6, map (fun i -> Inject i) id);
+        (4, map (fun i -> Exit i) id);
+        (1, return Flush);
+      ]
+  in
+  QCheck.Test.make ~name:"forwarding entries match a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map fwd_op_print l))
+       (list_size (int_range 0 400) op))
+    (fun ops ->
+      let p = one_link_path ~limit_pkts:100_000 in
+      let model = Hashtbl.create 64 in
+      (* Ids of the packets in the queue, oldest first, once the first
+         packet has gone into serialization. *)
+      let serializing = ref false and queued = ref [] in
+      let ok =
+        List.for_all
+          (fun op ->
+            match op with
+            | Inject id ->
+                p.send (pkt_with_id id);
+                Hashtbl.replace model id ();
+                if !serializing then queued := id :: !queued
+                else serializing := true;
+                true
+            | Exit id ->
+                let want = Hashtbl.mem model id in
+                Hashtbl.remove model id;
+                exits p (pkt_with_id id) = want
+            | Flush ->
+                Netsim.Link.set_up p.link false;
+                Netsim.Link.set_up p.link true;
+                List.iter (Hashtbl.remove model) !queued;
+                queued := [];
+                true)
+          ops
+      in
+      (* Every id: exactly the held ones are delivered, once. *)
+      ok
+      && List.for_all
+           (fun id -> exits p (pkt_with_id id) = Hashtbl.mem model id)
+           (List.init 256 Fun.id)
+      && List.for_all (fun id -> not (exits p (pkt_with_id id))) (List.init 256 Fun.id))
+
+(* Every packet that leaves by a drop forgets its entry: after a queue
+   overflow and an outage flush, only the packet that was on the wire
+   arrives, and none of the others is delivered when presented at r2. *)
+let test_drops_leave_no_entry () =
+  let p = one_link_path ~limit_pkts:5 in
+  let drops = ref 0 in
+  Netsim.Link.on_drop p.link (fun _ -> incr drops);
+  let pkts = List.init 20 (fun i -> pkt_with_id (i + 1)) in
+  List.iter p.send pkts;
+  Alcotest.(check int) "overflow drops" 14 !drops;
+  Netsim.Link.set_up p.link false;
+  Alcotest.(check int) "flushed" 19 !drops;
+  Alcotest.(check int) "nothing delivered yet" 0 !(p.delivered);
+  List.iter
+    (fun pkt ->
+      if pkt.Netsim.Packet.id > 1 && exits p pkt then
+        Alcotest.failf "dropped packet %d still routed" pkt.id)
+    pkts;
+  Alcotest.(check bool) "the packet on the wire is routed" true
+    (exits p (List.hd pkts));
+  Alcotest.(check bool) "and forgotten once delivered" false
+    (exits p (List.hd pkts));
+  Alcotest.(check int) "no other route" 0 (Netsim.Topology.in_flight p.topo)
+
+(* Forwarding allocates nothing: injecting a packet over the host's up
+   wire into the link's queue, and its arrival from the link over the
+   down wire into the receiver, with the table, the queue's ring and the
+   routes already grown by a first round. *)
+let test_forwarding_words () =
+  let p = one_link_path ~limit_pkts:1000 in
+  let n = 20 in
+  p.send (pkt_with_id 1000);
+  let pkts = Array.init n (fun i -> pkt_with_id (i + 1)) in
+  let round () =
+    let words = ref 0. in
+    Array.iter (fun pkt -> words := !words +. minor_words_of (fun () -> p.send pkt)) pkts;
+    Array.iter (fun pkt -> words := !words +. minor_words_of (fun () -> p.exit pkt)) pkts;
+    Netsim.Link.set_up p.link false;
+    Netsim.Link.set_up p.link true;
+    !words
+  in
+  ignore (round ());
+  p.delivered := 0;
+  let words = round () in
+  Alcotest.(check int) "all delivered" n !(p.delivered);
+  if words > 0. then
+    Alcotest.failf "forwarding: %.0f minor words for %d packets" words n
 
 (* Nodes and flows added after the last recompute have no table cells: a
    lookup past the tables' size is "no route", as a hash-table miss was. *)
@@ -859,6 +1025,13 @@ let () =
             test_node_added_after_routes;
           Alcotest.test_case "wire in_flight exact" `Quick
             test_wire_in_flight_exact;
+        ] );
+      ( "forwarding",
+        [
+          QCheck_alcotest.to_alcotest prop_forwarding_table_matches_model;
+          Alcotest.test_case "drops leave no entry" `Quick
+            test_drops_leave_no_entry;
+          Alcotest.test_case "words" `Quick test_forwarding_words;
         ] );
       ( "hosts",
         [
