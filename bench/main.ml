@@ -232,7 +232,7 @@ let many_flows_json ~flows ~wall =
   let sim = Engine.Sim.create () in
   let stats = Array.init flows (fun _ -> Stats.Running.create ()) in
   let events = ref 0 in
-  let watchdog = Array.make (max flows 1) Engine.Sim.null_handle in
+  let watchdog = Array.make (max flows 1) Engine.Runtime.null_handle in
   let period i = 0.020 +. (float_of_int (i mod 181) *. 1e-3) in
   let rec fire i () =
     incr events;
@@ -242,7 +242,7 @@ let many_flows_json ~flows ~wall =
         Netsim.Packet.Data
     in
     Stats.Running.add stats.(i) (float_of_int p.Netsim.Packet.size);
-    Engine.Sim.cancel watchdog.(i);
+    Engine.Runtime.cancel watchdog.(i);
     watchdog.(i) <- Engine.Sim.after sim (4. *. period i) ignore;
     ignore (Engine.Sim.after sim (period i) (fire i))
   in

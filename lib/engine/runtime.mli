@@ -1,16 +1,32 @@
-(** Sans-IO runtime interface.
+(** Sans-IO runtime interface, and the clocked front end that implements
+    it.
 
     A [Runtime.t] is the complete contract between protocol state machines
     (TFRC sender/receiver, the baseline controllers) and whatever drives
-    them: a virtual clock with one-shot cancellable timers, a trace bus,
-    and a per-runtime identity allocator. Protocol modules written against
+    them: a clock with one-shot cancellable timers, a trace bus, and a
+    per-runtime identity allocator. Protocol modules written against
     this interface contain no scheduler- or IO-specific code, so the same
     modules run
 
-    - under {!Sim} (the discrete-event simulator; {!Sim.runtime} is the
-      canonical implementation and every existing experiment uses it), and
+    - under {!Sim} (the discrete-event simulator; every experiment uses
+      {!Sim.runtime}), and
     - under [Wire.Loop] (a real-time poll loop over the monotonic clock
       and UDP sockets).
+
+    Both are this module's front end: the clock, a {!Timers} queue, the
+    trace bus, the id counter and the sweep event. Each keeps only its
+    run loop (the functions at the end) and what is its own: Sim's
+    budgets; the loop's fd watches and I/O settling.
+
+    {b The clock is boxed at most once per instant.} The time is held
+    unboxed in a {!Timers.clock} record, and {!fire} moves it to a
+    popped deadline without allocating. The first {!now} after that
+    boxes it, and every later {!now} in the instant returns the same
+    box, so an event that never reads the clock allocates no box.
+    Relative deadlines are summed from the record inside the timer core,
+    and the next deadline is read back through it, so no deadline is
+    boxed at a call either, even in a build that inlines nothing across
+    modules.
 
     What a protocol module may assume about a runtime:
     - [now] is monotone non-decreasing and starts at 0 at runtime creation;
@@ -34,7 +50,7 @@ type handle = Timers.handle
 
 (** [handle ~cancel ~is_pending] wraps any other implementation's timer
     (for example a view that forwards to an inner runtime's handle and
-    counts cancels). [cancel] must be idempotent. *)
+    counts cancels). [cancel] must be idempotent. See {!make}. *)
 val handle : cancel:(unit -> unit) -> is_pending:(unit -> bool) -> handle
 
 (** A handle that is never pending; useful as an initial field value. *)
@@ -49,13 +65,36 @@ val is_pending : handle -> bool
 
 type t
 
+(** The prefix of the error messages (["Sim."], ["Wire.Loop."]) and the
+    sweep event ([sim/sweep], [wire/sweep]). *)
+type owner = Sim | Loop
+
+(** [create ?trace owner read] is a front end at time 0 with an empty
+    queue, emitting to [trace] (default {!Trace.default}). [read] says
+    how the time is read and what a past deadline in {!at} means.
+    [`Virtual]: the clock moves only as {!fire} fires a timer, and a
+    past deadline raises [Invalid_argument] (Sim, the loop's [`Warp]).
+    [`Monotonic read]: every {!now} and scheduling call reads [read ()],
+    seconds since the start, and the clock follows it but never goes
+    back; a past deadline, which on a real clock races against time
+    itself, is clamped to the current instant (the loop's
+    [`Monotonic]). *)
+val create :
+  ?trace:Trace.t -> owner -> [ `Virtual | `Monotonic of unit -> float ] -> t
+
 (** [make ~now ~at ~after ~trace ~fresh_id] builds a runtime from an
     implementation's closures. [at] schedules at an absolute time on the
     runtime's clock; [after] relative to [now]; both must reject
-    non-finite arguments rather than corrupt their timer queue. The
-    runtime's {!post} is [after] with a closure that applies the payload,
-    and its {!rearm} is [cancel] then [after]: correct, but each call
-    allocates a handle (and, for [post], a closure). *)
+    non-finite arguments rather than corrupt their timer queue. Such a
+    view's {!post} is [after] with a closure that applies the payload,
+    and its {!rearm} is [cancel] then [after]: each call allocates a
+    handle (and, for [post], a closure).
+
+    [make] and {!handle} have one caller outside the tests: the traced
+    benchmark's views ([bench/e2e/probe.ml]), which time each
+    component's callbacks and count its cancels. They go, with
+    {!Timers.custom}, in ROADMAP item 3's [[benchmark]] change, which
+    moves that profiling into the library. *)
 val make :
   now:(unit -> float) ->
   at:(float -> (unit -> unit) -> handle) ->
@@ -64,23 +103,16 @@ val make :
   fresh_id:(unit -> int) ->
   t
 
-(** [with_post t post] is [t] with an implementation's native {!post}.
-    {!Sim.runtime} and [Wire.Loop.runtime] both supply one built on
-    {!Timers.post} that allocates nothing. [post delay g a] must honour
-    the {!post} contract below. *)
-val with_post : t -> (float -> (int -> unit) -> int -> unit) -> t
-
-(** [with_rearm t rearm] is [t] with an implementation's native
-    {!rearm}. {!Sim.runtime} and [Wire.Loop.runtime] both supply one
-    built on {!Timers.rearm}. [rearm h delay f] must honour the {!rearm}
-    contract below. *)
-val with_rearm : t -> (handle -> float -> (unit -> unit) -> handle) -> t
-
-(** Current time in seconds on this runtime's clock (0 at creation). *)
+(** Current time in seconds on this runtime's clock (0 at creation); on
+    a virtual clock, a timer's deadline bit for bit inside its callback.
+    A front end boxes it at most once per instant: repeated reads
+    between two clock moves return physically the same float. *)
 val now : t -> float
 
-(** [at t time f] schedules [f] at absolute [time]; [after t delay f]
-    schedules [f] in [delay] seconds. *)
+(** [at t time f] schedules [f] at absolute [time], which must be
+    finite; a past [time] raises or is clamped, as {!create} says.
+    [after t delay f] schedules [f] in [delay] seconds: [delay] must be
+    finite and non-negative, and [now +. delay] finite. *)
 val at : t -> float -> (unit -> unit) -> handle
 
 val after : t -> float -> (unit -> unit) -> handle
@@ -103,10 +135,10 @@ val post : t -> float -> (int -> unit) -> int -> unit
     at the same instant and in the same order. The runtimes of {!Sim} and
     [Wire.Loop] write the new timer into [h] itself when it is one of
     their own handles and return it: [h] then names the new timer, not
-    the old one, and nothing but the caller's boxed [delay] is allocated.
-    Anywhere else — a handle from another runtime or from {!handle}, or
-    a runtime built by {!make} without {!with_rearm} — it falls back to
-    [cancel h; after t delay f], which allocates a fresh handle. Hold a
+    the old one, and nothing is allocated. Anywhere else — a handle from
+    another runtime or from {!handle}, or a runtime built by {!make} — it
+    falls back to [cancel h; after t delay f], which allocates a fresh
+    handle. Hold a
     handle in one place only if it is re-armed: a copy kept elsewhere
     follows the re-arm. [delay] is checked as [after] checks it. *)
 val rearm : t -> handle -> float -> (unit -> unit) -> handle
@@ -118,3 +150,41 @@ val trace : t -> Trace.t
     packet ids are drawn here, so identity streams are deterministic per
     runtime, never process-global. *)
 val fresh_id : t -> int
+
+(** {2 The run loop's side}
+
+    For {!Sim} and [Wire.Loop], which drive their front end's queue. *)
+
+(** How many ids {!fresh_id} has handed out. *)
+val ids_allocated : t -> int
+
+(** The clock record, read-only here: [now] is the time and [next] the
+    deadline {!due} last peeked ([infinity] if none). *)
+val clock : t -> Timers.clock
+
+(** Entries queued, cancelled ones included until swept. *)
+val pending : t -> int
+
+(** [due t ~until] peeks the earliest entry: [true] if there is one and
+    its deadline is at or before [until]. [live t]: it is not
+    cancelled. *)
+val due : t -> until:float -> bool
+
+val live : t -> bool
+
+(** [fire t] pops the entry {!due} found and runs it, moving a virtual
+    clock to its deadline first if it is live; a cancelled one is
+    discarded and moves nothing. *)
+val fire : t -> unit
+
+(** [land_on t until] ends a run: a finite [until] ahead of the clock
+    becomes the time, and [until]'s own box the one {!now} returns. *)
+val land_on : t -> float -> unit
+
+(** [emit t kind] emits [kind] at {!now} if the trace bus is active; off
+    the hot paths, since [kind] is built even when it is not. *)
+val emit : t -> Trace.kind -> unit
+
+(** [maybe_sweep t] applies {!Timers.maybe_sweep}, emitting the owner's
+    sweep event when it prunes. Run loops call it before each pop. *)
+val maybe_sweep : t -> unit

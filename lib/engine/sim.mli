@@ -1,48 +1,39 @@
 (** Discrete-event simulation scheduler.
 
-    A [Sim.t] owns a virtual clock and a timer wheel ({!Timers}).
-    Agents schedule callbacks at absolute or relative virtual times;
-    [run] executes events in timestamp order, advancing the clock. This
-    plays the role of the ns-2 scheduler in the paper's experiments. *)
+    A [Sim.t] is a {!Runtime} front end on a virtual clock, plus its run
+    loop and budgets. Agents schedule callbacks at absolute or
+    relative virtual times; [run] executes events in timestamp order,
+    advancing the clock. This plays the role of the ns-2 scheduler in the
+    paper's experiments. *)
 
 type t
-
-(** Cancellable handle for a scheduled event (a timer); cancel, pending
-    and sweep semantics are {!Timers}'. *)
-type handle = Timers.handle
 
 (** [create ?trace ()] makes a scheduler at virtual time 0, attached to
     [trace] (default: the process-wide {!Trace.default} bus). Emits a
     [sim/created] event so observers can reset per-run state. *)
 val create : ?trace:Trace.t -> unit -> t
 
-(** [now t] is the current virtual time in seconds. *)
+(** [now t] is the current virtual time in seconds: inside a callback,
+    its deadline bit for bit. Boxed at most once per instant ({!Runtime}). *)
 val now : t -> float
 
-(** [ids_allocated t] is how many ids {!fresh_id} has handed out. *)
+(** [ids_allocated t] is how many ids {!Runtime.fresh_id} has handed out
+    on this sim's runtime. *)
 val ids_allocated : t -> int
 
 (** [at t time f] schedules [f] to run at absolute virtual [time]. [time]
     must be finite (NaN and infinities raise [Invalid_argument]) and not
     earlier than [now t]. *)
-val at : t -> float -> (unit -> unit) -> handle
+val at : t -> float -> (unit -> unit) -> Runtime.handle
 
 (** [after t delay f] schedules [f] to run [delay] seconds from now.
     [delay] must be finite and non-negative. *)
-val after : t -> float -> (unit -> unit) -> handle
+val after : t -> float -> (unit -> unit) -> Runtime.handle
 
-(** {!Timers.cancel} and {!Timers.null_handle}. *)
-val cancel : handle -> unit
-
-val null_handle : handle
-
-(** [runtime t] is the sans-IO {!Runtime} view of this scheduler — virtual
-    clock, cancellable timers, trace bus and id allocator — the canonical
-    runtime implementation that protocol state machines ([Tfrc_sender],
-    [Tfrc_receiver], the baselines) are written against. Memoized: repeated
-    calls return the same record. Timers scheduled through it are ordinary
-    sim events, so behavior — including traces and [-j N] byte-identity —
-    is exactly as if the protocol called [Sim.at] directly. *)
+(** [runtime t] is this scheduler's front end, the runtime protocol state
+    machines ([Tfrc_sender], [Tfrc_receiver], the baselines) are written
+    against: the same value on every call. Timers scheduled through it
+    are ordinary sim events. *)
 val runtime : t -> Runtime.t
 
 (** {2 Cooperative budgets}
@@ -73,7 +64,8 @@ val with_budget : budget -> (unit -> 'a) -> 'a
 
 (** [run t ~until] executes events in time order until the wheel is empty
     or the next event is past [until]; the clock ends at [until] (or at
-    the last event if the wheel drains first and [until] is infinite).
+    the last fired event if [until] is infinite), and [now] then returns
+    [until]'s own box.
 
     [?budget] (default: the domain's ambient budget, see {!with_budget})
     meters the run: each executed event decrements the shared event
@@ -83,10 +75,9 @@ val with_budget : budget -> (unit -> 'a) -> 'a
     popped, so the refused event stays queued and pending: a later [run]
     under a fresh budget fires it.
 
-    Before each pop the run loop applies {!Timers.maybe_sweep}, emitting
-    a [sim/sweep] trace event when it prunes, so cancel-heavy workloads
-    keep {!pending_events} — and the memory retained by dead timer
-    closures — bounded by twice the live-timer count. *)
+    Before each pop the run loop applies {!Runtime.maybe_sweep}, so
+    cancel-heavy workloads keep {!pending_events} — and the memory dead
+    timer closures retain — bounded by twice the live-timer count. *)
 val run : ?budget:budget -> t -> until:float -> unit
 
 (** [pending_events t] is the number of events still queued, including

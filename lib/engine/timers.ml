@@ -92,6 +92,8 @@ type t = {
   mutable free : int; (* head of the free list *)
 }
 
+type clock = { mutable now : float; mutable next : float }
+
 type handle =
   | Timer of { q : t; mutable slot : int; mutable gen : int }
   | Custom of { cancel : unit -> unit; is_pending : unit -> bool }
@@ -280,7 +282,6 @@ let create ?(granularity = 1e-4) ?(slots = 256) ?(levels = 4) () =
   }
 
 let size t = t.total
-let is_empty t = t.total = 0
 
 let idx0 t time = int_of_float (time *. t.inv_granularity)
 let slot_idx0 t s = idx0 t (Float.Array.get t.time s)
@@ -327,29 +328,32 @@ let[@inline] enqueue name t time =
      else insert_from t ~max_level:t.nlevels s i0 0);
   s
 
-let schedule t ~time f =
+let[@inline] schedule t ~time f =
   let s = enqueue "schedule" t time in
   t.fn.(s) <- f;
   Timer { q = t; slot = s; gen = t.stamp.(s) }
 
+(* Relative deadlines are summed into the inlined [enqueue], unboxed. *)
+let after t c ~delay f = schedule t ~time:(c.now +. delay) f
+
 (* The new timer is queued before the old one is cancelled: neither step
    reads what the other writes, and a rejected time leaves [h] as it was. *)
-let rearm t h ~time f =
+let rearm t h c ~delay f =
   match h with
   | Timer r when r.q == t ->
-      let s = enqueue "rearm" t time in
+      let s = enqueue "rearm" t (c.now +. delay) in
       cancel_timer t r.slot r.gen;
       t.fn.(s) <- f;
       r.slot <- s;
       r.gen <- t.stamp.(s);
       h
   | _ ->
-      let fresh = schedule t ~time f in
+      let fresh = after t c ~delay f in
       cancel h;
       fresh
 
-let post t ~now ~delay g a =
-  let s = enqueue "post" t (now +. delay) in
+let post t c ~delay g a =
+  let s = enqueue "post" t (c.now +. delay) in
   t.arg.(s) <- a;
   t.pfn.(s) <- g
 
@@ -459,10 +463,16 @@ let settle t =
     end
   done
 
-let peek_time t =
+let peek_into t c =
   settle t;
-  if t.ready.size = 0 then Float.infinity
-  else Float.Array.get t.time t.ready.a.(0)
+  if t.ready.size = 0 then begin
+    c.next <- Float.infinity;
+    false
+  end
+  else begin
+    c.next <- Float.Array.get t.time t.ready.a.(0);
+    true
+  end
 
 let peek_pending t =
   settle t;

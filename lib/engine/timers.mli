@@ -53,6 +53,12 @@ type t
 (** Cancellable handle: a timer of some queue, or a {!custom} handle. *)
 type handle
 
+(** The owning runtime's clock: [now] is its time, and [next] is where
+    {!peek_into} writes. A float-only record stores its fields unboxed,
+    so deadlines pass through it without the 2-word box a float argument
+    or result costs at a call that is not inlined. *)
+type clock = { mutable now : float; mutable next : float }
+
 (** [create ?granularity ?slots ?levels ()] makes an empty queue.
     [granularity] (default [1e-4] s) is the level-0 bucket width — timers
     closer together than this still order exactly (they share a bucket and
@@ -68,27 +74,29 @@ val create : ?granularity:float -> ?slots:int -> ?levels:int -> unit -> t
 
 (** [schedule t ~time f] queues [f] at [time]. Raises [Invalid_argument]
     if [time] is NaN, infinite or negative; checking it against the clock
-    is the runtime's job. *)
+    is the runtime's job. Scheduling allocates the 4-word handle. *)
 val schedule : t -> time:float -> (unit -> unit) -> handle
 
-(** [rearm t h ~time f] cancels [h]'s timer and queues [f] at [time],
-    exactly as [cancel h; schedule t ~time f] would: the new timer takes
-    the next sequence number, and the old one, if still pending, counts
-    as cancelled. When [h] is a timer handle of [t], the new timer is
-    written into [h] itself, which is returned: the call allocates
-    nothing, and [h] stops naming the old timer. Any other handle
-    ({!null_handle}, a {!custom} one, another queue's) is cancelled and a
-    fresh handle from {!schedule} is returned. Raises [Invalid_argument]
-    as {!schedule} does, leaving [h] untouched. *)
-val rearm : t -> handle -> time:float -> (unit -> unit) -> handle
+(** [after t c ~delay f] is [schedule t ~time:(c.now +. delay) f], with
+    the sum taken here, so it is never boxed. *)
+val after : t -> clock -> delay:float -> (unit -> unit) -> handle
 
-(** [post t ~now ~delay g a] queues [g a] at [now +. delay] and returns
-    no handle, so nothing but {!fire} can remove it. The deadline is
-    summed here, so that a caller passing its clock and a stored delay
-    boxes no float. It takes the next sequence number exactly as
-    {!schedule} would: posted and scheduled timers share one (deadline,
-    scheduling order). Raises [Invalid_argument] as {!schedule} does. *)
-val post : t -> now:float -> delay:float -> (int -> unit) -> int -> unit
+(** [rearm t h c ~delay f] is [cancel h; after t c ~delay f]: the new
+    timer takes the next sequence number, and the old one, if pending,
+    counts as cancelled. When [h] is a timer handle of [t], the new timer
+    is written into [h] itself, which is returned: the call allocates
+    nothing, and [h] stops naming the old timer. Any other handle
+    ({!null_handle}, a {!custom} one, another queue's) gets a fresh one.
+    Raises [Invalid_argument] as {!schedule} does, leaving [h]
+    untouched. *)
+val rearm : t -> handle -> clock -> delay:float -> (unit -> unit) -> handle
+
+(** [post t c ~delay g a] queues [g a] at [c.now +. delay], allocating
+    nothing and returning no handle: only {!fire} removes it. It takes a
+    sequence number as {!schedule} would, so posted and scheduled timers
+    share one (deadline, scheduling order). Raises [Invalid_argument] as
+    {!schedule} does. *)
+val post : t -> clock -> delay:float -> (int -> unit) -> int -> unit
 
 (** [custom ~cancel ~is_pending] is a handle backed by closures, for
     timers that are not a queue's own — for example a view that forwards
@@ -109,17 +117,16 @@ val null_handle : handle
 (** Entries still queued, including cancelled ones not yet swept. *)
 val size : t -> int
 
-val is_empty : t -> bool
-
 (** {2 Firing}
 
     The owning runtime drives the queue through these three: read the
     earliest entry's deadline and liveness, advance its clock, then fire
     the entry. *)
 
-(** [peek_time t] is the deadline of the earliest queued entry, cancelled
-    or not; [infinity] if [t] is empty. *)
-val peek_time : t -> float
+(** [peek_into t c] writes the deadline of the earliest queued entry,
+    cancelled or not, into [c.next] and returns [true]; on an empty
+    queue it writes [infinity] and returns [false]. *)
+val peek_into : t -> clock -> bool
 
 (** [peek_pending t] is [true] if the earliest queued entry exists and is
     not cancelled. *)

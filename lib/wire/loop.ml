@@ -1,25 +1,15 @@
 type mode = [ `Monotonic | `Warp ]
 
-type timer = Engine.Timers.handle
-
 type watch = { wfd : Unix.file_descr; on_readable : unit -> unit }
 
 type t = {
   mode : mode;
-  clock : Clock.t;
-  (* Monotone time watermark. [`Warp]: the virtual clock itself, advanced
-     by firing timers. [`Monotonic]: the highest observed Clock reading,
-     so [now] never decreases even across the Clock's own clamping. *)
-  mutable vnow : float;
-  timers : Engine.Timers.t;
-  trace : Engine.Trace.t;
-  mutable next_id : int;
+  c : Engine.Runtime.t; (* the clocked front end *)
   mutable stopping : bool;
   mutable watches : watch list;
   (* The watched descriptors, [select]'s first argument: rebuilt by
      [watch_fd]/[unwatch_fd], not on every poll. *)
   mutable fds : Unix.file_descr list;
-  mutable runtime : Engine.Runtime.t option;
   (* Per-socket sends-minus-receives counters ({!Netio.t.inflight});
      their sum is the number of datagrams inside the kernel between this
      loop's sockets. [`Warp] waits for the sum to reach zero before
@@ -31,115 +21,35 @@ type t = {
 }
 
 let create ?trace ?(mode = `Monotonic) () =
-  let trace =
-    match trace with Some tr -> tr | None -> Engine.Trace.default ()
+  let c =
+    Engine.Runtime.create ?trace Loop
+      (match mode with
+      | `Warp -> `Virtual
+      | `Monotonic ->
+          (* [gettimeofday] may step back; the clock does not follow. *)
+          let origin = Unix.gettimeofday () in
+          `Monotonic (fun () -> Unix.gettimeofday () -. origin))
   in
-  let t =
-    {
-      mode;
-      clock = Clock.create ();
-      vnow = 0.;
-      timers = Engine.Timers.create ();
-      trace;
-      next_id = 0;
-      stopping = false;
-      watches = [];
-      fds = [];
-      runtime = None;
-      inflight_refs = [];
-      polls = 0;
-      fired = 0;
-      io_giveups = 0;
-    }
-  in
-  if Engine.Trace.active trace then
-    Engine.Trace.emit trace ~time:0.
-      (Wire_loop_created
-         { mode = (match mode with `Monotonic -> "monotonic" | `Warp -> "warp") });
-  t
+  Engine.Runtime.emit c
+    (Wire_loop_created
+       { mode = (match mode with `Monotonic -> "monotonic" | `Warp -> "warp") });
+  {
+    mode;
+    c;
+    stopping = false;
+    watches = [];
+    fds = [];
+    inflight_refs = [];
+    polls = 0;
+    fired = 0;
+    io_giveups = 0;
+  }
 
-let now t =
-  (match t.mode with
-  | `Warp -> ()
-  | `Monotonic ->
-      let e = Clock.now t.clock in
-      if e > t.vnow then t.vnow <- e);
-  t.vnow
-
-let at t time f =
-  if not (Float.is_finite time) then
-    invalid_arg (Printf.sprintf "Wire.Loop.at: non-finite time %g" time);
-  let time =
-    if time >= now t then time
-    else
-      match t.mode with
-      (* Real clock: "at" races against time itself — the caller computed
-         a deadline from a [now] that has already moved on. A
-         microseconds-stale deadline is a request to fire as soon as
-         possible, not a bug, so clamp it to the current instant. *)
-      | `Monotonic -> t.vnow
-      (* Virtual clock: time only moves when the loop fires a timer, so a
-         past deadline here is a genuine caller bug, as in Sim. *)
-      | `Warp ->
-          invalid_arg
-            (Printf.sprintf "Wire.Loop.at: time %g is in the past (now %g)"
-               time t.vnow)
-  in
-  Engine.Timers.schedule t.timers ~time f
-
-let check_delay name delay =
-  if not (Float.is_finite delay) then
-    invalid_arg
-      (Printf.sprintf "Wire.Loop.%s: non-finite delay %g" name delay);
-  if delay < 0. then
-    invalid_arg (Printf.sprintf "Wire.Loop.%s: negative delay" name)
-
-let after t delay f =
-  check_delay "after" delay;
-  at t (now t +. delay) f
-
-(* The deadline is [now t +. delay], the value [after] computes; it is
-   never in the past, so [at]'s clamp and past-time check have nothing
-   to do. *)
-let post t delay g a =
-  check_delay "post" delay;
-  Engine.Timers.post t.timers ~now:(now t) ~delay g a
-
-(* The deadline is [post]'s: never in the past, so [at]'s clamp and
-   past-time check have nothing to do. *)
-let rearm t h delay f =
-  check_delay "rearm" delay;
-  Engine.Timers.rearm t.timers h ~time:(now t +. delay) f
-
-let cancel = Engine.Timers.cancel
-let pending_timers t = Engine.Timers.size t.timers
-
+let now t = Engine.Runtime.now t.c
+let after t delay f = Engine.Runtime.after t.c delay f
+let pending_timers t = Engine.Runtime.pending t.c
 let stop t = t.stopping <- true
-
-let fresh_id t =
-  t.next_id <- t.next_id + 1;
-  t.next_id
-
-let runtime t =
-  match t.runtime with
-  | Some rt -> rt
-  | None ->
-      let rt =
-        Engine.Runtime.make
-          ~now:(fun () -> now t)
-          ~at:(fun time f -> at t time f)
-          ~after:(fun delay f -> after t delay f)
-          ~trace:t.trace
-          ~fresh_id:(fun () -> fresh_id t)
-      in
-      let rt =
-        Engine.Runtime.with_post rt (fun delay g a -> post t delay g a)
-      in
-      let rt =
-        Engine.Runtime.with_rearm rt (fun h delay f -> rearm t h delay f)
-      in
-      t.runtime <- Some rt;
-      rt
+let runtime t = t.c
 
 let register_inflight t r =
   if not (List.memq r t.inflight_refs) then
@@ -163,12 +73,6 @@ let watch_fd t fd ~on_readable =
 let unwatch_fd t fd =
   set_watches t (List.filter (fun w -> w.wfd <> fd) t.watches)
 
-let maybe_sweep t =
-  let before = Engine.Timers.size t.timers in
-  if Engine.Timers.maybe_sweep t.timers && Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:t.vnow
-      (Wire_sweep { before; after = Engine.Timers.size t.timers })
-
 (* Call the watches whose descriptor is in [ready], in watch order. A
    callback that (un)watches descriptors changes [t.watches], not the list
    this pass walks. *)
@@ -190,15 +94,10 @@ let poll_fds t ~timeout =
       | ready, _, _ -> service ready ws
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
-(* Pop the next queued timer, due at [time], and fire it unless it was
-   cancelled. *)
-let pop_fire t time =
-  if Engine.Timers.peek_pending t.timers then begin
-    if time > t.vnow then t.vnow <- time;
-    t.fired <- t.fired + 1
-  end;
-  (* A cancelled entry is just discarded. *)
-  Engine.Timers.fire t.timers
+(* Fire the timer [due] found, counting it unless it was cancelled. *)
+let fire t =
+  if Engine.Runtime.live t.c then t.fired <- t.fired + 1;
+  Engine.Runtime.fire t.c
 
 (* Loopback delivery is asynchronous: a datagram written a microsecond
    ago may not be readable yet, and whether a zero-timeout poll sees it
@@ -222,9 +121,8 @@ let settle_io t =
     done;
     if total_inflight t > 0 then begin
       t.io_giveups <- t.io_giveups + 1;
-      if Engine.Trace.active t.trace then
-        Engine.Trace.emit t.trace ~time:t.vnow
-          (Wire_settle_giveup { inflight = total_inflight t });
+      Engine.Runtime.emit t.c
+        (Wire_settle_giveup { inflight = total_inflight t });
       List.iter (fun r -> r := 0) t.inflight_refs
     end
   end
@@ -232,17 +130,13 @@ let settle_io t =
 let run_warp t ~until =
   let continue = ref true in
   while !continue && not t.stopping do
-    maybe_sweep t;
+    Engine.Runtime.maybe_sweep t.c;
     if t.watches <> [] then
       if t.inflight_refs = [] then poll_fds t ~timeout:0. else settle_io t;
-    if Engine.Timers.is_empty t.timers then continue := false
-    else begin
-      let time = Engine.Timers.peek_time t.timers in
-      if time > until then continue := false else pop_fire t time
-    end
+    if Engine.Runtime.due t.c ~until then fire t else continue := false
   done;
   settle_io t;
-  if until < infinity && t.vnow < until && not t.stopping then t.vnow <- until
+  if not t.stopping then Engine.Runtime.land_on t.c until
 
 (* Cap one select so [until] and newly due timers stay responsive even if
    a watched descriptor goes quiet for a long stretch. *)
@@ -251,42 +145,35 @@ let max_block = 0.25
 let run_monotonic t ~until =
   let continue = ref true in
   while !continue && not t.stopping do
-    maybe_sweep t;
+    Engine.Runtime.maybe_sweep t.c;
     let now_ = now t in
     if now_ >= until then continue := false
     else begin
       (* Fire everything due; callbacks may schedule more due work. *)
-      let due = ref true in
-      while !due && (not t.stopping) && not (Engine.Timers.is_empty t.timers) do
-        let time = Engine.Timers.peek_time t.timers in
-        if time <= now_ then pop_fire t time else due := false
+      while (not t.stopping) && Engine.Runtime.due t.c ~until:now_ do
+        fire t
       done;
-      if not t.stopping then begin
-        let idle = Engine.Timers.is_empty t.timers in
-        if idle && t.watches = [] then
-          (* Nothing queued, nothing watched: no event can ever arrive.
-             Returning beats sleeping to a possibly-infinite [until]. *)
-          continue := false
-        else begin
-          let deadline =
-            if idle then until
-            else
-              Float.min (Engine.Timers.peek_time t.timers) until
-          in
-          let timeout = Float.max 0. (deadline -. now t) in
-          poll_fds t ~timeout:(Float.min timeout max_block)
-        end
-      end
+      if t.stopping then ()
+      else if pending_timers t = 0 && t.watches = [] then
+        (* Nothing queued, nothing watched: no event can ever arrive.
+           Returning beats sleeping to a possibly-infinite [until]. *)
+        continue := false
+      else
+        (* [due] left the next deadline, or infinity, in the clock. *)
+        let next = (Engine.Runtime.clock t.c).next in
+        let timeout = Float.max 0. (Float.min next until -. now t) in
+        poll_fds t ~timeout:(Float.min timeout max_block)
     end
   done
 
 let run t ~until =
   t.stopping <- false;
-  if Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:(now t) (Wire_run_start { until });
+  let trace = Engine.Runtime.trace t.c in
+  if Engine.Trace.active trace then
+    Engine.Trace.emit trace ~time:(now t) (Wire_run_start { until });
   (match t.mode with
   | `Warp -> run_warp t ~until
   | `Monotonic -> run_monotonic t ~until);
-  if Engine.Trace.active t.trace then
-    Engine.Trace.emit t.trace ~time:t.vnow
-      (Wire_run_end { pending = Engine.Timers.size t.timers })
+  if Engine.Trace.active trace then
+    Engine.Trace.emit trace ~time:(now t)
+      (Wire_run_end { pending = pending_timers t })

@@ -1,18 +1,18 @@
 (** Real-time event loop: the wire-side {!Engine.Runtime} implementation.
 
-    Owns a timer wheel ({!Engine.Timers}, the same timer core the
-    simulator runs on) and a set of watched file descriptors serviced
-    through [Unix.select]. Protocol state machines written against
-    {!Engine.Runtime} — the TFRC sender and receiver, the baselines — run
-    on this loop unchanged: {!runtime} hands them the same interface
-    {!Engine.Sim.runtime} does.
+    The simulator's {!Engine.Runtime} front end, plus a run loop and a
+    set of file descriptors serviced through [Unix.select]. Protocol
+    state machines — the TFRC sender and receiver, the baselines — run
+    on this loop unchanged: {!runtime} is the same {!Engine.Runtime}
+    {!Engine.Sim.runtime} is.
 
     Two clock modes:
 
-    - [`Monotonic] (default): time is the monotonic wall clock ({!Clock}),
-      starting at 0 when the loop is created. [run] sleeps in [select]
-      until the next timer deadline or a watched descriptor becomes
-      readable. This is the mode for real UDP endpoints.
+    - [`Monotonic] (default): time is the wall clock, starting at 0 when
+      the loop is created and never going back; each [now] reads it.
+      [run] sleeps in [select] until the next timer deadline or a
+      watched descriptor becomes readable. This is the mode for real UDP
+      endpoints.
 
     - [`Warp]: time is virtual. [run] never sleeps on timers; it jumps
       the clock to each timer's deadline and fires timers in exactly the
@@ -34,23 +34,17 @@ type mode = [ `Monotonic | `Warp ]
     (default {!Engine.Trace.default}); [mode] defaults to [`Monotonic]. *)
 val create : ?trace:Engine.Trace.t -> ?mode:mode -> unit -> t
 
-(** Current loop time, seconds: elapsed monotonic time since [create]
-    ([`Monotonic]) or the virtual clock ([`Warp]). Never decreases. *)
+(** Current loop time, seconds: elapsed wall time since [create]
+    ([`Monotonic]) or the virtual clock ([`Warp]). Never decreases; boxed
+    at most once per instant ({!Engine.Runtime}). *)
 val now : t -> float
 
-(** Timer handle; cancel, pending and sweep semantics are
-    {!Engine.Timers}'. *)
-type timer = Engine.Timers.handle
-
 (** [after t delay f] schedules [f] in [delay] seconds ([delay] finite and
-    non-negative). *)
-val after : t -> float -> (unit -> unit) -> timer
-
-val cancel : timer -> unit
+    non-negative); {!Engine.Runtime.cancel} cancels it. *)
+val after : t -> float -> (unit -> unit) -> Engine.Runtime.handle
 
 (** Timers still queued, including cancelled ones not yet swept. Before
-    each pop, [run] applies {!Engine.Timers.maybe_sweep}, emitting a
-    [wire/sweep] trace event when it prunes. *)
+    each pop, [run] applies {!Engine.Runtime.maybe_sweep}. *)
 val pending_timers : t -> int
 
 (** [watch_fd t fd ~on_readable] has [run] call [on_readable] whenever
@@ -87,15 +81,11 @@ val polls : t -> int
 val fired : t -> int
 val io_giveups : t -> int
 
-(** The sans-IO view of this loop, memoized. Timers scheduled through it
-    are loop timers. Its {!Engine.Runtime.at} clamps a past deadline to
-    the current instant in [`Monotonic] mode (on a real clock every
-    absolute deadline races against time itself) but raises
-    [Invalid_argument] in [`Warp] mode, as [Engine.Sim.at] does. Its
-    {!Engine.Runtime.post} is native, built on {!Engine.Timers.post}, so
-    components that post slot indices (a {!Shaper}, a {!Netsim.Link})
-    allocate no closure or handle per event on a loop either. Ids come
-    from the loop's private counter, so decoded packets get deterministic
+(** This loop's front end, the same value on every call. Its
+    {!Engine.Runtime.at} clamps a past deadline to the current instant
+    in [`Monotonic] mode but raises [Invalid_argument] in [`Warp] mode,
+    as [Engine.Sim.at] does ({!Engine.Runtime.create}). Ids come from
+    the loop's private counter, so decoded packets get deterministic
     identities per loop. *)
 val runtime : t -> Engine.Runtime.t
 

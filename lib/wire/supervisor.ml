@@ -63,9 +63,9 @@ type t = {
   mutable decode_errors : int;
   mutable post_quiesce : int;
   mutable tot_sent : int;  (* packets sent by replaced incarnations *)
-  mutable health_timer : Loop.timer option;
-  mutable backoff_timer : Loop.timer option;
-  mutable close_timer : Loop.timer option;
+  mutable health_timer : Engine.Runtime.handle option;
+  mutable backoff_timer : Engine.Runtime.handle option;
+  mutable close_timer : Engine.Runtime.handle option;
   mutable close_pending : bool;
   mutable quiesced : bool;
 }
@@ -107,7 +107,7 @@ let new_machine t =
   Tfrc.Tfrc_sender.set_app_limit m (Tfrc.Tfrc_sender.app_limit t.machine);
   m
 
-let cancel_timer = function Some tm -> Loop.cancel tm | None -> ()
+let cancel_timer = function Some tm -> Engine.Runtime.cancel tm | None -> ()
 
 (* The no-feedback machinery floors halvings at min_rate; a small margin
    keeps the floor test robust to the exact floating-point floor value. *)

@@ -203,6 +203,16 @@ let prop_heap_sorts =
 
 (* --- Timing wheel (the queue inside Timers) ----------------------------- *)
 
+(* The earliest deadline, read through a clock record as a runtime reads
+   it; [infinity] on an empty queue. *)
+let peek_time q =
+  let c = { Engine.Timers.now = 0.; next = 0. } in
+  ignore (Engine.Timers.peek_into q c);
+  c.next
+
+(* A clock standing at 0, so that a relative deadline is the delay. *)
+let clock0 = { Engine.Timers.now = 0.; next = 0. }
+
 (* Each test timer's callback records its tag in [last]; draining pops and
    fires every entry, returning (deadline, tag) in pop order. *)
 let tagged q last ~time v =
@@ -210,9 +220,9 @@ let tagged q last ~time v =
 
 let drain_tagged q last =
   let rec go acc =
-    if Engine.Timers.is_empty q then List.rev acc
+    if Engine.Timers.size q = 0 then List.rev acc
     else begin
-      let time = Engine.Timers.peek_time q in
+      let time = peek_time q in
       Engine.Timers.fire q;
       go ((time, !last) :: acc)
     end
@@ -333,7 +343,7 @@ let prop_post_shares_order =
       List.iteri
         (fun i (tq, post) ->
           if post then
-            Engine.Timers.post q ~now:0. ~delay:(time tq) (fun v -> last := v) i
+            Engine.Timers.post q clock0 ~delay:(time tq) (fun v -> last := v) i
           else ignore (tagged q last ~time:(time tq) i))
         entries;
       let expect =
@@ -536,7 +546,7 @@ let prop_timers_slot_reuse =
                    Hashtbl.replace m.live tag false);
                 true
             | Pop_one ->
-                let time = Engine.Timers.peek_time q in
+                let time = peek_time q in
                 let expect_time =
                   Option.value (Event_queue.peek_time m.ref_q) ~default:infinity
                 in
@@ -673,7 +683,7 @@ let prop_rearm_matches_cancel_schedule =
         ((fun () -> fired_q := tag), fun () -> fired_r := tag)
       in
       let pop () =
-        let tq = Engine.Timers.peek_time q and tr = Engine.Timers.peek_time r in
+        let tq = peek_time q and tr = peek_time r in
         fired_q := -1;
         fired_r := -1;
         Engine.Timers.fire q;
@@ -704,7 +714,7 @@ let prop_rearm_matches_cancel_schedule =
               | R_rearm (i, time) ->
                   let k = i mod n and fq, fr = fresh () in
                   let old = !hq.(k) in
-                  !hq.(k) <- Engine.Timers.rearm q old ~time fq;
+                  !hq.(k) <- Engine.Timers.rearm q old clock0 ~delay:time fq;
                   Engine.Timers.cancel !hr.(k);
                   !hr.(k) <- Engine.Timers.schedule r ~time fr;
                   old == Engine.Timers.null_handle || !hq.(k) == old
@@ -717,8 +727,8 @@ let prop_rearm_matches_cancel_schedule =
             step && agree ())
           ops
       in
-      let rec drain () = Engine.Timers.is_empty q || (pop () && drain ()) in
-      ok && drain () && Engine.Timers.is_empty r)
+      let rec drain () = Engine.Timers.size q = 0 || (pop () && drain ()) in
+      ok && drain () && Engine.Timers.size r = 0)
 
 (* Through a runtime: the re-armed handle is the one passed in, the
    timer it named never fires, and the new one fires once, at the new
@@ -757,12 +767,13 @@ let test_loop_rearm () =
     (fun () -> Wire.Loop.now loop)
     (fun until -> Wire.Loop.run loop ~until)
 
-(* A re-arm through a runtime allocates at most the deadline it boxes to
-   pass to the timer core (2 words): no handle, no closure. The delays
-   are constants, so the caller boxes none. Half the re-arms cancel a
-   pending timer and half re-arm a cancelled one. A first round grows the
-   slot store, and [run] drains it; the second is measured. *)
-let rearm_words_bound = 2.
+(* A re-arm through a runtime allocates nothing: no handle, no closure,
+   and no deadline box, because the timer core sums the deadline from
+   the runtime's clock record. The delays are constants, so the caller
+   boxes none. Half the re-arms cancel a pending timer and half re-arm a
+   cancelled one. A first round grows the slot store, and [run] drains
+   it; the second is measured. *)
+let rearm_words_bound = 0.
 
 let check_rearm_words name rt run =
   let n = 10_000 in
@@ -814,12 +825,12 @@ let test_swept_releases () =
      timer, so its vacated cells must be cleared, not dropped. *)
   let sim = quiet_sim () in
   let w = Weak.create 2 in
-  Engine.Sim.cancel (schedule_weak (Engine.Sim.at sim 50.) w);
+  Engine.Runtime.cancel (schedule_weak (Engine.Sim.at sim 50.) w);
   ignore (Engine.Sim.at sim 1e6 ignore);
-  Engine.Sim.cancel (schedule_weak ~i:1 (Engine.Sim.at sim 2e6) w);
+  Engine.Runtime.cancel (schedule_weak ~i:1 (Engine.Sim.at sim 2e6) w);
   for i = 1 to 97 do
     let h = Engine.Sim.at sim (float_of_int i) ignore in
-    if i <= 60 then Engine.Sim.cancel h
+    if i <= 60 then Engine.Runtime.cancel h
   done;
   check Alcotest.int "cancelled timers stay queued" 100
     (Engine.Sim.pending_events sim);
@@ -848,12 +859,14 @@ let words_per_timer rt run =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 (* Scheduling allocates the 4-word handle and nothing else in the timer
-   core. The rest are float boxes at function boundaries: the caller's
-   delay, the runtime's [now + delay] deadline, and the popped deadline
-   that becomes the runtime's clock. Both runtimes measure exactly 10. A
-   per-event option, tuple, closure or wrapper block pushes this over the
-   bound. *)
-let timer_words_bound = 10.5
+   core. The rest is the caller's delay, a float box made as it is
+   computed (2 words). The deadline [now + delay] is summed inside the
+   timer core from the runtime's clock record, and the popped deadline
+   becomes the clock in that record; the callbacks never read the clock,
+   so it is never boxed. Both runtimes measure 6.00. A per-event
+   option, tuple, closure, wrapper block or clock box pushes this over
+   the bound. *)
+let timer_words_bound = 6.5
 
 let test_sim_timer_words () =
   let sim = quiet_sim () in
@@ -875,16 +888,17 @@ let test_loop_timer_words () =
     Alcotest.failf "Wire.Loop: %.2f minor words per timer (bound %.1f)" words
       timer_words_bound
 
-(* A posted event and its fire allocate nothing but the popped deadline
-   that becomes the clock (2 words): no handle, no closure, and the
-   deadline is summed unboxed in the timer core. 64 self-reposting
+(* A posted event and its fire allocate nothing: no handle, no closure,
+   no deadline box (it is summed in the timer core from the clock
+   record) and no clock box (the popped deadline moves the clock record,
+   and nothing reads the clock). 64 self-reposting
    events, each carrying the index of its next delay; the delays are
    stored values, as a wire's or a link's delay is, so the caller boxes
    none. A first round grows the slot store and heaps; the second is
    measured. *)
 type hop = { delay : float; next : int }
 
-let post_words_bound = 2.
+let post_words_bound = 0.
 
 let words_per_post name post run =
   let n = 50_000 and fired = ref 0 in
@@ -928,6 +942,244 @@ let test_loop_post_words () =
     (Engine.Runtime.post (Wire.Loop.runtime loop))
     (fun () -> Wire.Loop.run loop ~until:infinity)
 
+(* --- The clock -------------------------------------------------------------
+
+   Both runtimes hold their clock unboxed and box it at most once per
+   instant. Random streams of at/after/post/rearm/cancel run on [rt] in
+   segments, each ending in a run to a random [until] or to infinity;
+   each callback takes the next op from the stream, so timers are also
+   scheduled from inside callbacks. Every callback requires [now] to be
+   its deadline bit for bit, the deadline the test computed from [now]
+   when it scheduled the timer, and repeated reads to be one box. After
+   a run, [now] is [until], or the last fired deadline when [until] is
+   infinite (cancelled entries popped after it move nothing), again as
+   one box. *)
+type clock_op =
+  | C_at of float
+  | C_after of float
+  | C_post of float
+  | C_rearm of int * float
+  | C_cancel of int
+
+let clock_op_print = function
+  | C_at d -> Printf.sprintf "at +%h" d
+  | C_after d -> Printf.sprintf "after %h" d
+  | C_post d -> Printf.sprintf "post %h" d
+  | C_rearm (i, d) -> Printf.sprintf "rearm %d %h" i d
+  | C_cancel i -> Printf.sprintf "cancel %d" i
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let clock_stream rt run (ops, segments) =
+  let module R = Engine.Runtime in
+  let ok = ref true and fired = ref 0 and last = ref 0. in
+  let stream = Queue.of_seq (List.to_seq ops) in
+  let handles = ref [||] in
+  let posted = Hashtbl.create 16 in
+  (* One box per instant: every read returns the first. *)
+  let read () =
+    let n = R.now rt in
+    if not (R.now rt == n && R.now rt == n) then ok := false;
+    n
+  in
+  let rec fire deadline =
+    let n = read () in
+    if not (same_bits n deadline) then ok := false;
+    incr fired;
+    last := deadline;
+    step ()
+  and callback deadline () = fire deadline
+  and on_post i = fire (Hashtbl.find posted i)
+  and step () =
+    match Queue.take_opt stream with
+    | None -> ()
+    | Some op -> (
+        let n = Array.length !handles in
+        match op with
+        | C_at d ->
+            let time = read () +. d in
+            handles := Array.append !handles [| R.at rt time (callback time) |]
+        | C_after d ->
+            let h = R.after rt d (callback (read () +. d)) in
+            handles := Array.append !handles [| h |]
+        | C_post d ->
+            let i = Hashtbl.length posted in
+            Hashtbl.add posted i (read () +. d);
+            R.post rt d on_post i
+        | C_rearm (i, d) when n > 0 ->
+            let k = i mod n in
+            !handles.(k) <- R.rearm rt !handles.(k) d (callback (read () +. d))
+        | C_cancel i when n > 0 -> R.cancel !handles.(i mod n)
+        | C_rearm _ | C_cancel _ -> ())
+  in
+  let segment (k, until) =
+    for _ = 1 to k do
+      step ()
+    done;
+    let before = read () and fired0 = !fired in
+    let until = match until with Some u -> before +. u | None -> infinity in
+    run until;
+    let n = read () in
+    let expect =
+      if until < infinity then until
+      else if !fired > fired0 then !last
+      else before
+    in
+    if not (same_bits n expect) then ok := false
+  in
+  List.iter segment segments;
+  segment (0, None);
+  !ok
+
+let clock_stream_gen =
+  let open QCheck.Gen in
+  let delay =
+    oneof
+      [
+        return 0.;
+        float_bound_inclusive 1.;
+        map (fun k -> 0.25 *. float_of_int k) (int_range 0 8);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (2, map (fun d -> C_at d) delay);
+        (3, map (fun d -> C_after d) delay);
+        (3, map (fun d -> C_post d) delay);
+        (3, map2 (fun i d -> C_rearm (i, d)) nat delay);
+        (3, map (fun i -> C_cancel i) nat);
+      ]
+  in
+  let until = opt ~ratio:0.7 (float_bound_inclusive 2.) in
+  pair (list_size (int_range 0 120) op)
+    (list_size (int_range 1 8) (pair (int_range 0 12) until))
+
+let clock_stream_arb =
+  QCheck.make clock_stream_gen
+    ~print:
+      QCheck.Print.(
+        pair
+          (list clock_op_print)
+          (list (pair int (option (Printf.sprintf "%h")))))
+
+let prop_sim_clock =
+  QCheck.Test.make ~name:"sim: now is the deadline, boxed once" ~count:300
+    clock_stream_arb (fun input ->
+      let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
+      clock_stream (Engine.Sim.runtime sim)
+        (fun until -> Engine.Sim.run sim ~until)
+        input)
+
+let prop_loop_clock =
+  QCheck.Test.make ~name:"warp loop: now is the deadline, boxed once"
+    ~count:300 clock_stream_arb (fun input ->
+      let loop =
+        Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp ()
+      in
+      clock_stream (Wire.Loop.runtime loop)
+        (fun until -> Wire.Loop.run loop ~until)
+        input)
+
+(* A monotonic loop reads the wall clock on every [now], between
+   callbacks and inside one long callback alike. (A clock stuck between
+   runs would keep [run] from ever seeing its timer due, so that case is
+   checked first.) *)
+let test_monotonic_now_moves () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) () in
+  let rt = Wire.Loop.runtime loop in
+  let spin_5ms () =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 0.005 do
+      ()
+    done
+  in
+  let moved a b = b -. a >= 0.004 in
+  let a = Engine.Runtime.now rt in
+  spin_5ms ();
+  check Alcotest.bool "now moved between reads" true
+    (moved a (Engine.Runtime.now rt));
+  let reads = ref [] in
+  ignore
+    (Engine.Runtime.after rt 0. (fun () ->
+         let a = Engine.Runtime.now rt in
+         spin_5ms ();
+         reads := [ a; Engine.Runtime.now rt ]));
+  Wire.Loop.run loop ~until:1.;
+  match !reads with
+  | [ a; b ] ->
+      check Alcotest.bool "now moved inside the callback" true (moved a b);
+      check Alcotest.bool "never back" true (Wire.Loop.now loop >= b)
+  | _ -> Alcotest.fail "the callback did not run"
+
+(* 10,000 posted events whose callbacks never read the clock allocate
+   nothing at all, posts, pops and fires together. The delays are stored
+   boxed, in [hop] records, as a component stores its delays, so passing
+   one boxes nothing. A first round grows the slot store and heaps; the
+   second is measured. *)
+let check_silent_posts name rt run =
+  let n = 10_000 and fired = ref 0 in
+  let delays =
+    Array.init 100 (fun i -> { delay = float_of_int (i + 1) *. 1e-3; next = 0 })
+  in
+  let g _ = incr fired in
+  let round () =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Engine.Runtime.post rt delays.(i mod 100).delay g i
+    done;
+    run ();
+    let w2 = Gc.minor_words () in
+    w2 -. w1 -. (w1 -. w0)
+  in
+  ignore (round ());
+  let words = round () in
+  check Alcotest.int (name ^ ": all fired") (2 * n) !fired;
+  if words > 0. then
+    Alcotest.failf "%s: %.0f minor words for %d silent posts (bound 0)" name
+      words n
+
+let test_silent_post_words () =
+  let sim = quiet_sim () in
+  check_silent_posts "Sim" (Engine.Sim.runtime sim) (fun () ->
+      Engine.Sim.run sim ~until:infinity);
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  check_silent_posts "Wire.Loop" (Wire.Loop.runtime loop) (fun () ->
+      Wire.Loop.run loop ~until:infinity)
+
+(* k = 1,000 reads of [now] in one instant box the clock once: at most 2
+   words, measured inside each of 100 callbacks at distinct instants. *)
+let now_reads_bound = 2.
+
+let check_now_reads name rt run =
+  let k = 1_000 and worst = ref 0. and ticks = ref 0 in
+  let rec tick () =
+    incr ticks;
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (Engine.Runtime.now rt))
+    done;
+    let w2 = Gc.minor_words () in
+    worst := Float.max !worst (w2 -. w1 -. (w1 -. w0));
+    if !ticks < 100 then ignore (Engine.Runtime.after rt 0.01 tick)
+  in
+  ignore (Engine.Runtime.after rt 0.01 tick);
+  run ();
+  check Alcotest.int (name ^ ": ticks") 100 !ticks;
+  if !worst > now_reads_bound then
+    Alcotest.failf "%s: %.0f minor words for %d reads of now (bound %.0f)"
+      name !worst k now_reads_bound
+
+let test_now_reads_words () =
+  let sim = quiet_sim () in
+  check_now_reads "Sim" (Engine.Sim.runtime sim) (fun () ->
+      Engine.Sim.run sim ~until:infinity);
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  check_now_reads "Wire.Loop" (Wire.Loop.runtime loop) (fun () ->
+      Wire.Loop.run loop ~until:infinity)
+
 (* --- Sim --------------------------------------------------------------- *)
 
 let test_sim_runs_in_order () =
@@ -953,7 +1205,7 @@ let test_sim_cancel () =
   let sim = Engine.Sim.create () in
   let fired = ref false in
   let h = Engine.Sim.at sim 1. (fun () -> fired := true) in
-  Engine.Sim.cancel h;
+  Engine.Runtime.cancel h;
   Engine.Sim.run sim ~until:2.;
   check Alcotest.bool "cancelled handler did not run" false !fired
 
@@ -1014,7 +1266,7 @@ let test_sim_is_pending () =
   Engine.Sim.run sim ~until:2.;
   check Alcotest.bool "not pending after firing" false (Engine.Runtime.is_pending h);
   check Alcotest.bool "null handle never pending" false
-    (Engine.Runtime.is_pending Engine.Sim.null_handle)
+    (Engine.Runtime.is_pending Engine.Runtime.null_handle)
 
 let test_sim_fresh_id_monotone () =
   let sim = Engine.Sim.create () in
@@ -1258,6 +1510,17 @@ let () =
           Alcotest.test_case "sim words per post" `Quick test_sim_post_words;
           Alcotest.test_case "wire loop words per post" `Quick
             test_loop_post_words;
+        ] );
+      ( "clock",
+        [
+          qtest prop_sim_clock;
+          qtest prop_loop_clock;
+          Alcotest.test_case "monotonic now moves" `Quick
+            test_monotonic_now_moves;
+          Alcotest.test_case "silent posts allocate nothing" `Quick
+            test_silent_post_words;
+          Alcotest.test_case "words per instant of now reads" `Quick
+            test_now_reads_words;
         ] );
       ( "rearm",
         [

@@ -51,9 +51,11 @@ let run_wheel ~granularity ~slots ~levels prog =
   let handles = ref [] in
   let out = ref [] in
   let pop () =
-    if Engine.Timers.is_empty q then None
+    if Engine.Timers.size q = 0 then None
     else begin
-      let time = Engine.Timers.peek_time q in
+      let c = { Engine.Timers.now = 0.; next = 0. } in
+      ignore (Engine.Timers.peek_into q c);
+      let time = c.next in
       Engine.Timers.fire q;
       Some (time, !last)
     end
@@ -155,7 +157,7 @@ let sim_program ~seed =
   let rng = Engine.Rng.create ~seed in
   let log = Buffer.create 4096 in
   let nflows = 40 in
-  let watchdog = Array.make nflows Engine.Sim.null_handle in
+  let watchdog = Array.make nflows Engine.Runtime.null_handle in
   let rec fire i () =
     Buffer.add_string log
       (Printf.sprintf "%d@%.9f;" i (Engine.Sim.now sim));
@@ -163,7 +165,7 @@ let sim_program ~seed =
       Printf.sprintf "{\"t\":%.12g,\"cat\":\"test\",\"ev\":\"fire\",\"flow\":%d}"
         (Engine.Sim.now sim) i
       :: !lines;
-    Engine.Sim.cancel watchdog.(i);
+    Engine.Runtime.cancel watchdog.(i);
     watchdog.(i) <- Engine.Sim.after sim 1.5 ignore;
     if Engine.Rng.bool rng ~p:0.05 then
       (* Far-future timer: lands in overflow territory for the wheel. *)
@@ -230,7 +232,7 @@ let test_sim_sweep_equivalence () =
         List.init 16 (fun k ->
             Engine.Sim.after sim (0.5 +. (float_of_int k *. 0.01)) ignore)
       in
-      List.iter Engine.Sim.cancel decoys;
+      List.iter Engine.Runtime.cancel decoys;
       ignore (Engine.Sim.after sim 0.001 (churn (n + 1)))
     end
   in

@@ -489,7 +489,7 @@ let test_warp_matches_sim_order () =
   let sim_log =
     schedule_mix
       (fun t f -> Engine.Sim.at sim t f)
-      Engine.Sim.cancel
+      Engine.Runtime.cancel
       (fun () -> Engine.Sim.now sim)
   in
   Engine.Sim.run sim ~until:1.;
@@ -497,7 +497,7 @@ let test_warp_matches_sim_order () =
   let loop_log =
     schedule_mix
       (fun t f -> Engine.Runtime.at (Wire.Loop.runtime loop) t f)
-      Wire.Loop.cancel
+      Engine.Runtime.cancel
       (fun () -> Wire.Loop.now loop)
   in
   Wire.Loop.run loop ~until:1.;
@@ -517,7 +517,7 @@ let test_loop_guards () =
   | _ -> Alcotest.fail "negative delay accepted");
   let h = Wire.Loop.after loop 1. ignore in
   check Alcotest.bool "pending" true (Engine.Runtime.is_pending h);
-  Wire.Loop.cancel h;
+  Engine.Runtime.cancel h;
   check Alcotest.bool "cancelled" false (Engine.Runtime.is_pending h);
   Wire.Loop.run loop ~until:2.;
   check Alcotest.(float 0.) "time advanced to until" 2. (Wire.Loop.now loop)
@@ -947,12 +947,13 @@ let test_receiver_epoch_adoption () =
    datagram sent over the next 20 s. Per datagram the path pays for the
    kernel's source address and [select]'s ready list, the EAGAIN that
    ends each drain, the decoded packet and message, the encoded frame,
-   the protocol's own timers and the timer core's float boxes: 104.3
-   words on OCaml 5.1.1, built as [dune runtest] builds it (the dev
-   profile). A closure and handle per shaped frame, an fd list rebuilt
-   per poll, a copy of each received datagram and a decode through
-   result continuations together cost 64.4 more (168.7). *)
-let datagram_words_bound = 115.
+   the protocol's own timers and the clock, boxed at most once per
+   instant: 95.6 words on OCaml 5.1.1, built as [dune runtest] builds it
+   (the dev profile). A closure and handle per shaped frame, an fd list
+   rebuilt per poll, a copy of each received datagram and a decode
+   through result continuations together cost 64.4 more; a clock boxed
+   at every timer pop and every read of [now] cost about 3 more. *)
+let datagram_words_bound = 96.
 
 let test_wire_words_per_datagram () =
   let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
