@@ -18,13 +18,14 @@ test:
 lint:
 	dune build --force @@runtest
 
+# The repo benchmark (bench/e2e): every workload, one JSON line each.
 bench:
-	dune exec bench/main.exe
+	bash bench/e2e/run.sh run
 
 # Full-scale scheduler scale bench; appends this run's JSON line to the
 # in-repo trajectory. Commit the result with the PR.
 bench-many-flows:
-	dune exec bench/main.exe -- --many-flows >> BENCH_many_flows.json
+	dune exec bench/main.exe >> BENCH_many_flows.json
 	tail -n 1 BENCH_many_flows.json
 
 # Perf ratchet (CI): rerun the scale bench at the smoke scale and fail on

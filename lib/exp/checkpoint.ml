@@ -20,7 +20,6 @@
    mutex. *)
 
 type t = {
-  path : string;
   fd : Unix.file_descr;
   m : Mutex.t;
   completed : (string, Job.result) Hashtbl.t;
@@ -128,17 +127,15 @@ let open_store ~dir ~grid ~resume =
       (* Cut a torn or unreadable tail, so the next record starts a fresh
          line instead of being glued onto the torn bytes. *)
       Unix.ftruncate fd readable;
-      { path; fd; m = Mutex.create (); completed; closed = false }
+      { fd; m = Mutex.create (); completed; closed = false }
   | None ->
       let fd = openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] in
       let t =
-        { path; fd; m = Mutex.create (); completed = Hashtbl.create 64;
-          closed = false }
+        { fd; m = Mutex.create (); completed = Hashtbl.create 64; closed = false }
       in
       append_fsync t (line (header grid));
       t
 
-let path t = t.path
 let find t key = Hashtbl.find_opt t.completed key
 let completed_count t = Hashtbl.length t.completed
 

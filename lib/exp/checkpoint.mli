@@ -33,9 +33,6 @@ val ensure_dir : string -> unit
     file cannot be opened for writing. *)
 val open_store : dir:string -> grid:string -> resume:bool -> t
 
-(** The store's file path. *)
-val path : t -> string
-
 (** [find t key] is the stored result for [key], if that cell completed in
     this run or a resumed one. *)
 val find : t -> string -> Job.result option

@@ -12,8 +12,3 @@ val render :
   (string * Job.result) list ->
   Format.formatter ->
   unit
-
-(** Raw samples for tests: (time, s0, estimated_interval, p, tx_rate_bytes_s)
-    sampled at each sender rate update, on a 100 ms path. *)
-val samples :
-  duration:float -> unit -> (float * float * float * float * float) list

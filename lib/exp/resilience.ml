@@ -229,31 +229,6 @@ let cases ~full =
 
 let run_until ~full = if full then 60. else 40.
 
-(* The resilience family doubles as the invariant checker's proving ground:
-   every fault case is run with a checker subscribed to the default trace
-   bus, so a regression that makes the sender violate its rate bounds or
-   backoff ladder under faults fails loudly rather than just shifting a
-   metric. *)
-let audited_matrix ~seed ~full =
-  let until = run_until ~full in
-  let checker = Tfrc.Invariants.create () in
-  let bus = Engine.Trace.default () in
-  Tfrc.Invariants.attach checker bus;
-  let reports =
-    Fun.protect
-      ~finally:(fun () -> Tfrc.Invariants.detach checker bus)
-      (fun () ->
-        List.concat_map
-          (fun (case, fault) ->
-            List.map
-              (fun proto ->
-                case_report ~case ~proto ~fault ~run_until:until
-                  (run_case ~seed ~proto ~fault ~run_until:until))
-              [ `Tfrc; `Tcp ])
-          (cases ~full))
-  in
-  (reports, checker)
-
 let tfrc_outage_case ~seed ~at ~duration () =
   let until = Float.max 40. (at +. duration +. 20.) in
   let fault = Outage { at; duration } in
@@ -270,9 +245,12 @@ let proto_name = function `Tfrc -> "tfrc" | `Tcp -> "tcp-sack"
 
 let case_key case proto = Printf.sprintf "resilience/%s/%s" case (proto_name proto)
 
-(* Each cell runs one (case, proto) pair with its own invariant checker
-   subscribed to the running domain's default bus, so the audit composes
-   under parallel execution: per-cell counts are summed in render. *)
+(* The resilience family doubles as the invariant checker's proving ground:
+   each cell runs one (case, proto) pair with its own checker subscribed to
+   the running domain's default bus, so a regression that makes the sender
+   violate its rate bounds or backoff ladder under faults fails loudly
+   rather than just shifting a metric. The audit composes under parallel
+   execution: per-cell counts are summed in render. *)
 let case_job ~full (case, fault) proto =
   let until = run_until ~full in
   Job.make (case_key case proto) (fun rng ->
@@ -397,22 +375,3 @@ let render ~full ~seed:_ finished ppf =
       Format.fprintf ppf "  ... and %d more@." (violations - List.length details)
   end;
   Format.fprintf ppf "@."
-
-let json_line ~seed =
-  let reports, checker = audited_matrix ~seed ~full:false in
-  let case_json r =
-    Printf.sprintf
-      "{\"case\":\"%s\",\"proto\":\"%s\",\"pre_rate\":%.1f,\"min_send_during\":%.2f,\"floor_ok\":%b,\"nofb_expiries\":%d,\"recovery_time\":%s,\"overshoot\":%s,\"post_rate\":%.1f}"
-      r.case r.proto r.pre_rate r.min_send_during r.floor_ok r.nofb_expiries
-      (if Float.is_nan r.recovery_time then "null"
-       else Printf.sprintf "%.2f" r.recovery_time)
-      (if Float.is_nan r.overshoot then "null"
-       else Printf.sprintf "%.3f" r.overshoot)
-      r.post_rate
-  in
-  Printf.sprintf
-    "{\"bench\":\"resilience\",\"seed\":%d,\"invariant_events\":%d,\"invariant_violations\":%d,\"cases\":[%s]}"
-    seed
-    (Tfrc.Invariants.n_events checker)
-    (Tfrc.Invariants.n_violations checker)
-    (String.concat "," (List.map case_json reports))

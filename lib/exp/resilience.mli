@@ -55,7 +55,3 @@ val render :
   (string * Job.result) list ->
   Format.formatter ->
   unit
-
-(** The scaled matrix as one line of JSON, for machine consumption from the
-    benchmark harness. *)
-val json_line : seed:int -> string

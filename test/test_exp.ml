@@ -154,12 +154,20 @@ let test_fig5_monte_carlo_close_to_analytic () =
     (Float.abs (mc -. analytic) /. analytic < 0.1)
 
 let test_fig2_estimator_tracks_phases () =
-  let data = Exp.Fig2.samples ~duration:16. () in
+  (* (time, p) from the staircase cell's (time, s0, est, p, rate) rows. *)
+  let data =
+    match Exp.Runner.run_jobs_supervised ~seed:42 (Exp.Fig2.jobs ~full:false) with
+    | [ ("fig2/staircase", Exp.Runner.Completed r) ], _ ->
+        List.map
+          (function
+            | [ t; _; _; p; _ ] -> (t, p)
+            | _ -> Alcotest.fail "malformed fig2 sample row")
+          (Exp.Job.get_rows r "samples")
+    | _ -> Alcotest.fail "fig2/staircase did not complete"
+  in
   let mean_p a b =
     let xs =
-      List.filter_map
-        (fun (t, _, _, p, _) -> if t >= a && t < b then Some p else None)
-        data
+      List.filter_map (fun (t, p) -> if t >= a && t < b then Some p else None) data
     in
     Exp.Scenario.mean xs
   in

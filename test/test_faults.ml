@@ -440,51 +440,42 @@ let test_outage_backoff_and_slow_restart () =
     true
     (report.post_rate >= 0.7 *. report.pre_rate)
 
-(* --- Matrix sanity and JSON ------------------------------------------------ *)
+(* --- Matrix sanity ---------------------------------------------------------- *)
 
-(* The matrix's cells as its JSON line reports them: (case, proto,
-   pre_rate, floor_ok, nofb_expiries). *)
-let matrix_cells line =
-  match String.split_on_char '{' line with
-  | _ :: _ :: cells ->
-      List.map
-        (fun cell ->
-          Scanf.sscanf cell
-            "\"case\":\"%s@\",\"proto\":\"%s@\",\"pre_rate\":%f,\"min_send_during\":%f,\"floor_ok\":%B,\"nofb_expiries\":%d"
-            (fun case proto pre_rate _ floor_ok nofb -> (case, proto, pre_rate, floor_ok, nofb)))
-        cells
-  | _ -> Alcotest.fail "no cells in the JSON line"
-
+(* The scaled matrix as the registry jobs that [exp resilience] runs
+   compute it, one (case, proto) cell per job. *)
 let test_matrix_sane () =
-  let cells = matrix_cells (Exp.Resilience.json_line ~seed:42) in
-  Alcotest.(check int) "5 cases x 2 protocols" 10 (List.length cells);
+  let outcomes, _ =
+    Exp.Runner.run_jobs_supervised ~seed:42 (Exp.Resilience.jobs ~full:false)
+  in
+  Alcotest.(check int) "5 cases x 2 protocols" 10 (List.length outcomes);
   List.iter
-    (fun (case, proto, pre_rate, floor_ok, nofb_expiries) ->
-      Alcotest.(check bool) (Printf.sprintf "%s/%s floor" case proto) true floor_ok;
+    (fun (key, outcome) ->
+      let r =
+        match outcome with
+        | Exp.Runner.Completed r -> r
+        | Exp.Runner.Gave_up f ->
+            Alcotest.failf "%s: %s" key (Exp.Runner.failure_summary f)
+      in
+      let case, proto =
+        match String.split_on_char '/' key with
+        | [ "resilience"; case; proto ] -> (case, proto)
+        | _ -> Alcotest.failf "unexpected cell key %s" key
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%s floor" case proto)
+        true
+        (Exp.Job.get_bool r "floor_ok");
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s pre_rate positive" case proto)
-        true (pre_rate > 0.);
+        true
+        (Exp.Job.get_float r "pre_rate" > 0.);
       if proto = "tfrc" && (case = "outage-2s" || case = "fb-blackout-2s") then
         Alcotest.(check bool)
           (Printf.sprintf "%s/%s saw expirations" case proto)
-          true (nofb_expiries > 0))
-    cells
-
-let test_json_line () =
-  let line = Exp.Resilience.json_line ~seed:1 in
-  let has sub =
-    let n = String.length sub in
-    let rec scan i =
-      i + n <= String.length line && (String.sub line i n = sub || scan (i + 1))
-    in
-    scan 0
-  in
-  Alcotest.(check bool) "tagged" true (has "\"bench\":\"resilience\"");
-  Alcotest.(check bool) "has outage case" true (has "\"case\":\"outage-2s\"");
-  Alcotest.(check bool) "has both protocols" true
-    (has "\"proto\":\"tfrc\"" && has "\"proto\":\"tcp-sack\"");
-  Alcotest.(check bool) "single line" true
-    (not (String.contains line '\n'))
+          true
+          (Exp.Job.get_int r "nofb_expiries" > 0))
+    outcomes
 
 let () =
   Alcotest.run "faults"
@@ -538,8 +529,5 @@ let () =
             test_outage_backoff_and_slow_restart;
         ] );
       ( "matrix",
-        [
-          Alcotest.test_case "matrix sane" `Quick test_matrix_sane;
-          Alcotest.test_case "json line" `Quick test_json_line;
-        ] );
+        [ Alcotest.test_case "matrix sane" `Quick test_matrix_sane ] );
     ]

@@ -257,6 +257,10 @@ let test_checkpoint_roundtrip () =
   Exp.Checkpoint.close ck3;
   rm_rf dir
 
+(* A store's file, from the [DIR/<grid>.sexp] layout that checkpoint.mli
+   documents. *)
+let store_path ~dir ~grid = Filename.concat dir (grid ^ ".sexp")
+
 (* What a SIGKILL mid-append leaves: the store's final record line cut to
    its first [keep len] bytes, where [len] is the line's length without
    its newline — a strict prefix of a real line. *)
@@ -272,14 +276,15 @@ let test_checkpoint_torn_tail () =
   let dir = tmp_dir "ckpt_torn" in
   let torn ~keep =
     rm_rf dir;
-    let ck = Exp.Checkpoint.open_store ~dir ~grid:"torn.seed1.quick" ~resume:false in
+    let grid = "torn.seed1.quick" in
+    let ck = Exp.Checkpoint.open_store ~dir ~grid ~resume:false in
     Exp.Checkpoint.record ck ~key:"cell/a" [ ("x", Exp.Job.f 1.5) ];
     Exp.Checkpoint.record ck ~key:"cell/b" [ ("x", Exp.Job.f 2.5) ];
     Exp.Checkpoint.record ck ~key:"cell/c" [ ("x", Exp.Job.f 3.5) ];
-    let path = Exp.Checkpoint.path ck in
+    let path = store_path ~dir ~grid in
     Exp.Checkpoint.close ck;
     tear_last_line path ~keep;
-    let ck2 = Exp.Checkpoint.open_store ~dir ~grid:"torn.seed1.quick" ~resume:true in
+    let ck2 = Exp.Checkpoint.open_store ~dir ~grid ~resume:true in
     check int "complete lines kept, torn tail dropped" 2
       (Exp.Checkpoint.completed_count ck2);
     check bool "cell/b intact" true (Exp.Checkpoint.find ck2 "cell/b" <> None);
@@ -299,7 +304,7 @@ let test_checkpoint_resume_after_torn_tail () =
   let ck = Exp.Checkpoint.open_store ~dir ~grid ~resume:false in
   Exp.Checkpoint.record ck ~key:"cell/a" [ ("x", Exp.Job.f 1.5) ];
   Exp.Checkpoint.record ck ~key:"cell/torn" [ ("x", Exp.Job.f 9.5) ];
-  let path = Exp.Checkpoint.path ck in
+  let path = store_path ~dir ~grid in
   Exp.Checkpoint.close ck;
   tear_last_line path ~keep:(fun len -> len / 2);
   let ck2 = Exp.Checkpoint.open_store ~dir ~grid ~resume:true in
@@ -320,7 +325,7 @@ let test_checkpoint_foreign_format () =
   rm_rf dir;
   let grid = "foreign.seed1.quick" in
   let ck = Exp.Checkpoint.open_store ~dir ~grid ~resume:false in
-  let path = Exp.Checkpoint.path ck in
+  let path = store_path ~dir ~grid in
   Exp.Checkpoint.close ck;
   Out_channel.with_open_bin path (fun oc ->
       Printf.fprintf oc "{\"grid\":%S,\"version\":1}\n" grid;
@@ -386,7 +391,7 @@ let resume_after_partial ~j =
   let ck = Exp.Checkpoint.open_store ~dir ~grid ~resume:false in
   let full_out, _ = render_resume ~j:1 ~checkpoint:ck executed in
   check string "checkpointed run output unchanged" reference full_out;
-  let path = Exp.Checkpoint.path ck in
+  let path = store_path ~dir ~grid in
   Exp.Checkpoint.close ck;
   let lines =
     let ic = open_in_bin path in

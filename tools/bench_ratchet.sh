@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Perf ratchet for the many-flows scheduler scale benchmark.
 #
-# Runs the many-flows bench at a given scale and compares its
-# wheel_events_per_s against the most recent committed entry in
-# BENCH_many_flows.json with the same "flows" count. Fails (exit 1) when
+# Runs the many-flows bench (bench/main.exe) at a given scale, fails when
+# its line reports another scale, and compares its wheel_events_per_s
+# against the most recent committed entry in BENCH_many_flows.json with
+# the same "flows" count. Fails (exit 1) when
 # throughput drops below RATCHET_FRACTION of that baseline — a committed
 # regression has to be deliberate: either fix it or re-baseline by
 # appending the new line (make bench-many-flows) in the same PR.
@@ -15,7 +16,7 @@
 #   FLOWS defaults to 2000 (the CI smoke scale; full scale is 100000 via
 #   `make bench-many-flows`), WALL_SECONDS to 0.5.
 
-set -eu
+set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FLOWS="${1:-2000}"
@@ -26,7 +27,7 @@ BASELINE_FILE="BENCH_many_flows.json"
 # in the hot path), not micro-noise.
 RATCHET_FRACTION="${RATCHET_FRACTION:-0.7}"
 
-FRESH_LINE=$(dune exec bench/main.exe -- --many-flows --flows "$FLOWS" --wall "$WALL" | tail -n 1)
+FRESH_LINE=$(dune exec bench/main.exe -- --flows "$FLOWS" --wall "$WALL" | tail -n 1)
 export FRESH_LINE
 echo "fresh:    $FRESH_LINE"
 
@@ -35,6 +36,11 @@ import json, os, sys
 
 flows, path, fraction = int(sys.argv[1]), sys.argv[2], float(sys.argv[3])
 fresh = json.loads(os.environ["FRESH_LINE"])
+if fresh.get("bench") != "many_flows" or fresh.get("flows") != flows:
+    print(f"ratchet: FAILED -- asked for many_flows at flows={flows}, "
+          f"the bench reported {fresh.get('bench')} at flows={fresh.get('flows')}",
+          file=sys.stderr)
+    sys.exit(1)
 
 baseline = None
 try:
