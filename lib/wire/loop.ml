@@ -1,6 +1,15 @@
 type mode = [ `Monotonic | `Warp ]
 
-type watch = { wfd : Unix.file_descr; on_readable : unit -> unit }
+(* A watched socket: its descriptor, its bound port and its in-flight
+   count ({!Netio.t.inflight}), which [sent_to] raises and the socket's
+   receives lower. [marked] is scratch for one settle pass. *)
+type watch = {
+  wfd : Unix.file_descr;
+  on_readable : unit -> unit;
+  port : int;
+  inflight : int ref;
+  mutable marked : bool;
+}
 
 type t = {
   mode : mode;
@@ -8,13 +17,8 @@ type t = {
   mutable stopping : bool;
   mutable watches : watch list;
   (* The watched descriptors, [select]'s first argument: rebuilt by
-     [watch_fd]/[unwatch_fd], not on every poll. *)
+     [watch_socket]/[unwatch_socket], not on every poll. *)
   mutable fds : Unix.file_descr list;
-  (* Per-socket sends-minus-receives counters ({!Netio.t.inflight});
-     their sum is the number of datagrams inside the kernel between this
-     loop's sockets. [`Warp] waits for the sum to reach zero before
-     advancing virtual time — see [settle_io]. *)
-  mutable inflight_refs : int ref list;
   mutable polls : int;  (* poll_fds calls; the busy-loop oracle's input *)
   mutable fired : int;  (* timers actually fired *)
   mutable io_giveups : int;  (* settle rounds that timed out *)
@@ -39,7 +43,6 @@ let create ?trace ?(mode = `Monotonic) () =
     stopping = false;
     watches = [];
     fds = [];
-    inflight_refs = [];
     polls = 0;
     fired = 0;
     io_giveups = 0;
@@ -51,12 +54,11 @@ let pending_timers t = Engine.Runtime.pending t.c
 let stop t = t.stopping <- true
 let runtime t = t.c
 
-let register_inflight t r =
-  if not (List.memq r t.inflight_refs) then
-    t.inflight_refs <- r :: t.inflight_refs
+let mode t = t.mode
 
+(* Datagrams this loop sent to its sockets that the kernel still holds. *)
 let total_inflight t =
-  List.fold_left (fun acc r -> acc + !r) 0 t.inflight_refs
+  List.fold_left (fun acc w -> acc + !(w.inflight)) 0 t.watches
 
 let polls t = t.polls
 let fired t = t.fired
@@ -66,12 +68,23 @@ let set_watches t ws =
   t.watches <- ws;
   t.fds <- List.map (fun w -> w.wfd) ws
 
-let watch_fd t fd ~on_readable =
+let watch_socket t fd ~port ~inflight ~on_readable =
   set_watches t
-    ({ wfd = fd; on_readable } :: List.filter (fun w -> w.wfd <> fd) t.watches)
+    ({ wfd = fd; on_readable; port; inflight; marked = false }
+    :: List.filter (fun w -> w.wfd <> fd) t.watches)
 
-let unwatch_fd t fd =
+let unwatch_socket t fd =
   set_watches t (List.filter (fun w -> w.wfd <> fd) t.watches)
+
+let rec sent_to_watch port = function
+  | [] -> ()
+  | w :: ws -> if w.port = port then incr w.inflight else sent_to_watch port ws
+
+let sent_to t dest =
+  match dest with
+  | Unix.ADDR_INET (a, port) when a = Unix.inet_addr_loopback ->
+      sent_to_watch port t.watches
+  | Unix.ADDR_INET _ | Unix.ADDR_UNIX _ -> ()
 
 (* Call the watches whose descriptor is in [ready], in watch order. A
    callback that (un)watches descriptors changes [t.watches], not the list
@@ -99,40 +112,61 @@ let fire t =
   if Engine.Runtime.live t.c then t.fired <- t.fired + 1;
   Engine.Runtime.fire t.c
 
-(* Loopback delivery is asynchronous: a datagram written a microsecond
-   ago may not be readable yet, and whether a zero-timeout poll sees it
-   is a kernel race. Under [`Warp] that race would move the datagram's
-   processing to a different virtual time between runs, so before each
-   timer pop the loop waits — with a short real block per try — until
-   every in-kernel datagram has been drained (or injected away by a
-   Faultio). select returns as soon as an fd turns readable, so the wait
-   costs delivery latency, not the timeout. A datagram the kernel
-   genuinely dropped (receive-buffer overflow) would stall this forever;
-   the bounded retry count turns that into a counted give-up instead. *)
+(* Under [`Warp] every datagram a socket of this loop sent to another
+   must be processed at the virtual time it was sent, so before each
+   timer pop the loop drains what is in flight. The counts say where:
+   a settle pass takes the sockets holding datagrams when it begins —
+   the set a [select] would report — and drains them in watch order,
+   each until its count is 0; what their handlers send waits for the
+   next pass.
+
+   Loopback delivery is asynchronous, though: a datagram written a
+   microsecond ago may not be readable yet. When a pass reads nothing
+   and datagrams are still in flight, the loop waits in [select] — a
+   short real block per try — which returns as soon as a socket turns
+   readable, so the wait costs delivery latency, not the timeout. A
+   datagram the kernel genuinely dropped (receive-buffer overflow) would
+   stall this forever, and handlers that answer each other at one
+   instant without end would spin it; the bounded number of tries turns
+   either into a counted give-up. *)
 let settle_wait = 0.002
 let settle_max_tries = 250
 
+let rec drain_marked progressed = function
+  | [] -> progressed
+  | w :: ws ->
+      if w.marked then begin
+        w.marked <- false;
+        let before = !(w.inflight) in
+        w.on_readable ();
+        drain_marked (progressed || !(w.inflight) < before) ws
+      end
+      else drain_marked progressed ws
+
+(* One settle pass; says whether a drained socket's count fell. *)
+let settle_pass t =
+  let ws = t.watches in
+  List.iter (fun w -> w.marked <- !(w.inflight) > 0) ws;
+  drain_marked false ws
+
 let settle_io t =
-  if t.inflight_refs <> [] then begin
-    let tries = ref 0 in
-    while total_inflight t > 0 && !tries < settle_max_tries do
-      incr tries;
-      poll_fds t ~timeout:settle_wait
-    done;
-    if total_inflight t > 0 then begin
-      t.io_giveups <- t.io_giveups + 1;
-      Engine.Runtime.emit t.c
-        (Wire_settle_giveup { inflight = total_inflight t });
-      List.iter (fun r -> r := 0) t.inflight_refs
-    end
+  let tries = ref 0 in
+  while total_inflight t > 0 && !tries < settle_max_tries do
+    incr tries;
+    if not (settle_pass t) then poll_fds t ~timeout:settle_wait
+  done;
+  let left = total_inflight t in
+  if left > 0 then begin
+    t.io_giveups <- t.io_giveups + 1;
+    Engine.Runtime.emit t.c (Wire_settle_giveup { inflight = left });
+    List.iter (fun w -> w.inflight := 0) t.watches
   end
 
 let run_warp t ~until =
   let continue = ref true in
   while !continue && not t.stopping do
     Engine.Runtime.maybe_sweep t.c;
-    if t.watches <> [] then
-      if t.inflight_refs = [] then poll_fds t ~timeout:0. else settle_io t;
+    settle_io t;
     if Engine.Runtime.due t.c ~until then fire t else continue := false
   done;
   settle_io t;

@@ -19,12 +19,11 @@
       simulator's (time, insertion-sequence) order. A protocol driven by
       a warp loop is deterministic — no wall-clock jitter reaches its
       RTT samples — which is what lets the sim-vs-wire differential
-      ({!Validate}) demand bit-identical decision logs. Descriptors may
-      still be watched; they are polled (zero timeout) between timer
-      batches, or — when sockets register their {!Netio} in-flight
-      counters via {!register_inflight} — drained to quiescence before
-      each batch ({!settle_io}), which extends the determinism guarantee
-      to traffic through real loopback sockets. *)
+      ({!Validate}) demand bit-identical decision logs. Sockets may
+      still be watched: before each timer batch every datagram the
+      loop's sockets sent one another is read ({!settle_io}), which
+      extends the determinism guarantee to traffic through real
+      loopback sockets. *)
 
 type t
 
@@ -47,35 +46,56 @@ val after : t -> float -> (unit -> unit) -> Engine.Runtime.handle
     each pop, [run] applies {!Engine.Runtime.maybe_sweep}. *)
 val pending_timers : t -> int
 
-(** [watch_fd t fd ~on_readable] has [run] call [on_readable] whenever
-    [fd] selects readable. One watch per descriptor; watching an already
-    watched [fd] replaces its callback. The descriptor list [select]
-    takes is rebuilt here and in {!unwatch_fd}, not on every poll. *)
-val watch_fd : t -> Unix.file_descr -> on_readable:(unit -> unit) -> unit
+(** The mode [create] was given. *)
+val mode : t -> mode
 
-val unwatch_fd : t -> Unix.file_descr -> unit
+(** [watch_socket t fd ~port ~inflight ~on_readable] registers a socket
+    bound to loopback [port] ({!Udp.create} does this). [inflight] is
+    its {!Netio.t.inflight} count of datagrams this loop sent to [port]
+    that the kernel still holds: {!sent_to} raises it, the socket's
+    receives lower it. [run] calls [on_readable] whenever [fd] selects
+    readable ([`Monotonic]) or holds counted datagrams ([`Warp],
+    {!settle_io}). One watch per descriptor; watching an already watched
+    [fd] replaces its registration. The descriptor list [select] takes
+    is rebuilt here and in {!unwatch_socket}, not on every poll. *)
+val watch_socket :
+  t ->
+  Unix.file_descr ->
+  port:int ->
+  inflight:int ref ->
+  on_readable:(unit -> unit) ->
+  unit
 
-(** [register_inflight t r] adds a {!Netio.t.inflight} counter to the
-    loop's in-kernel datagram accounting ({!Udp.create} does this).
-    Idempotent per ref. The sum over registered refs is the number of
-    datagrams sent between this loop's sockets but not yet received. *)
-val register_inflight : t -> int ref -> unit
+(** Drops [fd]'s registration; its count no longer holds up a settle. *)
+val unwatch_socket : t -> Unix.file_descr -> unit
 
-(** [settle_io t] polls watched descriptors — blocking a few
-    milliseconds per try, bounded — until the registered in-flight sum
-    reaches zero, so every datagram already handed to the kernel is
-    processed at the current virtual time. Called by [`Warp]'s [run]
+(** [sent_to t dest] records one datagram sent to [dest]: if [dest] is
+    a loopback port a watched socket of [t] is bound to, it raises that
+    socket's count, and otherwise does nothing ({!Udp.send} calls it
+    after each successful send). *)
+val sent_to : t -> Unix.sockaddr -> unit
+
+(** [settle_io t] reads every datagram this loop sent to its own sockets
+    and the kernel still holds, so each is processed at the current
+    virtual time. A pass takes the sockets whose count is above 0 when
+    it begins and drains them in watch order (the newest watch first),
+    each until its count is 0; what their handlers send waits for the
+    next pass. Only when a pass reads nothing while datagrams are still
+    counted (loopback delivery is asynchronous) does it block in
+    [select], a few milliseconds per try. Called by [`Warp]'s [run]
     before each timer pop and once before returning; exposed for tests
-    and harnesses that inject datagrams outside [run]. If the kernel
-    genuinely dropped a datagram the wait gives up after a bounded
-    number of tries, zeroes the counters, and counts an
+    and harnesses that inject datagrams outside [run]. Passes and
+    [select]s together are bounded: if the kernel genuinely dropped a
+    datagram, or handlers keep answering each other at one instant, the
+    settle gives up after the last try, zeroes the counts, and counts an
     {!io_giveups}. *)
 val settle_io : t -> unit
 
-(** Diagnostic counters over the loop's lifetime: [select] calls made,
-    timers fired, and settle give-ups (kernel-dropped datagrams; 0 in a
-    healthy run). The soak's busy-loop oracle bounds [polls] by work
-    done. *)
+(** Diagnostic counters over the loop's lifetime: [select] calls made
+    (a [`Warp] settle makes them only while a counted datagram is not
+    yet readable), timers fired, and settle give-ups (kernel-dropped
+    datagrams; 0 in a healthy run). The soak's busy-loop oracle bounds
+    [polls] by work done. *)
 val polls : t -> int
 
 val fired : t -> int

@@ -8,17 +8,13 @@ type t = {
 let unix () =
   let inflight = ref 0 in
   {
-    sendto =
-      (fun fd b pos len dest ->
-        let n = Unix.sendto fd b pos len [] dest in
-        incr inflight;
-        n);
+    sendto = (fun fd b pos len dest -> Unix.sendto fd b pos len [] dest);
     recvfrom =
       (fun fd b pos len ->
         let r = Unix.recvfrom fd b pos len [] in
-        (* A pair socket receives what its peer sent, so this counter can
-           go negative; only the per-loop sum is meaningful. *)
-        decr inflight;
+        (* A datagram no send of the loop counted (another process's)
+           leaves the count where it is: it never goes below 0. *)
+        if !inflight > 0 then decr inflight;
         r);
     close = Unix.close;
     inflight;

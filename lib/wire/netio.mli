@@ -11,23 +11,25 @@
     errno policy in {!Udp} is exercised identically against the kernel
     and against injected faults.
 
-    [inflight] counts datagrams handed to the kernel but not yet pulled
-    back out ([sendto] successes minus [recvfrom] successes). Loopback
-    delivery is asynchronous — a datagram sent a microsecond ago may not
-    be readable yet — so the [`Warp] loop sums these counters across its
-    sockets and waits for the sum to reach zero before advancing virtual
-    time, which is what makes warp runs over real sockets deterministic.
-    Within one loop the counter is meaningful only as part of that sum: a
-    socket that receives more than it sends goes negative. *)
+    [inflight] counts the datagrams the socket's {!Loop} sent to this
+    socket that the kernel still holds: {!Udp.send} raises the
+    destination socket's count after each successful [sendto] when the
+    loop owns the destination port ({!Loop.sent_to}), and each [recvfrom]
+    that returns a datagram lowers this interface's count, never below 0.
+    Loopback delivery is asynchronous — a datagram sent a microsecond ago
+    may not be readable yet — so the [`Warp] loop reads each socket whose
+    count is above 0 until it reaches 0 before advancing virtual time
+    ({!Loop.settle_io}), which is what makes warp runs over real sockets
+    deterministic. *)
 
 type t = {
   sendto : Unix.file_descr -> Bytes.t -> int -> int -> Unix.sockaddr -> int;
   recvfrom : Unix.file_descr -> Bytes.t -> int -> int -> int * Unix.sockaddr;
   close : Unix.file_descr -> unit;
   inflight : int ref;
-      (** sends minus receives through this interface; see above *)
+      (** datagrams the loop sent here, still in the kernel; see above *)
 }
 
 (** The real thing: wraps [Unix.sendto]/[Unix.recvfrom]/[Unix.close]
-    (no flags), maintaining [inflight]. *)
+    (no flags); its [recvfrom] lowers [inflight]. *)
 val unix : unit -> t

@@ -1,6 +1,8 @@
 type t = {
   fd : Unix.file_descr;
+  port : int;
   loop : Loop.t;
+  warp : bool;  (* the loop's mode is [`Warp]: drains stop at count 0 *)
   netio : Netio.t;
   buf : Bytes.t;
   mutable on_datagram : Bytes.t -> int -> Unix.sockaddr -> unit;
@@ -21,8 +23,11 @@ let emit_errno_event t event err =
 
 (* Drain every queued datagram: select is level-triggered, but one
    callback per readiness event would add a loop turn of latency per
-   datagram under bursts. Every [Unix_error] goes through the errno
-   policy; none unwinds into the loop. *)
+   datagram under bursts. A [`Warp] loop's drain stops after a delivery
+   that leaves the socket's in-flight count at 0, where the next receive
+   would only raise EAGAIN; otherwise it reads until EAGAIN. Every
+   [Unix_error] goes through the errno policy; none unwinds into the
+   loop. *)
 let rec drain t =
   if not t.closed then
     match t.netio.recvfrom t.fd t.buf 0 (Bytes.length t.buf) with
@@ -33,7 +38,7 @@ let rec drain t =
            next receive overwrites it. *)
         t.rx <- t.rx + 1;
         t.on_datagram t.buf n src;
-        drain t
+        if not (t.warp && !(t.netio.inflight) = 0) then drain t
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
         ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain t
@@ -58,10 +63,17 @@ let create loop ?(port = 0) ?netio () =
   (try Unix.setsockopt_int fd Unix.SO_RCVBUF (1 lsl 20)
    with Unix.Unix_error _ -> ());
   Unix.bind fd (addr ~port);
+  let port =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> 0
+  in
   let t =
     {
       fd;
+      port;
       loop;
+      warp = Loop.mode loop = `Warp;
       netio;
       buf = Bytes.create Codec.max_frame;
       on_datagram = (fun _ _ _ -> ());
@@ -73,14 +85,11 @@ let create loop ?(port = 0) ?netio () =
       closed = false;
     }
   in
-  Loop.register_inflight loop netio.Netio.inflight;
-  Loop.watch_fd loop fd ~on_readable:(fun () -> drain t);
+  Loop.watch_socket loop fd ~port ~inflight:netio.Netio.inflight
+    ~on_readable:(fun () -> drain t);
   t
 
-let port t =
-  match Unix.getsockname t.fd with
-  | Unix.ADDR_INET (_, p) -> p
-  | Unix.ADDR_UNIX _ -> 0
+let port t = t.port
 
 let set_handler t f = t.on_datagram <- f
 let set_health_handler t f = t.on_health <- f
@@ -92,7 +101,9 @@ let set_health_handler t f = t.on_health <- f
    the health handler. Nothing unwinds into protocol code. *)
 let rec send_bytes t data len dest retries =
   match t.netio.sendto t.fd data 0 len dest with
-  | _ -> t.tx <- t.tx + 1
+  | _ ->
+      t.tx <- t.tx + 1;
+      Loop.sent_to t.loop dest
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       if retries > 0 then send_bytes t data len dest (retries - 1)
       else t.tx_drops <- t.tx_drops + 1
@@ -125,6 +136,6 @@ let send_errors t = t.tx_errors
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Loop.unwatch_fd t.loop t.fd;
+    Loop.unwatch_socket t.loop t.fd;
     t.netio.close t.fd
   end

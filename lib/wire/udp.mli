@@ -23,9 +23,12 @@
 type t
 
 (** [create loop ?port ?netio ()] binds [127.0.0.1:port] ([port] defaults
-    to 0 = ephemeral) and registers with [loop] — both the readable
-    watch and the netio's in-flight counter
-    ({!Loop.register_inflight}). [netio] defaults to {!Netio.unix}. *)
+    to 0 = ephemeral) and registers the socket with [loop]: its
+    descriptor, bound port and the netio's in-flight count
+    ({!Loop.watch_socket}). [netio] defaults to {!Netio.unix}; give each
+    socket its own, since the count is per interface. On a [`Warp] loop a
+    drain stops once the count reaches 0 instead of reading until
+    EAGAIN. *)
 val create : Loop.t -> ?port:int -> ?netio:Netio.t -> unit -> t
 
 (** The locally bound port (useful after an ephemeral bind). *)
@@ -48,7 +51,9 @@ val set_handler : t -> (Bytes.t -> int -> Unix.sockaddr -> unit) -> unit
 val set_health_handler : t -> (Unix.error -> unit) -> unit
 
 (** [send t ~dest data] transmits one datagram; drops (and counts) it on
-    transient failure, counts-and-surfaces hard errors. Raises
+    transient failure, counts-and-surfaces hard errors. A datagram sent
+    to a loopback port that a socket of the same loop owns raises that
+    socket's in-flight count ({!Loop.sent_to}). Raises
     [Invalid_argument] if [data] exceeds {!Codec.max_frame}. *)
 val send : t -> dest:Unix.sockaddr -> string -> unit
 

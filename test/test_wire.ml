@@ -655,6 +655,97 @@ let test_udp_transient_errno_policy () =
   check Alcotest.int "health handler silent" 0 !health;
   Wire.Udp.close a
 
+(* --- Warp settle -------------------------------------------------------- *)
+
+(* Three sockets on one warp loop; one timer callback sends to two of
+   them, and [b]'s handler answers its first datagram with one datagram
+   to [a] (which held none when the settle began) and one to [c] (already
+   drained). The settle delivers in passes: each pass takes the sockets
+   holding datagrams when it begins, in watch order (the newest socket
+   first), each drained in send order; what the handlers send waits for
+   the next pass. *)
+let test_settle_delivery_order () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  let a = Wire.Udp.create loop () in
+  let b = Wire.Udp.create loop () in
+  let c = Wire.Udp.create loop () in
+  let to_ u = Wire.Udp.addr ~port:(Wire.Udp.port u) in
+  let got = ref [] in
+  let record name u =
+    Wire.Udp.set_handler u (fun buf len _src ->
+        let payload = Bytes.sub_string buf 0 len in
+        got := (name, payload) :: !got;
+        if name = "b" && payload = "1" then begin
+          Wire.Udp.send b ~dest:(to_ a) "b>a";
+          Wire.Udp.send b ~dest:(to_ c) "b>c"
+        end)
+  in
+  record "a" a;
+  record "b" b;
+  record "c" c;
+  ignore
+    (Wire.Loop.after loop 0.5 (fun () ->
+         Wire.Udp.send a ~dest:(to_ b) "1";
+         Wire.Udp.send a ~dest:(to_ c) "2";
+         Wire.Udp.send c ~dest:(to_ b) "3";
+         Wire.Udp.send b ~dest:(to_ c) "4";
+         Wire.Udp.send c ~dest:(to_ c) "5"));
+  Wire.Loop.run loop ~until:1.;
+  check
+    Alcotest.(list (pair string string))
+    "watch order, then send order within a socket"
+    [
+      ("c", "2");
+      ("c", "4");
+      ("c", "5");
+      ("b", "1");
+      ("b", "3");
+      ("c", "b>c");
+      ("a", "b>a");
+    ]
+    (List.rev !got);
+  check Alcotest.int "no settle give-ups" 0 (Wire.Loop.io_giveups loop);
+  List.iter Wire.Udp.close [ a; b; c ]
+
+(* A send to a port no socket of the loop owns leaves nothing for the
+   settle to wait for: no select, no give-up. *)
+let test_settle_foreign_port () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  let a = Wire.Udp.create loop () in
+  let gone = Wire.Udp.create loop () in
+  let dest = Wire.Udp.addr ~port:(Wire.Udp.port gone) in
+  Wire.Udp.close gone;
+  ignore (Wire.Loop.after loop 0.5 (fun () -> Wire.Udp.send a ~dest "void"));
+  Wire.Loop.run loop ~until:1.;
+  check Alcotest.int "sent" 1 (Wire.Udp.datagrams_sent a);
+  check Alcotest.int "no settle give-ups" 0 (Wire.Loop.io_giveups loop);
+  check Alcotest.int "no select" 0 (Wire.Loop.polls loop);
+  Wire.Udp.close a
+
+(* Two sockets that echo every datagram back at once never leave the
+   instant they started at; the settle's bounded tries turn that into
+   one give-up instead of a hang. *)
+let test_settle_echo_bounded () =
+  let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
+  let a = Wire.Udp.create loop () in
+  let b = Wire.Udp.create loop () in
+  let echo u peer =
+    let dest = Wire.Udp.addr ~port:(Wire.Udp.port peer) in
+    Wire.Udp.set_handler u (fun buf len _src ->
+        Wire.Udp.send u ~dest (Bytes.sub_string buf 0 len))
+  in
+  echo a b;
+  echo b a;
+  ignore
+    (Wire.Loop.after loop 0.5 (fun () ->
+         Wire.Udp.send a ~dest:(Wire.Udp.addr ~port:(Wire.Udp.port b)) "ping"));
+  Wire.Loop.run loop ~until:1.;
+  check Alcotest.int "one give-up" 1 (Wire.Loop.io_giveups loop);
+  check Alcotest.bool "echoes flowed" true
+    (Wire.Udp.datagrams_received a + Wire.Udp.datagrams_received b > 100);
+  check Alcotest.(float 0.) "clock lands on until" 1. (Wire.Loop.now loop);
+  List.iter Wire.Udp.close [ a; b ]
+
 (* --- Supervisor --------------------------------------------------------- *)
 
 let sup_test_config =
@@ -945,15 +1036,17 @@ let test_receiver_epoch_adoption () =
    sockets, each direction through a seeded shaper (1% loss, 10 ms), as
    in the wire benchmark. After 5 s of slow start, minor words per
    datagram sent over the next 20 s. Per datagram the path pays for the
-   kernel's source address and [select]'s ready list, the EAGAIN that
-   ends each drain, the decoded packet and message, the encoded frame,
-   the protocol's own timers and the clock, boxed at most once per
-   instant: 95.6 words on OCaml 5.1.1, built as [dune runtest] builds it
-   (the dev profile). A closure and handle per shaped frame, an fd list
-   rebuilt per poll, a copy of each received datagram and a decode
-   through result continuations together cost 64.4 more; a clock boxed
-   at every timer pop and every read of [now] cost about 3 more. *)
-let datagram_words_bound = 96.
+   kernel's source address, the decoded packet and message, the encoded
+   frame, the protocol's own timers and the clock, boxed at most once per
+   instant: 78.6 words on OCaml 5.1.1, built as [dune runtest] builds it
+   (the dev profile). The settle reads each socket its in-flight counts
+   name, so no [select] ready list and no EAGAIN exception is paid per
+   datagram; the two cost 17.0 more. A closure and handle per shaped
+   frame, an fd list rebuilt per poll, a copy of each received datagram
+   and a decode through result continuations together cost 64.4 more; a
+   clock boxed at every timer pop and every read of [now] cost about 3
+   more. *)
+let datagram_words_bound = 79.
 
 let test_wire_words_per_datagram () =
   let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
@@ -1121,6 +1214,12 @@ let () =
             test_udp_hard_errno_policy;
           Alcotest.test_case "transient errno policy" `Quick
             test_udp_transient_errno_policy;
+        ] );
+      ( "settle",
+        [
+          Alcotest.test_case "delivery order" `Quick test_settle_delivery_order;
+          Alcotest.test_case "foreign port" `Quick test_settle_foreign_port;
+          Alcotest.test_case "echo bounded" `Quick test_settle_echo_bounded;
         ] );
       ( "supervisor",
         [
