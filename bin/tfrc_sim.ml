@@ -2,18 +2,25 @@
 
    Subcommands:
      list                      enumerate the paper's experiments
+     events                    the structured trace-event catalog
      exp <id> [--full] [--seed n]   regenerate one figure/table
      all [--full] [--seed n]        regenerate everything
      duel [options]            ad-hoc TCP-vs-TFRC dumbbell run
+     chaos [options]           one TFRC flow through a scripted link outage
+     topo [options]            cut a segment of the routed WAN and check
+                               the static impact against the dynamics
+     trace [--out file]        ns-2-style packet trace of a small dumbbell
+     fuzz [options]            randomized chaos scenarios vs the oracles
+     repro <bundle>            replay a fuzz or soak failure bundle
      wire <sub>                real-time UDP mode: the same TFRC state
                                machines on a select()-based event loop
                                (sender / receiver / loopback-demo /
-                               validate)
+                               validate / soak)
 
-   The grid subcommands (exp/all/chaos) accept supervision flags —
-   --retries, --max-events, --max-sim-time, --checkpoint, --resume — that
-   route through Exp.Runner's supervised execution layer (budgets, retry,
-   crash isolation, kill-and-resume). See EXPERIMENTS.md, "Supervised
+   The grid subcommands (exp/all) accept supervision flags — --retries,
+   --max-events, --max-sim-time, --checkpoint, --resume — that route
+   through Exp.Runner's supervised execution layer (budgets, retry, crash
+   isolation, kill-and-resume). See EXPERIMENTS.md, "Supervised
    execution". *)
 
 open Cmdliner
@@ -52,7 +59,7 @@ let check_arg =
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 
-(* --- Supervision flags (exp/all/chaos) ------------------------------------ *)
+(* --- Supervision flags (exp/all) ------------------------------------------ *)
 
 type sup = {
   retries : int;
@@ -349,8 +356,7 @@ let chaos_cmd =
       value & opt float 2.
       & info [ "outage-duration" ] ~docv:"SECONDS" ~doc:"Outage length.")
   in
-  let run at outage_duration seed j trace check sup =
-    install_signals sup;
+  let run at outage_duration seed trace check =
     observe ~trace ~check @@ fun () ->
     if at < 0. then begin
       Format.eprintf "tfrc_sim: --outage-at must be non-negative@.";
@@ -360,55 +366,11 @@ let chaos_cmd =
       Format.eprintf "tfrc_sim: --outage-duration must be non-negative@.";
       exit 1
     end;
-    (* One-job grid through the runner, so -j N exercises the same
-       capture/replay path as the experiment subcommands. The job uses the
-       CLI seed directly (not a derived stream): the timeline must match
-       what `exp resilience' documents for this seed. *)
-    let job =
-      Exp.Job.make "chaos/outage" (fun _rng ->
-          let report, pace =
-            Exp.Resilience.tfrc_outage_case ~seed ~at
-              ~duration:outage_duration ()
-          in
-          [
-            ("pre_rate", Exp.Job.f report.Exp.Resilience.pre_rate);
-            ("min_send_during", Exp.Job.f report.min_send_during);
-            ("floor_ok", Exp.Job.b report.floor_ok);
-            ("nofb_expiries", Exp.Job.i report.nofb_expiries);
-            ("recovery_time", Exp.Job.f report.recovery_time);
-            ("overshoot", Exp.Job.f report.overshoot);
-            ("pace", Exp.Job.pairs (Array.to_list pace));
-          ])
+    (* The CLI seed is used directly: the timeline must match what `exp
+       resilience' documents for this seed. *)
+    let report, pace =
+      Exp.Resilience.tfrc_outage_case ~seed ~at ~duration:outage_duration ()
     in
-    let grid = Printf.sprintf "chaos.seed%d.at%g.dur%g" seed at outage_duration in
-    let outcomes, report =
-      with_store sup ~grid (fun checkpoint ->
-          Exp.Runner.run_jobs_supervised ~j ~retries:sup.retries
-            ?budget:sup.budget ?checkpoint ~seed [ job ])
-    in
-    print_report sup report;
-    let result =
-      match outcomes with
-      | [ (_, Exp.Runner.Completed r) ] -> r
-      | [ (_, Exp.Runner.Gave_up f) ] ->
-          Format.eprintf "chaos/outage %s@." (Exp.Runner.failure_summary f);
-          exit 1
-      | _ -> assert false
-    in
-    let report =
-      {
-        Exp.Resilience.case = "outage";
-        proto = "tfrc";
-        pre_rate = Exp.Job.get_float result "pre_rate";
-        min_send_during = Exp.Job.get_float result "min_send_during";
-        floor_ok = Exp.Job.get_bool result "floor_ok";
-        nofb_expiries = Exp.Job.get_int result "nofb_expiries";
-        recovery_time = Exp.Job.get_float result "recovery_time";
-        overshoot = Exp.Job.get_float result "overshoot";
-        post_rate = Float.nan;
-      }
-    in
-    let pace = Array.of_list (Exp.Job.get_pairs result "pace") in
     let ppf = Format.std_formatter in
     Format.fprintf ppf
       "TFRC through a %.1f s link outage at t=%.1f (seed %d)@.@." outage_duration
@@ -452,8 +414,7 @@ let chaos_cmd =
          "Script a mid-flow link outage against a TFRC flow and print the \
           backoff/slow-restart timeline (see also `exp resilience').")
     Term.(
-      const run $ at $ outage_duration $ seed_arg $ jobs_arg $ trace_arg
-      $ check_arg $ sup_term)
+      const run $ at $ outage_duration $ seed_arg $ trace_arg $ check_arg)
 
 let topo_cmd =
   let fail_arg =
@@ -497,7 +458,8 @@ let topo_cmd =
       exit 1
     end;
     let reports, recomputes =
-      Exp.Topo_impact.scripted ~fail ~dark ~at ~duration ()
+      Exp.Topo_impact.scripted ~cut:Exp.Topo_impact.Outage ~fail ~dark ~at
+        ~duration ()
     in
     let ppf = Format.std_formatter in
     Format.fprintf ppf

@@ -81,34 +81,15 @@ let render_history ppf finished =
 
 (* --- B: history discounting ------------------------------------------------- *)
 
-(* Fig19 scenario but with discounting toggled: measure the rate gained
-   between t=11.5 and t=13 (the discounting window). Deterministic — the
-   drop pattern is counter-driven. *)
+(* Fig19's trace with discounting toggled: the rate gained between
+   t=11.5 and t=13.4 (the discounting window). Deterministic — the drop
+   pattern is counter-driven. *)
 let discount_slope ~discounting =
-  let config =
-    Tfrc.Tfrc_config.default ~response:Tfrc.Response_function.Simple
-      ~delay_gain:false ~initial_rtt:0.1 ~ndupack:1
-      ~history_discounting:discounting ()
-  in
-  let sim = Engine.Sim.create () in
-  let count = ref 0 in
-  let drop _ =
-    incr count;
-    Engine.Sim.now sim < 10. && !count mod 100 = 0
-  in
-  let path =
-    Direct_path.create ~config sim ~rtt:0.1
-      ~loss:(Netsim.Loss_model.custom ~drop) ()
-  in
-  let samples = ref [] in
-  Tfrc.Tfrc_sender.on_rate_update path.sender (fun t ~rate ~rtt:r ~p:_ ->
-      samples := (t, rate *. r /. 1000.) :: !samples);
-  Direct_path.run path ~until:13.5;
-  let ordered = List.rev !samples in
+  let samples = Fig19.trace ~discounting ~duration:14. () in
   (* Rate at the last update before t0 (not a running max: the slow-start
      overshoot would swamp it). *)
   let at t0 =
-    List.fold_left (fun acc (t, v) -> if t <= t0 then v else acc) 0. ordered
+    List.fold_left (fun acc (t, v) -> if t <= t0 then v else acc) 0. samples
   in
   at 13.4 -. at 11.5
 
@@ -184,36 +165,6 @@ let render_rtt_gain ppf finished =
 
 (* --- D: expedited feedback ----------------------------------------------------- *)
 
-(* Deterministic: counter-driven drops over a direct path. *)
-let expedited_rtts ~feedback_on_loss =
-  let config =
-    Tfrc.Tfrc_config.default ~response:Tfrc.Response_function.Pftk
-      ~delay_gain:false ~initial_rtt:0.1 ~ndupack:1 ~feedback_on_loss ()
-  in
-  let sim = Engine.Sim.create () in
-  let count = ref 0 in
-  let drop _ =
-    incr count;
-    if Engine.Sim.now sim < 10. then !count mod 100 = 0 else !count mod 2 = 0
-  in
-  let path =
-    Direct_path.create ~config sim ~rtt:0.1
-      ~loss:(Netsim.Loss_model.custom ~drop) ()
-  in
-  let samples = ref [] in
-  Tfrc.Tfrc_sender.on_rate_update path.sender (fun t ~rate ~rtt:_ ~p:_ ->
-      samples := (t, rate) :: !samples);
-  Direct_path.run path ~until:14.;
-  let samples = List.rev !samples in
-  let before =
-    List.fold_left (fun acc (t, r) -> if t < 10. then r else acc) 0. samples
-  in
-  match
-    List.find_opt (fun (t, r) -> t >= 10. && r <= before /. 2.) samples
-  with
-  | Some (t, _) -> Printf.sprintf "%.0f" (ceil ((t -. 10.) /. 0.1))
-  | None -> "never"
-
 let expedited_key on =
   Printf.sprintf "ablations/expedited/%s" (if on then "on" else "off")
 
@@ -221,12 +172,17 @@ let expedited_jobs () =
   List.map
     (fun on ->
       Job.make (expedited_key on) (fun _rng ->
-          [ ("rtts", Job.s (expedited_rtts ~feedback_on_loss:on)) ]))
+          let n, _ = Fig20_21.rtts_to_halve ~feedback_on_loss:on ~p0:0.01 in
+          [ ("rtts", Job.i n) ]))
     [ true; false ]
 
 let render_expedited ppf finished =
   Format.fprintf ppf "D. Expedited feedback on loss events@.@.";
-  let rtts on = Job.get_str (Job.lookup finished (expedited_key on)) "rtts" in
+  let rtts on =
+    match Job.get_int (Job.lookup finished (expedited_key on)) "rtts" with
+    | n when n = max_int -> "never"
+    | n -> string_of_int n
+  in
   Table.print ppf
     ~header:[ "feedback on loss"; "RTTs to halve under persistent congestion" ]
     [

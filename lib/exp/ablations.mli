@@ -2,9 +2,11 @@
     figures, but directly motivated by its Section 3 discussion):
 
     - loss-interval history size n (the paper argues n=8 is the knee),
-    - history discounting on/off (recovery speed after congestion ends),
+    - history discounting on/off (recovery speed after congestion ends;
+      {!Fig19.trace} with discounting toggled),
     - RTT EWMA gain x interpacket-spacing stabilization (oscillations),
-    - expedited feedback on loss events on/off (response time),
+    - expedited feedback on loss events on/off (response time;
+      {!Fig20_21.rtts_to_halve} at p0 = 0.01 with it toggled),
     - the Section 4.1 burstiness aid (two packets every two intervals)
       against a small-window TCP competitor,
     - ECN marking vs dropping at a RED bottleneck (Section 7 outlook). *)

@@ -1,12 +1,13 @@
 let rtt = 0.1
 let pkt = 1000
 
-let trace ~duration () =
+let trace ~discounting ~duration () =
   (* Simple control equation (as in Appendix A.1), fixed RTT, delay_gain
      off so spacing does not perturb the trace. *)
   let config =
     Tfrc.Tfrc_config.default ~response:Tfrc.Response_function.Simple
-      ~delay_gain:false ~initial_rtt:rtt ~ndupack:1 ()
+      ~delay_gain:false ~initial_rtt:rtt ~ndupack:1
+      ~history_discounting:discounting ()
   in
   let sim = Engine.Sim.create () in
   let count = ref 0 in
@@ -22,7 +23,7 @@ let trace ~duration () =
   Tfrc.Tfrc_sender.on_rate_update path.sender (fun time ~rate ~rtt:r ~p:_ ->
       out := (time, rate *. r /. float_of_int pkt) :: !out);
   Direct_path.run path ~until:duration;
-  (List.rev !out, rtt)
+  List.rev !out
 
 let slope samples ~a ~b =
   (* Least-squares slope of pkts/RTT per RTT over window [a, b). *)
@@ -42,7 +43,7 @@ let slope samples ~a ~b =
 let jobs ~full:_ =
   [
     Job.make "fig19/trace" (fun _rng ->
-        let samples, _ = trace ~duration:14. () in
+        let samples = trace ~discounting:true ~duration:14. () in
         [ ("samples", Job.pairs samples) ]);
   ]
 

@@ -14,6 +14,8 @@ val render :
   Format.formatter ->
   unit
 
-(** (time, allowed rate in pkts/RTT) samples at each sender rate update,
-    plus the RTT used. *)
-val trace : duration:float -> unit -> (float * float) list * float
+(** [trace ~discounting ~duration ()] runs the A.1 scenario for
+    [duration] seconds with history discounting on or off (Figure 19 has
+    it on; ablation B compares the two) and returns (time, allowed rate
+    in pkts/RTT) samples at each sender rate update (RTT fixed at 0.1 s). *)
+val trace : discounting:bool -> duration:float -> unit -> (float * float) list

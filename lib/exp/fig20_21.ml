@@ -1,11 +1,11 @@
 let rtt = 0.1
 
-let rtts_to_halve ~p0 =
+let rtts_to_halve ~feedback_on_loss ~p0 =
   (* Full Equation (1): its nonlinearity in p above ~5%% is what makes the
      response strong at high pre-existing loss rates (Appendix A.2). *)
   let config =
     Tfrc.Tfrc_config.default ~response:Tfrc.Response_function.Pftk
-      ~delay_gain:false ~initial_rtt:rtt ~ndupack:1 ()
+      ~delay_gain:false ~initial_rtt:rtt ~ndupack:1 ~feedback_on_loss ()
   in
   let sim = Engine.Sim.create () in
   let count = ref 0 in
@@ -48,7 +48,7 @@ let jobs ~full =
   List.map
     (fun p0 ->
       Job.make (key p0) (fun _rng ->
-          let n, samples = rtts_to_halve ~p0 in
+          let n, samples = rtts_to_halve ~feedback_on_loss:true ~p0 in
           let base = [ ("n_rtts", Job.i n) ] in
           if p0 = 0.01 then base @ [ ("samples", Job.pairs samples) ] else base))
     (p0s ~full)

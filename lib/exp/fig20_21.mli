@@ -16,7 +16,10 @@ val render :
   Format.formatter ->
   unit
 
-(** [rtts_to_halve ~p0] runs the A.2 scenario and counts feedback rounds
-    (RTTs) after t=10 until the allowed rate is half its pre-congestion
-    value. Also returns the rate trace. *)
-val rtts_to_halve : p0:float -> int * (float * float) list
+(** [rtts_to_halve ~feedback_on_loss ~p0] runs the A.2 scenario with
+    expedited feedback on loss events on or off (the figures have it on;
+    ablation D compares the two) and counts feedback rounds (RTTs) after
+    t=10 until the allowed rate is half its pre-congestion value, or
+    [max_int] if it never halves by t=14. Also returns the rate trace. *)
+val rtts_to_halve :
+  feedback_on_loss:bool -> p0:float -> int * (float * float) list

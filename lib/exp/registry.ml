@@ -133,7 +133,8 @@ let all =
     {
       id = "ablations";
       title =
-        "Design-choice ablations: history, discounting, RTT gain, feedback,          burstiness, ECN";
+        "Design-choice ablations: history, discounting, RTT gain, feedback, \
+         burstiness, ECN";
       jobs = Ablations.jobs;
       render = Ablations.render;
     };

@@ -6,13 +6,6 @@
 
 module TB = Netsim.Topo_builders.Transcontinental
 
-type case = Reroute | Partition | Flap
-
-let case_name = function
-  | Reroute -> "reroute"
-  | Partition -> "partition"
-  | Flap -> "flap"
-
 (* The three probe flows. [coast] rides the northern path and is the one
    a chi-den failure touches; [short] and [south] are controls that must
    classify as unaffected. *)
@@ -21,7 +14,6 @@ let probe_flows = [ (1, "coast", TB.Nyc, TB.Sfo); (2, "short", TB.Nyc, TB.Chi); 
 let failed_label = "chi-den"
 let fault_at = 15.
 let fault_duration = 10.
-let run_until = 40.
 let access = 0.002
 
 let queue () = Netsim.Droptail.create ~limit_pkts:40
@@ -33,7 +25,8 @@ let build sim =
     probe_flows;
   wan
 
-(* One TFRC session per probe flow; returns the per-flow goodput series. *)
+(* One TFRC session per probe flow; returns each flow's name and goodput
+   monitor. *)
 let wire_flows sim wan =
   let now () = Engine.Sim.now sim in
   List.map
@@ -45,7 +38,7 @@ let wire_flows sim wan =
           ~data:(Netsim.Flowmon.wrap recv_mon) ()
       in
       Tfrc.Tfrc_sender.start sender ~at:0.;
-      (flow, fname, recv_mon))
+      (fname, recv_mon))
     probe_flows
 
 (* Cut or flap both directions of a duplex segment, so the failure takes
@@ -58,35 +51,16 @@ let duplex_links wan label =
   in
   [ fst (TB.link wan label); fst (TB.link wan rev) ]
 
-let schedule_fault rt wan case =
-  match case with
-  | Reroute | Partition ->
-      List.iter
-        (fun l -> Netsim.Faults.outage rt l ~at:fault_at ~duration:fault_duration ())
-        (duplex_links wan failed_label)
-  | Flap ->
-      List.iter
-        (fun l ->
-          Netsim.Faults.flapping rt l ~start:fault_at
-            ~stop:(fault_at +. fault_duration) ~period:2. ~down_fraction:0.5 ())
-        (duplex_links wan failed_label)
-
-(* The partition case pre-darkens the southern detour for the whole run,
-   so losing chi-den leaves coast-to-coast traffic with no path at all. *)
-let darken_south rt wan =
-  List.iter
-    (fun l -> Netsim.Faults.outage rt l ~at:0.5 ~duration:(run_until +. 10.) ())
-    (duplex_links wan "nyc-atl" @ duplex_links wan "atl-sfo")
-
-type dyn = {
-  case : string;
-  static_kind : string;  (** impact of chi-den on [coast], sampled at t=5 *)
-  pre : float;
-  during : float;
-  post : float;
-  recomputes : int;
-  consistent : bool;
-}
+(* The static classification of failing [edge], one kind per probe flow
+   in [probe_flows] order. *)
+let impact_kinds wan edge =
+  let by_flow = Netsim.Topology.impact (TB.topology wan) edge in
+  List.map
+    (fun (flow, _, _, _) ->
+      match List.assoc_opt flow by_flow with
+      | Some k -> Netsim.Topology.impact_str k
+      | None -> "?")
+    probe_flows
 
 (* Static impact says what the dynamics must show: a rerouted flow keeps
    meaningful goodput through the outage, a partitioned one starves. *)
@@ -96,41 +70,7 @@ let consistent_with ~static_kind ~pre ~during =
   | "partitioned" -> during <= 0.05 *. pre
   | _ -> true
 
-let run_dynamic case =
-  let sim = Engine.Sim.create () in
-  let rt = Engine.Sim.runtime sim in
-  let wan = build sim in
-  let topo = TB.topology wan in
-  if case = Partition then darken_south rt wan;
-  schedule_fault rt wan case;
-  let mons = wire_flows sim wan in
-  let static_kind = ref "?" in
-  (* Sample the hypothetical-failure classification before the fault
-     fires, but after any pre-darkening outage is in effect. *)
-  ignore
-    (Engine.Sim.at sim 5. (fun () ->
-         let _, edge = TB.link wan failed_label in
-         match List.assoc_opt 1 (Netsim.Topology.impact topo edge) with
-         | Some k -> static_kind := Netsim.Topology.impact_str k
-         | None -> ()));
-  Engine.Sim.run sim ~until:run_until;
-  let _, _, coast_mon = List.find (fun (f, _, _) -> f = 1) mons in
-  let series = Netsim.Flowmon.series coast_mon in
-  let rate t0 t1 = Stats.Time_series.mean_rate series ~t0 ~t1 in
-  let pre = rate 5. fault_at in
-  let during = rate (fault_at +. 1.) (fault_at +. fault_duration -. 1.) in
-  let post = rate (run_until -. 5.) run_until in
-  {
-    case = case_name case;
-    static_kind = !static_kind;
-    pre;
-    during;
-    post;
-    recomputes = Netsim.Topology.recomputes topo;
-    consistent = consistent_with ~static_kind:!static_kind ~pre ~during;
-  }
-
-(* --- Scripted run for the `tfrc_sim topo' subcommand ---------------------- *)
+type cut = Outage | Flap
 
 type flow_report = {
   fname : string;
@@ -141,11 +81,10 @@ type flow_report = {
   consistent : bool;
 }
 
-let scripted ~fail ~dark ~at ~duration () =
+let scripted ~cut ~fail ~dark ~at ~duration () =
   let sim = Engine.Sim.create () in
   let rt = Engine.Sim.runtime sim in
   let wan = build sim in
-  let topo = TB.topology wan in
   let until = at +. duration +. 15. in
   List.iter
     (fun label ->
@@ -154,23 +93,24 @@ let scripted ~fail ~dark ~at ~duration () =
         (duplex_links wan label))
     dark;
   List.iter
-    (fun l -> Netsim.Faults.outage rt l ~at ~duration ())
+    (fun l ->
+      match cut with
+      | Outage -> Netsim.Faults.outage rt l ~at ~duration ()
+      | Flap ->
+          Netsim.Faults.flapping rt l ~start:at ~stop:(at +. duration)
+            ~period:2. ~down_fraction:0.5 ())
     (duplex_links wan fail);
   let mons = wire_flows sim wan in
   (* Sample the static classification after the pre-darkened segments are
      down but before the scripted cut fires. *)
-  let kinds = ref [] in
+  let kinds = ref (List.map (fun _ -> "?") probe_flows) in
   ignore
     (Engine.Sim.at sim (Float.max 1. (at /. 2.)) (fun () ->
-         let _, edge = TB.link wan fail in
-         kinds :=
-           List.map
-             (fun (f, k) -> (f, Netsim.Topology.impact_str k))
-             (Netsim.Topology.impact topo edge)));
+         kinds := impact_kinds wan (snd (TB.link wan fail))));
   Engine.Sim.run sim ~until;
   let reports =
-    List.map
-      (fun (flow, fname, mon) ->
+    List.map2
+      (fun (fname, mon) kind ->
         let series = Netsim.Flowmon.series mon in
         let rate t0 t1 = Stats.Time_series.mean_rate series ~t0 ~t1 in
         let pre = rate (Float.max 1. (at -. 10.)) at in
@@ -180,7 +120,6 @@ let scripted ~fail ~dark ~at ~duration () =
         in
         let during = rate d0 d1 in
         let post = rate (Float.max (at +. duration) (until -. 5.)) until in
-        let kind = Option.value ~default:"?" (List.assoc_opt flow !kinds) in
         {
           fname;
           kind;
@@ -189,68 +128,55 @@ let scripted ~fail ~dark ~at ~duration () =
           post;
           consistent = consistent_with ~static_kind:kind ~pre ~during;
         })
-      mons
+      mons !kinds
   in
-  (reports, Netsim.Topology.recomputes topo)
+  (reports, Netsim.Topology.recomputes (TB.topology wan))
 
-(* Static impact matrix: every duplex segment (forward direction) against
-   every probe flow, on the healthy graph. *)
+(* The backbone segments, forward direction: the rows of the static
+   impact matrix. *)
 let segment_labels = [ "nyc-chi"; "chi-den"; "den-sfo"; "nyc-atl"; "atl-sfo" ]
-
-let static_matrix () =
-  let sim = Engine.Sim.create () in
-  let wan = build sim in
-  let topo = TB.topology wan in
-  List.map
-    (fun label ->
-      let _, edge = TB.link wan label in
-      let by_flow = Netsim.Topology.impact topo edge in
-      ( label,
-        List.map
-          (fun (flow, fname, _, _) ->
-            let kind =
-              match List.assoc_opt flow by_flow with
-              | Some k -> Netsim.Topology.impact_str k
-              | None -> "?"
-            in
-            (fname, kind))
-          probe_flows ))
-    segment_labels
 
 (* --- Job grid ------------------------------------------------------------- *)
 
 let static_key = "topology/static"
-let dyn_key case = "topology/" ^ case_name case
-let dyn_cases ~full = if full then [ Reroute; Partition; Flap ] else [ Reroute; Partition ]
+let dyn_key name = "topology/" ^ name
 
+(* Each dynamic case is [scripted] at the grid's constants: the partition
+   case darkens the southern detour first, the flap case (only under
+   [--full]) flaps chi-den instead of cutting it. *)
+let dyn_cases ~full =
+  [ ("reroute", Outage, []); ("partition", Outage, [ "nyc-atl"; "atl-sfo" ]) ]
+  @ if full then [ ("flap", Flap, []) ] else []
+
+(* The static matrix on the healthy graph: one field per segment, its
+   failure's kind for each probe flow. *)
 let static_job =
   Job.make static_key (fun _rng ->
-      let matrix = static_matrix () in
-      [
-        ( "rows",
-          Job.strs
-            (List.concat_map
-               (fun (label, kinds) ->
-                 List.map (fun (fname, k) -> Printf.sprintf "%s %s %s" label fname k) kinds)
-               matrix) );
-      ])
+      let wan = build (Engine.Sim.create ()) in
+      List.map
+        (fun label ->
+          (label, Job.strs (impact_kinds wan (snd (TB.link wan label)))))
+        segment_labels)
 
-let dyn_job case =
-  Job.make (dyn_key case) (fun _rng ->
+let dyn_job (name, cut, dark) =
+  Job.make (dyn_key name) (fun _rng ->
       let checker = Tfrc.Invariants.create () in
       let bus = Engine.Trace.default () in
       Tfrc.Invariants.attach checker bus;
-      let r =
+      let reports, recomputes =
         Fun.protect
           ~finally:(fun () -> Tfrc.Invariants.detach checker bus)
-          (fun () -> run_dynamic case)
+          (fun () ->
+            scripted ~cut ~fail:failed_label ~dark ~at:fault_at
+              ~duration:fault_duration ())
       in
+      let r = List.find (fun r -> r.fname = "coast") reports in
       [
-        ("static_kind", Job.s r.static_kind);
+        ("static_kind", Job.s r.kind);
         ("pre", Job.f r.pre);
         ("during", Job.f r.during);
         ("post", Job.f r.post);
-        ("recomputes", Job.i r.recomputes);
+        ("recomputes", Job.i recomputes);
         ("consistent", Job.b r.consistent);
         ("inv_events", Job.i (Tfrc.Invariants.n_events checker));
         ("inv_violations", Job.i (Tfrc.Invariants.n_violations checker));
@@ -271,27 +197,16 @@ let render ~full ~seed:_ finished ppf =
      delay-cost routing; TFRC probe flows coast (nyc-sfo), short \
      (nyc-chi), south (atl-sfo).@.@.";
   (* Static matrix: flows in column order, one row per failed segment. *)
-  let static_rows = Job.get_strs (Job.lookup finished static_key) "rows" in
-  let cell label fname =
-    let prefix = label ^ " " ^ fname ^ " " in
-    match
-      List.find_opt (fun r -> String.length r > String.length prefix
-                              && String.sub r 0 (String.length prefix) = prefix)
-        static_rows
-    with
-    | Some r ->
-        String.sub r (String.length prefix) (String.length r - String.length prefix)
-    | None -> "?"
-  in
-  let flow_names = List.map (fun (_, n, _, _) -> n) probe_flows in
+  let static = Job.lookup finished static_key in
   Format.fprintf ppf "Static impact of failing each segment (healthy graph):@.";
   Table.print ppf
-    ~header:("failed segment" :: flow_names)
-    (List.map (fun label -> label :: List.map (cell label) flow_names)
-       segment_labels);
+    ~header:("failed segment" :: List.map (fun (_, n, _, _) -> n) probe_flows)
+    (List.map (fun label -> label :: Job.get_strs static label) segment_labels);
   (* Dynamics vs the static verdict. *)
   let cells =
-    List.map (fun c -> (c, Job.lookup finished (dyn_key c))) (dyn_cases ~full)
+    List.map
+      (fun (name, _, _) -> (name, Job.lookup finished (dyn_key name)))
+      (dyn_cases ~full)
   in
   Format.fprintf ppf
     "@.Scripted %s failure at t=%.0f for %.0f s (partition case darkens \
@@ -302,9 +217,9 @@ let render ~full ~seed:_ finished ppf =
       [ "case"; "static impact"; "pre KB/s"; "during KB/s"; "post KB/s";
         "recomputes"; "verdict" ]
     (List.map
-       (fun (c, r) ->
+       (fun (name, r) ->
          [
-           case_name c;
+           name;
            Job.get_str r "static_kind";
            Printf.sprintf "%.1f" (Job.get_float r "pre" /. 1e3);
            Printf.sprintf "%.1f" (Job.get_float r "during" /. 1e3);

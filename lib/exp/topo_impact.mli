@@ -13,11 +13,13 @@
       pre-darkened (coast traffic must starve), and — under [--full] —
       [flap] (periodic up/down, routes must chase the link state).
 
-    Each dynamic case cross-checks the static verdict against measured
-    goodput: a rerouted flow keeps at least 5% of its pre-fault rate
-    through the outage, a partitioned one falls below 5%. A mismatch
-    renders as [MISMATCH] in the verdict column. Every dynamic run is
-    audited by {!Tfrc.Invariants} (including the [topo-loop-free] rule). *)
+    Each dynamic case is one {!scripted} run, the same function that backs
+    the [tfrc_sim topo] subcommand, and cross-checks the static verdict
+    against measured goodput: a rerouted flow keeps at least 5% of its
+    pre-fault rate through the outage, a partitioned one falls below 5%.
+    A mismatch renders as [MISMATCH] in the verdict column. Every dynamic
+    run is audited by {!Tfrc.Invariants} (including the [topo-loop-free]
+    rule). *)
 
 (** The backbone segment labels a scripted run may cut or darken. *)
 val segment_labels : string list
@@ -36,11 +38,19 @@ type flow_report = {
   consistent : bool;
 }
 
-(** [scripted ~fail ~dark ~at ~duration ()] cuts both directions of the
-    [fail] segment over [at, at+duration), with every [dark] segment down
-    for the whole run, and returns the per-flow reports plus the number
-    of routing recomputations. Backs the [tfrc_sim topo] subcommand. *)
+(** The shape of a scripted cut over [at, at+duration): one [Outage], or
+    a [Flap] that takes the segment down for 1 s of every 2 s. *)
+type cut = Outage | Flap
+
+(** [scripted ~cut ~fail ~dark ~at ~duration ()] cuts both directions of
+    the [fail] segment as [cut] says, with every [dark] segment down for
+    the whole run, runs to [at+duration+15], and returns the per-flow
+    reports plus the number of routing recomputations. Windows: [pre] is
+    [max 1 (at-10), at), [during] trims 1 s off each end of the cut when
+    it is longer than 2 s, [post] is the last 5 s. Backs both the
+    [tfrc_sim topo] subcommand and the grid's dynamic cases. *)
 val scripted :
+  cut:cut ->
   fail:string ->
   dark:string list ->
   at:float ->

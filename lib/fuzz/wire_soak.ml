@@ -345,15 +345,19 @@ let run_once ~mutate (c : case) : Oracle.outcome * string =
       ]
   in
   let busy_failures =
-    let polls = Wire.Loop.polls loop and fired = Wire.Loop.fired loop in
+    let polls = Wire.Loop.polls loop
+    and passes = Wire.Loop.settle_passes loop
+    and fired = Wire.Loop.fired loop in
     let bound = 2_000 + (20 * fired) + (300 * giveups) in
-    if polls > bound then
+    if polls + passes > bound then
       [
         {
           Oracle.oracle = "busy-loop";
           detail =
-            Printf.sprintf "%d select calls for %d timer fires (bound %d)"
-              polls fired bound;
+            Printf.sprintf
+              "%d select calls and %d settle passes for %d timer fires \
+               (bound %d)"
+              polls passes fired bound;
         };
       ]
     else if fired > 500_000 then

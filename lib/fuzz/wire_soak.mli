@@ -22,7 +22,8 @@
       in exactly one send bucket; every datagram the kernel delivered is
       a fault-layer drop or was decoded into exactly one receive bucket;
     - [io-health] — the warp settle never gave a datagram up for lost;
-    - [busy-loop] — [select] calls are bounded by work done;
+    - [busy-loop] — [select] calls plus warp settle passes are bounded by
+      work done;
     - [determinism] — the case runs twice and must produce an identical
       trace digest, event count and counter snapshot.
 

@@ -19,7 +19,8 @@ type t = {
   (* The watched descriptors, [select]'s first argument: rebuilt by
      [watch_socket]/[unwatch_socket], not on every poll. *)
   mutable fds : Unix.file_descr list;
-  mutable polls : int;  (* poll_fds calls; the busy-loop oracle's input *)
+  mutable polls : int;  (* poll_fds calls *)
+  mutable settle_passes : int;  (* warp settle passes *)
   mutable fired : int;  (* timers actually fired *)
   mutable io_giveups : int;  (* settle rounds that timed out *)
 }
@@ -44,6 +45,7 @@ let create ?trace ?(mode = `Monotonic) () =
     watches = [];
     fds = [];
     polls = 0;
+    settle_passes = 0;
     fired = 0;
     io_giveups = 0;
   }
@@ -61,6 +63,7 @@ let total_inflight t =
   List.fold_left (fun acc w -> acc + !(w.inflight)) 0 t.watches
 
 let polls t = t.polls
+let settle_passes t = t.settle_passes
 let fired t = t.fired
 let io_giveups t = t.io_giveups
 
@@ -145,6 +148,7 @@ let rec drain_marked progressed = function
 
 (* One settle pass; says whether a drained socket's count fell. *)
 let settle_pass t =
+  t.settle_passes <- t.settle_passes + 1;
   let ws = t.watches in
   List.iter (fun w -> w.marked <- !(w.inflight) > 0) ws;
   drain_marked false ws

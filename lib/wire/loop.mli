@@ -93,11 +93,13 @@ val settle_io : t -> unit
 
 (** Diagnostic counters over the loop's lifetime: [select] calls made
     (a [`Warp] settle makes them only while a counted datagram is not
-    yet readable), timers fired, and settle give-ups (kernel-dropped
-    datagrams; 0 in a healthy run). The soak's busy-loop oracle bounds
-    [polls] by work done. *)
+    yet readable), [`Warp] settle passes (each reads the sockets holding
+    counted datagrams once), timers fired, and settle give-ups
+    (kernel-dropped datagrams; 0 in a healthy run). The soak's busy-loop
+    oracle bounds [polls + settle_passes] by work done. *)
 val polls : t -> int
 
+val settle_passes : t -> int
 val fired : t -> int
 val io_giveups : t -> int
 

@@ -190,7 +190,7 @@ let test_fig18_history_size_helps () =
   Alcotest.(check bool) "n=8 beats n=2" true (err 8 < err 2)
 
 let test_fig19_steady_state_rate () =
-  let samples, _ = Exp.Fig19.trace ~duration:11. () in
+  let samples = Exp.Fig19.trace ~discounting:true ~duration:11. () in
   let steady =
     Exp.Scenario.mean
       (List.filter_map
@@ -225,6 +225,61 @@ let test_fig15_profiles_well_formed () =
         true
         (p.Exp.Fig15_17.bandwidth > 0. && p.Exp.Fig15_17.rtt > 0.))
     Exp.Fig15_17.profiles
+
+(* [scripted] at the [tfrc_sim topo] defaults: a chi-den cut at t=15 for
+   10 s. The healthy graph reroutes coast traffic south, recomputing
+   routes three times (for the first lookup, the cut and the repair);
+   with the southern detour dark the same cut partitions it. *)
+let topo_scripted dark =
+  Exp.Topo_impact.scripted ~cut:Exp.Topo_impact.Outage ~fail:"chi-den" ~dark
+    ~at:15. ~duration:10. ()
+
+let topo_report reports name =
+  List.find (fun (r : Exp.Topo_impact.flow_report) -> r.fname = name) reports
+
+let test_topo_reroute () =
+  let reports, recomputes = topo_scripted [] in
+  let coast = topo_report reports "coast" in
+  Alcotest.(check string) "coast" "rerouted" coast.kind;
+  Alcotest.(check bool) "coast consistent" true coast.consistent;
+  List.iter
+    (fun name ->
+      Alcotest.(check string) name "unaffected" (topo_report reports name).kind)
+    [ "short"; "south" ];
+  Alcotest.(check int) "recomputes" 3 recomputes
+
+let test_topo_partition () =
+  let reports, _ = topo_scripted [ "nyc-atl"; "atl-sfo" ] in
+  let coast = topo_report reports "coast" in
+  Alcotest.(check string) "coast" "partitioned" coast.kind;
+  Alcotest.(check bool) "coast consistent" true coast.consistent
+
+(* Ablation B's claim: with history discounting the A.1 flow gains more
+   than 1.5x the rate between t=11.5 and t=13.4 than without it. *)
+let test_discounting_speeds_recovery () =
+  let gained discounting =
+    let samples = Exp.Fig19.trace ~discounting ~duration:14. () in
+    let at t0 =
+      List.fold_left (fun acc (t, v) -> if t <= t0 then v else acc) 0. samples
+    in
+    at 13.4 -. at 11.5
+  in
+  let without = gained false and with_d = gained true in
+  Alcotest.(check bool)
+    (Printf.sprintf "gained %.2f with vs %.2f without" with_d without)
+    true
+    (with_d > 1.5 *. without)
+
+(* Ablation D: expedited feedback on loss events halves the A.2 rate in
+   no more RTTs than per-RTT feedback alone. *)
+let test_expedited_feedback_halves_sooner () =
+  let n feedback_on_loss =
+    fst (Exp.Fig20_21.rtts_to_halve ~feedback_on_loss ~p0:0.01)
+  in
+  let on = n true and off = n false in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d RTTs on <= %d off" on off)
+    true (on <= off)
 
 let () =
   Alcotest.run "exp"
@@ -267,5 +322,17 @@ let () =
           Alcotest.test_case "fig3/4 damping" `Quick test_fig3_damping_effect;
           Alcotest.test_case "fig15 profiles" `Quick
             test_fig15_profiles_well_formed;
+        ] );
+      ( "topology",
+        [
+          Alcotest.test_case "reroute" `Quick test_topo_reroute;
+          Alcotest.test_case "partition" `Quick test_topo_partition;
+        ] );
+      ( "ablations",
+        [
+          Alcotest.test_case "discounting speeds recovery" `Quick
+            test_discounting_speeds_recovery;
+          Alcotest.test_case "expedited feedback halves sooner" `Quick
+            test_expedited_feedback_halves_sooner;
         ] );
     ]

@@ -261,7 +261,7 @@ let test_increase_rate_bounded () =
      ~0.14 pkts/RTT until discounting, and around ~0.3 after. Individual
      steps between feedbacks can overshoot the analytic bound slightly
      because feedback intervals are not exactly one RTT; allow 0.45. *)
-  let samples, _rtt = Exp.Fig19.trace ~duration:13. () in
+  let samples = Exp.Fig19.trace ~discounting:true ~duration:13. () in
   let rec max_step acc = function
     | (t1, r1) :: ((t2, r2) :: _ as rest) when t1 >= 10.3 ->
         let rtts = (t2 -. t1) /. 0.1 in
@@ -279,7 +279,7 @@ let test_increase_rate_bounded () =
 let test_a2_at_least_five_rtts () =
   (* Appendix A.2: at low drop rates the sender needs at least ~5 RTTs of
      persistent congestion to halve. *)
-  let n, _ = Exp.Fig20_21.rtts_to_halve ~p0:0.01 in
+  let n, _ = Exp.Fig20_21.rtts_to_halve ~feedback_on_loss:true ~p0:0.01 in
   Alcotest.(check bool)
     (Printf.sprintf "%d RTTs to halve (>= 5)" n)
     true (n >= 5);

@@ -705,6 +705,7 @@ let test_settle_delivery_order () =
     ]
     (List.rev !got);
   check Alcotest.int "no settle give-ups" 0 (Wire.Loop.io_giveups loop);
+  check Alcotest.int "two settle passes" 2 (Wire.Loop.settle_passes loop);
   List.iter Wire.Udp.close [ a; b; c ]
 
 (* A send to a port no socket of the loop owns leaves nothing for the
@@ -741,6 +742,8 @@ let test_settle_echo_bounded () =
          Wire.Udp.send a ~dest:(Wire.Udp.addr ~port:(Wire.Udp.port b)) "ping"));
   Wire.Loop.run loop ~until:1.;
   check Alcotest.int "one give-up" 1 (Wire.Loop.io_giveups loop);
+  check Alcotest.int "passes bounded by the tries" 250
+    (Wire.Loop.settle_passes loop);
   check Alcotest.bool "echoes flowed" true
     (Wire.Udp.datagrams_received a + Wire.Udp.datagrams_received b > 100);
   check Alcotest.(float 0.) "clock lands on until" 1. (Wire.Loop.now loop);
