@@ -17,10 +17,9 @@
                                (sender / receiver / loopback-demo /
                                validate / soak)
 
-   The grid subcommands (exp/all) accept supervision flags — --retries,
-   --max-events, --max-sim-time, --checkpoint, --resume — that route
-   through Exp.Runner's supervised execution layer (budgets, retry, crash
-   isolation, kill-and-resume). See EXPERIMENTS.md, "Supervised
+   The grid subcommands (exp/all) run each cell under Exp.Runner's crash
+   isolation and take --checkpoint and --resume for kill-and-resume; they
+   take no retry or budget flag. See EXPERIMENTS.md, "Supervised
    execution". *)
 
 open Cmdliner
@@ -59,50 +58,27 @@ let check_arg =
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 
-(* --- Supervision flags (exp/all) ------------------------------------------ *)
+(* Argument checks run before any work, so a bad value exits 1 with
+   nothing written: no trace file, no partial table. *)
+let require ok msg =
+  if not ok then begin
+    Format.eprintf "tfrc_sim: %s@." msg;
+    exit 1
+  end
 
-type sup = {
-  retries : int;
-  budget : Exp.Job.budget option;
-  ckpt_dir : string option;
-  resume : bool;
-}
+let positive x = Float.is_finite x && x > 0.
+let non_negative x = Float.is_finite x && x >= 0.
 
-let supervised sup =
-  sup.retries > 0 || sup.budget <> None || sup.ckpt_dir <> None
+(* --- Checkpoint flags (exp/all) ------------------------------------------- *)
+
+type sup = { ckpt_dir : string option; resume : bool }
 
 let sup_term =
-  let retries =
-    let doc =
-      "Retry a failed or timed-out cell up to $(docv) times. Each attempt \
-       draws a fresh deterministic RNG stream from (seed, key, attempt), so \
-       retried runs stay reproducible at any $(b,-j)."
-    in
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let max_events =
-    let doc =
-      "Cooperative per-cell budget: kill a cell after $(docv) executed \
-       simulator events (counted across all its Sim.run calls) and mark it \
-       timed out."
-    in
-    Arg.(value & opt (some int) None & info [ "max-events" ] ~docv:"N" ~doc)
-  in
-  let max_time =
-    let doc =
-      "Cooperative per-cell budget: kill a cell when a simulation would \
-       step past $(docv) seconds of virtual time."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-sim-time" ] ~docv:"SECONDS" ~doc)
-  in
   let ckpt =
     let doc =
-      "Append each completed cell to an fsync'd JSONL store under $(docv) \
-       (one file per experiment grid), so an interrupted run can be \
-       finished with $(b,--resume)."
+      "Append each completed cell to an fsync'd store under $(docv) (one \
+       file per experiment grid), so an interrupted run can be finished \
+       with $(b,--resume)."
     in
     Arg.(
       value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
@@ -115,33 +91,13 @@ let sup_term =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let make retries max_events max_time ckpt_dir resume =
-    if retries < 0 then begin
-      Format.eprintf "tfrc_sim: --retries must be non-negative@.";
-      exit 1
-    end;
-    (match max_events with
-    | Some n when n <= 0 ->
-        Format.eprintf "tfrc_sim: --max-events must be positive@.";
-        exit 1
-    | _ -> ());
-    (match max_time with
-    | Some t when t <= 0. ->
-        Format.eprintf "tfrc_sim: --max-sim-time must be positive@.";
-        exit 1
-    | _ -> ());
-    if resume && ckpt_dir = None then begin
-      Format.eprintf "tfrc_sim: --resume requires --checkpoint DIR@.";
-      exit 1
-    end;
-    let budget =
-      match (max_events, max_time) with
-      | None, None -> None
-      | max_events, max_time -> Some { Exp.Job.max_events; max_time }
-    in
-    { retries; budget; ckpt_dir; resume }
+  let make ckpt_dir resume =
+    require
+      ((not resume) || ckpt_dir <> None)
+      "--resume requires --checkpoint DIR";
+    { ckpt_dir; resume }
   in
-  Term.(const make $ retries $ max_events $ max_time $ ckpt $ resume)
+  Term.(const make $ ckpt $ resume)
 
 (* The checkpoint store fsyncs each cell as it completes, so on SIGINT or
    SIGTERM there is nothing to flush — just tell the user how to pick the
@@ -175,10 +131,10 @@ let with_store sup ~grid f =
         (fun () -> f (Some ck))
 
 (* The structured run report goes to stderr: stdout stays byte-identical
-   to an unsupervised run (modulo MISSING lines for cells that gave up),
-   which is what lets CI diff a resumed run against a clean one. *)
+   to a run without a checkpoint, which is what lets CI diff a resumed
+   run against a clean one. *)
 let print_report sup report =
-  if supervised sup then
+  if sup.ckpt_dir <> None then
     Format.eprintf "%s@." (Exp.Runner.report_json report)
 
 (* Run [f ()] with the requested observers on the process-wide trace bus
@@ -245,8 +201,7 @@ let run_one ~j ~full ~seed ~sup id =
       let report =
         with_store sup ~grid:(Exp.Registry.grid_id e ~full ~seed)
           (fun checkpoint ->
-            Exp.Runner.run_experiment ~j ~retries:sup.retries ?budget:sup.budget
-              ?checkpoint ~full ~seed e ppf)
+            Exp.Runner.run_experiment ~j ?checkpoint ~full ~seed e ppf)
       in
       print_report sup report;
       Format.fprintf ppf "@."
@@ -301,6 +256,12 @@ let duel_cmd =
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated time.")
   in
   let run n_tcp n_tfrc mbps red duration seed trace check =
+    require (n_tcp >= 0 && n_tfrc >= 0)
+      "--tcp and --tfrc must be non-negative";
+    require (n_tcp + n_tfrc > 0)
+      "--tcp and --tfrc must add up to at least one flow";
+    require (positive mbps) "--mbps must be positive";
+    require (positive duration) "--duration must be positive";
     observe ~trace ~check @@ fun () ->
     let bandwidth = Engine.Units.mbps mbps in
     let params =
@@ -357,15 +318,10 @@ let chaos_cmd =
       & info [ "outage-duration" ] ~docv:"SECONDS" ~doc:"Outage length.")
   in
   let run at outage_duration seed trace check =
+    require (non_negative at) "--outage-at must be non-negative";
+    require (non_negative outage_duration)
+      "--outage-duration must be non-negative";
     observe ~trace ~check @@ fun () ->
-    if at < 0. then begin
-      Format.eprintf "tfrc_sim: --outage-at must be non-negative@.";
-      exit 1
-    end;
-    if outage_duration < 0. then begin
-      Format.eprintf "tfrc_sim: --outage-duration must be non-negative@.";
-      exit 1
-    end;
     (* The CLI seed is used directly: the timeline must match what `exp
        resilience' documents for this seed. *)
     let report, pace =
@@ -443,20 +399,17 @@ let topo_cmd =
       & info [ "outage-duration" ] ~docv:"SECONDS" ~doc:"Cut length.")
   in
   let run fail dark at duration trace check =
-    observe ~trace ~check @@ fun () ->
     List.iter
       (fun l ->
-        if not (List.mem l Exp.Topo_impact.segment_labels) then begin
-          Format.eprintf "tfrc_sim: unknown segment %S (expected one of %s)@." l
-            (String.concat ", " Exp.Topo_impact.segment_labels);
-          exit 1
-        end)
+        require
+          (List.mem l Exp.Topo_impact.segment_labels)
+          (Printf.sprintf "unknown segment %S (expected one of %s)" l
+             (String.concat ", " Exp.Topo_impact.segment_labels)))
       (fail :: dark);
-    if at <= 0. || duration <= 0. then begin
-      Format.eprintf
-        "tfrc_sim: --outage-at and --outage-duration must be positive@.";
-      exit 1
-    end;
+    require
+      (positive at && positive duration)
+      "--outage-at and --outage-duration must be positive";
+    observe ~trace ~check @@ fun () ->
     let reports, recomputes =
       Exp.Topo_impact.scripted ~cut:Exp.Topo_impact.Outage ~fail ~dark ~at
         ~duration ()

@@ -56,16 +56,6 @@ let for_key ~seed key =
   let inc = fnv1a64 (Int64.logxor state 0x9E3779B97F4A7C15L) key in
   make ~state ~inc
 
-(* Retry streams extend the key with a NUL-separated attempt tag: job keys
-   are human-readable path-ish strings that never contain NUL, so an
-   attempt-tagged key cannot collide with any real grid key, and attempt 0
-   is exactly [for_key] — supervised runs with no retries stay
-   byte-identical to unsupervised ones. *)
-let for_attempt ~seed ~attempt key =
-  if attempt < 0 then invalid_arg "Rng.for_attempt: negative attempt";
-  if attempt = 0 then for_key ~seed key
-  else for_key ~seed (Printf.sprintf "%s\x00attempt%d" key attempt)
-
 let bits32 t =
   let v = output t.state in
   step t;

@@ -20,14 +20,6 @@ val split : t -> t
     draws from non-overlapping streams in any execution order. *)
 val for_key : seed:int -> string -> t
 
-(** [for_attempt ~seed ~attempt key] derives the generator for retry number
-    [attempt] of job [key]: attempt 0 is exactly [for_key ~seed key], and
-    each later attempt hashes a NUL-tagged variant of the key (job keys
-    never contain NUL, so attempt streams cannot collide with any grid
-    cell's stream). Retries are therefore reproducible and independent of
-    the attempt-0 stream. *)
-val for_attempt : seed:int -> attempt:int -> string -> t
-
 (** [bits32 t] returns the next raw 32-bit output (as a non-negative int). *)
 val bits32 : t -> int
 

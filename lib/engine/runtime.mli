@@ -16,7 +16,7 @@
     Both are this module's front end: the clock, a {!Timers} queue, the
     trace bus, the id counter and the sweep event. Each keeps only its
     run loop (the functions at the end) and what is its own: Sim's
-    budgets; the loop's fd watches and I/O settling.
+    event cap; the loop's fd watches and I/O settling.
 
     {b The clock is boxed at most once per instant.} The time is held
     unboxed in a {!Timers.clock} record, and {!fire} moves it to a

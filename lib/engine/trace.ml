@@ -11,13 +11,11 @@ type kind =
   | Sim_budget_exhausted of { detail : string }
   | Sim_run_start of { until : float }
   | Sim_run_end of { pending : int }
-  | Exp_job of { key : string; status : string; attempts : int; wall_s : float }
+  | Exp_job of { key : string; status : string; wall_s : float }
   | Exp_report of {
       total : int;
       ok : int;
       resumed : int;
-      retried : int;
-      timed_out : int;
       failed : int;
       wall_s : float;
     }
@@ -170,17 +168,14 @@ let view = function
       ("sim", "budget_exhausted", [ ("detail", Str detail) ])
   | Sim_run_start { until } -> ("sim", "run_start", [ ("until", Float until) ])
   | Sim_run_end { pending } -> ("sim", "run_end", [ ("pending", Int pending) ])
-  | Exp_job { key; status; attempts; wall_s } ->
+  | Exp_job { key; status; wall_s } ->
       ( "exp", "job",
-        [
-          ("key", Str key); ("status", Str status); ("attempts", Int attempts);
-          ("wall_s", Float wall_s);
-        ] )
-  | Exp_report { total; ok; resumed; retried; timed_out; failed; wall_s } ->
+        [ ("key", Str key); ("status", Str status); ("wall_s", Float wall_s) ]
+      )
+  | Exp_report { total; ok; resumed; failed; wall_s } ->
       ( "exp", "report",
         [
           ("total", Int total); ("ok", Int ok); ("resumed", Int resumed);
-          ("retried", Int retried); ("timed_out", Int timed_out);
           ("failed", Int failed); ("wall_s", Float wall_s);
         ] )
   | Tfrc_start { flow; rate; s; min_rate; rv; t_mbi } ->
@@ -269,12 +264,8 @@ let catalog =
       Sim_budget_exhausted { detail = "" };
       Sim_run_start { until = 0. };
       Sim_run_end { pending = 0 };
-      Exp_job { key = ""; status = ""; attempts = 0; wall_s = 0. };
-      Exp_report
-        {
-          total = 0; ok = 0; resumed = 0; retried = 0; timed_out = 0; failed = 0;
-          wall_s = 0.;
-        };
+      Exp_job { key = ""; status = ""; wall_s = 0. };
+      Exp_report { total = 0; ok = 0; resumed = 0; failed = 0; wall_s = 0. };
       Tfrc_start { flow = 0; rate = 0.; s = 0.; min_rate = 0.; rv = false; t_mbi = 0. };
       Tfrc_rate_update
         { flow = 0; rate = 0.; prev_rate = 0.; recv_rate = 0.; p = 0.; rtt = 0. };

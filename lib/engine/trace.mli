@@ -50,20 +50,18 @@ type kind =
   | Sim_sweep of { before : int; after : int }
       (** [sim/sweep]: cancelled timers swept out of the queue *)
   | Sim_budget_exhausted of { detail : string }
-      (** [sim/budget_exhausted]: a cooperative budget stopped [Sim.run] *)
+      (** [sim/budget_exhausted]: a [max_events] cap stopped [Sim.run] *)
   | Sim_run_start of { until : float }  (** [sim/run_start] *)
   | Sim_run_end of { pending : int }  (** [sim/run_end] *)
-  | Exp_job of { key : string; status : string; attempts : int; wall_s : float }
-      (** [exp/job]: a supervised runner cell finished (wall-clock fields) *)
+  | Exp_job of { key : string; status : string; wall_s : float }
+      (** [exp/job]: a checkpointed runner cell finished (wall-clock field) *)
   | Exp_report of {
       total : int;
       ok : int;
       resumed : int;
-      retried : int;
-      timed_out : int;
       failed : int;
       wall_s : float;
-    }  (** [exp/report]: supervised batch summary *)
+    }  (** [exp/report]: checkpointed batch summary *)
   | Tfrc_start of {
       flow : int;
       rate : float;

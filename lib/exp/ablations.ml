@@ -406,7 +406,8 @@ let aimd_jobs ~duration =
 
 let render_aimd ppf finished =
   Format.fprintf ppf
-    "G. Alternative smooth congestion control: TCP-compatible AIMD(a, 7/8)      vs TFRC ([FHP00], Section 2.1)@.@.";
+    "G. Alternative smooth congestion control: TCP-compatible AIMD(a, 7/8) \
+     vs TFRC ([FHP00], Section 2.1)@.@.";
   let m = Job.lookup finished aimd_mixed_key in
   let t = Job.lookup finished aimd_tfrc_key in
   Table.print ppf
@@ -425,7 +426,8 @@ let render_aimd ppf finished =
       ];
     ];
   Format.fprintf ppf
-    "(smooth AIMD narrows TCP's oscillations but still reduces on every      loss event; TFRC's CoV stays lowest — the [FHP00] conclusion)@.@."
+    "(smooth AIMD narrows TCP's oscillations but still reduces on every \
+     loss event; TFRC's CoV stays lowest — the [FHP00] conclusion)@.@."
 
 (* --- Assembly ----------------------------------------------------------------- *)
 

@@ -13,12 +13,6 @@ type value =
 
 type result = (string * value) list
 
-(* A per-cell execution budget, enforced cooperatively by [Engine.Sim.run]
-   when the supervised runner installs it around the job (see Exp.Runner).
-   [max_events] meters executed simulator events across the whole cell;
-   [max_time] caps each Sim.run's virtual clock. *)
-type budget = { max_events : int option; max_time : float option }
-
 type t = { key : string; run : Engine.Rng.t -> result }
 
 let make key run = { key; run }
@@ -41,11 +35,11 @@ let strs l = List (List.map (fun x -> Str x) l)
 
 (* --- Missing-cell placeholders ------------------------------------------- *)
 
-(* A cell the supervised runner gave up on (timed out / crashed after
-   retries) renders as a placeholder result rather than aborting the whole
-   figure: the runner prints an explicit MISSING(key: reason) line, and the
-   typed accessors below return inert hole values (nan, 0, "", []) so
-   renderers lay the surviving cells out around the gap. *)
+(* A cell that raised renders as a placeholder result rather than
+   aborting the whole figure: the runner prints an explicit
+   MISSING(key): reason line, and the typed accessors below return inert
+   hole values (nan, 0, "", []) so renderers lay the surviving cells out
+   around the gap. *)
 
 let missing_field = "$missing"
 let missing ~reason = [ (missing_field, Str reason) ]

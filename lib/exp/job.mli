@@ -17,13 +17,6 @@ type value =
 (** A serializable record of what one cell measured. *)
 type result = (string * value) list
 
-(** A per-cell execution budget, enforced cooperatively by [Engine.Sim.run]
-    when the supervised runner installs it around the job: [max_events]
-    meters executed simulator events across the whole cell, [max_time]
-    caps each run's virtual clock (seconds). One budget applies to every
-    cell of a run. *)
-type budget = { max_events : int option; max_time : float option }
-
 type t = { key : string; run : Engine.Rng.t -> result }
 
 val make : string -> (Engine.Rng.t -> result) -> t
@@ -49,11 +42,11 @@ val strs : string list -> value
 
 (** {2 Missing-cell placeholders}
 
-    When the supervised runner gives up on a cell (timed out or crashed
-    after retries) it substitutes [missing ~reason] for the result and
-    prints an explicit [MISSING(key: reason)] line; the typed accessors
-    below return inert hole values on such placeholders (nan / 0 / [""] /
-    [[]]) so renderers lay out the surviving cells instead of raising. *)
+    When a cell raises, the supervised runner substitutes
+    [missing ~reason] for its result and prints an explicit
+    [MISSING(key): reason] line; the typed accessors below return inert
+    hole values on such placeholders (nan / 0 / [""] / [[]]) so renderers
+    lay out the surviving cells instead of raising. *)
 
 val missing : reason:string -> result
 

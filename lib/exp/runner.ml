@@ -1,22 +1,20 @@
 (* Executes a job list, sequentially or on a domain pool, under
    supervision, and hands the finished results to a render step.
 
-   Determinism: each job's RNG comes from [Rng.for_attempt ~seed ~attempt
-   jb.key] (attempt 0 is exactly [Rng.for_key ~seed jb.key]), so a cell's
-   stream does not depend on which worker ran it, in what order, or on how
-   other cells fared; results are returned in job-list order regardless of
-   scheduling. The render step then sees identical input at any [-j],
-   making output byte-identical between [-j 1] and [-j N].
+   Determinism: each job's RNG comes from [Rng.for_key ~seed jb.key], so a
+   cell's stream does not depend on which worker ran it, in what order, or
+   on how other cells fared; results are returned in job-list order
+   regardless of scheduling. The render step then sees identical input at
+   any [-j], making output byte-identical between [-j 1] and [-j N].
 
-   Supervision: every job runs inside a try/with plus an optional
-   cooperative budget ([Engine.Sim.with_budget]), so one hung or crashing
-   cell cannot forfeit the batch. A job that raises [Sim.Budget_exhausted]
-   is timed out, any other exception is failed; both are retried up to
-   [retries] times with reproducible attempt-derived RNGs before the
-   runner gives up and substitutes a [Job.missing] placeholder at render
-   time. With a checkpoint store attached, each completed cell is appended
-   (fsync'd) as it finishes — from worker domains too — and cells already
-   in the store are skipped on resume.
+   Supervision: every job runs inside a try/with, so one crashing cell
+   cannot forfeit the batch. A cell that raises is given up on at once
+   and never run again: a second try would draw from another stream, and
+   the cell would no longer be a function of (seed, key). The render step gets a
+   [Job.missing] placeholder in its place. With a checkpoint store
+   attached, each completed cell is appended (fsync'd) as it finishes —
+   from worker domains too — and cells already in the store are skipped
+   on resume.
 
    Tracing: under [-j 1] jobs emit directly to this domain's default bus, so
    observers ([--trace]/[--check]) see events live. Under [-j N] each worker
@@ -28,118 +26,79 @@
    surfaced, so a [--trace] file reflects the work actually done even when
    the batch ultimately raises. *)
 
-type failure = {
-  kind : [ `Timed_out | `Failed ];
-  detail : string;
-  attempts : int;
-  exn_ : exn;
-  backtrace : Printexc.raw_backtrace;
-}
+type outcome = Completed of Job.result | Gave_up of exn
 
-type outcome = Completed of Job.result | Gave_up of failure
+type status = [ `Ok | `Failed | `Resumed ]
 
-type status = [ `Ok | `Timed_out | `Failed | `Resumed ]
-
-type job_stat = { key : string; status : status; attempts : int; wall_s : float }
+type job_stat = { key : string; status : status; wall_s : float }
 
 type report = {
   total : int;
   ok : int;
   resumed : int;
-  retried : int;
-  timed_out : int;
   failed : int;
   wall_s : float;
   jobs : job_stat list;
 }
 
-let failure_summary f =
-  Printf.sprintf "%s after %d attempt%s: %s"
-    (match f.kind with `Timed_out -> "timed out" | `Failed -> "failed")
-    f.attempts
-    (if f.attempts = 1 then "" else "s")
-    f.detail
-
 let status_str = function
   | `Ok -> "ok"
-  | `Timed_out -> "timed_out"
   | `Failed -> "failed"
   | `Resumed -> "resumed"
 
 let report_json r =
   let job s =
-    Printf.sprintf "{\"key\":\"%s\",\"status\":\"%s\",\"attempts\":%d,\"wall_s\":%.3f}"
-      (Engine.Trace.json_escape s.key) (status_str s.status) s.attempts s.wall_s
+    Printf.sprintf "{\"key\":\"%s\",\"status\":\"%s\",\"wall_s\":%.3f}"
+      (Engine.Trace.json_escape s.key) (status_str s.status) s.wall_s
   in
   Printf.sprintf
-    "{\"report\":\"supervised_run\",\"total\":%d,\"ok\":%d,\"resumed\":%d,\"retried\":%d,\"timed_out\":%d,\"failed\":%d,\"wall_s\":%.3f,\"jobs\":[%s]}"
-    r.total r.ok r.resumed r.retried r.timed_out r.failed r.wall_s
+    "{\"report\":\"supervised_run\",\"total\":%d,\"ok\":%d,\"resumed\":%d,\"failed\":%d,\"wall_s\":%.3f,\"jobs\":[%s]}"
+    r.total r.ok r.resumed r.failed r.wall_s
     (String.concat "," (List.map job r.jobs))
 
-(* --- One supervised job --------------------------------------------------- *)
+(* --- One supervised cell -------------------------------------------------- *)
 
-let sim_budget (b : Job.budget) =
-  Engine.Sim.budget ?max_events:b.max_events ?max_time:b.max_time ()
+let job_of = function `Resumed ((jb : Job.t), _) | `Run jb -> jb
 
-(* Runs one job to an outcome: up to [1 + retries] attempts, each with a
-   fresh attempt-derived RNG and a fresh budget meter. The final attempt's
-   exception decides the failure kind. *)
-let supervise ~seed ~retries ~budget (jb : Job.t) =
-  let attempt_once attempt =
-    let rng = Engine.Rng.for_attempt ~seed ~attempt jb.key in
-    match budget with
-    | None -> jb.run rng
-    | Some b -> Engine.Sim.with_budget (sim_budget b) (fun () -> jb.run rng)
-  in
-  let rec go attempt =
-    match attempt_once attempt with
-    | r -> (Completed r, attempt + 1)
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        if attempt < retries then go (attempt + 1)
-        else
-          let kind =
-            match e with
-            | Engine.Sim.Budget_exhausted _ -> `Timed_out
-            | _ -> `Failed
-          in
-          ( Gave_up
-              {
-                kind;
-                detail = Printexc.to_string e;
-                attempts = attempt + 1;
-                exn_ = e;
-                backtrace = bt;
-              },
-            attempt + 1 )
-  in
-  go 0
-
-(* Runs one job on the current domain: supervises it, optionally capturing
-   everything it emits to this domain's default bus (all attempts — a
-   sequential run would have emitted the failed tries live too), and
-   checkpoints a completed result before returning. *)
-let exec ~seed ~retries ~budget ~checkpoint ~capture (jb : Job.t) =
-  let t0 = Unix.gettimeofday () in
-  let run () = supervise ~seed ~retries ~budget jb in
-  let (outcome, attempts), events =
-    if capture then begin
-      let bus = Engine.Trace.default () in
-      let sink, captured = Engine.Trace.memory_sink () in
-      Engine.Trace.add_sink bus sink;
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Engine.Trace.remove_sink bus sink)
-          run
+(* Runs one planned cell on the current domain. A resumed cell is served
+   from the store; any other runs once, optionally capturing everything
+   it emits to this domain's default bus, and is checkpointed if it
+   completed. *)
+let exec ~seed ~checkpoint ~capture = function
+  | `Resumed ((jb : Job.t), r) ->
+      (Completed r, { key = jb.key; status = `Resumed; wall_s = 0. }, [])
+  | `Run (jb : Job.t) ->
+      let t0 = Unix.gettimeofday () in
+      let run () =
+        match jb.run (Engine.Rng.for_key ~seed jb.key) with
+        | r -> Completed r
+        | exception e -> Gave_up e
       in
-      (r, captured ())
-    end
-    else (run (), [])
-  in
-  (match (outcome, checkpoint) with
-  | Completed r, Some ck -> Checkpoint.record ck ~key:jb.Job.key r
-  | _ -> ());
-  (outcome, attempts, events, Unix.gettimeofday () -. t0)
+      let outcome, events =
+        if capture then begin
+          let bus = Engine.Trace.default () in
+          let sink, captured = Engine.Trace.memory_sink () in
+          Engine.Trace.add_sink bus sink;
+          let o =
+            Fun.protect
+              ~finally:(fun () -> Engine.Trace.remove_sink bus sink)
+              run
+          in
+          (o, captured ())
+        end
+        else (run (), [])
+      in
+      let status =
+        match (outcome, checkpoint) with
+        | Completed r, Some ck ->
+            Checkpoint.record ck ~key:jb.key r;
+            `Ok
+        | Completed _, None -> `Ok
+        | Gave_up _, _ -> `Failed
+      in
+      ( outcome,
+        { key = jb.key; status; wall_s = Unix.gettimeofday () -. t0 },
+        events )
 
 let replay bus events =
   List.iter
@@ -148,138 +107,74 @@ let replay bus events =
 
 (* --- Batch execution ------------------------------------------------------ *)
 
-let run_jobs_supervised ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~seed jobs =
+let run_jobs_supervised ?(j = 1) ?checkpoint ~seed jobs =
   let t0 = Unix.gettimeofday () in
   let main_bus = Engine.Trace.default () in
-  let supervised = retries > 0 || budget <> None || checkpoint <> None in
   (* Cells already in the checkpoint store are served from it, in place. *)
   let plan =
     List.map
       (fun (jb : Job.t) ->
-        match checkpoint with
-        | Some ck -> (
-            match Checkpoint.find ck jb.key with
-            | Some r -> `Resumed (jb, r)
-            | None -> `Run jb)
+        match Option.bind checkpoint (fun ck -> Checkpoint.find ck jb.key) with
+        | Some r -> `Resumed (jb, r)
         | None -> `Run jb)
       jobs
   in
-  let to_run =
-    List.filter_map (function `Run jb -> Some jb | `Resumed _ -> None) plan
+  let nrun =
+    List.length (List.filter (function `Run _ -> true | _ -> false) plan)
   in
-  let nrun = List.length to_run in
-  let exec_results =
+  let cells =
     if j <= 1 || nrun <= 1 then
-      List.map
-        (fun jb ->
-          (jb, exec ~seed ~retries ~budget ~checkpoint ~capture:false jb))
-        to_run
+      List.map (exec ~seed ~checkpoint ~capture:false) plan
     else begin
       let capture = Engine.Trace.active main_bus in
-      let arr = Array.of_list to_run in
       let pool = Engine.Pool.create (min j nrun) in
       let out =
         Fun.protect
           ~finally:(fun () -> Engine.Pool.shutdown pool)
           (fun () ->
             Engine.Pool.try_map pool
-              (exec ~seed ~retries ~budget ~checkpoint ~capture)
-              arr)
+              (exec ~seed ~checkpoint ~capture)
+              (Array.of_list plan))
       in
       (* A task-level Error here means the supervision harness itself
          raised (e.g. a checkpoint write failed): isolate it to the cell
          like any job failure. *)
       List.map2
-        (fun (jb : Job.t) res ->
-          match res with
-          | Ok cell -> (jb, cell)
-          | Error (e, bt) ->
-              ( jb,
-                ( Gave_up
-                    {
-                      kind = `Failed;
-                      detail = Printexc.to_string e;
-                      attempts = 0;
-                      exn_ = e;
-                      backtrace = bt;
-                    },
-                  0, [], 0. ) ))
-        (Array.to_list arr) (Array.to_list out)
+        (fun item -> function
+          | Ok cell -> cell
+          | Error (e, _) ->
+              ( Gave_up e,
+                { key = (job_of item).key; status = `Failed; wall_s = 0. },
+                [] ))
+        plan (Array.to_list out)
     end
   in
   (* Replay captured worker events in job-list order — before failures are
      surfaced, so observers see the work that was actually done. *)
-  List.iter (fun (_, (_, _, events, _)) -> replay main_bus events) exec_results;
-  let by_key = Hashtbl.create 16 in
-  List.iter
-    (fun ((jb : Job.t), (outcome, attempts, _, wall)) ->
-      Hashtbl.replace by_key jb.key (outcome, attempts, wall))
-    exec_results;
-  let cells =
-    List.map
-      (fun item ->
-        match item with
-        | `Resumed ((jb : Job.t), r) ->
-            ( (jb.key, Completed r),
-              { key = jb.key; status = `Resumed; attempts = 0; wall_s = 0. } )
-        | `Run (jb : Job.t) ->
-            (* find_opt, not find: a bare Not_found here would escape the
-               crash-isolation machinery and kill the whole report. A job
-               the executor somehow recorded no outcome for becomes a
-               failure cell, rendered as a MISSING(key) hole downstream. *)
-            let outcome, attempts, wall =
-              match Hashtbl.find_opt by_key jb.key with
-              | Some cell -> cell
-              | None ->
-                  ( Gave_up
-                      {
-                        kind = `Failed;
-                        detail = "internal: executor recorded no outcome";
-                        attempts = 0;
-                        exn_ = Not_found;
-                        backtrace = Printexc.get_callstack 0;
-                      },
-                    0,
-                    0. )
-            in
-            let status =
-              match outcome with
-              | Completed _ -> `Ok
-              | Gave_up { kind = `Timed_out; _ } -> `Timed_out
-              | Gave_up { kind = `Failed; _ } -> `Failed
-            in
-            ( (jb.key, outcome),
-              { key = jb.key; status; attempts; wall_s = wall } ))
-      plan
+  List.iter (fun (_, _, events) -> replay main_bus events) cells;
+  let stats = List.map (fun (_, s, _) -> s) cells in
+  let count status =
+    List.length (List.filter (fun s -> s.status = status) stats)
   in
-  let outcomes = List.map fst cells and stats = List.map snd cells in
-  let count p = List.length (List.filter p stats) in
   let report =
     {
       total = List.length stats;
-      ok = count (fun s -> s.status = `Ok);
-      resumed = count (fun s -> s.status = `Resumed);
-      retried = count (fun s -> s.status = `Ok && s.attempts > 1);
-      timed_out = count (fun s -> s.status = `Timed_out);
-      failed = count (fun s -> s.status = `Failed);
+      ok = count `Ok;
+      resumed = count `Resumed;
+      failed = count `Failed;
       wall_s = Unix.gettimeofday () -. t0;
       jobs = stats;
     }
   in
-  (* Structured run report on the trace bus — only for supervised runs:
-     the events carry wall-clock fields, which would make unsupervised
-     [--trace] files differ run to run for no benefit. *)
-  if supervised && Engine.Trace.active main_bus then begin
+  (* Structured run report on the trace bus — only for checkpointed runs:
+     the events carry wall-clock fields, which would make other [--trace]
+     files differ run to run for no benefit. *)
+  if checkpoint <> None && Engine.Trace.active main_bus then begin
     List.iter
       (fun s ->
         Engine.Trace.emit main_bus ~time:0.
           (Exp_job
-             {
-               key = s.key;
-               status = status_str s.status;
-               attempts = s.attempts;
-               wall_s = s.wall_s;
-             }))
+             { key = s.key; status = status_str s.status; wall_s = s.wall_s }))
       stats;
     Engine.Trace.emit main_bus ~time:0.
       (Exp_report
@@ -287,22 +182,21 @@ let run_jobs_supervised ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~seed jobs =
            total = report.total;
            ok = report.ok;
            resumed = report.resumed;
-           retried = report.retried;
-           timed_out = report.timed_out;
            failed = report.failed;
            wall_s = report.wall_s;
          })
   end;
-  (outcomes, report)
+  (List.map (fun (outcome, s, _) -> (s.key, outcome)) cells, report)
 
-let run_experiment ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~full ~seed
+let run_experiment ?(j = 1) ?checkpoint ~full ~seed
     (e : Registry.experiment) ppf =
   let outcomes, report =
-    run_jobs_supervised ~j ~retries ?budget ?checkpoint ~seed (e.jobs ~full)
+    run_jobs_supervised ~j ?checkpoint ~seed (e.jobs ~full)
   in
   let failures =
     List.filter_map
-      (fun (k, o) -> match o with Gave_up f -> Some (k, f) | _ -> None)
+      (fun (k, o) ->
+        match o with Gave_up ex -> Some (k, Printexc.to_string ex) | _ -> None)
       outcomes
   in
   let finished =
@@ -310,11 +204,11 @@ let run_experiment ?(j = 1) ?(retries = 0) ?budget ?checkpoint ~full ~seed
       (fun (k, o) ->
         match o with
         | Completed r -> (k, r)
-        | Gave_up f -> (k, Job.missing ~reason:(failure_summary f)))
+        | Gave_up ex -> (k, Job.missing ~reason:(Printexc.to_string ex)))
       outcomes
   in
   List.iter
-    (fun (k, f) -> Format.fprintf ppf "MISSING(%s): %s@." k (failure_summary f))
+    (fun (k, reason) -> Format.fprintf ppf "MISSING(%s): %s@." k reason)
     failures;
   (match failures with
   | [] -> e.render ~full ~seed finished ppf

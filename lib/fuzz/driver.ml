@@ -143,12 +143,12 @@ let run kind ~out (cfg : config) =
               in
               Some { key; oracles; shrink_steps; bundle_path }
             end
-        | Exp.Runner.Gave_up f ->
+        | Exp.Runner.Gave_up e ->
             (* The harness itself failed on this cell (case generation
                or wiring raised) — report it as a failing case, but
                there is nothing meaningful to shrink or replay. *)
             Format.fprintf out "%s FAIL [harness] %s@." key
-              (Exp.Runner.failure_summary f);
+              (Printexc.to_string e);
             Some
               {
                 key;

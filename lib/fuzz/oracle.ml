@@ -311,9 +311,7 @@ let run_once ~mutate (sc : Scenario.t) =
   ignore (Engine.Sim.at sim sample_period sample);
   let crash =
     try
-      Engine.Sim.run sim
-        ~budget:(Engine.Sim.budget ~max_events:2_000_000 ())
-        ~until:sc.duration;
+      Engine.Sim.run sim ~max_events:2_000_000 ~until:sc.duration;
       None
     with
     | Engine.Sim.Budget_exhausted detail ->

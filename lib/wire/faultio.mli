@@ -31,7 +31,7 @@
 type plan = {
   send_eagain : float;  (** P(sendto raises EAGAIN) — full buffer burst *)
   send_enobufs : float;  (** P(sendto raises ENOBUFS) *)
-  send_eintr : float;  (** P(sendto raises EINTR) — retried by {!Udp} *)
+  send_eintr : float;  (** P(sendto raises EINTR) — {!Udp} sends again *)
   send_refused : float;
       (** P(sendto raises ECONNREFUSED) — ICMP error replay *)
   send_blackout : (float * float) option;

@@ -9,9 +9,9 @@
     Errno policy — no [Unix_error] ever unwinds into the loop:
 
     - sends: transient failures (full socket buffer, [ENOBUFS],
-      ICMP-induced [ECONNREFUSED]) count as drops — UDP semantics;
-      [EINTR] is retried a bounded number of times; any other errno
-      ([EHOSTUNREACH], [ENETUNREACH], [EPERM], [ENOMEM], …) counts as a
+      ICMP-induced [ECONNREFUSED]) count as drops — UDP semantics; on
+      [EINTR] the send is repeated a bounded number of times; any other
+      errno ([EHOSTUNREACH], [ENETUNREACH], [EPERM], [ENOMEM], …) counts as a
       send {e error} and is surfaced to the health handler, where a
       {!Supervisor} treats it as a degradation signal;
     - receives: [EINTR] and [ECONNREFUSED] retry the drain, a

@@ -1288,31 +1288,27 @@ let test_sim_fresh_id_independent () =
   check Alcotest.int "b unaffected by a" 2 (Engine.Runtime.fresh_id b)
 
 let test_sim_budget_keeps_refused_event () =
-  (* The event a budget refuses must stay queued and pending: a second
-     run under a fresh budget fires it. *)
-  let check_refusal name budget expect_fired =
-    let sim = quiet_sim () in
-    let fired = ref 0 in
-    let hs =
-      Array.init 5 (fun i ->
-          Engine.Sim.at sim (float_of_int (i + 1)) (fun () -> incr fired))
-    in
-    (match Engine.Sim.run ~budget sim ~until:10. with
-    | () -> Alcotest.failf "%s: budget not exhausted" name
-    | exception Engine.Sim.Budget_exhausted _ -> ());
-    check Alcotest.int (name ^ ": events run") expect_fired !fired;
-    check Alcotest.int
-      (name ^ ": pending dropped by the events run")
-      (5 - expect_fired)
-      (Engine.Sim.pending_events sim);
-    check Alcotest.bool (name ^ ": refused event still pending") true
-      (Engine.Runtime.is_pending hs.(expect_fired));
-    Engine.Sim.run ~budget:(Engine.Sim.budget ~max_events:10 ()) sim ~until:10.;
-    check Alcotest.int (name ^ ": all fire under a fresh budget") 5 !fired;
-    check Alcotest.int (name ^ ": drained") 0 (Engine.Sim.pending_events sim)
+  (* The event a [max_events] cap refuses must stay queued and pending: a
+     second run fires it. *)
+  let sim = quiet_sim () in
+  let fired = ref 0 in
+  let hs =
+    Array.init 5 (fun i ->
+        Engine.Sim.at sim (float_of_int (i + 1)) (fun () -> incr fired))
   in
-  check_refusal "max_events" (Engine.Sim.budget ~max_events:3 ()) 3;
-  check_refusal "max_time" (Engine.Sim.budget ~max_time:2.5 ()) 2
+  (match Engine.Sim.run ~max_events:3 sim ~until:10. with
+  | () -> Alcotest.fail "cap not reached"
+  | exception Engine.Sim.Budget_exhausted detail ->
+      check Alcotest.string "detail"
+        "event budget exhausted at t=3 (max_events reached)" detail);
+  check Alcotest.int "events run" 3 !fired;
+  check Alcotest.int "pending dropped by the events run" 2
+    (Engine.Sim.pending_events sim);
+  check Alcotest.bool "refused event still pending" true
+    (Engine.Runtime.is_pending hs.(3));
+  Engine.Sim.run ~max_events:10 sim ~until:10.;
+  check Alcotest.int "all fire in a later run" 5 !fired;
+  check Alcotest.int "drained" 0 (Engine.Sim.pending_events sim)
 
 (* --- Runtime ------------------------------------------------------------ *)
 

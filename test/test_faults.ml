@@ -454,8 +454,8 @@ let test_matrix_sane () =
       let r =
         match outcome with
         | Exp.Runner.Completed r -> r
-        | Exp.Runner.Gave_up f ->
-            Alcotest.failf "%s: %s" key (Exp.Runner.failure_summary f)
+        | Exp.Runner.Gave_up e ->
+            Alcotest.failf "%s: %s" key (Printexc.to_string e)
       in
       let case, proto =
         match String.split_on_char '/' key with

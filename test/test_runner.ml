@@ -225,7 +225,7 @@ let completed ~j ~seed jobs =
     (fun (key, o) ->
       match o with
       | Exp.Runner.Completed r -> (key, r)
-      | Gave_up f -> failf "%s: %s" key (Exp.Runner.failure_summary f))
+      | Gave_up e -> failf "%s: %s" key (Printexc.to_string e))
     (fst (Exp.Runner.run_jobs_supervised ~j ~seed jobs))
 
 let test_determinism_fig6_subset () =
@@ -351,7 +351,7 @@ let test_trace_replay_on_failure () =
   in
   check bool "failure reported" true
     (match List.assoc "replay-fail/2" outcomes with
-    | Gave_up { exn_ = Failure m; _ } -> m = "kaput"
+    | Gave_up (Failure m) -> m = "kaput"
     | _ -> false);
   let events = captured () in
   check (list string) "all jobs' events replayed, in job order"

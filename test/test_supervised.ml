@@ -1,163 +1,68 @@
-(* Tests for the supervised execution layer: cooperative Sim budgets,
-   attempt-derived RNG streams, retry/crash isolation in Exp.Runner, the
-   fsync'd checkpoint store, and kill-and-resume byte-identity. *)
+(* Tests for the supervised execution layer: the per-run event cap of
+   Sim.run, crash isolation in Exp.Runner, the fsync'd checkpoint store,
+   and kill-and-resume byte-identity. *)
 
 open Alcotest
 
 (* A simulation that never drains its heap: each tick schedules the next.
-   Only a budget can stop it. *)
+   Only an event cap can stop it. *)
 let spin_sim () =
   let sim = Engine.Sim.create () in
   let rec tick () = ignore (Engine.Sim.after sim 1.0 tick) in
   ignore (Engine.Sim.at sim 0.0 tick);
   sim
 
-(* --- Sim budgets ----------------------------------------------------------- *)
+(* --- Sim event cap ----------------------------------------------------------- *)
 
 let test_budget_max_events () =
   let sim = spin_sim () in
-  let b = Engine.Sim.budget ~max_events:100 () in
-  (match Engine.Sim.run ~budget:b sim ~until:infinity with
-  | () -> fail "spinner terminated without exhausting its budget"
+  (match Engine.Sim.run ~max_events:100 sim ~until:infinity with
+  | () -> fail "spinner terminated without reaching its cap"
   | exception Engine.Sim.Budget_exhausted _ -> ());
   (* 100 events at 1 s spacing starting from t=0: the clock cannot have
      passed the 100th tick. *)
-  check bool "clock bounded by the event allowance" true
+  check bool "clock bounded by the event cap" true
     (Engine.Sim.now sim <= 100.)
 
-let test_budget_max_time () =
-  let sim = spin_sim () in
-  let b = Engine.Sim.budget ~max_time:10. () in
-  (match Engine.Sim.run ~budget:b sim ~until:infinity with
-  | () -> fail "spinner terminated without exhausting its budget"
-  | exception Engine.Sim.Budget_exhausted _ -> ());
-  check bool "stopped at the virtual-time ceiling" true
-    (Engine.Sim.now sim <= 10.)
+(* --- Supervised runner: isolation -------------------------------------------- *)
 
-(* The event allowance is one meter across several runs: two half-budget
-   runs exhaust it where either alone would not. *)
-let test_budget_shared_across_runs () =
-  let b = Engine.Sim.budget ~max_events:150 () in
-  let sim1 = spin_sim () in
-  Engine.Sim.run ~budget:b sim1 ~until:99.5 (* ~100 events *);
-  let sim2 = spin_sim () in
-  match Engine.Sim.run ~budget:b sim2 ~until:99.5 with
-  | () -> fail "second run should exhaust the shared meter"
-  | exception Engine.Sim.Budget_exhausted _ -> ()
-
-(* The ambient budget shows in what a 50-event run of the spinner does:
-   it completes with none installed and is exhausted under a 10-event one. *)
-let spins_50 () =
-  match Engine.Sim.run (spin_sim ()) ~until:49.5 with
-  | () -> true
-  | exception Engine.Sim.Budget_exhausted _ -> false
-
-let test_with_budget_restores () =
-  check bool "no ambient budget initially" true (spins_50 ());
-  let b = Engine.Sim.budget ~max_events:10 () in
-  (match
-     Engine.Sim.with_budget b (fun () ->
-         check bool "ambient budget installed" false (spins_50 ());
-         failwith "escape")
-   with
-  | _ -> fail "exception swallowed"
-  | exception Failure _ -> ());
-  check bool "ambient budget restored after exception" true (spins_50 ())
-
-(* --- Attempt-derived RNG streams -------------------------------------------- *)
-
-let draws rng n = List.init n (fun _ -> Engine.Rng.bits32 rng)
-
-let test_for_attempt_zero_is_for_key () =
-  check (list int) "attempt 0 = for_key"
-    (draws (Engine.Rng.for_key ~seed:42 "fig5/p0.010") 8)
-    (draws (Engine.Rng.for_attempt ~seed:42 ~attempt:0 "fig5/p0.010") 8)
-
-(* Pin the retry streams like the base generator's: a silent change would
-   reshuffle every retried cell. *)
-let test_for_attempt_vectors () =
-  check (list int) "attempt 1 stream"
-    [ 117008709; 234914676; 3036062846; 3614203679 ]
-    (draws (Engine.Rng.for_attempt ~seed:42 ~attempt:1 "fig5/p0.010") 4);
-  check (list int) "attempt 2 stream"
-    [ 855147049; 773415170; 1605697310; 3432908017 ]
-    (draws (Engine.Rng.for_attempt ~seed:42 ~attempt:2 "fig5/p0.010") 4)
-
-let test_for_attempt_independent () =
-  let windows =
-    List.init 4 (fun attempt ->
-        draws (Engine.Rng.for_attempt ~seed:7 ~attempt "fig6/red/8/4") 32)
-  in
-  List.iteri
-    (fun i w ->
-      List.iteri
-        (fun k w' ->
-          if k > i then
-            check bool
-              (Printf.sprintf "attempts %d and %d differ" i (i + 1 + (k - i - 1)))
-              true (w <> w'))
-        windows)
-    windows
-
-(* --- Supervised runner: budgets, retries, isolation -------------------------- *)
-
+(* A job that caps its own simulation, as the fuzz oracle does: the cap
+   raises out of the job, and the runner isolates the cell like any
+   other crash. *)
 let spinner_job key =
   Exp.Job.make key (fun _rng ->
       let sim = spin_sim () in
-      Engine.Sim.run sim ~until:infinity;
+      Engine.Sim.run ~max_events:1_000 sim ~until:infinity;
       [ ("unreachable", Exp.Job.b true) ])
 
 let test_runner_budget_kills_spinner () =
-  let budget = { Exp.Job.max_events = Some 1_000; max_time = None } in
   let outcomes, report =
-    Exp.Runner.run_jobs_supervised ~budget ~seed:42 [ spinner_job "spin/0" ]
+    Exp.Runner.run_jobs_supervised ~seed:42 [ spinner_job "spin/0" ]
   in
   (match outcomes with
-  | [ (_, Exp.Runner.Gave_up f) ] ->
-      check bool "classified as timeout" true (f.kind = `Timed_out);
-      check int "single attempt" 1 f.attempts
-  | _ -> fail "spinner should time out");
-  check int "report: timed_out" 1 report.timed_out;
+  | [ (_, Exp.Runner.Gave_up (Engine.Sim.Budget_exhausted _)) ] -> ()
+  | _ -> fail "spinner should give up on its event cap");
+  check int "report: failed" 1 report.failed;
   check int "report: ok" 0 report.ok
 
-let test_runner_retries_spinner () =
-  let budget = { Exp.Job.max_events = Some 500; max_time = None } in
-  let outcomes, _ =
-    Exp.Runner.run_jobs_supervised ~retries:2 ~budget ~seed:42
-      [ spinner_job "spin/retry" ]
-  in
-  match outcomes with
-  | [ (_, Exp.Runner.Gave_up f) ] ->
-      check int "all attempts consumed" 3 f.attempts
-  | _ -> fail "spinner should time out"
-
-(* A flaky job that fails on its first call and succeeds on the second:
-   with one retry the batch completes, the result comes from the attempt-1
-   RNG stream, and the report counts the retry. Runs must also be
-   reproducible even though the closure carries state — the runner derives
-   the retry stream, not the job. *)
-let test_retry_recovers_deterministically () =
-  let make_flaky calls =
+(* A crashing cell is tried once, never again: a job that would succeed
+   on a second call still gives up, so no cell can draw from a stream
+   other than its (seed, key) one. *)
+let test_crashed_cell_runs_once () =
+  let calls = ref 0 in
+  let flaky =
     Exp.Job.make "flaky/0" (fun rng ->
         incr calls;
         if !calls = 1 then failwith "transient";
         [ ("draw", Exp.Job.i (Engine.Rng.bits32 rng)) ])
   in
-  let calls = ref 0 in
-  let outcomes, report =
-    Exp.Runner.run_jobs_supervised ~retries:1 ~seed:42 [ make_flaky calls ]
-  in
-  let expected =
-    Engine.Rng.bits32 (Engine.Rng.for_attempt ~seed:42 ~attempt:1 "flaky/0")
-  in
+  let outcomes, report = Exp.Runner.run_jobs_supervised ~seed:42 [ flaky ] in
+  check int "one call" 1 !calls;
   (match outcomes with
-  | [ (_, Exp.Runner.Completed r) ] ->
-      check int "result drawn from the attempt-1 stream" expected
-        (Exp.Job.get_int r "draw")
-  | _ -> fail "flaky job should succeed on retry");
-  check int "report: retried" 1 report.retried;
-  check int "report: ok" 1 report.ok;
-  check int "attempts recorded" 2 (List.hd report.jobs).attempts
+  | [ (_, Exp.Runner.Gave_up (Failure m)) ] ->
+      check string "exception" "transient" m
+  | _ -> fail "flaky job should give up");
+  check int "report: failed" 1 report.failed
 
 (* Crash isolation end to end: one cell of a three-cell experiment raises;
    the figure still renders with an explicit MISSING line and the
@@ -431,26 +336,13 @@ let () =
   run "supervised"
     [
       ( "sim-budget",
-        [
-          test_case "max_events stops a spinner" `Quick test_budget_max_events;
-          test_case "max_time stops a spinner" `Quick test_budget_max_time;
-          test_case "meter shared across runs" `Quick
-            test_budget_shared_across_runs;
-          test_case "with_budget restores" `Quick test_with_budget_restores;
-        ] );
-      ( "rng-attempt",
-        [
-          test_case "attempt 0 = for_key" `Quick test_for_attempt_zero_is_for_key;
-          test_case "attempt vectors" `Quick test_for_attempt_vectors;
-          test_case "attempt independence" `Quick test_for_attempt_independent;
-        ] );
+        [ test_case "max_events stops a spinner" `Quick test_budget_max_events ]
+      );
       ( "runner",
         [
           test_case "budget kills infinite job" `Quick
             test_runner_budget_kills_spinner;
-          test_case "retries consume attempts" `Quick test_runner_retries_spinner;
-          test_case "retry recovers deterministically" `Quick
-            test_retry_recovers_deterministically;
+          test_case "crashed cell runs once" `Quick test_crashed_cell_runs_once;
           test_case "crash isolation renders holes" `Quick
             test_crash_isolation_renders_holes;
         ] );

@@ -971,7 +971,7 @@ let test_graph_parallel_identical () =
       (fun (key, o) ->
         match o with
         | Exp.Runner.Completed r -> (key, r)
-        | Gave_up f -> Alcotest.failf "%s: %s" key (Exp.Runner.failure_summary f))
+        | Gave_up e -> Alcotest.failf "%s: %s" key (Printexc.to_string e))
       (fst (Exp.Runner.run_jobs_supervised ~j ~seed:5 jobs))
   in
   let r1 = completed ~j:1 in

@@ -16,7 +16,7 @@
 #
 # Allowlisted path prefixes (one per line, # comments) live next to this
 # script in lint_global_state.allow; the engine's domain-local state
-# (Trace.default, Sim ambient budgets) is deliberate and listed there.
+# (Trace.default) is deliberate and listed there.
 
 set -u
 cd "$(dirname "$0")/.."
