@@ -56,8 +56,11 @@ let cached_links = 4
    label is physically equal to it. *)
 let no_label = String.make 1 '?'
 
+(* Float-only, so the per-event watermark store makes no box. *)
+type watermark = { mutable last_time : float }
+
 type t = {
-  mutable last_time : float;
+  wm : watermark;
   mutable n_events : int;
   mutable n_violations : int;
   mutable violations : violation list; (* newest first, capped *)
@@ -80,7 +83,7 @@ let max_kept = 100
 
 let create () =
   {
-    last_time = neg_infinity;
+    wm = { last_time = neg_infinity };
     n_events = 0;
     n_violations = 0;
     violations = [];
@@ -94,18 +97,20 @@ let create () =
   }
 
 let reset_run_state t =
-  t.last_time <- neg_infinity;
+  t.wm.last_time <- neg_infinity;
   Hashtbl.reset t.flows;
   Hashtbl.reset t.links;
   Array.fill t.recent_labels 0 cached_links no_label;
   Hashtbl.reset t.sup_states
 
-let violate t ~time ~rule fmt =
+(* Rules take the lent event's stamp, not its time: passing the time
+   itself would box it on every event, violation or not. *)
+let violate t (at : Engine.Trace.stamp) ~rule fmt =
   Printf.ksprintf
     (fun detail ->
       t.n_violations <- t.n_violations + 1;
       if t.n_violations <= max_kept then
-        t.violations <- { time; rule; detail } :: t.violations)
+        t.violations <- { time = at.time; rule; detail } :: t.violations)
     fmt
 
 let flow_state t flow =
@@ -145,16 +150,16 @@ let rec link_state_from t link i =
 
 let link_state t link = link_state_from t link 0
 
-let check_rate_update t ~time ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt =
+let check_rate_update t at ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt =
   let st = flow_state t flow in
   if not (Float.is_finite rate) || rate <= 0. then
-    violate t ~time ~rule:"sender-rate-bound" "flow %d: rate %g not finite positive"
+    violate t at ~rule:"sender-rate-bound" "flow %d: rate %g not finite positive"
       flow rate
   else begin
     (if p > 0. && st.rv && recv_rate > 0. then
        let bound = Float.max (2. *. recv_rate) st.min_rate in
        if rate > bound *. (1. +. eps) then
-         violate t ~time ~rule:"sender-rate-bound"
+         violate t at ~rule:"sender-rate-bound"
            "flow %d: rate %.1f exceeds 2*X_recv bound %.1f (X_recv %.1f, RFC 3448 4.3)"
            flow rate bound recv_rate);
     if p <= 0. then begin
@@ -164,7 +169,7 @@ let check_rate_update t ~time ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt =
           (Float.max st.min_rate (if rtt > 0. then st.s /. rtt else 0.))
       in
       if rate > bound *. (1. +. eps) then
-        violate t ~time ~rule:"sender-rate-bound"
+        violate t at ~rule:"sender-rate-bound"
           "flow %d: loss-free rate %.1f exceeds max(prev %.1f, 2*X_recv %.1f, s/R) \
            (RFC 3448 4.2)"
           flow rate prev_rate (2. *. recv_rate)
@@ -173,45 +178,45 @@ let check_rate_update t ~time ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt =
   (* A feedback arrival ends any no-feedback backoff sequence. *)
   st.last_nofb_interval <- 0.
 
-let check_nofb_expiry t ~time ~flow ~rate ~interval ~consecutive =
+let check_nofb_expiry t at ~flow ~rate ~interval ~consecutive =
   let st = flow_state t flow in
   if not (Float.is_finite interval) || interval <= 0. then
-    violate t ~time ~rule:"nofb-backoff" "flow %d: bad no-feedback interval %g" flow
+    violate t at ~rule:"nofb-backoff" "flow %d: bad no-feedback interval %g" flow
       interval
   else begin
     if interval > st.t_mbi *. (1. +. eps) then
-      violate t ~time ~rule:"nofb-backoff"
+      violate t at ~rule:"nofb-backoff"
         "flow %d: no-feedback interval %.3f exceeds t_mbi %.3f (RFC 3448 4.4)" flow
         interval st.t_mbi;
     if consecutive >= 2 && interval < st.last_nofb_interval *. (1. -. eps) then
-      violate t ~time ~rule:"nofb-backoff"
+      violate t at ~rule:"nofb-backoff"
         "flow %d: backoff interval shrank %.3f -> %.3f without feedback" flow
         st.last_nofb_interval interval
   end;
   if rate < st.min_rate *. (1. -. eps) then
-    violate t ~time ~rule:"nofb-backoff"
+    violate t at ~rule:"nofb-backoff"
       "flow %d: backed-off rate %.1f below floor %.1f" flow rate st.min_rate;
   st.last_nofb_interval <- interval
 
-let check_feedback t ~time ~flow ~p ~recv_rate ~n_closed ~avg =
+let check_feedback t at ~flow ~p ~recv_rate ~n_closed ~avg =
   if not (Float.is_finite p) || p < 0. || p > 1. then
-    violate t ~time ~rule:"loss-rate-range"
+    violate t at ~rule:"loss-rate-range"
       "flow %d: loss event rate %g outside [0, 1]" flow p
   else if n_closed > 0 && p <= 0. then
-    violate t ~time ~rule:"loss-rate-range"
+    violate t at ~rule:"loss-rate-range"
       "flow %d: %d loss intervals recorded but p = 0 (RFC 3448 5.4)" flow n_closed;
   if n_closed > 0 && avg <= 0. then
-    violate t ~time ~rule:"loss-rate-range"
+    violate t at ~rule:"loss-rate-range"
       "flow %d: average loss interval %g not positive over %d intervals" flow avg
       n_closed;
   if recv_rate < 0. then
-    violate t ~time ~rule:"loss-rate-range" "flow %d: negative X_recv %g" flow
+    violate t at ~rule:"loss-rate-range" "flow %d: negative X_recv %g" flow
       recv_rate
 
 (* Checked after every [link/*] packet or state event of the link. *)
-let check_link t ~time link st =
+let check_link t at link st =
   if st.delivered + st.dropped > st.sent then
-    violate t ~time ~rule:"link-conservation"
+    violate t at ~rule:"link-conservation"
       "link %s: delivered %d + dropped %d > offered %d" link st.delivered
       st.dropped st.sent
 
@@ -219,9 +224,9 @@ let check_link t ~time link st =
    link-conservation (an inequality, because packets may legitimately be
    in flight), queue counters admit an exact balance: every arrival either
    departed, was dropped, or is still queued. *)
-let check_queue_snapshot t ~time ~link ~arrivals ~departures ~drops ~queued =
+let check_queue_snapshot t at ~link ~arrivals ~departures ~drops ~queued =
   if arrivals <> departures + drops + queued then
-    violate t ~time ~rule:"queue-conservation"
+    violate t at ~rule:"queue-conservation"
       "link %s: arrivals %d <> departures %d + drops %d + queued %d" link
       arrivals departures drops queued
 
@@ -238,19 +243,19 @@ let sup_legal from to_ =
   | "backoff", ("starting" | "closed") -> true
   | _ -> false
 
-let check_sup_transition t ~time ~flow ~from ~to_ =
+let check_sup_transition t at ~flow ~from ~to_ =
   (match Hashtbl.find_opt t.sup_states flow with
   | Some prev when prev <> from ->
-      violate t ~time ~rule:"wire-sup-legal"
+      violate t at ~rule:"wire-sup-legal"
         "flow %d: transition claims from=%s but last recorded state is %s"
         flow from prev
   | _ -> ());
   if not (sup_legal from to_) then
-    violate t ~time ~rule:"wire-sup-legal"
+    violate t at ~rule:"wire-sup-legal"
       "flow %d: illegal supervisor transition %s -> %s" flow from to_;
   Hashtbl.replace t.sup_states flow to_
 
-let check_event t ({ time; kind } : Engine.Trace.event) =
+let check_event t ({ stamp = at; kind } : Engine.Trace.event) =
   t.n_events <- t.n_events + 1;
   match kind with
   | Sim_created -> reset_run_state t
@@ -260,12 +265,12 @@ let check_event t ({ time; kind } : Engine.Trace.event) =
          watermark. *)
       ()
   | _ -> (
-      if time < t.last_time -. 1e-9 then begin
+      if at.time < t.wm.last_time -. 1e-9 then begin
         let cat, name, _ = Engine.Trace.view kind in
-        violate t ~time ~rule:"time-monotone" "%s/%s at %.9f after watermark %.9f"
-          cat name time t.last_time
+        violate t at ~rule:"time-monotone" "%s/%s at %.9f after watermark %.9f"
+          cat name at.time t.wm.last_time
       end;
-      if time > t.last_time then t.last_time <- time;
+      if at.time > t.wm.last_time then t.wm.last_time <- at.time;
       match kind with
       | Tfrc_start { flow; s; min_rate; rv; t_mbi; _ } ->
           let st = flow_state t flow in
@@ -275,34 +280,34 @@ let check_event t ({ time; kind } : Engine.Trace.event) =
           st.t_mbi <- t_mbi;
           st.last_nofb_interval <- 0.
       | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
-          check_rate_update t ~time ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt
+          check_rate_update t at ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt
       | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
-          check_nofb_expiry t ~time ~flow ~rate ~interval ~consecutive
+          check_nofb_expiry t at ~flow ~rate ~interval ~consecutive
       | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
-          check_feedback t ~time ~flow ~p ~recv_rate ~n_closed ~avg:avg_interval
+          check_feedback t at ~flow ~p ~recv_rate ~n_closed ~avg:avg_interval
       | Link_send { link; _ } ->
           let st = link_state t link in
           st.sent <- st.sent + 1;
-          check_link t ~time link st
+          check_link t at link st
       | Link_deliver { link; _ } ->
           let st = link_state t link in
           st.delivered <- st.delivered + 1;
-          check_link t ~time link st
+          check_link t at link st
       | Link_drop { link; _ } ->
           let st = link_state t link in
           st.dropped <- st.dropped + 1;
-          check_link t ~time link st
+          check_link t at link st
       | Link_up { link } | Link_down { link } ->
-          check_link t ~time link (link_state t link)
+          check_link t at link (link_state t link)
       | Link_queue { link; arrivals; departures; drops; queued } ->
-          check_queue_snapshot t ~time ~link ~arrivals ~departures ~drops ~queued
+          check_queue_snapshot t at ~link ~arrivals ~departures ~drops ~queued
       | Wire_sup_transition { flow; from; to_; _ } ->
-          check_sup_transition t ~time ~flow ~from ~to_
+          check_sup_transition t at ~flow ~from ~to_
       | Topo_loop { node; id; flow } ->
           (* Netsim.Topology emits topo/loop only when a packet exhausts its
              TTL, which a shortest-path routing table can never cause — any
              such event is a routing bug, so the rule is simply "never". *)
-          violate t ~time ~rule:"topo-loop-free"
+          violate t at ~rule:"topo-loop-free"
             "packet %d (flow %d) looped at node %d" id flow node
       | _ -> ())
 

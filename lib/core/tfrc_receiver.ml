@@ -75,9 +75,8 @@ and send_feedback t =
   t.fb_seq <- t.fb_seq + 1;
   let avg = Loss_intervals.average t.intervals in
   let p = Loss_intervals.rate_of_average avg in
-  let tr = Engine.Runtime.trace t.rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:now
+  if Engine.Runtime.tracing t.rt then
+    Engine.Runtime.emit t.rt
       (Tfrc_feedback
          {
            flow = t.flow;

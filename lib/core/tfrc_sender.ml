@@ -32,10 +32,8 @@ type t = {
 
 let[@inline] s_bytes t = float_of_int t.config.Tfrc_config.packet_size
 
-let tracing t = Engine.Trace.active (Engine.Runtime.trace t.rt)
-
-let trace_ev t kind =
-  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt) kind
+let tracing t = Engine.Runtime.tracing t.rt
+let trace_ev t kind = Engine.Runtime.emit t.rt kind
 
 let notify t =
   match t.listeners with

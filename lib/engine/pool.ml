@@ -63,7 +63,7 @@ let try_map t f items =
           (results.(i) <-
              match f items.(i) with
              | r -> Some (Ok r)
-             | exception e -> Some (Error (e, Printexc.get_raw_backtrace ())));
+             | exception e -> Some (Error e));
           Mutex.lock t.m;
           decr remaining;
           if !remaining = 0 then Condition.signal all_done;

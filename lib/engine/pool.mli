@@ -21,11 +21,10 @@ val create : int -> t
 (** [try_map t f items] runs [f items.(i)] for every [i] on the pool and
     blocks until all are done. Every task runs to completion regardless of
     other tasks' failures: slot [i] is [Ok (f items.(i))], or
-    [Error (exn, backtrace)] if that task raised — one crashing cell never
-    poisons the batch. Tasks must not themselves call [try_map] or
-    [shutdown] on this pool. *)
-val try_map :
-  t -> ('a -> 'b) -> 'a array -> ('b, exn * Printexc.raw_backtrace) result array
+    [Error exn] if that task raised — one crashing cell never poisons the
+    batch. Tasks must not themselves call [try_map] or [shutdown] on this
+    pool. *)
+val try_map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 
 (** [shutdown t] finishes queued work, then joins all workers. Idempotent.
     Calling [try_map] afterwards raises [Invalid_argument]. *)

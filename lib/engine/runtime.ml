@@ -177,12 +177,21 @@ let land_on t until =
     t.boxed <- true
   end
 
+let[@inline] tracing t = Trace.active t.trace
+
+(* A front end's clock record holds [now]'s value, read unboxed; a view's
+   time is its closure's. *)
 let emit t kind =
-  if Trace.active t.trace then Trace.emit t.trace ~time:(now t) kind
+  if tracing t then
+    match t.read with
+    | Virtual | Monotonic _ ->
+        refresh t;
+        Trace.emit_now t.trace t.clock kind
+    | View v -> Trace.emit t.trace ~time:(v.v_now ()) kind
 
 let maybe_sweep t =
   let before = Timers.size t.timers in
-  if Timers.maybe_sweep t.timers && Trace.active t.trace then
+  if Timers.maybe_sweep t.timers && tracing t then
     let after = Timers.size t.timers in
     emit t
       (match t.owner with

@@ -146,6 +146,17 @@ val rearm : t -> handle -> float -> (unit -> unit) -> handle
 (** The trace bus components built on this runtime emit to. *)
 val trace : t -> Trace.t
 
+(** [tracing t] is [Trace.active (trace t)]: the guard a hot path puts
+    around building an event. *)
+val tracing : t -> bool
+
+(** [emit t kind] emits [kind] on {!trace} at {!now} if the bus is
+    active. A front end stamps the time from its clock record, so the
+    event makes no box even at an instant nobody has read {!now}; a view
+    built by {!make} reads its [now] closure. [kind] is built even when
+    the bus is inert, so a hot path guards the call with {!tracing}. *)
+val emit : t -> Trace.kind -> unit
+
 (** Next identity from this runtime's private counter (1, 2, 3, …);
     packet ids are drawn here, so identity streams are deterministic per
     runtime, never process-global. *)
@@ -180,10 +191,6 @@ val fire : t -> unit
 (** [land_on t until] ends a run: a finite [until] ahead of the clock
     becomes the time, and [until]'s own box the one {!now} returns. *)
 val land_on : t -> float -> unit
-
-(** [emit t kind] emits [kind] at {!now} if the trace bus is active; off
-    the hot paths, since [kind] is built even when it is not. *)
-val emit : t -> Trace.kind -> unit
 
 (** [maybe_sweep t] applies {!Timers.maybe_sweep}, emitting the owner's
     sweep event when it prunes. Run loops call it before each pop. *)

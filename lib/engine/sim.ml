@@ -33,9 +33,7 @@ let exhaust t =
 let run ?max_events t ~until =
   let capped = Option.is_some max_events in
   let left = ref (Option.value max_events ~default:0) in
-  let trace = Runtime.trace t in
-  if Trace.active trace then
-    Trace.emit trace ~time:(now t) (Sim_run_start { until });
+  if Runtime.tracing t then Runtime.emit t (Sim_run_start { until });
   let continue = ref true in
   while !continue do
     Runtime.maybe_sweep t;
@@ -51,6 +49,5 @@ let run ?max_events t ~until =
     else continue := false
   done;
   Runtime.land_on t until;
-  if Trace.active trace then
-    Trace.emit trace ~time:(now t)
-      (Sim_run_end { pending = pending_events t })
+  if Runtime.tracing t then
+    Runtime.emit t (Sim_run_end { pending = pending_events t })

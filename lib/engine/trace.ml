@@ -3,7 +3,20 @@
    with no sinks and no ring is inactive and [emit] is a no-op, so
    instrumentation sites guard with [active] and pay one branch when tracing
    is off. Events are catalog constructors; [view] is the one place that
-   names them and orders their fields for rendering. *)
+   names them and orders their fields for rendering.
+
+   An active bus allocates nothing of its own per event: it writes the time
+   and kind into one event slot it owns, lends the slot to each sink while
+   [emit] runs, and copies only what the ring and [memory_sink] keep. *)
+
+type link_packet = {
+  link : string;
+  mutable id : int;
+  mutable flow : int;
+  mutable seq : int;
+  mutable size : int;
+  mutable reason : string;
+}
 
 type kind =
   | Sim_created
@@ -48,16 +61,9 @@ type kind =
       n_closed : int;
       avg_interval : float;
     }
-  | Link_send of { link : string; id : int; flow : int; seq : int; size : int }
-  | Link_deliver of { link : string; id : int; flow : int; seq : int; size : int }
-  | Link_drop of {
-      link : string;
-      id : int;
-      flow : int;
-      seq : int;
-      size : int;
-      reason : string;
-    }
+  | Link_send of link_packet
+  | Link_deliver of link_packet
+  | Link_drop of link_packet
   | Link_up of { link : string }
   | Link_down of { link : string }
   | Link_queue of {
@@ -84,21 +90,35 @@ type kind =
   | Wire_tx_drop of { errno : string }
   | Wire_tx_error of { errno : string }
 
-type event = { time : float; kind : kind }
+type stamp = { mutable time : float }
+type event = { stamp : stamp; mutable kind : kind }
 type sink = { emit : event -> unit; close : unit -> unit }
 
 type t = {
   mutable sinks : sink list;
-  mutable ring : event array;
+  slot : event; (* lent to the sinks while [emit] runs *)
+  mutable lent : bool;
+  mutable ring : event array; (* slots overwritten in place *)
   ring_cap : int;
   mutable ring_pos : int; (* next write position *)
   mutable ring_len : int;
   mutable emitted : int;
 }
 
+let blank () = { stamp = { time = 0. }; kind = Sim_created }
+
 let create ?(ring = 0) () =
   if ring < 0 then invalid_arg "Trace.create: negative ring size";
-  { sinks = []; ring = [||]; ring_cap = ring; ring_pos = 0; ring_len = 0; emitted = 0 }
+  {
+    sinks = [];
+    slot = blank ();
+    lent = false;
+    ring = [||];
+    ring_cap = ring;
+    ring_pos = 0;
+    ring_len = 0;
+    emitted = 0;
+  }
 
 (* Per-domain bus that every [Sim.create ()] attaches to, so a CLI flag or
    a test can observe simulations it did not build itself. No ring: fully
@@ -125,6 +145,16 @@ let close t =
 
 let emitted t = t.emitted
 
+(* The link events are the only kinds with mutable fields: their emitter
+   refills one block per link, so a kept copy needs its own. *)
+let copy_kind = function
+  | Link_send p -> Link_send { p with id = p.id }
+  | Link_deliver p -> Link_deliver { p with id = p.id }
+  | Link_drop p -> Link_drop { p with id = p.id }
+  | k -> k
+
+let copy ev = { stamp = { time = ev.stamp.time }; kind = copy_kind ev.kind }
+
 (* Manual fan-out loop: [List.iter] would allocate a closure per event. *)
 let rec fanout sinks ev =
   match sinks with
@@ -133,31 +163,56 @@ let rec fanout sinks ev =
       s.emit ev;
       fanout rest ev
 
+let[@inline never] reentrant () =
+  invalid_arg "Trace.emit: re-entrant emit from a sink of the same bus"
+
+(* The caller has stamped [t.slot]'s time. *)
+let deliver t kind =
+  let ev = t.slot in
+  ev.kind <- kind;
+  t.emitted <- t.emitted + 1;
+  if t.ring_cap > 0 then begin
+    if t.ring = [||] then t.ring <- Array.init t.ring_cap (fun _ -> blank ());
+    let r = t.ring.(t.ring_pos) in
+    r.stamp.time <- ev.stamp.time;
+    r.kind <- copy_kind kind;
+    t.ring_pos <- (t.ring_pos + 1) mod t.ring_cap;
+    if t.ring_len < t.ring_cap then t.ring_len <- t.ring_len + 1
+  end;
+  t.lent <- true;
+  match fanout t.sinks ev with
+  | () -> t.lent <- false
+  | exception e ->
+      t.lent <- false;
+      raise e
+
 let emit t ~time kind =
   if active t then begin
-    let ev = { time; kind } in
-    t.emitted <- t.emitted + 1;
-    if t.ring_cap > 0 then begin
-      if t.ring = [||] then t.ring <- Array.make t.ring_cap ev;
-      t.ring.(t.ring_pos) <- ev;
-      t.ring_pos <- (t.ring_pos + 1) mod t.ring_cap;
-      if t.ring_len < t.ring_cap then t.ring_len <- t.ring_len + 1
-    end;
-    fanout t.sinks ev
+    if t.lent then reentrant ();
+    t.slot.stamp.time <- time;
+    deliver t kind
+  end
+
+let emit_now t (clock : Timers.clock) kind =
+  if active t then begin
+    if t.lent then reentrant ();
+    t.slot.stamp.time <- clock.now;
+    deliver t kind
   end
 
 let recent t =
   List.init t.ring_len (fun i ->
-      t.ring.((t.ring_pos - t.ring_len + i + (2 * t.ring_cap)) mod t.ring_cap))
+      copy
+        t.ring.((t.ring_pos - t.ring_len + i + (2 * t.ring_cap)) mod t.ring_cap))
 
 (* --- Rendered view ------------------------------------------------------- *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
-let packet link id flow seq size =
+let packet p =
   [
-    ("link", Str link); ("id", Int id); ("flow", Int flow); ("seq", Int seq);
-    ("size", Int size);
+    ("link", Str p.link); ("id", Int p.id); ("flow", Int p.flow);
+    ("seq", Int p.seq); ("size", Int p.size);
   ]
 
 let view = function
@@ -202,12 +257,9 @@ let view = function
           ("flow", Int flow); ("p", Float p); ("recv_rate", Float recv_rate);
           ("n_closed", Int n_closed); ("avg_interval", Float avg_interval);
         ] )
-  | Link_send { link; id; flow; seq; size } ->
-      ("link", "send", packet link id flow seq size)
-  | Link_deliver { link; id; flow; seq; size } ->
-      ("link", "deliver", packet link id flow seq size)
-  | Link_drop { link; id; flow; seq; size; reason } ->
-      ("link", "drop", packet link id flow seq size @ [ ("reason", Str reason) ])
+  | Link_send p -> ("link", "send", packet p)
+  | Link_deliver p -> ("link", "deliver", packet p)
+  | Link_drop p -> ("link", "drop", packet p @ [ ("reason", Str p.reason) ])
   | Link_up { link } -> ("link", "up", [ ("link", Str link) ])
   | Link_down { link } -> ("link", "down", [ ("link", Str link) ])
   | Link_queue { link; arrivals; departures; drops; queued } ->
@@ -251,6 +303,8 @@ let view = function
   | Wire_tx_drop { errno } -> ("wire", "tx_drop", [ ("errno", Str errno) ])
   | Wire_tx_error { errno } -> ("wire", "tx_error", [ ("errno", Str errno) ])
 
+let link_packet link = { link; id = 0; flow = 0; seq = 0; size = 0; reason = "" }
+
 (* One placeholder of every constructor, in declaration order: [view]
    supplies the names. *)
 let catalog =
@@ -272,9 +326,9 @@ let catalog =
       Tfrc_nofb_expiry { flow = 0; rate = 0.; interval = 0.; consecutive = 0 };
       Tfrc_feedback
         { flow = 0; p = 0.; recv_rate = 0.; n_closed = 0; avg_interval = 0. };
-      Link_send { link = ""; id = 0; flow = 0; seq = 0; size = 0 };
-      Link_deliver { link = ""; id = 0; flow = 0; seq = 0; size = 0 };
-      Link_drop { link = ""; id = 0; flow = 0; seq = 0; size = 0; reason = "" };
+      Link_send (link_packet "");
+      Link_deliver (link_packet "");
+      Link_drop (link_packet "");
       Link_up { link = "" };
       Link_down { link = "" };
       Link_queue { link = ""; arrivals = 0; departures = 0; drops = 0; queued = 0 };
@@ -336,7 +390,7 @@ let add_value buf = function
 let add_json buf ev =
   let cat, name, fields = view ev.kind in
   Buffer.add_string buf "{\"t\":";
-  add_float buf ev.time;
+  add_float buf ev.stamp.time;
   Buffer.add_string buf ",\"cat\":\"";
   Buffer.add_string buf cat;
   Buffer.add_string buf "\",\"ev\":\"";
@@ -360,7 +414,7 @@ let to_json ev =
 
 let memory_sink () =
   let events = ref [] in
-  ( { emit = (fun ev -> events := ev :: !events); close = ignore },
+  ( { emit = (fun ev -> events := copy ev :: !events); close = ignore },
     fun () -> List.rev !events )
 
 let file_sink path =

@@ -19,15 +19,31 @@
 
     A bus with no sinks and no ring is inactive: [emit] returns immediately,
     and instrumentation sites guard construction behind {!active}, so an
-    inert bus costs one branch per site. On an active bus an event is one
-    constructor plus the {!event} record (about 11 words for a per-packet
-    [link/send]); rendering to strings happens only in the sinks that want
-    it.
+    inert bus costs one branch per site. An active bus allocates nothing of
+    its own per event: it writes the time and kind into the one event slot
+    it owns and lends that to the sinks (see "Borrowed events"). The time
+    is stored unboxed, and {!Runtime.emit} stamps it from the runtime's
+    clock record, so it makes no box. A link builds its [link/*] kinds
+    once and refills them per packet, so a packet's [link/send] and
+    [link/deliver] allocate nothing, with {!Tfrc.Invariants} attached
+    too. What is left is what an emitter builds (a [tfrc/*] record, say)
+    and what a sink keeps: {!memory_sink} and the ring copy each event,
+    and only the sinks that render strings build them.
 
     Every {!Sim.create} attaches to the {!default} bus of the calling domain
     unless told otherwise, which is how [tfrc_sim --trace]/[--check] observe
     simulations built deep inside an experiment, and how
     {!Tfrc.Invariants} audits runs online.
+
+    {2 Borrowed events}
+
+    The {!event} a sink receives is the bus's own slot, lent for the
+    duration of the [emit] call: the next event overwrites it, and a
+    [link/*] kind's {!link_packet} is refilled by its link for the next
+    packet. A sink must read what it needs while [emit] runs, and keep
+    nothing of the event itself; {!memory_sink} and the ring keep copies
+    instead. A sink must not emit onto the bus it is attached to: such a
+    re-entrant [emit] raises [Invalid_argument].
 
     {2 Threading contract}
 
@@ -41,8 +57,22 @@
     the worker, then hand the captured event list back to the coordinating
     domain and replay it with {!emit} — this is what [Exp.Runner] does to
     keep [--trace]/[--check] output identical between sequential and
-    parallel runs. Events are immutable, so a captured list is safe to
-    hand across domains. *)
+    parallel runs. The events a {!memory_sink} returns are copies that no
+    bus writes again, so a captured list is safe to hand across domains. *)
+
+(** The fields of a [link/send], [link/deliver] or [link/drop] event. A
+    link builds one and refills it before each of these emits, so a sink
+    sees it only while the event is lent (see above). [reason] is why a
+    [link/drop] lost the packet (["queue"] or ["outage"]); the other two
+    kinds set it to [""] and do not render it. *)
+type link_packet = {
+  link : string;
+  mutable id : int;
+  mutable flow : int;
+  mutable seq : int;
+  mutable size : int;
+  mutable reason : string;
+}
 
 (** The event catalog, one constructor per [category/name]. *)
 type kind =
@@ -91,18 +121,11 @@ type kind =
       n_closed : int;
       avg_interval : float;
     }  (** [tfrc/feedback]: receiver sent a report *)
-  | Link_send of { link : string; id : int; flow : int; seq : int; size : int }
-      (** [link/send]: a packet offered to a link *)
-  | Link_deliver of { link : string; id : int; flow : int; seq : int; size : int }
+  | Link_send of link_packet  (** [link/send]: a packet offered to a link *)
+  | Link_deliver of link_packet
       (** [link/deliver]: a packet left the far end of a link *)
-  | Link_drop of {
-      link : string;
-      id : int;
-      flow : int;
-      seq : int;
-      size : int;
-      reason : string;
-    }  (** [link/drop]: a packet lost at a link ("queue" or "outage") *)
+  | Link_drop of link_packet
+      (** [link/drop]: a packet lost at a link ("queue" or "outage") *)
   | Link_up of { link : string }  (** [link/up] *)
   | Link_down of { link : string }  (** [link/down] *)
   | Link_queue of {
@@ -135,13 +158,17 @@ type kind =
   | Wire_tx_drop of { errno : string }  (** [wire/tx_drop] *)
   | Wire_tx_error of { errno : string }  (** [wire/tx_error] *)
 
-type event = {
-  time : float;  (** virtual time the event was emitted at *)
-  kind : kind;
-}
+(** A float-only record, so the time is stored unboxed. *)
+type stamp = { mutable time : float }
 
-(** A sink receives every event emitted while attached. [close] flushes and
-    releases whatever the sink holds; the bus calls it from {!close}. *)
+(** [stamp.time] is the virtual time the event was emitted at. Only the
+    bus writes the fields; a sink receives the event on loan (see
+    "Borrowed events" above). *)
+type event = { stamp : stamp; mutable kind : kind }
+
+(** A sink receives every event emitted while attached, on loan for the
+    call. [close] flushes and releases whatever the sink holds; the bus
+    calls it from {!close}. *)
 type sink = { emit : event -> unit; close : unit -> unit }
 
 type t
@@ -161,8 +188,14 @@ val default : unit -> t
 val active : t -> bool
 
 (** [emit t ~time kind] delivers one event to the ring and all sinks.
-    No-op when the bus is inactive. *)
+    No-op when the bus is inactive. Raises [Invalid_argument] when called
+    from a sink of [t] while [t] is delivering. *)
 val emit : t -> time:float -> kind -> unit
+
+(** [emit_now t clock kind] is [emit t ~time:clock.now kind], reading the
+    time from the record without boxing it: how {!Runtime.emit} stamps its
+    events. *)
+val emit_now : t -> Timers.clock -> kind -> unit
 
 val add_sink : t -> sink -> unit
 
@@ -176,11 +209,12 @@ val close : t -> unit
 (** Number of events delivered over the bus's lifetime (while active). *)
 val emitted : t -> int
 
-(** The ring contents, oldest first. Empty when the bus has no ring. *)
+(** Copies of the ring contents, oldest first. Empty when the bus has no
+    ring. *)
 val recent : t -> event list
 
-(** [memory_sink ()] is a sink plus a function returning everything it has
-    received, in emission order. *)
+(** [memory_sink ()] is a sink plus a function returning a copy of
+    everything it has received, in emission order. *)
 val memory_sink : unit -> sink * (unit -> event list)
 
 (** JSONL sink writing to [path] (truncates); [close] closes the file. *)

@@ -14,7 +14,7 @@
    [Job.missing] placeholder in its place. With a checkpoint store
    attached, each completed cell is appended (fsync'd) as it finishes —
    from worker domains too — and cells already in the store are skipped
-   on resume.
+   on resume. A cell whose append raises is given up the same way.
 
    Tracing: under [-j 1] jobs emit directly to this domain's default bus, so
    observers ([--trace]/[--check]) see events live. Under [-j N] each worker
@@ -88,21 +88,26 @@ let exec ~seed ~checkpoint ~capture = function
         end
         else (run (), [])
       in
-      let status =
+      (* A failed checkpoint write gives the cell up like a crash, on
+         every domain: the batch goes on, and [-j 1] reports what
+         [-j N] does. *)
+      let outcome =
         match (outcome, checkpoint) with
-        | Completed r, Some ck ->
-            Checkpoint.record ck ~key:jb.key r;
-            `Ok
-        | Completed _, None -> `Ok
-        | Gave_up _, _ -> `Failed
+        | Completed r, Some ck -> (
+            match Checkpoint.record ck ~key:jb.key r with
+            | () -> outcome
+            | exception e -> Gave_up e)
+        | (Completed _ | Gave_up _), _ -> outcome
       in
+      let status = match outcome with Completed _ -> `Ok | Gave_up _ -> `Failed in
       ( outcome,
         { key = jb.key; status; wall_s = Unix.gettimeofday () -. t0 },
         events )
 
 let replay bus events =
   List.iter
-    (fun (e : Engine.Trace.event) -> Engine.Trace.emit bus ~time:e.time e.kind)
+    (fun (e : Engine.Trace.event) ->
+      Engine.Trace.emit bus ~time:e.stamp.time e.kind)
     events
 
 (* --- Batch execution ------------------------------------------------------ *)
@@ -137,12 +142,11 @@ let run_jobs_supervised ?(j = 1) ?checkpoint ~seed jobs =
               (Array.of_list plan))
       in
       (* A task-level Error here means the supervision harness itself
-         raised (e.g. a checkpoint write failed): isolate it to the cell
-         like any job failure. *)
+         raised: isolate it to the cell like any job failure. *)
       List.map2
         (fun item -> function
           | Ok cell -> cell
-          | Error (e, _) ->
+          | Error e ->
               ( Gave_up e,
                 { key = (job_of item).key; status = `Failed; wall_s = 0. },
                 [] ))

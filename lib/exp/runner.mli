@@ -43,7 +43,8 @@ val report_json : report -> string
     domains with capture-and-replay. A cell that raises is [Gave_up].
     With [checkpoint], cells found in the store are returned as
     [Completed] without running (status [`Resumed]) and fresh
-    completions are recorded as they finish.
+    completions are recorded as they finish; a cell whose record raises
+    is [Gave_up] with that exception, at any [j].
 
     With a checkpoint, and when the calling domain's trace bus has sinks,
     per-job ["exp"/"job"] events and one ["exp"/"report"] event are

@@ -4,9 +4,7 @@
    events the link itself emits, so a trace reader can tell injected faults
    from organic congestion. *)
 let fault_ev rt link event =
-  let tr = Engine.Runtime.trace rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt) (event (Link.label link))
+  if Engine.Runtime.tracing rt then Engine.Runtime.emit rt (event (Link.label link))
 
 let outage rt link ~at ~duration () =
   if duration < 0. then invalid_arg "Faults.outage: negative duration";

@@ -31,9 +31,7 @@ module Queue_sampler = struct
       let now = Engine.Runtime.now rt in
       let len = queue.Queue_disc.len_pkts () in
       Stats.Time_series.add s ~time:now ~value:(float_of_int len);
-      let tr = Engine.Runtime.trace rt in
-      if Engine.Trace.active tr then
-        Engine.Trace.emit tr ~time:now (Queue_sample { len })
+      if Engine.Runtime.tracing rt then Engine.Runtime.emit rt (Queue_sample { len })
     in
     let rec tick () =
       sample ();

@@ -23,6 +23,11 @@ type t = {
   flight : Packet.t Engine.Slots.t;
   tx_done : int -> unit;
   arrived : int -> unit;
+  (* This link's [link/send], [link/deliver] and [link/drop] events, built
+     once around one block that [packet_event] refills for each emit. *)
+  ev_send : Engine.Trace.kind;
+  ev_deliver : Engine.Trace.kind;
+  ev_drop : Engine.Trace.kind;
 }
 
 (* NaN passes a plain [<= 0.] test, and a NaN delay fails [delay > 0.],
@@ -37,10 +42,21 @@ let check name ~bandwidth ~delay =
 
 (* Trace instrumentation: [tracing t] is the hot-path guard, so call sites
    only build an event when a sink is attached. *)
-let tracing t = Engine.Trace.active (Engine.Runtime.trace t.rt)
+let tracing t = Engine.Runtime.tracing t.rt
+let ev t kind = Engine.Runtime.emit t.rt kind
 
-let ev t kind =
-  Engine.Trace.emit (Engine.Runtime.trace t.rt) ~time:(Engine.Runtime.now t.rt) kind
+(* [reason] is the drop's, [""] for the other two. *)
+let packet_event t kind ~reason (pkt : Packet.t) =
+  if tracing t then
+    match (kind : Engine.Trace.kind) with
+    | Link_send p | Link_deliver p | Link_drop p ->
+        p.id <- pkt.id;
+        p.flow <- pkt.flow;
+        p.seq <- pkt.seq;
+        p.size <- pkt.size;
+        p.reason <- reason;
+        ev t kind
+    | _ -> ()
 
 (* Snapshot of the queue discipline's conservation counters; the invariant
    checker verifies arrivals = departures + drops + queued exactly on each
@@ -84,30 +100,11 @@ let utilization t ~duration =
   else 8. *. float_of_int t.delivered_bytes /. (t.bandwidth *. duration)
 
 let drop ?(reason = "queue") t pkt =
-  if tracing t then
-    ev t
-      (Link_drop
-         {
-           link = t.label;
-           id = pkt.Packet.id;
-           flow = pkt.flow;
-           seq = pkt.seq;
-           size = pkt.size;
-           reason;
-         });
+  packet_event t t.ev_drop ~reason pkt;
   List.iter (fun f -> f pkt) t.drop_listeners
 
 let deliver t pkt =
-  if tracing t then
-    ev t
-      (Link_deliver
-         {
-           link = t.label;
-           id = pkt.Packet.id;
-           flow = pkt.flow;
-           seq = pkt.seq;
-           size = pkt.size;
-         });
+  packet_event t t.ev_deliver ~reason:"" pkt;
   t.dest pkt
 
 (* ns-2 trace lines from this module's own events: [deliver] is "r",
@@ -118,12 +115,12 @@ let ns2_sink ~label oc =
     Printf.fprintf oc "%s %.6f %d %d %d %d\n" code time flow seq size id;
     incr lines
   in
-  let emit ({ time; kind } : Engine.Trace.event) =
+  let emit ({ stamp; kind } : Engine.Trace.event) =
     match kind with
-    | Link_deliver { link; id; flow; seq; size } when String.equal link label ->
-        line "r" time flow seq size id
-    | Link_drop { link; id; flow; seq; size; _ } when String.equal link label ->
-        line "d" time flow seq size id
+    | Link_deliver p when String.equal p.link label ->
+        line "r" stamp.time p.flow p.seq p.size p.id
+    | Link_drop p when String.equal p.link label ->
+        line "d" stamp.time p.flow p.seq p.size p.id
     | _ -> ()
   in
   ({ Engine.Trace.emit; close = (fun () -> flush oc) }, fun () -> !lines)
@@ -149,16 +146,21 @@ and tx_done t k =
 
 let create rt ?label ~bandwidth ~delay ~queue () =
   check "create" ~bandwidth ~delay;
+  (* Default labels come from the runtime's own allocator, not a process
+     global: trace output stays identical across process lifetimes and
+     worker domains. *)
+  let label =
+    match label with
+    | Some l -> l
+    | None -> Printf.sprintf "link-%d" (Engine.Runtime.fresh_id rt)
+  in
+  let packet : Engine.Trace.link_packet =
+    { link = label; id = 0; flow = 0; seq = 0; size = 0; reason = "" }
+  in
   let rec t =
     {
       rt;
-      (* Default labels come from the runtime's own allocator, not a process
-         global: trace output stays identical across process lifetimes and
-         worker domains. *)
-      label =
-        (match label with
-        | Some l -> l
-        | None -> Printf.sprintf "link-%d" (Engine.Runtime.fresh_id rt));
+      label;
       bandwidth;
       delay;
       queue;
@@ -174,6 +176,9 @@ let create rt ?label ~bandwidth ~delay ~queue () =
       flight = Engine.Slots.create Packet.none;
       tx_done = (fun k -> tx_done t k);
       arrived = (fun k -> deliver t (Engine.Slots.take t.flight k));
+      ev_send = Link_send packet;
+      ev_deliver = Link_deliver packet;
+      ev_drop = Link_drop packet;
     }
   in
   t
@@ -203,16 +208,7 @@ let send t pkt =
   if not t.dest_set then
     invalid_arg
       "Link.send: destination not set (call Link.set_dest before sending)";
-  if tracing t then
-    ev t
-      (Link_send
-         {
-           link = t.label;
-           id = pkt.Packet.id;
-           flow = pkt.flow;
-           seq = pkt.seq;
-           size = pkt.size;
-         });
+  packet_event t t.ev_send ~reason:"" pkt;
   if not t.up then begin
     (* A down link blackholes at the ingress: no queueing, immediate loss. *)
     t.outage_drops <- t.outage_drops + 1;

@@ -215,10 +215,8 @@ let fwd_remove t id =
 (* --- packet movement ------------------------------------------------------ *)
 
 let loop_ev t node (pkt : Packet.t) =
-  let tr = Engine.Runtime.trace t.rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now t.rt)
-      (Topo_loop { node; id = pkt.id; flow = pkt.flow })
+  if Engine.Runtime.tracing t.rt then
+    Engine.Runtime.emit t.rt (Topo_loop { node; id = pkt.id; flow = pkt.flow })
 
 (* Shortest-path recomputation: one Dijkstra per destination over the
    reversed graph with an indexed binary heap, O(E log n), then each node's

@@ -91,9 +91,8 @@ let record t ~op ~kind =
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts label));
   let time = Engine.Runtime.now t.rt in
   t.log <- Printf.sprintf "%.6f %s" time label :: t.log;
-  let tr = Engine.Runtime.trace t.rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time (Wire_faultio { op; kind })
+  if Engine.Runtime.tracing t.rt then
+    Engine.Runtime.emit t.rt (Wire_faultio { op; kind })
 
 let in_window t = function
   | Some (t0, t1) ->

@@ -206,12 +206,10 @@ let run_monotonic t ~until =
 
 let run t ~until =
   t.stopping <- false;
-  let trace = Engine.Runtime.trace t.c in
-  if Engine.Trace.active trace then
-    Engine.Trace.emit trace ~time:(now t) (Wire_run_start { until });
+  if Engine.Runtime.tracing t.c then
+    Engine.Runtime.emit t.c (Wire_run_start { until });
   (match t.mode with
   | `Warp -> run_warp t ~until
   | `Monotonic -> run_monotonic t ~until);
-  if Engine.Trace.active trace then
-    Engine.Trace.emit trace ~time:(now t)
-      (Wire_run_end { pending = pending_timers t })
+  if Engine.Runtime.tracing t.c then
+    Engine.Runtime.emit t.c (Wire_run_end { pending = pending_timers t })

@@ -71,10 +71,8 @@ type t = {
 }
 
 let trace_decode_error rt err =
-  let tr = Engine.Runtime.trace rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Engine.Runtime.now rt)
-      (Wire_decode_error { error = Codec.error_to_string err })
+  if Engine.Runtime.tracing rt then
+    Engine.Runtime.emit rt (Wire_decode_error { error = Codec.error_to_string err })
 
 (* Records unconditionally — the mutate plant uses this to emit an
    illegal (possibly self-loop) edge the invariant rule must flag. *)
@@ -83,9 +81,8 @@ let record_transition t to_ =
   let time = Loop.now t.loop in
   t.st <- to_;
   t.transitions <- (time, from, to_) :: t.transitions;
-  let tr = Engine.Runtime.trace t.rt in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time
+  if Engine.Runtime.tracing t.rt then
+    Engine.Runtime.emit t.rt
       (Wire_sup_transition
          {
            flow = t.flow;

@@ -17,9 +17,9 @@ type t = {
 let addr ~port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
 let emit_errno_event t event err =
-  let tr = Engine.Runtime.trace (Loop.runtime t.loop) in
-  if Engine.Trace.active tr then
-    Engine.Trace.emit tr ~time:(Loop.now t.loop) (event (Unix.error_message err))
+  let rt = Loop.runtime t.loop in
+  if Engine.Runtime.tracing rt then
+    Engine.Runtime.emit rt (event (Unix.error_message err))
 
 (* Drain every queued datagram: select is level-triggered, but one
    callback per readiness event would add a loop turn of latency per

@@ -107,7 +107,7 @@ let test_pool_try_map_isolation () =
           match r with
           | Ok v ->
               check bool "even task succeeded" true (i mod 2 = 0 && v = i * 10)
-          | Error (Failure m, _) ->
+          | Error (Failure m) ->
               check bool "odd task failed" true (i mod 2 = 1 && m = "odd")
           | Error _ -> fail "unexpected exception kind")
         out)
@@ -357,7 +357,7 @@ let test_trace_replay_on_failure () =
   check (list string) "all jobs' events replayed, in job order"
     [ "0"; "1"; "2"; "3" ]
     (List.map
-       (fun (e : Engine.Trace.event) -> Printf.sprintf "%.0f" e.time)
+       (fun (e : Engine.Trace.event) -> Printf.sprintf "%.0f" e.stamp.time)
        events)
 
 let () =

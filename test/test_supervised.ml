@@ -244,6 +244,49 @@ let test_checkpoint_foreign_format () =
   Exp.Checkpoint.close ck3;
   rm_rf dir
 
+(* A store that cannot be written gives every completed cell up, as a
+   crash does, and the batch runs on: [-j 1] and [-j 2] report the same
+   cells, statuses and MISSING lines. A closed store is one whose
+   [record] raises. *)
+let test_unwritable_store_j1_j2 () =
+  let dir = tmp_dir "ckpt_unwritable" in
+  rm_rf dir;
+  let run ~j =
+    let ck =
+      Exp.Checkpoint.open_store ~dir ~grid:"test-unwritable.seed42.quick"
+        ~resume:false
+    in
+    Exp.Checkpoint.close ck;
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    let report =
+      Exp.Runner.run_experiment ~j ~checkpoint:ck ~full:false ~seed:42
+        isolation_exp ppf
+    in
+    Format.pp_print_flush ppf ();
+    let status = function
+      | `Ok -> "ok"
+      | `Failed -> "failed"
+      | `Resumed -> "resumed"
+    in
+    ( Buffer.contents buf,
+      [ report.total; report.ok; report.resumed; report.failed ],
+      List.map
+        (fun (s : Exp.Runner.job_stat) -> (s.key, status s.status))
+        report.jobs )
+  in
+  let out1, counts1, jobs1 = run ~j:1 in
+  let out2, counts2, jobs2 = run ~j:2 in
+  rm_rf dir;
+  check (list int) "same counts at -j 1 and -j 2" counts1 counts2;
+  check (list (pair string string)) "same cells at -j 1 and -j 2" jobs1 jobs2;
+  check string "same output at -j 1 and -j 2" out1 out2;
+  check (list (pair string string)) "every cell given up"
+    [ ("iso/0", "failed"); ("iso/1", "failed"); ("iso/2", "failed") ]
+    jobs1;
+  check bool "the store's error named" true
+    (Astring.String.is_infix ~affix:"MISSING(iso/0): Invalid_argument" out1)
+
 (* --- Kill-and-resume byte-identity -------------------------------------------- *)
 
 (* A synthetic six-cell experiment whose output exposes every bit of each
@@ -345,6 +388,7 @@ let () =
           test_case "crashed cell runs once" `Quick test_crashed_cell_runs_once;
           test_case "crash isolation renders holes" `Quick
             test_crash_isolation_renders_holes;
+          test_case "unwritable store j1=j2" `Quick test_unwritable_store_j1_j2;
         ] );
       ( "checkpoint",
         [

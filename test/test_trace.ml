@@ -6,7 +6,7 @@ open Engine.Trace
 let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
 let qtest t = QCheck_alcotest.to_alcotest t
 
-let ev ?(time = 0.) kind = { time; kind }
+let ev ?(time = 0.) kind = { stamp = { time }; kind }
 let cat_name kind = let cat, name, _ = view kind in (cat, name)
 
 (* --- Bus ------------------------------------------------------------------ *)
@@ -20,7 +20,7 @@ let test_memory_sink_order () =
   let evs = events () in
   Alcotest.(check int) "two events" 2 (List.length evs);
   let e1 = List.nth evs 0 and e2 = List.nth evs 1 in
-  checkf "first time" 1. e1.time;
+  checkf "first time" 1. e1.stamp.time;
   Alcotest.(check bool) "first kind" true (e1.kind = Sim_created);
   Alcotest.(check int) "field survives" 7
     (match e2.kind with Queue_sample { len } -> len | _ -> -1);
@@ -40,7 +40,7 @@ let test_ring_oldest_first () =
   for i = 1 to 5 do
     emit bus ~time:(float_of_int i) (Queue_sample { len = i })
   done;
-  let times = List.map (fun e -> e.time) (recent bus) in
+  let times = List.map (fun e -> e.stamp.time) (recent bus) in
   Alcotest.(check (list (float 1e-9))) "last three, oldest first"
     [ 3.; 4.; 5. ] times
 
@@ -106,10 +106,10 @@ let golden =
         { flow = 3; p = nan; recv_rate = 1e6; n_closed = 4; avg_interval = 12.5 },
       "{\"t\":2,\"cat\":\"tfrc\",\"ev\":\"feedback\",\"flow\":3,\"p\":null,\"recv_rate\":1000000,\"n_closed\":4,\"avg_interval\":12.5}" );
     ( 0.001,
-      Link_send { link = l; id = 7; flow = 3; seq = 42; size = 1000 },
+      Link_send { link = l; id = 7; flow = 3; seq = 42; size = 1000; reason = "" },
       "{\"t\":0.001,\"cat\":\"link\",\"ev\":\"send\",\"link\":\"bottleneck-fwd\",\"id\":7,\"flow\":3,\"seq\":42,\"size\":1000}" );
     ( 0.0123456789012345,
-      Link_deliver { link = l; id = 7; flow = 3; seq = 42; size = 1000 },
+      Link_deliver { link = l; id = 7; flow = 3; seq = 42; size = 1000; reason = "" },
       "{\"t\":0.0123456789012,\"cat\":\"link\",\"ev\":\"deliver\",\"link\":\"bottleneck-fwd\",\"id\":7,\"flow\":3,\"seq\":42,\"size\":1000}" );
     ( 3.,
       Link_drop
@@ -178,7 +178,7 @@ let test_catalog_golden () =
   List.iter
     (fun (time, kind, expected) ->
       let cat, name = cat_name kind in
-      Alcotest.(check string) (cat ^ "/" ^ name) expected (to_json { time; kind }))
+      Alcotest.(check string) (cat ^ "/" ^ name) expected (to_json (ev ~time kind)))
     golden;
   Alcotest.(check (list string)) "one golden line per catalog event"
     (List.map fst catalog)
@@ -392,9 +392,9 @@ let test_checker_time_monotone () =
   Alcotest.(check bool) "new sim resets watermark" true
     (Tfrc.Invariants.ok t2)
 
-let send_ev link = ev ~time:1. (Link_send { link; id = 0; flow = 1; seq = 0; size = 1000 })
+let send_ev link = ev ~time:1. (Link_send { link; id = 0; flow = 1; seq = 0; size = 1000; reason = "" })
 let deliver_ev link =
-  ev ~time:1. (Link_deliver { link; id = 0; flow = 1; seq = 0; size = 1000 })
+  ev ~time:1. (Link_deliver { link; id = 0; flow = 1; seq = 0; size = 1000; reason = "" })
 
 let test_checker_link_conservation () =
   let t = Tfrc.Invariants.create () in
@@ -526,7 +526,7 @@ let test_sampler_traces_and_stops () =
       (events ())
   in
   Alcotest.(check bool) "t0 sample emitted" true
-    (match samples with e :: _ -> e.time = 0. | [] -> false);
+    (match samples with e :: _ -> e.stamp.time = 0. | [] -> false);
   (* Samples at 0.0 .. 0.4 only: the tick at 0.5 lies past the run's end. *)
   Alcotest.(check int) "no samples past the run" 5 (List.length samples)
 
@@ -540,17 +540,9 @@ let minor_words_of f =
   let w2 = Gc.minor_words () in
   w2 -. w1 -. (w1 -. w0)
 
-(* A packet through a link on a bus with the checker attached: its
-   [link/send] and [link/deliver] events each cost one constructor
-   (6 words), the event record (3) and the boxed time (2), and the checker
-   finds the link's counters without allocating. Building a field list per
-   event, as stringly events did, costs about 48 words each. *)
-let traced_packet_words = 30.
-
-let test_traced_link_budget () =
-  let bus = create () in
-  let checker = Tfrc.Invariants.create () in
-  Tfrc.Invariants.attach checker bus;
+(* Minor words of one warmed-up round of [n] packets through a link, on
+   the given bus. *)
+let link_round_words bus n =
   let sim = Engine.Sim.create ~trace:bus () in
   let rt = Engine.Sim.runtime sim in
   let link =
@@ -559,7 +551,6 @@ let test_traced_link_budget () =
   in
   let delivered = ref 0 in
   Netsim.Link.set_dest link (fun _ -> incr delivered);
-  let n = 1000 in
   let batch () =
     Array.init n (fun seq ->
         Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq ~size:1000
@@ -572,14 +563,119 @@ let test_traced_link_budget () =
   (* The first round grows the queue and the in-flight table. *)
   round (batch ());
   let pkts = batch () in
-  let words = minor_words_of (fun () -> round pkts) /. float_of_int n in
+  let words = minor_words_of (fun () -> round pkts) in
   Alcotest.(check int) "all delivered" (2 * n) !delivered;
+  words
+
+(* A packet through a link on a bus with the checker attached: its trace
+   path allocates nothing (see "borrowed"), so what is left, about
+   2 words, is the link's and its queue's own. *)
+let traced_packet_words = 4.
+
+let test_traced_link_budget () =
+  let bus = create () in
+  let checker = Tfrc.Invariants.create () in
+  Tfrc.Invariants.attach checker bus;
+  let n = 1000 in
+  let words = link_round_words bus n /. float_of_int n in
   Alcotest.(check bool) "checker saw every packet event" true
     (Tfrc.Invariants.n_events checker >= 4 * n);
   Alcotest.(check bool) "no violations" true (Tfrc.Invariants.ok checker);
   if words > traced_packet_words then
     Alcotest.failf "traced packet: %.1f minor words (bound %.0f)" words
       traced_packet_words
+
+(* --- Borrowed events --------------------------------------------------------- *)
+
+(* Two packets through a link on a bus with a ring and a memory sink: the
+   link refills one [link/send] block and the bus one event slot, so
+   whatever is kept must be a copy that later emits leave alone. *)
+let test_kept_events_are_copies () =
+  let bus = create ~ring:8 () in
+  let sink, events = memory_sink () in
+  add_sink bus sink;
+  let sim = Engine.Sim.create ~trace:bus () in
+  let rt = Engine.Sim.runtime sim in
+  let link =
+    Netsim.Link.create rt ~label:"l0" ~bandwidth:1e6 ~delay:0.01
+      ~queue:(Netsim.Droptail.create ~limit_pkts:10) ()
+  in
+  Netsim.Link.set_dest link ignore;
+  let send seq =
+    Netsim.Link.send link
+      (Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq ~size:1000
+         ~now:(Engine.Sim.now sim) Netsim.Packet.Data)
+  in
+  let sends evs =
+    List.filter_map
+      (fun e ->
+        match e.kind with
+        | Link_send p -> Some (e.stamp.time, p.seq)
+        | _ -> None)
+      evs
+  in
+  send 0;
+  send 1;
+  let kept = List.map to_json (events ()) and ring = recent bus in
+  let ring_json = List.map to_json ring in
+  Alcotest.(check (list (pair (float 0.) int))) "memory sink: both sends"
+    [ (0., 0); (0., 1) ] (sends (events ()));
+  Alcotest.(check (list (pair (float 0.) int))) "ring: both sends"
+    [ (0., 0); (0., 1) ] (sends ring);
+  send 2;
+  Engine.Sim.run sim ~until:1.;
+  let now_kept = List.map to_json (events ()) in
+  Alcotest.(check (list string)) "memory sink unchanged by later emits" kept
+    (List.filteri (fun i _ -> i < List.length kept) now_kept);
+  Alcotest.(check (list string)) "recent unchanged by later emits" ring_json
+    (List.map to_json ring);
+  Alcotest.(check (list (pair (float 0.) int))) "later sends kept too"
+    [ (0., 0); (0., 1); (0., 2) ] (sends (events ()));
+  Alcotest.(check (list string)) "ring keeps the last eight"
+    (List.filteri (fun i _ -> i >= List.length now_kept - 8) now_kept)
+    (List.map to_json (recent bus))
+
+let test_reentrant_emit_raises () =
+  let bus = create () in
+  let other = create () in
+  let seen, seen_events = memory_sink () in
+  add_sink other seen;
+  add_sink bus
+    {
+      emit =
+        (fun e ->
+          emit other ~time:e.stamp.time e.kind;
+          if e.kind = Sim_created then emit bus ~time:0. Sim_created);
+      close = ignore;
+    };
+  Alcotest.check_raises "emit from a sink onto its own bus"
+    (Invalid_argument "Trace.emit: re-entrant emit from a sink of the same bus")
+    (fun () -> emit bus ~time:1. Sim_created);
+  emit bus ~time:2. (Queue_sample { len = 3 });
+  Alcotest.(check int) "the bus delivers again after the raise" 2
+    (List.length (seen_events ()));
+  Alcotest.(check int) "both emits counted" 2 (emitted bus)
+
+(* The trace path of a packet — its [link/send] and [link/deliver], and
+   the checker reading both — allocates nothing. A round on a bus with the
+   checker attached costs more words than on an inert bus only by the
+   round's own [sim/run_start] and [sim/run_end]: the excess is the same
+   for [n] packets as for [2n]. *)
+let test_link_packet_trace_words () =
+  let excess n =
+    let plain = link_round_words (create ()) n in
+    let bus = create () in
+    let checker = Tfrc.Invariants.create () in
+    Tfrc.Invariants.attach checker bus;
+    let traced = link_round_words bus n in
+    Alcotest.(check bool) "checker saw both rounds" true
+      (Tfrc.Invariants.n_events checker >= 4 * n && Tfrc.Invariants.ok checker);
+    traced -. plain
+  in
+  let n = 1000 in
+  let words = (excess (2 * n) -. excess n) /. float_of_int n in
+  if words <> 0. then
+    Alcotest.failf "trace path: %g minor words per packet (budget 0)" words
 
 let () =
   Alcotest.run "trace"
@@ -640,5 +736,14 @@ let () =
         [
           Alcotest.test_case "traced link packet" `Quick
             test_traced_link_budget;
+        ] );
+      ( "borrowed",
+        [
+          Alcotest.test_case "kept events are copies" `Quick
+            test_kept_events_are_copies;
+          Alcotest.test_case "re-entrant emit raises" `Quick
+            test_reentrant_emit_raises;
+          Alcotest.test_case "link packet trace words" `Quick
+            test_link_packet_trace_words;
         ] );
     ]
