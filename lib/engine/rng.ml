@@ -2,16 +2,22 @@
    XSH-RR output permutation. Small, fast, and good statistical quality for
    simulation purposes. *)
 
-type t = {
-  mutable state : int64;
-  inc : int64; (* stream selector; always odd *)
-}
+(* The state sits at byte 0 and the stream selector (always odd) at
+   byte 8 of one 16-byte block, read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne]. A [mutable int64] field would
+   box a new state at every step; here ocamlopt keeps a draw's int64
+   arithmetic unboxed, and a draw that returns an int or a bool
+   allocates nothing. *)
+type t = Bytes.t
 
 let multiplier = 6364136223846793005L
 
-let step t = t.state <- Int64.add (Int64.mul t.state multiplier) t.inc
+let[@inline] step t =
+  Bytes.set_int64_ne t 0
+    (Int64.add (Int64.mul (Bytes.get_int64_ne t 0) multiplier)
+       (Bytes.get_int64_ne t 8))
 
-let output state =
+let[@inline] output state =
   (* XSH-RR: xorshift high bits, then rotate right by the top 5 bits. *)
   let xorshifted =
     Int64.to_int
@@ -26,9 +32,10 @@ let output state =
   v land 0xFFFFFFFF
 
 let make ~state ~inc =
-  let t = { state = 0L; inc = Int64.logor (Int64.shift_left inc 1) 1L } in
+  let t = Bytes.make 16 '\000' in
+  Bytes.set_int64_ne t 8 (Int64.logor (Int64.shift_left inc 1) 1L);
   step t;
-  t.state <- Int64.add t.state state;
+  Bytes.set_int64_ne t 0 (Int64.add (Bytes.get_int64_ne t 0) state);
   step t;
   t
 
@@ -56,8 +63,8 @@ let for_key ~seed key =
   let inc = fnv1a64 (Int64.logxor state 0x9E3779B97F4A7C15L) key in
   make ~state ~inc
 
-let bits32 t =
-  let v = output t.state in
+let[@inline] bits32 t =
+  let v = output (Bytes.get_int64_ne t 0) in
   step t;
   v
 
@@ -66,21 +73,19 @@ let split t =
   let i = Int64.of_int (bits32 t) in
   make ~state:(Int64.logor (Int64.shift_left s 32) i) ~inc:i
 
+(* Rejection sampling to avoid modulo bias; a top-level loop, so a draw
+   builds no closure. *)
+let rec draw_below t bound =
+  let v = bits32 t in
+  let r = v mod bound in
+  if v - r + (bound - 1) < 0x100000000 then r else draw_below t bound
 
 let int t bound =
   assert (bound > 0);
-  if bound <= 0x40000000 then begin
-    (* Rejection sampling to avoid modulo bias. *)
-    let rec draw () =
-      let v = bits32 t in
-      let r = v mod bound in
-      if v - r + (bound - 1) < 0x100000000 then r else draw ()
-    in
-    draw ()
-  end
+  if bound <= 0x40000000 then draw_below t bound
   else (bits32 t lsl 31) lxor bits32 t land max_int mod bound
 
-let float t bound =
+let[@inline] float t bound =
   assert (bound > 0.);
   (* 53 bits of mantissa from two draws. *)
   let hi = bits32 t land 0x1FFFFF (* 21 bits *) and lo = bits32 t in
@@ -91,25 +96,21 @@ let uniform t a b =
   assert (b >= a);
   if b = a then a else a +. float t (b -. a)
 
-let bool t ~p =
+let[@inline] bool t ~p =
   assert (p >= 0. && p <= 1.);
   if p <= 0. then false else if p >= 1. then true else float t 1.0 < p
 
+let rec positive t =
+  let u = float t 1.0 in
+  if u > 0. then u else positive t
+
 let exponential t ~mean =
   assert (mean > 0.);
-  let rec positive () =
-    let u = float t 1.0 in
-    if u > 0. then u else positive ()
-  in
-  -.mean *. log (positive ())
+  -.mean *. log (positive t)
 
 let pareto t ~shape ~scale =
   assert (shape > 0. && scale > 0.);
-  let rec positive () =
-    let u = float t 1.0 in
-    if u > 0. then u else positive ()
-  in
-  scale /. (positive () ** (1. /. shape))
+  scale /. (positive t ** (1. /. shape))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -2,7 +2,11 @@
 
     Every stochastic element of the simulator draws from an explicit [Rng.t]
     so that experiments are reproducible from a seed and independent streams
-    can be split off for independent traffic sources. *)
+    can be split off for independent traffic sources.
+
+    The state is read and written in place, unboxed, so {!bits32},
+    {!int} and {!bool} allocate nothing; a draw that returns a float
+    allocates only that float's box where the call is not inlined. *)
 
 type t
 

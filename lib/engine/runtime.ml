@@ -113,33 +113,43 @@ let at t time f =
               (Printf.sprintf "%s.at: time %g is in the past (now %g)"
                  (name t) time t.clock.now))
 
-(* A relative deadline is never in the past; it only has to be finite. *)
-let check_delay t op delay =
+(* A relative deadline is never in the past; it only has to be finite.
+   The checks are inlined into [after], [post] and [rearm], and those
+   into their callers, so a delay computed at a call site reaches the
+   timer core unboxed; their failures are raised out of line. *)
+let[@inline never] bad_delay t op delay =
   if not (Float.is_finite delay) then
     invalid_arg (Printf.sprintf "%s.%s: non-finite delay %g" (name t) op delay);
   if delay < 0. then
     invalid_arg (Printf.sprintf "%s.%s: negative delay" (name t) op);
-  refresh t;
-  if not (Float.is_finite (t.clock.now +. delay)) then
-    invalid_arg
-      (Printf.sprintf "%s.%s: non-finite time %g" (name t) op
-         (t.clock.now +. delay))
+  invalid_arg
+    (Printf.sprintf "%s.%s: non-finite time %g" (name t) op
+       (t.clock.now +. delay))
 
-let after t delay f =
+let[@inline] check_delay t op delay =
+  if not (Float.is_finite delay) || delay < 0. then bad_delay t op delay;
+  refresh t;
+  if not (Float.is_finite (t.clock.now +. delay)) then bad_delay t op delay
+
+let[@inline] after t delay f =
   match t.read with
   | View v -> v.v_after delay f
   | Virtual | Monotonic _ ->
       check_delay t "after" delay;
       Timers.after t.timers t.clock ~delay f
 
-let post t delay g a =
+(* Out of line: a closure in its body would keep [post] from inlining. *)
+let[@inline never] view_post v delay g a =
+  ignore (v.v_after delay (fun () -> g a))
+
+let[@inline] post t delay g a =
   match t.read with
-  | View v -> ignore (v.v_after delay (fun () -> g a))
+  | View v -> view_post v delay g a
   | Virtual | Monotonic _ ->
       check_delay t "post" delay;
       Timers.post t.timers t.clock ~delay g a
 
-let rearm t h delay f =
+let[@inline] rearm t h delay f =
   match t.read with
   | View v ->
       cancel h;

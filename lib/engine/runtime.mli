@@ -26,7 +26,10 @@
     Relative deadlines are summed from the record inside the timer core,
     and the next deadline is read back through it, so no deadline is
     boxed at a call either, even in a build that inlines nothing across
-    modules.
+    modules. A delay computed at the call site is not boxed either where
+    the build inlines across modules: {!after}, {!post} and {!rearm}
+    inline, with their checks, down to the timer core, and only a
+    failing check leaves the inlined path.
 
     What a protocol module may assume about a runtime:
     - [now] is monotone non-decreasing and starts at 0 at runtime creation;

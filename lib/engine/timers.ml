@@ -334,11 +334,11 @@ let[@inline] schedule t ~time f =
   Timer { q = t; slot = s; gen = t.stamp.(s) }
 
 (* Relative deadlines are summed into the inlined [enqueue], unboxed. *)
-let after t c ~delay f = schedule t ~time:(c.now +. delay) f
+let[@inline] after t c ~delay f = schedule t ~time:(c.now +. delay) f
 
 (* The new timer is queued before the old one is cancelled: neither step
    reads what the other writes, and a rejected time leaves [h] as it was. *)
-let rearm t h c ~delay f =
+let[@inline] rearm t h c ~delay f =
   match h with
   | Timer r when r.q == t ->
       let s = enqueue "rearm" t (c.now +. delay) in
@@ -352,7 +352,7 @@ let rearm t h c ~delay f =
       cancel h;
       fresh
 
-let post t c ~delay g a =
+let[@inline] post t c ~delay g a =
   let s = enqueue "post" t (c.now +. delay) in
   t.arg.(s) <- a;
   t.pfn.(s) <- g

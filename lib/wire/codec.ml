@@ -161,7 +161,14 @@ type body =
 
 type msg = { epoch : int; flow : int; body : body }
 
-let non_finite what = Error (Bad_value (what ^ " is not finite"))
+type 'a reader = {
+  packet : epoch:int -> Netsim.Packet.t -> 'a;
+  close : epoch:int -> flow:int -> 'a;
+  close_ack : epoch:int -> flow:int -> 'a;
+  error : error -> 'a;
+}
+
+let non_finite r what = r.error (Bad_value (what ^ " is not finite"))
 
 (* The frame length its tag declares, or -1 for an unknown tag. A
    Tcp_ack's sack count lives 7 bytes into its payload, so a caller must
@@ -176,7 +183,7 @@ let frame_len b tag =
 
 (* A decoded packet frame: the header fields the payload does not
    carry, read from [b]. *)
-let packet_msg rt b ~epoch ~flow ~sent_at payload =
+let read_packet rt r b ~epoch ~flow ~sent_at payload =
   let flags = Bytes.get_uint8 b 4 in
   let p =
     Netsim.Packet.make rt
@@ -185,66 +192,66 @@ let packet_msg rt b ~epoch ~flow ~sent_at payload =
   in
   p.ecn_marked <- flags land 2 <> 0;
   p.corrupted <- flags land 4 <> 0;
-  Ok { epoch; flow; body = Packet p }
+  r.packet ~epoch p
 
-(* Checks run in a fixed order and the first failure is the result.
+(* Checks run in a fixed order and the first failure goes to [r.error].
    Plain branches, not a result monad: a valid frame allocates its
-   message and packet and nothing else. *)
-let decode_bytes rt b ~len:got =
+   packet and nothing else. *)
+let read rt r b ~len:got =
   if got < 0 || got > Bytes.length b then
-    invalid_arg "Wire.Codec.decode_bytes: len outside the buffer";
-  if got > max_frame then Error (Oversized { limit = max_frame; got })
+    invalid_arg "Wire.Codec.read: len outside the buffer";
+  if got > max_frame then r.error (Oversized { limit = max_frame; got })
   else if got < header_len then
-    Error (Truncated { expected = header_len; got })
-  else if Bytes.get b 0 <> 'T' || Bytes.get b 1 <> 'F' then Error Bad_magic
+    r.error (Truncated { expected = header_len; got })
+  else if Bytes.get b 0 <> 'T' || Bytes.get b 1 <> 'F' then r.error Bad_magic
   else
     let v = Bytes.get_uint8 b 2 in
-    if v <> version then Error (Bad_version v)
+    if v <> version then r.error (Bad_version v)
     else
       let tag = Bytes.get_uint8 b 3 in
       if tag = 1 && got < header_len + 7 then
-        Error (Truncated { expected = header_len + 7; got })
+        r.error (Truncated { expected = header_len + 7; got })
       else
         let expected = frame_len b tag in
-        if expected < 0 then Error (Bad_tag tag)
-        else if got <> expected then Error (Bad_length { expected; got })
+        if expected < 0 then r.error (Bad_tag tag)
+        else if got <> expected then r.error (Bad_length { expected; got })
         else
           let sum = get_u32 b 7 in
           let computed = frame_checksum b ~len:got in
           if sum <> computed then
-            Error (Bad_checksum { expected = computed; got = sum })
+            r.error (Bad_checksum { expected = computed; got = sum })
           else
             let epoch = Bytes.get_uint16_be b 5 in
             let flow = get_u32 b 11 in
-            if tag = tag_close then Ok { epoch; flow; body = Close }
-            else if tag = tag_close_ack then
-              Ok { epoch; flow; body = Close_ack }
+            if tag = tag_close then r.close ~epoch ~flow
+            else if tag = tag_close_ack then r.close_ack ~epoch ~flow
             else
               let sent_at = get_f64 b 23 in
-              if not (Float.is_finite sent_at) then non_finite "sent_at"
+              if not (Float.is_finite sent_at) then non_finite r "sent_at"
               else
                 match tag with
-                | 0 -> packet_msg rt b ~epoch ~flow ~sent_at Netsim.Packet.Data
+                | 0 ->
+                    read_packet rt r b ~epoch ~flow ~sent_at Netsim.Packet.Data
                 | 2 ->
                     let rtt = get_f64 b 31 in
-                    if not (Float.is_finite rtt) then non_finite "rtt"
+                    if not (Float.is_finite rtt) then non_finite r "rtt"
                     else
-                      packet_msg rt b ~epoch ~flow ~sent_at
+                      read_packet rt r b ~epoch ~flow ~sent_at
                         (Netsim.Packet.Tfrc_data { rtt })
                 | 3 ->
                     let p = get_f64 b 31
                     and recv_rate = get_f64 b 39
                     and ts_echo = get_f64 b 47
                     and ts_delay = get_f64 b 55 in
-                    if not (Float.is_finite p) then non_finite "p"
+                    if not (Float.is_finite p) then non_finite r "p"
                     else if not (Float.is_finite recv_rate) then
-                      non_finite "recv_rate"
+                      non_finite r "recv_rate"
                     else if not (Float.is_finite ts_echo) then
-                      non_finite "ts_echo"
+                      non_finite r "ts_echo"
                     else if not (Float.is_finite ts_delay) then
-                      non_finite "ts_delay"
+                      non_finite r "ts_delay"
                     else
-                      packet_msg rt b ~epoch ~flow ~sent_at
+                      read_packet rt r b ~epoch ~flow ~sent_at
                         (Netsim.Packet.Tfrc_feedback
                            { p; recv_rate; ts_echo; ts_delay })
                 | _ ->
@@ -253,10 +260,19 @@ let decode_bytes rt b ~len:got =
                       List.init n (fun i ->
                           (get_u32 b (38 + (8 * i)), get_u32 b (42 + (8 * i))))
                     in
-                    packet_msg rt b ~epoch ~flow ~sent_at
+                    read_packet rt r b ~epoch ~flow ~sent_at
                       (Netsim.Packet.Tcp_ack
                          { ack = get_u32 b 31; sack;
                            ece = Bytes.get_uint8 b 35 <> 0 })
 
+let to_msg =
+  {
+    packet =
+      (fun ~epoch p -> Ok { epoch; flow = p.Netsim.Packet.flow; body = Packet p });
+    close = (fun ~epoch ~flow -> Ok { epoch; flow; body = Close });
+    close_ack = (fun ~epoch ~flow -> Ok { epoch; flow; body = Close_ack });
+    error = (fun e -> Error e);
+  }
+
 let decode rt s =
-  decode_bytes rt (Bytes.unsafe_of_string s) ~len:(String.length s)
+  read rt to_msg (Bytes.unsafe_of_string s) ~len:(String.length s)

@@ -36,8 +36,9 @@
     denormals — survives the trip bit-for-bit; the sim-vs-wire
     differential depends on that.
 
-    {!decode} is total: any byte string returns [Ok] or [Error], never
-    raises; so is {!decode_bytes} over any in-range length. The checksum
+    {!read} is total over any in-range length: each datagram reaches
+    exactly one of its reader's continuations, and it never raises; so
+    {!decode} returns [Ok] or [Error] for any byte string. The checksum
     covers everything except its own field, so a corrupted datagram (any
     flipped bit) is rejected rather than parsed into a half-plausible
     packet. *)
@@ -88,17 +89,31 @@ type body =
     a control message. For [Packet p], [flow = p.flow]. *)
 type msg = { epoch : int; flow : int; body : body }
 
-(** [decode_bytes rt b ~len] parses the datagram held in the first [len]
-    bytes of [b], in place: a receive buffer decodes with no copy. A
-    packet's id is drawn fresh from [rt] ({!Engine.Runtime.fresh_id}) —
-    wire ids are local to the receiving loop, exactly as simulated ids
-    are local to their sim; control frames draw nothing. The checks run
-    in a fixed order and the first that fails is the [Error]; a
-    non-finite float field is reported by its name, the first in frame
-    order. Bytes of [b] past [len] are never read, and the result shares
-    nothing with [b]. Raises [Invalid_argument] only if [len] is outside
-    [0 .. Bytes.length b]. *)
-val decode_bytes : Engine.Runtime.t -> Bytes.t -> len:int -> (msg, error) result
+(** What {!read} does with a frame: exactly one continuation runs per
+    datagram. [packet ~epoch p] gets a packet frame (its flow is
+    [p.flow]); [close] and [close_ack] get a control frame's epoch and
+    flow id; [error] gets the first check that failed. An endpoint
+    builds its reader once and reuses it for every datagram. *)
+type 'a reader = {
+  packet : epoch:int -> Netsim.Packet.t -> 'a;
+  close : epoch:int -> flow:int -> 'a;
+  close_ack : epoch:int -> flow:int -> 'a;
+  error : error -> 'a;
+}
 
-(** [decode rt s] is {!decode_bytes} over all of [s]. *)
+(** [read rt r b ~len] parses the datagram held in the first [len] bytes
+    of [b], in place, and hands it to [r]: a receive buffer decodes with
+    no copy, and a valid packet frame allocates the packet and nothing
+    else. A packet's id is drawn fresh from [rt]
+    ({!Engine.Runtime.fresh_id}) — wire ids are local to the receiving
+    loop, exactly as simulated ids are local to their sim; control frames
+    draw nothing. The checks run in a fixed order and the first that
+    fails goes to [r.error]; a non-finite float field is reported by its
+    name, the first in frame order. Bytes of [b] past [len] are never
+    read, and the packet shares nothing with [b]. Raises
+    [Invalid_argument] only if [len] is outside [0 .. Bytes.length b]. *)
+val read : Engine.Runtime.t -> 'a reader -> Bytes.t -> len:int -> 'a
+
+(** [decode rt s] is {!read} over all of [s] with a reader that builds
+    the {!msg}. *)
 val decode : Engine.Runtime.t -> string -> (msg, error) result

@@ -187,32 +187,32 @@ let rec health_tick t =
     t.health_timer <-
       Some (Loop.after t.loop t.health_period (fun () -> health_tick t))
 
-let handle_datagram t buf len _src =
-  match Codec.decode_bytes t.rt buf ~len with
-  | Ok { body = Codec.Packet pkt; epoch = e; _ } ->
-      if t.quiesced then t.post_quiesce <- t.post_quiesce + 1
-      else if t.st = Closed || t.st = Backoff || e <> t.cur_epoch then
-        t.stale <- t.stale + 1
-      else begin
-        t.fb_delivered <- t.fb_delivered + 1;
-        t.last_contact <- Loop.now t.loop;
-        if t.st = Starting || t.st = Degraded then transition t Established;
-        Tfrc.Tfrc_sender.recv t.machine pkt
-      end
-  | Ok { body = Codec.Close; epoch = e; flow } ->
-      t.ctrl <- t.ctrl + 1;
-      if not t.quiesced && t.st <> Closed then begin
-        t.send_out
-          (Codec.encode_close_ack ~epoch:e ~flow ~now:(Loop.now t.loop));
-        finish_close t
-      end
-  | Ok { body = Codec.Close_ack; epoch = e; _ } ->
-      t.ctrl <- t.ctrl + 1;
-      if (not t.quiesced) && t.close_pending && e = t.cur_epoch then
-        finish_close t
-  | Error err ->
-      t.decode_errors <- t.decode_errors + 1;
-      trace_decode_error t.rt err
+let on_packet t ~epoch pkt =
+  if t.quiesced then t.post_quiesce <- t.post_quiesce + 1
+  else if t.st = Closed || t.st = Backoff || epoch <> t.cur_epoch then
+    t.stale <- t.stale + 1
+  else begin
+    t.fb_delivered <- t.fb_delivered + 1;
+    t.last_contact <- Loop.now t.loop;
+    if t.st = Starting || t.st = Degraded then transition t Established;
+    Tfrc.Tfrc_sender.recv t.machine pkt
+  end
+
+let on_close t ~epoch ~flow =
+  t.ctrl <- t.ctrl + 1;
+  if not t.quiesced && t.st <> Closed then begin
+    t.send_out (Codec.encode_close_ack ~epoch ~flow ~now:(Loop.now t.loop));
+    finish_close t
+  end
+
+let on_close_ack t ~epoch ~flow:_ =
+  t.ctrl <- t.ctrl + 1;
+  if (not t.quiesced) && t.close_pending && epoch = t.cur_epoch then
+    finish_close t
+
+let on_error t err =
+  t.decode_errors <- t.decode_errors + 1;
+  trace_decode_error t.rt err
 
 let create loop udp ~config ?(sup = default_config) ~flow ~dest ?send ~seed
     ?(mutate = false) () =
@@ -266,7 +266,15 @@ let create loop udp ~config ?(sup = default_config) ~flow ~dest ?send ~seed
     }
   in
   cell := Some t;
-  Udp.set_handler udp (fun buf len src -> handle_datagram t buf len src);
+  let reader =
+    {
+      Codec.packet = (fun ~epoch pkt -> on_packet t ~epoch pkt);
+      close = (fun ~epoch ~flow -> on_close t ~epoch ~flow);
+      close_ack = (fun ~epoch ~flow -> on_close_ack t ~epoch ~flow);
+      error = (fun err -> on_error t err);
+    }
+  in
+  Udp.set_handler udp (fun buf len _src -> Codec.read rt reader buf ~len);
   (* Hard send errnos degrade an established session immediately — the
      paper's rate machinery never sees them (sends look like silence),
      so the lifecycle layer must. *)
@@ -322,7 +330,8 @@ module Receiver = struct
     tfrc_config : Tfrc.Tfrc_config.t;
     flow : int;
     send_out : string -> unit;
-    mutable peer : Unix.sockaddr option;
+    mutable src : Unix.sockaddr;  (* the source of the datagram being read *)
+    mutable peer : Unix.sockaddr;  (* [no_peer] until a frame is taken *)
     mutable cur_epoch : int;
     mutable machine : Tfrc.Tfrc_receiver.t;
     mutable epochs_seen : int;
@@ -355,39 +364,40 @@ module Receiver = struct
     r.closed <- false;
     r.machine <- new_machine r
 
-  let deliver r pkt src =
+  (* Compared physically: no source address is this block. *)
+  let no_peer = Unix.ADDR_UNIX ""
+
+  let deliver r pkt =
     (* Latest-wins peer learning: a sender restarting on a new ephemeral
        port gets feedback as soon as its frame lands. *)
-    r.peer <- Some src;
+    r.peer <- r.src;
     r.delivered <- r.delivered + 1;
     Tfrc.Tfrc_receiver.recv r.machine pkt
 
-  let handle r buf len src =
-    match Codec.decode_bytes r.rt buf ~len with
-    | Ok { body = Codec.Packet pkt; epoch = e; _ } ->
-        if r.quiesced then r.post_quiesce <- r.post_quiesce + 1
-        else if e > r.cur_epoch then begin
-          adopt_epoch r e;
-          deliver r pkt src
-        end
-        else if e < r.cur_epoch || r.closed then r.stale <- r.stale + 1
-        else deliver r pkt src
-    | Ok { body = Codec.Close; epoch = e; flow } ->
-        r.ctrl <- r.ctrl + 1;
-        if not r.quiesced then begin
-          r.peer <- Some src;
-          r.send_out
-            (Codec.encode_close_ack ~epoch:e ~flow ~now:(Loop.now r.loop));
-          if e >= r.cur_epoch then begin
-            r.cur_epoch <- e;
-            r.closed <- true;
-            Tfrc.Tfrc_receiver.stop r.machine
-          end
-        end
-    | Ok { body = Codec.Close_ack; _ } -> r.ctrl <- r.ctrl + 1
-    | Error err ->
-        r.decode_errors <- r.decode_errors + 1;
-        trace_decode_error r.rt err
+  let on_packet r ~epoch pkt =
+    if r.quiesced then r.post_quiesce <- r.post_quiesce + 1
+    else if epoch > r.cur_epoch then begin
+      adopt_epoch r epoch;
+      deliver r pkt
+    end
+    else if epoch < r.cur_epoch || r.closed then r.stale <- r.stale + 1
+    else deliver r pkt
+
+  let on_close r ~epoch ~flow =
+    r.ctrl <- r.ctrl + 1;
+    if not r.quiesced then begin
+      r.peer <- r.src;
+      r.send_out (Codec.encode_close_ack ~epoch ~flow ~now:(Loop.now r.loop));
+      if epoch >= r.cur_epoch then begin
+        r.cur_epoch <- epoch;
+        r.closed <- true;
+        Tfrc.Tfrc_receiver.stop r.machine
+      end
+    end
+
+  let on_error r err =
+    r.decode_errors <- r.decode_errors + 1;
+    trace_decode_error r.rt err
 
   let create loop udp ~config ~flow ?send () =
     let rt = Loop.runtime loop in
@@ -400,7 +410,8 @@ module Receiver = struct
       | None -> (
           fun frame ->
             match !cell with
-            | Some { peer = Some dest; _ } -> Udp.send udp ~dest frame
+            | Some { peer; _ } when peer != no_peer ->
+                Udp.send udp ~dest:peer frame
             | _ -> ())
     in
     let machine0 =
@@ -418,7 +429,8 @@ module Receiver = struct
         tfrc_config = config;
         flow;
         send_out;
-        peer = None;
+        src = no_peer;
+        peer = no_peer;
         cur_epoch = 0;
         machine = machine0;
         epochs_seen = 0;
@@ -434,7 +446,17 @@ module Receiver = struct
       }
     in
     cell := Some r;
-    Udp.set_handler udp (fun buf len src -> handle r buf len src);
+    let reader =
+      {
+        Codec.packet = (fun ~epoch pkt -> on_packet r ~epoch pkt);
+        close = (fun ~epoch ~flow -> on_close r ~epoch ~flow);
+        close_ack = (fun ~epoch:_ ~flow:_ -> r.ctrl <- r.ctrl + 1);
+        error = (fun err -> on_error r err);
+      }
+    in
+    Udp.set_handler udp (fun buf len src ->
+        r.src <- src;
+        Codec.read rt reader buf ~len);
     r
 
   let current_epoch r = r.cur_epoch

@@ -41,7 +41,7 @@ val addr : port:int -> Unix.sockaddr
     each datagram as the first [len] bytes of [buf] and its source
     address. [buf] is the socket's receive buffer, lent for the call
     only: the next receive overwrites it, so a handler that keeps the
-    bytes copies them ([Bytes.sub_string buf 0 len]). {!Codec.decode_bytes}
+    bytes copies them ([Bytes.sub_string buf 0 len]). {!Codec.read}
     reads a frame in place. Replaces any previous handler. *)
 val set_handler : t -> (Bytes.t -> int -> Unix.sockaddr -> unit) -> unit
 

@@ -91,6 +91,71 @@ let test_rng_shuffle_permutation () =
     Alcotest.(array int)
     "shuffle is a permutation" (Array.init 50 Fun.id) sorted
 
+(* The streams are part of every pinned output: the first draws of a
+   seeded, a keyed and a split generator, and of each distribution a
+   component draws per packet, bit for bit. *)
+let first16 rng = List.init 16 (fun _ -> Engine.Rng.bits32 rng)
+
+let test_rng_golden () =
+  let ints = Alcotest.(list int) in
+  check ints "create ~seed:42"
+    [ 0xa513b1c3; 0x8276298e; 0xf9f0a03a; 0x6e52513a; 0xfb990d5d; 0x1bd3c619;
+      0xabd7e683; 0x30c8b14e; 0x308e2b64; 0xff81e5c7; 0x2cde445f; 0xf4eb6c8e;
+      0x92812f72; 0x43d8f043; 0x711a65ea; 0x76977467 ]
+    (first16 (Engine.Rng.create ~seed:42));
+  check ints "for_key ~seed:42 \"wire/supervisor\""
+    [ 0x71be2e9a; 0xe7d81676; 0x941d5239; 0x96c35314; 0x67b5530d; 0x68e3911b;
+      0x80057696; 0x259634b9; 0x620cdb43; 0xa78f391a; 0x19182647; 0x30e1affe;
+      0xb17d48ed; 0xc3295255; 0xa9bbcdcb; 0xdda8208d ]
+    (first16 (Engine.Rng.for_key ~seed:42 "wire/supervisor"));
+  let parent = Engine.Rng.create ~seed:42 in
+  let child = Engine.Rng.split parent in
+  check ints "split"
+    [ 0x614b9e2c; 0x80146f07; 0x34e0e812; 0xfeac8f47; 0x7544beaf; 0x7d49f4b5;
+      0x8b66a51c; 0xa5346621; 0x3f553cc3; 0x6f1077c1; 0xb6ca4c7d; 0x166ba46a;
+      0xa6ea1980; 0xf0f0c6d9; 0xb9b6fc16; 0x867429a5 ]
+    (first16 child);
+  check ints "split parent, after its two draws"
+    [ 0xf9f0a03a; 0x6e52513a; 0xfb990d5d; 0x1bd3c619 ]
+    (List.init 4 (fun _ -> Engine.Rng.bits32 parent));
+  let rng = Engine.Rng.create ~seed:1 in
+  check
+    Alcotest.(list string)
+    "float 1.0"
+    [ "0x1.256e7683b29fp-2"; "0x1.1aa056d663dcp-7"; "0x1.370b3ef2bba2cp-2";
+      "0x1.b73bf7e02d54p-6" ]
+    (List.init 4 (fun _ -> Printf.sprintf "%h" (Engine.Rng.float rng 1.0)));
+  check ints "int 10" [ 3; 1; 6; 1 ]
+    (List.init 4 (fun _ -> Engine.Rng.int rng 10));
+  check Alcotest.int "int 2^40" 975291430343 (Engine.Rng.int rng (1 lsl 40));
+  check
+    Alcotest.(list bool)
+    "bool 0.3"
+    [ false; false; true; true; true; true; true; false ]
+    (List.init 8 (fun _ -> Engine.Rng.bool rng ~p:0.3));
+  check Alcotest.int "next bits32" 0x0f12aa34 (Engine.Rng.bits32 rng)
+
+(* A draw that returns an int or a bool allocates nothing: the PCG32
+   state is read and written in place, unboxed. *)
+let check_draw_words name draw =
+  let rng = Engine.Rng.create ~seed:5 and n = 10_000 and acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc + draw rng
+  done;
+  let w2 = Gc.minor_words () in
+  ignore (Sys.opaque_identity !acc);
+  let words = w2 -. w1 -. (w1 -. w0) in
+  if words > 0. then
+    Alcotest.failf "%s: %.0f minor words for %d draws (bound 0)" name words n
+
+let test_rng_draw_words () =
+  check_draw_words "bits32" Engine.Rng.bits32;
+  check_draw_words "int" (fun rng -> Engine.Rng.int rng 10);
+  check_draw_words "bool" (fun rng ->
+      if Engine.Rng.bool rng ~p:0.3 then 1 else 0)
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -1446,6 +1511,9 @@ let () =
           Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_minimum;
           Alcotest.test_case "shuffle permutation" `Quick
             test_rng_shuffle_permutation;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden;
+          Alcotest.test_case "int and bool draws allocate nothing" `Quick
+            test_rng_draw_words;
           qtest prop_int_in_bounds;
           qtest prop_float_in_bounds;
         ] );

@@ -226,10 +226,19 @@ let test_codec_rejects_v1 () =
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "v1 frame decoded"
 
-(* [decode_bytes] over a prefix of a larger buffer, whose tail is junk,
-   gives what [decode] gives on that prefix as a string: every sample
-   frame whole and at every truncation. *)
-let test_codec_decode_bytes_prefix () =
+(* A reader that builds what [decode] returns. *)
+let msg_reader : (Wire.Codec.msg, Wire.Codec.error) result Wire.Codec.reader =
+  {
+    packet = (fun ~epoch p -> Ok { epoch; flow = p.flow; body = Packet p });
+    close = (fun ~epoch ~flow -> Ok { epoch; flow; body = Close });
+    close_ack = (fun ~epoch ~flow -> Ok { epoch; flow; body = Close_ack });
+    error = (fun e -> Error e);
+  }
+
+(* [read] over a prefix of a larger buffer, whose tail is junk, gives
+   what [decode] gives on that prefix as a string: every sample frame
+   whole and at every truncation. *)
+let test_codec_read_prefix () =
   let rt = fresh_rt () in
   let same what a b =
     match (a, b) with
@@ -243,24 +252,31 @@ let test_codec_decode_bytes_prefix () =
     | _ -> Alcotest.failf "%s: one decoder accepted, the other refused" what
   in
   let buf = Bytes.make Wire.Codec.max_frame 'T' in
+  let frames =
+    List.mapi
+      (fun i payload ->
+        let p =
+          mk_packet rt ~ecn:(i mod 2 = 1) ~flow:(i + 2) ~seq:(i * 5) ~size:900
+            ~sent_at:(0.25 *. float_of_int i) payload
+        in
+        Wire.Codec.encode ~epoch:(i + 1) p)
+      sample_payloads
+    @ [ Wire.Codec.encode_close ~epoch:3 ~flow:9 ~now:1.5;
+        Wire.Codec.encode_close_ack ~epoch:4 ~flow:9 ~now:2.5 ]
+  in
   List.iteri
-    (fun i payload ->
-      let p =
-        mk_packet rt ~ecn:(i mod 2 = 1) ~flow:(i + 2) ~seq:(i * 5) ~size:900
-          ~sent_at:(0.25 *. float_of_int i) payload
-      in
-      let frame = Wire.Codec.encode ~epoch:(i + 1) p in
+    (fun i frame ->
       Bytes.blit_string frame 0 buf 0 (String.length frame);
       for len = 0 to String.length frame do
         same
-          (Printf.sprintf "payload %d, %d bytes" i len)
+          (Printf.sprintf "frame %d, %d bytes" i len)
           (Wire.Codec.decode rt (String.sub frame 0 len))
-          (Wire.Codec.decode_bytes rt buf ~len)
+          (Wire.Codec.read rt msg_reader buf ~len)
       done)
-    sample_payloads;
+    frames;
   List.iter
     (fun len ->
-      match Wire.Codec.decode_bytes rt (Bytes.create 40) ~len with
+      match Wire.Codec.read rt msg_reader (Bytes.create 40) ~len with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "len %d outside a 40-byte buffer accepted" len)
     [ -1; 41 ]
@@ -1039,17 +1055,20 @@ let test_receiver_epoch_adoption () =
    sockets, each direction through a seeded shaper (1% loss, 10 ms), as
    in the wire benchmark. After 5 s of slow start, minor words per
    datagram sent over the next 20 s. Per datagram the path pays for the
-   kernel's source address, the decoded packet and message, the encoded
-   frame, the protocol's own timers and the clock, boxed at most once per
-   instant: 78.6 words on OCaml 5.1.1, built as [dune runtest] builds it
-   (the dev profile). The settle reads each socket its in-flight counts
-   name, so no [select] ready list and no EAGAIN exception is paid per
-   datagram; the two cost 17.0 more. A closure and handle per shaped
-   frame, an fd list rebuilt per poll, a copy of each received datagram
-   and a decode through result continuations together cost 64.4 more; a
-   clock boxed at every timer pop and every read of [now] cost about 3
-   more. *)
-let datagram_words_bound = 79.
+   kernel's source address, the decoded packet, the encoded frame, the
+   protocol's own timers and the clock, boxed at most once per instant:
+   60.7 words on OCaml 5.1.1, built as [dune runtest] builds it (the dev
+   profile). The shaper's PCG32 state is read and written in place, each
+   endpoint reads frames through one reader built at creation, so no
+   message or result wraps a packet, and the receiver stores its peer
+   without an option; before that the three cost 17.9 more. The settle
+   reads each socket its in-flight counts name, so no [select] ready list
+   and no EAGAIN exception is paid per datagram; the two cost 17.0 more.
+   A closure and handle per shaped frame, an fd list rebuilt per poll, a
+   copy of each received datagram and a decode through result
+   continuations together cost 64.4 more; a clock boxed at every timer
+   pop and every read of [now] cost about 3 more. *)
+let datagram_words_bound = 61.3
 
 let test_wire_words_per_datagram () =
   let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
@@ -1092,8 +1111,40 @@ let test_wire_words_per_datagram () =
   check Alcotest.bool "traffic flowed" true (datagrams > 5_000);
   let words = (w2 -. w1 -. (w1 -. w0)) /. float_of_int datagrams in
   if words > datagram_words_bound then
-    Alcotest.failf "%.1f minor words per datagram (bound %.0f)" words
+    Alcotest.failf "%.1f minor words per datagram (bound %.1f)" words
       datagram_words_bound
+
+(* Reading a valid Tfrc_data frame allocates the packet (its record, the
+   [sent_at] box and the payload) and nothing for a message: the
+   reader's continuation gets the packet itself. *)
+let test_codec_read_words () =
+  let rt = fresh_rt () in
+  let frame =
+    Wire.Codec.encode ~epoch:1
+      (mk_packet rt ~flow:1 ~seq:1 ~size:1000 ~sent_at:0.5
+         (Tfrc_data { rtt = 0.05 }))
+  in
+  let buf = Bytes.of_string frame and len = String.length frame in
+  let last = ref Netsim.Packet.none in
+  let reader =
+    {
+      Wire.Codec.packet = (fun ~epoch:_ p -> last := p);
+      close = (fun ~epoch:_ ~flow:_ -> Alcotest.fail "close");
+      close_ack = (fun ~epoch:_ ~flow:_ -> Alcotest.fail "close_ack");
+      error = (fun e -> Alcotest.fail (Wire.Codec.error_to_string e));
+    }
+  in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to n do
+    Wire.Codec.read rt reader buf ~len
+  done;
+  let w2 = Gc.minor_words () in
+  let words = (w2 -. w1 -. (w1 -. w0)) /. float_of_int n in
+  let packet = float_of_int (Obj.reachable_words (Obj.repr !last)) in
+  if words > packet then
+    Alcotest.failf "%.1f minor words per read, the packet is %.0f" words packet
 
 (* --- Chaos soak --------------------------------------------------------- *)
 
@@ -1174,8 +1225,8 @@ let () =
             test_codec_epoch_roundtrip;
           Alcotest.test_case "control frames" `Quick test_codec_control_frames;
           Alcotest.test_case "rejects v1" `Quick test_codec_rejects_v1;
-          Alcotest.test_case "decode_bytes reads a prefix" `Quick
-            test_codec_decode_bytes_prefix;
+          Alcotest.test_case "read reads a prefix" `Quick
+            test_codec_read_prefix;
           Alcotest.test_case "names the first non-finite field" `Quick
             test_codec_names_first_non_finite;
         ] );
@@ -1243,6 +1294,7 @@ let () =
         ] );
       ( "budget",
         [
+          Alcotest.test_case "codec read words" `Quick test_codec_read_words;
           Alcotest.test_case "warp pair words per datagram" `Quick
             test_wire_words_per_datagram;
         ] );
