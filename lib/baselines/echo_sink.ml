@@ -17,7 +17,11 @@ let recv t (pkt : Netsim.Packet.t) =
         Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:pkt.seq ~size:ack_size
           ~now:(Engine.Runtime.now t.rt)
           (Netsim.Packet.Tcp_ack
-             { ack = pkt.seq + 1; sack = []; ece = pkt.ecn_marked })
+             {
+               ack = pkt.seq + 1;
+               sack = [];
+               ece = Netsim.Packet.ecn_marked pkt;
+             })
       in
       t.transmit echo
   | Tcp_ack _ | Tfrc_feedback _ -> ()

@@ -1,6 +1,13 @@
 (* Feedback packet size, bytes. *)
 let feedback_size = 40
 
+(* The timing state, in a record of floats only so writes store unboxed. *)
+type floats = {
+  mutable last_data_arrival : float;
+  mutable last_fb_time : float;
+  mutable prev_recv_rate : float;
+}
+
 type t = {
   rt : Engine.Runtime.t;
   config : Tfrc_config.t;
@@ -8,12 +15,13 @@ type t = {
   transmit : Netsim.Packet.handler;
   intervals : Loss_intervals.t;
   detector : Loss_events.t;
+  fl : floats;
+  (* These two stay boxed: each is a packet's own box, stored as it is,
+     and leaves as a boxed argument or payload field, which a float
+     field would box again at every read. *)
   mutable rtt : float; (* sender's estimate, piggybacked on data *)
   mutable last_data_sent_at : float; (* timestamp echo *)
-  mutable last_data_arrival : float;
   mutable bytes_since_fb : int;
-  mutable last_fb_time : float;
-  mutable prev_recv_rate : float;
   mutable packets : int;
   mutable bytes : int;
   mutable feedbacks : int;
@@ -35,12 +43,15 @@ let rec create rt ~config ~flow ~transmit () =
         Loss_intervals.create ~n:config.Tfrc_config.n_intervals
           ~discounting:config.Tfrc_config.history_discounting ();
       detector = Loss_events.create ~ndupack:config.Tfrc_config.ndupack ();
+      fl =
+        {
+          last_data_arrival = 0.;
+          last_fb_time = Engine.Runtime.now rt;
+          prev_recv_rate = 0.;
+        };
       rtt = config.Tfrc_config.initial_rtt;
       last_data_sent_at = 0.;
-      last_data_arrival = 0.;
       bytes_since_fb = 0;
-      last_fb_time = Engine.Runtime.now rt;
-      prev_recv_rate = 0.;
       packets = 0;
       bytes = 0;
       feedbacks = 0;
@@ -62,15 +73,16 @@ let rec create rt ~config ~flow ~transmit () =
   t
 
 and send_feedback t =
+  let fl = t.fl in
   let now = Engine.Runtime.now t.rt in
-  let elapsed = now -. t.last_fb_time in
+  let elapsed = now -. fl.last_fb_time in
   let recv_rate =
     if elapsed > 0. then float_of_int t.bytes_since_fb /. elapsed
-    else t.prev_recv_rate
+    else fl.prev_recv_rate
   in
-  t.prev_recv_rate <- recv_rate;
+  fl.prev_recv_rate <- recv_rate;
   t.bytes_since_fb <- 0;
-  t.last_fb_time <- now;
+  fl.last_fb_time <- now;
   t.feedbacks <- t.feedbacks + 1;
   t.fb_seq <- t.fb_seq + 1;
   let avg = Loss_intervals.average t.intervals in
@@ -93,7 +105,7 @@ and send_feedback t =
            p;
            recv_rate;
            ts_echo = t.last_data_sent_at;
-           ts_delay = now -. t.last_data_arrival;
+           ts_delay = now -. fl.last_data_arrival;
          })
   in
   t.transmit pkt
@@ -102,12 +114,12 @@ and send_feedback t =
    equation produce half the rate at which data was arriving when the first
    loss occurred (Section 3.4.1). *)
 let seed_history t =
-  let now = Engine.Runtime.now t.rt in
-  let elapsed = now -. t.last_fb_time in
+  let fl = t.fl in
+  let elapsed = Engine.Runtime.now_unboxed t.rt -. fl.last_fb_time in
   let recent_rate =
     if t.bytes_since_fb > 0 && elapsed > 1e-9 then
       float_of_int t.bytes_since_fb /. elapsed
-    else t.prev_recv_rate
+    else fl.prev_recv_rate
   in
   let s = t.config.Tfrc_config.packet_size in
   let target = Float.max (float_of_int s /. t.rtt) (recent_rate /. 2.) in
@@ -122,7 +134,7 @@ let seed_history t =
 
 let recv t (pkt : Netsim.Packet.t) =
   match pkt.payload with
-  | Tfrc_data _ when pkt.corrupted ->
+  | Tfrc_data _ when Netsim.Packet.corrupted pkt ->
       (* Checksum failure: the packet is gone as far as the protocol is
          concerned; the sequence hole it leaves behind is detected and
          charged as loss by the normal gap machinery. *)
@@ -133,20 +145,20 @@ let recv t (pkt : Netsim.Packet.t) =
          sequence number it has already resolved. *)
       t.duplicates <- t.duplicates + 1
   | Tfrc_data { rtt } ->
-      let now = Engine.Runtime.now t.rt in
+      let fl = t.fl in
       t.packets <- t.packets + 1;
       t.bytes <- t.bytes + pkt.size;
       t.bytes_since_fb <- t.bytes_since_fb + pkt.size;
       if rtt > 0. then t.rtt <- rtt;
       t.last_data_sent_at <- pkt.sent_at;
-      t.last_data_arrival <- now;
+      fl.last_data_arrival <- Engine.Runtime.now_unboxed t.rt;
       let had_loss = Loss_events.in_loss t.detector in
       let new_events =
         Loss_events.on_packet t.detector ~seq:pkt.seq ~sent_at:pkt.sent_at
           ~rtt:t.rtt ~intervals:t.intervals
       in
       let new_events =
-        if t.config.Tfrc_config.ecn && pkt.ecn_marked then
+        if t.config.Tfrc_config.ecn && Netsim.Packet.ecn_marked pkt then
           new_events
           + Loss_events.on_marked t.detector ~seq:pkt.seq ~sent_at:pkt.sent_at
               ~rtt:t.rtt ~intervals:t.intervals

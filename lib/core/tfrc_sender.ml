@@ -172,8 +172,7 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
      subsequent reports ratchet the rate up. *)
   let recovering = t.expiries_since_fb > 0 in
   t.expiries_since_fb <- 0;
-  let now = Engine.Runtime.now t.rt in
-  let rtt_sample = now -. ts_echo -. ts_delay in
+  let rtt_sample = Engine.Runtime.now_unboxed t.rt -. ts_echo -. ts_delay in
   if rtt_sample > 0. then begin
     Rtt_estimator.sample t.rtt_est rtt_sample;
     t.data <- Netsim.Packet.Tfrc_data { rtt = Rtt_estimator.rtt t.rtt_est }
@@ -227,7 +226,7 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
          { flow = t.flow; rate = fl.rate; prev_rate; recv_rate; p; rtt = r })
 
 let recv t (pkt : Netsim.Packet.t) =
-  if pkt.corrupted then ()
+  if Netsim.Packet.corrupted pkt then ()
   else
     match pkt.payload with
     | Tfrc_feedback { p; recv_rate; ts_echo; ts_delay } ->

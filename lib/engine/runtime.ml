@@ -89,6 +89,17 @@ let[@inline never] rebox t =
   | View v -> v.v_now ()
 
 let[@inline] now t = if t.boxed then t.box else rebox t
+
+(* The clock record's field, read where it is used: inlined, the value
+   never leaves a register, and nothing reads or fills the shared box. *)
+let[@inline] now_unboxed t =
+  match t.read with
+  | Virtual -> t.clock.now
+  | Monotonic _ ->
+      refresh t;
+      t.clock.now
+  | View v -> v.v_now ()
+
 let[@inline] trace t = t.trace
 
 (* NaN would sail through the past-guard ([nan < now] is false) and

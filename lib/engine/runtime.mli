@@ -112,6 +112,23 @@ val make :
     between two clock moves return physically the same float. *)
 val now : t -> float
 
+(** [now_unboxed t] is the same time as {!now}, for a reader that only
+    computes with it: subtracts it, compares it or stores it in a float
+    record. It inlines to a read of the clock record (a monotonic clock
+    is read first, a view calls its closure), so in a build that inlines
+    across modules the time is never boxed. It does not fill {!now}'s
+    shared box either, and where the build does not inline (the dev
+    profile compiles with [-opaque]) each call returns a fresh box.
+
+    Which read to use: a reader that stores the time in a boxed place,
+    such as [Packet.make ~now], or passes it to a function that is not
+    inlined, takes {!now}, since every such reader in one instant shares
+    its single box. A reader that only computes with the time takes
+    [now_unboxed], if nothing else boxes the clock in that instant;
+    where something does, {!now}'s box is already paid for, and a dev
+    build would pay a second one for [now_unboxed]. *)
+val now_unboxed : t -> float
+
 (** [at t time f] schedules [f] at absolute [time], which must be
     finite; a past [time] raises or is clamped, as {!create} says.
     [after t delay f] schedules [f] in [delay] seconds: [delay] must be

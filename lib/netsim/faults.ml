@@ -92,7 +92,7 @@ let corrupt rng ~p dest =
   counted (fun hit pkt ->
       if Engine.Rng.bool rng ~p then begin
         hit ();
-        pkt.Packet.corrupted <- true
+        Packet.corrupt pkt
       end;
       dest pkt)
 

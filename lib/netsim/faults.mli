@@ -80,9 +80,10 @@ val duplicate :
   Packet.handler ->
   Packet.handler * (unit -> int)
 
-(** [corrupt rng ~p dest] sets {!Packet.t.corrupted} with probability [p]
-    before delivery; conforming endpoints discard such packets (checksum
-    failure), turning corruption into loss without the queue noticing. *)
+(** [corrupt rng ~p dest] sets a packet's corrupted bit
+    ({!Packet.corrupt}) with probability [p] before delivery; conforming
+    endpoints discard such packets (checksum failure), turning corruption
+    into loss without the queue noticing. *)
 val corrupt :
   Engine.Rng.t -> p:float -> Packet.handler -> Packet.handler * (unit -> int)
 

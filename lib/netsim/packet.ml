@@ -16,10 +16,18 @@ type t = {
   size : int;
   sent_at : float;
   payload : payload;
-  ecn_capable : bool;
-  mutable ecn_marked : bool; (* set by an ECN queue in flight *)
-  mutable corrupted : bool; (* damaged in flight; endpoints must discard *)
+  mutable flags : int; (* bit 0 ECT, bit 1 CE, bit 2 corrupted *)
 }
+
+let ect = 1
+let ce = 2
+let damaged = 4
+let defined_flags = ect lor ce lor damaged
+let[@inline] ecn_capable p = p.flags land ect <> 0
+let[@inline] ecn_marked p = p.flags land ce <> 0
+let[@inline] corrupted p = p.flags land damaged <> 0
+let[@inline] mark_ecn p = p.flags <- p.flags lor ce
+let[@inline] corrupt p = p.flags <- p.flags lor damaged
 
 type handler = t -> unit
 
@@ -36,13 +44,11 @@ let make rt ~ecn ~flow ~seq ~size ~now payload =
     size;
     sent_at = now;
     payload;
-    ecn_capable = ecn;
-    ecn_marked = false;
-    corrupted = false;
+    flags = (if ecn then ect else 0);
   }
 
 let none =
   { id = -1; flow = -1; seq = -1; size = 0; sent_at = 0.; payload = Data;
-    ecn_capable = false; ecn_marked = false; corrupted = false }
+    flags = 0 }
 
 let is_data p = match p.payload with Data | Tfrc_data _ -> true | _ -> false

@@ -35,15 +35,38 @@ type t = {
   size : int;  (** bytes *)
   sent_at : float;  (** virtual time the source emitted the packet *)
   payload : payload;
-  ecn_capable : bool;  (** sender supports Explicit Congestion Notification *)
-  mutable ecn_marked : bool;  (** CE mark set by an ECN-enabled queue *)
-  mutable corrupted : bool;
-      (** payload damaged in flight (fault injection); a real stack's
-          checksum would fail, so endpoints discard such packets on
-          arrival *)
+  mutable flags : int;
+      (** the in-flight marks, one bit each, in the layout of the wire
+          header's flags byte ([Wire.Codec], byte 4): bit 0 ECT (the
+          sender supports Explicit Congestion Notification), bit 1 CE (an
+          ECN-enabled queue marked it), bit 2 corrupted (payload damaged
+          in flight by fault injection; a real stack's checksum would
+          fail, so endpoints discard such packets on arrival). No other
+          bit is ever set. Read them with {!ecn_capable}, {!ecn_marked}
+          and {!corrupted}; set them with {!mark_ecn} and {!corrupt}. *)
 }
-(** A packet is written once at allocation; only the in-flight marks
-    [ecn_marked] and [corrupted] change afterwards. *)
+(** A packet is written once at allocation; only the in-flight marks in
+    [flags] change afterwards. One int holds what three bools did, so a
+    packet is 7 fields (8 words with its header). *)
+
+(** Bit 0 of [flags]: the flow is ECN-capable. *)
+val ecn_capable : t -> bool
+
+(** Bit 1 of [flags]: a queue set the CE mark. *)
+val ecn_marked : t -> bool
+
+(** Bit 2 of [flags]: damaged in flight. *)
+val corrupted : t -> bool
+
+(** [mark_ecn p] sets the CE bit. *)
+val mark_ecn : t -> unit
+
+(** [corrupt p] sets the corrupted bit. *)
+val corrupt : t -> unit
+
+(** The mask of the three defined bits, [0b111]; a flags value with any
+    other bit set is not a packet's. *)
+val defined_flags : int
 
 (** [make rt ~ecn ~flow ~seq ~size ~now payload] allocates a packet whose
     id is drawn from [rt]'s per-runtime counter

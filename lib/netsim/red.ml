@@ -97,8 +97,10 @@ let create ~params ~now ~ptc =
     (* With ECN, an early congestion indication marks an ECN-capable packet
        instead of dropping it (RFC 3168 / the paper's Section 7 outlook);
        physical overflow always drops. *)
-    let drop = overflow || (early && not (st.p.ecn && pkt.ecn_capable)) in
-    if early && not drop then pkt.ecn_marked <- true;
+    let drop =
+      overflow || (early && not (st.p.ecn && Packet.ecn_capable pkt))
+    in
+    if early && not drop then Packet.mark_ecn pkt;
     (* If the buffer is still empty after a drop, we are idle again. *)
     if drop && len = 0 then st.f.idle_since <- st.now ();
     not drop

@@ -281,7 +281,8 @@ let on_ece t =
 
 let recv t (pkt : Netsim.Packet.t) =
   match pkt.payload with
-  | _ when pkt.corrupted -> () (* checksum failure: ack is discarded *)
+  | _ when Netsim.Packet.corrupted pkt ->
+      () (* checksum failure: ack is discarded *)
   | Tcp_ack { ack; sack; ece } ->
       if t.running then begin
         if ece && t.config.ecn then on_ece t;

@@ -43,10 +43,12 @@ let send_ack t =
 
 let recv t (pkt : Netsim.Packet.t) =
   match pkt.payload with
-  | _ when pkt.corrupted -> () (* checksum failure: segment is discarded *)
+  | _ when Netsim.Packet.corrupted pkt ->
+      () (* checksum failure: segment is discarded *)
   | Data | Tfrc_data _ ->
       t.bytes <- t.bytes + pkt.size;
-      if t.config.ecn && pkt.ecn_marked then t.ce_pending <- true;
+      if t.config.ecn && Netsim.Packet.ecn_marked pkt then
+        t.ce_pending <- true;
       t.last_arrival <- pkt.seq;
       let in_order = pkt.seq = t.next_expected in
       if in_order then begin

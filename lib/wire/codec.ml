@@ -99,20 +99,18 @@ let encode ~epoch (p : Netsim.Packet.t) =
   check_u32 "seq" p.seq;
   check_u32 "size" p.size;
   check_epoch epoch;
+  if p.flags land lnot Netsim.Packet.defined_flags <> 0 then
+    invalid_arg "Wire.Codec.encode: unknown flag bits";
   let plen = payload_len p.payload in
   let total = header_len + plen in
   if total > max_frame then
     invalid_arg
       (Printf.sprintf "Wire.Codec.encode: frame %d exceeds max_frame" total);
   let b = Bytes.create total in
-  let flags =
-    (if p.ecn_capable then 1 else 0)
-    lor (if p.ecn_marked then 2 else 0)
-    lor if p.corrupted then 4 else 0
-  in
   write_header b
     ~tag:(tag_of_payload p.payload)
-    ~flags ~epoch ~flow:p.flow ~seq:p.seq ~size:p.size ~sent_at:p.sent_at;
+    ~flags:p.flags ~epoch ~flow:p.flow ~seq:p.seq ~size:p.size
+    ~sent_at:p.sent_at;
   (match p.payload with
   | Data -> ()
   | Tfrc_data { rtt } -> set_f64 b 31 rtt
@@ -184,14 +182,11 @@ let frame_len b tag =
 (* A decoded packet frame: the header fields the payload does not
    carry, read from [b]. *)
 let read_packet rt r b ~epoch ~flow ~sent_at payload =
-  let flags = Bytes.get_uint8 b 4 in
   let p =
-    Netsim.Packet.make rt
-      ~ecn:(flags land 1 <> 0)
-      ~flow ~seq:(get_u32 b 15) ~size:(get_u32 b 19) ~now:sent_at payload
+    Netsim.Packet.make rt ~ecn:false ~flow ~seq:(get_u32 b 15)
+      ~size:(get_u32 b 19) ~now:sent_at payload
   in
-  p.ecn_marked <- flags land 2 <> 0;
-  p.corrupted <- flags land 4 <> 0;
+  p.flags <- Bytes.get_uint8 b 4;
   r.packet ~epoch p
 
 (* Checks run in a fixed order and the first failure goes to [r.error].
@@ -220,6 +215,9 @@ let read rt r b ~len:got =
           let computed = frame_checksum b ~len:got in
           if sum <> computed then
             r.error (Bad_checksum { expected = computed; got = sum })
+          else if
+            Bytes.get_uint8 b 4 land lnot Netsim.Packet.defined_flags <> 0
+          then r.error (Bad_value "flags")
           else
             let epoch = Bytes.get_uint16_be b 5 in
             let flow = get_u32 b 11 in

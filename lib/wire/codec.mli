@@ -8,7 +8,7 @@
       2     version (2)
       3     tag: 0 Data, 1 Tcp_ack, 2 Tfrc_data, 3 Tfrc_feedback,
             4 CLOSE, 5 CLOSE-ACK
-      4     flags: bit0 ecn_capable, bit1 ecn_marked, bit2 corrupted
+      4     flags: bit0 ECT, bit1 CE, bit2 corrupted; bits 3-7 must be 0
       5-6   session epoch (u16)
       7-10  FNV-1a-32 checksum of bytes 0-6 and 11..end
       11-14 flow id        (u32)
@@ -31,6 +31,12 @@
     fail with [Bad_version 1] — rejected cleanly, never misparsed
     (their checksum field lands elsewhere, so even a same-length v1
     frame cannot pass the v2 checksum).
+
+    The flags byte is {!Netsim.Packet.t}'s [flags] word as it is: the
+    encoder writes it and the decoder stores it, with no per-bit
+    translation. A frame with any of bits 3-7 set fails with
+    [Bad_value "flags"], checked right after the checksum; the encoder
+    refuses a packet whose flags word has such a bit.
 
     Floats travel as raw IEEE-754 bits, so every value — nan, -0.,
     denormals — survives the trip bit-for-bit; the sim-vs-wire
@@ -62,16 +68,17 @@ type error =
   | Bad_checksum of { expected : int; got : int }
   | Bad_value of string
       (** structurally valid but semantically impossible field (e.g. a
-          non-finite [sent_at]) — only reachable with a correct checksum,
-          i.e. a crafted datagram *)
+          non-finite [sent_at], or ["flags"] with an undefined bit set) —
+          only reachable with a correct checksum, i.e. a crafted
+          datagram *)
 
 val error_to_string : error -> string
 
 (** [encode ~epoch p] renders [p] as one datagram stamped with the
     session [epoch]. Raises [Invalid_argument] if a field
     does not fit the format (negative or >2^32-1 counters, epoch outside
-    u16, more than 65535 sack ranges) — encoder misuse, not a runtime
-    condition. *)
+    u16, more than 65535 sack ranges, a flag bit above bit 2) — encoder
+    misuse, not a runtime condition. *)
 val encode : epoch:int -> Netsim.Packet.t -> string
 
 (** Header-only control frames for graceful teardown. [flow] and [now]

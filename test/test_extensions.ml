@@ -38,8 +38,8 @@ let mk_pkt ?(ecn = false) ~seq () =
 
 let test_packet_ecn_default_off () =
   let p = mk_pkt ~seq:0 () in
-  Alcotest.(check bool) "not capable" false p.Netsim.Packet.ecn_capable;
-  Alcotest.(check bool) "not marked" false p.Netsim.Packet.ecn_marked
+  Alcotest.(check bool) "not capable" false (Netsim.Packet.ecn_capable p);
+  Alcotest.(check bool) "not marked" false (Netsim.Packet.ecn_marked p)
 
 let red_with_ecn ~ecn now =
   Netsim.Red.create
@@ -54,7 +54,7 @@ let drive_red q ~ecn_pkts =
   for i = 1 to 300 do
     let pkt = mk_pkt ~ecn:ecn_pkts ~seq:i () in
     if not (q.Netsim.Queue_disc.enqueue pkt) then incr dropped
-    else if pkt.Netsim.Packet.ecn_marked then incr marked;
+    else if Netsim.Packet.ecn_marked pkt then incr marked;
     if i mod 4 = 0 then ignore (q.Netsim.Queue_disc.dequeue ())
   done;
   (!marked, !dropped)
@@ -151,7 +151,7 @@ let test_tcp_sink_echoes_ece () =
   in
   let recv = Tcpsim.Tcp_sink.recv sink in
   let marked = mk_pkt ~ecn:true ~seq:0 () in
-  marked.Netsim.Packet.ecn_marked <- true;
+  Netsim.Packet.mark_ecn marked;
   recv marked;
   recv (mk_pkt ~seq:1 ());
   (match List.rev !eces with
@@ -167,7 +167,7 @@ let test_tcp_halves_on_ece () =
   let mark_all = ref false in
   let sink_cell = ref None in
   let to_sink pkt =
-    if !mark_all then pkt.Netsim.Packet.ecn_marked <- true;
+    if !mark_all then Netsim.Packet.mark_ecn pkt;
     ignore
       (Engine.Sim.after sim 0.05 (fun () ->
            match !sink_cell with
@@ -208,7 +208,7 @@ let test_tfrc_responds_to_marks_without_loss () =
   let to_receiver pkt =
     incr count;
     (* Mark every 50th packet: congestion signal, nothing dropped. *)
-    if !count mod 50 = 0 then pkt.Netsim.Packet.ecn_marked <- true;
+    if !count mod 50 = 0 then Netsim.Packet.mark_ecn pkt;
     ignore
       (Engine.Sim.after sim 0.05 (fun () ->
            match !receiver_cell with

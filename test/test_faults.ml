@@ -239,7 +239,7 @@ let test_corrupt_wrapper () =
   let corrupted = ref 0 in
   let handler, count =
     Netsim.Faults.corrupt rng ~p:1. (fun p ->
-        if p.Netsim.Packet.corrupted then incr corrupted)
+        if Netsim.Packet.corrupted p then incr corrupted)
   in
   for i = 1 to 10 do
     handler (mk_pkt ~seq:i ())
@@ -339,7 +339,7 @@ let test_receiver_discards_corrupted () =
     Netsim.Packet.make (Engine.Sim.runtime pkt_sim) ~ecn:false ~flow:1 ~seq:2 ~size:1000 ~now:0.03
       (Netsim.Packet.Tfrc_data { rtt = 0.1 })
   in
-  bad.Netsim.Packet.corrupted <- true;
+  Netsim.Packet.corrupt bad;
   recv bad;
   feed_receiver recv [ 3; 4; 5; 6 ];
   Alcotest.(check int) "corrupted discarded" 1

@@ -414,8 +414,7 @@ let prop_receiver_survives_hostile_streams =
                let pkt =
                  Netsim.Packet.make (Engine.Sim.runtime sim) ~ecn:false ~flow ~seq ~size:1000 ~now payload
                in
-               if Engine.Rng.bool rng ~p:0.15 then
-                 pkt.Netsim.Packet.corrupted <- true;
+               if Engine.Rng.bool rng ~p:0.15 then Netsim.Packet.corrupt pkt;
                recv pkt))
       done;
       Engine.Sim.run sim ~until:(!t +. 1.);

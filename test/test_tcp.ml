@@ -607,13 +607,14 @@ let ack ?(sack = []) rt n =
     (Netsim.Packet.Tcp_ack { ack = n; sack; ece = false })
 
 (* A partial ack carrying a SACK block in Sack recovery sends one hole
-   retransmission and re-arms the RTO twice. That is the 10-word packet and
-   the 2-word [Some ecn] it is built with, plus per re-arm the 11-word
-   timer (see test_engine) and [Rto.rto]'s two float boxes. The scoreboard
-   allocates nothing. *)
+   retransmission and re-arms the RTO twice. That is the 8-word packet,
+   plus per re-arm [Rto.rto]'s float box; the re-arm itself allocates
+   nothing (see test_engine), nor does the scoreboard. 12 words in all,
+   under a bound set when the packet took an option and each re-arm a
+   fresh timer. *)
 let sender_recovery_ack_words = 42.
 
-(* An out-of-order segment's ack with three SACK blocks: the 10-word
+(* An out-of-order segment's ack with three SACK blocks: the 8-word
    packet, the 4-word [Tcp_ack] payload and 6 words per block (a pair and
    a cons cell). *)
 let sink_ooo_ack_words = 32.

@@ -29,9 +29,7 @@ let sample_payloads : Netsim.Packet.payload list =
 let packet_eq (a : Netsim.Packet.t) (b : Netsim.Packet.t) =
   a.flow = b.flow && a.seq = b.seq && a.size = b.size
   && Float_eq.equal a.sent_at b.sent_at
-  && a.ecn_capable = b.ecn_capable
-  && a.ecn_marked = b.ecn_marked
-  && a.corrupted = b.corrupted
+  && a.flags = b.flags
   &&
   match (a.payload, b.payload) with
   | Data, Data -> true
@@ -53,7 +51,7 @@ let test_codec_roundtrip () =
           ~size:(1000 + i) ~sent_at:(float_of_int i *. 0.125)
           payload
       in
-      p.ecn_marked <- i mod 3 = 0;
+      if i mod 3 = 0 then Netsim.Packet.mark_ecn p;
       let frame = Wire.Codec.encode ~epoch:0 p in
       match Wire.Codec.decode rt frame with
       | Error e -> Alcotest.failf "decode %d: %s" i (Wire.Codec.error_to_string e)
@@ -171,9 +169,14 @@ let test_codec_encode_validates () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative flow encoded");
   let p = mk_packet rt ~flow:1 ~seq:0x1_0000_0000 ~size:10 ~sent_at:0. Data in
+  (match Wire.Codec.encode ~epoch:0 p with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "out-of-range seq encoded");
+  let p = mk_packet rt ~flow:1 ~seq:0 ~size:10 ~sent_at:0. Data in
+  p.flags <- 8;
   match Wire.Codec.encode ~epoch:0 p with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range seq encoded"
+  | _ -> Alcotest.fail "unknown flag bit encoded"
 
 (* --- Codec v2: session epochs and control frames ------------------------ *)
 
@@ -225,6 +228,55 @@ let test_codec_rejects_v1 () =
   | Error (Wire.Codec.Bad_version 1) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Wire.Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "v1 frame decoded"
+
+(* Re-signs a forged frame: FNV-1a-32 over bytes 0-6 and 11 to the end,
+   the layout [codec.mli] gives the checksum, written into bytes 7-10. *)
+let reseal b =
+  let h = ref 0x811c9dc5 in
+  Bytes.iteri
+    (fun i c ->
+      if i < 7 || i > 10 then
+        h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
+    b;
+  Bytes.set_int32_be b 7 (Int32.of_int !h)
+
+(* Flag bits 3-7 are undefined: a frame with one set fails with
+   [Bad_value "flags"] even under a valid checksum, while bits 0-2 all
+   set decode into the packet's flags word. *)
+let test_codec_rejects_unknown_flags () =
+  let rt = fresh_rt () in
+  let p =
+    mk_packet rt ~ecn:true ~flow:1 ~seq:2 ~size:100 ~sent_at:0.5
+      (Tfrc_data { rtt = 0.05 })
+  in
+  let forged frame flags =
+    let b = Bytes.of_string frame in
+    Bytes.set_uint8 b 4 flags;
+    reseal b;
+    Wire.Codec.decode rt (Bytes.to_string b)
+  in
+  let frames =
+    [ ("data", Wire.Codec.encode ~epoch:1 p);
+      ("CLOSE", Wire.Codec.encode_close ~epoch:1 ~flow:1 ~now:0.5) ]
+  in
+  List.iter
+    (fun (what, frame) ->
+      for bit = 3 to 7 do
+        match forged frame (1 lor (1 lsl bit)) with
+        | Error (Wire.Codec.Bad_value "flags") -> ()
+        | Error e ->
+            Alcotest.failf "%s, bit %d: wrong error %s" what bit
+              (Wire.Codec.error_to_string e)
+        | Ok _ -> Alcotest.failf "%s, bit %d: frame accepted" what bit
+      done)
+    frames;
+  match forged (List.assoc "data" frames) 7 with
+  | Ok { body = Packet p'; _ } ->
+      check Alcotest.int "ECT, CE and corrupted" 7 p'.flags;
+      check Alcotest.bool "marked" true (Netsim.Packet.ecn_marked p');
+      check Alcotest.bool "corrupted" true (Netsim.Packet.corrupted p')
+  | Ok _ -> Alcotest.fail "data frame decoded to a control frame"
+  | Error e -> Alcotest.failf "bits 0-2: %s" (Wire.Codec.error_to_string e)
 
 (* A reader that builds what [decode] returns. *)
 let msg_reader : (Wire.Codec.msg, Wire.Codec.error) result Wire.Codec.reader =
@@ -1057,18 +1109,21 @@ let test_receiver_epoch_adoption () =
    datagram sent over the next 20 s. Per datagram the path pays for the
    kernel's source address, the decoded packet, the encoded frame, the
    protocol's own timers and the clock, boxed at most once per instant:
-   60.7 words on OCaml 5.1.1, built as [dune runtest] builds it (the dev
-   profile). The shaper's PCG32 state is read and written in place, each
-   endpoint reads frames through one reader built at creation, so no
-   message or result wraps a packet, and the receiver stores its peer
-   without an option; before that the three cost 17.9 more. The settle
+   56.7 words on OCaml 5.1.1, built as [dune runtest] builds it (the dev
+   profile). A packet is 8 words, its three marks in one flags word,
+   and the TFRC receiver stores its arrival times unboxed; before that
+   the two cost 4.0 more. The shaper's PCG32 state is read and written
+   in place, each endpoint reads frames through one reader built at
+   creation, so no message or result wraps a packet, and the receiver
+   stores its peer without an option; before that the three cost 17.9
+   more. The settle
    reads each socket its in-flight counts name, so no [select] ready list
    and no EAGAIN exception is paid per datagram; the two cost 17.0 more.
    A closure and handle per shaped frame, an fd list rebuilt per poll, a
    copy of each received datagram and a decode through result
    continuations together cost 64.4 more; a clock boxed at every timer
    pop and every read of [now] cost about 3 more. *)
-let datagram_words_bound = 61.3
+let datagram_words_bound = 57.3
 
 let test_wire_words_per_datagram () =
   let loop = Wire.Loop.create ~trace:(Engine.Trace.create ()) ~mode:`Warp () in
@@ -1113,6 +1168,12 @@ let test_wire_words_per_datagram () =
   if words > datagram_words_bound then
     Alcotest.failf "%.1f minor words per datagram (bound %.1f)" words
       datagram_words_bound
+
+(* A packet holds its three marks in one flags word: 7 fields, 8 words
+   with the header, in any build profile. *)
+let test_packet_fields () =
+  let p = mk_packet (fresh_rt ()) ~flow:1 ~seq:1 ~size:1 ~sent_at:0. Data in
+  check Alcotest.int "fields" 7 (Obj.size (Obj.repr p))
 
 (* Reading a valid Tfrc_data frame allocates the packet (its record, the
    [sent_at] box and the payload) and nothing for a message: the
@@ -1229,6 +1290,8 @@ let () =
             test_codec_read_prefix;
           Alcotest.test_case "names the first non-finite field" `Quick
             test_codec_names_first_non_finite;
+          Alcotest.test_case "rejects unknown flag bits" `Quick
+            test_codec_rejects_unknown_flags;
         ] );
       ( "shaper",
         [
@@ -1294,6 +1357,8 @@ let () =
         ] );
       ( "budget",
         [
+          Alcotest.test_case "packet record is 7 fields" `Quick
+            test_packet_fields;
           Alcotest.test_case "codec read words" `Quick test_codec_read_words;
           Alcotest.test_case "warp pair words per datagram" `Quick
             test_wire_words_per_datagram;
