@@ -150,7 +150,11 @@ let rec link_state_from t link i =
 
 let link_state t link = link_state_from t link 0
 
-let check_rate_update t at ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt =
+(* The [tfrc/*] rules take the event's float record, not its floats: a
+   float passed to a function that is not inlined is boxed. *)
+let check_rate_update t at ~flow (u : Engine.Trace.rate_update) =
+  let rate = u.rate and prev_rate = u.prev_rate and recv_rate = u.recv_rate in
+  let p = u.p and rtt = u.rtt in
   let st = flow_state t flow in
   if not (Float.is_finite rate) || rate <= 0. then
     violate t at ~rule:"sender-rate-bound" "flow %d: rate %g not finite positive"
@@ -178,7 +182,8 @@ let check_rate_update t at ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt =
   (* A feedback arrival ends any no-feedback backoff sequence. *)
   st.last_nofb_interval <- 0.
 
-let check_nofb_expiry t at ~flow ~rate ~interval ~consecutive =
+let check_nofb_expiry t at ~flow ~consecutive (e : Engine.Trace.nofb_expiry) =
+  let rate = e.rate and interval = e.interval in
   let st = flow_state t flow in
   if not (Float.is_finite interval) || interval <= 0. then
     violate t at ~rule:"nofb-backoff" "flow %d: bad no-feedback interval %g" flow
@@ -198,7 +203,8 @@ let check_nofb_expiry t at ~flow ~rate ~interval ~consecutive =
       "flow %d: backed-off rate %.1f below floor %.1f" flow rate st.min_rate;
   st.last_nofb_interval <- interval
 
-let check_feedback t at ~flow ~p ~recv_rate ~n_closed ~avg =
+let check_feedback t at ~flow ~n_closed (f : Engine.Trace.feedback) =
+  let p = f.p and recv_rate = f.recv_rate and avg = f.avg_interval in
   if not (Float.is_finite p) || p < 0. || p > 1. then
     violate t at ~rule:"loss-rate-range"
       "flow %d: loss event rate %g outside [0, 1]" flow p
@@ -279,12 +285,11 @@ let check_event t ({ stamp = at; kind } : Engine.Trace.event) =
           st.rv <- rv;
           st.t_mbi <- t_mbi;
           st.last_nofb_interval <- 0.
-      | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
-          check_rate_update t at ~flow ~rate ~prev_rate ~recv_rate ~p ~rtt
-      | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
-          check_nofb_expiry t at ~flow ~rate ~interval ~consecutive
-      | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
-          check_feedback t at ~flow ~p ~recv_rate ~n_closed ~avg:avg_interval
+      | Tfrc_rate_update { flow; floats } -> check_rate_update t at ~flow floats
+      | Tfrc_nofb_expiry { flow; consecutive; floats } ->
+          check_nofb_expiry t at ~flow ~consecutive floats
+      | Tfrc_feedback { flow; n_closed; floats } ->
+          check_feedback t at ~flow ~n_closed floats
       | Link_send { link; _ } ->
           let st = link_state t link in
           st.sent <- st.sent + 1;

@@ -30,6 +30,7 @@ type t = {
   mutable corrupted : int; (* arrivals discarded as damaged *)
   mutable running : bool;
   mutable fb_timer : Engine.Runtime.handle; (* the pending feedback tick *)
+  ev_feedback : Engine.Trace.kind; (* built once, refilled before each emit *)
 }
 
 let rec create rt ~config ~flow ~transmit () =
@@ -60,6 +61,13 @@ let rec create rt ~config ~flow ~transmit () =
       corrupted = 0;
       running = true;
       fb_timer = Engine.Runtime.null_handle;
+      ev_feedback =
+        Tfrc_feedback
+          {
+            flow;
+            n_closed = 0;
+            floats = { p = 0.; recv_rate = 0.; avg_interval = 0. };
+          };
     }
   in
   (* Periodic feedback: once per RTT if any data arrived in the interval. *)
@@ -87,16 +95,15 @@ and send_feedback t =
   t.fb_seq <- t.fb_seq + 1;
   let avg = Loss_intervals.average t.intervals in
   let p = Loss_intervals.rate_of_average avg in
-  if Engine.Runtime.tracing t.rt then
-    Engine.Runtime.emit t.rt
-      (Tfrc_feedback
-         {
-           flow = t.flow;
-           p;
-           recv_rate;
-           n_closed = Loss_intervals.n_closed t.intervals;
-           avg_interval = (if Float.is_nan avg then 0. else avg);
-         });
+  (if Engine.Runtime.tracing t.rt then
+     match t.ev_feedback with
+     | Tfrc_feedback e ->
+         e.n_closed <- Loss_intervals.n_closed t.intervals;
+         e.floats.p <- p;
+         e.floats.recv_rate <- recv_rate;
+         e.floats.avg_interval <- (if Float.is_nan avg then 0. else avg);
+         Engine.Runtime.emit t.rt t.ev_feedback
+     | _ -> ());
   let pkt =
     Netsim.Packet.make t.rt ~ecn:false ~flow:t.flow ~seq:t.fb_seq
       ~size:feedback_size ~now

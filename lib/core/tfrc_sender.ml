@@ -28,6 +28,10 @@ type t = {
   mutable on_nofb : unit -> unit; (* the no-feedback callback, built once *)
   mutable start_timer : Engine.Runtime.handle;
   mutable listeners : (float -> rate:float -> rtt:float -> p:float -> unit) list;
+  (* This flow's [tfrc/rate_update] and [tfrc/nofb_expiry] events, built
+     once and refilled before each emit. *)
+  ev_rate_update : Engine.Trace.kind;
+  ev_nofb_expiry : Engine.Trace.kind;
 }
 
 let[@inline] s_bytes t = float_of_int t.config.Tfrc_config.packet_size
@@ -82,8 +86,9 @@ let send_packet t =
    the path at least every t_mbi seconds (RFC 3448 section 4.4). Until a
    real RTT measurement exists the t_RTO term is only an assumption, so
    RFC 3448 sections 4.2/4.3 prescribe a flat initial timer instead
-   ([initial_nofb_timeout], default 2 s). *)
-let nofb_interval t =
+   ([initial_nofb_timeout], default 2 s). Inlined, so the interval is
+   stored in the trace event without a box. *)
+let[@inline] nofb_interval t =
   let rto_term =
     if Rtt_estimator.has_sample t.rtt_est then
       t.config.Tfrc_config.t_rto_factor *. Rtt_estimator.rtt t.rtt_est
@@ -107,17 +112,17 @@ let on_nofb_expiry t =
     notify t;
     restart_nofb_timer t;
     if tracing t then
-      (* [interval] recomputes the interval just scheduled (nothing changed
-         since); the checker validates the backoff ladder against the t_mbi
-         announced in this flow's [tfrc/start] event. *)
-      trace_ev t
-        (Tfrc_nofb_expiry
-           {
-             flow = t.flow;
-             rate = t.fl.rate;
-             interval = nofb_interval t;
-             consecutive = t.expiries_since_fb;
-           })
+      match t.ev_nofb_expiry with
+      | Tfrc_nofb_expiry e ->
+          (* [interval] recomputes the interval just scheduled (nothing
+             changed since); the checker validates the backoff ladder
+             against the t_mbi announced in this flow's [tfrc/start]
+             event. *)
+          e.consecutive <- t.expiries_since_fb;
+          e.floats.rate <- t.fl.rate;
+          e.floats.interval <- nofb_interval t;
+          trace_ev t t.ev_nofb_expiry
+      | _ -> ()
   end
 
 let create rt ~config ~flow ~transmit () =
@@ -155,6 +160,16 @@ let create rt ~config ~flow ~transmit () =
       on_nofb = ignore;
       start_timer = Engine.Runtime.null_handle;
       listeners = [];
+      ev_rate_update =
+        Tfrc_rate_update
+          {
+            flow;
+            floats =
+              { rate = 0.; prev_rate = 0.; recv_rate = 0.; p = 0.; rtt = 0. };
+          };
+      ev_nofb_expiry =
+        Tfrc_nofb_expiry
+          { flow; consecutive = 0; floats = { rate = 0.; interval = 0. } };
     }
   in
   t.on_send <- (fun () -> send_packet t);
@@ -219,11 +234,17 @@ let on_feedback t ~p ~recv_rate ~ts_echo ~ts_delay =
   notify t;
   restart_nofb_timer t;
   if tracing t then
-    (* Per-flow constants (s, min_rate, rv, t_mbi) ride on the one-shot
-       [tfrc/start] event, keeping this per-feedback record small. *)
-    trace_ev t
-      (Tfrc_rate_update
-         { flow = t.flow; rate = fl.rate; prev_rate; recv_rate; p; rtt = r })
+    match t.ev_rate_update with
+    | Tfrc_rate_update { floats = u; _ } ->
+        (* Per-flow constants (s, min_rate, rv, t_mbi) ride on the one-shot
+           [tfrc/start] event, keeping this per-feedback record small. *)
+        u.rate <- fl.rate;
+        u.prev_rate <- prev_rate;
+        u.recv_rate <- recv_rate;
+        u.p <- p;
+        u.rtt <- r;
+        trace_ev t t.ev_rate_update
+    | _ -> ()
 
 let recv t (pkt : Netsim.Packet.t) =
   if Netsim.Packet.corrupted pkt then ()

@@ -18,6 +18,24 @@ type link_packet = {
   mutable reason : string;
 }
 
+(* The floats of the three per-report [tfrc/*] events, each in a
+   float-only record: stored flat, so refilling one allocates nothing. *)
+type rate_update = {
+  mutable rate : float;
+  mutable prev_rate : float;
+  mutable recv_rate : float;
+  mutable p : float;
+  mutable rtt : float;
+}
+
+type nofb_expiry = { mutable rate : float; mutable interval : float }
+
+type feedback = {
+  mutable p : float;
+  mutable recv_rate : float;
+  mutable avg_interval : float;
+}
+
 type kind =
   | Sim_created
   | Sim_sweep of { before : int; after : int }
@@ -40,27 +58,13 @@ type kind =
       rv : bool;
       t_mbi : float;
     }
-  | Tfrc_rate_update of {
-      flow : int;
-      rate : float;
-      prev_rate : float;
-      recv_rate : float;
-      p : float;
-      rtt : float;
-    }
+  | Tfrc_rate_update of { flow : int; floats : rate_update }
   | Tfrc_nofb_expiry of {
       flow : int;
-      rate : float;
-      interval : float;
-      consecutive : int;
+      mutable consecutive : int;
+      floats : nofb_expiry;
     }
-  | Tfrc_feedback of {
-      flow : int;
-      p : float;
-      recv_rate : float;
-      n_closed : int;
-      avg_interval : float;
-    }
+  | Tfrc_feedback of { flow : int; mutable n_closed : int; floats : feedback }
   | Link_send of link_packet
   | Link_deliver of link_packet
   | Link_drop of link_packet
@@ -145,12 +149,19 @@ let close t =
 
 let emitted t = t.emitted
 
-(* The link events are the only kinds with mutable fields: their emitter
-   refills one block per link, so a kept copy needs its own. *)
+(* The link events and the per-report [tfrc/*] events are the kinds with
+   mutable fields: their emitter refills one block per link or flow, so a
+   kept copy needs its own. *)
 let copy_kind = function
   | Link_send p -> Link_send { p with id = p.id }
   | Link_deliver p -> Link_deliver { p with id = p.id }
   | Link_drop p -> Link_drop { p with id = p.id }
+  | Tfrc_rate_update { flow; floats = f } ->
+      Tfrc_rate_update { flow; floats = { f with rate = f.rate } }
+  | Tfrc_nofb_expiry { flow; consecutive; floats = f } ->
+      Tfrc_nofb_expiry { flow; consecutive; floats = { f with rate = f.rate } }
+  | Tfrc_feedback { flow; n_closed; floats = f } ->
+      Tfrc_feedback { flow; n_closed; floats = { f with p = f.p } }
   | k -> k
 
 let copy ev = { stamp = { time = ev.stamp.time }; kind = copy_kind ev.kind }
@@ -239,23 +250,24 @@ let view = function
           ("flow", Int flow); ("rate", Float rate); ("s", Float s);
           ("min_rate", Float min_rate); ("rv", Bool rv); ("t_mbi", Float t_mbi);
         ] )
-  | Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt } ->
+  | Tfrc_rate_update { flow; floats = f } ->
       ( "tfrc", "rate_update",
         [
-          ("flow", Int flow); ("rate", Float rate); ("prev_rate", Float prev_rate);
-          ("recv_rate", Float recv_rate); ("p", Float p); ("rtt", Float rtt);
+          ("flow", Int flow); ("rate", Float f.rate);
+          ("prev_rate", Float f.prev_rate); ("recv_rate", Float f.recv_rate);
+          ("p", Float f.p); ("rtt", Float f.rtt);
         ] )
-  | Tfrc_nofb_expiry { flow; rate; interval; consecutive } ->
+  | Tfrc_nofb_expiry { flow; consecutive; floats = f } ->
       ( "tfrc", "nofb_expiry",
         [
-          ("flow", Int flow); ("rate", Float rate); ("interval", Float interval);
-          ("consecutive", Int consecutive);
+          ("flow", Int flow); ("rate", Float f.rate);
+          ("interval", Float f.interval); ("consecutive", Int consecutive);
         ] )
-  | Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval } ->
+  | Tfrc_feedback { flow; n_closed; floats = f } ->
       ( "tfrc", "feedback",
         [
-          ("flow", Int flow); ("p", Float p); ("recv_rate", Float recv_rate);
-          ("n_closed", Int n_closed); ("avg_interval", Float avg_interval);
+          ("flow", Int flow); ("p", Float f.p); ("recv_rate", Float f.recv_rate);
+          ("n_closed", Int n_closed); ("avg_interval", Float f.avg_interval);
         ] )
   | Link_send p -> ("link", "send", packet p)
   | Link_deliver p -> ("link", "deliver", packet p)
@@ -322,10 +334,18 @@ let catalog =
       Exp_report { total = 0; ok = 0; resumed = 0; failed = 0; wall_s = 0. };
       Tfrc_start { flow = 0; rate = 0.; s = 0.; min_rate = 0.; rv = false; t_mbi = 0. };
       Tfrc_rate_update
-        { flow = 0; rate = 0.; prev_rate = 0.; recv_rate = 0.; p = 0.; rtt = 0. };
-      Tfrc_nofb_expiry { flow = 0; rate = 0.; interval = 0.; consecutive = 0 };
+        {
+          flow = 0;
+          floats = { rate = 0.; prev_rate = 0.; recv_rate = 0.; p = 0.; rtt = 0. };
+        };
+      Tfrc_nofb_expiry
+        { flow = 0; consecutive = 0; floats = { rate = 0.; interval = 0. } };
       Tfrc_feedback
-        { flow = 0; p = 0.; recv_rate = 0.; n_closed = 0; avg_interval = 0. };
+        {
+          flow = 0;
+          n_closed = 0;
+          floats = { p = 0.; recv_rate = 0.; avg_interval = 0. };
+        };
       Link_send (link_packet "");
       Link_deliver (link_packet "");
       Link_drop (link_packet "");

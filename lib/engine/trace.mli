@@ -26,9 +26,13 @@
     clock record, so it makes no box. A link builds its [link/*] kinds
     once and refills them per packet, so a packet's [link/send] and
     [link/deliver] allocate nothing, with {!Tfrc.Invariants} attached
-    too. What is left is what an emitter builds (a [tfrc/*] record, say)
-    and what a sink keeps: {!memory_sink} and the ring copy each event,
-    and only the sinks that render strings build them.
+    too. A TFRC sender builds its [tfrc/rate_update] and
+    [tfrc/nofb_expiry] kinds once, and a receiver its [tfrc/feedback],
+    and each refills its kind's float record and int fields per report,
+    so a feedback round's events allocate nothing either. What is left is
+    what the rare one-shot emitters build and what a sink keeps:
+    {!memory_sink} and the ring copy each event, and only the sinks that
+    render strings build them.
 
     Every {!Sim.create} attaches to the {!default} bus of the calling domain
     unless told otherwise, which is how [tfrc_sim --trace]/[--check] observe
@@ -38,12 +42,16 @@
     {2 Borrowed events}
 
     The {!event} a sink receives is the bus's own slot, lent for the
-    duration of the [emit] call: the next event overwrites it, and a
+    duration of the [emit] call: the next event overwrites it, a
     [link/*] kind's {!link_packet} is refilled by its link for the next
-    packet. A sink must read what it needs while [emit] runs, and keep
-    nothing of the event itself; {!memory_sink} and the ring keep copies
-    instead. A sink must not emit onto the bus it is attached to: such a
-    re-entrant [emit] raises [Invalid_argument].
+    packet, and a [tfrc/rate_update], [tfrc/nofb_expiry] or
+    [tfrc/feedback] kind's int fields and float record by its flow's
+    sender or receiver for the next report. A sink must read what it
+    needs while [emit] runs, and keep nothing of the event itself;
+    {!memory_sink} and the ring keep copies instead, and a copy has its
+    own [link_packet] or float record, so later emits leave it alone. A
+    sink must not emit onto the bus it is attached to: such a re-entrant
+    [emit] raises [Invalid_argument].
 
     {2 Threading contract}
 
@@ -74,6 +82,29 @@ type link_packet = {
   mutable reason : string;
 }
 
+(** The floats of a [tfrc/rate_update] event. This and the next two
+    records hold only floats, so OCaml stores them flat: a sender or
+    receiver builds its [tfrc/*] kinds once and refills these fields
+    before each emit, allocating nothing, and a sink sees them only while
+    the event is lent (see above). *)
+type rate_update = {
+  mutable rate : float;
+  mutable prev_rate : float;
+  mutable recv_rate : float;
+  mutable p : float;
+  mutable rtt : float;
+}
+
+(** The floats of a [tfrc/nofb_expiry] event. *)
+type nofb_expiry = { mutable rate : float; mutable interval : float }
+
+(** The floats of a [tfrc/feedback] event. *)
+type feedback = {
+  mutable p : float;
+  mutable recv_rate : float;
+  mutable avg_interval : float;
+}
+
 (** The event catalog, one constructor per [category/name]. *)
 type kind =
   | Sim_created  (** [sim/created]: scheduler constructed *)
@@ -100,27 +131,15 @@ type kind =
       rv : bool;
       t_mbi : float;
     }  (** [tfrc/start]: sender starts; carries the per-flow constants *)
-  | Tfrc_rate_update of {
-      flow : int;
-      rate : float;
-      prev_rate : float;
-      recv_rate : float;
-      p : float;
-      rtt : float;
-    }  (** [tfrc/rate_update]: sender processed a feedback report *)
+  | Tfrc_rate_update of { flow : int; floats : rate_update }
+      (** [tfrc/rate_update]: sender processed a feedback report *)
   | Tfrc_nofb_expiry of {
       flow : int;
-      rate : float;
-      interval : float;
-      consecutive : int;
+      mutable consecutive : int;
+      floats : nofb_expiry;
     }  (** [tfrc/nofb_expiry]: no-feedback timer fired *)
-  | Tfrc_feedback of {
-      flow : int;
-      p : float;
-      recv_rate : float;
-      n_closed : int;
-      avg_interval : float;
-    }  (** [tfrc/feedback]: receiver sent a report *)
+  | Tfrc_feedback of { flow : int; mutable n_closed : int; floats : feedback }
+      (** [tfrc/feedback]: receiver sent a report *)
   | Link_send of link_packet  (** [link/send]: a packet offered to a link *)
   | Link_deliver of link_packet
       (** [link/deliver]: a packet left the far end of a link *)

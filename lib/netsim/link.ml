@@ -99,9 +99,16 @@ let utilization t ~duration =
   if duration <= 0. then 0.
   else 8. *. float_of_int t.delivered_bytes /. (t.bandwidth *. duration)
 
+(* A manual loop: [List.iter] would allocate a closure per drop. *)
+let rec notify pkt = function
+  | [] -> ()
+  | f :: rest ->
+      f pkt;
+      notify pkt rest
+
 let drop ?(reason = "queue") t pkt =
   packet_event t t.ev_drop ~reason pkt;
-  List.iter (fun f -> f pkt) t.drop_listeners
+  notify pkt t.drop_listeners
 
 let deliver t pkt =
   packet_event t t.ev_deliver ~reason:"" pkt;

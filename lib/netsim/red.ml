@@ -25,8 +25,9 @@ type state = {
 }
 
 (* A small private xorshift keeps RED self-contained and deterministic
-   without threading an Engine.Rng through every topology builder. *)
-let next_uniform st =
+   without threading an Engine.Rng through every topology builder.
+   Inlined into [early_drop], so the draw is compared without a box. *)
+let[@inline] next_uniform st =
   let x = st.rng_state in
   let x = x lxor (x lsl 13) in
   let x = x lxor (x lsr 7) in

@@ -8,7 +8,13 @@
     [2*max_th] it rises linearly from [max_p] to 1, and only above that
     does every arrival drop. The inter-drop spacing
     uniformization (count-based p_a = p_b / (1 - count*p_b)) follows the
-    original paper. *)
+    original paper.
+
+    The drop decision draws from a private xorshift generator, seeded
+    the same for every queue. The draw is inlined into the decision and
+    compared unboxed, so an arrival in the early-drop region allocates
+    nothing. Only the start and the end of an idle period read the
+    clock, through [now]. *)
 
 type params = {
   min_th : float;  (** packets *)

@@ -434,7 +434,10 @@ let minor_words_of f =
    delivered: two posted events, no closure, handle or option, and the
    busy-time sum is stored unboxed. The popped deadlines move the clock
    record and nothing reads the clock, so no clock box is made. What is
-   left is one float box: the serialization time (2 words). *)
+   left is one float box, the serialization time (2 words): this dev
+   build compiles with [-opaque], so [Engine.Units.tx_time] is not
+   inlined into [Link] and returns its result boxed. The release build
+   inlines it, and the time reaches the timer wheel unboxed. *)
 let link_words_bound = 2.
 
 let test_link_words () =
@@ -465,6 +468,66 @@ let test_link_words () =
   Alcotest.(check int) "all delivered" 101 !received;
   if !words > link_words_bound then
     Alcotest.failf "%.1f minor words per packet (bound %.1f)" !words
+      link_words_bound
+
+(* A packet through a RED link whose average sits in the early-drop
+   region: each arrival updates the average and draws a uniform, which
+   [Red] compares without a box, so the packet allocates no more than on
+   a DropTail link. That holds for the arrivals RED drops too: a drop
+   calls the link's listeners without making a closure. A standing queue
+   of about 50 packets, refilled by one arrival per serialization time,
+   keeps the queue from going idle, so RED never reads the clock. *)
+let test_red_link_words () =
+  let sim = Engine.Sim.create ~trace:(Engine.Trace.create ()) () in
+  let rt = Engine.Sim.runtime sim in
+  let min_th = 1. and max_th = 100. in
+  let queue =
+    Netsim.Red.create
+      ~params:(Netsim.Red.params ~min_th ~max_th ~limit_pkts:1000 ())
+      ~now:(fun () -> Engine.Sim.now sim)
+      ~ptc:125.
+  in
+  let link = Netsim.Link.create rt ~bandwidth:1e6 ~delay:0.01 ~queue () in
+  let received = ref 0 in
+  Netsim.Link.set_dest link (fun _ -> incr received);
+  let tx = Engine.Units.tx_time ~bits_per_s:1e6 ~bytes:1000 in
+  let warm = 200 and n = 100 in
+  let pkts =
+    Array.init (50 + warm + n) (fun seq ->
+        Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq ~size:1000 ~now:0.
+          Netsim.Packet.Data)
+  in
+  (* The i-th arrival after the initial 50 lands half a slot after the
+     i-th departure. *)
+  let one i =
+    let until = (float_of_int (i + 1) -. 0.5) *. tx in
+    minor_words_of (fun () ->
+        Netsim.Link.send link pkts.(50 + i);
+        Engine.Sim.run sim ~until)
+  in
+  for i = 0 to 49 do
+    Netsim.Link.send link pkts.(i)
+  done;
+  for i = 0 to warm - 1 do
+    ignore (one i)
+  done;
+  let in_region () =
+    let avg = Netsim.Red.avg_queue queue in
+    avg > min_th && avg < max_th
+  in
+  Alcotest.(check bool) "average in the early-drop region" true (in_region ());
+  let drops = queue.Netsim.Queue_disc.stats.drops in
+  let words = ref 0. in
+  for i = warm to warm + n - 1 do
+    words := Float.max !words (one i)
+  done;
+  Alcotest.(check bool) "still in the early-drop region" true (in_region ());
+  Alcotest.(check bool) "still backlogged" true
+    (queue.Netsim.Queue_disc.len_pkts () > 0);
+  Alcotest.(check bool) "early drops among the measured arrivals" true
+    (queue.Netsim.Queue_disc.stats.drops > drops);
+  if !words > link_words_bound then
+    Alcotest.failf "RED: %.1f minor words per packet (bound %.1f)" !words
       link_words_bound
 
 (* --- Loss models ----------------------------------------------------------- *)
@@ -720,6 +783,7 @@ let () =
             test_link_rejects_non_finite;
           qtest prop_link_timing_mid_flight;
           Alcotest.test_case "words per packet" `Quick test_link_words;
+          Alcotest.test_case "RED words per packet" `Quick test_red_link_words;
         ] );
       ( "loss_model",
         [

@@ -95,15 +95,24 @@ let golden =
       "{\"t\":0.5,\"cat\":\"tfrc\",\"ev\":\"start\",\"flow\":3,\"rate\":1000,\"s\":1000,\"min_rate\":125,\"rv\":true,\"t_mbi\":64}" );
     ( 1.75,
       Tfrc_rate_update
-        { flow = 3; rate = 2500.5; prev_rate = 1000.; recv_rate = 1250.25; p = 0.0125;
-          rtt = 0.1 },
+        {
+          flow = 3;
+          floats =
+            { rate = 2500.5; prev_rate = 1000.; recv_rate = 1250.25; p = 0.0125;
+              rtt = 0.1 };
+        },
       "{\"t\":1.75,\"cat\":\"tfrc\",\"ev\":\"rate_update\",\"flow\":3,\"rate\":2500.5,\"prev_rate\":1000,\"recv_rate\":1250.25,\"p\":0.0125,\"rtt\":0.1}" );
     ( 4.,
-      Tfrc_nofb_expiry { flow = 3; rate = 500.; interval = 0.4; consecutive = 2 },
+      Tfrc_nofb_expiry
+        { flow = 3; consecutive = 2; floats = { rate = 500.; interval = 0.4 } },
       "{\"t\":4,\"cat\":\"tfrc\",\"ev\":\"nofb_expiry\",\"flow\":3,\"rate\":500,\"interval\":0.4,\"consecutive\":2}" );
     ( 2.,
       Tfrc_feedback
-        { flow = 3; p = nan; recv_rate = 1e6; n_closed = 4; avg_interval = 12.5 },
+        {
+          flow = 3;
+          n_closed = 4;
+          floats = { p = nan; recv_rate = 1e6; avg_interval = 12.5 };
+        },
       "{\"t\":2,\"cat\":\"tfrc\",\"ev\":\"feedback\",\"flow\":3,\"p\":null,\"recv_rate\":1000000,\"n_closed\":4,\"avg_interval\":12.5}" );
     ( 0.001,
       Link_send { link = l; id = 7; flow = 3; seq = 42; size = 1000; reason = "" },
@@ -305,7 +314,9 @@ let start_ev ?(time = 0.) ?(flow = 1) ?(rate = 1000.) ?(seg = 1000.)
 
 let rate_update_ev ?(time = 1.) ?(flow = 1) ~rate ~prev_rate ~recv_rate ~p
     ~rtt () =
-  ev ~time (Tfrc_rate_update { flow; rate; prev_rate; recv_rate; p; rtt })
+  ev ~time
+    (Tfrc_rate_update
+       { flow; floats = { rate; prev_rate; recv_rate; p; rtt } })
 
 let test_checker_clean_rate_update () =
   let t = Tfrc.Invariants.create () in
@@ -332,7 +343,7 @@ let test_checker_broken_sender () =
   | l -> Alcotest.failf "expected one violation, got %d" (List.length l)
 
 let nofb_ev ?(time = 1.) ?(flow = 1) ~rate ~interval ~consecutive () =
-  ev ~time (Tfrc_nofb_expiry { flow; rate; interval; consecutive })
+  ev ~time (Tfrc_nofb_expiry { flow; consecutive; floats = { rate; interval } })
 
 let test_checker_nofb_exceeds_t_mbi () =
   let t = Tfrc.Invariants.create () in
@@ -362,7 +373,9 @@ let test_checker_nofb_below_floor () =
     (Tfrc.Invariants.ok t)
 
 let feedback_ev ?(time = 1.) ?(flow = 1) ~p ~recv_rate ~n_closed ~avg () =
-  ev ~time (Tfrc_feedback { flow; p; recv_rate; n_closed; avg_interval = avg })
+  ev ~time
+    (Tfrc_feedback
+       { flow; n_closed; floats = { p; recv_rate; avg_interval = avg } })
 
 let test_checker_loss_rate_range () =
   let t = Tfrc.Invariants.create () in
@@ -489,8 +502,12 @@ let run_dumbbell_checked ~seed ~rogue =
                   t_mbi = 64. });
            emit bus ~time:now
              (Tfrc_rate_update
-                { flow = 99; rate = 5000.; prev_rate = 1000.; recv_rate = 1000.;
-                  p = 0.1; rtt = 0.1 })));
+                {
+                  flow = 99;
+                  floats =
+                    { rate = 5000.; prev_rate = 1000.; recv_rate = 1000.;
+                      p = 0.1; rtt = 0.1 };
+                })));
   Engine.Sim.run sim ~until:60.;
   Tfrc.Invariants.detach checker bus;
   checker
@@ -585,6 +602,68 @@ let test_traced_link_budget () =
     Alcotest.failf "traced packet: %.1f minor words (bound %.0f)" words
       traced_packet_words
 
+(* A TFRC receiver reporting on data packets with a gap in every ten, and
+   its sender taking each report: a round is one [tfrc/feedback] and one
+   [tfrc/rate_update]. Returns the minor words of [rounds] rounds after a
+   warm-up round, made without running the simulator, so no [sim/*]
+   event is built. *)
+let feedback_round_words bus ~rounds =
+  let sim = Engine.Sim.create ~trace:bus () in
+  let rt = Engine.Sim.runtime sim in
+  let config = Tfrc.Tfrc_config.default () in
+  let fb = ref Netsim.Packet.none in
+  let receiver =
+    Tfrc.Tfrc_receiver.create rt ~config ~flow:1 ~transmit:(fun p -> fb := p) ()
+  in
+  let sender = Tfrc.Tfrc_sender.create rt ~config ~flow:1 ~transmit:ignore () in
+  Tfrc.Tfrc_sender.start sender ~at:0.;
+  Engine.Sim.run sim ~until:0.001;
+  (* Round r's data, one second of send time apart from the last round's,
+     so each gap is a new loss event and triggers a report. *)
+  let data r =
+    List.filter_map
+      (fun i ->
+        let seq = (10 * r) + i in
+        if i = 5 then None
+        else
+          Some
+            (Netsim.Packet.make rt ~ecn:false ~flow:1 ~seq ~size:1000
+               ~now:(float_of_int r +. (0.001 *. float_of_int i))
+               (Netsim.Packet.Tfrc_data { rtt = 0.1 })))
+      (List.init 10 Fun.id)
+  in
+  let round pkts =
+    List.iter (Tfrc.Tfrc_receiver.recv receiver) pkts;
+    Tfrc.Tfrc_sender.recv sender !fb
+  in
+  round (data 0);
+  let batches = List.init rounds (fun r -> data (r + 1)) in
+  let fbs = Tfrc.Tfrc_receiver.feedbacks_sent receiver in
+  let words = minor_words_of (fun () -> List.iter round batches) in
+  Alcotest.(check int) "one report per round" rounds
+    (Tfrc.Tfrc_receiver.feedbacks_sent receiver - fbs);
+  Alcotest.(check int) "every report taken" (rounds + 1)
+    (Tfrc.Tfrc_sender.feedbacks_received sender);
+  words
+
+(* A feedback round's [tfrc/feedback] and [tfrc/rate_update], refilled in
+   place by their emitters and read by the checker through their float
+   records, allocate nothing: the round costs the same words on a bus
+   with the checker attached as on an inert bus. *)
+let test_traced_feedback_round () =
+  let rounds = 50 in
+  let plain = feedback_round_words (create ()) ~rounds in
+  let bus = create () in
+  let checker = Tfrc.Invariants.create () in
+  Tfrc.Invariants.attach checker bus;
+  let traced = feedback_round_words bus ~rounds in
+  Alcotest.(check bool) "checker saw both events of every round" true
+    (Tfrc.Invariants.n_events checker >= 2 * rounds);
+  Alcotest.(check bool) "no violations" true (Tfrc.Invariants.ok checker);
+  if traced <> plain then
+    Alcotest.failf "feedback round: %g minor words traced, %g inert (budget 0)"
+      (traced /. float_of_int rounds) (plain /. float_of_int rounds)
+
 (* --- Borrowed events --------------------------------------------------------- *)
 
 (* Two packets through a link on a bus with a ring and a memory sink: the
@@ -655,6 +734,84 @@ let test_reentrant_emit_raises () =
   Alcotest.(check int) "the bus delivers again after the raise" 2
     (List.length (seen_events ()));
   Alcotest.(check int) "both emits counted" 2 (emitted bus)
+
+(* A sink keeps [tfrc/<name>] events while their emitter refills one
+   block for each: a memory sink's and the ring's copies hold the values
+   of their own emit. Runs [sim] to [t1], where at least two distinct
+   reports are in the ring, and then to [t2]. Fields are compared
+   without the time, which the bus copies apart from the kind. *)
+let check_kept_tfrc name bus sim ~t1 ~t2 =
+  let sink, events = memory_sink () in
+  add_sink bus sink;
+  let fields evs =
+    List.filter_map
+      (fun e ->
+        if snd (cat_name e.kind) = name then
+          Some (to_json { stamp = { time = 0. }; kind = e.kind })
+        else None)
+      evs
+  in
+  Engine.Sim.run sim ~until:t1;
+  let kept = fields (events ()) and ring = recent bus in
+  let ring_fields = fields ring in
+  let n = List.length ring_fields in
+  Alcotest.(check bool) "distinct reports in the ring" true
+    (List.length (List.sort_uniq compare ring_fields) >= 2);
+  Alcotest.(check (list string)) "ring holds what was emitted"
+    (List.filteri (fun i _ -> i >= List.length kept - n) kept)
+    ring_fields;
+  Engine.Sim.run sim ~until:t2;
+  let later = fields (events ()) in
+  Alcotest.(check bool) "more reports emitted" true
+    (List.length later > List.length kept);
+  Alcotest.(check (list string)) "memory sink unchanged by later emits" kept
+    (List.filteri (fun i _ -> i < List.length kept) later);
+  Alcotest.(check (list string)) "recent unchanged by later emits" ring_fields
+    (fields ring)
+
+(* A TFRC sender and receiver wired back to back, 20 ms each way, with
+   every 37th data packet lost: the losses hold the rate near 200
+   packets a second. *)
+let tfrc_pair bus =
+  let sim = Engine.Sim.create ~trace:bus () in
+  let rt = Engine.Sim.runtime sim in
+  let config = Tfrc.Tfrc_config.default ~initial_rtt:0.04 () in
+  let later f pkt = ignore (Engine.Sim.after sim 0.02 (fun () -> f pkt)) in
+  let to_receiver = ref ignore and sent = ref 0 in
+  let sender =
+    Tfrc.Tfrc_sender.create rt ~config ~flow:1
+      ~transmit:(fun p ->
+        incr sent;
+        if !sent mod 37 <> 0 then later !to_receiver p)
+      ()
+  in
+  let receiver =
+    Tfrc.Tfrc_receiver.create rt ~config ~flow:1
+      ~transmit:(later (Tfrc.Tfrc_sender.recv sender))
+      ()
+  in
+  to_receiver := Tfrc.Tfrc_receiver.recv receiver;
+  Tfrc.Tfrc_sender.start sender ~at:0.;
+  sim
+
+let test_kept_rate_update () =
+  let bus = create ~ring:8 () in
+  check_kept_tfrc "rate_update" bus (tfrc_pair bus) ~t1:1. ~t2:2.
+
+let test_kept_feedback () =
+  let bus = create ~ring:8 () in
+  check_kept_tfrc "feedback" bus (tfrc_pair bus) ~t1:1. ~t2:2.
+
+(* A sender that hears nothing backs off once per expiry. *)
+let test_kept_nofb_expiry () =
+  let bus = create ~ring:8 () in
+  let sim = Engine.Sim.create ~trace:bus () in
+  let sender =
+    Tfrc.Tfrc_sender.create (Engine.Sim.runtime sim)
+      ~config:(Tfrc.Tfrc_config.default ()) ~flow:1 ~transmit:ignore ()
+  in
+  Tfrc.Tfrc_sender.start sender ~at:0.;
+  check_kept_tfrc "nofb_expiry" bus sim ~t1:10. ~t2:40.
 
 (* The trace path of a packet — its [link/send] and [link/deliver], and
    the checker reading both — allocates nothing. A round on a bus with the
@@ -736,6 +893,8 @@ let () =
         [
           Alcotest.test_case "traced link packet" `Quick
             test_traced_link_budget;
+          Alcotest.test_case "traced feedback round" `Quick
+            test_traced_feedback_round;
         ] );
       ( "borrowed",
         [
@@ -745,5 +904,11 @@ let () =
             test_reentrant_emit_raises;
           Alcotest.test_case "link packet trace words" `Quick
             test_link_packet_trace_words;
+          Alcotest.test_case "kept rate_update is a copy" `Quick
+            test_kept_rate_update;
+          Alcotest.test_case "kept nofb_expiry is a copy" `Quick
+            test_kept_nofb_expiry;
+          Alcotest.test_case "kept feedback is a copy" `Quick
+            test_kept_feedback;
         ] );
     ]
